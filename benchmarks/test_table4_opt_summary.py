@@ -10,10 +10,12 @@ import pytest
 
 from repro.datagen import rm1
 from repro.pipeline import (
-    PipelineConfig,
+    DataSpec,
+    JobSpec,
     RecDToggles,
+    Session,
+    TrainSpec,
     fig9_ablation,
-    run_pipeline,
 )
 
 
@@ -22,16 +24,17 @@ def summary():
     w = rm1(scale=1.0)
     sessions = 220
 
-    def pipeline(toggles, batch=None, train_batches=1):
-        return run_pipeline(
-            PipelineConfig(
-                workload=w,
-                toggles=toggles,
-                num_sessions=sessions,
-                batch_size=batch or w.baseline_batch_size,
-                train_batches=train_batches,
+    def pipeline(toggles):
+        return Session(
+            JobSpec(
+                data=DataSpec(
+                    workload=w, toggles=toggles, num_sessions=sessions
+                ),
+                train=TrainSpec(
+                    train_batches=1, batch_size=w.baseline_batch_size
+                ),
             )
-        )
+        ).run()
 
     base = pipeline(RecDToggles.baseline())
     o1 = pipeline(RecDToggles(o1_shard_by_session=True))

@@ -9,7 +9,7 @@ This example does both on the same reader-bound workload:
 1. run once, take the modeled per-epoch reader CPU and trainer step
    time, and sweep the width analytically (reader wall ~ CPU / width)
    to find the smallest width inside the target stall band;
-2. run with ``autoscale=True`` and show the ``ScalingTrace`` converging
+2. run with a ``ScalingSpec`` and show the ``ScalingTrace`` converging
    to that same width in a couple of epochs, from below (grow) and from
    above (shrink with hysteresis).
 
@@ -17,25 +17,38 @@ Run:  python examples/autoscale_convergence.py
 """
 
 from repro.datagen import rm1
-from repro.pipeline import PipelineConfig, RecDToggles, run_pipeline
+from repro.pipeline import (
+    DataSpec,
+    JobSpec,
+    ReaderSpec,
+    ScalingSpec,
+    Session,
+    TrainSpec,
+)
 
 TARGET_STALL = 0.10
 
 
-def _cfg(**kw) -> PipelineConfig:
-    kw.setdefault("workload", rm1(scale=0.25))
-    kw.setdefault("toggles", RecDToggles.baseline())
-    kw.setdefault("num_sessions", 150)
-    kw.setdefault("seed", 3)
-    kw.setdefault("batch_size", 64)
-    kw.setdefault("train_batches", None)  # train the whole partition
-    kw.setdefault("target_stall", TARGET_STALL)
-    return PipelineConfig(**kw)
+def _job(
+    num_readers: int,
+    train_epochs: int = 1,
+    scaling: ScalingSpec | None = None,
+) -> JobSpec:
+    return JobSpec(
+        data=DataSpec(workload=rm1(scale=0.25), num_sessions=150, seed=3),
+        reader=ReaderSpec(num_readers=num_readers),
+        train=TrainSpec(
+            train_epochs=train_epochs,
+            train_batches=None,  # train the whole partition
+            batch_size=64,
+        ),
+        scaling=scaling,
+    )
 
 
 def static_sweep(max_width: int = 32) -> int:
     """Find the statically-optimal width from one profiled run."""
-    res = run_pipeline(_cfg(num_readers=1))
+    res = Session(_job(num_readers=1)).run()
     reader_cpu = res.fleet.merged.cpu.total
     trainer_busy = sum(
         it.iteration_seconds for it in res.training.iterations
@@ -63,10 +76,14 @@ def static_sweep(max_width: int = 32) -> int:
 
 
 def autoscaled_run(initial: int, label: str) -> int:
-    """One autoscale=True run; print its ScalingTrace."""
-    res = run_pipeline(
-        _cfg(num_readers=initial, train_epochs=5, autoscale=True)
-    )
+    """One autoscaled run; print its ScalingTrace."""
+    res = Session(
+        _job(
+            num_readers=initial,
+            train_epochs=5,
+            scaling=ScalingSpec(target_stall=TARGET_STALL),
+        )
+    ).run()
     trace = res.scaling
     print(f"\n{label} (initial width {initial}):")
     for d in trace.decisions:

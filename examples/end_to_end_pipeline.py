@@ -9,7 +9,13 @@ Run:  python examples/end_to_end_pipeline.py
 """
 
 from repro.datagen import rm1
-from repro.pipeline import PipelineConfig, RecDToggles, run_pipeline
+from repro.pipeline import (
+    DataSpec,
+    JobSpec,
+    RecDToggles,
+    Session,
+    TrainSpec,
+)
 
 
 def describe(tag: str, res) -> None:
@@ -40,24 +46,20 @@ def main() -> None:
         f"batch {workload.baseline_batch_size} -> {workload.recd_batch_size}"
     )
 
-    base = run_pipeline(
-        PipelineConfig(
-            workload=workload,
-            toggles=RecDToggles.baseline(),
-            num_sessions=200,
-            train_batches=3,
-        )
-    )
+    def run(toggles: RecDToggles):
+        return Session(
+            JobSpec(
+                data=DataSpec(
+                    workload=workload, toggles=toggles, num_sessions=200
+                ),
+                train=TrainSpec(train_batches=3),
+            )
+        ).run()
+
+    base = run(RecDToggles.baseline())
     describe("baseline", base)
 
-    recd = run_pipeline(
-        PipelineConfig(
-            workload=workload,
-            toggles=RecDToggles.full(),
-            num_sessions=200,
-            train_batches=3,
-        )
-    )
+    recd = run(RecDToggles.full())
     describe("RecD (O1-O7)", recd)
 
     print("\n== end-to-end gains (Fig 7 shape) ==")

@@ -25,8 +25,8 @@ Three deployments of the same 2N workers, same jobs, same batches:
 Per-job losses are bit-identical in all three deployments — sharing
 moves wall-clock, never training results.
 
-A coda shows the two per-job knobs that compose with sharing since the
-``JobSpec``/``Session`` redesign: a scheduling **weight** biasing the
+A coda shows two per-job knobs that compose with sharing because every
+shape runs the same ``Session`` loop: a scheduling **weight** biasing the
 stall-weighted surplus toward a priority job, and **rolling-window
 retention** (land → train → age) running *inside* the shared tier with
 losses bit-identical to the solo retention run.
@@ -38,36 +38,41 @@ from dataclasses import replace
 
 from repro.datagen import rm1
 from repro.pipeline import (
-    PipelineConfig,
+    DataSpec,
+    JobSpec,
+    ReaderSpec,
     RecDToggles,
-    run_multi_job,
-    run_pipeline,
+    RetentionSpec,
+    Session,
+    TrainSpec,
 )
 
 WIDTH = 16  # the shared tier's pooled workers (2N; halves get N each)
 
 
-def _cfg(**kw) -> PipelineConfig:
-    kw.setdefault("workload", rm1(scale=0.25))
-    kw.setdefault("num_sessions", 60)
-    kw.setdefault("batch_size", 32)
-    kw.setdefault("train_batches", 2)
-    kw.setdefault("train_epochs", 4)
-    kw.setdefault("reader_executor", "inprocess")
-    return PipelineConfig(**kw)
+def _job(name: str, toggles: RecDToggles, seed: int) -> JobSpec:
+    return JobSpec(
+        data=DataSpec(
+            workload=rm1(scale=0.25),
+            toggles=toggles,
+            num_sessions=60,
+            seed=seed,
+        ),
+        reader=ReaderSpec(executor="inprocess"),
+        train=TrainSpec(batch_size=32, train_batches=2, train_epochs=4),
+        name=name,
+    )
 
 
 def main() -> None:
-    job_a = _cfg(toggles=RecDToggles.baseline(), seed=1)  # reader-heavy
-    job_b = _cfg(toggles=RecDToggles.full(), seed=2)      # reader-light
+    job_a = _job("A", RecDToggles.baseline(), seed=1)  # reader-heavy
+    job_b = _job("B", RecDToggles.full(), seed=2)      # reader-light
 
-    shared = run_multi_job(
-        [job_a, job_b], num_readers=WIDTH, names=["A", "B"]
-    )
-    half_a = run_multi_job([job_a], num_readers=WIDTH // 2, names=["A"])
-    half_b = run_multi_job([job_b], num_readers=WIDTH // 2, names=["B"])
-    full_a = run_multi_job([job_a], num_readers=WIDTH, names=["A"])
-    full_b = run_multi_job([job_b], num_readers=WIDTH, names=["B"])
+    shared = Session([job_a, job_b], width=WIDTH).run()
+    half_a = Session([job_a], width=WIDTH // 2).run()
+    half_b = Session([job_b], width=WIDTH // 2).run()
+    full_a = Session([job_a], width=WIDTH).run()
+    full_b = Session([job_b], width=WIDTH).run()
 
     print(f"shared tier ({WIDTH} workers, stall-weighted):")
     for rnd in shared.tier.rounds:
@@ -113,10 +118,10 @@ def main() -> None:
 
     # -- coda: weights and retention compose with sharing ------------------
 
-    weighted = run_multi_job(
-        [job_a, job_a], num_readers=WIDTH, names=["vip", "std"],
-        weights=[3.0, 1.0],
-    )
+    weighted = Session(
+        [job_a.with_(name="vip", weight=3.0), job_a.with_(name="std")],
+        width=WIDTH,
+    ).run()
     rnd = weighted.tier.rounds[1]  # first demand-informed round
     print(
         f"\nweight 3:1 on equal-demand clones -> round 1 allocation "
@@ -124,13 +129,14 @@ def main() -> None:
     )
     assert rnd.allocation["vip"] > rnd.allocation["std"]
 
-    retained = replace(
-        job_a, num_partitions=4, retain_partitions=2, train_epochs=3
+    retained = job_a.with_(
+        name="ret",
+        data=replace(job_a.data, num_partitions=4),
+        train=replace(job_a.train, train_epochs=3),
+        retention=RetentionSpec(window=2),
     )
-    mixed = run_multi_job(
-        [retained, job_b], num_readers=WIDTH, names=["ret", "B"]
-    )
-    solo = run_pipeline(retained)
+    mixed = Session([retained, job_b], width=WIDTH).run()
+    solo = Session(retained).run()
     assert mixed.job("ret").training.losses == solo.training.losses
     assert mixed.job("ret").dropped_partitions == solo.dropped_partitions
     print(

@@ -12,8 +12,15 @@ Run:  python examples/reader_tier_sizing.py
 """
 
 from repro.datagen import rm1
-from repro.pipeline import PipelineConfig, RecDToggles, run_pipeline
-from repro.pipeline.runner import land_table
+from repro.pipeline import (
+    DataSpec,
+    JobSpec,
+    ReaderSpec,
+    RecDToggles,
+    Session,
+    TrainSpec,
+    land_table,
+)
 from repro.reader import ReaderFleet, readers_required
 
 
@@ -25,15 +32,12 @@ def main() -> None:
         ("baseline", RecDToggles.baseline()),
         ("RecD", RecDToggles.full()),
     ]:
-        res = run_pipeline(
-            PipelineConfig(
-                workload=w,
-                toggles=toggles,
-                num_sessions=200,
-                train_batches=2,
+        results[name] = Session(
+            JobSpec(
+                data=DataSpec(workload=w, toggles=toggles, num_sessions=200),
+                train=TrainSpec(train_batches=2),
             )
-        )
-        results[name] = res
+        ).run()
 
     print("per-node throughputs:")
     for name, res in results.items():
@@ -54,18 +58,19 @@ def main() -> None:
     # run an actual sharded fleet over the RecD partitions: N workers
     # scan disjoint row-range shards and stream batches through bounded
     # prefetch queues, bit-identical to the serial reader's output
-    cfg = PipelineConfig(
+    recd_data = DataSpec(
         workload=w,
         toggles=RecDToggles.full(),
         num_sessions=200,
         num_partitions=2,
     )
-    table, _, _, partitions, _ = land_table(cfg)
+    recd_job = JobSpec(data=recd_data)
+    table, _, _, partitions, _ = land_table(recd_job)
     plan = readers_required(
         results["RecD"].trainer_qps, results["RecD"].reader_qps
     )
     fleet = ReaderFleet(
-        min(plan.num_readers, 8), cfg.dataloader_config(), prefetch_depth=2
+        min(plan.num_readers, 8), recd_job.dataloader_config(), prefetch_depth=2
     )
     batches = fleet.run_epoch(table, [p.name for p in partitions])
     rep = fleet.report
@@ -85,18 +90,13 @@ def main() -> None:
     # only there does OverlapReport show who stalls whom
     print("\nstreaming vs materialized (2 partitions x 2 epochs):")
     for label, streaming in [("streaming", True), ("materialized", False)]:
-        res = run_pipeline(
-            PipelineConfig(
-                workload=w,
-                toggles=RecDToggles.full(),
-                num_sessions=200,
-                num_partitions=2,
-                train_epochs=2,
-                train_batches=4,
-                num_readers=4,
-                streaming=streaming,
+        res = Session(
+            JobSpec(
+                data=recd_data,
+                reader=ReaderSpec(num_readers=4, streaming=streaming),
+                train=TrainSpec(train_epochs=2, train_batches=4),
             )
-        )
+        ).run()
         ov = res.overlap
         print(
             f"  {label:12s}: {ov.batches} steps in {ov.wall_seconds:.3f}s "

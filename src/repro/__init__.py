@@ -21,9 +21,9 @@ Quickstart::
     ).run()
     print(result.trainer_qps, result.storage_compression)
 
-The flat legacy surface (``PipelineConfig`` + ``run_pipeline`` /
-``run_multi_job``) adapts onto the same ``Session`` engine,
-bit-identical — ``docs/api.md`` has the migration table.
+``JobSpec`` + ``Session`` is the one run surface — pass a list of
+specs and a ``width`` to share one reader tier across jobs;
+``docs/api.md`` is the reference.
 """
 
 from . import (

@@ -257,7 +257,7 @@ def _cmd_pipeline(args) -> int:
     print(f"  samples landed      : {res.samples_landed}")
     print(
         f"  partitions          : {len(res.partitions)} "
-        f"({res.partition.num_rows} rows), {res.config.train_epochs} epoch(s)"
+        f"({res.partition.num_rows} rows), {res.spec.train.train_epochs} epoch(s)"
     )
     print(f"  scribe compression  : {res.scribe_compression:.2f}x")
     print(f"  storage compression : {res.storage_compression:.2f}x")
@@ -460,7 +460,7 @@ def _cmd_multijob(args) -> int:
             f"{trace.final_width}"
         )
     for label, job in zip(labels, res.jobs):
-        mode = "RecD" if job.config.toggles.o3_ikjt else "baseline"
+        mode = "RecD" if job.spec.data.toggles.o3_ikjt else "baseline"
         ov = job.overlap
         print(
             f"{job.name} ({label}, {mode}): "

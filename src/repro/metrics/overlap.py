@@ -1,6 +1,6 @@
 """Reader→trainer overlap accounting for the streaming pipeline.
 
-When ``run_pipeline`` streams a reader fleet's batches straight into the
+When a ``Session`` streams a reader fleet's batches straight into the
 trainers (instead of materializing them first), the end-to-end loop's
 wall-clock belongs to whichever tier was the bottleneck at each moment.
 :class:`OverlapReport` attributes it from two measured signals:

@@ -10,11 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from ..datagen.workloads import RMWorkload
-from ..reader.config import DataLoaderConfig
 from ..trainer.sparse_arch import TrainerOptFlags
 
-__all__ = ["RecDToggles", "PipelineConfig"]
+__all__ = ["RecDToggles"]
 
 
 @dataclass(frozen=True)
@@ -63,123 +61,3 @@ class RecDToggles:
             jagged_index_select=self.o6_jagged_index_select,
             dedup_compute=self.o7_dedup_compute,
         )
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    """One end-to-end run's parameters.
-
-    Everything :func:`~repro.pipeline.runner.run_pipeline` needs to run
-    the Figure 1 pipeline once: workload + optimization toggles, data
-    volume, cluster shape, reader-fleet sizing (fixed or adaptive), and
-    the partition lifecycle (how many time partitions land, how many
-    stay live under rolling-window retention, how many epochs train
-    over them).
-
-    Raises:
-        ValueError: from ``__post_init__`` when any knob is out of
-            range (non-positive widths/depths/epochs, a
-            ``target_stall`` outside (0, 1), ``max_readers`` below
-            ``num_readers``, or a non-positive ``retain_partitions``).
-    """
-
-    workload: RMWorkload
-    toggles: RecDToggles
-    num_sessions: int = 250
-    #: S of the generated table; RM3's production table has fewer
-    #: samples/session than RM1/RM2's (§6.1)
-    mean_samples_per_session: float = 16.5
-    num_scribe_shards: int = 8
-    num_gpus: int = 48
-    gpus_per_node: int = 8
-    #: overrides workload batch sizes when set
-    batch_size: int | None = None
-    train_batches: int = 2
-    max_table_rows: int = 2000
-    seed: int = 0
-    transforms: tuple[str, ...] = ("hash_modulo",)
-    #: reader-fleet width: how many sharded reader workers scan the
-    #: landed partition (1 = the serial single-node path)
-    num_readers: int = 1
-    #: bounded prefetch per reader worker (2 = double buffering)
-    prefetch_depth: int = 2
-    #: how many time partitions the generated table lands as (the
-    #: paper's day-partitioned training tables); an epoch scans them all
-    num_partitions: int = 1
-    #: epochs the trainer runs over the landed partitions
-    train_epochs: int = 1
-    #: stream reader batches straight into the trainers (overlapping
-    #: decode with training steps) instead of materializing them first;
-    #: both paths are bit-identical — the knob exists for A/B timing
-    streaming: bool = True
-    #: adapt the fleet width between epochs: a
-    #: :class:`~repro.reader.autoscale.ReaderAutoscaler` consumes each
-    #: epoch's modeled overlap and grows/shrinks ``num_readers`` (which
-    #: then only sets the *initial* width)
-    autoscale: bool = False
-    #: autoscaler set-point: grow the fleet while the epoch's
-    #: reader-stall fraction exceeds this band
-    target_stall: float = 0.10
-    #: autoscaler upper bound on the fleet width
-    max_readers: int = 32
-    #: rolling-window retention: at most this many partitions stay live;
-    #: each epoch one new partition lands and aged ones are dropped
-    #: (``None`` = keep every partition live, the non-retention path)
-    retain_partitions: int | None = None
-    #: which fleet executor scans shards: ``"process"`` (real
-    #: multiprocessing workers), ``"inprocess"`` (deterministic serial
-    #: fallback — what tests pin), ``"async"`` (deterministic coroutine
-    #: scheduler with modeled queue waits), or ``"auto"`` (pick per
-    #: platform); the batch stream is bit-identical for all of them
-    reader_executor: str = "auto"
-
-    def __post_init__(self) -> None:
-        if self.num_readers <= 0:
-            raise ValueError("num_readers must be positive")
-        if self.prefetch_depth <= 0:
-            raise ValueError("prefetch_depth must be positive")
-        if self.num_partitions <= 0:
-            raise ValueError("num_partitions must be positive")
-        if self.train_epochs <= 0:
-            raise ValueError("train_epochs must be positive")
-        if not 0.0 < self.target_stall < 1.0:
-            raise ValueError(
-                f"target_stall must be in (0, 1), got {self.target_stall}"
-            )
-        if self.autoscale and self.max_readers < self.num_readers:
-            raise ValueError(
-                f"max_readers ({self.max_readers}) must be >= the "
-                f"initial num_readers ({self.num_readers}) when "
-                "autoscale is on"
-            )
-        if self.retain_partitions is not None and self.retain_partitions <= 0:
-            raise ValueError(
-                "retain_partitions must be positive when set, got "
-                f"{self.retain_partitions}"
-            )
-        if self.reader_executor not in (
-            "auto",
-            "process",
-            "inprocess",
-            "async",
-        ):
-            raise ValueError(
-                "reader_executor must be 'auto', 'process', 'inprocess' "
-                f"or 'async', got {self.reader_executor!r}"
-            )
-
-    @property
-    def effective_batch_size(self) -> int:
-        """The run's batch size: the override, else the workload's
-        per-path (baseline vs RecD) default."""
-        # Delegates through the spec surface so the derivation exists
-        # exactly once (imported lazily: spec.py imports this module).
-        from .spec import JobSpec
-
-        return JobSpec.from_legacy(self).effective_batch_size
-
-    def dataloader_config(self) -> DataLoaderConfig:
-        """The job's DataLoader spec under the current toggles."""
-        from .spec import JobSpec
-
-        return JobSpec.from_legacy(self).dataloader_config()

@@ -32,8 +32,9 @@ from ..datagen.session import sample_session_sizes, session_size_stats
 from ..datagen.workloads import RMWorkload, rm1, rm2, rm3
 from ..metrics.breakdown import IterationBreakdown, ReaderCpuBreakdown
 from ..reader.node import ReaderNode
-from .config import PipelineConfig, RecDToggles
-from .runner import PipelineResult, land_table, run_pipeline
+from .config import RecDToggles
+from .session import PipelineResult, Session, land_table
+from .spec import DataSpec, JobSpec, TrainSpec
 
 __all__ = [
     "Fig3Result",
@@ -168,25 +169,20 @@ def fig7_end_to_end(
             sessions, s_mean = int(num_sessions * 3.0), 5.0
         else:
             sessions, s_mean = num_sessions, 16.5
-        base = run_pipeline(
-            PipelineConfig(
-                workload=w,
-                toggles=RecDToggles.baseline(),
-                num_sessions=sessions,
-                mean_samples_per_session=s_mean,
-                train_batches=train_batches,
-                seed=seed,
-            )
-        )
-        recd = run_pipeline(
-            PipelineConfig(
-                workload=w,
-                toggles=RecDToggles.full(),
-                num_sessions=sessions,
-                mean_samples_per_session=s_mean,
-                train_batches=train_batches,
-                seed=seed,
-            )
+        base, recd = (
+            Session(
+                JobSpec(
+                    data=DataSpec(
+                        workload=w,
+                        toggles=toggles,
+                        num_sessions=sessions,
+                        mean_samples_per_session=s_mean,
+                        seed=seed,
+                    ),
+                    train=TrainSpec(train_batches=train_batches),
+                )
+            ).run()
+            for toggles in (RecDToggles.baseline(), RecDToggles.full())
         )
         rows.append(
             Fig7Row(
@@ -223,23 +219,19 @@ def fig8_iteration_breakdown(
     """Fig 8 uses the *same batch size* as the baseline for each RM."""
     rows = []
     for w in _workloads(scale):
-        base = run_pipeline(
-            PipelineConfig(
-                workload=w,
-                toggles=RecDToggles.baseline(),
-                num_sessions=num_sessions,
-                batch_size=w.baseline_batch_size,
-                seed=seed,
-            )
-        )
-        recd = run_pipeline(
-            PipelineConfig(
-                workload=w,
-                toggles=RecDToggles.full(),
-                num_sessions=num_sessions,
-                batch_size=w.baseline_batch_size,
-                seed=seed,
-            )
+        base, recd = (
+            Session(
+                JobSpec(
+                    data=DataSpec(
+                        workload=w,
+                        toggles=toggles,
+                        num_sessions=num_sessions,
+                        seed=seed,
+                    ),
+                    train=TrainSpec(batch_size=w.baseline_batch_size),
+                )
+            ).run()
+            for toggles in (RecDToggles.baseline(), RecDToggles.full())
         )
         b = base.training.mean_breakdown
         r = recd.training.mean_breakdown
@@ -295,15 +287,17 @@ def fig9_ablation(
     results: list[Fig9Stage] = []
     base_qps: float | None = None
     for label, toggles, batch in stages:
-        res = run_pipeline(
-            PipelineConfig(
-                workload=w,
-                toggles=toggles,
-                num_sessions=num_sessions,
-                batch_size=batch,
-                seed=seed,
+        res = Session(
+            JobSpec(
+                data=DataSpec(
+                    workload=w,
+                    toggles=toggles,
+                    num_sessions=num_sessions,
+                    seed=seed,
+                ),
+                train=TrainSpec(batch_size=batch),
             )
-        )
+        ).run()
         qps = res.trainer_qps
         if base_qps is None:
             base_qps = qps
@@ -349,19 +343,20 @@ def table2_resource_util(
     ]
     runs = []
     for label, workload, toggles, batch in configs:
-        res = run_pipeline(
-            PipelineConfig(
-                workload=workload,
-                toggles=toggles,
-                num_sessions=num_sessions,
-                batch_size=batch,
+        res = Session(
+            JobSpec(
+                data=DataSpec(
+                    workload=workload,
+                    toggles=toggles,
+                    num_sessions=num_sessions,
+                    seed=seed,
+                ),
                 # small hash-capped tables keep dynamic activations the
                 # dominant memory term, matching the paper's setting
                 # (baseline Table 2 has ~80% of memory in dynamic state)
-                max_table_rows=500,
-                seed=seed,
+                train=TrainSpec(batch_size=batch, max_table_rows=500),
             )
-        )
+        ).run()
         runs.append((label, res))
     # capacity chosen so the baseline batch "required the entirety of GPU
     # memory" (§6.2): baseline peak = 99.9% utilization.
@@ -426,12 +421,14 @@ def table3_reader_bytes(
     rows: list[Table3Row] = []
     fixed_batches: int | None = None
     for label, toggles in variants:
-        cfg = PipelineConfig(
-            workload=w,
-            toggles=toggles,
-            num_sessions=num_sessions,
-            batch_size=B,
-            seed=seed,
+        cfg = JobSpec(
+            data=DataSpec(
+                workload=w,
+                toggles=toggles,
+                num_sessions=num_sessions,
+                seed=seed,
+            ),
+            train=TrainSpec(batch_size=B),
         )
         table, _, _, partitions, _ = land_table(cfg)
         if fixed_batches is None:
@@ -469,25 +466,21 @@ def fig10_reader_cpu(
     """Fig 10: Fill/Convert/Process CPU, baseline vs RecD."""
     rows = []
     for w in _workloads(scale):
-        base = run_pipeline(
-            PipelineConfig(
-                workload=w,
-                toggles=RecDToggles.baseline(),
-                num_sessions=num_sessions,
-                batch_size=w.baseline_batch_size,
-                train_batches=1,
-                seed=seed,
-            )
-        )
-        recd = run_pipeline(
-            PipelineConfig(
-                workload=w,
-                toggles=RecDToggles.full(),
-                num_sessions=num_sessions,
-                batch_size=w.baseline_batch_size,
-                train_batches=1,
-                seed=seed,
-            )
+        base, recd = (
+            Session(
+                JobSpec(
+                    data=DataSpec(
+                        workload=w,
+                        toggles=toggles,
+                        num_sessions=num_sessions,
+                        seed=seed,
+                    ),
+                    train=TrainSpec(
+                        train_batches=1, batch_size=w.baseline_batch_size
+                    ),
+                )
+            ).run()
+            for toggles in (RecDToggles.baseline(), RecDToggles.full())
         )
         rows.append(
             Fig10Row(
@@ -510,22 +503,23 @@ def scribe_sharding_compression(
 ) -> dict[str, float]:
     """Paper: 1.50x (random) -> 2.25x (session sharding)."""
     w = rm1(scale)
-    random_cfg = PipelineConfig(
-        workload=w, toggles=RecDToggles.baseline(), num_sessions=num_sessions,
-        seed=seed,
-    )
-    session_cfg = PipelineConfig(
-        workload=w,
-        toggles=RecDToggles(o1_shard_by_session=True),
-        num_sessions=num_sessions,
-        seed=seed,
-    )
-    _, random_stats, _, _, _ = land_table(random_cfg)
-    _, session_stats, _, _, _ = land_table(session_cfg)
-    return {
-        "random": random_stats.compression_ratio,
-        "session": session_stats.compression_ratio,
-    }
+    ratios = {}
+    for policy, toggles in (
+        ("random", RecDToggles.baseline()),
+        ("session", RecDToggles(o1_shard_by_session=True)),
+    ):
+        _, stats, _, _, _ = land_table(
+            JobSpec(
+                data=DataSpec(
+                    workload=w,
+                    toggles=toggles,
+                    num_sessions=num_sessions,
+                    seed=seed,
+                )
+            )
+        )
+        ratios[policy] = stats.compression_ratio
+    return ratios
 
 
 # ---------------------------------------------------------------------------
@@ -543,17 +537,19 @@ def single_node_speedup(
         ("baseline", RecDToggles.baseline(), w.baseline_batch_size),
         ("recd", RecDToggles.full(), w.recd_batch_size),
     ]:
-        res = run_pipeline(
-            PipelineConfig(
-                workload=w,
-                toggles=toggles,
-                num_sessions=num_sessions,
-                num_gpus=8,
-                gpus_per_node=8,
-                batch_size=batch,
-                seed=seed,
+        res = Session(
+            JobSpec(
+                data=DataSpec(
+                    workload=w,
+                    toggles=toggles,
+                    num_sessions=num_sessions,
+                    seed=seed,
+                ),
+                train=TrainSpec(
+                    batch_size=batch, num_gpus=8, gpus_per_node=8
+                ),
             )
-        )
+        ).run()
         results[name] = res.trainer_qps
     results["speedup"] = results["recd"] / results["baseline"]
     return results
@@ -591,18 +587,21 @@ def accuracy_clustering(
             if clustered
             else RecDToggles.baseline()
         )
-        res = run_pipeline(
-            PipelineConfig(
-                workload=w,
-                toggles=toggles,
-                num_sessions=num_sessions,
-                batch_size=w.baseline_batch_size,
-                train_batches=train_batches,
-                seed=seed,
-            ),
-            track_updates=True,
-        )
-        return res
+        return Session(
+            JobSpec(
+                data=DataSpec(
+                    workload=w,
+                    toggles=toggles,
+                    num_sessions=num_sessions,
+                    seed=seed,
+                ),
+                train=TrainSpec(
+                    train_batches=train_batches,
+                    batch_size=w.baseline_batch_size,
+                    track_updates=True,
+                ),
+            )
+        ).run()
 
     inter = run(False)
     clus = run(True)
@@ -628,20 +627,23 @@ def _repeat_fraction_for(
         if clustered
         else RecDToggles.baseline()
     )
-    cfg = PipelineConfig(
-        workload=w,
-        toggles=toggles,
-        num_sessions=num_sessions,
-        batch_size=w.baseline_batch_size,
-        train_batches=train_batches,
-        seed=seed,
+    cfg = JobSpec(
+        data=DataSpec(
+            workload=w,
+            toggles=toggles,
+            num_sessions=num_sessions,
+            seed=seed,
+        ),
+        train=TrainSpec(
+            train_batches=train_batches, batch_size=w.baseline_batch_size
+        ),
     )
     table, _, _, _, _ = land_table(cfg)
     node = ReaderNode(cfg.dataloader_config())
     batches = node.run_all(table.open_readers("p0"), max_batches=train_batches)
     model = DLRM(
         list(w.schema.sparse),
-        DLRMConfig.from_workload(w, max_table_rows=cfg.max_table_rows, seed=seed),
+        DLRMConfig.from_workload(w, max_table_rows=cfg.train.max_table_rows, seed=seed),
         toggles.trainer_flags,
     )
     trainer = DistributedTrainer(model, sim_cluster(num_gpus=8))

@@ -1,17 +1,13 @@
-"""The one execution engine behind every run surface: ``Session``.
+"""The one way to run a job: ``Session``.
 
-Before this module the repo had *two* end-to-end loops — ``run_pipeline``
-owned a single job's land→scan→train→age epoch loop, and
-``run_multi_job`` owned a diverged copy wired through the shared reader
-tier, which is why retention and per-job autoscaling had to be forbidden
-under sharing.  :class:`Session` collapses them: one engine prepares
-each registered :class:`~repro.pipeline.spec.JobSpec` (generate →
-Scribe → ETL → land), hands every job to one
+One engine prepares each registered
+:class:`~repro.pipeline.spec.JobSpec` (generate → Scribe → ETL →
+land), hands every job to one
 :class:`~repro.reader.tier_scheduler.SharedReaderTier`, and runs
 scheduling rounds until every job's epoch plan is exhausted.  A
 single-job session is simply a one-job tier — the allocator leases the
 whole pool to the sole job every round, so each round *is* one epoch on
-a full-width fleet, bit-identical to the old dedicated loop.
+a full-width fleet.
 
 Because one loop serves every shape, features compose instead of
 forking:
@@ -28,16 +24,12 @@ forking:
 * **Weights** — :attr:`JobSpec.weight` scales a job's observed reader
   demand in the stall-weighted allocator, so priority jobs pull more of
   the surplus pool without ever changing batch content.
-
-The legacy entry points — :func:`~repro.pipeline.runner.run_pipeline`
-and :func:`~repro.pipeline.multi_job.run_multi_job` — are thin adapters
-over this engine and stay bit-identical to their historical outputs.
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 from ..datagen.generator import TraceConfig, TraceGenerator
@@ -60,7 +52,6 @@ from ..streaming.lander import StreamLander, plan_stream_windows
 from ..streaming.live import LiveLoop
 from ..trainer.checkpoint import ModelStore
 from ..trainer.model import DLRM, DLRMConfig
-from .config import PipelineConfig
 from .spec import CheckpointSpec, JobSpec, ScalingSpec
 
 __all__ = [
@@ -77,9 +68,10 @@ __all__ = [
 
 @dataclass
 class PipelineResult:
-    """Every stage's measurements for one configuration."""
+    """Every stage's measurements for one job."""
 
-    config: PipelineConfig
+    #: the composed spec the engine executed
+    spec: JobSpec
     scribe: ScribeStats
     scribe_ingest_bytes: int
     #: the landed table rolled up across partitions (storage totals)
@@ -101,9 +93,6 @@ class PipelineResult:
     dropped_partitions: list[str] = field(default_factory=list)
     #: the autoscaler's decision history (scaled runs only)
     scaling: ScalingTrace | None = None
-    #: the composed spec the engine executed (``None`` only for results
-    #: built by code predating the spec surface)
-    spec: JobSpec | None = None
 
     # -- the Fig 7 headline metrics ------------------------------------------
 
@@ -133,9 +122,10 @@ class JobResult:
     """One job's measurements from a shared-tier run."""
 
     name: str
-    config: PipelineConfig
+    #: the composed spec the engine executed for this job
+    spec: JobSpec
     #: the job's trainer report — per-step losses bit-identical to the
-    #: same config run alone through ``run_pipeline``
+    #: same spec run alone in its own ``Session``
     training: TrainingReport
     #: the job's reader measurements merged across every round it ran
     fleet: FleetReport
@@ -146,8 +136,6 @@ class JobResult:
     samples_landed: int
     #: partitions aged out by the job's rolling window, in drop order
     dropped_partitions: list[str] = field(default_factory=list)
-    #: the composed spec the engine executed for this job
-    spec: JobSpec | None = None
 
 
 @dataclass
@@ -288,7 +276,7 @@ def _prepare_table(
 
 
 def land_table(
-    job: JobSpec | PipelineConfig,
+    job: JobSpec,
 ) -> tuple[HiveTable, ScribeStats, int, list[PartitionInfo], list[Sample]]:
     """Stages 1–4: generate, transport, join, land.
 
@@ -298,15 +286,12 @@ def land_table(
     in order always reproduces the single-partition row order.
 
     Args:
-        job: the run's parameters — a :class:`JobSpec`, or a legacy
-            flat :class:`PipelineConfig` (converted via
-            :meth:`JobSpec.coerce`).
+        job: the run's parameters.
 
     Returns:
         ``(table, scribe_stats, etl_ingest_bytes, partitions, samples)``
         — the landed table, transport stats, and the joined row list.
     """
-    job = JobSpec.coerce(job)
     table, scribe_stats, ingest_bytes, landed = _prepare_table(job)
     partitions = [
         table.land_partition(f"p{i}", landed[start:stop])
@@ -337,7 +322,7 @@ def _validate_epoch_batches(job: JobSpec, rows: Sequence[int]) -> None:
         )
 
 
-def build_trainer(job: JobSpec | PipelineConfig) -> DistributedTrainer:
+def build_trainer(job: JobSpec) -> DistributedTrainer:
     """The job's trainer: a seeded DLRM under the modeled cluster.
 
     A standalone builder so every execution shape — solo, shared tier,
@@ -345,12 +330,11 @@ def build_trainer(job: JobSpec | PipelineConfig) -> DistributedTrainer:
     what makes per-job losses under sharing bit-identical to solo runs.
 
     Args:
-        job: a :class:`JobSpec` or legacy flat :class:`PipelineConfig`.
+        job: the job's composed spec.
 
     Returns:
         The job's seeded :class:`~repro.distributed.trainer.DistributedTrainer`.
     """
-    job = JobSpec.coerce(job)
     w = job.data.workload
     model = DLRM(
         list(w.schema.sparse),
@@ -366,6 +350,14 @@ def build_trainer(job: JobSpec | PipelineConfig) -> DistributedTrainer:
 
 
 # -- the engine --------------------------------------------------------------
+
+
+def _require_spec(spec, where: str) -> None:
+    """The engine's input boundary: only a :class:`JobSpec` gets in."""
+    if not isinstance(spec, JobSpec):
+        raise TypeError(
+            f"{where} must be a JobSpec, got {type(spec).__name__}"
+        )
 
 
 class JobRuntime:
@@ -602,20 +594,19 @@ class JobRuntime:
         self._sync_stream()
         return JobResult(
             name=self.name,
-            config=self.spec.to_legacy(),
+            spec=self.spec,
             training=self.trainer.report,
             fleet=fleet,
             overlap=report.job_overlap(self.name),
             epoch_partitions=[list(e) for e in self.epochs],
             samples_landed=len(self.samples),
             dropped_partitions=list(self.table.dropped),
-            spec=self.spec,
         )
 
     def pipeline_result(
         self, fleet: FleetReport, report: TierReport, wall_seconds: float
     ) -> PipelineResult:
-        """A single-job session's result, in run_pipeline's shape."""
+        """A single-job session's result."""
         self._sync_stream()
         training = self.trainer.report
         # Both streaming modes attribute the same end-to-end loop wall
@@ -630,7 +621,7 @@ class JobRuntime:
             reader=fleet.merged,
         )
         return PipelineResult(
-            config=self.spec.to_legacy(),
+            spec=self.spec,
             scribe=self.scribe_stats,
             scribe_ingest_bytes=self.ingest_bytes,
             partition=_rollup_partitions(self.partitions),
@@ -643,19 +634,16 @@ class JobRuntime:
             epoch_partitions=[list(e) for e in self.epochs],
             dropped_partitions=list(self.table.dropped),
             scaling=report.scaling,
-            spec=self.spec,
         )
 
 
 class Session:
     """The execution engine: one or many :class:`JobSpec`\\ s, one loop.
 
-    Construct with a single spec (the ``run_pipeline`` shape — the
-    whole pool serves the one job every round and :meth:`run` returns a
-    :class:`PipelineResult`) or a sequence of specs (the
-    ``run_multi_job`` shape — the pool is multiplexed across jobs and
-    :meth:`run` returns a :class:`MultiJobResult`).  Legacy flat
-    :class:`PipelineConfig` objects are accepted anywhere a spec is.
+    Construct with a single spec (the whole pool serves the one job
+    every round and :meth:`run` returns a :class:`PipelineResult`) or a
+    sequence of specs (the pool is multiplexed across jobs and
+    :meth:`run` returns a :class:`MultiJobResult`).
 
     Pool-level scaling resolves in precedence order: the explicit
     ``scaling`` argument, else the registered jobs' own
@@ -672,7 +660,7 @@ class Session:
 
     def __init__(
         self,
-        jobs: JobSpec | PipelineConfig | Sequence[JobSpec | PipelineConfig],
+        jobs: JobSpec | Sequence[JobSpec],
         *,
         width: int | None = None,
         policy: str = "stall_weighted",
@@ -702,14 +690,18 @@ class Session:
                 :class:`~repro.reader.tier_scheduler.SharedReaderTier`).
 
         Raises:
+            TypeError: if ``jobs`` is neither a :class:`JobSpec` nor a
+                sequence of them (the message names the offending type
+                and its position; a bare non-spec counts as position 0).
             ValueError: on an empty job list, missing multi-job width,
                 or duplicate/mismatched names.
         """
-        self._single = isinstance(jobs, (JobSpec, PipelineConfig))
-        raw = [jobs] if self._single else list(jobs)
-        if not raw:
+        self._single = isinstance(jobs, JobSpec)
+        self.specs = list(jobs) if isinstance(jobs, Iterable) else [jobs]
+        if not self.specs:
             raise ValueError("Session needs at least one job spec")
-        self.specs = [JobSpec.coerce(j) for j in raw]
+        for i, spec in enumerate(self.specs):
+            _require_spec(spec, f"Session jobs[{i}]")
         if names is not None:
             names = list(names)
             if len(names) != len(self.specs):
@@ -942,7 +934,7 @@ class Session:
             )
         )
 
-    def admit(self, spec: JobSpec | PipelineConfig, name: str) -> JobRuntime:
+    def admit(self, spec: JobSpec, name: str) -> JobRuntime:
         """Register a new or resumed job mid-run.
 
         The tier grants the newcomer strict next-round priority, so an
@@ -959,12 +951,13 @@ class Session:
 
         Raises:
             RuntimeError: if called before :meth:`prepare`.
+            TypeError: if ``spec`` is not a :class:`JobSpec`.
             ValueError: from spec validation or tier admission (name
                 still in use, tier at capacity).
         """
         if self.tier is None:
             raise RuntimeError("session not prepared; nothing to admit to")
-        spec = JobSpec.coerce(spec)
+        _require_spec(spec, f"Session.admit spec for job {name!r}")
         runtime = JobRuntime(name, spec, model_store=self.model_store)
         self.tier.register(runtime.tier_job)
         self._runtimes[name] = runtime

@@ -1,11 +1,9 @@
 """Composable run specifications: the ``JobSpec`` surface.
 
-The flat :class:`~repro.pipeline.config.PipelineConfig` grew one field
-at a time until data generation, cluster shape, reader sizing,
-retention, and autoscaling all shared one ~20-field namespace — and the
-multi-job entry point had to *forbid* whole features because its wiring
-diverged from the single-job loop.  This module splits that surface
-into small spec dataclasses, each owning one concern:
+How a job is described is decided here and nowhere else: small spec
+dataclasses, each owning one concern, so data generation, cluster
+shape, reader sizing, retention, and autoscaling never share one flat
+namespace — and every combination composes for one job or many:
 
 * :class:`DataSpec` — what lands: workload, toggles, sessions, Scribe
   shards, time partitions, seed.
@@ -27,10 +25,6 @@ into small spec dataclasses, each owning one concern:
 A :class:`JobSpec` composes them (plus a scheduling ``weight`` and an
 optional ``name``) into everything one training job needs, and
 :class:`~repro.pipeline.session.Session` executes one or many of them.
-``JobSpec.from_legacy`` converts a flat ``PipelineConfig`` (the adapter
-path under :func:`~repro.pipeline.runner.run_pipeline` and
-:func:`~repro.pipeline.multi_job.run_multi_job`), and ``to_legacy``
-round-trips back.
 
 Every ``__post_init__`` error names the spec and field it came from
 (``ScalingSpec.target_stall must be in (0, 1) ...``), so a failed
@@ -47,7 +41,7 @@ from ..reader.config import DataLoaderConfig
 from ..reader.costmodel import TransportSpec
 from ..reader.fleet import FleetFaults
 from ..trainer.sparse_arch import TrainerOptFlags
-from .config import PipelineConfig, RecDToggles
+from .config import RecDToggles
 
 __all__ = [
     "DataSpec",
@@ -443,10 +437,9 @@ class JobSpec:
     """One training job, as composed specs.
 
     The unit :class:`~repro.pipeline.session.Session` executes — alone
-    (the ``run_pipeline`` shape) or registered with a shared reader
-    tier alongside other jobs (the ``run_multi_job`` shape).  Unlike
-    the flat legacy config, every combination composes: retention and
-    scaling work identically for one job or many.
+    or registered with a shared reader tier alongside other jobs.
+    Every combination composes: retention and scaling work identically
+    for one job or many.
 
     Attributes:
         data: what lands (workload, toggles, volume, partitions).
@@ -573,128 +566,6 @@ class JobSpec:
     def with_(self, **kwargs) -> "JobSpec":
         """A copy with the given top-level fields replaced."""
         return replace(self, **kwargs)
-
-    # -- legacy bridge -------------------------------------------------------
-
-    @classmethod
-    def from_legacy(
-        cls,
-        config: PipelineConfig,
-        *,
-        streaming: bool | None = None,
-        track_updates: bool = False,
-        name: str | None = None,
-        weight: float = 1.0,
-    ) -> "JobSpec":
-        """Convert a flat :class:`PipelineConfig` into a ``JobSpec``.
-
-        Args:
-            config: the legacy flat configuration.
-            streaming: overrides ``config.streaming`` when given (the
-                deprecated ``run_pipeline(streaming=...)`` keyword
-                routes through here, so the override lives in exactly
-                one place).
-            track_updates: forward per-step update tracking.
-            name: report name under a shared tier.
-            weight: scheduling weight under a shared tier.
-
-        Returns:
-            The equivalent composed spec; executing it is bit-identical
-            to running the flat config through the legacy entry points.
-        """
-        return cls(
-            data=DataSpec(
-                workload=config.workload,
-                toggles=config.toggles,
-                num_sessions=config.num_sessions,
-                mean_samples_per_session=config.mean_samples_per_session,
-                num_scribe_shards=config.num_scribe_shards,
-                num_partitions=config.num_partitions,
-                seed=config.seed,
-                transforms=config.transforms,
-            ),
-            reader=ReaderSpec(
-                num_readers=config.num_readers,
-                prefetch_depth=config.prefetch_depth,
-                executor=config.reader_executor,
-                streaming=(
-                    config.streaming if streaming is None else streaming
-                ),
-            ),
-            train=TrainSpec(
-                train_epochs=config.train_epochs,
-                train_batches=config.train_batches,
-                batch_size=config.batch_size,
-                num_gpus=config.num_gpus,
-                gpus_per_node=config.gpus_per_node,
-                max_table_rows=config.max_table_rows,
-                track_updates=track_updates,
-            ),
-            scaling=(
-                ScalingSpec(
-                    target_stall=config.target_stall,
-                    max_readers=config.max_readers,
-                )
-                if config.autoscale
-                else None
-            ),
-            retention=(
-                RetentionSpec(window=config.retain_partitions)
-                if config.retain_partitions is not None
-                else None
-            ),
-            weight=weight,
-            name=name,
-        )
-
-    @classmethod
-    def coerce(cls, job: "JobSpec | PipelineConfig") -> "JobSpec":
-        """Pass a ``JobSpec`` through; convert a flat config."""
-        if isinstance(job, cls):
-            return job
-        if isinstance(job, PipelineConfig):
-            return cls.from_legacy(job)
-        raise TypeError(
-            f"expected a JobSpec or PipelineConfig, got {type(job).__name__}"
-        )
-
-    def to_legacy(self) -> PipelineConfig:
-        """The equivalent flat :class:`PipelineConfig`.
-
-        Exact inverse of :meth:`from_legacy` for every field the flat
-        config can express; ``scaling=None``/``retention=None`` map to
-        the flat defaults (``autoscale=False``,
-        ``retain_partitions=None``).  ``weight``, ``name``,
-        ``track_updates``, ``reader.dedup``, ``reader.transport``, and
-        ``stream`` have no flat-config home and are dropped.
-        """
-        scaling = self.scaling or ScalingSpec()
-        return PipelineConfig(
-            workload=self.data.workload,
-            toggles=self.data.toggles,
-            num_sessions=self.data.num_sessions,
-            mean_samples_per_session=self.data.mean_samples_per_session,
-            num_scribe_shards=self.data.num_scribe_shards,
-            num_gpus=self.train.num_gpus,
-            gpus_per_node=self.train.gpus_per_node,
-            batch_size=self.train.batch_size,
-            train_batches=self.train.train_batches,
-            max_table_rows=self.train.max_table_rows,
-            seed=self.data.seed,
-            transforms=self.data.transforms,
-            num_readers=self.reader.num_readers,
-            prefetch_depth=self.reader.prefetch_depth,
-            num_partitions=self.data.num_partitions,
-            train_epochs=self.train.train_epochs,
-            streaming=self.reader.streaming,
-            autoscale=self.scaling is not None,
-            target_stall=scaling.target_stall,
-            max_readers=scaling.max_readers,
-            retain_partitions=(
-                self.retention.window if self.retention is not None else None
-            ),
-            reader_executor=self.reader.executor,
-        )
 
 
 def spec_field_names() -> dict[str, list[str]]:

@@ -19,7 +19,7 @@ from .preprocess import (
     apply_transforms,
 )
 from .shard import RowRangeShard, covering_files, plan_epoch, plan_shards
-from .tier import ReaderTier, TierPlan, readers_required
+from .tier import TierPlan, readers_required
 from .tier_scheduler import SharedReaderTier, TierJob, allocate_workers
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
     "apply_transforms",
     "readers_required",
     "TierPlan",
-    "ReaderTier",
     "SharedReaderTier",
     "TierJob",
     "allocate_workers",

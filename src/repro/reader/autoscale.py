@@ -25,7 +25,7 @@ action -> new width) for figure-style reproduction.  Fed *modeled*
 overlap reports (:meth:`~repro.metrics.OverlapReport.modeled`, built
 from the reader cost model and the trainer's modeled step times), the
 controller's decisions are bit-reproducible across runs — which is how
-``run_pipeline(autoscale=True)`` stays deterministic under the
+a ``Session`` with a ``ScalingSpec`` stays deterministic under the
 in-process executor.
 """
 

@@ -1,11 +1,10 @@
-"""Reader-tier provisioning and execution (§2.1, §6.3).
+"""Reader-tier provisioning (§2.1, §6.3).
 
 The number of readers per job is scaled to meet the trainers' ingestion
 bandwidth; faster readers therefore directly reduce fleet size ("reducing
 the number of readers needed for each training job by the same amount",
-§6.1).  :class:`ReaderTier` runs a fleet of stateless
-:class:`~repro.reader.node.ReaderNode` instances over a partition's file
-splits, as the deployed DPP tier does.
+§6.1).  :func:`readers_required` is that sizing formula; the fleet that
+actually runs the readers is :class:`~repro.reader.fleet.ReaderFleet`.
 """
 
 from __future__ import annotations
@@ -13,12 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .batch import Batch
-from .config import DataLoaderConfig
-from .costmodel import ReaderCostModel
-from .node import ReaderNode, ReaderReport
-
-__all__ = ["readers_required", "TierPlan", "ReaderTier"]
+__all__ = ["readers_required", "TierPlan"]
 
 
 @dataclass(frozen=True)
@@ -50,47 +44,3 @@ def readers_required(
         reader_samples_per_s=reader_samples_per_s,
         num_readers=max(n, 1),
     )
-
-
-class ReaderTier:
-    """A fleet of stateless readers splitting one partition's files.
-
-    File splits are assigned round-robin; each node runs the full Fill ->
-    Convert -> Process pipeline over its splits.  The tier-level report
-    aggregates per-node CPU time and bytes, and the modeled wall-clock is
-    the slowest node (readers run in parallel).
-    """
-
-    def __init__(
-        self,
-        num_readers: int,
-        config: DataLoaderConfig,
-        cost_model: ReaderCostModel | None = None,
-    ):
-        if num_readers <= 0:
-            raise ValueError("num_readers must be positive")
-        self.nodes = [
-            ReaderNode(config, cost_model) for _ in range(num_readers)
-        ]
-
-    def run(self, file_readers: list) -> list[Batch]:
-        """Process every file split; returns all batches (node order)."""
-        batches: list[Batch] = []
-        for i, node in enumerate(self.nodes):
-            splits = file_readers[i :: len(self.nodes)]
-            if splits:
-                batches.extend(node.run_all(splits))
-        return batches
-
-    @property
-    def report(self) -> ReaderReport:
-        """Every node's measurements merged into one tier report."""
-        total = ReaderReport()
-        for node in self.nodes:
-            total.merge(node.report)
-        return total
-
-    @property
-    def wall_clock_seconds(self) -> float:
-        """Modeled tier latency: the slowest node's CPU time."""
-        return max((n.report.cpu.total for n in self.nodes), default=0.0)

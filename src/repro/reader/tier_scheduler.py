@@ -5,7 +5,7 @@ infrastructure: one pool of stateless reader workers serves many
 concurrent training jobs, so preprocessing capacity amortizes across the
 platform instead of being provisioned per job.  Everything before this
 module serves exactly one job — :class:`~repro.reader.fleet.ReaderFleet`
-scans one job's epoch, ``run_pipeline`` trains one job.
+scans one job's epoch, one trainer consumes it.
 :class:`SharedReaderTier` closes that gap:
 
 * **Registration / admission** — jobs register a :class:`TierJob` (their

@@ -1,8 +1,8 @@
 """The scenario runner: a fault plan executed over a live Session.
 
-:class:`ScenarioRunner` holds the open scheduling loop the tier's
-``start``/``step``/``finish`` surface exposes: before every round it
-applies the plan's due events — admit bursty arrivals, resume
+:class:`ScenarioRunner` injects events into the one drive loop
+(:meth:`~repro.streaming.live.LiveLoop.tick`): before every iteration
+it applies the plan's due events — admit bursty arrivals, resume
 checkpointed jobs, preempt victims (checkpointing them into the
 session's :class:`~repro.trainer.checkpoint.ModelStore`) — and wires
 the plan's crashes/stragglers into the tier's fault-injector hook.
@@ -24,6 +24,7 @@ from ..metrics.tier import TierReport
 from ..pipeline.session import Session
 from ..pipeline.spec import JobSpec
 from ..storage.tectonic import TectonicFS
+from ..streaming.live import LiveLoop
 from ..trainer.checkpoint import ModelStore
 from .faults import FaultPlan
 
@@ -81,8 +82,7 @@ class ScenarioRunner:
         """Configure the run.
 
         Args:
-            jobs: the initially admitted job specs (``JobSpec`` or
-                legacy flat configs), in admission order.
+            jobs: the initially admitted job specs, in admission order.
             plan: the misfortune schedule.
             width: the shared pool's width.
             names: report names overriding each spec's own.
@@ -162,6 +162,7 @@ class ScenarioRunner:
         pending_preempts = list(plan.preemptions)
         preempt_count = 0
 
+        loop = LiveLoop(session)
         tier.start()
         while True:
             rnd = tier.round_index
@@ -173,7 +174,7 @@ class ScenarioRunner:
                 a for a in pending_arrivals if a[0] > rnd
             ]
             for _, name, spec in due_arrivals:
-                session.admit(JobSpec.coerce(spec), name)
+                session.admit(spec, name)
                 trace.append(
                     {"round": rnd, "job": name, "event": "arrival"}
                 )
@@ -230,19 +231,8 @@ class ScenarioRunner:
                         "resume_round": rnd + p.resume_after,
                     }
                 )
-            # Land every micro-partition the modeled clock has made due
-            # before scheduling: a round only ever trains over data
-            # that existed when it started.
-            session.pump_streams()
-            if tier.step():
+            if loop.tick():
                 continue
-            if tier.epochs_remaining:
-                # Jobs are gated on data, not finished: jump the clock
-                # to the next landing tick and go around again.
-                nxt = session.next_stream_event()
-                if nxt is not None:
-                    tier.advance_clock(nxt)
-                    continue
             if pending_resumes or pending_arrivals:
                 # Nothing left to schedule but events still owed: the
                 # idle gap collapses — everything pending is due now.
@@ -288,8 +278,7 @@ class ScenarioRunner:
         ]
         names = list(self.session.names)
         for a in self.plan.arrivals:
-            spec = JobSpec.coerce(a.spec)
-            specs.append(spec.with_(checkpoint=None, faults=None))
+            specs.append(a.spec.with_(checkpoint=None, faults=None))
             names.append(a.name)
         clean = Session(
             specs, width=self.width, policy=self.policy, names=names

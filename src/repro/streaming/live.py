@@ -50,39 +50,57 @@ class LiveLoop:
             )
         self.session = session
 
+    def tick(self) -> bool:
+        """Run one iteration of the live loop.
+
+        The only place landing, scheduling, and idle time are
+        sequenced: pump all streams at the current clock, then try one
+        tier round.  A round that cannot run means every remaining job
+        is either finished or gated on data; if a stream still has
+        ticks pending, the clock jumps to the next landing time.
+        Open-loop drivers (the scenario simulator) inject their events
+        between calls instead of re-implementing this sequence.
+
+        Returns:
+            ``True`` if the loop moved (a round ran or the clock
+            jumped) and should be ticked again; ``False`` when nothing
+            is runnable and no landing is pending — the run is
+            complete, or, if the tier still has epochs remaining,
+            stuck.
+        """
+        session = self.session
+        tier = session.tier
+        session.pump_streams()
+        if tier.step():
+            return True
+        nxt = session.next_stream_event() if tier.epochs_remaining else None
+        if nxt is None:
+            return False
+        tier.advance_clock(nxt)
+        return True
+
     def drive(self) -> "TierReport":
         """Run landing ticks and scheduling rounds until both drain.
-
-        Each iteration pumps all streams at the current clock, then
-        tries one tier round.  A round that cannot run means every
-        remaining job is either finished or gated on data; if any
-        stream still has ticks pending, the clock jumps to the next
-        landing time and the loop continues, otherwise the run is
-        complete.
 
         Returns:
             The finished tier's
             :class:`~repro.metrics.tier.TierReport`.
+
+        Raises:
+            RuntimeError: if jobs are still waiting on data once every
+                stream is exhausted (a deadlock).
         """
-        session = self.session
-        tier = session.tier
+        tier = self.session.tier
         tier.start()
-        while True:
-            session.pump_streams()
-            if tier.step():
-                continue
-            if not tier.epochs_remaining:
-                break
-            nxt = session.next_stream_event()
-            if nxt is None:
-                # Every lander is drained yet some job is still gated:
-                # its ready hook can never satisfy.  Admission
-                # validates plans against the declared stream, so this
-                # is a driver bug worth failing loudly on, not a state
-                # to spin in.
-                raise RuntimeError(
-                    "live loop deadlocked: jobs are waiting on data "
-                    "but every stream is exhausted"
-                )
-            tier.advance_clock(nxt)
+        while self.tick():
+            pass
+        if tier.epochs_remaining:
+            # Every lander is drained yet some job is still gated: its
+            # ready hook can never satisfy.  Admission validates plans
+            # against the declared stream, so this is a driver bug
+            # worth failing loudly on, not a state to spin in.
+            raise RuntimeError(
+                "live loop deadlocked: jobs are waiting on data "
+                "but every stream is exhausted"
+            )
         return tier.finish()

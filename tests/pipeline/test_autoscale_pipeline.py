@@ -6,31 +6,51 @@ runs."""
 import pytest
 
 from repro.datagen import rm1
-from repro.pipeline import PipelineConfig, RecDToggles, run_pipeline
+from repro.pipeline import (
+    DataSpec,
+    JobSpec,
+    ReaderSpec,
+    RetentionSpec,
+    ScalingSpec,
+    Session,
+    TrainSpec,
+)
 
 
-def _reader_bound_cfg(**kw):
+def _reader_bound(
+    num_readers: int = 1,
+    *,
+    scaling: ScalingSpec | None = ScalingSpec(target_stall=0.10),
+    train_epochs: int = 4,
+    num_partitions: int = 1,
+    retention: RetentionSpec | None = None,
+) -> JobSpec:
     """A workload whose modeled reader CPU dwarfs the trainer's modeled
     step time at width 1 (~0.9 reader-stall), with enough batches per
     epoch for the fleet to spread out."""
-    kw.setdefault("workload", rm1(scale=0.25))
-    kw.setdefault("toggles", RecDToggles.baseline())
-    kw.setdefault("num_sessions", 80)
-    kw.setdefault("seed", 3)
-    kw.setdefault("batch_size", 48)
-    kw.setdefault("train_batches", None)  # train the whole window
-    kw.setdefault("train_epochs", 4)
-    kw.setdefault("autoscale", True)
-    kw.setdefault("target_stall", 0.10)
-    kw.setdefault("reader_executor", "inprocess")
-    return PipelineConfig(**kw)
+    return JobSpec(
+        data=DataSpec(
+            workload=rm1(scale=0.25),
+            num_sessions=80,
+            num_partitions=num_partitions,
+            seed=3,
+        ),
+        reader=ReaderSpec(num_readers=num_readers, executor="inprocess"),
+        train=TrainSpec(
+            train_epochs=train_epochs,
+            train_batches=None,  # train the whole window
+            batch_size=48,
+        ),
+        scaling=scaling,
+        retention=retention,
+    )
 
 
 class TestConvergence:
     def test_converges_within_band_in_four_epochs(self):
         """The acceptance bar: a reader-bound workload must enter the
         target stall band within 4 epochs and stay there."""
-        res = run_pipeline(_reader_bound_cfg(num_readers=1))
+        res = Session(_reader_bound(1)).run()
         trace = res.scaling
         assert trace is not None
         # epoch 0 really was reader-bound
@@ -43,16 +63,14 @@ class TestConvergence:
         assert trace.final_width > 1
 
     def test_trace_reproducible_across_runs(self):
-        """The acceptance bar: identical configs produce bit-identical
+        """The acceptance bar: identical specs produce bit-identical
         ScalingTraces under the deterministic executor."""
-        a = run_pipeline(_reader_bound_cfg(num_readers=1))
-        b = run_pipeline(_reader_bound_cfg(num_readers=1))
+        a = Session(_reader_bound(1)).run()
+        b = Session(_reader_bound(1)).run()
         assert a.scaling.as_rows() == b.scaling.as_rows()
 
     def test_shrinks_overprovisioned_fleet_with_hysteresis(self):
-        res = run_pipeline(
-            _reader_bound_cfg(num_readers=32, max_readers=32)
-        )
+        res = Session(_reader_bound(32)).run()
         trace = res.scaling
         assert "shrink" in trace.actions
         # hysteresis: the shrink cannot be the very first action
@@ -65,10 +83,8 @@ class TestConvergence:
         modeled overhead (boundary stripes decode in both neighbouring
         shards), so aggregate reader CPU rises with width and the
         downward fixed point sits slightly above the upward one."""
-        up = run_pipeline(_reader_bound_cfg(num_readers=1))
-        down = run_pipeline(
-            _reader_bound_cfg(num_readers=32, max_readers=32, train_epochs=8)
-        )
+        up = Session(_reader_bound(1)).run()
+        down = Session(_reader_bound(32, train_epochs=8)).run()
         assert down.scaling.actions.count("shrink") >= 2
         assert (
             up.scaling.final_width
@@ -85,29 +101,24 @@ class TestFunctionalIdentity:
     def test_autoscale_keeps_losses_bit_identical(self):
         """Fleet width never changes which rows form which batch, so an
         autoscaled run trains bit-identically to any fixed width."""
-        scaled = run_pipeline(_reader_bound_cfg(num_readers=1))
-        fixed = run_pipeline(
-            _reader_bound_cfg(num_readers=4, autoscale=False)
-        )
+        scaled = Session(_reader_bound(1)).run()
+        fixed = Session(_reader_bound(4, scaling=None)).run()
         assert scaled.training.losses == fixed.training.losses
 
     def test_autoscale_off_records_no_trace(self):
-        res = run_pipeline(
-            _reader_bound_cfg(autoscale=False, train_epochs=1)
-        )
+        res = Session(_reader_bound(scaling=None, train_epochs=1)).run()
         assert res.scaling is None
 
     def test_autoscale_with_retention(self):
         """The two lifecycle knobs compose: the window slides while the
         fleet resizes."""
-        res = run_pipeline(
-            _reader_bound_cfg(
-                num_readers=1,
+        res = Session(
+            _reader_bound(
                 num_partitions=4,
                 train_epochs=3,
-                retain_partitions=2,
+                retention=RetentionSpec(window=2),
             )
-        )
+        ).run()
         assert res.scaling is not None
         assert len(res.scaling.decisions) == 3
         assert res.dropped_partitions == ["p0", "p1"]
@@ -115,9 +126,9 @@ class TestFunctionalIdentity:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            _reader_bound_cfg(target_stall=0.0)
+            ScalingSpec(target_stall=0.0)
         with pytest.raises(ValueError):
-            _reader_bound_cfg(num_readers=8, max_readers=4)
+            _reader_bound(8, scaling=ScalingSpec(max_readers=4))
         # the bound only applies to autoscale runs: a fixed-width fleet
         # wider than max_readers stays legal
-        _reader_bound_cfg(num_readers=64, autoscale=False)
+        _reader_bound(64, scaling=None)

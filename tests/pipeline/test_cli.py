@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -67,7 +69,12 @@ class TestSmallRuns:
             ]
         ) == 0
         out = capsys.readouterr().out
-        assert "2 epoch(s)" in out
+        assert out.startswith("RM2 (baseline):\n")
+        assert re.search(
+            r"^  partitions          : 2 \(\d+ rows\), 2 epoch\(s\)$",
+            out,
+            re.MULTILINE,
+        )
         assert "overlap (stream)" in out and "reader-stall" in out
 
     def test_pipeline_no_streaming(self, capsys):
@@ -98,7 +105,9 @@ class TestSmallRuns:
                 "80",
             ]
         ) == 0
-        assert "RecD" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert out.startswith("RM2 (RecD):\n")
+        assert ", 1 epoch(s)\n" in out
 
     def test_fig3_small(self, capsys):
         assert main(["fig3", "--sessions-large", "5000"]) == 0

@@ -1,9 +1,15 @@
-"""Tests for pipeline config, toggles, and the end-to-end runner."""
+"""Tests for toggles, derived job config, and the end-to-end run."""
 
 import pytest
 
 from repro.datagen import rm1
-from repro.pipeline import PipelineConfig, RecDToggles, run_pipeline
+from repro.pipeline import (
+    DataSpec,
+    JobSpec,
+    RecDToggles,
+    Session,
+    TrainSpec,
+)
 
 
 class TestRecDToggles:
@@ -39,32 +45,34 @@ class TestRecDToggles:
         assert flags.dedup_emb and flags.jagged_index_select and flags.dedup_compute
 
 
-class TestPipelineConfig:
+class TestDerivedConfig:
     def test_effective_batch_size_follows_toggles(self, rm1_half):
         w = rm1_half
-        base = PipelineConfig(workload=w, toggles=RecDToggles.baseline())
-        full = PipelineConfig(workload=w, toggles=RecDToggles.full())
+        base = JobSpec(data=DataSpec(w, toggles=RecDToggles.baseline()))
+        full = JobSpec(data=DataSpec(w, toggles=RecDToggles.full()))
         assert base.effective_batch_size == w.baseline_batch_size
         assert full.effective_batch_size == w.recd_batch_size
 
     def test_batch_override(self, rm1_half):
-        w = rm1_half
-        cfg = PipelineConfig(
-            workload=w, toggles=RecDToggles.full(), batch_size=99
+        spec = JobSpec(
+            data=DataSpec(rm1_half, toggles=RecDToggles.full()),
+            train=TrainSpec(batch_size=99),
         )
-        assert cfg.effective_batch_size == 99
+        assert spec.effective_batch_size == 99
 
     def test_dataloader_config_dedup(self, rm1_half):
         w = rm1_half
-        cfg = PipelineConfig(workload=w, toggles=RecDToggles.full())
-        dl = cfg.dataloader_config()
+        dl = JobSpec(
+            data=DataSpec(w, toggles=RecDToggles.full())
+        ).dataloader_config()
         assert dl.dedup_sparse_features == w.dedup_groups
         assert set(dl.all_sparse_names) == set(w.schema.sparse_names)
 
     def test_dataloader_config_baseline(self, rm1_half):
         w = rm1_half
-        cfg = PipelineConfig(workload=w, toggles=RecDToggles.baseline())
-        dl = cfg.dataloader_config()
+        dl = JobSpec(
+            data=DataSpec(w, toggles=RecDToggles.baseline())
+        ).dataloader_config()
         assert dl.dedup_sparse_features == ()
         assert set(dl.sparse_features) == set(w.schema.sparse_names)
 
@@ -78,15 +86,17 @@ class TestRunner:
             ("baseline", RecDToggles.baseline()),
             ("full", RecDToggles.full()),
         ]:
-            out[name] = run_pipeline(
-                PipelineConfig(
-                    workload=w,
-                    toggles=toggles,
-                    num_sessions=120,
-                    train_batches=2,
-                    seed=3,
+            out[name] = Session(
+                JobSpec(
+                    data=DataSpec(
+                        workload=w,
+                        toggles=toggles,
+                        num_sessions=120,
+                        seed=3,
+                    ),
+                    train=TrainSpec(train_batches=2),
                 )
-            )
+            ).run()
         return out
 
     def test_all_stages_reported(self, results):
@@ -114,11 +124,9 @@ class TestRunner:
     def test_partition_too_small_raises(self):
         w = rm1(scale=0.25)
         with pytest.raises(ValueError):
-            run_pipeline(
-                PipelineConfig(
-                    workload=w,
-                    toggles=RecDToggles.baseline(),
-                    num_sessions=1,
-                    batch_size=100_000,
+            Session(
+                JobSpec(
+                    data=DataSpec(workload=w, num_sessions=1),
+                    train=TrainSpec(batch_size=100_000),
                 )
-            )
+            ).run()

@@ -26,7 +26,7 @@ from repro.pipeline import (
     StreamSpec,
     TrainSpec,
 )
-from repro.streaming import StreamLander, plan_stream_windows
+from repro.streaming import LiveLoop, StreamLander, plan_stream_windows
 
 
 def _spec(
@@ -177,6 +177,19 @@ class TestStreamLander:
             info = table.partitions[name]
             want = max(1, -(-info.num_rows // table.rows_per_file))
             assert len(info.files) == want
+
+
+class TestLiveLoopDeadlock:
+    def test_drive_raises_when_a_job_can_never_become_ready(self):
+        """Every stream drained yet a job is still gated on data: the
+        closed loop fails loudly instead of finishing a partial run."""
+        session = Session(_spec(name="stuck"))
+        tier = session.prepare()
+        session.runtime("stuck").tier_job.ready = lambda epoch: False
+        with pytest.raises(RuntimeError, match="live loop deadlocked"):
+            LiveLoop(session).drive()
+        assert tier.round_index == 0
+        assert session.next_stream_event() is None  # it did drain
 
 
 class TestLiveLoopBitIdentity:

@@ -10,74 +10,96 @@ import pytest
 
 from repro.datagen import rm1
 from repro.pipeline import (
-    PipelineConfig,
+    DataSpec,
+    JobSpec,
+    ReaderSpec,
     RecDToggles,
-    run_multi_job,
-    run_pipeline,
+    RetentionSpec,
+    ScalingSpec,
+    Session,
+    TrainSpec,
 )
 
 WIDTH = 16
 
 
-def _job_cfg(**kw) -> PipelineConfig:
-    kw.setdefault("workload", rm1(scale=0.25))
-    kw.setdefault("toggles", RecDToggles.baseline())
-    kw.setdefault("num_sessions", 60)
-    kw.setdefault("batch_size", 32)
-    kw.setdefault("train_batches", 2)
-    kw.setdefault("train_epochs", 3)
-    kw.setdefault("reader_executor", "inprocess")
-    return PipelineConfig(**kw)
+def _job(
+    seed: int,
+    *,
+    toggles: RecDToggles = RecDToggles.baseline(),
+    num_partitions: int = 1,
+    train_epochs: int = 3,
+    reader: ReaderSpec = ReaderSpec(executor="inprocess"),
+    **top,
+) -> JobSpec:
+    """A small job; ``top`` sets JobSpec-level fields (scaling,
+    retention, weight)."""
+    return JobSpec(
+        data=DataSpec(
+            workload=rm1(scale=0.25),
+            toggles=toggles,
+            num_sessions=60,
+            num_partitions=num_partitions,
+            seed=seed,
+        ),
+        reader=reader,
+        train=TrainSpec(
+            batch_size=32, train_batches=2, train_epochs=train_epochs
+        ),
+        **top,
+    )
 
 
 @pytest.fixture(scope="module")
 def two_jobs():
     """A reader-heavy baseline job and a reader-light RecD job."""
-    return (
-        _job_cfg(seed=1),
-        _job_cfg(seed=2, toggles=RecDToggles.full()),
-    )
+    return (_job(1), _job(2, toggles=RecDToggles.full()))
 
 
 @pytest.fixture(scope="module")
 def shared(two_jobs):
-    return run_multi_job(two_jobs, num_readers=WIDTH, names=["a", "b"])
+    return Session(two_jobs, width=WIDTH, names=["a", "b"]).run()
 
 
 class TestFunctionalIsolation:
     def test_losses_bit_identical_to_solo_runs(self, two_jobs, shared):
         """The acceptance bar: sharing never changes training results —
-        each job's losses match the same config run alone through
-        run_pipeline on its own (serial) fleet."""
-        for name, config in zip(("a", "b"), two_jobs):
-            solo = run_pipeline(config)
+        each job's losses match the same spec run alone in its own
+        Session on its own (serial) fleet."""
+        for name, spec in zip(("a", "b"), two_jobs):
+            solo = Session(spec).run()
             assert (
                 shared.job(name).training.losses == solo.training.losses
             ), f"job {name!r} diverged under sharing"
 
     def test_jobs_scanned_their_own_epoch_plans(self, shared, two_jobs):
-        for name, config in zip(("a", "b"), two_jobs):
+        for name, spec in zip(("a", "b"), two_jobs):
             job = shared.job(name)
-            assert len(job.epoch_partitions) == config.train_epochs
+            assert len(job.epoch_partitions) == spec.train.train_epochs
             assert job.fleet.merged.batches == (
-                config.train_batches * config.train_epochs
+                spec.train.train_batches * spec.train.train_epochs
             )
 
-    def test_single_job_tier_matches_run_pipeline(self, two_jobs):
-        """A one-job tier is just a fleet: same losses as run_pipeline."""
-        config = two_jobs[0]
-        alone = run_multi_job([config], num_readers=4)
-        solo = run_pipeline(config)
+    def test_single_job_tier_matches_solo_session(self, two_jobs):
+        """A one-job tier is just a fleet: same losses as the solo
+        single-spec session."""
+        spec = two_jobs[0]
+        alone = Session([spec], width=4).run()
+        solo = Session(spec).run()
         assert alone.jobs[0].training.losses == solo.training.losses
 
     def test_materialized_jobs_report_streaming_false(self):
-        """A streaming=False config trains bit-identically and its
-        overlap bookkeeping says so, matching run_pipeline's."""
-        config = _job_cfg(seed=1, streaming=False, train_epochs=1)
-        res = run_multi_job([config], num_readers=2)
+        """A streaming=False spec trains bit-identically and its
+        overlap bookkeeping says so, matching the solo session's."""
+        spec = _job(
+            1,
+            train_epochs=1,
+            reader=ReaderSpec(executor="inprocess", streaming=False),
+        )
+        res = Session([spec], width=2).run()
         assert res.jobs[0].overlap.streaming is False
         assert (
-            res.jobs[0].training.losses == run_pipeline(config).training.losses
+            res.jobs[0].training.losses == Session(spec).run().training.losses
         )
 
 
@@ -86,10 +108,7 @@ class TestWallClock:
         """The acceptance bar: the tier runs jobs concurrently on one
         pool, so its modeled wall-clock beats the two jobs run in
         isolation back to back on the same width."""
-        iso = [
-            run_multi_job([config], num_readers=WIDTH)
-            for config in two_jobs
-        ]
+        iso = [Session([spec], width=WIDTH).run() for spec in two_jobs]
         isolated_sum = sum(r.modeled_wall_seconds for r in iso)
         assert shared.modeled_wall_seconds < isolated_sum
 
@@ -98,8 +117,7 @@ class TestWallClock:
         static half-width fleets (examples/multi_job_sharing.py shows
         the same comparison with commentary)."""
         halves = [
-            run_multi_job([config], num_readers=WIDTH // 2)
-            for config in two_jobs
+            Session([spec], width=WIDTH // 2).run() for spec in two_jobs
         ]
         concurrent_halves = max(r.modeled_wall_seconds for r in halves)
         assert shared.modeled_wall_seconds < concurrent_halves
@@ -127,7 +145,7 @@ class TestReports:
         assert all(r["workers"] > 0 for r in rows)  # nobody starved
 
     def test_deterministic_across_runs(self, two_jobs, shared):
-        again = run_multi_job(two_jobs, num_readers=WIDTH, names=["a", "b"])
+        again = Session(two_jobs, width=WIDTH, names=["a", "b"]).run()
         assert again.tier.as_rows() == shared.tier.as_rows()
         assert (
             again.modeled_wall_seconds == shared.modeled_wall_seconds
@@ -139,13 +157,12 @@ class TestAutoscale:
         """Under-provisioned shared pool: the tier autoscaler grows the
         pool from the tier-level (aggregate) overlap, and the trace
         records every decision."""
-        res = run_multi_job(
+        res = Session(
             two_jobs,
-            num_readers=2,
-            autoscale=True,
-            max_readers=32,
+            width=2,
+            scaling=ScalingSpec(max_readers=32),
             names=["a", "b"],
-        )
+        ).run()
         trace = res.tier.scaling
         assert trace is not None
         assert trace.decisions[0].action == "grow"
@@ -153,13 +170,12 @@ class TestAutoscale:
         assert res.tier.widths[-1] > 2
 
     def test_autoscaled_losses_still_bit_identical(self, two_jobs, shared):
-        res = run_multi_job(
+        res = Session(
             two_jobs,
-            num_readers=2,
-            autoscale=True,
-            max_readers=32,
+            width=2,
+            scaling=ScalingSpec(max_readers=32),
             names=["a", "b"],
-        )
+        ).run()
         for name in ("a", "b"):
             assert (
                 res.job(name).training.losses
@@ -171,21 +187,20 @@ class TestRetentionUnderSharing:
     """The lifted guard: rolling-window retention composes with the
     shared tier because both run the same Session epoch loop."""
 
-    def _retained_cfg(self, **kw):
-        kw.setdefault("num_partitions", 4)
-        kw.setdefault("retain_partitions", 2)
-        kw.setdefault("train_epochs", 3)
-        return _job_cfg(**kw)
+    def _retained(self, seed: int, window: int = 2) -> JobSpec:
+        return _job(
+            seed, num_partitions=4, retention=RetentionSpec(window=window)
+        )
 
     def test_losses_bit_identical_to_solo_retention_run(self, two_jobs):
         """The acceptance bar: a retention job under sharing trains
-        bit-identically to the same config run alone — land/age between
+        bit-identically to the same spec run alone — land/age between
         epochs included."""
-        retained = self._retained_cfg(seed=1)
-        shared = run_multi_job(
-            [retained, two_jobs[1]], num_readers=WIDTH, names=["r", "b"]
-        )
-        solo = run_pipeline(retained)
+        retained = self._retained(1)
+        shared = Session(
+            [retained, two_jobs[1]], width=WIDTH, names=["r", "b"]
+        ).run()
+        solo = Session(retained).run()
         assert shared.job("r").training.losses == solo.training.losses
         assert shared.job("r").epoch_partitions == solo.epoch_partitions
         assert (
@@ -193,9 +208,7 @@ class TestRetentionUnderSharing:
         )
 
     def test_windows_slide_and_age_under_sharing(self):
-        res = run_multi_job(
-            [self._retained_cfg(seed=1)], num_readers=4, names=["r"]
-        )
+        res = Session([self._retained(1)], width=4, names=["r"]).run()
         job = res.job("r")
         assert job.epoch_partitions == [
             ["p0", "p1"],
@@ -207,11 +220,11 @@ class TestRetentionUnderSharing:
     def test_two_retention_jobs_stay_isolated(self):
         """Each job ages its own table: two retention jobs sharing the
         pool both match their solo windows and losses."""
-        a = self._retained_cfg(seed=1)
-        b = self._retained_cfg(seed=2, retain_partitions=1)
-        shared = run_multi_job([a, b], num_readers=8, names=["a", "b"])
-        for name, config in (("a", a), ("b", b)):
-            solo = run_pipeline(config)
+        a = self._retained(1)
+        b = self._retained(2, window=1)
+        shared = Session([a, b], width=8, names=["a", "b"]).run()
+        for name, spec in (("a", a), ("b", b)):
+            solo = Session(spec).run()
             assert (
                 shared.job(name).training.losses == solo.training.losses
             )
@@ -223,24 +236,26 @@ class TestRetentionUnderSharing:
 
 class TestPerJobKnobs:
     def test_per_job_autoscale_scales_the_shared_pool(self):
-        """The lifted guard: a config with autoscale=True no longer
-        raises — its scaling intent drives the pool autoscaler."""
-        scaled = _job_cfg(seed=1, autoscale=True, max_readers=32)
-        res = run_multi_job([scaled], num_readers=2)
+        """A job's own ScalingSpec composes with sharing — its scaling
+        intent drives the pool autoscaler."""
+        scaled = _job(1, scaling=ScalingSpec(max_readers=32))
+        res = Session([scaled], width=2).run()
         trace = res.tier.scaling
         assert trace is not None
         assert res.tier.widths[0] == 2
-        solo = run_pipeline(_job_cfg(seed=1))
+        solo = Session(_job(1)).run()
         assert res.jobs[0].training.losses == solo.training.losses
 
     def test_job_scaling_bound_never_undercuts_the_pool(self):
         """A job's solo-fleet ScalingSpec cap (max_readers=4) promoted
         to a 16-wide pool must not trip the pool autoscaler's bound
         check — the bound widens to at least the pool width."""
-        capped = _job_cfg(
-            seed=1, autoscale=True, num_readers=2, max_readers=4
+        capped = _job(
+            1,
+            reader=ReaderSpec(num_readers=2, executor="inprocess"),
+            scaling=ScalingSpec(max_readers=4),
         )
-        res = run_multi_job([capped, _job_cfg(seed=2)], num_readers=16)
+        res = Session([capped, _job(2)], width=16).run()
         assert res.tier.scaling is not None
         assert res.tier.widths[0] == 16
 
@@ -248,43 +263,37 @@ class TestPerJobKnobs:
         """Equal-demand clones: a weight-3 job pulls more of the
         surplus than its weight-1 twin, allocations still sum to the
         width, and losses are untouched."""
-        clones = [_job_cfg(seed=1), _job_cfg(seed=1)]
-        res = run_multi_job(
-            clones,
-            num_readers=WIDTH,
+        res = Session(
+            [_job(1, weight=3.0), _job(1)],
+            width=WIDTH,
             names=["heavy", "light"],
-            weights=[3.0, 1.0],
-        )
+        ).run()
         for rnd in res.tier.rounds[1:]:
             assert rnd.allocation["heavy"] > rnd.allocation["light"]
             assert sum(rnd.allocation.values()) == WIDTH
-        even = run_multi_job(
-            clones, num_readers=WIDTH, names=["heavy", "light"]
-        )
+        even = Session(
+            [_job(1), _job(1)], width=WIDTH, names=["heavy", "light"]
+        ).run()
         assert (
             res.job("heavy").training.losses
             == even.job("heavy").training.losses
         )
 
-    def test_weights_validated(self, two_jobs):
-        with pytest.raises(ValueError, match="weights for"):
-            run_multi_job(two_jobs, num_readers=4, weights=[1.0])
+    def test_weights_validated(self):
         with pytest.raises(ValueError, match="positive"):
-            run_multi_job(two_jobs, num_readers=4, weights=[1.0, 0.0])
+            _job(1, weight=0.0)
 
 
 class TestValidation:
     def test_rejects_bad_names(self, two_jobs):
         with pytest.raises(ValueError, match="duplicate"):
-            run_multi_job(two_jobs, num_readers=4, names=["x", "x"])
+            Session(two_jobs, width=4, names=["x", "x"])
         with pytest.raises(ValueError, match="names for"):
-            run_multi_job(two_jobs, num_readers=4, names=["x"])
+            Session(two_jobs, width=4, names=["x"])
         with pytest.raises(ValueError, match="at least one"):
-            run_multi_job([], num_readers=4)
+            Session([], width=4)
         with pytest.raises(KeyError, match="no job named"):
-            run_multi_job(
-                [two_jobs[0]], num_readers=2, names=["a"]
-            ).job("zzz")
+            Session([two_jobs[0]], width=2, names=["a"]).run().job("zzz")
 
 
 class TestCli:
@@ -308,7 +317,8 @@ class TestCli:
         out = capsys.readouterr().out
         assert "shared reader tier: 2 jobs" in out
         assert "round 0" in out
-        assert "job1 (RM1, RecD)" in out
+        assert "job0 (RM1, baseline): " in out
+        assert "job1 (RM1, RecD): " in out
 
     def test_multijob_clones(self, capsys):
         from repro.cli import main

@@ -7,22 +7,51 @@ import pytest
 import repro.reader.fleet as fleet_mod
 from repro.datagen import rm1
 from repro.pipeline import (
-    PipelineConfig,
-    RecDToggles,
+    DataSpec,
+    JobSpec,
+    ReaderSpec,
+    RetentionSpec,
+    Session,
+    TrainSpec,
     plan_retention_windows,
-    run_pipeline,
 )
 
 
-def _cfg(**kw):
-    kw.setdefault("workload", rm1(scale=0.25))
-    kw.setdefault("toggles", RecDToggles.baseline())
-    kw.setdefault("num_sessions", 120)
-    kw.setdefault("seed", 3)
-    kw.setdefault("batch_size", 128)
-    kw.setdefault("train_batches", 3)
-    kw.setdefault("reader_executor", "inprocess")
-    return PipelineConfig(**kw)
+def _run(
+    num_partitions: int,
+    train_epochs: int,
+    retain: int | None = None,
+    *,
+    num_readers: int = 1,
+    streaming: bool = True,
+    num_sessions: int = 120,
+    batch_size: int = 128,
+):
+    """One job over a ``num_partitions``-day stream, ``retain`` days
+    live at a time (``None`` keeps them all)."""
+    return Session(
+        JobSpec(
+            data=DataSpec(
+                workload=rm1(scale=0.25),
+                num_sessions=num_sessions,
+                num_partitions=num_partitions,
+                seed=3,
+            ),
+            reader=ReaderSpec(
+                num_readers=num_readers,
+                executor="inprocess",
+                streaming=streaming,
+            ),
+            train=TrainSpec(
+                train_epochs=train_epochs,
+                train_batches=3,
+                batch_size=batch_size,
+            ),
+            retention=(
+                RetentionSpec(window=retain) if retain is not None else None
+            ),
+        )
+    ).run()
 
 
 class TestPlanRetentionWindows:
@@ -60,9 +89,7 @@ class TestRetentionLifecycle:
         """5-day stream, 2-day window, 4 epochs: each epoch scans the
         sliding window, aged partitions are dropped in order, and every
         partition of the stream eventually lands."""
-        res = run_pipeline(
-            _cfg(num_partitions=5, train_epochs=4, retain_partitions=2)
-        )
+        res = _run(5, 4, retain=2)
         assert res.epoch_partitions == [
             ["p0", "p1"],
             ["p1", "p2"],
@@ -81,7 +108,7 @@ class TestRetentionLifecycle:
         assert res.partition.num_rows == res.samples_landed
 
     def test_epoch_plans_only_reference_live_partitions(self, monkeypatch):
-        """The acceptance bar: with retain_partitions=K no epoch plan
+        """The acceptance bar: with a K-partition window no epoch plan
         may ever reference a dropped partition.  Spies on the actual
         plan_epoch calls the fleet makes."""
         planned_names: list[list[str]] = []
@@ -92,9 +119,7 @@ class TestRetentionLifecycle:
             return real_plan_epoch(partition_rows, *args, **kwargs)
 
         monkeypatch.setattr(fleet_mod, "plan_epoch", spy)
-        res = run_pipeline(
-            _cfg(num_partitions=6, train_epochs=5, retain_partitions=3)
-        )
+        res = _run(6, 5, retain=3)
         expected_windows = plan_retention_windows(6, 3, 5)
         assert planned_names == [
             [f"p{i}" for i in w] for w in expected_windows
@@ -114,85 +139,43 @@ class TestRetentionLifecycle:
     def test_dropped_partition_files_deleted(self):
         """Dropping is real: a retention run ends with only the live
         window's rows still counted in live partitions."""
-        res = run_pipeline(
-            _cfg(num_partitions=4, train_epochs=3, retain_partitions=1)
-        )
+        res = _run(4, 3, retain=1)
         assert res.dropped_partitions == ["p0", "p1"]
         assert res.epoch_partitions == [["p0"], ["p1"], ["p2"]]
         # p3 stays in the stream, unlanded: only 3 epochs elapsed
         assert [p.name for p in res.partitions] == ["p0", "p1", "p2"]
 
     def test_retaining_everything_matches_non_retention(self):
-        """retain_partitions >= num_partitions never drops and must be
+        """A window >= num_partitions never drops and must be
         bit-identical to the retention-free path."""
-        plain = run_pipeline(_cfg(num_partitions=3, train_epochs=2))
-        retained = run_pipeline(
-            _cfg(num_partitions=3, train_epochs=2, retain_partitions=3)
-        )
+        plain = _run(3, 2)
+        retained = _run(3, 2, retain=3)
         assert retained.training.losses == plain.training.losses
         assert retained.dropped_partitions == []
         assert retained.epoch_partitions == plain.epoch_partitions
 
     def test_streaming_materialized_equivalent_under_retention(self):
-        streamed = run_pipeline(
-            _cfg(
-                num_partitions=4,
-                train_epochs=3,
-                retain_partitions=2,
-                num_readers=2,
-                streaming=True,
-            )
-        )
-        materialized = run_pipeline(
-            _cfg(
-                num_partitions=4,
-                train_epochs=3,
-                retain_partitions=2,
-                num_readers=2,
-                streaming=False,
-            )
-        )
+        streamed = _run(4, 3, retain=2, num_readers=2, streaming=True)
+        materialized = _run(4, 3, retain=2, num_readers=2, streaming=False)
         assert streamed.training.losses == materialized.training.losses
 
     def test_width_does_not_change_retention_stream(self):
-        wide = run_pipeline(
-            _cfg(
-                num_partitions=4,
-                train_epochs=3,
-                retain_partitions=2,
-                num_readers=4,
-            )
-        )
-        narrow = run_pipeline(
-            _cfg(
-                num_partitions=4,
-                train_epochs=3,
-                retain_partitions=2,
-                num_readers=1,
-            )
-        )
+        wide = _run(4, 3, retain=2, num_readers=4)
+        narrow = _run(4, 3, retain=2, num_readers=1)
         assert wide.training.losses == narrow.training.losses
 
     def test_non_retention_epochs_recorded(self):
-        res = run_pipeline(_cfg(num_partitions=2, train_epochs=2))
+        res = _run(2, 2)
         assert res.epoch_partitions == [["p0", "p1"], ["p0", "p1"]]
         assert res.dropped_partitions == []
         assert res.scaling is None
 
     def test_undersized_first_window_fails_fast(self):
         with pytest.raises(ValueError, match="too small"):
-            run_pipeline(
-                _cfg(
-                    num_sessions=2,
-                    batch_size=100_000,
-                    num_partitions=2,
-                    train_epochs=2,
-                    retain_partitions=1,
-                )
-            )
+            _run(2, 2, retain=1, num_sessions=2, batch_size=100_000)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            _cfg(retain_partitions=0)
+            RetentionSpec(window=0)
         with pytest.raises(ValueError):
-            _cfg(reader_executor="threads")
+            ReaderSpec(executor="threads")

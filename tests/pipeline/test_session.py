@@ -1,180 +1,33 @@
-"""Legacy-shim equivalence: the acceptance bar for the ``Session``
-redesign is that ``run_pipeline(PipelineConfig(...))`` and
-``Session(JobSpec.from_legacy(...))`` produce bit-identical losses,
-reports, and scaling traces across retention/autoscale/executor
-combinations — property-style over the knob space plus a pinned grid
-of the interesting corners."""
+"""``Session`` boundary tests: the result shape follows the input
+shape, names come from the specs, and anything that is not a
+``JobSpec`` is refused at the door with a message naming the offender."""
 
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro.datagen import rm1
 from repro.pipeline import (
+    DataSpec,
     JobSpec,
-    PipelineConfig,
-    RecDToggles,
+    ReaderSpec,
     Session,
-    run_multi_job,
-    run_pipeline,
+    TrainSpec,
 )
 
 WORKLOAD = rm1(scale=0.25)
 
 
-def _cfg(**kw) -> PipelineConfig:
-    kw.setdefault("workload", WORKLOAD)
-    kw.setdefault("toggles", RecDToggles.baseline())
-    kw.setdefault("num_sessions", 60)
-    kw.setdefault("batch_size", 32)
-    kw.setdefault("train_batches", 2)
-    kw.setdefault("seed", 3)
-    kw.setdefault("reader_executor", "inprocess")
-    return PipelineConfig(**kw)
-
-
-def _assert_equivalent(legacy, native) -> None:
-    """Bit-identical losses, reports, and scaling traces."""
-    assert native.training.losses == legacy.training.losses
-    assert native.samples_landed == legacy.samples_landed
-    assert native.epoch_partitions == legacy.epoch_partitions
-    assert native.dropped_partitions == legacy.dropped_partitions
-    assert [p.name for p in native.partitions] == [
-        p.name for p in legacy.partitions
-    ]
-    assert native.partition.num_rows == legacy.partition.num_rows
-    assert native.partition.compressed_bytes == (
-        legacy.partition.compressed_bytes
+def _spec(seed: int = 3, name: str | None = None) -> JobSpec:
+    return JobSpec(
+        data=DataSpec(workload=WORKLOAD, num_sessions=60, seed=seed),
+        reader=ReaderSpec(executor="inprocess"),
+        train=TrainSpec(batch_size=32, train_batches=2),
+        name=name,
     )
-    assert native.scribe.compression_ratio == legacy.scribe.compression_ratio
-    # reader reports: same batches, samples, and modeled CPU seconds
-    assert native.reader.batches == legacy.reader.batches
-    assert native.reader.samples == legacy.reader.samples
-    assert native.reader.cpu.total == legacy.reader.cpu.total
-    assert native.fleet.num_shards == legacy.fleet.num_shards
-    assert len(native.fleet.workers) == len(legacy.fleet.workers)
-    # scaling traces: both absent, or bit-identical decision rows
-    if legacy.scaling is None:
-        assert native.scaling is None
-    else:
-        assert native.scaling.as_rows() == legacy.scaling.as_rows()
-    assert native.overlap.streaming == legacy.overlap.streaming
-    assert native.overlap.batches == legacy.overlap.batches
-
-
-#: the interesting corners of the knob space, pinned
-GRID = [
-    {},
-    {"toggles": RecDToggles.full(), "num_readers": 3},
-    {"num_readers": 4, "num_partitions": 3, "train_epochs": 2},
-    {"streaming": False, "num_readers": 2, "num_partitions": 2},
-    {"num_partitions": 4, "train_epochs": 3, "retain_partitions": 2},
-    {
-        "retain_partitions": 1,
-        "num_partitions": 3,
-        "train_epochs": 3,
-        "streaming": False,
-    },
-    {
-        "autoscale": True,
-        "num_readers": 1,
-        "batch_size": 24,
-        "train_batches": None,
-        "train_epochs": 3,
-    },
-    {
-        "autoscale": True,
-        "retain_partitions": 2,
-        "num_partitions": 4,
-        "train_epochs": 3,
-        "num_readers": 2,
-        "max_readers": 16,
-    },
-]
-
-
-class TestSingleJobEquivalence:
-    @pytest.mark.parametrize("kw", GRID, ids=lambda kw: ",".join(kw) or "plain")
-    def test_grid_corner_bit_identical(self, kw):
-        config = _cfg(**kw)
-        _assert_equivalent(
-            run_pipeline(config), Session(JobSpec.from_legacy(config)).run()
-        )
-
-    @settings(
-        max_examples=6,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    @given(
-        num_readers=st.integers(1, 4),
-        num_partitions=st.integers(1, 3),
-        train_epochs=st.integers(1, 2),
-        streaming=st.booleans(),
-        retain=st.sampled_from([None, 1, 2]),
-        recd=st.booleans(),
-    )
-    def test_property_bit_identical(
-        self, num_readers, num_partitions, train_epochs, streaming, retain, recd
-    ):
-        """Property-style: any sampled knob combination produces the
-        same results through both surfaces."""
-        config = _cfg(
-            toggles=(
-                RecDToggles.full() if recd else RecDToggles.baseline()
-            ),
-            num_readers=num_readers,
-            num_partitions=num_partitions,
-            train_epochs=train_epochs,
-            streaming=streaming,
-            retain_partitions=retain,
-        )
-        _assert_equivalent(
-            run_pipeline(config), Session(JobSpec.from_legacy(config)).run()
-        )
-
-    def test_session_accepts_flat_configs_directly(self):
-        config = _cfg()
-        res = Session(config).run()
-        assert res.training.losses == run_pipeline(config).training.losses
-        assert res.spec == JobSpec.from_legacy(config)
-
-    def test_legacy_adapter_keeps_caller_config(self):
-        """run_pipeline hands back the very config object it was given
-        — unchanged, deprecation-free."""
-        config = _cfg()
-        res = run_pipeline(config)
-        assert res.config is config
-        assert res.spec is not None
 
 
 class TestMultiJobEquivalence:
-    def test_run_multi_job_matches_native_session(self):
-        configs = [
-            _cfg(seed=1),
-            _cfg(seed=2, toggles=RecDToggles.full()),
-        ]
-        legacy = run_multi_job(configs, num_readers=8, names=["a", "b"])
-        native = Session(
-            [JobSpec.from_legacy(c) for c in configs],
-            width=8,
-            names=["a", "b"],
-        ).run()
-        assert native.tier.as_rows() == legacy.tier.as_rows()
-        for name in ("a", "b"):
-            assert (
-                native.job(name).training.losses
-                == legacy.job(name).training.losses
-            )
-        assert (
-            native.modeled_wall_seconds == legacy.modeled_wall_seconds
-        )
-
     def test_named_specs_carry_their_own_names(self):
-        specs = [
-            JobSpec.from_legacy(_cfg(seed=1), name="alpha"),
-            JobSpec.from_legacy(_cfg(seed=2), name="beta"),
-        ]
+        specs = [_spec(seed=1, name="alpha"), _spec(seed=2, name="beta")]
         res = Session(specs, width=4).run()
         assert [j.name for j in res.jobs] == ["alpha", "beta"]
         assert res.job("beta").spec is specs[1]
@@ -182,11 +35,37 @@ class TestMultiJobEquivalence:
     def test_single_spec_list_returns_multi_result(self):
         """The result shape follows the input shape: a one-element list
         is still a multi-job session."""
-        res = Session([JobSpec.from_legacy(_cfg())], width=2).run()
+        res = Session([_spec()], width=2).run()
         assert res.jobs[0].name == "job0"
         assert res.tier.policy == "stall_weighted"
 
     def test_multi_needs_explicit_width(self):
-        specs = [JobSpec.from_legacy(_cfg(seed=s)) for s in (1, 2)]
         with pytest.raises(ValueError, match="width"):
-            Session(specs)
+            Session([_spec(seed=1), _spec(seed=2)])
+
+
+class TestInputBoundary:
+    """Only ``JobSpec``s cross into the engine; the ``TypeError`` names
+    the offending type and where it sat."""
+
+    def test_single_non_spec_is_named(self):
+        with pytest.raises(TypeError) as err:
+            Session(42)
+        assert str(err.value) == "Session jobs[0] must be a JobSpec, got int"
+
+    def test_list_element_is_named_with_its_position(self):
+        with pytest.raises(TypeError) as err:
+            Session([_spec(), {"workload": WORKLOAD}], width=2)
+        assert str(err.value) == (
+            "Session jobs[1] must be a JobSpec, got dict"
+        )
+
+    def test_admit_refuses_non_spec(self):
+        session = Session([_spec()], width=2)
+        session.prepare()
+        with pytest.raises(TypeError) as err:
+            session.admit(("RM1", "recd"), "late")
+        assert str(err.value) == (
+            "Session.admit spec for job 'late' must be a JobSpec, "
+            "got tuple"
+        )

@@ -1,8 +1,5 @@
 """Spec-surface tests: composed-spec validation (every error names its
-spec and field), the legacy bridge (``from_legacy``/``to_legacy``
-round-trips every flat field), and derived config equivalence."""
-
-import dataclasses
+spec and field) and the values a ``JobSpec`` derives from its parts."""
 
 import pytest
 
@@ -10,7 +7,6 @@ from repro.datagen import rm1
 from repro.pipeline import (
     DataSpec,
     JobSpec,
-    PipelineConfig,
     ReaderSpec,
     RecDToggles,
     RetentionSpec,
@@ -30,8 +26,7 @@ def _spec(workload, **kw) -> JobSpec:
 
 
 class TestValidationNamesSpecAndField:
-    """Satellite acceptance: spec ``__post_init__`` errors carry the
-    spec and field name, not the old flat-config phrasing."""
+    """Spec ``__post_init__`` errors carry the spec and field name."""
 
     @pytest.mark.parametrize(
         ("build", "needle"),
@@ -105,83 +100,36 @@ class TestValidationNamesSpecAndField:
         _spec(workload, reader=ReaderSpec(num_readers=64))
 
 
-class TestLegacyBridge:
-    def _legacy(self, workload, **kw) -> PipelineConfig:
-        kw.setdefault("toggles", RecDToggles.full())
-        kw.setdefault("num_sessions", 80)
-        kw.setdefault("batch_size", 32)
-        kw.setdefault("num_readers", 3)
-        kw.setdefault("prefetch_depth", 4)
-        kw.setdefault("num_partitions", 4)
-        kw.setdefault("train_epochs", 3)
-        kw.setdefault("seed", 7)
-        kw.setdefault("reader_executor", "inprocess")
-        return PipelineConfig(workload=workload, **kw)
-
-    def test_round_trip_is_exact(self, workload):
-        for extra in (
-            {},
-            {"autoscale": True, "target_stall": 0.2, "max_readers": 16},
-            {"retain_partitions": 2},
-            {"streaming": False, "train_batches": None},
+class TestDerived:
+    def test_derived_config_matches_workload(self, workload):
+        """effective_batch_size and dataloader_config follow the
+        workload's per-path values under both toggle paths."""
+        for toggles, own_batch, groups in (
+            (RecDToggles.baseline(), workload.baseline_batch_size, ()),
+            (
+                RecDToggles.full(),
+                workload.recd_batch_size,
+                workload.dedup_groups,
+            ),
         ):
-            config = self._legacy(workload, **extra)
-            assert JobSpec.from_legacy(config).to_legacy() == config
-
-    def test_every_flat_field_has_a_spec_home(self, workload):
-        """The migration table in docs/api.md must stay total: every
-        PipelineConfig field round-trips through the specs."""
-        config = self._legacy(workload)
-        spec = JobSpec.from_legacy(config)
-        back = spec.to_legacy()
-        for f in dataclasses.fields(PipelineConfig):
-            assert getattr(back, f.name) == getattr(config, f.name), (
-                f"PipelineConfig.{f.name} lost in spec round-trip"
-            )
-
-    def test_streaming_override_routes_through_conversion(self, workload):
-        config = self._legacy(workload, streaming=True)
-        spec = JobSpec.from_legacy(config, streaming=False)
-        assert spec.reader.streaming is False
-        assert JobSpec.from_legacy(config).reader.streaming is True
-
-    def test_scaling_and_retention_map_to_presence(self, workload):
-        plain = JobSpec.from_legacy(self._legacy(workload))
-        assert plain.scaling is None and plain.retention is None
-        scaled = JobSpec.from_legacy(
-            self._legacy(workload, autoscale=True, max_readers=16)
-        )
-        assert scaled.scaling == ScalingSpec(
-            target_stall=0.10, max_readers=16
-        )
-        retained = JobSpec.from_legacy(
-            self._legacy(workload, retain_partitions=2)
-        )
-        assert retained.retention == RetentionSpec(window=2)
-
-    def test_coerce(self, workload):
-        config = self._legacy(workload)
-        spec = JobSpec.coerce(config)
-        assert isinstance(spec, JobSpec)
-        assert JobSpec.coerce(spec) is spec
-        with pytest.raises(TypeError, match="JobSpec or PipelineConfig"):
-            JobSpec.coerce({"workload": workload})
-
-    def test_derived_config_matches_legacy(self, workload):
-        """effective_batch_size and dataloader_config agree with the
-        flat config's own derivations under both toggle paths."""
-        for toggles in (RecDToggles.baseline(), RecDToggles.full()):
             for batch_size in (None, 99):
-                config = PipelineConfig(
-                    workload=workload,
-                    toggles=toggles,
-                    batch_size=batch_size,
+                spec = _spec(
+                    workload,
+                    data=DataSpec(workload=workload, toggles=toggles),
+                    train=TrainSpec(batch_size=batch_size),
                 )
-                spec = JobSpec.from_legacy(config)
-                assert (
-                    spec.effective_batch_size == config.effective_batch_size
+                expected = own_batch if batch_size is None else batch_size
+                assert spec.effective_batch_size == expected
+                dl = spec.dataloader_config()
+                assert dl.batch_size == expected
+                assert dl.dedup_sparse_features == groups
+                assert set(dl.all_sparse_names) == set(
+                    workload.schema.sparse_names
                 )
-                assert spec.dataloader_config() == config.dataloader_config()
+                assert dl.dense_features == tuple(
+                    workload.schema.dense_names
+                )
+                assert dl.transforms == spec.data.transforms
 
     def test_with_copies_top_level_fields(self, workload):
         spec = _spec(workload)

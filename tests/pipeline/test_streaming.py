@@ -6,29 +6,45 @@ import pytest
 
 import repro.reader.tier_scheduler as tier_mod
 from repro.datagen import rm1
-from repro.pipeline import PipelineConfig, RecDToggles, run_pipeline
+from repro.pipeline import DataSpec, JobSpec, ReaderSpec, Session, TrainSpec
 
 
-def _cfg(**kw):
-    kw.setdefault("workload", rm1(scale=0.25))
-    kw.setdefault("toggles", RecDToggles.baseline())
-    kw.setdefault("num_sessions", 120)
-    kw.setdefault("seed", 3)
-    kw.setdefault("batch_size", 128)
-    kw.setdefault("train_batches", 3)
-    return PipelineConfig(**kw)
+def _run(
+    *,
+    num_readers: int = 1,
+    streaming: bool = True,
+    num_partitions: int = 1,
+    train_epochs: int = 1,
+    train_batches: int = 3,
+    num_sessions: int = 120,
+    batch_size: int = 128,
+):
+    return Session(
+        JobSpec(
+            data=DataSpec(
+                workload=rm1(scale=0.25),
+                num_sessions=num_sessions,
+                num_partitions=num_partitions,
+                seed=3,
+            ),
+            reader=ReaderSpec(num_readers=num_readers, streaming=streaming),
+            train=TrainSpec(
+                train_epochs=train_epochs,
+                train_batches=train_batches,
+                batch_size=batch_size,
+            ),
+        )
+    ).run()
 
 
 class TestStreamingEquivalence:
     @pytest.mark.parametrize("num_readers", [1, 2, 4])
     def test_streaming_losses_bit_identical(self, num_readers):
-        """The acceptance bar: run_pipeline(streaming=True) must produce
+        """The acceptance bar: a streaming run must produce
         bit-identical TrainingReport losses to the materialized path at
         every fleet width, and both must report overlap fractions."""
-        streamed = run_pipeline(_cfg(num_readers=num_readers, streaming=True))
-        materialized = run_pipeline(
-            _cfg(num_readers=num_readers, streaming=False)
-        )
+        streamed = _run(num_readers=num_readers, streaming=True)
+        materialized = _run(num_readers=num_readers, streaming=False)
         assert streamed.training.losses == materialized.training.losses
         for res in (streamed, materialized):
             ov = res.overlap
@@ -38,18 +54,8 @@ class TestStreamingEquivalence:
         assert streamed.overlap.streaming
         assert not materialized.overlap.streaming
 
-    def test_override_beats_config_but_is_deprecated(self):
-        """The streaming= keyword still overrides config.streaming (the
-        override routes through the spec conversion) but now warns."""
-        with pytest.warns(DeprecationWarning, match="streaming"):
-            res = run_pipeline(_cfg(streaming=True), streaming=False)
-        assert not res.overlap.streaming
-        assert not res.spec.reader.streaming
-        # the caller's config comes back untouched
-        assert res.config.streaming
-
     def test_fractions_sum_to_one(self):
-        res = run_pipeline(_cfg(num_readers=2))
+        res = _run(num_readers=2)
         assert sum(res.overlap.fractions.values()) == pytest.approx(1.0)
         assert res.overlap.batches == len(res.training.iterations)
 
@@ -57,8 +63,8 @@ class TestStreamingEquivalence:
         """Streaming hands the trainer a live iterator, so some wall
         time is spent pulling batches; the materialized path shows
         essentially none."""
-        streamed = run_pipeline(_cfg(num_readers=2, streaming=True))
-        materialized = run_pipeline(_cfg(num_readers=2, streaming=False))
+        streamed = _run(num_readers=2, streaming=True)
+        materialized = _run(num_readers=2, streaming=False)
         assert streamed.training.ingest_wait_seconds > 0.0
         assert (
             materialized.overlap.reader_stall_fraction
@@ -76,7 +82,7 @@ class TestStreamingEquivalence:
 
 class TestMultiPartitionEpochs:
     def test_partitions_land_contiguously(self):
-        res = run_pipeline(_cfg(num_partitions=3))
+        res = _run(num_partitions=3)
         assert len(res.partitions) == 3
         assert [p.name for p in res.partitions] == ["p0", "p1", "p2"]
         assert res.partition.num_rows == res.samples_landed
@@ -85,9 +91,7 @@ class TestMultiPartitionEpochs:
         )
 
     def test_epoch_loop_multiplies_iterations(self):
-        res = run_pipeline(
-            _cfg(num_partitions=2, train_epochs=3, train_batches=2)
-        )
+        res = _run(num_partitions=2, train_epochs=3, train_batches=2)
         assert len(res.training.iterations) == 6
         assert res.reader.batches == 6
         assert res.overlap.batches == 6
@@ -96,37 +100,29 @@ class TestMultiPartitionEpochs:
         """Partitions are contiguous chunks of the same row order, so an
         epoch's first batches are bit-identical to the single-partition
         run's (the cap lands inside partition 0)."""
-        single = run_pipeline(_cfg(num_partitions=1))
-        multi = run_pipeline(_cfg(num_partitions=3))
+        single = _run(num_partitions=1)
+        multi = _run(num_partitions=3)
         assert multi.training.losses == single.training.losses
 
     def test_multi_partition_streaming_equivalence(self):
-        streamed = run_pipeline(
-            _cfg(
+        streamed, materialized = (
+            _run(
                 num_partitions=2,
                 train_epochs=2,
                 num_readers=2,
-                streaming=True,
+                streaming=streaming,
                 train_batches=4,
             )
-        )
-        materialized = run_pipeline(
-            _cfg(
-                num_partitions=2,
-                train_epochs=2,
-                num_readers=2,
-                streaming=False,
-                train_batches=4,
-            )
+            for streaming in (True, False)
         )
         assert streamed.training.losses == materialized.training.losses
         assert len(streamed.training.iterations) == 8
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            _cfg(num_partitions=0)
+            DataSpec(workload=rm1(scale=0.25), num_partitions=0)
         with pytest.raises(ValueError):
-            _cfg(train_epochs=0)
+            TrainSpec(train_epochs=0)
 
 
 class TestFailFastValidation:
@@ -143,9 +139,7 @@ class TestFailFastValidation:
 
         monkeypatch.setattr(tier_mod, "ReaderFleet", NoFleet)
         with pytest.raises(ValueError, match="too small"):
-            run_pipeline(
-                _cfg(num_sessions=2, batch_size=100_000, train_batches=2)
-            )
+            _run(num_sessions=2, batch_size=100_000, train_batches=2)
 
     def test_zero_effective_batches_counts_every_partition(self, monkeypatch):
         """Each partition sub-batch-sized: no partition can fill a batch
@@ -159,6 +153,4 @@ class TestFailFastValidation:
 
         monkeypatch.setattr(tier_mod, "ReaderFleet", NoFleet)
         with pytest.raises(ValueError, match="partition"):
-            run_pipeline(
-                _cfg(num_sessions=30, batch_size=200, num_partitions=8)
-            )
+            _run(num_sessions=30, batch_size=200, num_partitions=8)

@@ -8,8 +8,12 @@ reproduce the identical fingerprint.  The full-catalog sweep is marked
 ``chaos`` and runs in the opt-in tier.
 """
 
+import hashlib
+import json
+
 import pytest
 
+from repro.pipeline import Session
 from repro.sim import (
     FaultPlan,
     Preemption,
@@ -19,6 +23,7 @@ from repro.sim import (
 )
 from repro.sim.scenarios import _job
 from repro.datagen.workloads import rm1
+from repro.streaming import LiveLoop
 
 SEED = 3
 SCALE = 0.2
@@ -210,6 +215,57 @@ class TestStreamCrashResumeAcceptance:
                 "--verify",
             ]
         ) == 0
+
+
+#: sha256 of the stream-crash-resume fingerprint (canonical JSON) at
+#: SEED/SCALE.  Losses, SLO scoreboard, and fault trace are a pure
+#: function of the seed, so any change to how the drive loop sequences
+#: landing, rounds, and clock jumps that moves one bit shows up here.
+STREAM_CRASH_RESUME_DIGEST = (
+    "e9b3ef5507db2659fb5135ab711a224c7f531a4523025cfe955373411b13393d"
+)
+
+
+class TestOneDriveLoop:
+    """A streamed scenario and the closed ``LiveLoop.drive()`` run the
+    same iteration method; the scenario runner only injects events
+    between its calls."""
+
+    def test_scenario_and_drive_share_the_tick(
+        self, monkeypatch, stream_crash_resume
+    ):
+        ticks: list[bool] = []
+        real_tick = LiveLoop.tick
+
+        def spy(loop) -> bool:
+            ticks.append(real_tick(loop))
+            return ticks[-1]
+
+        monkeypatch.setattr(LiveLoop, "tick", spy)
+        scenario, result, baseline, _ = stream_crash_resume
+
+        spied = scenario.runner().run()
+        # every round the scenario scheduled went through tick(); the
+        # surplus True ticks are idle clock jumps to the next landing
+        assert ticks.count(True) >= len(spied.tier.rounds)
+        assert ticks[-1] is False
+        fingerprint = spied.fingerprint()
+        assert fingerprint == result.fingerprint()
+        digest = hashlib.sha256(
+            json.dumps(fingerprint, sort_keys=True).encode()
+        ).hexdigest()
+        assert digest == STREAM_CRASH_RESUME_DIGEST
+
+        ticks.clear()
+        clean = Session(
+            [spec for _, spec in scenario.jobs],
+            width=scenario.width,
+            names=[name for name, _ in scenario.jobs],
+        ).run()
+        assert ticks.count(True) >= len(clean.tier.rounds)
+        assert ticks[-1] is False
+        for job in clean.jobs:
+            assert job.training.losses == baseline[job.name]
 
 
 class TestCatalog:
