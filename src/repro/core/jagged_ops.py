@@ -12,12 +12,16 @@ PyTorch/TorchRec:
   embedding activations laid out jagged-wise.
 * :func:`expand_pooled` — the "use the shared inverse_lookup to expand the
   output" step of deduplicated compute (O7, §5 Deduplicated Pooling).
+* :func:`scatter` — the one unbuffered scatter (``ufunc.at``) kernel behind
+  segment sums, max-pooling backward and sparse embedding updates.
 
 All kernels avoid Python-level loops over rows, per the vectorization
 idioms this project follows.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -27,6 +31,7 @@ __all__ = [
     "jagged_index_select",
     "dense_index_select",
     "gather_ranges",
+    "scatter",
     "segment_sum",
     "segment_mean",
     "segment_max",
@@ -91,6 +96,29 @@ def dense_index_select(jt: JaggedTensor, indices: np.ndarray) -> JaggedTensor:
     return JaggedTensor(picked[mask], offsets_from_lengths(lengths))
 
 
+def scatter(
+    ufunc: np.ufunc, target: np.ndarray, ids: np.ndarray, values: np.ndarray
+) -> None:
+    """``ufunc.at(target, ids, values)`` in place, on NumPy's 1-D fast path.
+
+    ``ids`` index ``target``'s leading axis and may repeat; ``values`` has
+    one leading entry per id.  An N-D ``ufunc.at`` misses NumPy's fast
+    path, so rows are addressed through a flat element index into
+    ``target.reshape(-1)`` — the same operations on the same elements in
+    the same order, hence bit-equal to the N-D call.  Only a C-contiguous
+    ``target`` has a flat *view*; ``reshape`` of any other layout is a
+    copy that would swallow the update, so those keep the N-D call.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    if target.ndim == 1 or not target.flags.c_contiguous:
+        ufunc.at(target, ids, values)
+        return
+    width = math.prod(target.shape[1:])
+    flat_ids = (ids[:, None] * width + np.arange(width)).reshape(-1)
+    values = np.broadcast_to(values, ids.shape + target.shape[1:])
+    ufunc.at(target.reshape(-1), flat_ids, values.reshape(-1))
+
+
 def _check_segments(activations: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     offsets = np.asarray(offsets, dtype=np.int64)
     if activations.shape[0] != offsets[-1]:
@@ -113,7 +141,7 @@ def segment_sum(activations: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     out = np.zeros(out_shape, dtype=np.result_type(activations.dtype, np.float64))
     if activations.shape[0]:
         seg_ids = np.repeat(np.arange(num_seg), np.diff(offsets))
-        np.add.at(out, seg_ids, activations)
+        scatter(np.add, out, seg_ids, activations)
     return out
 
 

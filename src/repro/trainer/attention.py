@@ -88,6 +88,12 @@ class AttentionPooling(PoolingModule):
         dX += dU @ self.W.value.T
         return dX
 
+    def expand_cache(self, inverse, src, batch_offsets) -> None:
+        c = self._cache
+        self._cache = {k: np.take(c[k], src, axis=0) for k in ("X", "H", "alpha")}
+        self._cache["offsets"] = batch_offsets
+        self._cache["lengths"] = np.diff(batch_offsets)
+
     def params(self) -> list[Parameter]:
         return [self.W, self.q]
 
@@ -162,7 +168,7 @@ class TransformerPooling(PoolingModule):
         out = (Y2 * mask[:, :, None]).sum(axis=1) / denom
         self._cache = {
             "X": X, "mask": mask, "Q": Q, "K": K, "V": V, "A": A, "Z": Z,
-            "Y": Y, "F1": F1, "denom": denom, "offsets": acts.offsets,
+            "Y": Y, "F1": F1, "denom": denom,
         }
         return out
 
@@ -207,6 +213,12 @@ class TransformerPooling(PoolingModule):
         )
         # strip the padding back to jagged layout
         return dX[mask]
+
+    def expand_cache(self, inverse, src, batch_offsets) -> None:
+        # every cached array is dense with one leading entry per row
+        self._cache = {
+            k: np.take(v, inverse, axis=0) for k, v in self._cache.items()
+        }
 
     def params(self) -> list[Parameter]:
         return [

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.jagged import JaggedTensor
+from .optimizer import sparse_row_update
 
 __all__ = ["EmbeddingTable", "EmbeddingActivations"]
 
@@ -84,7 +85,7 @@ class EmbeddingTable:
     def apply_sgd(self, lr: float, track_updates: bool = False) -> None:
         """Apply accumulated sparse gradients with SGD and clear buffers."""
         for ids, grads in zip(self._grad_ids, self._grad_values):
-            np.subtract.at(self.weight, ids, lr * grads)
+            sparse_row_update(self.weight, ids, grads, lr)
             if track_updates:
                 self._track(ids)
         self._grad_ids.clear()

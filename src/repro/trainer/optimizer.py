@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.jagged_ops import scatter
 from .params import Parameter
 
 __all__ = ["SGD", "RowWiseAdagrad", "sparse_row_update"]
@@ -63,7 +64,7 @@ class RowWiseAdagrad:
         # gradient once, not one partial update per duplicate
         uniq, inverse = np.unique(ids, return_inverse=True)
         summed = np.zeros((uniq.size, grads.shape[1]))
-        np.add.at(summed, inverse, grads)
+        scatter(np.add, summed, inverse, grads)
         self.accumulator[uniq] += (summed * summed).mean(axis=1)
         scale = self.lr / (np.sqrt(self.accumulator[uniq]) + self.eps)
         weight[uniq] -= scale[:, None] * summed
@@ -75,9 +76,10 @@ def sparse_row_update(
     """Apply -lr * grad to the given rows, accumulating duplicates.
 
     ``ids`` may repeat (the same embedding row looked up by several batch
-    elements); ``np.subtract.at`` accumulates all of them, matching a
+    elements); the unbuffered :func:`~repro.core.jagged_ops.scatter`
+    applies every copy's subtraction in batch order, matching a
     gradient-accurate sparse SGD.
     """
     if ids.shape[0] != grads.shape[0]:
         raise ValueError("ids and grads must align")
-    np.subtract.at(weight, ids, lr * grads)
+    scatter(np.subtract, weight, ids, lr * grads)

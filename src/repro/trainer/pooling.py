@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.jagged_ops import segment_mean, segment_sum
+from ..core.jagged_ops import scatter, segment_mean, segment_sum
 from .embedding import EmbeddingActivations
 from .params import Parameter
 
@@ -25,6 +25,30 @@ class PoolingModule:
 
     def backward(self, dpooled: np.ndarray) -> np.ndarray:
         """Return d(activations.values) of shape (N, D)."""
+        raise NotImplementedError
+
+    def expand_cache(
+        self, inverse: np.ndarray, src: np.ndarray, batch_offsets: np.ndarray
+    ) -> None:
+        """Turn the cache of ``forward(unique rows)`` into the cache
+        ``forward(expanded batch)`` would have left, by gathers alone.
+
+        ``inverse`` (B,) names the unique row behind each batch row,
+        ``src`` (N_batch,) the unique value behind each batch value, and
+        ``batch_offsets`` (B+1,) delimits the batch rows.  No float math
+        runs: the ``backward`` that follows is the one a forward over the
+        materialized batch sets up — deduplicated compute (O7) without a
+        second forward.
+
+        Bit for bit under two conditions.  ``inverse`` references every
+        unique row, as any IKJT ``from_kjt`` builds does (the dense
+        modules would otherwise keep an unreferenced row's pad width).
+        And the BLAS rounds a row alike wherever it sits in a matrix:
+        true of OpenBLAS's matrix-matrix products, not of the
+        matrix-vector product behind ``AttentionPooling``'s score — a
+        last-bit position dependence the O7 forward's pooled output
+        already carries.
+        """
         raise NotImplementedError
 
     def params(self) -> list[Parameter]:
@@ -49,6 +73,9 @@ class SumPooling(PoolingModule):
         lengths = np.diff(self._offsets)
         return np.repeat(dpooled, lengths, axis=0)
 
+    def expand_cache(self, inverse, src, batch_offsets) -> None:
+        self._offsets = batch_offsets
+
     def flops(self, total_values: int, dim: int, batch_size: int) -> float:
         return float(total_values * dim)
 
@@ -68,6 +95,9 @@ class MeanPooling(PoolingModule):
         scale = 1.0 / np.maximum(lengths, 1)
         return np.repeat(dpooled * scale[:, None], lengths, axis=0)
 
+    def expand_cache(self, inverse, src, batch_offsets) -> None:
+        self._offsets = batch_offsets
+
     def flops(self, total_values: int, dim: int, batch_size: int) -> float:
         return float(total_values * dim + batch_size * dim)
 
@@ -77,8 +107,7 @@ class MaxPooling(PoolingModule):
 
     def __init__(self) -> None:
         self._argmax: np.ndarray | None = None  # (B, D) indices into values
-        self._lengths: np.ndarray | None = None
-        self._n_values = 0
+        self._offsets: np.ndarray | None = None
 
     def forward(self, acts: EmbeddingActivations) -> np.ndarray:
         offsets = acts.offsets
@@ -100,18 +129,28 @@ class MaxPooling(PoolingModule):
             flat = offsets[:-1][:, None] + arg
             argmax[nonempty] = flat[nonempty]
         self._argmax = argmax
-        self._lengths = lengths
-        self._n_values = int(acts.values.shape[0])
+        self._offsets = offsets
         return out
 
     def backward(self, dpooled: np.ndarray) -> np.ndarray:
         if self._argmax is None:
             raise RuntimeError("backward before forward")
-        dvalues = np.zeros((self._n_values, dpooled.shape[1]))
-        valid = self._argmax >= 0
-        rows, dims = np.nonzero(valid)
-        np.add.at(dvalues, (self._argmax[rows, dims], dims), dpooled[rows, dims])
-        return dvalues
+        n, dim = int(self._offsets[-1]), dpooled.shape[1]
+        dvalues = np.zeros(n * dim)
+        rows, dims = np.nonzero(self._argmax >= 0)
+        scatter(
+            np.add, dvalues, self._argmax[rows, dims] * dim + dims,
+            dpooled[rows, dims],
+        )
+        return dvalues.reshape(n, dim)
+
+    def expand_cache(self, inverse, src, batch_offsets) -> None:
+        # re-base each row's flat argmax from its unique-row start onto
+        # its batch-row start; empty rows keep the -1 sentinel
+        shift = (batch_offsets[:-1] - self._offsets[:-1][inverse])[:, None]
+        argmax = self._argmax[inverse]
+        self._argmax = np.where(argmax >= 0, argmax + shift, -1)
+        self._offsets = batch_offsets
 
     def flops(self, total_values: int, dim: int, batch_size: int) -> float:
         return float(total_values * dim)

@@ -148,15 +148,21 @@ class SparseFeature:
     def backward(self, dpooled: np.ndarray) -> None:
         """Route pooled gradients back to the embedding table.
 
-        The IKJT modes replay the baseline's *exact* accumulation
-        arithmetic: gradients are expanded to per-copy batch rows (a
-        pure gather — no float math) and accumulated per copy, exactly
-        as ``forward_kjt``'s backward would.  Folding per-copy grads
-        onto unique rows first would regroup float additions
-        (``w - lr*(g1+g2) != (w - lr*g1) - lr*g2``) and drift the loss
-        trajectory by ULPs after a few steps, breaking the repo's
-        bit-identity contract.  The *savings* stay modeled: counters
-        recorded in forward meter the deduplicated work.
+        Saved in measured wall: forward compute on duplicates.  Under
+        O7 the pooling module ran on unique rows only and is never run
+        again; ``expand_cache`` re-indexes its intermediates to batch
+        shape by ``inverse_lookup`` — gathers, no float math.
+
+        Per-copy by contract: the backward itself.  Gradients flow per
+        batch row and accumulate per copy, exactly as ``forward_kjt``'s
+        backward would, so pooling-parameter gradients, the embedding
+        gradient order and every loss are bitwise the KJT path's.
+
+        Excluded: folding per-copy ``dpooled`` onto unique rows first
+        (the paper's O7 backward).  It regroups float additions
+        (``w - lr*(g1+g2) != (w - lr*g1) - lr*g2``) and drifts the loss
+        trajectory by ULPs from step 2 on, breaking the repo's
+        bit-identity contract.
         """
         if self._acts is None:
             raise RuntimeError("backward before forward")
@@ -166,17 +172,13 @@ class SparseFeature:
             self.table.accumulate_grad(acts.ids, dacts)
             return
         src, batch_offsets = _expansion_src(acts.offsets, inverse)
-        batch_ids = acts.ids[src]
         if self._mode == "dedup":
-            # pooling ran on unique rows; rebuild the batch-shaped cache
-            # (also makes pooling-param grads baseline-exact)
-            batch_acts = EmbeddingActivations(
-                acts.values[src], batch_offsets, batch_ids
-            )
-            self.pooling.forward(batch_acts)
+            # pooling ran on unique rows; make its cache batch-shaped, once
+            self.pooling.expand_cache(inverse, src, batch_offsets)
+            self._mode = "expanded"
         # "expanded" mode pooled batch rows already; its cache is live
         d_batch_values = self.pooling.backward(dpooled)
-        self.table.accumulate_grad(batch_ids, d_batch_values)
+        self.table.accumulate_grad(acts.ids[src], d_batch_values)
 
     def params(self) -> list[Parameter]:
         return self.pooling.params()

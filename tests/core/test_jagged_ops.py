@@ -16,6 +16,7 @@ from repro.core import (
     segment_mean,
     segment_sum,
 )
+from repro.core.jagged_ops import scatter
 
 
 class TestJaggedIndexSelect:
@@ -139,6 +140,43 @@ def test_property_segment_sum_matches_loop(lengths, dim):
     for i, ln in enumerate(lengths):
         ref = acts[offsets[i] : offsets[i + 1]].sum(axis=0)
         np.testing.assert_allclose(got[i], ref)
+
+
+class TestScatter:
+    """The flat 1-D path applies ``ufunc.at``'s operations in its order."""
+
+    @pytest.mark.parametrize("ufunc", [np.add, np.subtract])
+    @pytest.mark.parametrize("shape", [(50,), (50, 16), (50, 3, 4)])
+    def test_bitwise_equal_to_ufunc_at_with_repeated_ids(self, ufunc, shape):
+        rng = np.random.default_rng(0)
+        ids = rng.integers(-50, 50, size=400)  # repeats, negatives wrap
+        values = rng.normal(size=(400,) + shape[1:])
+        want = rng.normal(size=shape)
+        got = want.copy()
+        ufunc.at(want, ids, values)
+        scatter(ufunc, got, ids, values)
+        assert got.tobytes() == want.tobytes()
+
+    def test_strided_target_is_updated_not_a_flat_copy_of_it(self):
+        """``reshape(-1)`` of a non-contiguous target is a copy: an update
+        through it would be lost.  Such targets take the N-D ``at``."""
+        rng = np.random.default_rng(1)
+        ids = np.array([3, 3, 7, 3, 0, 7])
+        values = rng.normal(size=(6, 4))
+        want = rng.normal(size=(20, 8))
+        got = want.copy()
+        assert not got[:, ::2].flags.c_contiguous
+        np.subtract.at(want[:, ::2], ids, values)
+        scatter(np.subtract, got[:, ::2], ids, values)
+        assert got.tobytes() == want.tobytes()
+
+    def test_out_of_range_id_raises(self):
+        with pytest.raises(IndexError):
+            scatter(np.add, np.zeros((4, 2)), np.array([4]), np.ones((1, 2)))
+
+    def test_misaligned_values_raise(self):
+        with pytest.raises(ValueError):
+            scatter(np.add, np.zeros((4, 2)), np.array([0, 1]), np.ones((4, 1, 1)))
 
 
 class TestExpandPooled:

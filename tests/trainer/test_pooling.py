@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.jagged_ops import gather_ranges
 from repro.trainer import (
     AttentionPooling,
     EmbeddingActivations,
@@ -162,3 +165,87 @@ class TestSemantics:
             small = pool.flops(100, 8, 10)
             large = pool.flops(1000, 8, 10)
             assert 0 < small < large, name
+
+
+# -- cache expansion (the IKJT backward's gather) ----------------------------
+
+
+def assert_same(a, b, what, bitwise=True):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape, what
+    if bitwise:
+        assert a.tobytes() == b.tobytes(), what
+    else:
+        np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12, err_msg=what)
+
+
+def cache_arrays(pool):
+    """Every array a pooling module holds between forward and backward."""
+    state = getattr(pool, "_cache", None) or vars(pool)
+    return {k: v for k, v in state.items() if isinstance(v, np.ndarray)}
+
+
+@st.composite
+def dedup_cases(draw):
+    """Unique-row lengths plus an inverse_lookup referencing every one
+    of them, as dedup builds it: a single row behind the whole batch,
+    every row referenced exactly once, and anything between."""
+    lengths = draw(st.lists(st.integers(0, 5), min_size=1, max_size=6))
+    if draw(st.integers(0, 3)) == 0:
+        lengths = [0] * len(lengths)  # an all-empty feature
+    copies = draw(st.lists(st.sampled_from(range(len(lengths))), max_size=8))
+    inverse = draw(st.permutations(list(range(len(lengths))) + copies))
+    dim = draw(st.sampled_from([1, 3, 16]))
+    seed = draw(st.integers(0, 2**16))
+    return lengths, np.asarray(inverse, dtype=np.int64), dim, seed
+
+
+@pytest.mark.parametrize("name", list(POOLINGS))
+@settings(max_examples=60, deadline=None)
+@given(case=dedup_cases())
+def test_expand_cache_equals_forward_on_expanded_batch(name, case):
+    """forward(unique) + expand_cache leaves, array for array, the cache
+    of forward(expanded batch); backward outputs and parameter grads
+    then agree bit for bit — the gather replaces the re-forward."""
+    lengths, inverse, dim, seed = case
+    rng = np.random.default_rng(seed)
+    unique = make_acts(rng, lengths, dim)
+    src, batch_offsets = gather_ranges(
+        np.arange(unique.values.shape[0]), unique.offsets, inverse
+    )
+    batch = EmbeddingActivations(
+        unique.values[src], batch_offsets, unique.ids[src]
+    )
+    gathered = POOLINGS[name](dim, np.random.default_rng(1))
+    reference = POOLINGS[name](dim, np.random.default_rng(1))
+    bitwise = True
+    if name == "attention":
+        # its score is a matrix-vector product, and OpenBLAS's gemv (and
+        # the single-row product NumPy sends there) rounds a row by its
+        # position in the matrix: the O7 forward's own pooled output
+        # carries that last-bit dependence, which no gather can undo.
+        # Bitwise is the claim wherever the BLAS is position-independent.
+        W, q = gathered.W.value, gathered.q.value
+        XW = unique.values @ W
+        H = np.tanh(XW)
+        bitwise = (
+            XW[src].tobytes() == (batch.values @ W).tobytes()
+            and (H @ q)[src].tobytes() == (H[src] @ q).tobytes()
+        )
+
+    gathered.forward(unique)
+    gathered.expand_cache(inverse, src, batch_offsets)
+    reference.forward(batch)
+
+    got, want = cache_arrays(gathered), cache_arrays(reference)
+    assert got.keys() == want.keys()
+    for key in want:
+        assert_same(got[key], want[key], key, bitwise)
+
+    dpooled = rng.normal(size=(inverse.size, dim))
+    assert_same(
+        gathered.backward(dpooled), reference.backward(dpooled), "dvalues",
+        bitwise,
+    )
+    for p, q in zip(gathered.params(), reference.params()):
+        assert_same(p.grad, q.grad, "param grad", bitwise)

@@ -12,8 +12,12 @@ import numpy as np
 import pytest
 
 from repro.core import InverseKeyedJaggedTensor, KeyedJaggedTensor
+from repro.datagen.schema import PoolingKind, SparseFeatureSpec
+from repro.reader.batch import Batch
 from repro.trainer import (
+    DLRM,
     AttentionPooling,
+    DLRMConfig,
     EmbeddingTable,
     SparseArch,
     SparseFeature,
@@ -85,6 +89,52 @@ def test_ikjt_path_matches_kjt_path(pooling_cls, flags):
         t_base.apply_sgd(0.1)
         t_recd.apply_sgd(0.1)
         np.testing.assert_allclose(t_base.weight, t_recd.weight, atol=1e-10)
+
+
+@pytest.mark.parametrize("pooling_cls", [SumPooling, AttentionPooling, TransformerPooling])
+@pytest.mark.parametrize("flags", ALL_FLAG_COMBOS)
+def test_backward_never_runs_the_forward(pooling_cls, flags, monkeypatch):
+    """The unique-row forward holds every intermediate the backward
+    needs: under no flag combination does backward pool again."""
+    kjt = make_batch_kjt(np.random.default_rng(3))
+    ikjt = InverseKeyedJaggedTensor.from_kjt(kjt, ["f1", "f2"])
+    arch = build_arch(flags, pooling_cls)
+    pooled = arch.forward(None, [ikjt])
+    calls = []
+    for feature in arch.features.values():
+        monkeypatch.setattr(
+            feature.pooling, "forward", lambda acts: calls.append(acts)
+        )
+    arch.backward([np.ones_like(p) for p in pooled])
+    assert calls == []
+
+
+@pytest.mark.parametrize("kind", list(PoolingKind))
+def test_kjt_and_ikjt_steps_lose_the_same_bits(kind):
+    """A KJT step and an IKJT step over the same logical batch give
+    bitwise equal losses, step after step, for every pooling kind."""
+    specs = [
+        SparseFeatureSpec(name, cardinality=64, pooling=kind)
+        for name in ("f1", "f2")
+    ]
+    config = DLRMConfig(
+        embedding_dim=4, bottom_mlp=(8, 4), top_mlp=(8, 1), num_dense=3
+    )
+    base = DLRM(specs, config, TrainerOptFlags.baseline())
+    recd = DLRM(specs, config, TrainerOptFlags.full())
+    rng = np.random.default_rng(7)
+    for _ in range(6):
+        kjt = make_batch_kjt(rng, batch=24, dup_factor=4)
+        ikjt = InverseKeyedJaggedTensor.from_kjt(kjt, ["f1", "f2"])
+        dense = rng.normal(size=(24, 3)).astype(np.float32)
+        labels = rng.integers(0, 2, size=24).astype(np.float32)
+        loss_kjt = base.train_step(Batch(dense, labels, kjt=kjt))
+        loss_ikjt = recd.train_step(Batch(dense, labels, ikjts=[ikjt]))
+        assert loss_kjt == loss_ikjt
+    for t_base, t_recd in zip(
+        base.sparse_arch.tables(), recd.sparse_arch.tables()
+    ):
+        assert t_base.weight.tobytes() == t_recd.weight.tobytes()
 
 
 class TestResourceCounters:
