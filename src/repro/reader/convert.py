@@ -1,9 +1,9 @@
-"""Feature Conversion: raw rows -> KJT / IKJT tensors (O3, §4.2).
+"""Feature Conversion: filled columns -> KJT / IKJT tensors (O3, §4.2).
 
-The convert step copies feature data from filled rows into structured
-tensors.  Features listed in ``dedup_sparse_features`` are deduplicated
-into (grouped) IKJTs by hashing row values during conversion; everything
-else becomes plain KJTs.  Work accounting:
+The convert step copies feature data from a filled block of rows into
+structured tensors.  Features listed in ``dedup_sparse_features`` are
+deduplicated into (grouped) IKJTs by hashing row values during
+conversion; everything else becomes plain KJTs.  Work accounting:
 
 * every value of a dedup-group feature is *hashed* (the O3 overhead
   measured at +21/37/11% convert time in Fig 10);
@@ -13,14 +13,16 @@ else becomes plain KJTs.  Work accounting:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..core.ikjt import InverseKeyedJaggedTensor
+from ..core.jagged import JaggedTensor
 from ..core.kjt import KeyedJaggedTensor
 from ..core.partial import PartialKeyedJaggedTensor
-from ..datagen.session import Sample
+from ..storage.rowblock import RowBlock
 from .batch import Batch
 from .config import DataLoaderConfig
 
@@ -41,32 +43,54 @@ class ConvertStats:
 
 
 def convert_rows(
-    rows: list[Sample], config: DataLoaderConfig
+    rows: RowBlock | Sequence, config: DataLoaderConfig
 ) -> tuple[Batch, ConvertStats]:
-    """Convert one filled batch of rows into tensors per the job config."""
+    """Convert one filled batch of rows into tensors per the job config.
+
+    ``rows`` is the fill step's :class:`~repro.storage.rowblock.RowBlock`;
+    a sequence of row objects (tests, examples) is columnarised first.
+    Every tensor is built over the block's columns — no per-row work —
+    and owns its memory, so batches cut from one stripe never alias.
+    """
     if not rows:
         raise ValueError("cannot convert an empty batch")
+    if not isinstance(rows, RowBlock):
+        rows = RowBlock.from_samples(
+            rows, config.all_sparse_names, config.dense_features
+        )
+    num_rows = len(rows)
     stats = ConvertStats()
 
-    dense = np.array(
-        [[r.dense.get(name, 0.0) for name in config.dense_features] for r in rows],
-        dtype=np.float32,
-    ).reshape(len(rows), len(config.dense_features))
-    labels = np.array([r.label for r in rows], dtype=np.float32)
+    absent = (np.zeros(num_rows + 1, dtype=np.int64), np.empty(0, dtype=np.int64))
+
+    def keyed(keys, own: bool = False) -> KeyedJaggedTensor:
+        """A KJT over the block's columns for ``keys`` — views, or one
+        contiguous copy per feature when the result must ``own`` its
+        memory.  A feature the block lacks is empty in every row."""
+        tensors = {}
+        for key in keys:
+            offsets, values = rows.sparse.get(key, absent)
+            if own:
+                offsets, values = offsets.copy(), values.copy()
+            tensors[key] = JaggedTensor(values, offsets)
+        return KeyedJaggedTensor(tensors)
+
+    dense = np.zeros((num_rows, len(config.dense_features)), dtype=np.float32)
+    for j, name in enumerate(config.dense_features):
+        if name in rows.dense:
+            dense[:, j] = rows.dense[name]
+    labels = rows.label.astype(np.float32)
 
     kjt = None
     if config.sparse_features:
-        kjt = KeyedJaggedTensor.from_rows(
-            [r.sparse for r in rows], keys=config.sparse_features
-        )
+        kjt = keyed(config.sparse_features, own=True)
         stats.values_copied += kjt.total_values
 
     ikjts: list[InverseKeyedJaggedTensor] = []
     for group in config.dedup_sparse_features:
-        # Build the full KJT view of the group, then dedup via hashing.
-        group_kjt = KeyedJaggedTensor.from_rows(
-            [r.sparse for r in rows], keys=group
-        )
+        # Dedup the group's full KJT view via hashing; only the unique
+        # rows are gathered (copied) out of the block.
+        group_kjt = keyed(group)
         ikjt = InverseKeyedJaggedTensor.from_kjt(group_kjt, list(group))
         ikjts.append(ikjt)
         stats.values_hashed += group_kjt.total_values
@@ -75,9 +99,7 @@ def convert_rows(
     partial = None
     if config.partial_dedup_sparse_features:
         keys = list(config.partial_dedup_sparse_features)
-        partial_kjt = KeyedJaggedTensor.from_rows(
-            [r.sparse for r in rows], keys=keys
-        )
+        partial_kjt = keyed(keys)
         partial = PartialKeyedJaggedTensor.from_kjt(partial_kjt, keys)
         # partial matching scans windows: charge hashing for every value
         stats.values_hashed += partial_kjt.total_values

@@ -80,7 +80,7 @@ class ReaderCostModel:
     # O2's ~3.3x compression gain cuts fill CPU by ~50%, Fig 10's RM1
     # number.
     fill_per_compressed_byte: float = 250e-9
-    # fill: per decoded value (byte decoding into rows)
+    # fill: per decoded value (byte decoding into columns)
     fill_per_value: float = 120e-9
     # convert: copying one value into a tensor
     convert_copy_per_value: float = 18e-9

@@ -1,9 +1,11 @@
-"""Fill: fetch file splits from Tectonic and decode rows (§2.1, Fig 5).
+"""Fill: fetch file splits from Tectonic and decode them (§2.1, Fig 5).
 
 A reader fills batches by reading stripes out of DWRF files, paying for
 (1) fetching/decrypting/decompressing compressed bytes and (2) decoding
-values into rows.  Both work inputs are measured by the underlying
-:class:`~repro.storage.dwrf.DwrfReader` counters.
+the streams' values.  Both work inputs are measured by the underlying
+:class:`~repro.storage.dwrf.DwrfReader` counters.  Rows stay columnar
+throughout: a batch is cut from the decoded stripes'
+:class:`~repro.storage.rowblock.RowBlock` columns by offset arithmetic.
 """
 
 from __future__ import annotations
@@ -11,8 +13,8 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from ..datagen.session import Sample
 from ..storage.dwrf import DwrfReader
+from ..storage.rowblock import RowBlock
 
 __all__ = ["FillStats", "fill_batches"]
 
@@ -38,11 +40,13 @@ def fill_batches(
     drop_last: bool = True,
     row_start: int = 0,
     row_stop: int | None = None,
-) -> Iterator[tuple[list[Sample], FillStats]]:
+) -> Iterator[tuple[RowBlock, FillStats]]:
     """Stream fixed-size batches of rows off a partition's file readers.
 
-    Stripes are read lazily; each yielded batch carries the *incremental*
-    fill work (so a node can attribute CPU time per batch).
+    Each batch is one :class:`RowBlock` of exactly ``batch_size`` rows
+    (fewer only for a kept last batch).  Stripes are read lazily; each
+    yielded batch carries the *incremental* fill work (so a node can
+    attribute CPU time per batch).
 
     ``row_start``/``row_stop`` restrict filling to a window of the global
     row order across ``readers`` — how one fleet shard scans only its
@@ -58,7 +62,8 @@ def fill_batches(
         raise ValueError("row_start must be non-negative")
     if row_stop is not None and row_stop < row_start:
         raise ValueError("row_stop must be >= row_start")
-    pending: list[Sample] = []
+    pending: list[RowBlock] = []  # decoded, not yet batched, in row order
+    pending_rows = 0
     prev = FillStats()
 
     def snapshot() -> FillStats:
@@ -95,10 +100,24 @@ def fill_batches(
                 break
             if lo >= stripe_rows:  # stripe is entirely before the window
                 continue
-            rows = reader.read_stripe(stripe_idx)
-            pending.extend(rows[lo:hi])
-            while len(pending) >= batch_size:
-                batch, pending = pending[:batch_size], pending[batch_size:]
-                yield batch, snapshot()
-    if pending and not drop_last:
-        yield pending, snapshot()
+            block = reader.read_stripe(stripe_idx)
+            if (lo, hi) != (0, stripe_rows):
+                block = block[lo:hi]
+            pending.append(block)
+            pending_rows += len(block)
+            while pending_rows >= batch_size:
+                # whole blocks while they fit, then the head of the next
+                taken, need = [], batch_size
+                while need:
+                    head = pending[0]
+                    if len(head) <= need:
+                        taken.append(pending.pop(0))
+                        need -= len(head)
+                    else:
+                        taken.append(head[:need])
+                        pending[0] = head[need:]
+                        need = 0
+                pending_rows -= batch_size
+                yield RowBlock.concat(taken), snapshot()
+    if pending_rows and not drop_last:
+        yield RowBlock.concat(pending), snapshot()

@@ -146,9 +146,7 @@ class ReaderNode:
             rep.expanded_bytes += batch.expanded_nbytes
             rep.samples += batch.batch_size
             rep.batches += 1
-            rep.batch_event_times.append(
-                max(row.timestamp for row in rows)
-            )
+            rep.batch_event_times.append(float(rows.timestamp.max()))
             yield batch
             if max_batches is not None and rep.batches >= max_batches:
                 return

@@ -11,6 +11,7 @@ from .encoding import (
     zigzag,
 )
 from .hive import HiveTable, PartitionInfo
+from .rowblock import RowBlock
 from .tectonic import FSStats, TectonicFS
 
 __all__ = [
@@ -27,6 +28,7 @@ __all__ = [
     "DwrfReader",
     "FileStats",
     "StripeStats",
+    "RowBlock",
     "TectonicFS",
     "FSStats",
     "HiveTable",

@@ -28,10 +28,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..core.jagged import offsets_from_lengths
 from ..datagen.schema import DatasetSchema
 from ..datagen.session import Sample
 from .compression import Codec, compress, decompress
 from .encoding import IntEncoding, decode_int64, encode_int64
+from .rowblock import RowBlock
 
 __all__ = ["DwrfWriter", "DwrfReader", "StripeStats", "FileStats"]
 
@@ -171,18 +173,21 @@ class DwrfWriter:
                 np.array([r.dense.get(dspec.name, 0.0) for r in rows]),
             )
 
-        body = _STRIPE_HEADER.pack(0, len(rows), len(streams)) + b"".join(streams)
-        # patch stripe byte_len (first u32) now the size is known
-        body = _STRIPE_HEADER.pack(len(body), len(rows), len(streams)) + b"".join(
-            streams
+        body = b"".join(streams)
+        # byte_len counts the stripe header itself
+        header = _STRIPE_HEADER.pack(
+            _STRIPE_HEADER.size + len(body), len(rows), len(streams)
         )
-        return body, sstat
+        return header + body, sstat
 
 
 class DwrfReader:
-    """Reads stripes of a DWRF blob back into sample rows.
+    """Reads stripes of a DWRF blob back as columnar row blocks.
 
-    Tracks the byte accounting the reader cost model consumes:
+    A decoded stripe is handed on as a :class:`~repro.storage.rowblock.
+    RowBlock` — the streams' arrays themselves, never per-row objects;
+    :meth:`read_all` materializes rows for the cold callers that want
+    them.  Tracks the byte accounting the reader cost model consumes:
     ``bytes_read`` (compressed, what travels from Tectonic),
     ``raw_bytes`` (decompressed) and ``values_decoded``.
     """
@@ -224,9 +229,13 @@ class DwrfReader:
             raise IndexError(f"stripe {index} out of range")
         return self._stripe_rows[index]
 
-    def read_stripe(self, index: int) -> list[Sample]:
-        """Fetch + decode one stripe back into rows, accounting the
-        bytes read and values decoded (the reader tier's fill costs)."""
+    def read_stripe(self, index: int) -> RowBlock:
+        """Fetch + decode one stripe into a block of columns, accounting
+        the bytes read and values decoded (the reader tier's fill costs).
+
+        Raises :class:`ValueError` naming the stripe and stream when the
+        decoded streams do not describe ``num_rows`` consistent rows.
+        """
         if not 0 <= index < self.num_stripes:
             raise IndexError(f"stripe {index} out of range")
         blob = self._blob
@@ -252,39 +261,40 @@ class DwrfReader:
                     payload, count, IntEncoding(enc_id)
                 )
             self.values_decoded += count
-        return self._rows_from_columns(columns, num_rows)
 
-    def _rows_from_columns(
-        self, columns: dict[str, np.ndarray], num_rows: int
-    ) -> list[Sample]:
-        session = columns[_SESSION]
-        ts = columns[_TIMESTAMP]
-        label = columns[_LABEL]
-        sample_id = columns[_SAMPLE_ID]
-        sparse_split: dict[str, list[np.ndarray]] = {}
-        for spec in self.schema.sparse:
-            lengths = columns[f"s:{spec.name}:len"]
-            values = columns[f"s:{spec.name}:val"]
-            bounds = np.cumsum(lengths)[:-1]
-            sparse_split[spec.name] = np.split(values, bounds)
-        rows: list[Sample] = []
-        for i in range(num_rows):
-            rows.append(
-                Sample(
-                    sample_id=int(sample_id[i]),
-                    session_id=int(session[i]),
-                    timestamp=float(ts[i]),
-                    label=int(label[i]),
-                    sparse={
-                        name: lists[i] for name, lists in sparse_split.items()
-                    },
-                    dense={
-                        d.name: float(columns[f"d:{d.name}"][i])
-                        for d in self.schema.dense
-                    },
+        def stream(name: str, size: int = num_rows) -> np.ndarray:
+            """One decoded stream, checked to hold ``size`` values."""
+            column = columns.get(name)
+            if column is None:
+                raise ValueError(f"stripe {index}: stream {name!r} is missing")
+            if column.size != size:
+                raise ValueError(
+                    f"stripe {index}: stream {name!r} holds {column.size} "
+                    f"values, expected {size}"
                 )
+            return column
+
+        sparse = {}
+        for spec in self.schema.sparse:
+            lengths = stream(f"s:{spec.name}:len")
+            try:
+                offsets = offsets_from_lengths(lengths)
+            except ValueError as err:  # a negative length
+                raise ValueError(
+                    f"stripe {index}: stream 's:{spec.name}:len': {err}"
+                ) from err
+            sparse[spec.name] = (
+                offsets,
+                stream(f"s:{spec.name}:val", int(offsets[-1])),
             )
-        return rows
+        return RowBlock(
+            sample_id=stream(_SAMPLE_ID),
+            session_id=stream(_SESSION),
+            timestamp=stream(_TIMESTAMP),
+            label=stream(_LABEL),
+            sparse=sparse,
+            dense={d.name: stream(f"d:{d.name}") for d in self.schema.dense},
+        )
 
     def read_all(self) -> list[Sample]:
         """Every row in the file, in stripe order (the serial scan)."""

@@ -96,6 +96,8 @@ def _varint_decode(data: bytes, count: int) -> np.ndarray:
     values = np.zeros(count, dtype=np.uint64)
     # byte index cursor per value, decoded sequentially over planes
     is_cont = (buf & 0x80) != 0
+    if buf.size and is_cont[-1]:
+        raise ValueError("varint stream is truncated inside its last value")
     # value boundaries: a value ends at the first byte with cont bit clear
     ends = np.flatnonzero(~is_cont)
     if ends.size != count:
@@ -105,8 +107,13 @@ def _varint_decode(data: bytes, count: int) -> np.ndarray:
     starts = np.concatenate([[0], ends[:-1] + 1])
     payload = (buf & 0x7F).astype(np.uint64)
     nbytes_per_val = ends - starts + 1
+    # an int64 needs at most 10 groups of 7 bits; past that the shift
+    # below is undefined
+    longest = int(nbytes_per_val.max(initial=0))
+    if longest > 10:
+        raise ValueError("varint stream holds a value longer than 10 bytes")
     # accumulate one byte-plane at a time (<= 10 vectorized passes)
-    for plane in range(int(nbytes_per_val.max(initial=0))):
+    for plane in range(longest):
         mask = nbytes_per_val > plane
         values[mask] |= payload[starts[mask] + plane] << np.uint64(7 * plane)
     return unzigzag(values)

@@ -1,5 +1,7 @@
 """The public-API snapshot: ``repro.pipeline.__all__``,
-``repro.experiments.__all__``, and every spec dataclass's field names
+``repro.experiments.__all__``, ``repro.storage.__all__`` (the layer
+surface the stopwatch benchmark and ``RowBlock`` callers use), and every
+spec dataclass's field names
 are diffed against a checked-in manifest
 (``tests/docs/api_manifest.json``), so run-surface changes are always
 deliberate — adding, renaming, or removing a public name or spec field
@@ -12,6 +14,7 @@ import pytest
 
 import repro.experiments
 import repro.pipeline
+import repro.storage
 from repro.pipeline.spec import spec_field_names
 
 MANIFEST_PATH = Path(__file__).with_name("api_manifest.json")
@@ -22,6 +25,7 @@ def _current_surface() -> dict:
     return {
         "pipeline_all": sorted(repro.pipeline.__all__),
         "experiments_all": sorted(repro.experiments.__all__),
+        "storage_all": sorted(repro.storage.__all__),
         "spec_fields": spec_field_names(),
     }
 
@@ -44,7 +48,9 @@ def test_public_surface_matches_manifest():
 
 
 @pytest.mark.parametrize(
-    "module", [repro.pipeline, repro.experiments], ids=lambda m: m.__name__
+    "module",
+    [repro.pipeline, repro.experiments, repro.storage],
+    ids=lambda m: m.__name__,
 )
 def test_all_names_resolve(module):
     """Everything advertised in __all__ actually exists."""

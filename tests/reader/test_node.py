@@ -1,14 +1,19 @@
 """Tests for fill batching, the reader node pipeline, and tier planning."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.datagen.session import Sample
 from repro.reader import (
     DataLoaderConfig,
     ReaderNode,
     fill_batches,
     readers_required,
 )
+from repro.storage import Codec, HiveTable, RowBlock, TectonicFS
+from tests.conftest import make_reader_schema, make_trace
 
 
 class TestFillBatches:
@@ -130,6 +135,199 @@ class TestReaderNode:
             for key in ("hist", "item"):
                 assert expanded.kjt[key] == pb.kjt[key]
             np.testing.assert_array_equal(pb.labels, db.labels)
+
+
+def _batch_digest(batch) -> str:
+    """Content digest of every array a batch ships, dtype and shape in."""
+    h = hashlib.sha256()
+
+    def feed(a):
+        h.update(str(a.dtype).encode())
+        h.update(str(a.shape).encode())
+        h.update(a.tobytes())
+
+    feed(batch.dense)
+    feed(batch.labels)
+    if batch.kjt is not None:
+        for k, jt in batch.kjt.items():
+            h.update(k.encode())
+            feed(jt.values)
+            feed(jt.offsets)
+    for ik in batch.ikjts:
+        for k, jt in ik.items():
+            h.update(k.encode())
+            feed(jt.values)
+            feed(jt.offsets)
+        feed(ik.inverse_lookup)
+    return h.hexdigest()[:16]
+
+
+def _window_config(dedup: bool) -> DataLoaderConfig:
+    return DataLoaderConfig(
+        batch_size=40,
+        sparse_features=("item",) if dedup else ("item", "hist"),
+        dedup_sparse_features=(("hist",),) if dedup else (),
+        dense_features=("d",),
+        transforms=("hash_modulo",),
+    )
+
+
+@pytest.fixture(scope="module")
+def window_table():
+    """643 clustered rows in 300-row files of 48-row stripes, stored
+    uncompressed so the pinned byte counts do not depend on the zlib
+    build."""
+    schema = make_reader_schema()
+    table = HiveTable(
+        "t",
+        schema,
+        TectonicFS(),
+        rows_per_file=300,
+        stripe_rows=48,
+        codec=Codec.NONE,
+    )
+    table.land_partition(
+        "p", make_trace(schema, sessions=60, seed=11, clustered=True)
+    )
+    return table
+
+
+#: ((row_start, row_stop), per-batch FillStats as (compressed, raw,
+#: decoded), plain-config batch digests, dedup-config batch digests) —
+#: recorded from the row-based reader at commit 7f972b8.  Every window
+#: starts and ends inside a stripe; the last crosses a file boundary.
+_PINNED_WINDOWS = [
+    (
+        (17, 431),
+        [
+            (7818, 7198, 2400), (3902, 3592, 1200), (0, 0, 0),
+            (3915, 3605, 1200), (3883, 3573, 1200), (3899, 3589, 1200),
+            (1210, 900, 300), (3936, 3626, 1200), (3886, 3576, 1200),
+            (3927, 3617, 1200),
+        ],
+        [
+            "119dc6c82f66783a", "9eb9362972afbf45", "7e34cdd0b3a2ec0e",
+            "28f05ea4be8543d6", "f880ea488dfc4351", "ea65e1402db0abda",
+            "54fa079d2162d197", "115c8ec2ae16368a", "3d3eba10951cb2ea",
+            "f0e7acb31a06c7a4",
+        ],
+        [
+            "72130a5bde6299d9", "03d30c31816eebee", "65e0e909a088a5e4",
+            "a649660229f69f89", "a6871a568b284c03", "bd930177e224802f",
+            "115c2ba16254e586", "c79b4e199d509a96", "15d8494a1deb64db",
+            "54f9fc7876a97d57",
+        ],
+    ),
+    (
+        (100, 260),
+        [
+            (3902, 3592, 1200), (3915, 3605, 1200), (3883, 3573, 1200),
+            (3899, 3589, 1200),
+        ],
+        [
+            "5e28c851ece69f2c", "be8182fe0bdd0989", "4bf42e197f5291eb",
+            "0f12f7679ca21704",
+        ],
+        [
+            "3e7b12f25d49d307", "a5581b0dec5eb419", "96176287c4127085",
+            "0fd359d59f7c0247",
+        ],
+    ),
+    (
+        (250, 330),
+        [(5109, 4489, 1500), (3936, 3626, 1200)],
+        ["1f338338291bc5d4", "fe1bce02b7ad1218"],
+        ["f36bdbb54554510c", "72c38a14c32a0d6f"],
+    ),
+]
+
+
+class TestColumnarReadPath:
+    """The reader moves column slices from stripe to tensor: the batch
+    stream and its metered work are the row-based reader's, bit for bit,
+    and no row object is built on the way."""
+
+    @pytest.mark.parametrize(
+        "window, fill_stats, plain, dedup",
+        _PINNED_WINDOWS,
+        ids=[str(w[0]) for w in _PINNED_WINDOWS],
+    )
+    def test_mid_stripe_windows_match_the_row_based_reader(
+        self, window_table, window, fill_stats, plain, dedup
+    ):
+        start, stop = window
+        got = [
+            (s.compressed_bytes, s.raw_bytes, s.values_decoded)
+            for _, s in fill_batches(
+                window_table.open_readers("p"),
+                40,
+                row_start=start,
+                row_stop=stop,
+            )
+        ]
+        assert got == fill_stats
+        for cfg, want in ((False, plain), (True, dedup)):
+            batches = ReaderNode(_window_config(cfg)).run_all(
+                window_table.open_readers("p"), row_start=start, row_stop=stop
+            )
+            assert [_batch_digest(b) for b in batches] == want
+
+    def test_fill_yields_blocks_of_exactly_batch_size(self, window_table):
+        blocks = [
+            rows
+            for rows, _ in fill_batches(
+                window_table.open_readers("p"), 40, row_start=17, row_stop=431
+            )
+        ]
+        assert all(isinstance(b, RowBlock) and len(b) == 40 for b in blocks)
+        ids = np.concatenate([b.sample_id for b in blocks])
+        want = [r.sample_id for r in window_table.read_partition("p")]
+        assert ids.tolist() == want[17 : 17 + ids.size]
+
+    @pytest.mark.parametrize("dedup", [False, True])
+    def test_run_all_builds_no_sample(self, window_table, monkeypatch, dedup):
+        readers = window_table.open_readers("p")
+        built = []
+        init = Sample.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Sample, "__init__", spy)
+        batches = ReaderNode(_window_config(dedup)).run_all(readers)
+        assert len(batches) == 643 // 40
+        assert built == []
+
+    def test_batches_cut_from_one_stripe_own_their_memory(self):
+        """Two 20-row batches out of one 48-row stripe: no array of one
+        overlaps an array of the other, and writing to one is not seen
+        by the other or by a re-scan."""
+        schema = make_reader_schema()
+        table = HiveTable("t", schema, TectonicFS(), stripe_rows=48)
+        table.land_partition("p", make_trace(schema, sessions=8, seed=3)[:48])
+        cfg = DataLoaderConfig(
+            batch_size=20,
+            sparse_features=("item", "hist"),
+            dense_features=("d",),
+        )
+
+        def arrays(batch):
+            out = [batch.dense, batch.labels]
+            for _, jt in batch.kjt.items():
+                out += [jt.values, jt.offsets]
+            return out
+
+        first, second = ReaderNode(cfg).run_all(table.open_readers("p"))
+        for a in arrays(first):
+            for b in arrays(second):
+                assert not np.shares_memory(a, b)
+        before = _batch_digest(second)
+        for a in arrays(first):
+            a[...] = 7
+        assert _batch_digest(second) == before
+        again = ReaderNode(cfg).run_all(table.open_readers("p"))
+        assert _batch_digest(again[1]) == before
 
 
 class TestTier:

@@ -1,5 +1,7 @@
 """Tests for the DWRF-like columnar format and compression accounting."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,21 @@ from repro.datagen import (
     generate_partition,
 )
 from repro.etl import cluster_by_session
-from repro.storage import Codec, DwrfReader, DwrfWriter, IntEncoding
+from repro.storage import (
+    Codec,
+    DwrfReader,
+    DwrfWriter,
+    IntEncoding,
+    RowBlock,
+    encode_int64,
+)
+from repro.storage.dwrf import (
+    _FILE_HEADER,
+    _STREAM_HEADER,
+    _STREAM_META,
+    _STRIPE_HEADER,
+    _encode_stream,
+)
 
 
 def _schema():
@@ -65,6 +81,7 @@ class TestRoundTrip:
         blob, _ = writer.write(samples)
         reader = DwrfReader(blob, _schema())
         first = reader.read_stripe(0)
+        assert isinstance(first, RowBlock) and len(first) == 8
         assert [s.sample_id for s in first] == [
             s.sample_id for s in samples[:8]
         ]
@@ -91,6 +108,157 @@ class TestValidation:
     def test_bad_stripe_rows(self):
         with pytest.raises(ValueError):
             DwrfWriter(_schema(), stripe_rows=0)
+
+
+def _patch_stream(blob: bytes, stripe: int, name: str, values) -> bytes:
+    """``blob`` with one stream of one stripe re-encoded to hold
+    ``values`` (int streams as plain-codec varint, float streams as
+    float64), stripe ``byte_len`` fixed up — a well-formed file whose
+    streams disagree with each other."""
+    _, _, num_stripes = _FILE_HEADER.unpack_from(blob, 0)
+    out = [blob[: _FILE_HEADER.size]]
+    pos = _FILE_HEADER.size
+    for index in range(num_stripes):
+        byte_len, num_rows, num_streams = _STRIPE_HEADER.unpack_from(blob, pos)
+        if index != stripe:
+            out.append(blob[pos : pos + byte_len])
+            pos += byte_len
+            continue
+        end = pos + byte_len
+        pos += _STRIPE_HEADER.size
+        streams = []
+        for _ in range(num_streams):
+            start = pos
+            (name_len,) = _STREAM_HEADER.unpack_from(blob, pos)
+            pos += _STREAM_HEADER.size
+            this = blob[pos : pos + name_len].decode()
+            pos += name_len
+            _, _, blob_len = _STREAM_META.unpack_from(blob, pos)
+            pos += _STREAM_META.size + blob_len
+            if this != name:
+                streams.append(blob[start:pos])
+            elif np.asarray(values).dtype.kind == "f":
+                payload = np.asarray(values, dtype=np.float64).tobytes()
+                streams.append(
+                    _encode_stream(
+                        name, payload, IntEncoding.PLAIN, len(values), Codec.NONE
+                    )[0]
+                )
+            else:
+                ints = np.asarray(values, dtype=np.int64)
+                streams.append(
+                    _encode_stream(
+                        name,
+                        encode_int64(ints, IntEncoding.VARINT),
+                        IntEncoding.VARINT,
+                        ints.size,
+                        Codec.NONE,
+                    )[0]
+                )
+        assert pos == end
+        body = b"".join(streams)
+        out.append(
+            _STRIPE_HEADER.pack(
+                _STRIPE_HEADER.size + len(body), num_rows, num_streams
+            )
+        )
+        out.append(body)
+    return b"".join(out)
+
+
+class TestHostileStreams:
+    """Streams that each decode cleanly but do not describe the stripe's
+    rows must fail loudly, naming the stripe and the stream — never come
+    back as wrong rows."""
+
+    def _blob(self):
+        samples = _trace(12, seed=8)[:20]
+        blob, _ = DwrfWriter(_schema(), stripe_rows=10).write(samples)
+        block = DwrfReader(blob, _schema()).read_stripe(1)
+        return blob, block
+
+    def test_patching_a_stream_with_its_own_values_changes_nothing(self):
+        blob, block = self._blob()
+        offsets, values = block.sparse["hist"]
+        same = _patch_stream(blob, 1, "s:hist:val", values)
+        same = _patch_stream(same, 1, "s:hist:len", np.diff(offsets))
+        same = _patch_stream(same, 1, "d:hour", block.dense["hour"])
+        got = DwrfReader(same, _schema()).read_stripe(1)
+        np.testing.assert_array_equal(got.sparse["hist"][0], offsets)
+        np.testing.assert_array_equal(got.sparse["hist"][1], values)
+        np.testing.assert_array_equal(got.dense["hour"], block.dense["hour"])
+
+    def test_lengths_stream_with_too_few_rows(self):
+        blob, block = self._blob()
+        lengths = np.diff(block.sparse["hist"][0])
+        bad = _patch_stream(blob, 1, "s:hist:len", lengths[:-1])
+        with pytest.raises(ValueError, match=r"stripe 1: stream 's:hist:len'"):
+            DwrfReader(bad, _schema()).read_stripe(1)
+        # the untouched stripe still reads
+        assert len(DwrfReader(bad, _schema()).read_stripe(0)) == 10
+
+    def test_negative_length(self):
+        blob, block = self._blob()
+        lengths = np.diff(block.sparse["hist"][0])
+        lengths[0], lengths[1] = -1, lengths[0] + lengths[1] + 1  # same sum
+        bad = _patch_stream(blob, 1, "s:hist:len", lengths)
+        with pytest.raises(
+            ValueError, match=r"stripe 1: stream 's:hist:len'.*negative"
+        ):
+            DwrfReader(bad, _schema()).read_stripe(1)
+
+    def test_lengths_do_not_sum_to_the_values(self):
+        blob, block = self._blob()
+        values = block.sparse["short"][1]
+        bad = _patch_stream(blob, 1, "s:short:val", values[:-1])
+        with pytest.raises(
+            ValueError,
+            match=rf"stripe 1: stream 's:short:val' holds {values.size - 1} "
+            rf"values, expected {values.size}",
+        ):
+            DwrfReader(bad, _schema()).read_stripe(1)
+
+    @pytest.mark.parametrize(
+        "name, column",
+        [
+            ("__label", np.zeros(9, dtype=np.int64)),
+            ("__sample_id", np.zeros(11, dtype=np.int64)),
+            ("__timestamp", np.zeros(9)),
+            ("d:hour", np.zeros(11)),
+        ],
+    )
+    def test_fixed_width_column_of_the_wrong_length(self, name, column):
+        blob, _ = self._blob()
+        bad = _patch_stream(blob, 1, name, column)
+        with pytest.raises(
+            ValueError, match=rf"stripe 1: stream '{name}' holds {column.size}"
+        ):
+            DwrfReader(bad, _schema()).read_stripe(1)
+
+
+class TestWriterBytes:
+    def test_stripe_header_counts_its_own_bytes(self):
+        """``byte_len`` spans header + streams, so stripes chain: walking
+        the headers lands exactly on the end of the blob."""
+        blob, _ = DwrfWriter(_schema(), stripe_rows=7).write(_trace(6, seed=9))
+        _, _, num_stripes = _FILE_HEADER.unpack_from(blob, 0)
+        pos = _FILE_HEADER.size
+        for _ in range(num_stripes):
+            (byte_len, _, _) = _STRIPE_HEADER.unpack_from(blob, pos)
+            pos += byte_len
+        assert num_stripes > 1 and pos == len(blob)
+
+    def test_written_bytes_are_pinned(self):
+        """The file layout is a contract with every landed table: these
+        bytes were recorded at commit 7f972b8 (uncompressed, so the pin
+        does not depend on the zlib build)."""
+        blob, _ = DwrfWriter(_schema(), stripe_rows=7, codec=Codec.NONE).write(
+            _trace(6, seed=9)
+        )
+        assert len(blob) == 8195
+        assert hashlib.sha256(blob).hexdigest() == (
+            "735a43bb6a8eb5771c71dde8712e864cab624f48bc41bf29e137bb328ebf829b"
+        )
 
 
 class TestAccounting:

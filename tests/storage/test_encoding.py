@@ -69,8 +69,27 @@ class TestVarint:
     def test_count_mismatch_detected(self):
         v = np.array([1, 2, 3], dtype=np.int64)
         data = encode_int64(v, IntEncoding.VARINT)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="holds 3 values, expected 2"):
             decode_int64(data, 2, IntEncoding.VARINT)
+
+    def test_truncated_last_value_detected(self):
+        """A stream ending on a continuation byte holds the right number
+        of *complete* values, so only the final byte gives it away."""
+        data = encode_int64(np.array([1, 2, 3]), IntEncoding.VARINT)
+        with pytest.raises(ValueError, match="truncated"):
+            decode_int64(data + b"\x80\x80", 3, IntEncoding.VARINT)
+        with pytest.raises(ValueError, match="truncated"):
+            decode_int64(b"\x80", 0, IntEncoding.VARINT)
+
+    def test_overlong_value_detected(self):
+        """No int64 needs an 11th byte; its bits would shift past 63."""
+        ten = b"\x80" * 9 + b"\x01"
+        assert decode_int64(ten, 1, IntEncoding.VARINT).size == 1
+        with pytest.raises(ValueError, match="longer than 10 bytes"):
+            decode_int64(b"\x80" + ten, 1, IntEncoding.VARINT)
+        # an over-long value hidden between well-formed ones
+        with pytest.raises(ValueError, match="longer than 10 bytes"):
+            decode_int64(b"\x01" + b"\x80" * 10 + b"\x00\x02", 3, IntEncoding.VARINT)
 
     def test_int64_extremes(self):
         v = np.array([2**63 - 1, -(2**63), 0], dtype=np.int64)
