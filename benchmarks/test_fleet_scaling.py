@@ -278,7 +278,7 @@ def test_dedup_width_compounding(benchmark, emit):
 
     lines = []
     metrics = {}
-    factor = res[4]["dedup"].reader.dedupe_byte_factor
+    factor = res[4]["dedup"].reader.bytes.dedupe_factor
     base_cpu = res[4]["base"].reader.cpu
     predicted_margin = base_cpu.total / (
         base_cpu.fill + base_cpu.convert + base_cpu.process / factor
@@ -288,16 +288,16 @@ def test_dedup_width_compounding(benchmark, emit):
         base, dedup = pair["base"], pair["dedup"]
         # bit-identity at every width, full-epoch trajectories
         assert dedup.training.losses == base.training.losses
-        assert dedup.reader.send_bytes < base.reader.send_bytes
-        assert dedup.reader.expanded_bytes == base.reader.send_bytes
+        assert dedup.reader.bytes.decoded < base.reader.bytes.decoded
+        assert dedup.reader.bytes.expanded == base.reader.bytes.decoded
         base_wall = base.fleet.modeled_wall_seconds
         dedup_wall = dedup.fleet.modeled_wall_seconds
         speedups[width] = base_wall / dedup_wall
         lines.append(
             f"width {width}: wall {base_wall * 1e3:7.1f} ms -> "
             f"{dedup_wall * 1e3:7.1f} ms ({speedups[width]:.2f}x), "
-            f"decoded {base.reader.send_bytes:,} -> "
-            f"{dedup.reader.send_bytes:,} B"
+            f"decoded {base.reader.bytes.decoded:,} -> "
+            f"{dedup.reader.bytes.decoded:,} B"
         )
         metrics[f"width[{width}].base_modeled_wall_seconds"] = base_wall
         metrics[f"width[{width}].dedup_modeled_wall_seconds"] = dedup_wall

@@ -27,10 +27,10 @@ def test_table3_reader_bytes(benchmark, emit, rows):
     for r in rows:
         p = paper[r.config]
         lines.append(
-            f"{r.config:14s} {r.read_bytes / 2**20:8.2f}  "
-            f"{r.send_bytes / 2**20:8.2f}  "
-            f"{r.read_bytes / base.read_bytes:5.2f}  "
-            f"{r.send_bytes / base.send_bytes:5.2f}  "
+            f"{r.config:14s} {r.bytes.read / 2**20:8.2f}  "
+            f"{r.bytes.decoded / 2**20:8.2f}  "
+            f"{r.bytes.read / base.bytes.read:5.2f}  "
+            f"{r.bytes.decoded / base.bytes.decoded:5.2f}  "
             f"({p[0]} / {p[1]})"
         )
     emit("Table 3 — reader bytes", lines)
@@ -38,8 +38,8 @@ def test_table3_reader_bytes(benchmark, emit, rows):
     by = {r.config: r for r in rows}
     b, c, i = by["Baseline"], by["with Cluster"], by["with IKJT"]
     # clustering: read bytes drop sharply (paper: 538 -> 179, a 3x cut)
-    assert c.read_bytes < 0.6 * b.read_bytes
-    assert c.send_bytes == pytest.approx(b.send_bytes, rel=0.02)
+    assert c.bytes.read < 0.6 * b.bytes.read
+    assert c.bytes.decoded == pytest.approx(b.bytes.decoded, rel=0.02)
     # IKJT: send bytes drop, read unchanged (paper: 837 -> 713)
-    assert i.read_bytes == pytest.approx(c.read_bytes, rel=0.02)
-    assert i.send_bytes < 0.9 * c.send_bytes
+    assert i.bytes.read == pytest.approx(c.bytes.read, rel=0.02)
+    assert i.bytes.decoded < 0.9 * c.bytes.decoded

@@ -27,8 +27,8 @@ def describe(tag: str, res) -> None:
     print(f"  storage compression       : {res.storage_compression:.2f}x")
     print(
         f"  reader                    : {res.reader_qps:,.0f} samples/cpu-s, "
-        f"read {res.reader.read_bytes / 2**20:.1f} MB, "
-        f"sent {res.reader.send_bytes / 2**20:.1f} MB"
+        f"read {res.reader.bytes.read / 2**20:.1f} MB, "
+        f"sent {res.reader.bytes.decoded / 2**20:.1f} MB"
     )
     print(
         f"  trainer                   : {res.trainer_qps:,.0f} samples/s "

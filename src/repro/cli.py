@@ -143,8 +143,8 @@ def _cmd_table3(args) -> int:
     for r in table3_reader_bytes(scale=args.scale, num_sessions=args.sessions,
                                  seed=args.seed):
         print(
-            f"{r.config:14s} read {r.read_bytes / 2**20:8.2f} MB  "
-            f"send {r.send_bytes / 2**20:8.2f} MB"
+            f"{r.config:14s} read {r.bytes.read / 2**20:8.2f} MB  "
+            f"send {r.bytes.decoded / 2**20:8.2f} MB"
         )
     return 0
 
@@ -272,12 +272,12 @@ def _cmd_pipeline(args) -> int:
             f"put {fleet.queue.put_wait * 1e3:.1f} ms / "
             f"get {fleet.queue.get_wait * 1e3:.1f} ms"
         )
-        merged = fleet.merged
-        if merged.bytes_copied or merged.copies_avoided:
+        wire = fleet.merged.bytes
+        if wire.copied or wire.avoided:
             print(
                 f"  transport           : "
-                f"copied {merged.bytes_copied:,} B / "
-                f"avoided {merged.copies_avoided:,} B, transport wait "
+                f"copied {wire.copied:,} B / "
+                f"avoided {wire.avoided:,} B, transport wait "
                 f"{fleet.queue.transport * 1e3:.1f} ms, delivered wall "
                 f"{fleet.modeled_delivered_wall_seconds * 1e3:.1f} ms"
             )
@@ -291,12 +291,12 @@ def _cmd_pipeline(args) -> int:
             f"{100 * ov.other_fraction:.1f}% of "
             f"{ov.wall_seconds * 1e3:.1f} ms wall"
         )
-        if ov.decoded_bytes:
+        if ov.bytes.decoded:
             print(
-                f"  bytes               : read {ov.read_bytes:,}, "
-                f"decoded {ov.decoded_bytes:,}, expanded "
-                f"{ov.expanded_bytes:,} (saved {ov.bytes_saved:,}, "
-                f"{ov.dedupe_byte_factor:.2f}x)"
+                f"  bytes               : read {ov.bytes.read:,}, "
+                f"decoded {ov.bytes.decoded:,}, expanded "
+                f"{ov.bytes.expanded:,} (saved {ov.bytes.saved:,}, "
+                f"{ov.bytes.dedupe_factor:.2f}x)"
             )
     if res.dropped_partitions:
         print(
@@ -353,9 +353,7 @@ def _parse_job_spec(spec: str, args, name: str) -> JobSpec:
             f"--job {spec!r}: workload must be one of "
             f"{sorted(_WORKLOADS)}, got {parts[0]!r}"
         )
-    scale = args.scale
     recd = False
-    weight = 1.0
     dedup = None
     kw = {}
     for token in parts[1:]:
@@ -367,18 +365,22 @@ def _parse_job_spec(spec: str, args, name: str) -> JobSpec:
             dedup = True
         elif "=" in token:
             key, value = token.split("=", 1)
-            if key == "scale":
-                scale = float(value)
-            elif key == "weight":
-                weight = float(value)
+            if key in ("scale", "weight"):
+                field, cast = key, float
             elif key in _JOB_SPEC_KEYS:
                 field, cast = _JOB_SPEC_KEYS[key]
-                kw[field] = cast(value)
             else:
                 raise SystemExit(
                     f"--job {spec!r}: unknown key {key!r}; known: "
                     f"scale, weight, {', '.join(sorted(_JOB_SPEC_KEYS))}"
                 )
+            try:
+                kw[field] = cast(value)
+            except ValueError:
+                raise ValueError(
+                    f"--job {spec!r}: {key} needs {cast.__name__}, "
+                    f"got {value!r}"
+                ) from None
         else:
             raise SystemExit(
                 f"--job {spec!r}: unknown token {token!r} (expected "
@@ -389,9 +391,7 @@ def _parse_job_spec(spec: str, args, name: str) -> JobSpec:
         shared=True,
         rm=rm,
         recd=recd,
-        scale=scale,
         name=name,
-        weight=weight,
         dedup=dedup,
         **kw,
     )
@@ -980,12 +980,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command == "list":
         for name in sorted(_COMMANDS):
             print(name)
         return 0
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except (ValueError, TypeError) as exc:
+        # The specs validate their own domains and name spec + field
+        # ("ReaderSpec.num_readers must be positive, got 0"), so a bad
+        # flag value exits like any other usage error, not a traceback.
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -87,9 +87,7 @@ class TrainingReport:
 
     @property
     def mean_breakdown(self) -> IterationBreakdown:
-        out = IterationBreakdown()
-        for r in self.iterations:
-            out.merge(r.breakdown)
+        out = IterationBreakdown.fold(r.breakdown for r in self.iterations)
         n = max(len(self.iterations), 1)
         out.emb_lookup /= n
         out.gemm /= n

@@ -89,22 +89,15 @@ def extract_metrics(result: PipelineResult, slo: SLOReport) -> dict:
         )
         # bytes-read vs bytes-decoded vs bytes-expanded: the dedup
         # transport savings the regression gate tracks
-        metrics["reader_bytes_read"] = float(result.overlap.read_bytes)
-        metrics["reader_bytes_decoded"] = float(
-            result.overlap.decoded_bytes
-        )
-        metrics["reader_bytes_expanded"] = float(
-            result.overlap.expanded_bytes
-        )
-        metrics["bytes_saved"] = float(result.overlap.bytes_saved)
-        metrics["dedupe_byte_factor"] = result.overlap.dedupe_byte_factor
+        ledger = result.overlap.bytes
+        metrics["reader_bytes_read"] = float(ledger.read)
+        metrics["reader_bytes_decoded"] = float(ledger.decoded)
+        metrics["reader_bytes_expanded"] = float(ledger.expanded)
+        metrics["bytes_saved"] = float(ledger.saved)
+        metrics["dedupe_byte_factor"] = ledger.dedupe_factor
         # copy-vs-shm transport accounting (exactly one is non-zero)
-        metrics["reader_bytes_copied"] = float(
-            result.overlap.bytes_copied
-        )
-        metrics["reader_copies_avoided"] = float(
-            result.overlap.copies_avoided
-        )
+        metrics["reader_bytes_copied"] = float(ledger.copied)
+        metrics["reader_copies_avoided"] = float(ledger.avoided)
     return metrics
 
 

@@ -7,12 +7,14 @@ from .breakdown import (
 )
 from .counters import Counters, MemoryTracker
 from .freshness import FreshnessReport
+from .ledger import ByteLedger
 from .overlap import OverlapReport
 from .scaling import ScalingDecision, ScalingTrace
 from .slo import JobSLO, SLOReport, percentile
 from .tier import JobRoundStat, TierReport, TierRound
 
 __all__ = [
+    "ByteLedger",
     "Counters",
     "MemoryTracker",
     "FreshnessReport",

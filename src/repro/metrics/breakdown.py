@@ -9,11 +9,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .ledger import Folded
+
 __all__ = ["ReaderCpuBreakdown", "IterationBreakdown", "QueueWaitBreakdown"]
 
 
+class _PhaseBreakdown(Folded):
+    """Per-phase seconds whose serialized form ends with their total."""
+
+    derived = ("total",)
+
+    def normalized_to(self, baseline) -> dict[str, float]:
+        """Each phase (and the total) as a fraction of the *baseline
+        total* — the exact normalization Figs 8 and 10 plot."""
+        denom = baseline.total or 1.0
+        return {key: value / denom for key, value in self.as_dict().items()}
+
+
 @dataclass
-class ReaderCpuBreakdown:
+class ReaderCpuBreakdown(_PhaseBreakdown):
     """Modeled reader CPU seconds per pipeline phase (Fig 10)."""
 
     fill: float = 0.0
@@ -25,35 +39,9 @@ class ReaderCpuBreakdown:
         """Summed reader CPU seconds across the three phases."""
         return self.fill + self.convert + self.process
 
-    def merge(self, other: "ReaderCpuBreakdown") -> None:
-        """Fold another reader's phase times in (fleet aggregation)."""
-        self.fill += other.fill
-        self.convert += other.convert
-        self.process += other.process
-
-    def normalized_to(self, baseline: "ReaderCpuBreakdown") -> dict[str, float]:
-        """Each phase as a fraction of the *baseline total* — the exact
-        normalization Fig 10 plots."""
-        denom = baseline.total or 1.0
-        return {
-            "fill": self.fill / denom,
-            "convert": self.convert / denom,
-            "process": self.process / denom,
-            "total": self.total / denom,
-        }
-
-    def as_dict(self) -> dict:
-        """Serialize to a plain JSON-ready dict (the run-store form)."""
-        return {
-            "fill": self.fill,
-            "convert": self.convert,
-            "process": self.process,
-            "total": self.total,
-        }
-
 
 @dataclass
-class QueueWaitBreakdown:
+class QueueWaitBreakdown(Folded):
     """Wall-clock seconds spent blocked on a fleet's prefetch queues.
 
     ``put_wait`` is producer-side blocking: a reader finished a batch but
@@ -76,16 +64,12 @@ class QueueWaitBreakdown:
     get_wait: float = 0.0
     transport: float = 0.0
 
+    derived = ("total",)
+
     @property
     def total(self) -> float:
         """Summed queue-blocked wall-clock: both sides plus transport."""
         return self.put_wait + self.get_wait + self.transport
-
-    def merge(self, other: "QueueWaitBreakdown") -> None:
-        """Fold another run's queue waits in (epoch aggregation)."""
-        self.put_wait += other.put_wait
-        self.get_wait += other.get_wait
-        self.transport += other.transport
 
     def fractions(self) -> dict[str, float]:
         """Each component as a fraction of :attr:`total`.
@@ -102,18 +86,9 @@ class QueueWaitBreakdown:
             "transport": self.transport / denom,
         }
 
-    def as_dict(self) -> dict:
-        """Serialize to a plain JSON-ready dict (the run-store form)."""
-        return {
-            "put_wait": self.put_wait,
-            "get_wait": self.get_wait,
-            "transport": self.transport,
-            "total": self.total,
-        }
-
 
 @dataclass
-class IterationBreakdown:
+class IterationBreakdown(_PhaseBreakdown):
     """Modeled exposed (non-overlapped) trainer latency per phase (Fig 8)."""
 
     emb_lookup: float = 0.0
@@ -125,32 +100,3 @@ class IterationBreakdown:
     def total(self) -> float:
         """Summed exposed iteration latency across the four phases."""
         return self.emb_lookup + self.gemm + self.a2a + self.other
-
-    def merge(self, other: "IterationBreakdown") -> None:
-        """Fold another iteration's phase times in (run averaging)."""
-        self.emb_lookup += other.emb_lookup
-        self.gemm += other.gemm
-        self.a2a += other.a2a
-        self.other += other.other
-
-    def normalized_to(self, baseline: "IterationBreakdown") -> dict[str, float]:
-        """Each phase as a fraction of the *baseline total* — the exact
-        normalization Fig 8 plots."""
-        denom = baseline.total or 1.0
-        return {
-            "emb_lookup": self.emb_lookup / denom,
-            "gemm": self.gemm / denom,
-            "a2a": self.a2a / denom,
-            "other": self.other / denom,
-            "total": self.total / denom,
-        }
-
-    def as_dict(self) -> dict:
-        """Serialize to a plain JSON-ready dict (the run-store form)."""
-        return {
-            "emb_lookup": self.emb_lookup,
-            "gemm": self.gemm,
-            "a2a": self.a2a,
-            "other": self.other,
-            "total": self.total,
-        }

@@ -20,13 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .ledger import Folded
 from .stats import percentile
 
 __all__ = ["FreshnessReport"]
 
 
 @dataclass
-class FreshnessReport:
+class FreshnessReport(Folded):
     """Per-batch event-time → trained-on lags, with percentile views.
 
     Attributes:
@@ -38,6 +39,14 @@ class FreshnessReport:
     """
 
     lags: list = field(default_factory=list)
+
+    #: the serialized form is the percentile view, not the lags
+    derived = (
+        "batches",
+        "p50_lag_seconds",
+        "p99_lag_seconds",
+        "max_lag_seconds",
+    )
 
     @classmethod
     def from_batches(
@@ -76,19 +85,6 @@ class FreshnessReport:
         """The single stalest delivered batch (0.0 when empty)."""
         return max(self.lags, default=0.0)
 
-    def merge(self, other: "FreshnessReport") -> None:
-        """Fold another report's lags in (round → job → tier rollup)."""
-        self.lags.extend(other.lags)
-
     def merged(self, other: "FreshnessReport") -> "FreshnessReport":
         """A new report holding both inputs' lags (inputs untouched)."""
         return FreshnessReport(lags=[*self.lags, *other.lags])
-
-    def as_dict(self) -> dict:
-        """Serialize the percentile view (the run-store form)."""
-        return {
-            "batches": self.batches,
-            "p50_lag_seconds": self.p50_lag_seconds,
-            "p99_lag_seconds": self.p99_lag_seconds,
-            "max_lag_seconds": self.max_lag_seconds,
-        }

@@ -23,12 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .breakdown import QueueWaitBreakdown
+from .ledger import ByteLedger, Folded
 
 __all__ = ["OverlapReport"]
 
 
 @dataclass
-class OverlapReport:
+class OverlapReport(Folded):
     """Wall-clock attribution for one streamed (or materialized) run.
 
     ``reader_stall_seconds + trainer_busy_seconds + other_seconds``
@@ -50,20 +51,11 @@ class OverlapReport:
     #: whether batches streamed straight from the readers (True) or were
     #: materialized to a list first (the A/B baseline)
     streaming: bool = True
-    #: compressed bytes the readers pulled off storage
-    read_bytes: int = 0
-    #: preprocessed tensor bytes the readers decoded and shipped
-    #: (deduped batches ship IKJT slices, so this shrinks under dedup)
-    decoded_bytes: int = 0
-    #: what fully-materialized (non-dedup) batches would have carried;
-    #: equals ``decoded_bytes`` when no dedup groups are configured
-    expanded_bytes: int = 0
-    #: wire bytes the ``copy`` transport serialized through the
-    #: worker→trainer queues (zero under ``shm``)
-    bytes_copied: int = 0
-    #: wire bytes the ``shm`` transport handed over without a copy
-    #: (zero under ``copy``)
-    copies_avoided: int = 0
+    #: what the readers read, shipped and (under dedup) saved
+    bytes: ByteLedger = field(default_factory=ByteLedger)
+
+    derived = ("other_seconds", "fractions")
+    derived_after = "trainer_busy_seconds"
 
     @property
     def other_seconds(self) -> float:
@@ -98,18 +90,6 @@ class OverlapReport:
             return 0.0
         return self.other_seconds / self.wall_seconds
 
-    @property
-    def bytes_saved(self) -> int:
-        """Transport bytes dedup removed (expanded minus decoded)."""
-        return self.expanded_bytes - self.decoded_bytes
-
-    @property
-    def dedupe_byte_factor(self) -> float:
-        """Expanded / decoded byte ratio (1.0 with no dedup savings)."""
-        if self.decoded_bytes == 0:
-            return 1.0
-        return self.expanded_bytes / self.decoded_bytes
-
     def merge(self, other: "OverlapReport") -> None:
         """Fold another report's attribution in (round/epoch totals).
 
@@ -117,17 +97,8 @@ class OverlapReport:
         attribution of the merged wall-clock; ``streaming`` stays True
         only if every merged report streamed.
         """
-        self.wall_seconds += other.wall_seconds
-        self.reader_stall_seconds += other.reader_stall_seconds
-        self.trainer_busy_seconds += other.trainer_busy_seconds
-        self.queue.merge(other.queue)
-        self.batches += other.batches
         self.streaming = self.streaming and other.streaming
-        self.read_bytes += other.read_bytes
-        self.decoded_bytes += other.decoded_bytes
-        self.expanded_bytes += other.expanded_bytes
-        self.bytes_copied += other.bytes_copied
-        self.copies_avoided += other.copies_avoided
+        super().merge(other)
 
     @property
     def fractions(self) -> dict[str, float]:
@@ -138,26 +109,6 @@ class OverlapReport:
             "other": self.other_fraction,
         }
 
-    def as_dict(self) -> dict:
-        """Serialize to a plain JSON-ready dict (the run-store form)."""
-        return {
-            "wall_seconds": self.wall_seconds,
-            "reader_stall_seconds": self.reader_stall_seconds,
-            "trainer_busy_seconds": self.trainer_busy_seconds,
-            "other_seconds": self.other_seconds,
-            "fractions": self.fractions,
-            "queue": self.queue.as_dict(),
-            "batches": self.batches,
-            "streaming": self.streaming,
-            "read_bytes": self.read_bytes,
-            "decoded_bytes": self.decoded_bytes,
-            "expanded_bytes": self.expanded_bytes,
-            "bytes_copied": self.bytes_copied,
-            "copies_avoided": self.copies_avoided,
-            "bytes_saved": self.bytes_saved,
-            "dedupe_byte_factor": self.dedupe_byte_factor,
-        }
-
     @classmethod
     def modeled(
         cls,
@@ -165,11 +116,7 @@ class OverlapReport:
         trainer_busy_seconds: float,
         batches: int = 0,
         streaming: bool = True,
-        read_bytes: int = 0,
-        decoded_bytes: int = 0,
-        expanded_bytes: int = 0,
-        bytes_copied: int = 0,
-        copies_avoided: int = 0,
+        bytes: ByteLedger | None = None,
     ) -> "OverlapReport":
         """Build a *deterministic* report from modeled tier times.
 
@@ -193,11 +140,8 @@ class OverlapReport:
                 steps (summed ``iteration_seconds``).
             batches: batches the epoch trained (bookkeeping only).
             streaming: whether the run streamed (bookkeeping only).
-            read_bytes: compressed bytes read off storage.
-            decoded_bytes: decoded tensor bytes shipped to trainers.
-            expanded_bytes: what non-dedup batches would have carried.
-            bytes_copied: wire bytes the copy transport serialized.
-            copies_avoided: wire bytes the shm transport skipped.
+            bytes: the readers' byte ledger for the epoch (copied in;
+                bookkeeping only).
 
         Returns:
             An :class:`OverlapReport` whose fractions sum to 1.
@@ -217,11 +161,8 @@ class OverlapReport:
             queue=queue,
             batches=batches,
             streaming=streaming,
-            read_bytes=read_bytes,
-            decoded_bytes=decoded_bytes,
-            expanded_bytes=expanded_bytes,
-            bytes_copied=bytes_copied,
-            copies_avoided=copies_avoided,
+            # a copy: merging into the report must not write through
+            bytes=ByteLedger.fold([bytes]),
         )
 
     @classmethod
@@ -241,12 +182,9 @@ class OverlapReport:
             queue: the fleet's queue-wait breakdown.
             wall_seconds: override the loop wall-clock.
             reader: a merged :class:`~repro.reader.node.ReaderReport`;
-                when given, its read/decoded/expanded bytes carry into
-                the attribution.
+                when given, its byte ledger carries into the
+                attribution.
         """
-        merged_queue = QueueWaitBreakdown()
-        if queue is not None:
-            merged_queue.merge(queue)
         return cls(
             wall_seconds=(
                 training.run_wall_seconds
@@ -255,16 +193,10 @@ class OverlapReport:
             ),
             reader_stall_seconds=training.ingest_wait_seconds,
             trainer_busy_seconds=training.step_wall_seconds,
-            queue=merged_queue,
+            queue=QueueWaitBreakdown.fold([queue]),
             batches=len(training.iterations),
             streaming=streaming,
-            read_bytes=reader.read_bytes if reader is not None else 0,
-            decoded_bytes=reader.send_bytes if reader is not None else 0,
-            expanded_bytes=(
-                reader.expanded_bytes if reader is not None else 0
-            ),
-            bytes_copied=reader.bytes_copied if reader is not None else 0,
-            copies_avoided=(
-                reader.copies_avoided if reader is not None else 0
+            bytes=ByteLedger.fold(
+                [None if reader is None else reader.bytes]
             ),
         )

@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .freshness import FreshnessReport
+from .ledger import ByteLedger
 from .overlap import OverlapReport
 from .scaling import ScalingTrace
 
@@ -49,16 +50,8 @@ class JobRoundStat:
         batches: batches the job trained this round.
         streaming: whether the job streamed batches into its consumer
             (False for materialize-first jobs; bookkeeping only).
-        read_bytes: compressed bytes the job's shards read off storage
-            this round.
-        decoded_bytes: decoded tensor bytes shipped to the job's
-            trainer this round (shrinks under ``ReaderSpec.dedup``).
-        expanded_bytes: what fully-materialized batches would have
-            carried (equals ``decoded_bytes`` without dedup).
-        bytes_copied: wire bytes the job's ``copy`` transport
-            serialized through the worker→trainer queues this round.
-        copies_avoided: wire bytes the job's ``shm`` transport handed
-            over without a copy this round.
+        bytes: what the job's shards read, shipped and (under
+            ``ReaderSpec.dedup``) saved this round.
         freshness: per-batch event-time → trained-on lags for this
             round (streaming live-loop jobs only; ``None`` for jobs
             training over static, pre-landed partitions).
@@ -70,11 +63,7 @@ class JobRoundStat:
     trainer_busy_seconds: float
     batches: int = 0
     streaming: bool = True
-    read_bytes: int = 0
-    decoded_bytes: int = 0
-    expanded_bytes: int = 0
-    bytes_copied: int = 0
-    copies_avoided: int = 0
+    bytes: ByteLedger = field(default_factory=ByteLedger)
     freshness: FreshnessReport | None = None
 
     def __post_init__(self) -> None:
@@ -108,11 +97,7 @@ class JobRoundStat:
             trainer_busy_seconds=self.trainer_busy_seconds,
             batches=self.batches,
             streaming=self.streaming,
-            read_bytes=self.read_bytes,
-            decoded_bytes=self.decoded_bytes,
-            expanded_bytes=self.expanded_bytes,
-            bytes_copied=self.bytes_copied,
-            copies_avoided=self.copies_avoided,
+            bytes=self.bytes,
         )
 
 
@@ -143,11 +128,7 @@ class TierRound:
     @property
     def freshness(self) -> FreshnessReport:
         """Every freshness-tracking job's lags this round, merged."""
-        total = FreshnessReport()
-        for s in self.stats:
-            if s.freshness is not None:
-                total.merge(s.freshness)
-        return total
+        return FreshnessReport.fold(s.freshness for s in self.stats)
 
     @property
     def modeled_wall_seconds(self) -> float:
@@ -175,11 +156,7 @@ class TierRound:
             ),
             batches=sum(s.batches for s in self.stats),
             streaming=all(s.streaming for s in self.stats),
-            read_bytes=sum(s.read_bytes for s in self.stats),
-            decoded_bytes=sum(s.decoded_bytes for s in self.stats),
-            expanded_bytes=sum(s.expanded_bytes for s in self.stats),
-            bytes_copied=sum(s.bytes_copied for s in self.stats),
-            copies_avoided=sum(s.copies_avoided for s in self.stats),
+            bytes=ByteLedger.fold(s.bytes for s in self.stats),
         )
 
 
@@ -227,26 +204,18 @@ class TierReport:
 
     def job_overlap(self, job: str) -> OverlapReport:
         """The job's modeled overlap merged across every round it ran."""
-        total = OverlapReport()
-        for stat in self.job_rounds(job):
-            total.merge(stat.overlap)
-        return total
+        return OverlapReport.fold(s.overlap for s in self.job_rounds(job))
 
     def job_freshness(self, job: str) -> FreshnessReport:
         """The job's freshness lags merged across every round it ran."""
-        total = FreshnessReport()
-        for stat in self.job_rounds(job):
-            if stat.freshness is not None:
-                total.merge(stat.freshness)
-        return total
+        return FreshnessReport.fold(
+            s.freshness for s in self.job_rounds(job)
+        )
 
     @property
     def freshness(self) -> FreshnessReport:
         """Every round's freshness lags merged (the tier-wide view)."""
-        total = FreshnessReport()
-        for rnd in self.rounds:
-            total.merge(rnd.freshness)
-        return total
+        return FreshnessReport.fold(rnd.freshness for rnd in self.rounds)
 
     @property
     def per_job(self) -> dict[str, OverlapReport]:
@@ -257,10 +226,7 @@ class TierReport:
     def aggregate(self) -> OverlapReport:
         """Every round's tier-level overlap merged (what the autoscaler
         steered on, summed over the run)."""
-        total = OverlapReport()
-        for rnd in self.rounds:
-            total.merge(rnd.aggregate)
-        return total
+        return OverlapReport.fold(rnd.aggregate for rnd in self.rounds)
 
     def max_consecutive_skips(self, job: str) -> int:
         """Longest run of consecutive rounds the job was active but got
@@ -310,11 +276,7 @@ class TierReport:
                         "reader_cpu_seconds": s.reader_cpu_seconds,
                         "trainer_busy_seconds": s.trainer_busy_seconds,
                         "batches": s.batches,
-                        "read_bytes": s.read_bytes,
-                        "decoded_bytes": s.decoded_bytes,
-                        "expanded_bytes": s.expanded_bytes,
-                        "bytes_copied": s.bytes_copied,
-                        "copies_avoided": s.copies_avoided,
+                        **s.bytes.counters(),
                     }
                 )
             for name in rnd.skipped:
@@ -327,11 +289,7 @@ class TierReport:
                         "reader_cpu_seconds": 0.0,
                         "trainer_busy_seconds": 0.0,
                         "batches": 0,
-                        "read_bytes": 0,
-                        "decoded_bytes": 0,
-                        "expanded_bytes": 0,
-                        "bytes_copied": 0,
-                        "copies_avoided": 0,
+                        **ByteLedger().counters(),
                     }
                 )
         return rows

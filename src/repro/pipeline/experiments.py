@@ -31,6 +31,7 @@ from ..datagen.generator import TraceConfig, TraceGenerator
 from ..datagen.session import sample_session_sizes, session_size_stats
 from ..datagen.workloads import RMWorkload, rm1, rm2, rm3
 from ..metrics.breakdown import IterationBreakdown, ReaderCpuBreakdown
+from ..metrics.ledger import ByteLedger
 from ..reader.node import ReaderNode
 from .config import RecDToggles
 from .session import PipelineResult, Session, land_table
@@ -399,8 +400,7 @@ class Table3Row:
     """Table 3: one configuration's reader ingest/egress bytes."""
 
     config: str
-    read_bytes: int
-    send_bytes: int
+    bytes: ByteLedger
 
 
 def table3_reader_bytes(
@@ -435,13 +435,7 @@ def table3_reader_bytes(
             fixed_batches = partitions[0].num_rows // B
         node = ReaderNode(cfg.dataloader_config())
         node.run_all(table.open_readers("p0"), max_batches=fixed_batches)
-        rows.append(
-            Table3Row(
-                config=label,
-                read_bytes=node.report.read_bytes,
-                send_bytes=node.report.send_bytes,
-            )
-        )
+        rows.append(Table3Row(config=label, bytes=node.report.bytes))
     return rows
 
 

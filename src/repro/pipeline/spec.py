@@ -119,8 +119,8 @@ class ReaderSpec:
             stream is bit-identical for all of them.
         transport: how batches cross the worker→trainer boundary —
             ``"copy"`` (modeled per-batch serialize cost,
-            ``bytes_copied``) or ``"shm"`` (zero-copy,
-            ``copies_avoided``); a mode string coerces to a
+            ``bytes.copied``) or ``"shm"`` (zero-copy,
+            ``bytes.avoided``); a mode string coerces to a
             :class:`~repro.reader.costmodel.TransportSpec`.  Pure
             cost-model A/B: the stream is bit-identical either way.
         streaming: stream batches straight into the trainer

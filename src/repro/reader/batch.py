@@ -66,8 +66,8 @@ class Batch:
         charges: under the ``copy`` transport every wire byte pays the
         modeled serialize/copy cost
         (:meth:`~repro.reader.costmodel.ReaderCostModel.transport_seconds`)
-        and lands in ``bytes_copied``; under ``shm`` the same count is
-        recorded as ``copies_avoided``.
+        and lands in ``bytes.copied``; under ``shm`` the same count is
+        recorded as ``bytes.avoided``.
         """
         total = int(self.dense.nbytes + self.labels.nbytes)
         if self.kjt is not None:

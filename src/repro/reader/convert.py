@@ -36,11 +36,6 @@ class ConvertStats:
     values_copied: int = 0
     values_hashed: int = 0
 
-    def merge(self, other: "ConvertStats") -> None:
-        """Fold another batch's convert work units into this one."""
-        self.values_copied += other.values_copied
-        self.values_hashed += other.values_hashed
-
 
 def convert_rows(
     rows: RowBlock | Sequence, config: DataLoaderConfig

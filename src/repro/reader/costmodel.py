@@ -37,8 +37,8 @@ class TransportSpec:
     does) serializes every batch through the prefetch queue, so the
     consumer pays a modeled per-batch + per-byte handoff cost
     (:meth:`ReaderCostModel.transport_seconds`) and every wire byte
-    counts as ``bytes_copied``.  ``shm`` models a shared-memory /
-    zero-copy handoff: the same wire bytes count as ``copies_avoided``
+    counts as ``bytes.copied``.  ``shm`` models a shared-memory /
+    zero-copy handoff: the same wire bytes count as ``bytes.avoided``
     and the transport charge is zero.  The batch *stream* is
     bit-identical either way — only the accounting differs, which is
     what makes shm-vs-copy a pure A/B on the cost model.

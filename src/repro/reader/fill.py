@@ -27,12 +27,6 @@ class FillStats:
     raw_bytes: int = 0
     values_decoded: int = 0
 
-    def merge(self, other: "FillStats") -> None:
-        """Fold another batch's fill work units into this one."""
-        self.compressed_bytes += other.compressed_bytes
-        self.raw_bytes += other.raw_bytes
-        self.values_decoded += other.values_decoded
-
 
 def fill_batches(
     readers: list[DwrfReader],

@@ -45,8 +45,8 @@ platform cannot spawn processes.
 Batches cross the worker→trainer boundary under a
 :class:`~repro.reader.costmodel.TransportSpec`: the default ``copy``
 transport charges a modeled per-batch serialize/copy cost
-(``queue.transport``, ``bytes_copied``); ``shm`` models a zero-copy
-shared-memory handoff (zero charge, ``copies_avoided``).  The stream is
+(``queue.transport``, ``bytes.copied``); ``shm`` models a zero-copy
+shared-memory handoff (zero charge, ``bytes.avoided``).  The stream is
 bit-identical either way.
 
 Production reader workers also *fail*: processes crash mid-shard and get
@@ -71,6 +71,7 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 
 from ..metrics.breakdown import QueueWaitBreakdown
+from ..metrics.ledger import Folded
 from ..storage.dwrf import DwrfReader
 from ..storage.hive import HiveTable
 from .batch import Batch
@@ -161,7 +162,7 @@ class FleetFaults:
 
 
 @dataclass
-class FleetReport:
+class FleetReport(Folded):
     """Merged measurements for one fleet run."""
 
     workers: list[ReaderReport] = field(default_factory=list)
@@ -182,10 +183,7 @@ class FleetReport:
     @property
     def merged(self) -> ReaderReport:
         """All workers folded into one tier-level ReaderReport."""
-        total = ReaderReport()
-        for rep in self.workers:
-            total.merge(rep)
-        return total
+        return ReaderReport.fold(self.workers)
 
     @property
     def modeled_wall_seconds(self) -> float:
@@ -253,13 +251,7 @@ class FleetReport:
             self.executor_used = "mixed"
         if not self.fallback_reason:
             self.fallback_reason = other.fallback_reason
-        self.workers.extend(other.workers)
-        self.queue.merge(other.queue)
-        self.num_shards += other.num_shards
-        self.wall_seconds += other.wall_seconds
-        self.crashes += other.crashes
-        self.straggler_shards += other.straggler_shards
-        self.wasted_cpu_seconds += other.wasted_cpu_seconds
+        super().merge(other)
 
     def as_dict(self) -> dict:
         """Serialize to a plain JSON-ready dict (the run-store form).
@@ -502,13 +494,51 @@ class ReaderFleet:
         ``queue.transport`` and counts the bytes as copied; shm counts
         the same bytes as avoided and charges nothing.
         """
+        ledger = rep.bytes
         if self.transport.charges:
-            rep.bytes_copied += rep.send_bytes
+            ledger.copied += ledger.decoded
             self.report.queue.transport += self.cost_model.transport_seconds(
-                rep.send_bytes, rep.batches
+                ledger.decoded, rep.batches
             )
         else:
-            rep.copies_avoided += rep.send_bytes
+            ledger.avoided += ledger.decoded
+
+    def _settle_shard(
+        self,
+        node: ReaderNode,
+        position: int,
+        crashed: set[int],
+        factors: dict[int, float],
+    ) -> None:
+        """Close one deterministic-executor shard: apply its injected
+        faults to the modeled CPU, charge transport, file the report.
+
+        The one copy of this arithmetic is what keeps worker reports
+        bit-identical between the in-process and async executors.
+        """
+        cpu = node.report.cpu
+        if position in factors:
+            # Straggler: the shard's worker ran `factor` times slower —
+            # same batches, scaled modeled CPU.
+            factor = factors[position]
+            cpu.fill *= factor
+            cpu.convert *= factor
+            cpu.process *= factor
+            self.report.straggler_shards += 1
+        if position in crashed:
+            # Crash/respawn: the first attempt died after
+            # `lost_fraction` of the scan; the respawn re-scanned the
+            # whole shard (the batches already yielded), so the lost
+            # partial work is charged on top.
+            wasted = self.faults.lost_fraction * cpu.total
+            scale = 1.0 + self.faults.lost_fraction
+            cpu.fill *= scale
+            cpu.convert *= scale
+            cpu.process *= scale
+            self.report.crashes += 1
+            self.report.wasted_cpu_seconds += wasted
+        self._account_transport(node.report)
+        self.report.workers.append(node.report)
 
     def _shard_sources(
         self, table: HiveTable, info, shards: list[RowRangeShard]
@@ -548,29 +578,7 @@ class ReaderFleet:
             yield from node.run(
                 readers, row_start=local_start, row_stop=local_stop
             )
-            cpu = node.report.cpu
-            if position in factors:
-                # Straggler: the shard's worker ran `factor` times
-                # slower — same batches, scaled modeled CPU.
-                factor = factors[position]
-                cpu.fill *= factor
-                cpu.convert *= factor
-                cpu.process *= factor
-                self.report.straggler_shards += 1
-            if position in crashed:
-                # Crash/respawn: the first attempt died after
-                # `lost_fraction` of the scan; the respawn re-scanned
-                # the whole shard (the batches just yielded), so the
-                # lost partial work is charged on top.
-                wasted = self.faults.lost_fraction * cpu.total
-                scale = 1.0 + self.faults.lost_fraction
-                cpu.fill *= scale
-                cpu.convert *= scale
-                cpu.process *= scale
-                self.report.crashes += 1
-                self.report.wasted_cpu_seconds += wasted
-            self._account_transport(node.report)
-            self.report.workers.append(node.report)
+            self._settle_shard(node, position, crashed, factors)
 
     def _iter_async(
         self,
@@ -651,24 +659,7 @@ class ReaderFleet:
                 enqueued_at = ready
                 yield batch
             slot_free.append(last_pop)
-            # end-of-shard fault mutations: the same arithmetic, in the
-            # same order, as _iter_inprocess — worker reports must stay
-            # bit-identical across the deterministic executors
-            cpu = node.report.cpu
-            if position in factors:
-                cpu.fill *= factor
-                cpu.convert *= factor
-                cpu.process *= factor
-                self.report.straggler_shards += 1
-            if position in crashed:
-                wasted = self.faults.lost_fraction * cpu.total
-                cpu.fill *= scale
-                cpu.convert *= scale
-                cpu.process *= scale
-                self.report.crashes += 1
-                self.report.wasted_cpu_seconds += wasted
-            self._account_transport(node.report)
-            self.report.workers.append(node.report)
+            self._settle_shard(node, position, crashed, factors)
 
     def _iter_multiprocess(
         self,

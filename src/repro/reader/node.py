@@ -11,6 +11,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from ..metrics.breakdown import ReaderCpuBreakdown
+from ..metrics.ledger import ByteLedger, Folded
 from ..storage.dwrf import DwrfReader
 from .batch import Batch
 from .config import DataLoaderConfig
@@ -23,27 +24,20 @@ __all__ = ["ReaderNode", "ReaderReport"]
 
 
 @dataclass
-class ReaderReport:
+class ReaderReport(Folded):
     """Everything a reader run measured."""
 
     cpu: ReaderCpuBreakdown = field(default_factory=ReaderCpuBreakdown)
     samples: int = 0
     batches: int = 0
-    read_bytes: int = 0  # compressed, off Tectonic (Table 3 ingest)
-    send_bytes: int = 0  # preprocessed tensors to trainers (Table 3 egress)
-    #: what fully-materialized (non-dedup) batches would have carried;
-    #: equals send_bytes when no dedup groups are configured
-    expanded_bytes: int = 0
-    #: wire bytes serialized through the worker->trainer queue (the
-    #: ``copy`` transport charged for them; zero under ``shm``)
-    bytes_copied: int = 0
-    #: wire bytes the ``shm`` transport handed over without a copy
-    #: (zero under ``copy``)
-    copies_avoided: int = 0
+    #: read off Tectonic / sent to trainers (Table 3), plus transport
+    bytes: ByteLedger = field(default_factory=ByteLedger)
     #: per-batch event time: the newest row timestamp each delivered
     #: batch carried (the freshness metric's "event" side; order is the
     #: shard/serial batch order, which percentiles don't care about)
     batch_event_times: list = field(default_factory=list)
+
+    derived = ("samples_per_cpu_second",)
 
     @property
     def samples_per_cpu_second(self) -> float:
@@ -51,47 +45,6 @@ class ReaderReport:
         if self.cpu.total == 0:
             return 0.0
         return self.samples / self.cpu.total
-
-    @property
-    def bytes_saved(self) -> int:
-        """Transport bytes dedup removed (expanded minus decoded)."""
-        return self.expanded_bytes - self.send_bytes
-
-    @property
-    def dedupe_byte_factor(self) -> float:
-        """Expanded / decoded byte ratio (1.0 with no dedup savings)."""
-        if self.send_bytes == 0:
-            return 1.0
-        return self.expanded_bytes / self.send_bytes
-
-    def merge(self, other: "ReaderReport") -> None:
-        """Fold another reader's measurements into this one (fleet/tier
-        aggregation)."""
-        self.cpu.merge(other.cpu)
-        self.samples += other.samples
-        self.batches += other.batches
-        self.read_bytes += other.read_bytes
-        self.send_bytes += other.send_bytes
-        self.expanded_bytes += other.expanded_bytes
-        self.bytes_copied += other.bytes_copied
-        self.copies_avoided += other.copies_avoided
-        self.batch_event_times.extend(other.batch_event_times)
-
-    def as_dict(self) -> dict:
-        """Serialize to a plain JSON-ready dict (the run-store form)."""
-        return {
-            "cpu": self.cpu.as_dict(),
-            "samples": self.samples,
-            "batches": self.batches,
-            "read_bytes": self.read_bytes,
-            "send_bytes": self.send_bytes,
-            "expanded_bytes": self.expanded_bytes,
-            "bytes_copied": self.bytes_copied,
-            "copies_avoided": self.copies_avoided,
-            "bytes_saved": self.bytes_saved,
-            "dedupe_byte_factor": self.dedupe_byte_factor,
-            "samples_per_cpu_second": self.samples_per_cpu_second,
-        }
 
 
 class ReaderNode:
@@ -123,6 +76,7 @@ class ReaderNode:
             return
         cm = self.cost_model
         rep = self.report
+        ledger = rep.bytes
         for rows, fill_stats in fill_batches(
             file_readers,
             self.config.batch_size,
@@ -141,9 +95,9 @@ class ReaderNode:
             rep.cpu.process += cm.process_seconds(
                 proc_stats.values_processed, proc_stats.rows_processed
             )
-            rep.read_bytes += fill_stats.compressed_bytes
-            rep.send_bytes += batch.wire_nbytes
-            rep.expanded_bytes += batch.expanded_nbytes
+            ledger.read += fill_stats.compressed_bytes
+            ledger.decoded += batch.wire_nbytes
+            ledger.expanded += batch.expanded_nbytes
             rep.samples += batch.batch_size
             rep.batches += 1
             rep.batch_event_times.append(float(rows.timestamp.max()))

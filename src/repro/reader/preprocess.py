@@ -116,11 +116,6 @@ class ProcessStats:
     values_processed: int = 0
     rows_processed: int = 0
 
-    def merge(self, other: "ProcessStats") -> None:
-        """Fold another batch's process work units into this one."""
-        self.values_processed += other.values_processed
-        self.rows_processed += other.rows_processed
-
 
 class DedupPreprocWrapper:
     """O4: run an unchanged transform over an IKJT's dedup slices."""

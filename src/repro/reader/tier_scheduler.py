@@ -231,7 +231,7 @@ class TierJob:
         executor: fleet executor for the job's scans (``"auto"``,
             ``"process"``, ``"inprocess"``, or ``"async"``).
         transport: batch-transport model for the job's scans (``copy``
-            charges modeled serialize cost and counts ``bytes_copied``;
+            charges modeled serialize cost and counts ``bytes.copied``;
             ``shm`` is the zero-copy A/B).
         streaming: whether the job's consumer streams batches (False
             when it materializes first; carried into the job's overlap
@@ -807,10 +807,6 @@ class SharedReaderTier:
             trainer_busy_seconds=busy,
             batches=merged.batches,
             streaming=job.streaming,
-            read_bytes=merged.read_bytes,
-            decoded_bytes=merged.send_bytes,
-            expanded_bytes=merged.expanded_bytes,
-            bytes_copied=merged.bytes_copied,
-            copies_avoided=merged.copies_avoided,
+            bytes=merged.bytes,
             freshness=freshness,
         )

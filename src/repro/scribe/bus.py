@@ -18,6 +18,7 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass, field
 
+from ..metrics.ledger import Folded
 from .message import EventLogRecord, FeatureLogRecord
 from .sharding import ShardKeyPolicy, route
 
@@ -30,7 +31,7 @@ DEFAULT_BLOCK_BYTES = 256 * 1024
 
 
 @dataclass
-class ScribeStats:
+class ScribeStats(Folded):
     """Byte accounting for one shard or a whole cluster."""
 
     raw_bytes: int = 0
@@ -38,19 +39,14 @@ class ScribeStats:
     num_messages: int = 0
     num_blocks: int = 0
 
+    derived = ("compression_ratio",)
+
     @property
     def compression_ratio(self) -> float:
         """Raw over compressed bytes (1.0 while nothing is sealed)."""
         if self.compressed_bytes == 0:
             return 1.0
         return self.raw_bytes / self.compressed_bytes
-
-    def merge(self, other: "ScribeStats") -> None:
-        """Fold another shard's accounting in (cluster rollup)."""
-        self.raw_bytes += other.raw_bytes
-        self.compressed_bytes += other.compressed_bytes
-        self.num_messages += other.num_messages
-        self.num_blocks += other.num_blocks
 
 
 class ScribeShard:
@@ -240,10 +236,7 @@ class ScribeCluster:
     @property
     def stats(self) -> ScribeStats:
         """Every shard's accounting merged into one cluster view."""
-        total = ScribeStats()
-        for shard in self.shards:
-            total.merge(shard.stats)
-        return total
+        return ScribeStats.fold(shard.stats for shard in self.shards)
 
     @property
     def compression_ratio(self) -> float:

@@ -27,6 +27,39 @@ class TestParser:
         assert args.sessions == 200
 
 
+class TestBadValues:
+    """Out-of-domain flag values exit 2 with one line naming the spec
+    field (or the ``--job`` string and key) — never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["pipeline", "--num-readers", "0"],
+                "repro: error: ReaderSpec.num_readers must be positive, "
+                "got 0\n",
+            ),
+            (
+                ["pipeline", "--prefetch-depth", "0"],
+                "repro: error: ReaderSpec.prefetch_depth must be "
+                "positive, got 0\n",
+            ),
+            (
+                ["multijob", "--job", "RM1:sessions=abc"],
+                "repro: error: --job 'RM1:sessions=abc': sessions needs "
+                "int, got 'abc'\n",
+            ),
+        ],
+    )
+    def test_exits_2_naming_the_field(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err == message
+        assert captured.out == ""
+
+
 class TestSmallRuns:
     def test_dedupe_model(self, capsys):
         assert main(["dedupe-model"]) == 0

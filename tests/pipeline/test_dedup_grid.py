@@ -70,11 +70,11 @@ class TestSingleJobGrid:
         assert dedup.training.losses == base.training.losses
         # bytes-decoded strictly shrinks; the expanded payload is the
         # baseline's wire payload, byte for byte.
-        assert dedup.reader.send_bytes < base.reader.send_bytes
-        assert dedup.reader.expanded_bytes == base.reader.send_bytes
-        assert base.reader.expanded_bytes == base.reader.send_bytes
-        assert dedup.reader.bytes_saved > 0
-        assert dedup.reader.dedupe_byte_factor > 1.0
+        assert dedup.reader.bytes.decoded < base.reader.bytes.decoded
+        assert dedup.reader.bytes.expanded == base.reader.bytes.decoded
+        assert base.reader.bytes.expanded == base.reader.bytes.decoded
+        assert dedup.reader.bytes.saved > 0
+        assert dedup.reader.bytes.dedupe_factor > 1.0
 
     @pytest.mark.parametrize("width", WIDTHS)
     def test_width_invariance_of_dedup_stream(self, width):
@@ -83,18 +83,18 @@ class TestSingleJobGrid:
         one = Session(_spec(dedup=True, width=1)).run()
         res = Session(_spec(dedup=True, width=width)).run()
         assert res.training.losses == one.training.losses
-        assert res.reader.send_bytes == one.reader.send_bytes
-        assert res.reader.expanded_bytes == one.reader.expanded_bytes
+        assert res.reader.bytes.decoded == one.reader.bytes.decoded
+        assert res.reader.bytes.expanded == one.reader.bytes.expanded
 
     def test_overlap_report_carries_byte_accounting(self):
         res = Session(_spec(dedup=True)).run()
         ov = res.overlap
-        assert ov.decoded_bytes == res.reader.send_bytes
-        assert ov.expanded_bytes == res.reader.expanded_bytes
-        assert ov.read_bytes == res.reader.read_bytes
-        assert ov.bytes_saved == ov.expanded_bytes - ov.decoded_bytes
-        assert ov.dedupe_byte_factor == pytest.approx(
-            ov.expanded_bytes / ov.decoded_bytes
+        assert ov.bytes.decoded == res.reader.bytes.decoded
+        assert ov.bytes.expanded == res.reader.bytes.expanded
+        assert ov.bytes.read == res.reader.bytes.read
+        assert ov.bytes.saved == ov.bytes.expanded - ov.bytes.decoded
+        assert ov.bytes.dedupe_factor == pytest.approx(
+            ov.bytes.expanded / ov.bytes.decoded
         )
 
     def test_dedup_knob_does_not_change_batch_size_or_layout(self):
@@ -111,7 +111,7 @@ class TestSingleJobGrid:
         assert dedup.partition.compressed_bytes == (
             base.partition.compressed_bytes
         )
-        assert dedup.reader.read_bytes == base.reader.read_bytes
+        assert dedup.reader.bytes.read == base.reader.bytes.read
 
 
 class TestSharedTierGrid:
@@ -151,9 +151,9 @@ class TestSharedTierGrid:
                 deduped.job(name).training.losses
                 == base.job(name).training.losses
             )
-            assert d.decoded_bytes < b.decoded_bytes
-            assert d.expanded_bytes == b.decoded_bytes
-            assert d.dedupe_byte_factor > 1.0
+            assert d.bytes.decoded < b.bytes.decoded
+            assert d.bytes.expanded == b.bytes.decoded
+            assert d.bytes.dedupe_factor > 1.0
         agg_d, agg_b = deduped.tier.aggregate, base.tier.aggregate
-        assert agg_d.decoded_bytes < agg_b.decoded_bytes
-        assert agg_d.expanded_bytes == agg_b.expanded_bytes
+        assert agg_d.bytes.decoded < agg_b.bytes.decoded
+        assert agg_d.bytes.expanded == agg_b.bytes.expanded

@@ -78,11 +78,11 @@ class TestTable3:
         clus = by_name["with Cluster"]
         ikjt = by_name["with IKJT"]
         # clustering cuts read bytes, leaves send bytes
-        assert clus.read_bytes < base.read_bytes * 0.8
-        assert clus.send_bytes == pytest.approx(base.send_bytes, rel=0.01)
+        assert clus.bytes.read < base.bytes.read * 0.8
+        assert clus.bytes.decoded == pytest.approx(base.bytes.decoded, rel=0.01)
         # IKJT cuts send bytes, read unchanged vs cluster
-        assert ikjt.read_bytes == pytest.approx(clus.read_bytes, rel=0.01)
-        assert ikjt.send_bytes < clus.send_bytes
+        assert ikjt.bytes.read == pytest.approx(clus.bytes.read, rel=0.01)
+        assert ikjt.bytes.decoded < clus.bytes.decoded
 
 
 class TestScribe:

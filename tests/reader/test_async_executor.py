@@ -6,8 +6,8 @@ prefetch queues virtually, and must be *bit-identical* to the other two
 executors — batches, losses, and the merged byte accounting — at every
 width, with and without session dedup, and under injected faults.  These
 tests are that wall, plus the zero-copy transport accounting
-(``copy`` charges ``bytes_copied`` and queue transport wait, ``shm``
-records ``copies_avoided`` and charges nothing) and the exact
+(``copy`` charges ``bytes.copied`` and queue transport wait, ``shm``
+records ``bytes.avoided`` and charges nothing) and the exact
 ``fallback_reason`` recorded when the process executor degrades.
 """
 
@@ -40,10 +40,10 @@ def _accounting(report):
     return (
         m.samples,
         m.batches,
-        m.read_bytes,
-        m.send_bytes,
-        m.bytes_copied,
-        m.copies_avoided,
+        m.bytes.read,
+        m.bytes.decoded,
+        m.bytes.copied,
+        m.bytes.avoided,
         report.num_shards,
     )
 
@@ -132,8 +132,8 @@ class TestTransportAccounting:
         )
         fleet.run(table, "p")
         merged = fleet.report.merged
-        assert merged.bytes_copied == merged.send_bytes > 0
-        assert merged.copies_avoided == 0
+        assert merged.bytes.copied == merged.bytes.decoded > 0
+        assert merged.bytes.avoided == 0
         assert fleet.report.queue.transport > 0.0
 
     @pytest.mark.parametrize("executor", ["inprocess", "async"])
@@ -142,8 +142,8 @@ class TestTransportAccounting:
         fleet = _fleet(3, _plain_cfg(), executor=executor, transport="shm")
         fleet.run(table, "p")
         merged = fleet.report.merged
-        assert merged.copies_avoided == merged.send_bytes > 0
-        assert merged.bytes_copied == 0
+        assert merged.bytes.avoided == merged.bytes.decoded > 0
+        assert merged.bytes.copied == 0
         assert fleet.report.queue.transport == 0.0
         # zero transport charge: delivery never floors below decode
         assert (

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.metrics import QueueWaitBreakdown, ReaderCpuBreakdown
+from repro.metrics import ByteLedger, QueueWaitBreakdown, ReaderCpuBreakdown
 from repro.reader import (
     DataLoaderConfig,
     FleetReport,
@@ -248,8 +248,7 @@ def _report(fill, convert, process, samples, batches, read_b, send_b):
         cpu=ReaderCpuBreakdown(fill=fill, convert=convert, process=process),
         samples=samples,
         batches=batches,
-        read_bytes=read_b,
-        send_bytes=send_b,
+        bytes=ByteLedger(read=read_b, decoded=send_b),
     )
 
 
@@ -257,14 +256,27 @@ class TestReportMerging:
     def test_reader_report_merge_arithmetic(self):
         a = _report(1.0, 2.0, 3.0, 100, 2, 10_000, 5_000)
         b = _report(0.5, 0.25, 0.75, 60, 1, 4_000, 2_500)
+        a.bytes.expanded, b.bytes.expanded = 9_000, 2_500
+        a.bytes.copied, b.bytes.avoided = 5_000, 2_500
+        a.batch_event_times, b.batch_event_times = [1.0, 2.0], [3.0]
         a.merge(b)
         assert a.cpu.fill == pytest.approx(1.5)
         assert a.cpu.convert == pytest.approx(2.25)
         assert a.cpu.process == pytest.approx(3.75)
         assert a.samples == 160
         assert a.batches == 3
-        assert a.read_bytes == 14_000
-        assert a.send_bytes == 7_500
+        assert a.bytes == ByteLedger(
+            read=14_000,
+            decoded=7_500,
+            expanded=11_500,
+            copied=5_000,
+            avoided=2_500,
+        )
+        assert a.bytes.saved == 4_000
+        assert a.bytes.dedupe_factor == pytest.approx(11_500 / 7_500)
+        assert a.batch_event_times == [1.0, 2.0, 3.0]
+        # the merged-in report is left as it was
+        assert b.bytes.decoded == 2_500 and b.batch_event_times == [3.0]
         assert a.samples_per_cpu_second == pytest.approx(160 / 7.5)
 
     def test_fleet_report_merged_and_modeled_wall(self):

@@ -81,8 +81,8 @@ class TestReaderNode:
         assert node.report.batches == len(batches)
         assert node.report.samples == 128 * len(batches)
         assert node.report.cpu.total > 0
-        assert node.report.read_bytes > 0
-        assert node.report.send_bytes > 0
+        assert node.report.bytes.read > 0
+        assert node.report.bytes.decoded > 0
 
     def test_max_batches(self, landed_table):
         table, _ = landed_table(seed=4)
@@ -100,7 +100,7 @@ class TestReaderNode:
         base_node.run_all(base_table.open_readers("p"))
         clus_node.run_all(clus_table.open_readers("p"))
         assert clus_node.report.cpu.fill < base_node.report.cpu.fill
-        assert clus_node.report.read_bytes < base_node.report.read_bytes
+        assert clus_node.report.bytes.read < base_node.report.bytes.read
 
     def test_dedup_cuts_send_bytes_and_process_time(self, landed_table):
         """O3+O4 on a clustered table: deduped output is smaller on the
@@ -112,7 +112,7 @@ class TestReaderNode:
         )
         plain.run_all(table.open_readers("p"))
         dedup.run_all(table.open_readers("p"))
-        assert dedup.report.send_bytes < plain.report.send_bytes
+        assert dedup.report.bytes.decoded < plain.report.bytes.decoded
         assert dedup.report.cpu.process < plain.report.cpu.process
         assert dedup.report.cpu.convert > plain.report.cpu.convert
         # net effect: higher reader throughput (Fig 7)
