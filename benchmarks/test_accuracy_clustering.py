@@ -7,7 +7,7 @@ concentrates each session in one batch — each row's value is seen (and
 updated) in far fewer distinct iterations.
 """
 
-from repro.pipeline import accuracy_clustering
+from repro.experiments.figures import FIGURES, accuracy_clustering
 
 
 def test_accuracy_clustering(benchmark, emit):
@@ -18,13 +18,7 @@ def test_accuracy_clustering(benchmark, emit):
         rounds=1,
         iterations=1,
     )
-    lines = [
-        "fraction of embedding rows updated in >1 iteration:",
-        f"  interleaved (baseline) : {res.interleaved_repeat_fraction:.3f}",
-        f"  clustered (O2)         : {res.clustered_repeat_fraction:.3f}",
-        f"mean training loss interleaved : {res.interleaved_loss:.4f}",
-        f"mean training loss clustered   : {res.clustered_loss:.4f}",
-    ]
+    lines = FIGURES["accuracy"].lines(res)
     emit("Clustering accuracy mechanism (§6.2)", lines)
 
     assert (

@@ -6,7 +6,7 @@ the measured dedup ratio tracks the model (it guides which features ML
 engineers dedup, §7).
 """
 
-from repro.pipeline import dedupe_factor_model_sweep
+from repro.experiments.figures import dedupe_factor_model_sweep
 
 
 def test_dedupe_factor_model(benchmark, emit):

@@ -8,7 +8,7 @@ process falls 13/11% for RM1/2 (RM3 ~flat).  Net: readers speed up
 
 import pytest
 
-from repro.pipeline import fig10_reader_cpu
+from repro.experiments.figures import fig10_reader_cpu
 
 
 @pytest.fixture(scope="module")

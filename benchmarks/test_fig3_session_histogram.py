@@ -5,7 +5,7 @@ Paper: hourly partition averages 16.5 samples/session with a tail beyond
 samples/session on average.
 """
 
-from repro.pipeline import fig3_session_histogram
+from repro.experiments.figures import fig3_session_histogram
 
 
 def test_fig3_session_histogram(benchmark, emit):

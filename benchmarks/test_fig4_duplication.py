@@ -7,7 +7,7 @@ Paper: mean exact 80.0%, mean partial 83.9%; byte-weighted 81.6% exact /
 import numpy as np
 
 from repro.datagen import FeatureKind
-from repro.pipeline import fig4_duplication
+from repro.experiments.figures import fig4_duplication
 
 
 def test_fig4_duplication(benchmark, emit):

@@ -9,7 +9,7 @@ direction must match.
 
 import pytest
 
-from repro.pipeline import fig7_end_to_end
+from repro.experiments.figures import fig7_end_to_end
 
 
 @pytest.fixture(scope="module")

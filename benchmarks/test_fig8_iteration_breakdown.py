@@ -7,7 +7,7 @@ GEMM time (transformer dedup, ~12% of iteration); EMB lookups improve
 
 import pytest
 
-from repro.pipeline import fig8_iteration_breakdown
+from repro.experiments.figures import fig8_iteration_breakdown
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,7 @@ B4096 1.34; +Dedup Compute 2.42; +B6144 2.48.
 
 import pytest
 
-from repro.pipeline import fig9_ablation
+from repro.experiments.figures import fig9_ablation
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,7 @@ matching (shifted lists) extends that to 89.4% — partial IKJTs encode
 rows as [offset, length] windows over a shared buffer.
 """
 
-from repro.pipeline import partial_vs_exact
+from repro.experiments.figures import partial_vs_exact
 
 
 def test_partial_ikjt(benchmark, emit):

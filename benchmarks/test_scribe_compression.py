@@ -4,7 +4,7 @@ Paper: compression ratio at Scribe rose from 1.50x to 2.25x (a 1.5x
 relative gain) when sharding logs by session ID.
 """
 
-from repro.pipeline import scribe_sharding_compression
+from repro.experiments.figures import scribe_sharding_compression
 
 
 def test_scribe_sharding_compression(benchmark, emit):

@@ -5,7 +5,7 @@ Paper: a downsized RM1 on one ZionEX node (8 GPUs, NVLink) still gains
 savings remain.
 """
 
-from repro.pipeline import single_node_speedup
+from repro.experiments.figures import single_node_speedup
 
 
 def test_single_node_speedup(benchmark, emit):

@@ -7,7 +7,7 @@ Paper: Baseline (1.00 QPS, 99.9/72.8% mem, 1.00 eff); RecD (1.89, 27.8/
 
 import pytest
 
-from repro.pipeline import table2_resource_util
+from repro.experiments.figures import table2_resource_util
 
 
 @pytest.fixture(scope="module")

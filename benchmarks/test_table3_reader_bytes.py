@@ -7,7 +7,7 @@ they *send*.
 
 import pytest
 
-from repro.pipeline import table3_reader_bytes
+from repro.experiments.figures import table3_reader_bytes
 
 
 @pytest.fixture(scope="module")

@@ -9,13 +9,13 @@ give 1.34x training throughput @ 2x batch; O7 reaches 2.48x @ 3x batch.
 import pytest
 
 from repro.datagen import rm1
+from repro.experiments.figures import fig9_ablation
 from repro.pipeline import (
     DataSpec,
     JobSpec,
     RecDToggles,
     Session,
     TrainSpec,
-    fig9_ablation,
 )
 
 

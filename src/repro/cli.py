@@ -12,8 +12,12 @@ Usage::
     python -m repro simulate --scenario stream-crash-resume --verify
     python -m repro list
 
-Each subcommand prints the same paper-style rows the benchmark harness
-writes to ``benchmarks/results/``.
+The figure subcommands are the entries of
+:data:`repro.experiments.figures.FIGURES`: each runs its driver with
+the flags that driver reads and prints its rows.  The benchmark
+harness (``benchmarks/test_*.py``) runs the same drivers but writes its
+own rows to ``benchmarks/results/`` — several add paper reference
+columns or baseline fractions these subcommands do not print.
 """
 
 from __future__ import annotations
@@ -21,9 +25,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .datagen import rm1, rm2, rm3
+from .datagen import WORKLOADS
 from .experiments import (
     DEFAULT_STORE_PATH,
+    FIGURES,
     PROFILES,
     RunStore,
     expand_grid,
@@ -42,143 +47,20 @@ from .pipeline import (
     Session,
     StreamSpec,
     TrainSpec,
-    dedupe_factor_model_sweep,
-    fig3_session_histogram,
-    fig4_duplication,
-    fig7_end_to_end,
-    fig8_iteration_breakdown,
-    fig9_ablation,
-    fig10_reader_cpu,
-    partial_vs_exact,
-    scribe_sharding_compression,
-    single_node_speedup,
-    table2_resource_util,
-    table3_reader_bytes,
 )
 from .sim import build_scenario, scenario_names
 
 __all__ = ["main", "build_parser"]
 
-_WORKLOADS = {"RM1": rm1, "RM2": rm2, "RM3": rm3}
 
-
-def _cmd_fig3(args) -> int:
-    res = fig3_session_histogram(num_sessions=args.sessions_large, seed=args.seed)
-    s = res.partition_stats
-    print(f"partition mean samples/session : {s['mean']:.2f} (paper 16.5)")
-    print(f"tail >1000                     : {s['tail_1000']:.0f} sessions")
-    print(f"batch mean interleaved         : {res.batch_mean_interleaved:.2f} (paper 1.15)")
-    print(f"batch mean clustered           : {res.batch_mean_clustered:.2f} (paper ~16.5)")
-    return 0
-
-
-def _cmd_fig4(args) -> int:
-    rep = fig4_duplication(num_sessions=args.sessions_large, seed=args.seed)
-    print(f"mean exact     : {rep.mean_exact:.3f} (paper 0.800)")
-    print(f"mean partial   : {rep.mean_partial:.3f} (paper 0.839)")
-    print(f"byte-wt exact  : {rep.byte_weighted_exact:.3f} (paper 0.816)")
-    print(f"byte-wt partial: {rep.byte_weighted_partial:.3f} (paper 0.894)")
-    return 0
-
-
-def _cmd_fig7(args) -> int:
-    rows = fig7_end_to_end(
-        scale=args.scale, num_sessions=args.sessions, seed=args.seed
+def _cmd_figure(args) -> int:
+    """Run the ``FIGURES`` entry the subcommand names, with the flags
+    its driver reads, and print its rows."""
+    fig = FIGURES[args.command]
+    rows = fig.run(
+        **{param: getattr(args, flag) for flag, param in fig.flags.items()}
     )
-    print("RM    trainer  reader  storage")
-    for r in rows:
-        print(
-            f"{r.rm}   {r.trainer_x:6.2f}x {r.reader_x:6.2f}x "
-            f"{r.storage_x:6.2f}x"
-        )
-    return 0
-
-
-def _cmd_fig8(args) -> int:
-    rows = fig8_iteration_breakdown(
-        scale=args.scale, num_sessions=args.sessions, seed=args.seed
-    )
-    for r in rows:
-        n = r.recd_normalized
-        bt = r.baseline.total
-        print(
-            f"{r.rm}: emb {r.baseline.emb_lookup / bt:.2f}->{n['emb_lookup']:.2f} "
-            f"gemm {r.baseline.gemm / bt:.2f}->{n['gemm']:.2f} "
-            f"a2a {r.baseline.a2a / bt:.2f}->{n['a2a']:.2f} "
-            f"other {r.baseline.other / bt:.2f}->{n['other']:.2f}"
-        )
-    return 0
-
-
-def _cmd_fig9(args) -> int:
-    for s in fig9_ablation(scale=args.scale, num_sessions=args.sessions,
-                           seed=args.seed):
-        print(f"{s.label:24s} {s.normalized:6.2f}x")
-    return 0
-
-
-def _cmd_fig10(args) -> int:
-    for r in fig10_reader_cpu(scale=args.scale, num_sessions=args.sessions,
-                              seed=args.seed):
-        n = r.recd_normalized
-        print(
-            f"{r.rm}: fill->{n['fill']:.2f} convert->{n['convert']:.2f} "
-            f"process->{n['process']:.2f} total->{n['total']:.2f}"
-        )
-    return 0
-
-
-def _cmd_table2(args) -> int:
-    for r in table2_resource_util(scale=args.scale, num_sessions=args.sessions,
-                                  seed=args.seed):
-        print(
-            f"{r.config:18s} qps {r.norm_qps:5.2f} "
-            f"max {100 * r.max_mem_util:5.1f}% avg {100 * r.avg_mem_util:5.1f}% "
-            f"eff {r.norm_compute_efficiency:5.2f}"
-        )
-    return 0
-
-
-def _cmd_table3(args) -> int:
-    for r in table3_reader_bytes(scale=args.scale, num_sessions=args.sessions,
-                                 seed=args.seed):
-        print(
-            f"{r.config:14s} read {r.bytes.read / 2**20:8.2f} MB  "
-            f"send {r.bytes.decoded / 2**20:8.2f} MB"
-        )
-    return 0
-
-
-def _cmd_scribe(args) -> int:
-    res = scribe_sharding_compression(
-        scale=args.scale, num_sessions=args.sessions, seed=args.seed
-    )
-    print(f"random  : {res['random']:.2f}x")
-    print(f"session : {res['session']:.2f}x")
-    return 0
-
-
-def _cmd_single_node(args) -> int:
-    res = single_node_speedup(
-        scale=args.scale, num_sessions=args.sessions, seed=args.seed
-    )
-    print(f"speedup: {res['speedup']:.2f}x (paper 2.18x)")
-    return 0
-
-
-def _cmd_dedupe_model(args) -> int:
-    for p in dedupe_factor_model_sweep(seed=args.seed):
-        print(
-            f"S={p.samples_per_session:<4.0f} d={p.d:<5.2f} "
-            f"modeled {p.modeled:6.2f} measured {p.measured:6.2f}"
-        )
-    return 0
-
-
-def _cmd_partial(args) -> int:
-    res = partial_vs_exact(num_sessions=args.sessions, seed=args.seed)
-    print(f"exact factor   : {res.exact_factor:.2f}x")
-    print(f"partial factor : {res.partial_factor:.2f}x")
+    print("\n".join(fig.lines(rows)))
     return 0
 
 
@@ -215,7 +97,7 @@ def _spec_from_args(
     retain = get("retain_partitions", args.retain_partitions)
     return JobSpec(
         data=DataSpec(
-            workload=_WORKLOADS[rm](scale),
+            workload=WORKLOADS[rm](scale),
             toggles=toggles,
             num_sessions=get("num_sessions", args.sessions),
             num_partitions=get("num_partitions", args.num_partitions),
@@ -348,10 +230,10 @@ def _parse_job_spec(spec: str, args, name: str) -> JobSpec:
     """
     parts = spec.split(":")
     rm = parts[0].upper()
-    if rm not in _WORKLOADS:
+    if rm not in WORKLOADS:
         raise SystemExit(
             f"--job {spec!r}: workload must be one of "
-            f"{sorted(_WORKLOADS)}, got {parts[0]!r}"
+            f"{sorted(WORKLOADS)}, got {parts[0]!r}"
         )
     recd = False
     dedup = None
@@ -710,25 +592,32 @@ def _cmd_experiments(args) -> int:
     raise SystemExit(f"unknown experiments command {args.exp_command!r}")
 
 
+#: the non-figure subcommands; every other name is a ``FIGURES`` entry
 _COMMANDS = {
-    "fig3": _cmd_fig3,
-    "fig4": _cmd_fig4,
-    "fig7": _cmd_fig7,
-    "fig8": _cmd_fig8,
-    "ablation": _cmd_fig9,
-    "fig10": _cmd_fig10,
-    "table2": _cmd_table2,
-    "table3": _cmd_table3,
-    "scribe": _cmd_scribe,
-    "single-node": _cmd_single_node,
-    "dedupe-model": _cmd_dedupe_model,
-    "partial": _cmd_partial,
     "pipeline": _cmd_pipeline,
     "multijob": _cmd_multijob,
     "stream": _cmd_stream,
     "simulate": _cmd_simulate,
     "experiments": _cmd_experiments,
 }
+
+#: the flags every figure driver draws from (a figure subcommand
+#: registers only the ones its ``Figure.flags`` names)
+_COMMON_FLAGS = {
+    "scale": dict(type=float, default=0.5,
+                  help="workload scale factor (default 0.5)"),
+    "sessions": dict(type=int, default=200,
+                     help="sessions in the generated partition"),
+    "sessions_large": dict(type=int, default=50_000,
+                           help="sessions for statistics-only experiments"),
+    "seed": dict(type=int, default=0),
+}
+
+
+def _add_common_flags(p, flags) -> None:
+    """Register the named ``_COMMON_FLAGS`` on one subparser."""
+    for flag in flags:
+        p.add_argument(f"--{flag.replace('_', '-')}", **_COMMON_FLAGS[flag])
 
 
 def _add_data_args(p, *, shared: bool) -> None:
@@ -737,7 +626,7 @@ def _add_data_args(p, *, shared: bool) -> None:
         "data (DataSpec)", "workload, toggles, and landing shape"
     )
     suffix = " for --jobs clones" if shared else ""
-    g.add_argument("--rm", choices=sorted(_WORKLOADS), default="RM1",
+    g.add_argument("--rm", choices=sorted(WORKLOADS), default="RM1",
                    help=f"workload{suffix}")
     g.add_argument("--recd", action="store_true",
                    help=f"enable all RecD optimizations (O1-O7){suffix}")
@@ -925,18 +814,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("list", help="list available experiments")
+    for name, fig in FIGURES.items():
+        p = sub.add_parser(name, help=f"run the {name} experiment")
+        _add_common_flags(p, fig.flags)
     for name in _COMMANDS:
         if name == "experiments":
             _add_experiments_parser(sub)
             continue
         p = sub.add_parser(name, help=f"run the {name} experiment")
-        p.add_argument("--scale", type=float, default=0.5,
-                       help="workload scale factor (default 0.5)")
-        p.add_argument("--sessions", type=int, default=200,
-                       help="sessions in the generated partition")
-        p.add_argument("--sessions-large", type=int, default=50_000,
-                       help="sessions for statistics-only experiments")
-        p.add_argument("--seed", type=int, default=0)
+        _add_common_flags(p, _COMMON_FLAGS)
         if name in ("pipeline", "multijob", "stream"):
             shared = name in ("multijob", "stream")
             _add_data_args(p, shared=shared)
@@ -983,11 +869,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "list":
-        for name in sorted(_COMMANDS):
+        for name in sorted([*FIGURES, *_COMMANDS]):
             print(name)
         return 0
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS.get(args.command, _cmd_figure)(args)
     except (ValueError, TypeError) as exc:
         # The specs validate their own domains and name spec + field
         # ("ReaderSpec.num_readers must be positive, got 0"), so a bad

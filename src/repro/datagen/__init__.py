@@ -18,7 +18,7 @@ from .schema import (
     SparseFeatureSpec,
 )
 from .session import Sample, sample_session_sizes, session_size_stats
-from .workloads import RMWorkload, all_workloads, rm1, rm2, rm3
+from .workloads import WORKLOADS, RMWorkload, all_workloads, rm1, rm2, rm3
 
 __all__ = [
     "DatasetSchema",
@@ -36,6 +36,7 @@ __all__ = [
     "rm1",
     "rm2",
     "rm3",
+    "WORKLOADS",
     "all_workloads",
     "CharacterizationReport",
     "FeatureDuplication",

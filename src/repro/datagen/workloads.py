@@ -30,7 +30,7 @@ from .schema import (
     SparseFeatureSpec,
 )
 
-__all__ = ["RMWorkload", "rm1", "rm2", "rm3", "all_workloads"]
+__all__ = ["RMWorkload", "rm1", "rm2", "rm3", "WORKLOADS", "all_workloads"]
 
 
 @dataclass(frozen=True)
@@ -124,11 +124,20 @@ def _dedup_groups_from_schema(
     return tuple(groups)
 
 
+def _require_scale(scale: float) -> None:
+    """Every magnitude below is floored (``max(floor, int(k * scale))``),
+    so a non-positive scale would quietly build the floor-sized workload
+    and print plausible numbers instead of failing."""
+    if not scale > 0:
+        raise ValueError(f"workload scale must be positive, got {scale}")
+
+
 def rm1(scale: float = 1.0) -> RMWorkload:
     """RM1: transformer pooling over 16 sequence features in 5 groups.
 
     The model whose heavy sequence compute makes RecD shine (2.48x).
     """
+    _require_scale(scale)
     seq = _sequence_features(
         16, groups=5, pooling=PoolingKind.TRANSFORMER, avg_length=max(8, int(48 * scale))
     )
@@ -150,6 +159,7 @@ def rm1(scale: float = 1.0) -> RMWorkload:
 def rm2(scale: float = 1.0) -> RMWorkload:
     """RM2: 6 sequence features in one group, attention pooling; batch size
     could not grow past the baseline (§6.1)."""
+    _require_scale(scale)
     seq = _sequence_features(
         6, groups=1, pooling=PoolingKind.ATTENTION, avg_length=max(8, int(32 * scale))
     )
@@ -171,6 +181,7 @@ def rm2(scale: float = 1.0) -> RMWorkload:
 def rm3(scale: float = 1.0) -> RMWorkload:
     """RM3: 11 sequence features in one group, attention pooling, smaller
     baseline batch (paper: 1152 -> 2048), lower samples/session table."""
+    _require_scale(scale)
     seq = _sequence_features(
         11, groups=1, pooling=PoolingKind.ATTENTION, avg_length=max(8, int(32 * scale))
     )
@@ -189,5 +200,10 @@ def rm3(scale: float = 1.0) -> RMWorkload:
     )
 
 
+#: workload name -> constructor: the one map the CLI's ``--rm`` and the
+#: experiment grids' ``"workload.rm"`` both resolve through
+WORKLOADS = {"RM1": rm1, "RM2": rm2, "RM3": rm3}
+
+
 def all_workloads(scale: float = 1.0) -> list[RMWorkload]:
-    return [rm1(scale), rm2(scale), rm3(scale)]
+    return [build(scale) for build in WORKLOADS.values()]

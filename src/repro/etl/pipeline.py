@@ -76,17 +76,18 @@ class ETLJob:
             dropped_rows=joined - len(samples),
         )
 
-    def run_from_scribe(self, cluster: ScribeCluster) -> ETLResult:
-        """Ingest both log categories off a Scribe cluster and land them.
+    def run_from_payloads(
+        self, payloads: list[bytes], ingest_bytes: int
+    ) -> ETLResult:
+        """Land one batch of raw Scribe messages, both categories mixed.
 
         Messages are length-discriminated: event records have a fixed
         32-byte frame; anything longer is a feature record.
         """
-        ingest_bytes = cluster.etl_ingest_bytes
         features: list[FeatureLogRecord] = []
         events: list[EventLogRecord] = []
         event_size = EventLogRecord._FMT.size
-        for payload in cluster.read_all():
+        for payload in payloads:
             if len(payload) == event_size:
                 events.append(EventLogRecord.deserialize(payload))
             else:
@@ -94,3 +95,10 @@ class ETLJob:
         # Restore inference-time order: Scribe shard order is arbitrary.
         features.sort(key=lambda r: (r.timestamp, r.request_id))
         return self.run_from_records(features, events, ingest_bytes)
+
+    def run_from_scribe(self, cluster: ScribeCluster) -> ETLResult:
+        """Ingest everything on a Scribe cluster and land it."""
+        # read before read_all(): flushing the shards' partial buffers
+        # grows the cluster's compressed-byte count
+        ingest_bytes = cluster.etl_ingest_bytes
+        return self.run_from_payloads(cluster.read_all(), ingest_bytes)

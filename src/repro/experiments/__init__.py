@@ -7,15 +7,21 @@ content-addressed :class:`~repro.experiments.grid.RunPoint`\\ s; the
 driver (:func:`~repro.experiments.runner.run_profile`) executes them
 through :class:`~repro.pipeline.session.Session` with resume-on-rerun;
 every run's provenance, fingerprint, losses, metrics, and reports land
-in the :class:`~repro.experiments.store.RunStore`; the figure drivers
-(:mod:`repro.experiments.report`) and the CI regression gate
-(:mod:`repro.experiments.gate`) read from the store.
+in the :class:`~repro.experiments.store.RunStore`; the report renderer
+and the CI regression gate (:mod:`repro.experiments.gate`) read from
+the store.
 
-CLI surface: ``repro experiments {run,list,query,report}``; the gate is
+The figures themselves — driver, printed rows, CLI flags, store
+rendering — are declared once, in :data:`~repro.experiments.figures.FIGURES`;
+import a driver from :mod:`repro.experiments.figures`.
+
+CLI surface: one subcommand per :data:`FIGURES` entry plus ``repro
+experiments {run,list,query,report}``; the gate is
 ``benchmarks/check_regression.py``.  See ``docs/experiments.md``.
 """
 
 from .env import environment_fingerprint
+from .figures import FIGURES, render_report
 from .gate import (
     GateResult,
     check_store,
@@ -25,13 +31,6 @@ from .gate import (
 )
 from .grid import GridSpec, RunPoint, build_job_spec, expand_grid
 from .profiles import PROFILES, Profile, get_profile
-from .report import (
-    ablation_from_store,
-    fig7_from_store,
-    fleet_scaling_from_store,
-    render_report,
-    single_node_from_store,
-)
 from .runner import (
     RunOutcome,
     extract_metrics,
@@ -65,9 +64,6 @@ __all__ = [
     "check_store",
     "update_baselines",
     "markdown_summary",
-    "fig7_from_store",
-    "ablation_from_store",
-    "fleet_scaling_from_store",
-    "single_node_from_store",
+    "FIGURES",
     "render_report",
 ]

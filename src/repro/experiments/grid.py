@@ -34,7 +34,7 @@ import json
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, fields
 
-from ..datagen.workloads import rm1, rm2, rm3
+from ..datagen.workloads import WORKLOADS
 from ..pipeline.config import RecDToggles
 from ..pipeline.spec import (
     CheckpointSpec,
@@ -49,9 +49,6 @@ from ..pipeline.spec import (
 )
 
 __all__ = ["GridSpec", "RunPoint", "expand_grid", "build_job_spec"]
-
-#: workload constructors a point may name via ``"workload.rm"``
-WORKLOADS = {"RM1": rm1, "RM2": rm2, "RM3": rm3}
 
 #: spec sections reachable by dotted paths, mapped to their dataclasses
 _SECTIONS = {

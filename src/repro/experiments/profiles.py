@@ -28,30 +28,21 @@ from .grid import GridSpec
 
 __all__ = ["Profile", "PROFILES", "get_profile"]
 
-#: Fig 9's cumulative optimization staircase: each stage adds the next
-#: toggle group on top of the previous ones (O4 rides with O3, O6 with
-#: O5 — the paper's pairings).
-_ABLATION_STAGES = (
+#: The toggle sets between the ``"baseline"`` and ``"recd"`` endpoints,
+#: as the O-flag dicts a grid point hashes — only the flags that are on,
+#: so run IDs stay what ``benchmarks/baselines/*.json`` pins.  Each adds
+#: the next group on top of the previous (O4 rides with O3, O6 with O5 —
+#: the paper's pairings); ``RecDToggles(**CLUSTERED)`` is the spec form.
+CLUSTERED = {"o1_shard_by_session": True, "o2_cluster_table": True}
+IKJT = {**CLUSTERED, "o3_ikjt": True}
+DEDUP_EMB = {**IKJT, "o5_dedup_emb": True, "o6_jagged_index_select": True}
+
+#: Fig 9's cumulative optimization staircase, as (label, toggles).
+ABLATION_STAGES = (
     ("baseline", "baseline"),
-    ("o1-o2", {"o1_shard_by_session": True, "o2_cluster_table": True}),
-    (
-        "o1-o4",
-        {
-            "o1_shard_by_session": True,
-            "o2_cluster_table": True,
-            "o3_ikjt": True,
-        },
-    ),
-    (
-        "o1-o6",
-        {
-            "o1_shard_by_session": True,
-            "o2_cluster_table": True,
-            "o3_ikjt": True,
-            "o5_dedup_emb": True,
-            "o6_jagged_index_select": True,
-        },
-    ),
+    ("o1-o2", CLUSTERED),
+    ("o1-o4", IKJT),
+    ("o1-o6", DEDUP_EMB),
     ("recd", "recd"),
 )
 
@@ -191,7 +182,7 @@ def _build_profile(
                 base={**base, "workload.rm": "RM1"},
                 include=tuple(
                     {"label": label, "toggles": toggles}
-                    for label, toggles in _ABLATION_STAGES
+                    for label, toggles in ABLATION_STAGES
                 ),
             ),
             GridSpec(
@@ -213,10 +204,7 @@ def _build_profile(
                     **base,
                     "workload.rm": "RM1",
                     "reader.executor": "async",
-                    "toggles": {
-                        "o1_shard_by_session": True,
-                        "o2_cluster_table": True,
-                    },
+                    "toggles": CLUSTERED,
                 },
                 axes={
                     "reader.num_readers": list(widths),

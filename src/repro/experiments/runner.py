@@ -29,9 +29,21 @@ __all__ = [
     "run_point",
     "run_grid",
     "run_profile",
+    "headline_metrics",
     "extract_metrics",
     "extract_reports",
 ]
+
+
+def headline_metrics(result: PipelineResult) -> dict:
+    """Fig 7's four headline numbers, under their store metric names —
+    so a live result and a stored record read alike."""
+    return {
+        "trainer_qps": result.trainer_qps,
+        "reader_qps": result.reader_qps,
+        "storage_compression": result.storage_compression,
+        "scribe_compression": result.scribe_compression,
+    }
 
 
 def extract_metrics(result: PipelineResult, slo: SLOReport) -> dict:
@@ -50,10 +62,7 @@ def extract_metrics(result: PipelineResult, slo: SLOReport) -> dict:
     """
     losses = result.training.losses
     metrics = {
-        "trainer_qps": result.trainer_qps,
-        "reader_qps": result.reader_qps,
-        "storage_compression": result.storage_compression,
-        "scribe_compression": result.scribe_compression,
+        **headline_metrics(result),
         "samples_landed": float(result.samples_landed),
         "loss_mean": sum(losses) / len(losses) if losses else 0.0,
         "loss_final": losses[-1] if losses else 0.0,

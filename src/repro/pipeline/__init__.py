@@ -1,39 +1,15 @@
-"""End-to-end pipeline orchestration and per-figure experiment drivers.
+"""End-to-end pipeline orchestration: the one run surface.
 
-One run surface: compose a :class:`~repro.pipeline.spec.JobSpec` from
+Compose a :class:`~repro.pipeline.spec.JobSpec` from
 small spec dataclasses (:class:`DataSpec`, :class:`ReaderSpec`,
 :class:`TrainSpec`, :class:`ScalingSpec`, :class:`RetentionSpec`,
 :class:`StreamSpec`, :class:`CheckpointSpec`, :class:`FaultSpec`) and
 execute one or many with :class:`~repro.pipeline.session.Session`
-(see ``docs/api.md``).
+(see ``docs/api.md``).  The paper-figure drivers built on it live in
+:mod:`repro.experiments.figures`.
 """
 
 from .config import RecDToggles
-from .experiments import (
-    AccuracyResult,
-    DedupeModelPoint,
-    Fig3Result,
-    Fig7Row,
-    Fig8Row,
-    Fig9Stage,
-    Fig10Row,
-    PartialResult,
-    Table2Row,
-    Table3Row,
-    accuracy_clustering,
-    dedupe_factor_model_sweep,
-    fig3_session_histogram,
-    fig4_duplication,
-    fig7_end_to_end,
-    fig8_iteration_breakdown,
-    fig9_ablation,
-    fig10_reader_cpu,
-    partial_vs_exact,
-    scribe_sharding_compression,
-    single_node_speedup,
-    table2_resource_util,
-    table3_reader_bytes,
-)
 from .session import (
     JobResult,
     JobRuntime,
@@ -77,27 +53,4 @@ __all__ = [
     "plan_retention_windows",
     "JobResult",
     "MultiJobResult",
-    "Fig3Result",
-    "fig3_session_histogram",
-    "fig4_duplication",
-    "Fig7Row",
-    "fig7_end_to_end",
-    "Fig8Row",
-    "fig8_iteration_breakdown",
-    "Fig9Stage",
-    "fig9_ablation",
-    "Table2Row",
-    "table2_resource_util",
-    "Table3Row",
-    "table3_reader_bytes",
-    "Fig10Row",
-    "fig10_reader_cpu",
-    "scribe_sharding_compression",
-    "single_node_speedup",
-    "AccuracyResult",
-    "accuracy_clustering",
-    "DedupeModelPoint",
-    "dedupe_factor_model_sweep",
-    "PartialResult",
-    "partial_vs_exact",
 ]

@@ -48,7 +48,11 @@ from ..scribe.message import split_sample
 from ..scribe.sharding import ShardKeyPolicy
 from ..storage.hive import HiveTable, PartitionInfo
 from ..storage.tectonic import TectonicFS
-from ..streaming.lander import StreamLander, plan_stream_windows
+from ..streaming.lander import (
+    StreamLander,
+    partition_slices,
+    plan_stream_windows,
+)
 from ..streaming.live import LiveLoop
 from ..trainer.checkpoint import ModelStore
 from ..trainer.model import DLRM, DLRMConfig
@@ -176,20 +180,6 @@ def _rollup_partitions(partitions: list[PartitionInfo]) -> PartitionInfo:
     return total
 
 
-def _partition_slices(
-    total_rows: int, num_partitions: int
-) -> list[tuple[int, int]]:
-    """Contiguous, near-equal ``[start, stop)`` row slices per partition."""
-    base, extra = divmod(total_rows, num_partitions)
-    slices: list[tuple[int, int]] = []
-    start = 0
-    for i in range(num_partitions):
-        size = base + (1 if i < extra else 0)
-        slices.append((start, start + size))
-        start += size
-    return slices
-
-
 def plan_retention_windows(
     num_partitions: int, retain_partitions: int, train_epochs: int
 ) -> list[list[int]]:
@@ -296,7 +286,7 @@ def land_table(
     partitions = [
         table.land_partition(f"p{i}", landed[start:stop])
         for i, (start, stop) in enumerate(
-            _partition_slices(len(landed), job.data.num_partitions)
+            partition_slices(len(landed), job.data.num_partitions)
         )
     ]
     return table, scribe_stats, ingest_bytes, partitions, landed
@@ -486,7 +476,7 @@ class JobRuntime:
                 self.ingest_bytes,
                 self.samples,
             ) = _prepare_table(spec)
-            slices = _partition_slices(
+            slices = partition_slices(
                 len(self.samples), spec.data.num_partitions
             )
             windows = plan_retention_windows(

@@ -28,11 +28,7 @@ from ..datagen.generator import TraceConfig, TraceGenerator
 from ..datagen.session import Sample
 from ..etl.pipeline import ETLConfig, ETLJob
 from ..scribe.bus import ScribeCluster
-from ..scribe.message import (
-    EventLogRecord,
-    FeatureLogRecord,
-    split_sample,
-)
+from ..scribe.message import split_sample
 from ..scribe.sharding import ShardKeyPolicy
 from ..storage.hive import HiveTable, PartitionInfo
 from ..storage.tectonic import TectonicFS
@@ -244,9 +240,9 @@ class StreamLander:
         Each due tick replays the static pipeline's stages on just its
         own rows: log to the scribe cluster, :meth:`~repro.scribe.bus.
         ScribeCluster.seal` the tick boundary, drain the sealed blocks,
-        length-discriminate and re-order the records exactly as
-        :meth:`~repro.etl.pipeline.ETLJob.run_from_scribe` does, join,
-        and land.  Micro-partitions land at the stream's small
+        join them (:meth:`~repro.etl.pipeline.ETLJob.run_from_payloads`,
+        the same ingest a static run's ``run_from_scribe`` uses), and
+        land.  Micro-partitions land at the stream's small
         ``rows_per_file``; once tick ``i`` lands, tick ``i - 1`` is
         compacted back to the table's full file size (when
         ``StreamSpec.compact`` is set and the partition is still live).
@@ -281,17 +277,10 @@ class StreamLander:
             self.scribe.log_event(ev)
         self.scribe.seal()
         payloads = self.scribe.drain_all()
-        self.ingest_bytes += sum(len(p) for p in payloads)
-        features: list[FeatureLogRecord] = []
-        events: list[EventLogRecord] = []
-        event_size = EventLogRecord._FMT.size
-        for payload in payloads:
-            if len(payload) == event_size:
-                events.append(EventLogRecord.deserialize(payload))
-            else:
-                features.append(FeatureLogRecord.deserialize(payload))
-        features.sort(key=lambda r: (r.timestamp, r.request_id))
-        result = self._etl.run_from_records(features, events)
+        result = self._etl.run_from_payloads(
+            payloads, sum(len(p) for p in payloads)
+        )
+        self.ingest_bytes += result.ingest_bytes
         name = f"p{i}"
         base_rows_per_file = self.table.rows_per_file
         self.table.rows_per_file = self.stream.rows_per_file

@@ -29,7 +29,8 @@ class TestParser:
 
 class TestBadValues:
     """Out-of-domain flag values exit 2 with one line naming the spec
-    field (or the ``--job`` string and key) — never a traceback."""
+    field (or the ``--job`` string and key, or the workload scale) —
+    never a traceback, never plausible numbers."""
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -48,6 +49,25 @@ class TestBadValues:
                 ["multijob", "--job", "RM1:sessions=abc"],
                 "repro: error: --job 'RM1:sessions=abc': sessions needs "
                 "int, got 'abc'\n",
+            ),
+            # the workloads floor every magnitude, so these used to
+            # print plausible speedups for a nonsense scale
+            (
+                ["fig7", "--scale", "-1"],
+                "repro: error: workload scale must be positive, got -1.0\n",
+            ),
+            (
+                ["scribe", "--scale", "0"],
+                "repro: error: workload scale must be positive, got 0.0\n",
+            ),
+            # was numpy's "zero-size array to reduction operation maximum"
+            (
+                ["fig3", "--sessions-large", "0"],
+                "repro: error: num_sessions must be positive, got 0\n",
+            ),
+            (
+                ["fig4", "--sessions-large", "0"],
+                "repro: error: num_sessions must be positive, got 0\n",
             ),
         ],
     )

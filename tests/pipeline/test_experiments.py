@@ -1,24 +1,49 @@
-"""Tests for the per-figure experiment drivers (small scales)."""
+"""Tests for the per-figure experiment drivers (small scales).
+
+The Session-backed cases and the stdout golden share one set of runs:
+``small(name)`` is the ``FIGURES`` entry's rows at the golden's flags,
+computed once per module, so a figure asserted on twice still runs once.
+"""
+
+import functools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.pipeline import (
-    accuracy_clustering,
-    dedupe_factor_model_sweep,
-    fig3_session_histogram,
-    fig4_duplication,
-    fig9_ablation,
-    partial_vs_exact,
-    scribe_sharding_compression,
-    single_node_speedup,
-    table2_resource_util,
-    table3_reader_bytes,
+from repro.experiments.figures import FIGURES, fig3_session_histogram
+
+#: the flag values the golden was recorded at (parent 98682a7):
+#: ``--scale 0.25 --sessions 60 --sessions-large 3000 --seed 1``
+SMALL = {"scale": 0.25, "sessions": 60, "sessions_large": 3000, "seed": 1}
+
+#: stdout of the figure subcommands whose numbers do not depend on the
+#: zlib build (no compressed byte count reaches a printed digit)
+GOLDEN = json.loads(
+    Path(__file__).with_name("golden_figures.json").read_text()
 )
+
+
+@pytest.fixture(scope="module")
+def small():
+    @functools.cache
+    def rows(name):
+        fig = FIGURES[name]
+        return fig.run(**{param: SMALL[f] for f, param in fig.flags.items()})
+
+    return rows
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_stdout_matches_parent_golden(name, small):
+    lines = FIGURES[name].lines(small(name))
+    assert "\n".join(lines) + "\n" == GOLDEN[name]
 
 
 class TestFig3:
     def test_partition_and_batch_stats(self):
+        # interleaving needs partition scale: stays at its own size
         res = fig3_session_histogram(num_sessions=30_000, seed=1)
         assert res.partition_stats["mean"] == pytest.approx(16.5, rel=0.1)
         assert res.partition_stats["max"] > 500  # heavy tail
@@ -28,8 +53,8 @@ class TestFig3:
 
 
 class TestFig4:
-    def test_duplication_bands(self):
-        rep = fig4_duplication(num_features=150, num_sessions=4000)
+    def test_duplication_bands(self, small):
+        rep = small("fig4")
         assert 0.70 < rep.mean_exact < 0.90  # paper: 80.0%
         assert rep.byte_weighted_partial > rep.byte_weighted_exact
         # user features dominate the high-duplication plateau
@@ -38,8 +63,8 @@ class TestFig4:
 
 
 class TestFig9:
-    def test_ablation_monotone_stages(self):
-        stages = fig9_ablation(scale=0.25, num_sessions=150, seed=2)
+    def test_ablation_monotone_stages(self, small):
+        stages = small("ablation")
         assert [s.label for s in stages][0] == "Baseline B1x"
         norm = [s.normalized for s in stages]
         assert norm[0] == pytest.approx(1.0)
@@ -52,9 +77,8 @@ class TestFig9:
 
 
 class TestTable2:
-    def test_resource_rows(self):
-        rows = table2_resource_util(scale=0.25, num_sessions=150, seed=3)
-        by_name = {r.config: r for r in rows}
+    def test_resource_rows(self, small):
+        by_name = {r.config: r for r in small("table2")}
         base = by_name["Baseline"]
         recd = by_name["RecD"]
         assert base.norm_qps == pytest.approx(1.0)
@@ -71,9 +95,8 @@ class TestTable2:
 
 
 class TestTable3:
-    def test_byte_staircase(self):
-        rows = table3_reader_bytes(scale=0.25, num_sessions=150, seed=4)
-        by_name = {r.config: r for r in rows}
+    def test_byte_staircase(self, small):
+        by_name = {r.config: r for r in small("table3")}
         base = by_name["Baseline"]
         clus = by_name["with Cluster"]
         ikjt = by_name["with IKJT"]
@@ -86,20 +109,19 @@ class TestTable3:
 
 
 class TestScribe:
-    def test_session_sharding_wins(self):
-        res = scribe_sharding_compression(scale=0.25, num_sessions=200)
+    def test_session_sharding_wins(self, small):
+        res = small("scribe")
         assert res["session"] > res["random"] * 1.2  # paper: 1.5x relative
 
 
 class TestSingleNode:
-    def test_speedup_positive(self):
-        res = single_node_speedup(scale=0.25, num_sessions=150)
-        assert res["speedup"] > 1.3  # paper: 2.18x
+    def test_speedup_positive(self, small):
+        assert small("single-node")["speedup"] > 1.3  # paper: 2.18x
 
 
 class TestAccuracy:
-    def test_clustering_reduces_repeat_updates(self):
-        res = accuracy_clustering(scale=0.25, num_sessions=120, train_batches=4)
+    def test_clustering_reduces_repeat_updates(self, small):
+        res = small("accuracy")
         assert (
             res.clustered_repeat_fraction
             < res.interleaved_repeat_fraction
@@ -109,25 +131,24 @@ class TestAccuracy:
 
 
 class TestDedupeModel:
-    def test_model_tracks_measurement(self):
-        points = dedupe_factor_model_sweep(seed=5)
-        for p in points:
+    def test_model_tracks_measurement(self, small):
+        for p in small("dedupe-model"):
             assert p.measured == pytest.approx(p.modeled, rel=0.25), (
                 p.samples_per_session,
                 p.d,
             )
 
-    def test_factor_grows_with_s_and_d(self):
-        points = dedupe_factor_model_sweep(seed=5)
+    def test_factor_grows_with_s_and_d(self, small):
         get = {
-            (p.samples_per_session, p.d): p.modeled for p in points
+            (p.samples_per_session, p.d): p.modeled
+            for p in small("dedupe-model")
         }
         assert get[(16, 0.95)] > get[(2, 0.95)]
         assert get[(16, 0.95)] > get[(16, 0.5)]
 
 
 class TestPartial:
-    def test_partial_captures_more(self):
-        res = partial_vs_exact(num_sessions=100)
+    def test_partial_captures_more(self, small):
+        res = small("partial")
         assert res.partial_factor > res.exact_factor
         assert res.partial_captured_fraction > res.exact_captured_fraction
