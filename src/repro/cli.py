@@ -434,8 +434,7 @@ def _cmd_stream(args) -> int:
         clean = build_session()
         clean.prepare()
         clean.land_all_streams()
-        clean.tier.run()
-        base = clean.collect()
+        base = clean.run()
         diverged = sorted(
             job.name
             for job in res.jobs

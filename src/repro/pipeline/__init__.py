@@ -18,7 +18,6 @@ from .session import (
     Session,
     build_trainer,
     land_table,
-    plan_retention_windows,
 )
 from .spec import (
     CheckpointSpec,
@@ -50,7 +49,6 @@ __all__ = [
     "PipelineResult",
     "build_trainer",
     "land_table",
-    "plan_retention_windows",
     "JobResult",
     "MultiJobResult",
 ]

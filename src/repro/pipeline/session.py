@@ -32,28 +32,18 @@ import time
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
-from ..datagen.generator import TraceConfig, TraceGenerator
 from ..datagen.session import Sample
 from ..distributed.costmodel import sim_cluster
 from ..distributed.trainer import DistributedTrainer, TrainingReport
-from ..etl.pipeline import ETLConfig, ETLJob
 from ..metrics.overlap import OverlapReport
 from ..metrics.scaling import ScalingTrace
 from ..metrics.tier import TierReport
 from ..reader.fleet import FleetReport
 from ..reader.node import ReaderReport
 from ..reader.tier_scheduler import SharedReaderTier, TierJob
-from ..scribe.bus import ScribeCluster, ScribeStats
-from ..scribe.message import split_sample
-from ..scribe.sharding import ShardKeyPolicy
+from ..scribe.bus import ScribeStats
 from ..storage.hive import HiveTable, PartitionInfo
-from ..storage.tectonic import TectonicFS
-from ..streaming.lander import (
-    StreamLander,
-    partition_slices,
-    plan_stream_windows,
-)
-from ..streaming.live import LiveLoop
+from ..streaming.lander import Lander, plan_windows
 from ..trainer.checkpoint import ModelStore
 from ..trainer.model import DLRM, DLRMConfig
 from .spec import CheckpointSpec, JobSpec, ScalingSpec
@@ -66,7 +56,6 @@ __all__ = [
     "Session",
     "build_trainer",
     "land_table",
-    "plan_retention_windows",
 ]
 
 
@@ -180,91 +169,6 @@ def _rollup_partitions(partitions: list[PartitionInfo]) -> PartitionInfo:
     return total
 
 
-def plan_retention_windows(
-    num_partitions: int, retain_partitions: int, train_epochs: int
-) -> list[list[int]]:
-    """Which partition indices each epoch scans under retention.
-
-    Epoch 0 opens on the first ``min(retain_partitions,
-    num_partitions)`` partitions; between epochs the window slides one
-    partition forward — the next partition lands, the oldest ages out —
-    until the stream of ``num_partitions`` time partitions is exhausted,
-    after which the window stays put.
-
-    Args:
-        num_partitions: total time partitions in the stream.
-        retain_partitions: maximum live partitions at any moment.
-        train_epochs: epochs to plan.
-
-    Returns:
-        One list of partition indices per epoch, each of length at most
-        ``retain_partitions``.
-
-    Raises:
-        ValueError: if any argument is not positive.
-    """
-    if num_partitions <= 0:
-        raise ValueError("num_partitions must be positive")
-    if retain_partitions <= 0:
-        raise ValueError("retain_partitions must be positive")
-    if train_epochs <= 0:
-        raise ValueError("train_epochs must be positive")
-    window = min(retain_partitions, num_partitions)
-    lo, hi = 0, window - 1
-    windows: list[list[int]] = []
-    for _ in range(train_epochs):
-        windows.append(list(range(lo, hi + 1)))
-        if hi < num_partitions - 1:
-            hi += 1
-            if hi - lo + 1 > window:
-                lo += 1
-    return windows
-
-
-def _prepare_table(
-    job: JobSpec,
-) -> tuple[HiveTable, ScribeStats, int, list[Sample]]:
-    """Stages 1–3: generate, transport, join — nothing landed yet."""
-    d = job.data
-    w = d.workload
-    samples = TraceGenerator(
-        w.schema,
-        TraceConfig(
-            seed=d.seed,
-            mean_samples_per_session=d.mean_samples_per_session,
-        ),
-    ).generate_partition(d.num_sessions)
-
-    policy = (
-        ShardKeyPolicy.SESSION_ID
-        if d.toggles.o1_shard_by_session
-        else ShardKeyPolicy.RANDOM
-    )
-    scribe = ScribeCluster(num_shards=d.num_scribe_shards, policy=policy)
-    for s in samples:
-        feat, ev = split_sample(s)
-        scribe.log_features(feat)
-        scribe.log_event(ev)
-    scribe.flush()
-
-    etl = ETLJob(ETLConfig(cluster=d.toggles.o2_cluster_table))
-    etl_result = etl.run_from_scribe(scribe)
-
-    fs = TectonicFS()
-    # Stripes are small relative to the partition so that a stripe's time
-    # window matches the paper's regime: in the interleaved baseline a
-    # stripe holds ~1 sample/session (Fig 3), and only clustering (O2)
-    # makes a session's duplicates stripe-local.
-    table = HiveTable(
-        f"{w.name.lower()}_table",
-        w.schema,
-        fs,
-        rows_per_file=8192,
-        stripe_rows=64,
-    )
-    return table, scribe.stats, scribe.etl_ingest_bytes, etl_result.samples
-
-
 def land_table(
     job: JobSpec,
 ) -> tuple[HiveTable, ScribeStats, int, list[PartitionInfo], list[Sample]]:
@@ -282,14 +186,15 @@ def land_table(
         ``(table, scribe_stats, etl_ingest_bytes, partitions, samples)``
         — the landed table, transport stats, and the joined row list.
     """
-    table, scribe_stats, ingest_bytes, landed = _prepare_table(job)
-    partitions = [
-        table.land_partition(f"p{i}", landed[start:stop])
-        for i, (start, stop) in enumerate(
-            partition_slices(len(landed), job.data.num_partitions)
-        )
-    ]
-    return table, scribe_stats, ingest_bytes, partitions, landed
+    lander = Lander(job)
+    lander.land_all()
+    return (
+        lander.table,
+        lander.scribe.stats,
+        lander.ingest_bytes,
+        lander.partitions,
+        lander.samples,
+    )
 
 
 def _validate_epoch_batches(job: JobSpec, rows: Sequence[int]) -> None:
@@ -400,118 +305,48 @@ class JobRuntime:
                 )
             model_store.load(ckpt.restore_from, self.trainer.model)
         start = self.start_epoch
-        self.partitions: list[PartitionInfo] = []
-        #: the job's live-landing engine (streaming jobs only)
-        self.lander: StreamLander | None = None
-        ready = None
-        if spec.stream is not None:
-            lander = StreamLander(spec)
-            self.lander = lander
-            self.table = lander.table
-            self.samples = lander.samples
-            self.scribe_stats = lander.scribe.stats
-            self.ingest_bytes = lander.ingest_bytes
-            self.partitions = lander.partitions
-            windows = plan_stream_windows(
-                spec.data.num_partitions,
-                (
-                    spec.retention.window
-                    if spec.retention is not None
-                    else None
-                ),
-                spec.train.train_epochs,
-            )
-            self.epochs = [[f"p{i}" for i in w] for w in windows[start:]]
-            partition_rows = lander.partition_rows()
-            _validate_epoch_batches(
-                spec, [partition_rows[p] for p in self.epochs[0]]
-            )
-            table = self.table
+        #: the job's landing engine: the only way its rows reach storage
+        self.lander = lander = Lander(spec)
+        self.table = table = lander.table
+        live = spec.stream is not None
+        windows = plan_windows(
+            spec.data.num_partitions,
+            spec.retention.window if spec.retention is not None else None,
+            spec.train.train_epochs,
+            live,
+        )
+        self.epochs = [[f"p{i}" for i in w] for w in windows[start:]]
+        partition_rows = lander.partition_rows()
+        # Fail fast on the first window, from planned row counts —
+        # before the trainer ever sees an empty epoch.
+        _validate_epoch_batches(
+            spec, [partition_rows[p] for p in self.epochs[0]]
+        )
+        # What exists before round one lands now: a static job's whole
+        # table, nothing yet of a streamed or rolling-window one.
+        lander.pump(0.0)
 
-            def ready(epoch: int) -> bool:
-                """Data gate: this epoch's window ends at a
-                micro-partition the lander may not have landed yet
-                (``epoch`` indexes this registration's plan, so a
-                resumed job offsets into the full window schedule)."""
-                return lander.landed_count > windows[start + epoch][-1]
+        def ready(epoch: int) -> bool:
+            """Data gate: this epoch's window ends at a
+            micro-partition the lander may not have landed yet
+            (``epoch`` indexes this registration's plan, so a
+            resumed job offsets into the full window schedule)."""
+            return lander.landed_count > windows[start + epoch][-1]
 
-            if spec.retention is not None:
-
-                def prepare(epoch: int) -> None:
-                    """Age out micro-partitions behind this epoch's
-                    window — the lander lands on the clock; retention
-                    only ever drops."""
-                    lo = windows[start + epoch][0]
-                    for name in [
-                        p
-                        for p in list(table.partitions)
-                        if int(p[1:]) < lo
-                    ]:
-                        table.drop_partition(name)
-
-            else:
-                prepare = None
-        elif spec.retention is None:
-            (
-                self.table,
-                self.scribe_stats,
-                self.ingest_bytes,
-                self.partitions,
-                self.samples,
-            ) = land_table(spec)
-            _validate_epoch_batches(
-                spec, [p.num_rows for p in self.partitions]
-            )
-            window = [p.name for p in self.partitions]
-            self.epochs = [
-                list(window)
-                for _ in range(spec.train.train_epochs - start)
-            ]
-            prepare = None
-            partition_rows = None
-        else:
-            (
-                self.table,
-                self.scribe_stats,
-                self.ingest_bytes,
-                self.samples,
-            ) = _prepare_table(spec)
-            slices = partition_slices(
-                len(self.samples), spec.data.num_partitions
-            )
-            windows = plan_retention_windows(
-                spec.data.num_partitions,
-                spec.retention.window,
-                spec.train.train_epochs,
-            )
-            self.epochs = [[f"p{i}" for i in w] for w in windows[start:]]
-            partition_rows = {
-                f"p{i}": stop - start_
-                for i, (start_, stop) in enumerate(slices)
-            }
-            # Fail fast on the first window, from planned row counts —
-            # before the trainer ever sees an empty epoch.
-            _validate_epoch_batches(
-                spec, [partition_rows[p] for p in self.epochs[0]]
-            )
-            landed: dict[int, PartitionInfo] = {}
-
-            def prepare(epoch: int) -> None:
-                """Land this epoch's window, then age out anything older
-                — the between-epoch retention lifecycle.  ``epoch``
-                indexes this registration's plan, so a resumed job
-                offsets into the full window schedule."""
-                window = windows[start + epoch]
-                for idx in window:
-                    if idx not in landed:
-                        lo, hi = slices[idx]
-                        landed[idx] = self.table.land_partition(
-                            f"p{idx}", self.samples[lo:hi]
-                        )
-                        self.partitions.append(landed[idx])
-                for idx in [i for i in sorted(landed) if i < window[0]]:
-                    self.table.drop_partition(f"p{idx}")
-                    del landed[idx]
+        def prepare(epoch: int) -> None:
+            """Land this epoch's window, then age out anything older
+            — the between-epoch retention lifecycle.  A streamed job's
+            window already landed on the clock (``ready`` held the
+            epoch back until it had) and a window without retention
+            starts at ``p0``, so for those this only ever drops or
+            does nothing.  ``epoch`` indexes this registration's plan,
+            so a resumed job offsets into the full window schedule."""
+            window = windows[start + epoch]
+            lander.land_through(window[-1])
+            for name in [
+                p for p in table.partitions if int(p[1:]) < window[0]
+            ]:
+                table.drop_partition(name)
 
         trainer = self.trainer
         track = spec.train.track_updates
@@ -543,16 +378,9 @@ class JobRuntime:
             weight=spec.weight,
             prepare=prepare,
             partition_rows=partition_rows,
-            ready=ready,
-            track_freshness=self.lander is not None,
+            ready=ready if live else None,
+            track_freshness=live,
         )
-
-    def _sync_stream(self) -> None:
-        """Refresh the transport accounting a streaming job accrues
-        tick by tick (static jobs snapshot it at build time)."""
-        if self.lander is not None:
-            self.scribe_stats = self.lander.scribe.stats
-            self.ingest_bytes = self.lander.ingest_bytes
 
     @property
     def snapshot_name(self) -> str:
@@ -581,7 +409,6 @@ class JobRuntime:
         self, fleet: FleetReport, report: TierReport
     ) -> JobResult:
         """This job's share of a multi-job session's result."""
-        self._sync_stream()
         return JobResult(
             name=self.name,
             spec=self.spec,
@@ -589,7 +416,7 @@ class JobRuntime:
             fleet=fleet,
             overlap=report.job_overlap(self.name),
             epoch_partitions=[list(e) for e in self.epochs],
-            samples_landed=len(self.samples),
+            samples_landed=len(self.lander.samples),
             dropped_partitions=list(self.table.dropped),
         )
 
@@ -597,7 +424,6 @@ class JobRuntime:
         self, fleet: FleetReport, report: TierReport, wall_seconds: float
     ) -> PipelineResult:
         """A single-job session's result."""
-        self._sync_stream()
         training = self.trainer.report
         # Both streaming modes attribute the same end-to-end loop wall
         # so the A/B is comparable: in the materialized mode the
@@ -612,14 +438,14 @@ class JobRuntime:
         )
         return PipelineResult(
             spec=self.spec,
-            scribe=self.scribe_stats,
-            scribe_ingest_bytes=self.ingest_bytes,
-            partition=_rollup_partitions(self.partitions),
+            scribe=self.lander.scribe.stats,
+            scribe_ingest_bytes=self.lander.ingest_bytes,
+            partition=_rollup_partitions(self.lander.partitions),
             reader=fleet.merged,
             training=training,
-            samples_landed=len(self.samples),
+            samples_landed=len(self.lander.samples),
             fleet=fleet,
-            partitions=self.partitions,
+            partitions=self.lander.partitions,
             overlap=overlap,
             epoch_partitions=[list(e) for e in self.epochs],
             dropped_partitions=list(self.table.dropped),
@@ -640,9 +466,10 @@ class Session:
     :class:`~repro.pipeline.spec.ScalingSpec`\\ s (tightest
     ``target_stall``, widest ``max_readers``), else fixed width.
 
-    :meth:`run` is the closed loop.  Open-loop drivers — the scenario
-    simulator in ``repro.sim`` — instead call :meth:`prepare`, step the
-    returned tier themselves, and may :meth:`preempt` a job (it
+    :meth:`run` is the closed loop over :meth:`tick`.  Open-loop
+    drivers — the scenario simulator in ``repro.sim`` — instead call
+    :meth:`prepare`, start the returned tier, call :meth:`tick`
+    themselves, and may :meth:`preempt` a job (it
     checkpoints into the session's ``model_store`` and comes back as a
     resume spec) or :meth:`admit` a new or resumed job between rounds,
     then :meth:`collect` the results.
@@ -748,8 +575,8 @@ class Session:
         """Build the tier and every job's runtime; register everything.
 
         Called implicitly by :meth:`run`; open-loop drivers call it
-        directly, then :meth:`~SharedReaderTier.start`/``step`` the
-        returned tier themselves.
+        directly, then :meth:`~SharedReaderTier.start` the returned
+        tier and :meth:`tick` it themselves.
 
         Returns:
             The session's :class:`~repro.reader.tier_scheduler.SharedReaderTier`
@@ -798,62 +625,61 @@ class Session:
             self.tier.register(runtime.tier_job)
         return self.tier
 
-    # -- streaming ----------------------------------------------------------
+    # -- the drive loop -----------------------------------------------------
 
-    @property
-    def has_streams(self) -> bool:
-        """Whether any registered job lands its table live."""
-        return any(
-            rt.lander is not None for rt in self._runtimes.values()
-        )
+    def tick(self) -> bool:
+        """Run one iteration of the drive loop.
 
-    def pump_streams(self) -> list[str]:
-        """Land every micro-partition due at the tier's current clock.
-
-        Open-loop drivers call this at the top of every scheduling
-        iteration (the closed loop's
-        :class:`~repro.streaming.live.LiveLoop` does it for them), so
-        no round ever trains over a partition that had not landed at
-        the modeled moment the round started.
+        The only place landing, scheduling, and idle time are
+        sequenced: pump every job's lander at the tier's current
+        clock — so no round ever trains over a partition that had not
+        landed at the modeled moment the round started — then try one
+        tier round.  A round that cannot run means every remaining job
+        is either finished or gated on data; if a lander still has
+        ticks pending, the clock jumps to the next landing time
+        instead of spinning, the modeled equivalent of the platform
+        sitting idle until the next scribe tick seals.  For jobs that
+        are fully landed the pump is a no-op and there is no next
+        event, so a static session's ticks are exactly its tier's
+        rounds.  Open-loop drivers (the scenario simulator) inject
+        their events between calls instead of re-implementing this
+        sequence.
 
         Returns:
-            Landed partition names across all streaming jobs, in land
-            order.
+            ``True`` if the loop moved (a round ran or the clock
+            jumped) and should be ticked again; ``False`` when nothing
+            is runnable and no landing is pending — the run is
+            complete, or, if the tier still has epochs remaining,
+            stuck.
 
         Raises:
-            RuntimeError: if the session was never prepared.
+            RuntimeError: if the session was never prepared, or its
+                tier not started.
         """
         if self.tier is None:
-            raise RuntimeError("session not prepared; nothing to pump")
-        landed: list[str] = []
-        for rt in self._runtimes.values():
-            if rt.lander is not None:
-                landed.extend(rt.lander.pump(self.tier.clock))
-        return landed
-
-    def next_stream_event(self) -> float | None:
-        """The earliest pending landing time across every stream
-        (``None`` when all streams are drained).
-
-        Raises:
-            RuntimeError: if the session was never prepared.
-        """
-        if self.tier is None:
-            raise RuntimeError("session not prepared; no stream events")
-        events = [
-            rt.lander.next_event(self.tier.clock)
-            for rt in self._runtimes.values()
-            if rt.lander is not None
-        ]
-        return min(
-            (e for e in events if e is not None), default=None
-        )
+            raise RuntimeError("session not prepared; nothing to tick")
+        tier = self.tier
+        landers = [rt.lander for rt in self._runtimes.values()]
+        for lander in landers:
+            lander.pump(tier.clock)
+        if tier.step():
+            return True
+        if not tier.epochs_remaining:
+            return False
+        events = [lander.next_event(tier.clock) for lander in landers]
+        nxt = min((e for e in events if e is not None), default=None)
+        if nxt is None:
+            return False
+        tier.advance_clock(nxt)
+        return True
 
     def land_all_streams(self) -> None:
-        """Land every stream in full, now — the land-everything-first
-        baseline.  A live run's per-step losses are bit-identical to
-        calling this on a fresh session and running the plain closed
-        loop, which is the invariant ``repro stream --verify`` checks.
+        """Land every job's table in full, now — the
+        land-everything-first baseline (a no-op for a static job,
+        whose table landed in :meth:`prepare`).  A live run's per-step
+        losses are bit-identical to calling this on a fresh, prepared
+        session and then :meth:`run`, which is the invariant ``repro
+        stream --verify`` checks.
 
         Raises:
             RuntimeError: if the session was never prepared.
@@ -861,8 +687,7 @@ class Session:
         if self.tier is None:
             raise RuntimeError("session not prepared; nothing to land")
         for rt in self._runtimes.values():
-            if rt.lander is not None:
-                rt.lander.land_all()
+            rt.lander.land_all()
 
     def runtime(self, name: str) -> JobRuntime:
         """The named job's live :class:`JobRuntime`.
@@ -990,7 +815,8 @@ class Session:
         )
 
     def run(self) -> PipelineResult | MultiJobResult:
-        """Prepare every job, then run scheduling rounds to completion.
+        """Prepare every job (unless :meth:`prepare` already ran), then
+        :meth:`tick` landing and scheduling rounds until both drain.
 
         Returns:
             A :class:`PipelineResult` when the session was built from a
@@ -999,15 +825,24 @@ class Session:
         Raises:
             ValueError: from spec validation, an epoch window that
                 cannot fill one batch, or tier admission.
+            RuntimeError: if the session already ran, or jobs are
+                still waiting on data once every stream is exhausted
+                (a deadlock).
         """
-        tier = self.prepare()
+        tier = self.tier if self.tier is not None else self.prepare()
         loop_started = time.perf_counter()
-        if self.has_streams:
-            # Live landing: interleave scribe ticks with scheduling
-            # rounds instead of running the closed loop over a
-            # pre-landed table.
-            LiveLoop(self).drive()
-        else:
-            tier.run()
+        tier.start()
+        while self.tick():
+            pass
+        if tier.epochs_remaining:
+            # Every lander is drained yet some job is still gated: its
+            # ready hook can never satisfy.  Admission validates plans
+            # against the declared stream, so this is a driver bug
+            # worth failing loudly on, not a state to spin in.
+            raise RuntimeError(
+                "live loop deadlocked: jobs are waiting on data "
+                "but every stream is exhausted"
+            )
+        tier.finish()
         loop_wall = time.perf_counter() - loop_started
         return self.collect(loop_wall)

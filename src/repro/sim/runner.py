@@ -1,7 +1,7 @@
 """The scenario runner: a fault plan executed over a live Session.
 
 :class:`ScenarioRunner` injects events into the one drive loop
-(:meth:`~repro.streaming.live.LiveLoop.tick`): before every iteration
+(:meth:`~repro.pipeline.session.Session.tick`): before every iteration
 it applies the plan's due events — admit bursty arrivals, resume
 checkpointed jobs, preempt victims (checkpointing them into the
 session's :class:`~repro.trainer.checkpoint.ModelStore`) — and wires
@@ -24,7 +24,6 @@ from ..metrics.tier import TierReport
 from ..pipeline.session import Session
 from ..pipeline.spec import JobSpec
 from ..storage.tectonic import TectonicFS
-from ..streaming.live import LiveLoop
 from ..trainer.checkpoint import ModelStore
 from .faults import FaultPlan
 
@@ -162,7 +161,6 @@ class ScenarioRunner:
         pending_preempts = list(plan.preemptions)
         preempt_count = 0
 
-        loop = LiveLoop(session)
         tier.start()
         while True:
             rnd = tier.round_index
@@ -231,7 +229,7 @@ class ScenarioRunner:
                         "resume_round": rnd + p.resume_after,
                     }
                 )
-            if loop.tick():
+            if session.tick():
                 continue
             if pending_resumes or pending_arrivals:
                 # Nothing left to schedule but events still owed: the
@@ -283,16 +281,13 @@ class ScenarioRunner:
         clean = Session(
             specs, width=self.width, policy=self.policy, names=names
         )
-        if any(s.stream is not None for s in specs):
-            # Land-everything-first: the strongest reference for a
-            # streamed scenario — the live loop's losses must match a
-            # run whose whole stream was on disk before round one.
-            clean.prepare()
-            clean.land_all_streams()
-            clean.tier.run()
-            result = clean.collect()
-        else:
-            result = clean.run()
+        # Land-everything-first: the strongest reference for a
+        # streamed scenario — the live loop's losses must match a
+        # run whose whole stream was on disk before round one (a
+        # static job's already is: for it this lands nothing).
+        clean.prepare()
+        clean.land_all_streams()
+        result = clean.run()
         return {
             job.name: list(job.training.losses) for job in result.jobs
         }

@@ -67,19 +67,26 @@ class HiveTable:
         self.files_compacted = 0
 
     def land_partition(
-        self, partition: str, samples: list[Sample]
+        self,
+        partition: str,
+        samples: list[Sample],
+        rows_per_file: int | None = None,
     ) -> PartitionInfo:
-        """Write one partition's rows, in the order given, as DWRF files."""
+        """Write one partition's rows, in the order given, as DWRF files
+        of ``rows_per_file`` rows (default: the table's own size; a
+        streaming lander passes its smaller micro-partition size)."""
         if partition in self.partitions:
             raise ValueError(f"partition {partition} already landed")
+        if rows_per_file is None:
+            rows_per_file = self.rows_per_file
         writer = DwrfWriter(
             self.schema, self.stripe_rows, self.codec, self.int_encoding
         )
         info = PartitionInfo(name=partition)
         for file_idx, start in enumerate(
-            range(0, len(samples), self.rows_per_file)
+            range(0, len(samples), rows_per_file)
         ):
-            chunk = samples[start : start + self.rows_per_file]
+            chunk = samples[start : start + rows_per_file]
             blob, stats = writer.write(chunk)
             path = f"{self.name}/{partition}/part-{file_idx:05d}.dwrf"
             self.fs.write(path, blob)

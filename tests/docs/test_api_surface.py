@@ -1,6 +1,7 @@
 """The public-API snapshot: ``repro.pipeline.__all__``,
 ``repro.experiments.__all__``, ``repro.storage.__all__`` (the layer
-surface the stopwatch benchmark and ``RowBlock`` callers use), and every
+surface the stopwatch benchmark and ``RowBlock`` callers use),
+``repro.streaming.__all__`` (the one landing path), and every
 spec dataclass's field names
 are diffed against a checked-in manifest
 (``tests/docs/api_manifest.json``), so run-surface changes are always
@@ -15,6 +16,7 @@ import pytest
 import repro.experiments
 import repro.pipeline
 import repro.storage
+import repro.streaming
 from repro.pipeline.spec import spec_field_names
 
 MANIFEST_PATH = Path(__file__).with_name("api_manifest.json")
@@ -26,6 +28,7 @@ def _current_surface() -> dict:
         "pipeline_all": sorted(repro.pipeline.__all__),
         "experiments_all": sorted(repro.experiments.__all__),
         "storage_all": sorted(repro.storage.__all__),
+        "streaming_all": sorted(repro.streaming.__all__),
         "spec_fields": spec_field_names(),
     }
 
@@ -49,7 +52,7 @@ def test_public_surface_matches_manifest():
 
 @pytest.mark.parametrize(
     "module",
-    [repro.pipeline, repro.experiments, repro.storage],
+    [repro.pipeline, repro.experiments, repro.storage, repro.streaming],
     ids=lambda m: m.__name__,
 )
 def test_all_names_resolve(module):

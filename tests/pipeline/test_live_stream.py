@@ -5,7 +5,7 @@ the tier's cost-model clock *while* jobs train — produces loss
 trajectories **bit-identical** to a run whose whole stream was landed
 before round one.  Scheduling moves wall-clock, never batch content.
 
-Covered here: the epoch-window planner, the :class:`StreamLander`
+Covered here: the epoch-window planner, the :class:`Lander`
 landing API, live-vs-land-first bit-identity (with and without a
 rolling retention window, solo and sharing the pool with a static
 job), mid-loop admission of a streamed job, freshness accounting, and
@@ -26,7 +26,7 @@ from repro.pipeline import (
     StreamSpec,
     TrainSpec,
 )
-from repro.streaming import LiveLoop, StreamLander, plan_stream_windows
+from repro.streaming import Lander, plan_windows
 
 
 def _spec(
@@ -40,11 +40,13 @@ def _spec(
     sessions=60,
     stream=True,
     name=None,
+    toggles=RecDToggles.baseline,
+    rows_per_file=256,
 ):
     return JobSpec(
         data=DataSpec(
             workload=rm1(scale=0.2),
-            toggles=RecDToggles.baseline(),
+            toggles=toggles(),
             num_sessions=sessions,
             num_partitions=partitions,
             seed=seed,
@@ -53,7 +55,9 @@ def _spec(
         train=TrainSpec(train_epochs=epochs, train_batches=2),
         stream=(
             StreamSpec(
-                interval_seconds=interval, land_latency_seconds=latency
+                interval_seconds=interval,
+                land_latency_seconds=latency,
+                rows_per_file=rows_per_file,
             )
             if stream
             else None
@@ -72,14 +76,13 @@ def _land_first_losses(specs, *, width, freshness_slo=None):
     )
     session.prepare()
     session.land_all_streams()
-    session.tier.run()
-    result = session.collect()
+    result = session.run()
     return {j.name: list(j.training.losses) for j in result.jobs}
 
 
 class TestPlanStreamWindows:
     def test_unbounded_window_grows_to_the_stream_tail(self):
-        assert plan_stream_windows(4, None, 5) == [
+        assert plan_windows(4, None, 5, live=True) == [
             [0],
             [0, 1],
             [0, 1, 2],
@@ -88,7 +91,7 @@ class TestPlanStreamWindows:
         ]
 
     def test_bounded_window_slides(self):
-        assert plan_stream_windows(4, 2, 5) == [
+        assert plan_windows(4, 2, 5, live=True) == [
             [0],
             [0, 1],
             [1, 2],
@@ -97,25 +100,21 @@ class TestPlanStreamWindows:
         ]
 
     def test_epochs_past_the_stream_rescan_the_final_window(self):
-        windows = plan_stream_windows(2, None, 6)
+        windows = plan_windows(2, None, 6, live=True)
         assert windows[2:] == [[0, 1]] * 4
 
     def test_validation(self):
         with pytest.raises(ValueError, match="num_partitions"):
-            plan_stream_windows(0, None, 1)
-        with pytest.raises(ValueError, match="retain_partitions"):
-            plan_stream_windows(2, 0, 1)
-        with pytest.raises(ValueError, match="train_epochs"):
-            plan_stream_windows(2, None, 0)
+            plan_windows(0, None, 1, live=True)
+        with pytest.raises(ValueError, match="retain"):
+            plan_windows(2, 0, 1, live=True)
+        with pytest.raises(ValueError, match="epochs"):
+            plan_windows(2, None, 0, live=True)
 
 
 class TestStreamLander:
-    def test_requires_a_stream_spec(self):
-        with pytest.raises(ValueError, match="StreamSpec"):
-            StreamLander(_spec(stream=False))
-
     def test_avail_is_the_tick_boundary_plus_landing_latency(self):
-        lander = StreamLander(_spec(interval=60.0, latency=5.0))
+        lander = Lander(_spec(interval=60.0, latency=5.0))
         assert [lander.avail(i) for i in range(4)] == [
             65.0,
             125.0,
@@ -126,7 +125,7 @@ class TestStreamLander:
             lander.avail(4)
 
     def test_pump_lands_exactly_the_due_partitions(self):
-        lander = StreamLander(_spec())
+        lander = Lander(_spec())
         assert lander.landed_count == 0
         assert not lander.exhausted
         assert lander.pump(64.9) == []
@@ -138,8 +137,32 @@ class TestStreamLander:
         assert lander.landed_count == 4
         assert lander.exhausted
 
+    def test_static_pump_lands_the_whole_table_at_clock_zero(self):
+        """The static twin: a table with no stream is history, all of
+        it due before round one, so nothing is left for the clock."""
+        lander = Lander(_spec(stream=False))
+        assert lander.landed_count == 0
+        assert [lander.avail(i) for i in range(4)] == [0.0] * 4
+        assert lander.pump(0.0) == ["p0", "p1", "p2", "p3"]
+        assert lander.exhausted
+        assert lander.next_event(0.0) is None
+        assert lander.pump(1e9) == []
+
+    def test_rolling_window_over_a_static_table_lands_on_demand(self):
+        """No clock time brings a retention job's partitions: they land
+        window by window, so one no epoch reaches never lands."""
+        lander = Lander(_spec(stream=False, window=2))
+        assert lander.pump(1e9) == []
+        assert lander.next_event(0.0) is None
+        assert lander.land_through(1) == ["p0", "p1"]
+        assert lander.land_through(1) == []  # already landed
+        assert lander.land_through(2) == ["p2"]
+        assert not lander.exhausted
+        with pytest.raises(IndexError):
+            lander.land_through(4)
+
     def test_next_event_clamps_to_the_clock_then_exhausts(self):
-        lander = StreamLander(_spec())
+        lander = Lander(_spec())
         assert lander.next_event(0.0) == 65.0
         # A clock already past the landing time is itself the event.
         assert lander.next_event(70.0) == 70.0
@@ -147,14 +170,14 @@ class TestStreamLander:
         assert lander.next_event(0.0) is None
 
     def test_partition_rows_cover_every_generated_sample(self):
-        lander = StreamLander(_spec())
+        lander = Lander(_spec())
         rows = lander.partition_rows()
         assert list(rows) == ["p0", "p1", "p2", "p3"]
         assert sum(rows.values()) == len(lander.samples)
         assert all(n > 0 for n in rows.values())
 
     def test_event_times_land_inside_their_partition_tick(self):
-        lander = StreamLander(_spec(interval=60.0))
+        lander = Lander(_spec(interval=60.0))
         lander.land_all()
         bounds = {}
         for i, sample in zip(
@@ -168,7 +191,7 @@ class TestStreamLander:
             assert i * 60.0 < lo <= hi <= (i + 1) * 60.0
 
     def test_landed_micro_partitions_are_compacted_behind_the_head(self):
-        lander = StreamLander(_spec())
+        lander = Lander(_spec())
         lander.land_all()
         table = lander.table
         # Every partition behind the stream head was rewritten at the
@@ -179,6 +202,34 @@ class TestStreamLander:
             assert len(info.files) == want
 
 
+    @pytest.mark.parametrize("stream", [True, False])
+    def test_ingest_bytes_are_the_compressed_scribe_egress(self, stream):
+        """One definition for every schedule: what ETL pulls off the
+        cluster is compressed blocks (the O1 claim), tick by tick or
+        all at once — never the decompressed messages."""
+        lander = Lander(_spec(stream=stream, toggles=RecDToggles.full))
+        lander.land_all()
+        assert lander.ingest_bytes == lander.scribe.stats.compressed_bytes
+        assert lander.ingest_bytes == lander.scribe.etl_ingest_bytes
+
+    def test_recorded_partitions_follow_compaction(self):
+        """32-row micro-files are not a multiple of the 64-row stripe,
+        so compaction re-stripes and the bytes change: the recorded
+        ``PartitionInfo`` must be the compacted one, not the micro
+        landing whose files were deleted."""
+        lander = Lander(_spec(rows_per_file=32))
+        lander.land_all()
+        table = lander.table
+        assert table.files_compacted > 0
+        assert table.rows_per_file == 8192  # never flipped to 32
+        assert [p.name for p in lander.partitions] == list(table.partitions)
+        for info in lander.partitions:
+            assert all(table.fs.exists(path) for path in info.files)
+            live = table.partitions[info.name]
+            assert info.compressed_bytes == live.compressed_bytes
+            assert info.files == live.files
+
+
 class TestLiveLoopDeadlock:
     def test_drive_raises_when_a_job_can_never_become_ready(self):
         """Every stream drained yet a job is still gated on data: the
@@ -187,9 +238,9 @@ class TestLiveLoopDeadlock:
         tier = session.prepare()
         session.runtime("stuck").tier_job.ready = lambda epoch: False
         with pytest.raises(RuntimeError, match="live loop deadlocked"):
-            LiveLoop(session).drive()
+            session.run()
         assert tier.round_index == 0
-        assert session.next_stream_event() is None  # it did drain
+        assert session.runtime("stuck").lander.exhausted  # it did drain
 
 
 class TestLiveLoopBitIdentity:

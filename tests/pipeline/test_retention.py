@@ -13,8 +13,8 @@ from repro.pipeline import (
     RetentionSpec,
     Session,
     TrainSpec,
-    plan_retention_windows,
 )
+from repro.streaming import plan_windows
 
 
 def _run(
@@ -56,7 +56,7 @@ def _run(
 
 class TestPlanRetentionWindows:
     def test_slides_one_partition_per_epoch(self):
-        assert plan_retention_windows(5, 2, 4) == [
+        assert plan_windows(5, 2, 4, live=False) == [
             [0, 1],
             [1, 2],
             [2, 3],
@@ -64,7 +64,7 @@ class TestPlanRetentionWindows:
         ]
 
     def test_window_parks_when_stream_exhausted(self):
-        assert plan_retention_windows(3, 2, 4) == [
+        assert plan_windows(3, 2, 4, live=False) == [
             [0, 1],
             [1, 2],
             [1, 2],
@@ -72,16 +72,16 @@ class TestPlanRetentionWindows:
         ]
 
     def test_retain_at_least_num_partitions_never_drops(self):
-        assert plan_retention_windows(3, 3, 3) == [[0, 1, 2]] * 3
-        assert plan_retention_windows(2, 5, 3) == [[0, 1]] * 3
+        assert plan_windows(3, 3, 3, live=False) == [[0, 1, 2]] * 3
+        assert plan_windows(2, 5, 3, live=False) == [[0, 1]] * 3
 
     def test_single_partition_single_epoch(self):
-        assert plan_retention_windows(1, 1, 1) == [[0]]
+        assert plan_windows(1, 1, 1, live=False) == [[0]]
 
     def test_validation(self):
         for bad in [(0, 1, 1), (1, 0, 1), (1, 1, 0)]:
             with pytest.raises(ValueError):
-                plan_retention_windows(*bad)
+                plan_windows(*bad, live=False)
 
 
 class TestRetentionLifecycle:
@@ -120,7 +120,7 @@ class TestRetentionLifecycle:
 
         monkeypatch.setattr(fleet_mod, "plan_epoch", spy)
         res = _run(6, 5, retain=3)
-        expected_windows = plan_retention_windows(6, 3, 5)
+        expected_windows = plan_windows(6, 3, 5, live=False)
         assert planned_names == [
             [f"p{i}" for i in w] for w in expected_windows
         ]

@@ -69,3 +69,44 @@ class TestInputBoundary:
             "Session.admit spec for job 'late' must be a JobSpec, "
             "got tuple"
         )
+
+
+class TestOneDriveLoop:
+    """``Session.run()`` drives every session — static or streamed —
+    through ``Session.tick()``; for fully landed jobs a tick is exactly
+    one tier round."""
+
+    def _specs(self):
+        return [_spec(seed=1, name="alpha"), _spec(seed=2, name="beta")]
+
+    def test_run_equals_prepare_tier_run_collect(self):
+        """The open-coded sequence (what the stopwatch's traced pass
+        uses) and the closed loop schedule a static session alike."""
+        closed = Session(self._specs(), width=3).run()
+        session = Session(self._specs(), width=3)
+        tier = session.prepare()
+        tier.run()
+        opened = session.collect()
+        assert closed.tier.as_dict() == opened.tier.as_dict()
+        for name in ("alpha", "beta"):
+            assert (
+                closed.job(name).training.losses
+                == opened.job(name).training.losses
+            )
+
+    def test_run_after_prepare_prepares_nothing_twice(self):
+        session = Session(self._specs(), width=3)
+        tier = session.prepare()
+        res = session.run()
+        assert session.tier is tier
+        assert res.tier is tier.report
+
+    def test_second_run_raises(self):
+        session = Session(_spec())
+        session.run()
+        with pytest.raises(RuntimeError, match="already ran"):
+            session.run()
+
+    def test_tick_needs_a_prepared_session(self):
+        with pytest.raises(RuntimeError, match="not prepared"):
+            Session(_spec()).tick()

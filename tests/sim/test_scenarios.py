@@ -23,7 +23,6 @@ from repro.sim import (
 )
 from repro.sim.scenarios import _job
 from repro.datagen.workloads import rm1
-from repro.streaming import LiveLoop
 
 SEED = 3
 SCALE = 0.2
@@ -227,7 +226,7 @@ STREAM_CRASH_RESUME_DIGEST = (
 
 
 class TestOneDriveLoop:
-    """A streamed scenario and the closed ``LiveLoop.drive()`` run the
+    """A streamed scenario and the closed ``Session.run()`` run the
     same iteration method; the scenario runner only injects events
     between its calls."""
 
@@ -235,13 +234,13 @@ class TestOneDriveLoop:
         self, monkeypatch, stream_crash_resume
     ):
         ticks: list[bool] = []
-        real_tick = LiveLoop.tick
+        real_tick = Session.tick
 
-        def spy(loop) -> bool:
-            ticks.append(real_tick(loop))
+        def spy(session) -> bool:
+            ticks.append(real_tick(session))
             return ticks[-1]
 
-        monkeypatch.setattr(LiveLoop, "tick", spy)
+        monkeypatch.setattr(Session, "tick", spy)
         scenario, result, baseline, _ = stream_crash_resume
 
         spied = scenario.runner().run()

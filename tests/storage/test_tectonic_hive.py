@@ -135,13 +135,15 @@ class TestHiveTable:
     def test_compact_partition_merges_small_files(self):
         fs = TectonicFS()
         small = HiveTable(
-            "t", _schema(), fs, rows_per_file=8, stripe_rows=4
+            "t", _schema(), fs, rows_per_file=4096, stripe_rows=4
         )
         rows = _trace(30, seed=7)
-        small.land_partition("p", rows)
-        micro_files = len(small.partitions["p"].files)
-        assert micro_files > 1
-        small.rows_per_file = 4096
+        # The micro file size is an argument of the landing, not a
+        # table setting to flip and restore around it.
+        info = small.land_partition("p", rows, rows_per_file=8)
+        micro_files = len(info.files)
+        assert micro_files == -(-len(rows) // 8) > 1
+        assert small.rows_per_file == 4096
         merged = small.compact_partition("p")
         assert merged == micro_files - 1
         assert len(small.partitions["p"].files) == 1
