@@ -9,26 +9,35 @@ partition granularity.
 
 from __future__ import annotations
 
+import numpy as np
+
+from ..core.jagged_ops import scatter
 from ..datagen.session import Sample
 
-__all__ = ["cluster_by_session", "is_clustered"]
+__all__ = ["cluster_by_session", "cluster_order", "is_clustered"]
 
 
-def cluster_by_session(samples: list[Sample]) -> list[Sample]:
-    """Stable re-order: group rows by session, sort each by timestamp.
+def cluster_order(session_id: np.ndarray, timestamp: np.ndarray) -> np.ndarray:
+    """The permutation that groups rows by session and sorts each
+    session by timestamp (stable: ties keep their input order).
 
     Sessions appear in order of their earliest timestamp so the clustered
     partition still reads roughly chronologically (fresh partitions land
     hourly; intra-hour session order is irrelevant to training).
     """
-    first_ts: dict[int, float] = {}
-    for s in samples:
-        cur = first_ts.get(s.session_id)
-        if cur is None or s.timestamp < cur:
-            first_ts[s.session_id] = s.timestamp
-    return sorted(
-        samples, key=lambda s: (first_ts[s.session_id], s.session_id, s.timestamp)
+    sessions, inverse = np.unique(session_id, return_inverse=True)
+    first_ts = np.full(sessions.size, np.inf)
+    scatter(np.minimum, first_ts, inverse, timestamp)
+    return np.lexsort((timestamp, session_id, first_ts[inverse]))
+
+
+def cluster_by_session(samples: list[Sample]) -> list[Sample]:
+    """:func:`cluster_order` applied to a list of rows."""
+    order = cluster_order(
+        np.array([s.session_id for s in samples], dtype=np.int64),
+        np.array([s.timestamp for s in samples], dtype=np.float64),
     )
+    return [samples[i] for i in order.tolist()]
 
 
 def is_clustered(samples: list[Sample]) -> bool:

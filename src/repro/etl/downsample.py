@@ -5,6 +5,9 @@ baseline drops *per sample*, which leaves S (samples/session) unchanged.
 RecD proposes dropping *per session* instead: the same retained volume
 concentrates into fewer, complete sessions, raising S and with it every
 DedupeFactor — without affecting model accuracy.
+
+Each policy is a keep-mask over rows (:func:`keep_samples`,
+:func:`keep_sessions`); the row-list helpers apply the same masks.
 """
 
 from __future__ import annotations
@@ -13,35 +16,56 @@ import numpy as np
 
 from ..datagen.session import Sample
 
-__all__ = ["downsample_per_sample", "downsample_per_session", "samples_per_session"]
+__all__ = [
+    "downsample_per_sample",
+    "downsample_per_session",
+    "keep_samples",
+    "keep_sessions",
+    "samples_per_session",
+]
+
+
+def _rng(keep_rate: float, seed: int) -> np.random.Generator:
+    if not 0.0 <= keep_rate <= 1.0:
+        raise ValueError("keep_rate must be in [0, 1]")
+    return np.random.default_rng(seed)
+
+
+def keep_samples(num_rows: int, keep_rate: float, seed: int = 0) -> np.ndarray:
+    """Baseline: keep each row independently with ``keep_rate``."""
+    return _rng(keep_rate, seed).random(num_rows) < keep_rate
+
+
+def keep_sessions(
+    session_id: np.ndarray, keep_rate: float, seed: int = 0
+) -> np.ndarray:
+    """RecD: keep or drop whole sessions with ``keep_rate``.
+
+    Retains roughly the same expected row volume as the per-sample
+    policy but preserves S within kept sessions.
+    """
+    sessions, inverse = np.unique(session_id, return_inverse=True)
+    return (_rng(keep_rate, seed).random(sessions.size) < keep_rate)[inverse]
 
 
 def downsample_per_sample(
     samples: list[Sample], keep_rate: float, seed: int = 0
 ) -> list[Sample]:
-    """Baseline: keep each sample independently with ``keep_rate``."""
-    if not 0.0 <= keep_rate <= 1.0:
-        raise ValueError("keep_rate must be in [0, 1]")
-    rng = np.random.default_rng(seed)
-    keep = rng.random(len(samples)) < keep_rate
+    """:func:`keep_samples` applied to a list of rows."""
+    keep = keep_samples(len(samples), keep_rate, seed)
     return [s for s, k in zip(samples, keep) if k]
 
 
 def downsample_per_session(
     samples: list[Sample], keep_rate: float, seed: int = 0
 ) -> list[Sample]:
-    """RecD: keep or drop whole sessions with ``keep_rate``.
-
-    Retains roughly the same expected sample volume as the per-sample
-    policy but preserves S within kept sessions.
-    """
-    if not 0.0 <= keep_rate <= 1.0:
-        raise ValueError("keep_rate must be in [0, 1]")
-    rng = np.random.default_rng(seed)
-    session_ids = sorted({s.session_id for s in samples})
-    keep_mask = rng.random(len(session_ids)) < keep_rate
-    kept = {sid for sid, k in zip(session_ids, keep_mask) if k}
-    return [s for s in samples if s.session_id in kept]
+    """:func:`keep_sessions` applied to a list of rows."""
+    keep = keep_sessions(
+        np.array([s.session_id for s in samples], dtype=np.int64),
+        keep_rate,
+        seed,
+    )
+    return [s for s, k in zip(samples, keep) if k]
 
 
 def samples_per_session(samples: list[Sample]) -> float:

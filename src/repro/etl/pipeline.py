@@ -10,12 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..datagen.session import Sample
+import numpy as np
+
 from ..scribe.bus import ScribeCluster
-from ..scribe.message import EventLogRecord, FeatureLogRecord
-from .cluster import cluster_by_session
-from .downsample import downsample_per_sample, downsample_per_session
-from .join import join_logs
+from ..scribe.message import EventLogRecord, FeatureLogRecord, parse_payloads
+from ..storage.rowblock import RowBlock
+from .cluster import cluster_order
+from .downsample import keep_samples, keep_sessions
+from .join import join_rows, records_as_columns
 
 __all__ = ["ETLConfig", "ETLJob", "ETLResult"]
 
@@ -37,17 +39,65 @@ class ETLConfig:
 class ETLResult:
     """The landed row set plus ingest accounting."""
 
-    samples: list[Sample]
+    #: the rows as columns; ``len``, slicing, ``samples[i]`` and
+    #: iteration (lazy :class:`~repro.datagen.session.Sample` rows) work
+    #: as on a list
+    samples: RowBlock
     ingest_bytes: int
     joined_rows: int
     dropped_rows: int
 
 
 class ETLJob:
-    """One landing job for one (hourly) partition."""
+    """One landing job for one (hourly) partition.
+
+    The messages become columns once (:func:`~repro.scribe.message.
+    parse_payloads`); sort, join, downsampling and ``CLUSTER BY`` then
+    only ever re-index — each narrows or permutes one array of feature
+    row numbers — and a single :meth:`RowBlock.take
+    <repro.storage.rowblock.RowBlock.take>` moves the values.
+    """
 
     def __init__(self, config: ETLConfig | None = None):
         self.config = config or ETLConfig()
+
+    def _land(
+        self,
+        features: RowBlock,
+        events: np.ndarray,
+        rows: np.ndarray,
+        ingest_bytes: int,
+    ) -> ETLResult:
+        """Join the feature ``rows`` (given in output order) to their
+        events, then downsample and cluster as configured."""
+        rows, labels = join_rows(features, events, rows)
+        joined = rows.size
+        cfg = self.config
+        if cfg.keep_rate < 1.0:
+            if cfg.downsample_by == "session":
+                keep = keep_sessions(
+                    features.session_id[rows], cfg.keep_rate, cfg.seed
+                )
+            elif cfg.downsample_by == "sample":
+                keep = keep_samples(joined, cfg.keep_rate, cfg.seed)
+            else:
+                raise ValueError(
+                    f"unknown downsample_by: {cfg.downsample_by!r}"
+                )
+            rows, labels = rows[keep], labels[keep]
+        if cfg.cluster:
+            order = cluster_order(
+                features.session_id[rows], features.timestamp[rows]
+            )
+            rows, labels = rows[order], labels[order]
+        samples = features.take(rows)
+        samples.label = labels
+        return ETLResult(
+            samples=samples,
+            ingest_bytes=ingest_bytes,
+            joined_rows=joined,
+            dropped_rows=joined - rows.size,
+        )
 
     def run_from_records(
         self,
@@ -55,46 +105,22 @@ class ETLJob:
         events: list[EventLogRecord],
         ingest_bytes: int = 0,
     ) -> ETLResult:
-        samples = join_logs(features, events)
-        joined = len(samples)
-        cfg = self.config
-        if cfg.keep_rate < 1.0:
-            if cfg.downsample_by == "session":
-                samples = downsample_per_session(samples, cfg.keep_rate, cfg.seed)
-            elif cfg.downsample_by == "sample":
-                samples = downsample_per_sample(samples, cfg.keep_rate, cfg.seed)
-            else:
-                raise ValueError(
-                    f"unknown downsample_by: {cfg.downsample_by!r}"
-                )
-        if cfg.cluster:
-            samples = cluster_by_session(samples)
-        return ETLResult(
-            samples=samples,
-            ingest_bytes=ingest_bytes,
-            joined_rows=joined,
-            dropped_rows=joined - len(samples),
+        """Land record objects; output order follows ``features``."""
+        block, event_columns = records_as_columns(features, events)
+        return self._land(
+            block, event_columns, np.arange(len(block)), ingest_bytes
         )
 
     def run_from_payloads(
         self, payloads: list[bytes], ingest_bytes: int
     ) -> ETLResult:
-        """Land one batch of raw Scribe messages, both categories mixed.
-
-        Messages are length-discriminated: event records have a fixed
-        32-byte frame; anything longer is a feature record.
-        """
-        features: list[FeatureLogRecord] = []
-        events: list[EventLogRecord] = []
-        event_size = EventLogRecord._FMT.size
-        for payload in payloads:
-            if len(payload) == event_size:
-                events.append(EventLogRecord.deserialize(payload))
-            else:
-                features.append(FeatureLogRecord.deserialize(payload))
+        """Land one batch of raw Scribe messages, both categories mixed
+        (length-discriminated, see :func:`~repro.scribe.message.
+        parse_payloads`)."""
+        features, events = parse_payloads(payloads)
         # Restore inference-time order: Scribe shard order is arbitrary.
-        features.sort(key=lambda r: (r.timestamp, r.request_id))
-        return self.run_from_records(features, events, ingest_bytes)
+        by_time = np.lexsort((features.sample_id, features.timestamp))
+        return self._land(features, events, by_time, ingest_bytes)
 
     def run_from_scribe(self, cluster: ScribeCluster) -> ETLResult:
         """Ingest everything on a Scribe cluster and land it."""

@@ -32,7 +32,6 @@ import time
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
-from ..datagen.session import Sample
 from ..distributed.costmodel import sim_cluster
 from ..distributed.trainer import DistributedTrainer, TrainingReport
 from ..metrics.overlap import OverlapReport
@@ -43,6 +42,7 @@ from ..reader.node import ReaderReport
 from ..reader.tier_scheduler import SharedReaderTier, TierJob
 from ..scribe.bus import ScribeStats
 from ..storage.hive import HiveTable, PartitionInfo
+from ..storage.rowblock import RowBlock
 from ..streaming.lander import Lander, plan_windows
 from ..trainer.checkpoint import ModelStore
 from ..trainer.model import DLRM, DLRMConfig
@@ -171,7 +171,7 @@ def _rollup_partitions(partitions: list[PartitionInfo]) -> PartitionInfo:
 
 def land_table(
     job: JobSpec,
-) -> tuple[HiveTable, ScribeStats, int, list[PartitionInfo], list[Sample]]:
+) -> tuple[HiveTable, ScribeStats, int, list[PartitionInfo], RowBlock]:
     """Stages 1–4: generate, transport, join, land.
 
     The joined rows land as ``num_partitions`` time partitions
@@ -184,7 +184,9 @@ def land_table(
 
     Returns:
         ``(table, scribe_stats, etl_ingest_bytes, partitions, samples)``
-        — the landed table, transport stats, and the joined row list.
+        — the landed table, transport stats, and the joined rows as a
+        :class:`~repro.storage.rowblock.RowBlock` (``len``, slicing and
+        lazy row iteration, like the list it replaced).
     """
     lander = Lander(job)
     lander.land_all()

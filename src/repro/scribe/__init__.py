@@ -1,7 +1,12 @@
 """Scribe substrate: sharded, buffered, compressing log transport (O1)."""
 
 from .bus import DEFAULT_BLOCK_BYTES, ScribeCluster, ScribeShard, ScribeStats
-from .message import EventLogRecord, FeatureLogRecord, split_sample
+from .message import (
+    EventLogRecord,
+    FeatureLogRecord,
+    parse_payloads,
+    split_sample,
+)
 from .sharding import ShardKeyPolicy, consistent_hash, route
 
 __all__ = [
@@ -12,6 +17,7 @@ __all__ = [
     "FeatureLogRecord",
     "EventLogRecord",
     "split_sample",
+    "parse_payloads",
     "ShardKeyPolicy",
     "consistent_hash",
     "route",

@@ -125,32 +125,34 @@ class ScribeShard:
             raise ValueError(
                 f"shard {self.shard_id} is empty: nothing to drain"
             )
-        out: list[bytes] = []
-        for block in self._blocks[self._drained :]:
-            out.extend(self._decode_block(block))
+        out = self._decode_blocks(self._drained)
         self._drained = len(self._blocks)
         return out
 
-    @staticmethod
-    def _decode_block(block: bytes) -> list[bytes]:
-        """One compressed block back into its framed messages."""
-        raw = zlib.decompress(block)
+    def _decode_blocks(self, first: int) -> list[bytes]:
+        """Sealed blocks ``first`` onward back into their framed
+        messages; a frame that runs past its block is a ``ValueError``
+        naming shard, block and byte offset, never a shortened message.
+        """
         out: list[bytes] = []
-        pos = 0
-        while pos < len(raw):
-            size = int.from_bytes(raw[pos : pos + 4], "little")
-            pos += 4
-            out.append(raw[pos : pos + size])
-            pos += size
+        for index in range(first, len(self._blocks)):
+            raw = zlib.decompress(self._blocks[index])
+            pos = 0
+            while pos < len(raw):
+                stop = pos + 4 + int.from_bytes(raw[pos : pos + 4], "little")
+                if pos + 4 > len(raw) or stop > len(raw):
+                    raise ValueError(
+                        f"shard {self.shard_id}: block {index}: frame at "
+                        f"byte {pos} runs past the block's {len(raw)} bytes"
+                    )
+                out.append(raw[pos + 4 : stop])
+                pos = stop
         return out
 
     def read_messages(self) -> list[bytes]:
         """Decompress all sealed blocks back into messages (ETL ingest)."""
         self.flush()
-        out: list[bytes] = []
-        for block in self._blocks:
-            out.extend(self._decode_block(block))
-        return out
+        return self._decode_blocks(0)
 
     @property
     def egress_bytes(self) -> int:

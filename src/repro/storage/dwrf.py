@@ -24,7 +24,9 @@ where ``blob`` is a framed, compressed byte string
 from __future__ import annotations
 
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import pairwise
 
 import numpy as np
 
@@ -32,7 +34,7 @@ from ..core.jagged import offsets_from_lengths
 from ..datagen.schema import DatasetSchema
 from ..datagen.session import Sample
 from .compression import Codec, compress, decompress
-from .encoding import IntEncoding, decode_int64, encode_int64
+from .encoding import IntEncoding, decode_int64, encode_int64_chunks
 from .rowblock import RowBlock
 
 __all__ = ["DwrfWriter", "DwrfReader", "StripeStats", "FileStats"]
@@ -99,7 +101,7 @@ def _encode_stream(
 
 
 class DwrfWriter:
-    """Serializes sample rows into a DWRF-like byte blob."""
+    """Serializes a block of rows into a DWRF-like byte blob."""
 
     def __init__(
         self,
@@ -115,70 +117,86 @@ class DwrfWriter:
         self.codec = codec
         self.int_encoding = int_encoding
 
-    def write(self, samples: list[Sample]) -> tuple[bytes, FileStats]:
+    def write(
+        self, rows: RowBlock | Sequence[Sample]
+    ) -> tuple[bytes, FileStats]:
         """Serialize the rows into one file blob, ``stripe_rows`` rows
-        per stripe; returns the blob and its per-stripe accounting."""
-        stats = FileStats()
-        stripes: list[bytes] = []
-        for start in range(0, len(samples), self.stripe_rows):
-            chunk = samples[start : start + self.stripe_rows]
-            stripe, sstat = self._write_stripe(chunk)
-            stripes.append(stripe)
-            stats.stripes.append(sstat)
-        header = _FILE_HEADER.pack(MAGIC, 1, len(stripes))
-        return header + b"".join(stripes), stats
+        per stripe; returns the blob and its per-stripe accounting.
 
-    def _write_stripe(self, rows: list[Sample]) -> tuple[bytes, StripeStats]:
-        streams: list[bytes] = []
-        sstat = StripeStats(num_rows=len(rows))
-
-        def add_int(name: str, values: np.ndarray) -> None:
-            payload = encode_int64(values, self.int_encoding)
-            data, raw, comp = _encode_stream(
-                name, payload, self.int_encoding, values.size, self.codec
+        The rows move as columns: each schema column is encoded once
+        for the file and cut at the stripe boundaries
+        (:func:`~repro.storage.encoding.encode_int64_chunks`).  A
+        sequence of :class:`Sample` rows is columnarised once, here; a
+        schema feature the block does not carry is written as absent
+        (empty lists / ``0.0``).
+        """
+        schema = self.schema
+        if isinstance(rows, RowBlock):
+            block = rows
+        else:
+            block = RowBlock.from_samples(
+                rows,
+                [s.name for s in schema.sparse],
+                [d.name for d in schema.dense],
             )
-            streams.append(data)
-            sstat.raw_bytes += raw
-            sstat.compressed_bytes += comp
+        n = len(block)
+        bounds = np.minimum(
+            np.arange(0, n + self.stripe_rows, self.stripe_rows), n
+        )
+        rows_per_stripe = np.diff(bounds)
+        #: per stream: name, encoding, per-stripe value counts + payloads
+        streams: list[tuple[str, IntEncoding, list[int], list[bytes]]] = []
+
+        def add_int(name: str, values: np.ndarray, cuts=bounds) -> None:
+            payloads = encode_int64_chunks(values, cuts, self.int_encoding)
+            streams.append(
+                (name, self.int_encoding, np.diff(cuts).tolist(), payloads)
+            )
 
         def add_float(name: str, values: np.ndarray) -> None:
-            payload = np.ascontiguousarray(values, dtype=np.float64).tobytes()
-            data, raw, comp = _encode_stream(
-                name, payload, IntEncoding.PLAIN, values.size, self.codec
+            raw = np.ascontiguousarray(values, dtype=np.float64).tobytes()
+            payloads = [raw[a:b] for a, b in pairwise((8 * bounds).tolist())]
+            streams.append(
+                (name, IntEncoding.PLAIN, rows_per_stripe.tolist(), payloads)
             )
-            streams.append(data)
-            sstat.raw_bytes += raw
-            sstat.compressed_bytes += comp
 
-        add_int(_SESSION, np.array([r.session_id for r in rows], dtype=np.int64))
-        add_float(_TIMESTAMP, np.array([r.timestamp for r in rows]))
-        add_int(_LABEL, np.array([r.label for r in rows], dtype=np.int64))
-        add_int(_SAMPLE_ID, np.array([r.sample_id for r in rows], dtype=np.int64))
-        for spec in self.schema.sparse:
-            lists = [
-                np.asarray(r.sparse.get(spec.name, ()), dtype=np.int64)
-                for r in rows
-            ]
-            lengths = np.array([a.size for a in lists], dtype=np.int64)
-            values = (
-                np.concatenate(lists)
-                if lists and lengths.sum() > 0
-                else np.empty(0, dtype=np.int64)
-            )
-            add_int(f"s:{spec.name}:len", lengths)
-            add_int(f"s:{spec.name}:val", values)
-        for dspec in self.schema.dense:
+        add_int(_SESSION, block.session_id)
+        add_float(_TIMESTAMP, block.timestamp)
+        add_int(_LABEL, block.label)
+        add_int(_SAMPLE_ID, block.sample_id)
+        absent = (np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64))
+        for spec in schema.sparse:
+            offsets, values = block.sparse.get(spec.name, absent)
+            add_int(f"s:{spec.name}:len", np.diff(offsets))
+            add_int(f"s:{spec.name}:val", values, offsets[bounds])
+        for dspec in schema.dense:
             add_float(
-                f"d:{dspec.name}",
-                np.array([r.dense.get(dspec.name, 0.0) for r in rows]),
+                f"d:{dspec.name}", block.dense.get(dspec.name, np.zeros(n))
             )
 
-        body = b"".join(streams)
-        # byte_len counts the stripe header itself
-        header = _STRIPE_HEADER.pack(
-            _STRIPE_HEADER.size + len(body), len(rows), len(streams)
-        )
-        return header + body, sstat
+        stats = FileStats()
+        parts = [_FILE_HEADER.pack(MAGIC, 1, rows_per_stripe.size)]
+        for j, num_rows in enumerate(rows_per_stripe.tolist()):
+            sstat = StripeStats(num_rows=num_rows)
+            body: list[bytes] = []
+            for name, encoding, counts, payloads in streams:
+                data, raw, comp = _encode_stream(
+                    name, payloads[j], encoding, counts[j], self.codec
+                )
+                body.append(data)
+                sstat.raw_bytes += raw
+                sstat.compressed_bytes += comp
+            # byte_len counts the stripe header itself
+            parts.append(
+                _STRIPE_HEADER.pack(
+                    _STRIPE_HEADER.size + sum(map(len, body)),
+                    num_rows,
+                    len(streams),
+                )
+            )
+            parts += body
+            stats.stripes.append(sstat)
+        return b"".join(parts), stats
 
 
 class DwrfReader:

@@ -21,12 +21,15 @@ from __future__ import annotations
 
 import enum
 import struct
+from collections.abc import Sequence
+from itertools import pairwise
 
 import numpy as np
 
 __all__ = [
     "IntEncoding",
     "encode_int64",
+    "encode_int64_chunks",
     "decode_int64",
     "zigzag",
     "unzigzag",
@@ -51,72 +54,74 @@ def zigzag(values: np.ndarray) -> np.ndarray:
 
 def unzigzag(values: np.ndarray) -> np.ndarray:
     """Exact inverse of :func:`zigzag`."""
-    v = values.astype(np.uint64)
-    return ((v >> np.uint64(1)) ^ (~(v & np.uint64(1)) + np.uint64(1))).astype(
-        np.int64
+    v = values.astype(np.uint64, copy=False)
+    # the low bit is the sign: XOR with 0 or all-ones (its two's negation)
+    return ((v >> np.uint64(1)) ^ np.negative(v & np.uint64(1))).view(np.int64)
+
+
+#: a zigzagged value below ``_VARINT_STEPS[k]`` fits in ``k + 1`` bytes
+_VARINT_STEPS = np.array([1 << (7 * k) for k in range(1, 10)], dtype=np.uint64)
+#: bit position of each of a value's (at most 10) 7-bit groups
+_GROUP_SHIFTS = (7 * np.arange(10)).astype(np.uint64)
+_GROUP_RANKS = np.arange(10, dtype=np.uint8)
+
+
+def _varint_pack(values: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """LEB128 over zigzag — 7 bits per byte, high bit = continuation —
+    in a fixed number of array passes.
+
+    Returns the stream and each value's byte offset in it (``N + 1``
+    entries), so a caller can cut the stream between any two values.
+    """
+    u = zigzag(values)
+    if u.size == 0:
+        return b"", np.zeros(1, dtype=np.int64)
+    top = u.max()
+    if top < 0x80:  # every value is its own byte: most ``:len`` streams
+        return u.astype(np.uint8).tobytes(), np.arange(u.size + 1)
+    nbytes = (np.searchsorted(_VARINT_STEPS, u, side="right") + 1).astype(
+        np.uint8
     )
+    width = int(np.searchsorted(_VARINT_STEPS, top, side="right")) + 1
+    # one row of 7-bit groups per value; row-major selection of each
+    # row's first ``nbytes`` groups is the stream order
+    groups = (u[:, None] >> _GROUP_SHIFTS[:width]).astype(np.uint8)
+    out = groups[_GROUP_RANKS[:width] < nbytes[:, None]]
+    offsets = np.zeros(u.size + 1, dtype=np.int64)
+    np.cumsum(nbytes, out=offsets[1:])
+    out |= 0x80
+    out[offsets[1:] - 1] &= 0x7F
+    return out.tobytes(), offsets
 
 
 def _varint_encode(values: np.ndarray) -> bytes:
-    """Vectorized LEB128: emit 7 bits per byte, high bit = continuation."""
-    u = zigzag(values)
-    if u.size == 0:
-        return b""
-    # max 10 bytes per int64; build columns of byte planes then compact.
-    planes = []
-    remaining = u.copy()
-    more = np.ones(u.shape, dtype=bool)
-    for _ in range(10):
-        byte = (remaining & np.uint64(0x7F)).astype(np.uint8)
-        remaining = remaining >> np.uint64(7)
-        cont = remaining != 0
-        byte = byte | (cont.astype(np.uint8) << np.uint8(7))
-        byte = np.where(more, byte, np.uint8(0))
-        planes.append((byte, more.copy()))
-        more = more & cont
-        if not more.any():
-            break
-    # interleave: for each value, its valid plane bytes in order
-    nbytes_per_val = np.zeros(u.shape, dtype=np.int64)
-    for _, valid in planes:
-        nbytes_per_val += valid
-    total = int(nbytes_per_val.sum())
-    out = np.empty(total, dtype=np.uint8)
-    # position of each value's first byte
-    starts = np.zeros(u.shape, dtype=np.int64)
-    np.cumsum(nbytes_per_val[:-1], out=starts[1:])
-    for plane_idx, (byte, valid) in enumerate(planes):
-        pos = starts[valid] + plane_idx
-        out[pos] = byte[valid]
-    return out.tobytes()
+    return _varint_pack(values)[0]
 
 
 def _varint_decode(data: bytes, count: int) -> np.ndarray:
     buf = np.frombuffer(data, dtype=np.uint8)
-    values = np.zeros(count, dtype=np.uint64)
-    # byte index cursor per value, decoded sequentially over planes
-    is_cont = (buf & 0x80) != 0
-    if buf.size and is_cont[-1]:
+    if buf.size == count and (count == 0 or buf.max() < 0x80):
+        return unzigzag(buf)  # every byte is a whole value
+    if buf.size and buf[-1] >= 0x80:
         raise ValueError("varint stream is truncated inside its last value")
-    # value boundaries: a value ends at the first byte with cont bit clear
-    ends = np.flatnonzero(~is_cont)
+    # a value ends at the first byte with the continuation bit clear
+    ends = np.flatnonzero(buf < 0x80)
     if ends.size != count:
         raise ValueError(
             f"varint stream holds {ends.size} values, expected {count}"
         )
-    starts = np.concatenate([[0], ends[:-1] + 1])
-    payload = (buf & 0x7F).astype(np.uint64)
-    nbytes_per_val = ends - starts + 1
+    starts = np.zeros(count, dtype=np.int64)
+    starts[1:] = ends[:-1] + 1
+    nbytes = ends - starts + 1
     # an int64 needs at most 10 groups of 7 bits; past that the shift
     # below is undefined
-    longest = int(nbytes_per_val.max(initial=0))
-    if longest > 10:
+    if int(nbytes.max()) > 10:
         raise ValueError("varint stream holds a value longer than 10 bytes")
-    # accumulate one byte-plane at a time (<= 10 vectorized passes)
-    for plane in range(longest):
-        mask = nbytes_per_val > plane
-        values[mask] |= payload[starts[mask] + plane] << np.uint64(7 * plane)
-    return unzigzag(values)
+    # shift every byte's 7 bits to its rank within its value, then sum
+    # each value's bytes (disjoint bits, so the sum is the OR)
+    rank = np.arange(buf.size) - np.repeat(starts, nbytes)
+    groups = (buf & 0x7F).astype(np.uint64) << (7 * rank).astype(np.uint64)
+    return unzigzag(np.add.reduceat(groups, starts))
 
 
 def _rle_encode(values: np.ndarray) -> bytes:
@@ -176,16 +181,34 @@ def _dict_decode(data: bytes, count: int) -> np.ndarray:
 
 def encode_int64(values: np.ndarray, encoding: IntEncoding) -> bytes:
     """Encode an int64 array as the given stream encoding's bytes."""
+    return encode_int64_chunks(values, (0, len(values)), encoding)[0]
+
+
+def encode_int64_chunks(
+    values: np.ndarray, bounds: Sequence[int], encoding: IntEncoding
+) -> list[bytes]:
+    """``encode_int64(values[a:b])`` for each consecutive ``a, b`` of
+    ``bounds`` (how a file's column becomes its per-stripe streams).
+
+    PLAIN and VARINT encode every value on its own, so the column is
+    encoded once and the byte string cut between values; RLE and DICT
+    carry chunk-local state (runs, the dictionary) and encode chunk by
+    chunk.
+    """
     values = np.ascontiguousarray(values, dtype=np.int64)
+    bounds = np.asarray(bounds, dtype=np.int64)
     if encoding is IntEncoding.PLAIN:
-        return values.tobytes()
-    if encoding is IntEncoding.VARINT:
-        return _varint_encode(values)
-    if encoding is IntEncoding.RLE:
-        return _rle_encode(values)
-    if encoding is IntEncoding.DICT:
-        return _dict_encode(values)
-    raise ValueError(f"unknown encoding {encoding}")
+        data, cuts = values.tobytes(), 8 * bounds
+    elif encoding is IntEncoding.VARINT:
+        data, offsets = _varint_pack(values)
+        cuts = offsets[bounds]
+    elif encoding is IntEncoding.RLE:
+        return [_rle_encode(values[a:b]) for a, b in pairwise(bounds)]
+    elif encoding is IntEncoding.DICT:
+        return [_dict_encode(values[a:b]) for a, b in pairwise(bounds)]
+    else:
+        raise ValueError(f"unknown encoding {encoding}")
+    return [data[a:b] for a, b in pairwise(cuts.tolist())]
 
 
 def decode_int64(

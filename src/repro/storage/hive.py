@@ -8,6 +8,7 @@ order the ETL job handed it.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from ..datagen.schema import DatasetSchema
@@ -15,6 +16,7 @@ from ..datagen.session import Sample
 from .compression import Codec
 from .dwrf import DwrfReader, DwrfWriter
 from .encoding import IntEncoding
+from .rowblock import RowBlock
 from .tectonic import TectonicFS
 
 __all__ = ["HiveTable", "PartitionInfo"]
@@ -69,12 +71,13 @@ class HiveTable:
     def land_partition(
         self,
         partition: str,
-        samples: list[Sample],
+        samples: RowBlock | Sequence[Sample],
         rows_per_file: int | None = None,
     ) -> PartitionInfo:
-        """Write one partition's rows, in the order given, as DWRF files
-        of ``rows_per_file`` rows (default: the table's own size; a
-        streaming lander passes its smaller micro-partition size)."""
+        """Write one partition's rows (a block, or a sequence of row
+        objects), in the order given, as DWRF files of ``rows_per_file``
+        rows (default: the table's own size; a streaming lander passes
+        its smaller micro-partition size)."""
         if partition in self.partitions:
             raise ValueError(f"partition {partition} already landed")
         if rows_per_file is None:
@@ -138,7 +141,11 @@ class HiveTable:
         want = max(1, -(-old.num_rows // self.rows_per_file))
         if len(old.files) <= want:
             return 0
-        rows = self.read_partition(partition)
+        rows = RowBlock.concat(
+            reader.read_stripe(i)
+            for reader in self.open_readers(partition)
+            for i in range(reader.num_stripes)
+        )
         order = list(self.partitions)
         for path in old.files:
             self.fs.delete(path)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.jagged import JaggedTensor
+from ..core.jagged_ops import gather_ranges
 from ..datagen.session import Sample
 
 __all__ = ["RowBlock"]
@@ -127,6 +128,25 @@ class RowBlock:
                 name: np.concatenate([b.dense[name] for b in blocks])
                 for name in first.dense
             },
+        )
+
+    def take(self, order: np.ndarray) -> "RowBlock":
+        """The rows at ``order`` (any permutation, subset or repetition
+        of row indices), in that order, as a block owning fresh arrays —
+        how ETL applies its sort, join, downsample and ``CLUSTER BY`` as
+        one gather per column."""
+        order = np.asarray(order, dtype=np.int64)
+        sparse = {}
+        for name, (offsets, values) in self.sparse.items():
+            taken, cut = gather_ranges(values, offsets, order)
+            sparse[name] = (cut, taken)
+        return RowBlock(
+            sample_id=self.sample_id[order],
+            session_id=self.session_id[order],
+            timestamp=self.timestamp[order],
+            label=self.label[order],
+            sparse=sparse,
+            dense={name: col[order] for name, col in self.dense.items()},
         )
 
     # -- container protocol -----------------------------------------------

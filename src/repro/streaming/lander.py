@@ -43,6 +43,7 @@ from ..scribe.bus import ScribeCluster
 from ..scribe.message import split_sample
 from ..scribe.sharding import ShardKeyPolicy
 from ..storage.hive import HiveTable, PartitionInfo
+from ..storage.rowblock import RowBlock
 from ..storage.tectonic import TectonicFS
 
 __all__ = ["Lander", "partition_slices", "plan_windows"]
@@ -136,9 +137,13 @@ class Lander:
         table: the job's :class:`~repro.storage.hive.HiveTable`
             (empty until the first landing).
         samples: the rows partitions are cut from — the ETL output of
-            a static job, the re-stamped trace in event-time order of
-            a streamed one (the row count ground truth for admission
-            validation either way).
+            a static job (a :class:`~repro.storage.rowblock.RowBlock`:
+            no row object exists between the scribe drain and the
+            landed files), the re-stamped trace in event-time order of
+            a streamed one (a list of generated rows, still to be
+            logged).  ``len`` and slicing work on both, and the length
+            is the row count ground truth for admission validation
+            either way.
         scribe: the lander's transport cluster; a streamed job's
             ``stats`` accrue tick by tick.
         partitions: every landed
@@ -190,7 +195,7 @@ class Lander:
         self.ingest_bytes = 0
         self._landed = 0
         if self.stream is None:
-            self.samples: list[Sample] = self._transport(trace)
+            self.samples: RowBlock | list[Sample] = self._transport(trace)
             self.slices = partition_slices(
                 len(self.samples), d.num_partitions
             )
@@ -307,7 +312,7 @@ class Lander:
         bit for bit."""
         return self.land_through(len(self.slices) - 1)
 
-    def _transport(self, rows: list[Sample]) -> list[Sample]:
+    def _transport(self, rows: list[Sample]) -> RowBlock:
         """One tick's rows through scribe and the ETL join: log to the
         cluster, :meth:`~repro.scribe.bus.ScribeCluster.seal` the tick
         boundary, drain the sealed blocks, and join them

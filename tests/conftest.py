@@ -117,3 +117,27 @@ def landed_table():
 def rm1_half():
     """The workload most pipeline tests run: RM1 at half scale."""
     return rm1(scale=0.5)
+
+
+@pytest.fixture
+def count_constructions(monkeypatch):
+    """``count_constructions(cls, ...)`` spies on each class's
+    ``__init__`` and returns a one-element list holding how many
+    instances have been built since — the "no row object on the hot
+    path" probe."""
+
+    def install(*classes):
+        built = [0]
+
+        def counting(init):
+            def spy(self, *args, **kwargs):
+                built[0] += 1
+                init(self, *args, **kwargs)
+
+            return spy
+
+        for cls in classes:
+            monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
+        return built
+
+    return install

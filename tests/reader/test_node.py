@@ -285,19 +285,14 @@ class TestColumnarReadPath:
         assert ids.tolist() == want[17 : 17 + ids.size]
 
     @pytest.mark.parametrize("dedup", [False, True])
-    def test_run_all_builds_no_sample(self, window_table, monkeypatch, dedup):
+    def test_run_all_builds_no_sample(
+        self, window_table, count_constructions, dedup
+    ):
         readers = window_table.open_readers("p")
-        built = []
-        init = Sample.__init__
-
-        def spy(self, *args, **kwargs):
-            built.append(1)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(Sample, "__init__", spy)
+        built = count_constructions(Sample)
         batches = ReaderNode(_window_config(dedup)).run_all(readers)
         assert len(batches) == 643 // 40
-        assert built == []
+        assert built == [0]
 
     def test_batches_cut_from_one_stripe_own_their_memory(self):
         """Two 20-row batches out of one 48-row stripe: no array of one

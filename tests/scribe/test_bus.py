@@ -1,5 +1,7 @@
 """Tests for Scribe sharding and compression accounting (O1)."""
 
+import zlib
+
 import pytest
 
 from repro.datagen import (
@@ -118,6 +120,46 @@ class TestScribeShard:
         shard.drain()
         with pytest.raises(ValueError, match="is empty: nothing to drain"):
             shard.drain()
+
+
+class TestTruncatedFrames:
+    """A frame whose length prefix runs past its block must fail, not
+    hand ETL a shortened message."""
+
+    def _shard_with_blocks(self, *raws: bytes) -> ScribeShard:
+        shard = ScribeShard(5)
+        shard._blocks = [zlib.compress(raw) for raw in raws]
+        return shard
+
+    @staticmethod
+    def _frame(message: bytes) -> bytes:
+        return len(message).to_bytes(4, "little") + message
+
+    def test_length_past_the_block_end(self):
+        good = self._frame(b"whole")
+        cut = self._frame(b"a message that was cut")[:-6]
+        shard = self._shard_with_blocks(good, good + cut)
+        with pytest.raises(ValueError) as err:
+            shard.read_messages()
+        assert str(err.value) == (
+            "shard 5: block 1: frame at byte 9 runs past the block's "
+            f"{len(good + cut)} bytes"
+        )
+        with pytest.raises(ValueError, match="shard 5: block 1: frame at byte 9"):
+            shard.drain()
+
+    @pytest.mark.parametrize("tail", [1, 2, 3])
+    def test_partial_length_prefix(self, tail):
+        good = self._frame(b"whole")
+        shard = self._shard_with_blocks(good + b"\x01\x00\x00"[:tail])
+        with pytest.raises(
+            ValueError, match=r"shard 5: block 0: frame at byte 9 runs past"
+        ):
+            shard.read_messages()
+
+    def test_whole_frames_and_empty_messages_still_decode(self):
+        raw = self._frame(b"") + self._frame(b"x") + self._frame(b"")
+        assert self._shard_with_blocks(raw).read_messages() == [b"", b"x", b""]
 
 
 class TestClusterSealDrain:

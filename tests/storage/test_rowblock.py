@@ -159,6 +159,49 @@ def test_integer_index_materializes_that_row(drawn, data):
         )
 
 
+@given(_rows(), st.data())
+def test_take_equals_from_samples_of_the_picked_rows(drawn, data):
+    """``take`` is the row-list comprehension, for any index list:
+    permutations, subsets, repeats, reversed, empty."""
+    rows, sparse_keys, dense_keys = drawn
+    block = RowBlock.from_samples(rows, sparse_keys, dense_keys)
+    picks = st.lists(st.integers(0, len(rows) - 1), max_size=20) if rows else st.just([])
+    order = data.draw(
+        st.one_of(
+            picks,
+            st.permutations(range(len(rows))),
+            st.just(list(range(len(rows)))[::-1]),
+            st.just([]),
+        )
+    )
+    taken = block.take(np.array(order, dtype=np.int64))
+    _assert_blocks_equal(
+        taken,
+        RowBlock.from_samples([rows[i] for i in order], sparse_keys, dense_keys),
+    )
+    for key in sparse_keys:  # fresh arrays, never views of the source
+        assert not np.shares_memory(taken.sparse[key][1], block.sparse[key][1])
+    # a take of a slice sees the slice's rows, not the parent's
+    lo = data.draw(st.integers(0, len(rows)))
+    part = list(range(len(rows) - lo))[::-1]
+    _assert_blocks_equal(
+        block[lo:].take(part),
+        RowBlock.from_samples(
+            [rows[lo:][i] for i in part], sparse_keys, dense_keys
+        ),
+    )
+
+
+def test_take_rejects_rows_outside_the_block():
+    block = RowBlock.from_samples(
+        [Sample(0, 0, 0.0, 1, {"a": np.array([1, 2])}, {"x": 1.0})]
+    )
+    with pytest.raises(IndexError):
+        block.take([1])
+    with pytest.raises(IndexError):
+        block.take([-1])
+
+
 def test_index_and_concat_validation():
     rows = [Sample(0, 0, 0.0, 1, {"a": np.array([1, 2])}, {"x": 1.0})]
     block = RowBlock.from_samples(rows)
