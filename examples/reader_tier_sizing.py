@@ -55,9 +55,11 @@ def main() -> None:
             f"each reader supplies {plan.reader_samples_per_s:,.0f}/s)"
         )
 
-    # run an actual sharded fleet over the RecD partitions: N workers
-    # scan disjoint row-range shards and stream batches through bounded
-    # prefetch queues, bit-identical to the serial reader's output
+    # run an actual sharded fleet over the RecD partitions: N worker
+    # processes (named explicitly — the default executor is the serial
+    # in-process one) scan disjoint row-range shards and stream batches
+    # through bounded prefetch queues, bit-identical to the serial
+    # reader's output
     recd_data = DataSpec(
         workload=w,
         toggles=RecDToggles.full(),
@@ -70,7 +72,10 @@ def main() -> None:
         results["RecD"].trainer_qps, results["RecD"].reader_qps
     )
     fleet = ReaderFleet(
-        min(plan.num_readers, 8), recd_job.dataloader_config(), prefetch_depth=2
+        min(plan.num_readers, 8),
+        recd_job.dataloader_config(),
+        prefetch_depth=2,
+        executor="process",
     )
     batches = fleet.run_epoch(table, [p.name for p in partitions])
     rep = fleet.report
@@ -86,14 +91,17 @@ def main() -> None:
     )
 
     # A/B the streaming hand-off: same batches, same losses — but only
-    # the streaming path overlaps reader decode with trainer steps, and
-    # only there does OverlapReport show who stalls whom
+    # the streaming path overlaps reader decode (in real worker
+    # processes) with trainer steps, and only there does OverlapReport
+    # show who stalls whom
     print("\nstreaming vs materialized (2 partitions x 2 epochs):")
     for label, streaming in [("streaming", True), ("materialized", False)]:
         res = Session(
             JobSpec(
                 data=recd_data,
-                reader=ReaderSpec(num_readers=4, streaming=streaming),
+                reader=ReaderSpec(
+                    num_readers=4, executor="process", streaming=streaming
+                ),
                 train=TrainSpec(train_epochs=2, train_batches=4),
             )
         ).run()

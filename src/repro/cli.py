@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
+from typing import NamedTuple
 
 from .datagen import WORKLOADS
 from .experiments import (
@@ -31,109 +33,293 @@ from .experiments import (
     FIGURES,
     PROFILES,
     RunStore,
+    build_job_spec,
     expand_grid,
     get_profile,
     render_report,
     run_grid,
     run_profile,
 )
-from .pipeline import (
-    DataSpec,
-    JobSpec,
-    ReaderSpec,
-    RecDToggles,
-    RetentionSpec,
-    ScalingSpec,
-    Session,
-    StreamSpec,
-    TrainSpec,
-)
+from .pipeline import Session
+from .reader.costmodel import TRANSPORT_MODES
+from .reader.fleet import EXECUTORS
+from .reader.tier_scheduler import POLICIES
 from .sim import build_scenario, scenario_names
 
 __all__ = ["main", "build_parser"]
+
+_SHARED = ("multijob", "stream")
+_RUN = ("pipeline", *_SHARED)
+_ALL = (*_RUN, "simulate")
+
+
+class _Flag(NamedTuple):
+    """One knob of the run surface, declared once: the subparsers, the
+    ``--job`` mini-language and the point handed to
+    :func:`~repro.experiments.grid.build_job_spec` all derive from
+    ``_FLAGS``, so a new flag is one new row."""
+
+    #: the command-line flag (``None``: settable only by its ``--job`` key)
+    flag: str | None
+    #: the dotted point path ``build_job_spec`` reads (``None``: the
+    #: command reads the flag itself)
+    path: str | None
+    #: the key a ``--job`` spec sets it by, if it may
+    key: str | None
+    #: the non-figure subcommands that register it (a figure subcommand
+    #: registers the flags its ``Figure.flags`` names)
+    on: tuple[str, ...]
+    #: ``add_argument`` keywords
+    kwargs: dict
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
+
+
+def _flag(flag, path=None, key=None, on=_RUN, **kwargs) -> _Flag:
+    return _Flag(flag, path, key, on, kwargs)
+
+
+_FLAGS = (
+    _flag("--scale", "workload.scale", "scale", on=_ALL, type=float,
+          default=0.5, help="workload scale factor (default 0.5)"),
+    _flag("--sessions", "data.num_sessions", "sessions", on=_ALL, type=int,
+          default=200, help="sessions in the generated partition"),
+    _flag("--sessions-large", on=_ALL, type=int, default=50_000,
+          help="sessions for statistics-only experiments"),
+    _flag("--seed", "data.seed", "seed", on=_ALL, type=int, default=0),
+    _flag("--rm", "workload.rm", choices=sorted(WORKLOADS), default="RM1",
+          help="workload (of the --jobs clones when sharing)"),
+    _flag("--recd", "toggles", "recd", action="store_true",
+          help="enable all RecD optimizations (O1-O7)"),
+    _flag("--num-partitions", "data.num_partitions", "partitions",
+          type=int, default=1,
+          help="time partitions the table lands as (stream: the ticks "
+               "the trace is cut into)"),
+    _flag("--num-readers", "reader.num_readers", type=int, default=1,
+          help="reader-fleet width; under multijob/stream the width of "
+               "the pool serving every job"),
+    _flag("--prefetch-depth", "reader.prefetch_depth", type=int, default=2,
+          help="bounded prefetch per reader worker"),
+    _flag("--reader-executor", "reader.executor", choices=EXECUTORS,
+          default="inprocess",
+          help="fleet executor (the batch stream is bit-identical for "
+               "all of them): inprocess scans serially, process forks "
+               "real workers, async interleaves every shard worker "
+               "deterministically so wide fleets run fast"),
+    _flag("--transport", "reader.transport", choices=TRANSPORT_MODES,
+          default="copy",
+          help="batch transport across the worker->trainer boundary: "
+               "copy charges a modeled per-batch serialize cost, shm "
+               "models the zero-copy handoff (stream stays bit-identical)"),
+    _flag("--streaming", "reader.streaming",
+          action=argparse.BooleanOptionalAction, default=True,
+          help="stream reader batches into the trainers "
+               "(--no-streaming materializes first)"),
+    _flag("--dedup", "reader.dedup", "dedup", action="store_true",
+          help="ship session-deduplicated IKJT batches over the prefetch "
+               "queues; the trainer expands after the pooled lookup "
+               "(losses stay bit-identical, bytes-decoded shrink)"),
+    _flag("--train-epochs", "train.train_epochs", "epochs", type=int,
+          default=1, help="epochs over the landed partitions, per job"),
+    _flag("--train-batches", "train.train_batches", "batches", type=int,
+          default=2, help="per-epoch batch cap, per job"),
+    _flag(None, "train.batch_size", "batch_size", type=int),
+    _flag(None, "weight", "weight", type=float),
+    _flag("--autoscale", action="store_true",
+          help="resize the fleet between epochs from the modeled overlap "
+               "(multijob/stream: the pool between rounds from the "
+               "aggregate stall); --num-readers sets the initial width"),
+    _flag("--target-stall", "scaling.target_stall", type=float,
+          default=0.10,
+          help="autoscaler target band: grow while the reader-stall "
+               "fraction exceeds this"),
+    _flag("--max-readers", "scaling.max_readers", type=int, default=32,
+          help="autoscaler upper bound on the width"),
+    _flag("--retain-partitions", "retention.window", "retain", type=int,
+          default=None,
+          help="rolling-window retention: keep at most this many "
+               "partitions live; between epochs the next partition lands "
+               "and the oldest is dropped"),
+    _flag("--stream-interval", "stream.interval_seconds", on=("stream",),
+          type=float, default=60.0,
+          help="modeled seconds between micro-partition sealing ticks"),
+    _flag("--land-latency", "stream.land_latency_seconds", on=("stream",),
+          type=float, default=5.0,
+          help="modeled scribe->ETL->Hive landing latency after each "
+               "tick seals"),
+    _flag("--stream-rows-per-file", "stream.rows_per_file", on=("stream",),
+          type=int, default=256,
+          help="DWRF rows-per-file for freshly streamed micro-partitions "
+               "(the between-tick compactor rewrites them at the table's "
+               "full size)"),
+    _flag("--freshness-slo", on=("stream",), type=float, default=None,
+          help="target p99 event-time -> trained-on lag in modeled "
+               "seconds; the tier boosts allocation weight for jobs "
+               "lagging past it"),
+    _flag("--jobs", on=_SHARED, type=int, default=2,
+          help="clones of the base job sharing the pool (seeds "
+               "seed..seed+N-1; multijob: when no --job is given)"),
+    _flag("--policy", on=_SHARED, choices=POLICIES,
+          default="stall_weighted", help="worker-allocation policy"),
+    _flag("--scenario", on=("simulate",), choices=scenario_names(),
+          default="crash-resume", help="named scenario from the catalog"),
+    _flag("--verify", on=("stream", "simulate"), action="store_true",
+          help="also rerun the clean baseline (stream: land the whole "
+               "stream up front; simulate: no faults, plus a seed "
+               "replay), asserting bit-identical losses (exit 1 on "
+               "divergence)"),
+)
+#: the flags a ``--job`` spec may set, by key
+_JOB_KEYS = {f.key: f for f in _FLAGS if f.key}
+#: a ``store_true`` flag's key is a bare token, the rest take ``=value``
+_JOB_TOKENS = [
+    f"{key}=value" if "type" in f.kwargs else key
+    for key, f in _JOB_KEYS.items()
+]
+_FLAGS += (
+    _flag("--job", on=("multijob",), action="append", default=[],
+          metavar="SPEC",
+          help="one job spec, RM[:token ...] with tokens baseline, "
+               f"{', '.join(_JOB_TOKENS)}; repeatable"),
+)
+#: defaults that differ when the pool is shared (multijob, stream)
+_SHARED_DEFAULTS = {"num_readers": 8, "train_epochs": 2}
+
+
+class _UsageError(Exception):
+    """A bad flag value, found before the first scheduling round;
+    :func:`main` turns it into ``parser.error`` (exit 2)."""
+
+
+def _name_flags(message: str) -> str:
+    """A spec error names ``ReaderSpec.num_readers``; the user typed
+    ``--num-readers`` (path section ``reader`` is ``ReaderSpec``, and so
+    on for every section)."""
+    for f in _FLAGS:
+        section, _, leaf = (f.path or "").partition(".")
+        if leaf:
+            message = message.replace(
+                f"{section.capitalize()}Spec.{leaf}",
+                f.flag or f"--job key {f.key!r}",
+            )
+    return message
+
+
+@contextmanager
+def _usage_boundary():
+    """Everything before the first scheduling round — spec build,
+    ``Session(...)``, ``prepare()`` — runs inside this: a ``ValueError``
+    there is a bad flag value and exits 2 naming the flag, while one
+    raised by the run proper stays a traceback."""
+    try:
+        yield
+    except ValueError as exc:
+        raise _UsageError(_name_flags(str(exc))) from None
+
+
+def _point(args, overrides=None) -> dict:
+    """The ``build_job_spec`` point one job's flags describe: every
+    registered flag's value under its path, then ``overrides``."""
+    values = {
+        f.path: getattr(args, f.dest)
+        for f in _FLAGS
+        if f.flag and f.path and hasattr(args, f.dest)
+    }
+    values.update(overrides or {})
+    values["toggles"] = "recd" if values["toggles"] else "baseline"
+    return {
+        path: value
+        for path, value in values.items()
+        # an unset flag leaves its section to the spec's own default;
+        # the scaling flags only count behind --autoscale
+        if value is not None
+        and (args.autoscale or not path.startswith("scaling."))
+    }
+
+
+def _clone_points(args) -> list[dict]:
+    """``--jobs`` clones of the base job, seeds ``seed..seed+N-1``."""
+    if args.jobs <= 0:
+        raise _UsageError(f"--jobs must be positive, got {args.jobs}")
+    return [
+        _point(args, {"data.seed": args.seed + i}) for i in range(args.jobs)
+    ]
+
+
+def _job_point(spec: str, args) -> dict:
+    """One ``--job`` spec -> a point.
+
+    Format: ``RM[:recd|baseline][:dedup][:key=value ...]``, e.g.
+    ``RM2:recd:sessions=80:seed=3:weight=2``.  A job names its own
+    workload and toggles; every other unset key inherits the
+    subcommand's flags.
+    """
+    rm, *tokens = spec.split(":")
+    if rm.upper() not in WORKLOADS:
+        raise _UsageError(
+            f"--job {spec!r}: workload must be one of "
+            f"{sorted(WORKLOADS)}, got {rm!r}"
+        )
+    values = {"workload.rm": rm.upper(), "toggles": False}
+    for token in tokens:
+        key, eq, text = token.partition("=")
+        f = _JOB_KEYS.get(key)
+        cast = f.kwargs.get("type") if f is not None else None
+        if token == "baseline":
+            values["toggles"] = False
+        elif f is not None and cast is None and not eq:
+            values[f.path] = True
+        elif cast is not None and eq:
+            try:
+                values[f.path] = cast(text)
+            except ValueError:
+                raise _UsageError(
+                    f"--job {spec!r}: {key} needs {cast.__name__}, "
+                    f"got {text!r}"
+                ) from None
+        else:
+            raise _UsageError(
+                f"--job {spec!r}: unknown token {token!r}; expected "
+                f"baseline, {', '.join(_JOB_TOKENS)}"
+            )
+    return _point(args, values)
+
+
+def _open_session(args, points: list[dict]) -> Session:
+    """The points' jobs as one prepared :class:`Session`, ready to
+    ``run()``."""
+    with _usage_boundary():
+        specs = [build_job_spec(point) for point in points]
+        session = Session(
+            specs[0] if args.command == "pipeline" else specs,
+            width=args.num_readers,
+            **{
+                kw: getattr(args, kw)
+                for kw in ("policy", "freshness_slo")
+                if hasattr(args, kw)
+            },
+        )
+        session.prepare()
+    return session
 
 
 def _cmd_figure(args) -> int:
     """Run the ``FIGURES`` entry the subcommand names, with the flags
     its driver reads, and print its rows."""
     fig = FIGURES[args.command]
-    rows = fig.run(
-        **{param: getattr(args, flag) for flag, param in fig.flags.items()}
-    )
+    # a driver is one call with no prepare/run seam to split at
+    with _usage_boundary():
+        rows = fig.run(
+            **{param: getattr(args, flag) for flag, param in fig.flags.items()}
+        )
     print("\n".join(fig.lines(rows)))
     return 0
 
 
-def _spec_from_args(
-    args,
-    *,
-    shared: bool = False,
-    rm: str | None = None,
-    recd: bool | None = None,
-    scale: float | None = None,
-    name: str | None = None,
-    weight: float = 1.0,
-    dedup: bool | None = None,
-    **overrides,
-) -> JobSpec:
-    """One :class:`JobSpec` from the spec-derived argument groups.
-
-    Shared by ``pipeline`` (one job) and ``multijob`` (clones and
-    ``--job`` specs): the flags each argument group contributes map
-    1:1 onto the spec the group is named after, and ``overrides`` are
-    per-job ``key=value`` refinements keyed like ``_JOB_SPEC_KEYS``.
-
-    With ``shared=True`` the pool-level knobs (``--num-readers``,
-    ``--autoscale``/``--target-stall``/``--max-readers``) stay off the
-    per-job spec — they size and scale the *shared pool*, which the
-    multijob command passes to ``Session(width=..., scaling=...)``.
-    """
-    rm = args.rm if rm is None else rm
-    recd = args.recd if recd is None else recd
-    scale = args.scale if scale is None else scale
-    dedup = args.dedup if dedup is None else dedup
-    toggles = RecDToggles.full() if recd else RecDToggles.baseline()
-    get = overrides.get
-    retain = get("retain_partitions", args.retain_partitions)
-    return JobSpec(
-        data=DataSpec(
-            workload=WORKLOADS[rm](scale),
-            toggles=toggles,
-            num_sessions=get("num_sessions", args.sessions),
-            num_partitions=get("num_partitions", args.num_partitions),
-            seed=get("seed", args.seed),
-        ),
-        reader=ReaderSpec(
-            num_readers=1 if shared else args.num_readers,
-            prefetch_depth=args.prefetch_depth,
-            executor=args.reader_executor,
-            transport=args.transport,
-            streaming=args.streaming,
-            dedup=dedup,
-        ),
-        train=TrainSpec(
-            train_epochs=get("train_epochs", args.train_epochs),
-            train_batches=get("train_batches", args.train_batches),
-            batch_size=get("batch_size", None),
-        ),
-        scaling=(
-            ScalingSpec(
-                target_stall=args.target_stall,
-                max_readers=args.max_readers,
-            )
-            if args.autoscale and not shared
-            else None
-        ),
-        retention=(
-            RetentionSpec(window=retain) if retain is not None else None
-        ),
-        weight=weight,
-        name=name,
-    )
-
-
 def _cmd_pipeline(args) -> int:
-    res = Session(_spec_from_args(args)).run()
+    res = _open_session(args, [_point(args)]).run()
     mode = "RecD" if args.recd else "baseline"
     print(f"{args.rm} ({mode}):")
     print(f"  samples landed      : {res.samples_landed}")
@@ -208,108 +394,13 @@ def _cmd_pipeline(args) -> int:
     return 0
 
 
-#: keys a ``--job`` spec may set, mapped to (spec-override key, cast)
-_JOB_SPEC_KEYS = {
-    "seed": ("seed", int),
-    "sessions": ("num_sessions", int),
-    "epochs": ("train_epochs", int),
-    "batches": ("train_batches", int),
-    "partitions": ("num_partitions", int),
-    "batch_size": ("batch_size", int),
-    "retain": ("retain_partitions", int),
-}
-
-
-def _parse_job_spec(spec: str, args, name: str) -> JobSpec:
-    """One ``--job`` spec -> a :class:`JobSpec`.
-
-    Format: ``RM[:recd|baseline][:key=value ...]``, e.g.
-    ``RM2:recd:sessions=80:seed=3:weight=2``.  Unset keys inherit the
-    subcommand's argument-group defaults
-    (``--scale/--sessions/--seed/--train-epochs/...``).
-    """
-    parts = spec.split(":")
-    rm = parts[0].upper()
-    if rm not in WORKLOADS:
-        raise SystemExit(
-            f"--job {spec!r}: workload must be one of "
-            f"{sorted(WORKLOADS)}, got {parts[0]!r}"
-        )
-    recd = False
-    dedup = None
-    kw = {}
-    for token in parts[1:]:
-        if token == "recd":
-            recd = True
-        elif token == "baseline":
-            recd = False
-        elif token == "dedup":
-            dedup = True
-        elif "=" in token:
-            key, value = token.split("=", 1)
-            if key in ("scale", "weight"):
-                field, cast = key, float
-            elif key in _JOB_SPEC_KEYS:
-                field, cast = _JOB_SPEC_KEYS[key]
-            else:
-                raise SystemExit(
-                    f"--job {spec!r}: unknown key {key!r}; known: "
-                    f"scale, weight, {', '.join(sorted(_JOB_SPEC_KEYS))}"
-                )
-            try:
-                kw[field] = cast(value)
-            except ValueError:
-                raise ValueError(
-                    f"--job {spec!r}: {key} needs {cast.__name__}, "
-                    f"got {value!r}"
-                ) from None
-        else:
-            raise SystemExit(
-                f"--job {spec!r}: unknown token {token!r} (expected "
-                "'recd', 'baseline', 'dedup', or key=value)"
-            )
-    return _spec_from_args(
-        args,
-        shared=True,
-        rm=rm,
-        recd=recd,
-        name=name,
-        dedup=dedup,
-        **kw,
-    )
-
-
 def _cmd_multijob(args) -> int:
-    if args.job:
-        specs = [
-            _parse_job_spec(spec, args, f"job{i}")
-            for i, spec in enumerate(args.job)
-        ]
-        labels = [spec.split(":")[0].upper() for spec in args.job]
-    elif args.jobs <= 0:
-        raise SystemExit(f"--jobs must be positive, got {args.jobs}")
-    else:
-        specs = [
-            _spec_from_args(
-                args, shared=True, seed=args.seed + i, name=f"job{i}"
-            )
-            for i in range(args.jobs)
-        ]
-        labels = [args.rm] * args.jobs
-
-    res = Session(
-        specs,
-        width=args.num_readers,
-        policy=args.policy,
-        scaling=(
-            ScalingSpec(
-                target_stall=args.target_stall,
-                max_readers=args.max_readers,
-            )
-            if args.autoscale
-            else None
-        ),
-    ).run()
+    points = (
+        [_job_point(spec, args) for spec in args.job]
+        if args.job
+        else _clone_points(args)
+    )
+    res = _open_session(args, points).run()
     tier = res.tier
     print(
         f"shared reader tier: {len(res.jobs)} jobs, width "
@@ -341,11 +432,11 @@ def _cmd_multijob(args) -> int:
             f"{trace.target_stall:.2f}, {converged}, final width "
             f"{trace.final_width}"
         )
-    for label, job in zip(labels, res.jobs):
-        mode = "RecD" if job.spec.data.toggles.o3_ikjt else "baseline"
+    for point, job in zip(points, res.jobs):
+        mode = "RecD" if point["toggles"] == "recd" else "baseline"
         ov = job.overlap
         print(
-            f"{job.name} ({label}, {mode}): "
+            f"{job.name} ({point['workload.rm']}, {mode}): "
             f"{len(job.training.iterations)} steps over "
             f"{len(job.epoch_partitions)} epoch(s), "
             f"reader-stall {100 * ov.reader_stall_fraction:.1f}% / "
@@ -360,37 +451,8 @@ def _cmd_stream(args) -> int:
     landing progress plus freshness percentiles; with ``--verify``,
     assert the losses are bit-identical to a land-everything-first
     baseline (exit 1 on divergence)."""
-    if args.jobs <= 0:
-        raise SystemExit(f"--jobs must be positive, got {args.jobs}")
-    stream = StreamSpec(
-        interval_seconds=args.stream_interval,
-        land_latency_seconds=args.land_latency,
-        rows_per_file=args.stream_rows_per_file,
-    )
-
-    def build_session() -> Session:
-        specs = [
-            _spec_from_args(
-                args, shared=True, seed=args.seed + i, name=f"job{i}"
-            ).with_(stream=stream)
-            for i in range(args.jobs)
-        ]
-        return Session(
-            specs,
-            width=args.num_readers,
-            policy=args.policy,
-            scaling=(
-                ScalingSpec(
-                    target_stall=args.target_stall,
-                    max_readers=args.max_readers,
-                )
-                if args.autoscale
-                else None
-            ),
-            freshness_slo=args.freshness_slo,
-        )
-
-    session = build_session()
+    points = _clone_points(args)
+    session = _open_session(args, points)
     res = session.run()
     tier = res.tier
     mode = "RecD" if args.recd else "baseline"
@@ -431,8 +493,7 @@ def _cmd_stream(args) -> int:
         f"{fresh.batches} batches{slo_note}"
     )
     if args.verify:
-        clean = build_session()
-        clean.prepare()
+        clean = _open_session(args, points)
         clean.land_all_streams()
         base = clean.run()
         diverged = sorted(
@@ -455,10 +516,11 @@ def _cmd_stream(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    scenario = build_scenario(
-        args.scenario, seed=args.seed, scale=args.scale
-    )
-    runner = scenario.runner()
+    with _usage_boundary():
+        scenario = build_scenario(
+            args.scenario, seed=args.seed, scale=args.scale
+        )
+        runner = scenario.runner()
     res = runner.run()
     print(f"scenario {scenario.name}: {scenario.description}")
     print(
@@ -600,148 +662,6 @@ _COMMANDS = {
     "experiments": _cmd_experiments,
 }
 
-#: the flags every figure driver draws from (a figure subcommand
-#: registers only the ones its ``Figure.flags`` names)
-_COMMON_FLAGS = {
-    "scale": dict(type=float, default=0.5,
-                  help="workload scale factor (default 0.5)"),
-    "sessions": dict(type=int, default=200,
-                     help="sessions in the generated partition"),
-    "sessions_large": dict(type=int, default=50_000,
-                           help="sessions for statistics-only experiments"),
-    "seed": dict(type=int, default=0),
-}
-
-
-def _add_common_flags(p, flags) -> None:
-    """Register the named ``_COMMON_FLAGS`` on one subparser."""
-    for flag in flags:
-        p.add_argument(f"--{flag.replace('_', '-')}", **_COMMON_FLAGS[flag])
-
-
-def _add_data_args(p, *, shared: bool) -> None:
-    """The ``DataSpec`` argument group (what lands)."""
-    g = p.add_argument_group(
-        "data (DataSpec)", "workload, toggles, and landing shape"
-    )
-    suffix = " for --jobs clones" if shared else ""
-    g.add_argument("--rm", choices=sorted(WORKLOADS), default="RM1",
-                   help=f"workload{suffix}")
-    g.add_argument("--recd", action="store_true",
-                   help=f"enable all RecD optimizations (O1-O7){suffix}")
-    g.add_argument("--num-partitions", type=int, default=1,
-                   help="time partitions the table lands as")
-
-
-def _add_reader_args(p, *, shared: bool) -> None:
-    """The ``ReaderSpec`` argument group (how the fleet scans)."""
-    g = p.add_argument_group(
-        "reader fleet (ReaderSpec)", "width, prefetch, executor, hand-off"
-    )
-    g.add_argument("--num-readers", type=int, default=8 if shared else 1,
-                   help="shared pool width (workers serving every "
-                        "registered job)" if shared else
-                        "reader-fleet width (sharded workers)")
-    g.add_argument("--prefetch-depth", type=int, default=2,
-                   help="bounded prefetch per reader worker")
-    g.add_argument("--reader-executor",
-                   choices=("auto", "process", "inprocess", "async"),
-                   default="auto",
-                   help="fleet executor (batch stream is bit-identical "
-                        "for all of them; async interleaves every shard "
-                        "worker deterministically, so wide fleets run "
-                        "fast)")
-    g.add_argument("--transport", choices=("copy", "shm"), default="copy",
-                   help="batch transport across the worker->trainer "
-                        "boundary: copy charges a modeled per-batch "
-                        "serialize cost, shm models the zero-copy "
-                        "handoff (stream stays bit-identical)")
-    g.add_argument("--streaming",
-                   action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="stream reader batches into the trainers "
-                        "(--no-streaming materializes first)")
-    g.add_argument("--dedup", action="store_true",
-                   help="ship session-deduplicated IKJT batches over "
-                        "the prefetch queues; the trainer expands after "
-                        "the pooled lookup (losses stay bit-identical, "
-                        "bytes-decoded shrink)")
-
-
-def _add_train_args(p, *, shared: bool) -> None:
-    """The ``TrainSpec`` argument group (what the trainers run)."""
-    g = p.add_argument_group(
-        "training (TrainSpec)", "epochs and per-epoch batch caps"
-    )
-    per_job = " per job" if shared else ""
-    g.add_argument("--train-epochs", type=int, default=2 if shared else 1,
-                   help=f"epochs over the landed partitions{per_job}")
-    g.add_argument("--train-batches", type=int, default=2,
-                   help=f"per-epoch batch cap{per_job}")
-
-
-def _add_scaling_args(p, *, shared: bool) -> None:
-    """The ``ScalingSpec`` argument group (adaptive width)."""
-    g = p.add_argument_group(
-        "autoscaling (ScalingSpec)", "adaptive fleet/pool width"
-    )
-    what = "shared pool between rounds from the aggregate stall" if shared \
-        else "reader fleet between epochs from the modeled overlap"
-    g.add_argument("--autoscale", action="store_true",
-                   help=f"resize the {what} "
-                        "(--num-readers sets the initial width)")
-    g.add_argument("--target-stall", type=float, default=0.10,
-                   help="autoscaler target band: grow while the "
-                        "reader-stall fraction exceeds this")
-    g.add_argument("--max-readers", type=int, default=32,
-                   help="autoscaler upper bound on the width")
-
-
-def _add_retention_args(p) -> None:
-    """The ``RetentionSpec`` argument group (rolling window)."""
-    g = p.add_argument_group(
-        "retention (RetentionSpec)", "rolling-window partition lifecycle"
-    )
-    g.add_argument("--retain-partitions", type=int, default=None,
-                   help="rolling-window retention: keep at most this "
-                        "many partitions live; between epochs the next "
-                        "partition lands and the oldest is dropped")
-
-
-def _add_stream_args(p) -> None:
-    """The ``StreamSpec`` argument group plus live-loop knobs."""
-    g = p.add_argument_group(
-        "streaming (StreamSpec)",
-        "continuous ingestion: micro-partitions land on the modeled "
-        "clock while the jobs train (--num-partitions sets how many "
-        "ticks the trace is cut into)",
-    )
-    g.add_argument("--stream-interval", type=float, default=60.0,
-                   help="modeled seconds between micro-partition "
-                        "sealing ticks")
-    g.add_argument("--land-latency", type=float, default=5.0,
-                   help="modeled scribe->ETL->Hive landing latency "
-                        "after each tick seals")
-    g.add_argument("--stream-rows-per-file", type=int, default=256,
-                   help="DWRF rows-per-file for freshly streamed "
-                        "micro-partitions (the between-tick compactor "
-                        "rewrites them at the table's full size)")
-    g.add_argument("--freshness-slo", type=float, default=None,
-                   help="target p99 event-time -> trained-on lag in "
-                        "modeled seconds; the tier boosts allocation "
-                        "weight for jobs lagging past it")
-    g.add_argument("--jobs", type=int, default=2,
-                   help="streamed clones of the base job sharing the "
-                        "pool (seeds seed..seed+N-1)")
-    g.add_argument("--policy", choices=("stall_weighted", "round_robin"),
-                   default="stall_weighted",
-                   help="worker-allocation policy")
-    g.add_argument("--verify", action="store_true",
-                   help="also land the whole stream up front and rerun, "
-                        "asserting the live loop's losses are "
-                        "bit-identical (exit 1 on divergence)")
-
-
 def _add_experiments_parser(sub) -> None:
     """The ``experiments`` subcommand tree (matrix harness + store).
 
@@ -800,67 +720,25 @@ def _add_experiments_parser(sub) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The ``repro`` argument parser.
-
-    The ``pipeline`` and ``multijob`` subcommands share spec-derived
-    argument groups — one group per spec dataclass in
-    :mod:`repro.pipeline.spec` — so the CLI surface mirrors the
-    :class:`~repro.pipeline.spec.JobSpec` composition 1:1.
-    """
+    """The ``repro`` argument parser: every subcommand's flags are the
+    ``_FLAGS`` rows registered on it."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Regenerate RecD (MLSys 2023) experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("list", help="list available experiments")
-    for name, fig in FIGURES.items():
-        p = sub.add_parser(name, help=f"run the {name} experiment")
-        _add_common_flags(p, fig.flags)
-    for name in _COMMANDS:
+    for name in [*FIGURES, *_COMMANDS]:
         if name == "experiments":
             _add_experiments_parser(sub)
             continue
         p = sub.add_parser(name, help=f"run the {name} experiment")
-        _add_common_flags(p, _COMMON_FLAGS)
-        if name in ("pipeline", "multijob", "stream"):
-            shared = name in ("multijob", "stream")
-            _add_data_args(p, shared=shared)
-            _add_reader_args(p, shared=shared)
-            _add_train_args(p, shared=shared)
-            _add_scaling_args(p, shared=shared)
-            _add_retention_args(p)
-        if name == "stream":
-            _add_stream_args(p)
-        if name == "simulate":
-            g = p.add_argument_group(
-                "scenario (repro.sim)", "which chaos experiment to run"
-            )
-            g.add_argument("--scenario", choices=scenario_names(),
-                           default="crash-resume",
-                           help="named scenario from the catalog")
-            g.add_argument("--verify", action="store_true",
-                           help="also run the clean baseline and a "
-                                "seed replay, asserting bit-identical "
-                                "losses and fingerprint (exit 1 on "
-                                "divergence)")
-        if name == "multijob":
-            g = p.add_argument_group(
-                "job set (JobSpec)", "which jobs share the pool"
-            )
-            g.add_argument("--jobs", type=int, default=2,
-                           help="run this many clones of the base job "
-                                "(seeds seed..seed+N-1) when no --job "
-                                "specs are given")
-            g.add_argument("--job", action="append", default=[],
-                           metavar="SPEC",
-                           help="one job spec: RM[:recd|baseline][:dedup]"
-                                "[:key=value ...] with keys scale, seed, "
-                                "sessions, epochs, batches, partitions, "
-                                "batch_size, retain, weight; repeatable")
-            g.add_argument("--policy", choices=("stall_weighted",
-                                                "round_robin"),
-                           default="stall_weighted",
-                           help="worker-allocation policy")
+        fig = FIGURES.get(name)
+        for f in _FLAGS:
+            if f.flag and (f.dest in fig.flags if fig else name in f.on):
+                p.add_argument(f.flag, **f.kwargs)
+        if name in _SHARED:
+            p.set_defaults(**_SHARED_DEFAULTS)
     return parser
 
 
@@ -873,11 +751,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     try:
         return _COMMANDS.get(args.command, _cmd_figure)(args)
-    except (ValueError, TypeError) as exc:
-        # The specs validate their own domains and name spec + field
-        # ("ReaderSpec.num_readers must be positive, got 0"), so a bad
-        # flag value exits like any other usage error, not a traceback.
-        parser.exit(2, f"{parser.prog}: error: {exc}\n")
+    except _UsageError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":  # pragma: no cover

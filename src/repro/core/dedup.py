@@ -37,19 +37,9 @@ def _row_key(jt: JaggedTensor, i: int) -> bytes:
 
 
 def dedup_rows(jt: JaggedTensor) -> tuple[np.ndarray, np.ndarray]:
-    """Find duplicate rows of one jagged tensor via content hashing."""
-    seen: dict[bytes, int] = {}
-    unique: list[int] = []
-    inverse = np.empty(jt.num_rows, dtype=np.int64)
-    for i in range(jt.num_rows):
-        key = _row_key(jt, i)
-        pos = seen.get(key)
-        if pos is None:
-            pos = len(unique)
-            seen[key] = pos
-            unique.append(i)
-        inverse[i] = pos
-    return np.asarray(unique, dtype=np.int64), inverse
+    """Find duplicate rows of one jagged tensor via content hashing:
+    the one-member case of :func:`dedup_grouped_rows`."""
+    return dedup_grouped_rows([jt])
 
 
 def dedup_grouped_rows(

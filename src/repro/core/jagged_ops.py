@@ -30,6 +30,7 @@ from .jagged import JaggedTensor, offsets_from_lengths
 __all__ = [
     "jagged_index_select",
     "dense_index_select",
+    "gather_indices",
     "gather_ranges",
     "scatter",
     "segment_sum",
@@ -38,6 +39,30 @@ __all__ = [
     "expand_pooled",
     "jagged_elementwise_sum",
 ]
+
+
+def gather_indices(
+    offsets: np.ndarray, indices: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flat source positions gathering rows ``indices`` of ``offsets``.
+
+    Returns ``(src, out_offsets)`` such that ``values[src]`` is the
+    gathered layout and ``out_offsets`` delimits its rows.  The one
+    index kernel behind :func:`gather_ranges` and the trainer's
+    expansion of unique rows back to batch order (``indices`` is the
+    ``inverse_lookup`` there).  ``indices`` must already be a valid 1-D
+    int64 row selection; :func:`gather_ranges` is the checked entry.
+    """
+    sel_lengths = np.diff(offsets)[indices]
+    out_offsets = np.zeros(indices.size + 1, dtype=np.int64)
+    np.cumsum(sel_lengths, out=out_offsets[1:])
+    # For each output element, its source position is the selected row's
+    # start offset plus the element's rank within the row.
+    within = np.arange(int(out_offsets[-1]), dtype=np.int64) - np.repeat(
+        out_offsets[:-1], sel_lengths
+    )
+    src = np.repeat(offsets[:-1][indices], sel_lengths) + within
+    return src, out_offsets
 
 
 def gather_ranges(
@@ -57,19 +82,7 @@ def gather_ranges(
             f"indices out of range [0, {num_rows}): "
             f"[{indices.min()}, {indices.max()}]"
         )
-    lengths = np.diff(offsets)
-    sel_lengths = lengths[indices]
-    out_offsets = offsets_from_lengths(sel_lengths)
-    total = int(out_offsets[-1])
-    if total == 0:
-        return values[:0].copy(), out_offsets
-    # For each output element, its source position is the selected row's
-    # start offset plus the element's rank within the row.
-    row_starts = offsets[:-1][indices]
-    within = np.arange(total, dtype=np.int64) - np.repeat(
-        out_offsets[:-1], sel_lengths
-    )
-    src = np.repeat(row_starts, sel_lengths) + within
+    src, out_offsets = gather_indices(offsets, indices)
     return values[src], out_offsets
 
 

@@ -11,7 +11,6 @@ execute one or many with :class:`~repro.pipeline.session.Session`
 
 from .config import RecDToggles
 from .session import (
-    JobResult,
     JobRuntime,
     MultiJobResult,
     PipelineResult,
@@ -49,6 +48,5 @@ __all__ = [
     "PipelineResult",
     "build_trainer",
     "land_table",
-    "JobResult",
     "MultiJobResult",
 ]

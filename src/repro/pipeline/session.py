@@ -50,7 +50,6 @@ from .spec import CheckpointSpec, JobSpec, ScalingSpec
 
 __all__ = [
     "PipelineResult",
-    "JobResult",
     "MultiJobResult",
     "JobRuntime",
     "Session",
@@ -61,8 +60,11 @@ __all__ = [
 
 @dataclass
 class PipelineResult:
-    """Every stage's measurements for one job."""
+    """Every stage's measurements for one job, run alone or sharing
+    the tier (per-step losses are bit-identical either way)."""
 
+    #: the job's report name
+    name: str
     #: the composed spec the engine executed
     spec: JobSpec
     scribe: ScribeStats
@@ -77,14 +79,15 @@ class PipelineResult:
     #: per-partition landing detail behind the rolled-up ``partition``
     #: (under retention: every partition that landed, dropped or not)
     partitions: list[PartitionInfo] = field(default_factory=list)
-    #: wall-clock attribution of the train loop: reader-stall vs
-    #: trainer-stall (populated for streaming and materialized runs)
+    #: reader-stall vs trainer-stall attribution of the train loop,
+    #: merged across rounds: measured wall-clock for a job run alone,
+    #: the tier's modeled share for a job sharing the pool
     overlap: OverlapReport | None = None
     #: which partitions each epoch actually scanned, in epoch order
     epoch_partitions: list[list[str]] = field(default_factory=list)
     #: partitions aged out by rolling-window retention, in drop order
     dropped_partitions: list[str] = field(default_factory=list)
-    #: the autoscaler's decision history (scaled runs only)
+    #: the pool autoscaler's decision history (scaled runs only)
     scaling: ScalingTrace | None = None
 
     # -- the Fig 7 headline metrics ------------------------------------------
@@ -111,34 +114,13 @@ class PipelineResult:
 
 
 @dataclass
-class JobResult:
-    """One job's measurements from a shared-tier run."""
-
-    name: str
-    #: the composed spec the engine executed for this job
-    spec: JobSpec
-    #: the job's trainer report — per-step losses bit-identical to the
-    #: same spec run alone in its own ``Session``
-    training: TrainingReport
-    #: the job's reader measurements merged across every round it ran
-    fleet: FleetReport
-    #: the job's modeled overlap attribution, merged across rounds
-    overlap: OverlapReport
-    #: which partitions each of the job's epochs scanned
-    epoch_partitions: list[list[str]]
-    samples_landed: int
-    #: partitions aged out by the job's rolling window, in drop order
-    dropped_partitions: list[str] = field(default_factory=list)
-
-
-@dataclass
 class MultiJobResult:
     """Every job's measurements plus the tier-level schedule."""
 
-    jobs: list[JobResult]
+    jobs: list[PipelineResult]
     tier: TierReport
 
-    def job(self, name: str) -> JobResult:
+    def job(self, name: str) -> PipelineResult:
         """Look one job's result up by name."""
         for job in self.jobs:
             if job.name == name:
@@ -215,7 +197,8 @@ def _validate_epoch_batches(job: JobSpec, rows: Sequence[int]) -> None:
             "partition too small for even one batch: "
             f"[{', '.join(str(r) for r in rows)}] rows across "
             f"{len(rows)} partition(s) < batch {batch_size} "
-            f"(train_batches={job.train.train_batches})"
+            f"(train_batches={job.train.train_batches}); raise "
+            "DataSpec.num_sessions or lower DataSpec.num_partitions"
         )
 
 
@@ -406,53 +389,6 @@ class JobRuntime:
             The snapshot's version number.
         """
         return model_store.save(self.snapshot_name, self.trainer.model)
-
-    def job_result(
-        self, fleet: FleetReport, report: TierReport
-    ) -> JobResult:
-        """This job's share of a multi-job session's result."""
-        return JobResult(
-            name=self.name,
-            spec=self.spec,
-            training=self.trainer.report,
-            fleet=fleet,
-            overlap=report.job_overlap(self.name),
-            epoch_partitions=[list(e) for e in self.epochs],
-            samples_landed=len(self.lander.samples),
-            dropped_partitions=list(self.table.dropped),
-        )
-
-    def pipeline_result(
-        self, fleet: FleetReport, report: TierReport, wall_seconds: float
-    ) -> PipelineResult:
-        """A single-job session's result."""
-        training = self.trainer.report
-        # Both streaming modes attribute the same end-to-end loop wall
-        # so the A/B is comparable: in the materialized mode the
-        # serialized reader scan (the list() before training) shows up
-        # as other_fraction — exactly the time streaming overlaps away.
-        overlap = OverlapReport.from_run(
-            training,
-            queue=fleet.queue,
-            wall_seconds=wall_seconds,
-            streaming=self.spec.reader.streaming,
-            reader=fleet.merged,
-        )
-        return PipelineResult(
-            spec=self.spec,
-            scribe=self.lander.scribe.stats,
-            scribe_ingest_bytes=self.lander.ingest_bytes,
-            partition=_rollup_partitions(self.lander.partitions),
-            reader=fleet.merged,
-            training=training,
-            samples_landed=len(self.lander.samples),
-            fleet=fleet,
-            partitions=self.lander.partitions,
-            overlap=overlap,
-            epoch_partitions=[list(e) for e in self.epochs],
-            dropped_partitions=list(self.table.dropped),
-            scaling=report.scaling,
-        )
 
 
 class Session:
@@ -802,19 +738,48 @@ class Session:
                 "session has no finished tier run to collect from"
             )
         report = self.tier.report
-        runtimes = list(self._runtimes.values())
-        if self._single and len(runtimes) == 1:
-            runtime = runtimes[0]
-            return runtime.pipeline_result(
-                self.tier.job_fleets[runtime.name], report, wall_seconds
+        solo = self._single and len(self._runtimes) == 1
+        jobs = []
+        for rt in self._runtimes.values():
+            fleet = self.tier.job_fleets[rt.name]
+            merged = fleet.merged
+            # The one thing a solo and a shared job report differently.
+            # A solo job attributes the *measured* loop wall — in the
+            # materialized mode the serialized reader scan (the list()
+            # before training) shows up as other_fraction, exactly the
+            # time streaming overlaps away, so the A/B is comparable.
+            # Jobs sharing the pool interleave inside one loop, so each
+            # takes its modeled share of the tier's rounds instead.
+            overlap = (
+                OverlapReport.from_run(
+                    rt.trainer.report,
+                    queue=fleet.queue,
+                    wall_seconds=wall_seconds,
+                    streaming=rt.spec.reader.streaming,
+                    reader=merged,
+                )
+                if solo
+                else report.job_overlap(rt.name)
             )
-        return MultiJobResult(
-            jobs=[
-                rt.job_result(self.tier.job_fleets[rt.name], report)
-                for rt in runtimes
-            ],
-            tier=report,
-        )
+            jobs.append(
+                PipelineResult(
+                    name=rt.name,
+                    spec=rt.spec,
+                    scribe=rt.lander.scribe.stats,
+                    scribe_ingest_bytes=rt.lander.ingest_bytes,
+                    partition=_rollup_partitions(rt.lander.partitions),
+                    reader=merged,
+                    training=rt.trainer.report,
+                    samples_landed=len(rt.lander.samples),
+                    fleet=fleet,
+                    partitions=rt.lander.partitions,
+                    overlap=overlap,
+                    epoch_partitions=[list(e) for e in rt.epochs],
+                    dropped_partitions=list(rt.table.dropped),
+                    scaling=report.scaling,
+                )
+            )
+        return jobs[0] if solo else MultiJobResult(jobs=jobs, tier=report)
 
     def run(self) -> PipelineResult | MultiJobResult:
         """Prepare every job (unless :meth:`prepare` already ran), then

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, fields, replace
 from ..datagen.workloads import RMWorkload
 from ..reader.config import DataLoaderConfig
 from ..reader.costmodel import TransportSpec
-from ..reader.fleet import FleetFaults
+from ..reader.fleet import EXECUTORS, FleetFaults
 from ..trainer.sparse_arch import TrainerOptFlags
 from .config import RecDToggles
 
@@ -55,9 +55,6 @@ __all__ = [
     "FaultSpec",
     "JobSpec",
 ]
-
-#: fleet executors a ReaderSpec may name
-EXECUTORS = ("auto", "process", "inprocess", "async")
 
 
 def _require_positive(where: str, value) -> None:
@@ -112,11 +109,11 @@ class ReaderSpec:
             pool width is the Session's.
         prefetch_depth: bounded prefetch per reader worker (2 = double
             buffering).
-        executor: ``"process"`` (real multiprocessing workers),
-            ``"inprocess"`` (deterministic serial fallback), ``"async"``
-            (deterministic coroutine scheduler — modeled queue waits,
-            wide widths in tier-1 time), or ``"auto"``; the batch
-            stream is bit-identical for all of them.
+        executor: ``"inprocess"`` (deterministic serial scan, the
+            default), ``"process"`` (real multiprocessing workers; runs
+            only when named), or ``"async"`` (deterministic coroutine
+            scheduler — modeled queue waits, wide widths in tier-1
+            time); the batch stream is bit-identical for all of them.
         transport: how batches cross the worker→trainer boundary —
             ``"copy"`` (modeled per-batch serialize cost,
             ``bytes.copied``) or ``"shm"`` (zero-copy,
@@ -139,7 +136,7 @@ class ReaderSpec:
 
     num_readers: int = 1
     prefetch_depth: int = 2
-    executor: str = "auto"
+    executor: str = "inprocess"
     transport: TransportSpec | str = field(default_factory=TransportSpec)
     streaming: bool = True
     dedup: bool = False
@@ -362,10 +359,9 @@ class FaultSpec:
     positions crash (the respawned worker re-scans, charging wasted
     CPU) or straggle (scaled CPU cost) during named epochs of *this
     job's* plan.  Faults only perturb the modeled cost surface — batch
-    content and losses stay bit-identical — and they run on a
-    deterministic executor (async when the reader asks for it,
-    in-process otherwise), so a seeded faulty run is as replayable as a
-    clean one.
+    content and losses stay bit-identical — and they need a
+    deterministic executor (in-process or async, whichever the reader
+    names), so a seeded faulty run is as replayable as a clean one.
 
     Attributes:
         crashes: epoch index → shard positions (modulo the epoch's
@@ -494,7 +490,7 @@ class JobSpec:
         if self.faults is not None and self.reader.executor == "process":
             raise ValueError(
                 "FaultSpec needs a deterministic executor; set "
-                'ReaderSpec.executor to "auto", "inprocess", or "async"'
+                'ReaderSpec.executor to "inprocess" or "async"'
             )
         if (
             self.scaling is not None

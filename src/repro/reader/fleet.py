@@ -38,9 +38,10 @@ shard worker in one process on a virtual clock, replaying the bounded
 prefetch queues (producers block on full queues, the consumer drains in
 shard order) as a discrete-event simulation — so its
 :class:`~repro.metrics.breakdown.QueueWaitBreakdown` is fully *modeled*
-(bit-reproducible) and a width-64 fleet runs in tier-1 time.  ``"auto"``
-picks between process and in-process, falling back to in-process if the
-platform cannot spawn processes.
+(bit-reproducible) and a width-64 fleet runs in tier-1 time.  The
+default is ``"inprocess"``; ``"process"`` runs only when named, and a
+platform that cannot start its workers fails the scan with a
+``RuntimeError`` instead of quietly scanning in-process.
 
 Batches cross the worker→trainer boundary under a
 :class:`~repro.reader.costmodel.TransportSpec`: the default ``copy``
@@ -80,9 +81,10 @@ from .costmodel import ReaderCostModel, TransportSpec
 from .node import ReaderNode, ReaderReport
 from .shard import RowRangeShard, covering_files, plan_epoch
 
-__all__ = ["FleetFaults", "FleetReport", "ReaderFleet"]
+__all__ = ["EXECUTORS", "FleetFaults", "FleetReport", "ReaderFleet"]
 
-_EXECUTORS = ("auto", "process", "inprocess", "async")
+#: the fleet executors; the batch stream is bit-identical under each
+EXECUTORS = ("inprocess", "process", "async")
 _DONE = "__shard_done__"
 _ERROR = "__shard_error__"
 _WORKER_JOIN_TIMEOUT = 30.0
@@ -168,9 +170,6 @@ class FleetReport(Folded):
     workers: list[ReaderReport] = field(default_factory=list)
     queue: QueueWaitBreakdown = field(default_factory=QueueWaitBreakdown)
     executor_used: str = "inprocess"
-    #: why a requested "process" run degraded to "inprocess-fallback"
-    #: (the triggering exception's repr); empty when no fallback happened
-    fallback_reason: str = ""
     num_shards: int = 0
     wall_seconds: float = 0.0  # measured end-to-end run() time
     #: worker crashes injected (each shard re-scanned by a respawn)
@@ -249,8 +248,6 @@ class FleetReport(Folded):
             self.executor_used = other.executor_used
         else:
             self.executor_used = "mixed"
-        if not self.fallback_reason:
-            self.fallback_reason = other.fallback_reason
         super().merge(other)
 
     def as_dict(self) -> dict:
@@ -261,7 +258,6 @@ class FleetReport(Folded):
         """
         return {
             "executor_used": self.executor_used,
-            "fallback_reason": self.fallback_reason,
             "num_workers": len(self.workers),
             "num_shards": self.num_shards,
             "workers": [w.as_dict() for w in self.workers],
@@ -302,7 +298,7 @@ def _fleet_worker(
             out.put(batch)
             put_wait += time.perf_counter() - t0
         out.put((_DONE, node.report, put_wait))
-    except Exception as exc:  # pragma: no cover - surfaced in the parent
+    except Exception as exc:  # surfaced in the parent
         out.put((_ERROR, f"{type(exc).__name__}: {exc}"))
 
 
@@ -321,7 +317,7 @@ class ReaderFleet:
         config: DataLoaderConfig,
         cost_model: ReaderCostModel | None = None,
         prefetch_depth: int = 2,
-        executor: str = "auto",
+        executor: str = "inprocess",
         faults: FleetFaults | None = None,
         transport: TransportSpec | str | None = None,
     ):
@@ -334,15 +330,15 @@ class ReaderFleet:
             raise ValueError(
                 f"prefetch_depth must be positive, got {prefetch_depth}"
             )
-        if executor not in _EXECUTORS:
+        if executor not in EXECUTORS:
             raise ValueError(
-                f"executor must be one of {_EXECUTORS}, got {executor!r}"
+                f"executor must be one of {EXECUTORS}, got {executor!r}"
             )
         if faults and executor == "process":
             raise ValueError(
-                "fault injection needs the deterministic in-process "
-                "executor (crash/straggler effects must be "
-                "bit-reproducible); use executor='inprocess' or 'auto'"
+                "fault injection needs a deterministic executor "
+                "(crash/straggler effects must be bit-reproducible); "
+                "use executor='inprocess' or 'async'"
             )
         self.num_readers = num_readers
         self.config = config
@@ -434,7 +430,9 @@ class ReaderFleet:
             if shards
         ]
         total_shards = sum(len(shards) for _, shards in planned)
-        self.report = FleetReport(num_shards=total_shards)
+        self.report = FleetReport(
+            num_shards=total_shards, executor_used=self.executor
+        )
         started = time.perf_counter()
 
         def sources() -> Iterator[tuple[RowRangeShard, list[bytes], int, int]]:
@@ -442,44 +440,13 @@ class ReaderFleet:
             for info, shards in planned:
                 yield from self._shard_sources(table, info, shards)
 
-        executor = self.executor
-        if executor == "auto":
-            executor = "process" if total_shards > 1 else "inprocess"
-        if self.faults and executor != "async":
-            # Injected faults perturb the modeled accounting and must be
-            # bit-reproducible, so a faulted scan runs on a deterministic
-            # executor: async when requested, in-process otherwise
-            # (__init__ already rejects an explicit "process" request).
-            executor = "inprocess"
+        iterate = {
+            "inprocess": self._iter_inprocess,
+            "process": self._iter_multiprocess,
+            "async": self._iter_async,
+        }[self.executor]
         try:
-            if executor == "process":
-                emitted = 0
-                try:
-                    for batch in self._iter_multiprocess(
-                        table.schema, sources()
-                    ):
-                        emitted += 1
-                        yield batch
-                except OSError as exc:
-                    # Platforms without working process/semaphore support
-                    # (locked-down sandboxes) degrade to the serial
-                    # executor rather than failing the job — but only if
-                    # nothing was emitted yet, to never duplicate batches.
-                    # The triggering exception is recorded so a stored
-                    # run row can tell a fallback from an intentional
-                    # in-process run.
-                    if emitted:
-                        raise
-                    self.report = FleetReport(
-                        num_shards=total_shards,
-                        executor_used="inprocess-fallback",
-                        fallback_reason=repr(exc),
-                    )
-                    yield from self._iter_inprocess(table.schema, sources())
-            elif executor == "async":
-                yield from self._iter_async(table.schema, sources())
-            else:
-                yield from self._iter_inprocess(table.schema, sources())
+            yield from iterate(table.schema, sources())
         finally:
             self.report.wall_seconds = time.perf_counter() - started
 
@@ -564,8 +531,6 @@ class ReaderFleet:
         schema,
         sources: Iterable[tuple[RowRangeShard, list[bytes], int, int]],
     ) -> Iterator[Batch]:
-        if self.report.executor_used != "inprocess-fallback":
-            self.report.executor_used = "inprocess"
         if self.faults:
             crashed, factors = self.faults.resolved(self.report.num_shards)
         else:
@@ -602,7 +567,6 @@ class ReaderFleet:
         bit-*reproducible*, which the process executor's measured waits
         can never be.
         """
-        self.report.executor_used = "async"
         if self.faults:
             crashed, factors = self.faults.resolved(self.report.num_shards)
         else:
@@ -666,7 +630,6 @@ class ReaderFleet:
         schema,
         sources: Iterable[tuple[RowRangeShard, list[bytes], int, int]],
     ) -> Iterator[Batch]:
-        self.report.executor_used = "process"
         ctx = multiprocessing.get_context(
             "fork"
             if "fork" in multiprocessing.get_all_start_methods()
@@ -689,22 +652,37 @@ class ReaderFleet:
                 shard, blobs, local_start, local_stop = next(source_iter)
             except StopIteration:
                 return False
-            queue = ctx.Queue(maxsize=self.prefetch_depth)
-            proc = ctx.Process(
-                target=_fleet_worker,
-                args=(
-                    blobs,
-                    schema,
-                    self.config,
-                    self.cost_model,
-                    local_start,
-                    local_stop,
-                    queue,
-                ),
-                daemon=True,
-                name=f"reader-shard-{shard.index}",
-            )
-            proc.start()
+            name = f"reader-shard-{shard.index}"
+            try:
+                queue = ctx.Queue(maxsize=self.prefetch_depth)
+                proc = ctx.Process(
+                    target=_fleet_worker,
+                    args=(
+                        blobs,
+                        schema,
+                        self.config,
+                        self.cost_model,
+                        local_start,
+                        local_stop,
+                        queue,
+                    ),
+                    daemon=True,
+                    name=name,
+                )
+                proc.start()
+                # The worker holds the only write end from here on, so
+                # its death — even mid-message — reaches the merge loop
+                # as end-of-file instead of a read that never returns.
+                queue._writer.close()
+            except OSError as exc:
+                # whoever names "process" asked for real workers: a
+                # platform without them (no fork, no semaphores) fails
+                # the scan rather than re-running it in-process
+                raise RuntimeError(
+                    f"cannot start reader worker {name}: {exc!r}; "
+                    'executor="process" needs a platform that can '
+                    "spawn processes"
+                ) from exc
             active.append((proc, queue))
             return True
 
@@ -726,7 +704,9 @@ class ReaderFleet:
                         self.report.queue.put_wait += put_wait
                         break
                     if isinstance(item, tuple) and item and item[0] == _ERROR:
-                        raise RuntimeError(f"reader worker failed: {item[1]}")
+                        raise RuntimeError(
+                            f"reader worker {proc.name} failed: {item[1]}"
+                        )
                     yield item
                 # Drained workers are joined only after the last batch is
                 # out — a worker that lingers past its _DONE sentinel must
@@ -744,13 +724,19 @@ class ReaderFleet:
 
     @staticmethod
     def _get(queue, proc):
-        """Queue.get that notices a worker dying without a sentinel."""
+        """Queue.get that notices a worker dying without a sentinel:
+        end-of-file on its pipe (at once, even mid-message), or — for a
+        worker that died holding nothing in flight — an empty queue and
+        a dead process at the next one-second poll."""
         while True:
             try:
                 return queue.get(timeout=1.0)
             except queue_lib.Empty:
-                if not proc.is_alive() and queue.empty():
-                    raise RuntimeError(
-                        f"reader worker {proc.name} exited "
-                        f"(exitcode={proc.exitcode}) without finishing"
-                    ) from None
+                if proc.is_alive() or not queue.empty():
+                    continue
+            except (EOFError, OSError):
+                proc.join(timeout=5.0)
+            raise RuntimeError(
+                f"reader worker {proc.name} exited "
+                f"(exitcode={proc.exitcode}) without finishing"
+            ) from None

@@ -83,7 +83,7 @@ from .config import DataLoaderConfig
 from .costmodel import TransportSpec
 from .fleet import FleetFaults, FleetReport, ReaderFleet
 
-__all__ = ["allocate_workers", "TierJob", "SharedReaderTier"]
+__all__ = ["POLICIES", "allocate_workers", "TierJob", "SharedReaderTier"]
 
 #: the deterministic worker-allocation policies
 POLICIES = ("round_robin", "stall_weighted")
@@ -228,8 +228,8 @@ class TierJob:
             trainer-busy seconds.  ``None`` drains batches unconsumed
             (reader-only jobs).
         prefetch_depth: bounded prefetch per leased worker.
-        executor: fleet executor for the job's scans (``"auto"``,
-            ``"process"``, ``"inprocess"``, or ``"async"``).
+        executor: fleet executor for the job's scans
+            (``"inprocess"``, ``"process"``, or ``"async"``).
         transport: batch-transport model for the job's scans (``copy``
             charges modeled serialize cost and counts ``bytes.copied``;
             ``shm`` is the zero-copy A/B).
@@ -267,7 +267,7 @@ class TierJob:
     max_batches: int | None = None
     consume: Callable[[int, Iterator[Batch]], float] | None = None
     prefetch_depth: int = 2
-    executor: str = "auto"
+    executor: str = "inprocess"
     transport: TransportSpec = field(default_factory=TransportSpec)
     streaming: bool = True
     weight: float = 1.0

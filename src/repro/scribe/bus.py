@@ -16,7 +16,7 @@ falls out of measuring those counters under the two policies.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..metrics.ledger import Folded
 from .message import EventLogRecord, FeatureLogRecord
@@ -160,12 +160,6 @@ class ScribeShard:
         return self.stats.compressed_bytes
 
 
-@dataclass
-class _Categories:
-    features: list = field(default_factory=list)
-    events: list = field(default_factory=list)
-
-
 class ScribeCluster:
     """A Scribe deployment: N shards behind a routing policy."""
 
@@ -179,27 +173,22 @@ class ScribeCluster:
             raise ValueError("num_shards must be positive")
         self.policy = policy
         self.shards = [ScribeShard(i, block_bytes) for i in range(num_shards)]
-        # Feature and event logs are distinct Scribe categories; we keep a
-        # per-category record index so ETL can ingest them separately.
-        self._index = _Categories()
 
     # -- ingestion ----------------------------------------------------------
 
-    def log_features(self, record: FeatureLogRecord) -> int:
-        """Route one feature record to its shard; returns the shard id."""
+    def _log(self, record: FeatureLogRecord | EventLogRecord) -> int:
         payload = record.serialize()
         shard = route(self.policy, len(self.shards), record.session_id, payload)
         self.shards[shard].append(payload)
-        self._index.features.append(shard)
         return shard
+
+    def log_features(self, record: FeatureLogRecord) -> int:
+        """Route one feature record to its shard; returns the shard id."""
+        return self._log(record)
 
     def log_event(self, record: EventLogRecord) -> int:
         """Route one event record to its shard; returns the shard id."""
-        payload = record.serialize()
-        shard = route(self.policy, len(self.shards), record.session_id, payload)
-        self.shards[shard].append(payload)
-        self._index.events.append(shard)
-        return shard
+        return self._log(record)
 
     def flush(self) -> None:
         """Seal every shard's buffered messages."""

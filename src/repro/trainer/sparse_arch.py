@@ -24,7 +24,12 @@ import numpy as np
 
 from ..core.ikjt import InverseKeyedJaggedTensor
 from ..core.jagged import JaggedTensor
-from ..core.jagged_ops import dense_index_select, expand_pooled, jagged_index_select
+from ..core.jagged_ops import (
+    dense_index_select,
+    expand_pooled,
+    gather_indices,
+    jagged_index_select,
+)
 from ..metrics.counters import Counters
 from .embedding import EmbeddingActivations, EmbeddingTable
 from .params import Parameter
@@ -171,7 +176,7 @@ class SparseFeature:
             dacts = self.pooling.backward(dpooled)
             self.table.accumulate_grad(acts.ids, dacts)
             return
-        src, batch_offsets = _expansion_src(acts.offsets, inverse)
+        src, batch_offsets = gather_indices(acts.offsets, inverse)
         if self._mode == "dedup":
             # pooling ran on unique rows; make its cache batch-shaped, once
             self.pooling.expand_cache(inverse, src, batch_offsets)
@@ -184,32 +189,11 @@ class SparseFeature:
         return self.pooling.params()
 
 
-def _expansion_src(
-    offsets: np.ndarray, inverse: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Flat source indices expanding unique jagged rows to batch order.
-
-    Returns ``(src, batch_offsets)`` such that ``values[src]`` is the
-    fully-materialized batch layout and ``batch_offsets`` delimits its
-    rows — the exact inverse of dedup, as a gather.
-    """
-    lengths = np.diff(offsets)
-    sel = lengths[inverse]
-    batch_offsets = np.zeros(inverse.size + 1, dtype=np.int64)
-    np.cumsum(sel, out=batch_offsets[1:])
-    total = int(batch_offsets[-1])
-    within = np.arange(total, dtype=np.int64) - np.repeat(
-        batch_offsets[:-1], sel
-    )
-    src = np.repeat(offsets[:-1][inverse], sel) + within
-    return src, batch_offsets
-
-
 def _expand_activations_jagged(
     acts: EmbeddingActivations, inverse: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gather unique activation rows into batch order (O6 path, 2-D)."""
-    src, offsets = _expansion_src(acts.offsets, inverse)
+    src, offsets = gather_indices(acts.offsets, inverse)
     return acts.values[src], offsets
 
 

@@ -27,57 +27,166 @@ class TestParser:
         assert args.sessions == 200
 
 
-class TestBadValues:
-    """Out-of-domain flag values exit 2 with one line naming the spec
-    field (or the ``--job`` string and key, or the workload scale) —
-    never a traceback, never plausible numbers."""
+#: the flags (and defaults) every run subcommand shares
+_RUN_DEFAULTS = {
+    "scale": 0.5,
+    "sessions": 200,
+    "sessions_large": 50_000,
+    "seed": 0,
+    "rm": "RM1",
+    "recd": False,
+    "num_partitions": 1,
+    "num_readers": 1,
+    "prefetch_depth": 2,
+    "reader_executor": "inprocess",
+    "transport": "copy",
+    "streaming": True,
+    "dedup": False,
+    "train_epochs": 1,
+    "train_batches": 2,
+    "autoscale": False,
+    "target_stall": 0.1,
+    "max_readers": 32,
+    "retain_partitions": None,
+}
+_SHARED_DEFAULTS = {
+    **_RUN_DEFAULTS,
+    "num_readers": 8,
+    "train_epochs": 2,
+    "jobs": 2,
+    "policy": "stall_weighted",
+}
+
+
+class TestFlagTable:
+    """The subparsers are derived from one flag table; what they parse
+    to is pinned here, flag for flag."""
 
     @pytest.mark.parametrize(
-        "argv, message",
+        "command, defaults",
         [
+            ("pipeline", _RUN_DEFAULTS),
+            ("multijob", {**_SHARED_DEFAULTS, "job": []}),
             (
-                ["pipeline", "--num-readers", "0"],
-                "repro: error: ReaderSpec.num_readers must be positive, "
-                "got 0\n",
+                "stream",
+                {
+                    **_SHARED_DEFAULTS,
+                    "stream_interval": 60.0,
+                    "land_latency": 5.0,
+                    "stream_rows_per_file": 256,
+                    "freshness_slo": None,
+                    "verify": False,
+                },
             ),
             (
-                ["pipeline", "--prefetch-depth", "0"],
-                "repro: error: ReaderSpec.prefetch_depth must be "
-                "positive, got 0\n",
-            ),
-            (
-                ["multijob", "--job", "RM1:sessions=abc"],
-                "repro: error: --job 'RM1:sessions=abc': sessions needs "
-                "int, got 'abc'\n",
-            ),
-            # the workloads floor every magnitude, so these used to
-            # print plausible speedups for a nonsense scale
-            (
-                ["fig7", "--scale", "-1"],
-                "repro: error: workload scale must be positive, got -1.0\n",
-            ),
-            (
-                ["scribe", "--scale", "0"],
-                "repro: error: workload scale must be positive, got 0.0\n",
-            ),
-            # was numpy's "zero-size array to reduction operation maximum"
-            (
-                ["fig3", "--sessions-large", "0"],
-                "repro: error: num_sessions must be positive, got 0\n",
-            ),
-            (
-                ["fig4", "--sessions-large", "0"],
-                "repro: error: num_sessions must be positive, got 0\n",
+                "simulate",
+                {
+                    "scale": 0.5,
+                    "sessions": 200,
+                    "sessions_large": 50_000,
+                    "seed": 0,
+                    "scenario": "crash-resume",
+                    "verify": False,
+                },
             ),
         ],
     )
-    def test_exits_2_naming_the_field(self, argv, message, capsys):
+    def test_dest_defaults(self, command, defaults):
+        """Equal to the hand-written parsers this table replaced, but
+        for ``reader_executor`` (was ``"auto"``)."""
+        parsed = vars(build_parser().parse_args([command]))
+        assert parsed == {"command": command, **defaults}
+
+
+class TestBadValues:
+    """One error contract for every knob: a bad value exits 2 with a
+    usage error naming the *flag* the user typed (or the ``--job``
+    string) — never a traceback, never plausible numbers."""
+
+    @pytest.mark.parametrize(
+        "argv, names",
+        [
+            (["pipeline", "--num-readers", "0"], "--num-readers must be"),
+            (["pipeline", "--prefetch-depth", "0"], "--prefetch-depth must be"),
+            (
+                ["pipeline", "--autoscale", "--target-stall", "1.5"],
+                "--target-stall must be in (0, 1), got 1.5",
+            ),
+            (
+                ["pipeline", "--retain-partitions", "0"],
+                "--retain-partitions must be positive, got 0",
+            ),
+            (["stream", "--stream-interval", "0"], "--stream-interval must be"),
+            (["multijob", "--jobs", "0"], "--jobs must be positive, got 0"),
+            (["stream", "--jobs", "0"], "--jobs must be positive, got 0"),
+            (["multijob", "--job", "RM9"], "--job 'RM9': workload must be"),
+            (
+                ["multijob", "--job", "RM1:bogus"],
+                "--job 'RM1:bogus': unknown token 'bogus'",
+            ),
+            (
+                ["multijob", "--job", "RM1:sessions=x"],
+                "--job 'RM1:sessions=x': sessions needs int, got 'x'",
+            ),
+            (
+                ["multijob", "--job", "RM1:nope=3"],
+                "--job 'RM1:nope=3': unknown token 'nope=3'",
+            ),
+            (
+                ["multijob", "--job", "RM1:batch_size=0"],
+                "--job key 'batch_size' must be positive, got 0",
+            ),
+            (
+                ["pipeline", "--reader-executor", "auto"],
+                "argument --reader-executor: invalid choice: 'auto'",
+            ),
+            # too small for one batch: found by prepare(), before any
+            # reader or trainer ran
+            (["pipeline", "--sessions", "3"], "raise --sessions or"),
+            (
+                ["multijob", "--num-readers", "40", "--autoscale"],
+                "--max-readers (32) must be >= --num-readers (40)",
+            ),
+            # the workloads floor every magnitude, so these used to
+            # print plausible speedups for a nonsense scale
+            (["fig7", "--scale", "-1"], "workload scale must be positive"),
+            (["scribe", "--scale", "0"], "workload scale must be positive"),
+            (["simulate", "--scale", "0"], "workload scale must be positive"),
+            # was numpy's "zero-size array to reduction operation maximum"
+            (
+                ["fig3", "--sessions-large", "0"],
+                "num_sessions must be positive, got 0",
+            ),
+            (
+                ["fig4", "--sessions-large", "0"],
+                "num_sessions must be positive, got 0",
+            ),
+        ],
+        ids=lambda v: " ".join(v[1:]) if isinstance(v, list) else None,
+    )
+    def test_exits_2_naming_the_flag(self, argv, names, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         captured = capsys.readouterr()
-        assert captured.err == message
+        last = captured.err.splitlines()[-1]
+        assert last.startswith("repro") and ": error: " in last
+        assert names in last
+        assert "Traceback" not in captured.err
         assert captured.out == ""
+
+    def test_run_time_error_is_not_a_usage_error(self, monkeypatch):
+        """The boundary ends where scheduling starts: a ``ValueError``
+        out of a tier round is a bug to read the traceback of, not a
+        flag to retype."""
+        from repro.reader.tier_scheduler import SharedReaderTier
+
+        def step(self):
+            raise ValueError("raised mid-run")
+
+        monkeypatch.setattr(SharedReaderTier, "step", step)
+        with pytest.raises(ValueError, match="raised mid-run"):
+            main(["pipeline", "--scale", "0.1", "--sessions", "80"])
 
 
 class TestSmallRuns:

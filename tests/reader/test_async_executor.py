@@ -7,8 +7,7 @@ executors — batches, losses, and the merged byte accounting — at every
 width, with and without session dedup, and under injected faults.  These
 tests are that wall, plus the zero-copy transport accounting
 (``copy`` charges ``bytes.copied`` and queue transport wait, ``shm``
-records ``bytes.avoided`` and charges nothing) and the exact
-``fallback_reason`` recorded when the process executor degrades.
+records ``bytes.avoided`` and charges nothing).
 """
 
 import pytest
@@ -74,12 +73,7 @@ class TestAsyncEquivalence:
         fleet = _fleet(width, cfg, executor="async")
         got = fleet.run(table, "p")
         assert_batches_identical(got, want)
-        # a locked-down platform may have degraded the process fleet,
-        # but the byte accounting must agree either way
-        assert proc.report.executor_used in (
-            "process",
-            "inprocess-fallback",
-        )
+        assert proc.report.executor_used == "process"
         assert _accounting(fleet.report) == _accounting(proc.report)
 
     @pytest.mark.parametrize("width", WIDTHS)
@@ -207,34 +201,3 @@ class TestSessionLossIdentity:
         ref = Session(self._spec("async", width=4, transport="copy")).run()
         got = Session(self._spec("async", width=4, transport="shm")).run()
         assert got.training.losses == ref.training.losses
-
-
-class TestFallbackReason:
-    """The process executor's degrade path records exactly why."""
-
-    def test_fallback_records_exception_repr(
-        self, landed_table, monkeypatch
-    ):
-        table, _ = landed_table(seed=17, stripe_rows=64)
-
-        def boom(self, schema, shard_sources):
-            raise OSError("semaphores unavailable")
-            yield  # pragma: no cover - marks this as a generator
-
-        monkeypatch.setattr(ReaderFleet, "_iter_multiprocess", boom)
-        fleet = _fleet(2, _plain_cfg(), executor="process")
-        want = _fleet(2, _plain_cfg(), executor="inprocess").run(table, "p")
-        got = fleet.run(table, "p")
-        assert_batches_identical(got, want)
-        assert fleet.report.executor_used == "inprocess-fallback"
-        assert (
-            fleet.report.fallback_reason
-            == "OSError('semaphores unavailable')"
-        )
-
-    def test_clean_runs_record_no_reason(self, landed_table):
-        table, _ = landed_table(seed=17, stripe_rows=64)
-        fleet = _fleet(2, _plain_cfg(), executor="async")
-        fleet.run(table, "p")
-        assert fleet.report.fallback_reason == ""
-        assert "fallback_reason" in fleet.report.as_dict()

@@ -166,7 +166,7 @@ class TestIterEpochDeterminism:
         fleet = ReaderFleet(num_readers, cfg, executor="process")
         got = fleet.run_epoch(table, names)
         assert_batches_identical(got, serial)
-        assert fleet.report.executor_used in ("process", "inprocess-fallback")
+        assert fleet.report.executor_used == "process"
 
     def test_epoch_budget_matches_serial_prefix(self):
         table, names = _landed_multi(seed=9)

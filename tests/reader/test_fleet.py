@@ -2,6 +2,11 @@
 bit-identical output versus the serial reader, report merging, and the
 prefetch-queue accounting."""
 
+import multiprocessing
+import os
+import signal
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -184,9 +189,7 @@ class TestFleetDeterminism:
         fleet = ReaderFleet(num_readers, cfg, executor="process")
         got = fleet.run(table, "p")
         assert_batches_identical(got, serial)
-        # a locked-down platform may degrade, but never at the cost of
-        # output fidelity
-        assert fleet.report.executor_used in ("process", "inprocess-fallback")
+        assert fleet.report.executor_used == "process"
 
     def test_dedup_config_matches_serial(self, landed_table):
         table, _ = landed_table(clustered=True, seed=3, stripe_rows=64)
@@ -238,6 +241,102 @@ class TestFleetDeterminism:
         assert rep.balanced_wall_seconds(4) == pytest.approx(1.0)
         with pytest.raises(ValueError):
             rep.balanced_wall_seconds(0)
+
+
+# -- real worker failures ----------------------------------------------------
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the children must inherit the monkeypatches",
+)
+class TestProcessWorkerFailure:
+    """A ``process`` worker that dies, raises, or cannot start surfaces
+    in the parent as a ``RuntimeError`` naming it — never a hang, never
+    a quiet in-process rerun — and no child outlives the scan."""
+
+    @staticmethod
+    def _scan(table, batch_size=16):
+        # 16-row batches: ~30 per shard, so a worker bounded two
+        # batches ahead of the merge loop is mid-shard for a long time
+        fleet = ReaderFleet(
+            2, _plain_cfg(batch_size=batch_size), executor="process"
+        )
+        return fleet.iter_epoch(table, ["p"])
+
+    @pytest.mark.parametrize(
+        "sessions, batch_size",
+        [
+            # small batches fit the pipe: the victim dies blocked on its
+            # full prefetch queue, between messages
+            (60, 16),
+            # ~85 KB batches overflow the pipe buffer: the victim dies
+            # mid-write, leaving half a message for the parent to read
+            (400, 512),
+        ],
+    )
+    def test_sigkilled_worker_is_named_within_deadline(
+        self, landed_table, sessions, batch_size
+    ):
+        table, _ = landed_table(seed=2, sessions=sessions, stripe_rows=64)
+        stream = self._scan(table, batch_size)
+        next(stream)  # both workers are up and ahead of the merge loop
+        time.sleep(0.2)  # ...and blocked: queue full, or pipe full
+        victim = next(
+            p
+            for p in multiprocessing.active_children()
+            if p.name == "reader-shard-0"
+        )
+        os.kill(victim.pid, signal.SIGKILL)
+        killed = time.monotonic()
+        with pytest.raises(
+            RuntimeError,
+            match=r"reader worker reader-shard-0 exited \(exitcode=-9\)",
+        ):
+            for _ in stream:
+                pass
+        assert time.monotonic() - killed < 5.0
+        assert multiprocessing.active_children() == []
+
+    def test_raising_worker_surfaces_type_and_message(
+        self, landed_table, monkeypatch
+    ):
+        table, _ = landed_table(seed=2, stripe_rows=64)
+        real_run = ReaderNode.run
+
+        def run(self, readers, **window):
+            batches = real_run(self, readers, **window)
+            yield next(batches)
+            raise LookupError("stripe 3 went missing")
+
+        monkeypatch.setattr(ReaderNode, "run", run)
+        with pytest.raises(
+            RuntimeError,
+            match="reader worker reader-shard-0 failed: "
+            "LookupError: stripe 3 went missing",
+        ):
+            for _ in self._scan(table):
+                pass
+        assert multiprocessing.active_children() == []
+
+    def test_unstartable_worker_is_an_error_not_a_fallback(
+        self, landed_table, monkeypatch
+    ):
+        table, _ = landed_table(seed=2, stripe_rows=64)
+
+        def start(self):
+            raise OSError("semaphores unavailable")
+
+        monkeypatch.setattr(
+            multiprocessing.get_context("fork").Process, "start", start
+        )
+        with pytest.raises(
+            RuntimeError, match="cannot start reader worker reader-shard-0"
+        ) as exc:
+            next(self._scan(table))
+        assert isinstance(exc.value.__cause__, OSError)
+        assert "semaphores unavailable" in str(exc.value)
+        assert multiprocessing.active_children() == []
 
 
 # -- report merging ----------------------------------------------------------
