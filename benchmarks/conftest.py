@@ -2,9 +2,10 @@
 
 Every benchmark regenerates one of the paper's tables/figures, prints the
 paper-style rows, and persists them twice: the rendered text block lands
-in ``benchmarks/results/{node}.txt`` (the human-readable view), and the
-run — with any machine-readable ``metrics`` the benchmark passes — is
-recorded in the results store
+in ``benchmarks/results/{name}.txt`` (the human-readable view; ``name``
+is the figure's ``FIGURES`` key for ``test_figures.py``, the test's node
+name elsewhere), and the run — with any machine-readable ``metrics``
+the benchmark passes — is recorded in the results store
 (``benchmarks/results/store/runs.sqlite``) as a ``kind="bench"``
 :class:`~repro.experiments.store.RunRecord`, where the regression gate
 (``check_regression.py``) and ``repro experiments query`` can reach it.
@@ -48,23 +49,25 @@ def emit(results_dir, run_store, bench_env, request):
     """Print a block of result lines and persist them per-benchmark.
 
     The ``.txt`` file keeps the rendered view; passing ``metrics=``
-    additionally records the numbers in the results store under the
-    benchmark's node name (a stable run ID, so re-runs replace).
+    additionally records the numbers in the results store under
+    ``bench:<name>`` (a stable run ID, so re-runs replace); ``name``
+    defaults to the test's node name.
     """
 
     def _emit(
-        title: str, lines: list[str], metrics: dict | None = None
+        title: str, lines: list[str], metrics: dict | None = None, name: str | None = None
     ) -> None:
+        name = name or request.node.name
         block = [f"== {title} =="] + lines
         text = "\n".join(block)
         print("\n" + text)
-        out = results_dir / f"{request.node.name}.txt"
+        out = results_dir / f"{name}.txt"
         out.write_text(text + "\n")
         run_store.record(
             RunRecord(
-                run_id=f"bench:{request.node.name}",
+                run_id=f"bench:{name}",
                 experiment=request.node.module.__name__,
-                label=request.node.name,
+                label=name,
                 kind="bench",
                 created_at=datetime.now(timezone.utc).isoformat(
                     timespec="seconds"

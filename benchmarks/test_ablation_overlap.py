@@ -2,7 +2,8 @@
 
 The default latency model exposes all communication (overlap = 0), which
 is why this reproduction's trainer multipliers overshoot the paper's
-(EXPERIMENTS.md, reading guide).  This bench sweeps the overlap fraction
+(the measured and paper cells of ``benchmarks/results/fig7.txt``'s
+trainer column).  This bench sweeps the overlap fraction
 and shows the RecD-vs-baseline multiplier shrinking toward the paper's
 band as overlap grows — quantifying that the gap is an overlap-modeling
 artifact, not a dedup-accounting one.

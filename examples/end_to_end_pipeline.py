@@ -9,6 +9,7 @@ Run:  python examples/end_to_end_pipeline.py
 """
 
 from repro.datagen import rm1
+from repro.experiments import FIGURES
 from repro.pipeline import (
     DataSpec,
     JobSpec,
@@ -62,17 +63,17 @@ def main() -> None:
     recd = run(RecDToggles.full())
     describe("RecD (O1-O7)", recd)
 
+    # the paper's values are declared once, in the FIGURES table
+    fig7, scribe = FIGURES["fig7"].paper, FIGURES["scribe"].paper
     print("\n== end-to-end gains (Fig 7 shape) ==")
-    print(f"  trainer throughput : {recd.trainer_qps / base.trainer_qps:.2f}x  (paper RM1: 2.48x)")
-    print(f"  reader throughput  : {recd.reader_qps / base.reader_qps:.2f}x  (paper RM1: 1.79x)")
-    print(
-        "  storage compression: "
-        f"{recd.storage_compression / base.storage_compression:.2f}x  (paper RM1: 3.71x)"
-    )
-    print(
-        "  scribe compression : "
-        f"{recd.scribe_compression / base.scribe_compression:.2f}x  (paper: 1.50x)"
-    )
+    for name, metric, paper in (
+        ("trainer throughput", "trainer_qps", fig7["RM1", "trainer"]),
+        ("reader throughput", "reader_qps", fig7["RM1", "reader"]),
+        ("storage compression", "storage_compression", fig7["RM1", "storage"]),
+        ("scribe compression", "scribe_compression", scribe["relative gain", ""]),
+    ):
+        gain = getattr(recd, metric) / getattr(base, metric)
+        print(f"  {name:<19}: {gain:.2f}x  (paper RM1: {paper:.2f}x)")
 
 
 if __name__ == "__main__":

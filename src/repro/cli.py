@@ -14,10 +14,9 @@ Usage::
 
 The figure subcommands are the entries of
 :data:`repro.experiments.figures.FIGURES`: each runs its driver with
-the flags that driver reads and prints its rows.  The benchmark
-harness (``benchmarks/test_*.py``) runs the same drivers but writes its
-own rows to ``benchmarks/results/`` — several add paper reference
-columns or baseline fractions these subcommands do not print.
+the flags that driver reads and prints its rows through the table's
+one ``render`` — the lines ``benchmarks/test_figures.py`` writes to
+``benchmarks/results/``, at the sizes the flags give.
 """
 
 from __future__ import annotations
@@ -36,6 +35,7 @@ from .experiments import (
     build_job_spec,
     expand_grid,
     get_profile,
+    render,
     render_report,
     run_grid,
     run_profile,
@@ -314,7 +314,7 @@ def _cmd_figure(args) -> int:
         rows = fig.run(
             **{param: getattr(args, flag) for flag, param in fig.flags.items()}
         )
-    print("\n".join(fig.lines(rows)))
+    print("\n".join(render(fig, rows)))
     return 0
 
 

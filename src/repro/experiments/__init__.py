@@ -11,9 +11,11 @@ in the :class:`~repro.experiments.store.RunStore`; the report renderer
 and the CI regression gate (:mod:`repro.experiments.gate`) read from
 the store.
 
-The figures themselves — driver, printed rows, CLI flags, store
-rendering — are declared once, in :data:`~repro.experiments.figures.FIGURES`;
-import a driver from :mod:`repro.experiments.figures`.
+The figures themselves — driver, printed cells, paper values, CLI
+flags, store rendering — are declared once, in
+:data:`~repro.experiments.figures.FIGURES`, and printed by one
+:func:`~repro.experiments.figures.render`; import a driver from
+:mod:`repro.experiments.figures`.
 
 CLI surface: one subcommand per :data:`FIGURES` entry plus ``repro
 experiments {run,list,query,report}``; the gate is
@@ -21,7 +23,7 @@ experiments {run,list,query,report}``; the gate is
 """
 
 from .env import environment_fingerprint
-from .figures import FIGURES, render_report
+from .figures import FIGURES, render, render_report
 from .gate import (
     GateResult,
     check_store,
@@ -65,5 +67,6 @@ __all__ = [
     "update_baselines",
     "markdown_summary",
     "FIGURES",
+    "render",
     "render_report",
 ]

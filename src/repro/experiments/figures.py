@@ -2,11 +2,12 @@
 
 :data:`FIGURES` maps a ``repro`` subcommand name to a :class:`Figure`:
 the driver that runs the figure's configurations and returns its rows,
-the renderer that turns those rows into the subcommand's stdout, and
-the CLI flags the driver reads.  The CLI's subparsers, ``repro list``
-and ``repro experiments report`` (:func:`render_report`) all iterate
-that one table, and the ``benchmarks/test_*.py`` harness imports the
-drivers from here — so "what is a figure" has one answer.
+the cells those rows print as, the paper's value for the cells that
+have one, and the CLI flags the driver reads.  The CLI's subparsers,
+``repro list``, ``repro experiments report`` (:func:`render_report`)
+and the ``benchmarks/test_figures.py`` harness all iterate that one
+table and print through one :func:`render` — so "what is a figure", and
+what it looks like, has one answer.
 
 Two config sets stay apart on purpose.  A driver called live runs its
 configurations inline at the sizes its flags give; a figure with a
@@ -22,7 +23,9 @@ in differ.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import partial
+from itertools import zip_longest
 
 import numpy as np
 
@@ -37,7 +40,7 @@ from ..datagen.characterization import (
     characterize_schema,
 )
 from ..datagen.generator import TraceConfig, TraceGenerator
-from ..datagen.schema import DatasetSchema, SparseFeatureSpec
+from ..datagen.schema import DatasetSchema, FeatureKind, SparseFeatureSpec
 from ..datagen.session import sample_session_sizes, session_size_stats
 from ..datagen.workloads import RMWorkload, all_workloads, rm1
 from ..metrics.breakdown import IterationBreakdown, ReaderCpuBreakdown
@@ -53,6 +56,7 @@ from .store import RunRecord, RunStore
 __all__ = [
     "Figure",
     "FIGURES",
+    "render",
     "render_report",
     "SpeedupRow",
     "speedup_row",
@@ -71,6 +75,7 @@ __all__ = [
     "table2_resource_util",
     "Table3Row",
     "table3_reader_bytes",
+    "table4_opt_summary",
     "fig10_reader_cpu",
     "scribe_sharding_compression",
     "single_node_speedup",
@@ -206,16 +211,6 @@ def fig3_session_histogram(
     )
 
 
-def _fig3_lines(res: Fig3Result) -> list[str]:
-    s = res.partition_stats
-    return [
-        f"partition mean samples/session : {s['mean']:.2f} (paper 16.5)",
-        f"tail >1000                     : {s['tail_1000']:.0f} sessions",
-        f"batch mean interleaved         : {res.batch_mean_interleaved:.2f} (paper 1.15)",
-        f"batch mean clustered           : {res.batch_mean_clustered:.2f} (paper ~16.5)",
-    ]
-
-
 # -- Fig 4: per-feature duplication ------------------------------------------
 
 
@@ -229,15 +224,6 @@ def fig4_duplication(
         num_sessions=num_sessions,
         seed=seed,
     )
-
-
-def _fig4_lines(rep: CharacterizationReport) -> list[str]:
-    return [
-        f"mean exact     : {rep.mean_exact:.3f} (paper 0.800)",
-        f"mean partial   : {rep.mean_partial:.3f} (paper 0.839)",
-        f"byte-wt exact  : {rep.byte_weighted_exact:.3f} (paper 0.816)",
-        f"byte-wt partial: {rep.byte_weighted_partial:.3f} (paper 0.894)",
-    ]
 
 
 # -- Fig 7: end-to-end trainer / reader / storage across RMs -----------------
@@ -323,23 +309,6 @@ def fig7_from_store(
     return rows
 
 
-def _fig7_lines(rows: list[SpeedupRow]) -> list[str]:
-    return ["RM    trainer  reader  storage"] + [
-        f"{r.rm}   {r.trainer_x:6.2f}x {r.reader_x:6.2f}x "
-        f"{r.storage_x:6.2f}x"
-        for r in rows
-    ]
-
-
-def _fig7_stored_lines(store: RunStore, profile: str | None) -> list[str]:
-    return [
-        f"{r.rm}: trainer {r.trainer_x:.2f}x  reader "
-        f"{r.reader_x:.2f}x  storage {r.storage_x:.2f}x  "
-        f"scribe {r.scribe_x:.2f}x"
-        for r in fig7_from_store(store, profile)
-    ]
-
-
 # -- Fig 8 / Fig 10: phase breakdowns, baseline vs RecD ----------------------
 
 
@@ -381,20 +350,6 @@ def fig8_iteration_breakdown(
     )
 
 
-def _fig8_lines(rows: list[BreakdownRow]) -> list[str]:
-    lines = []
-    for r in rows:
-        n = r.recd_normalized
-        bt = r.baseline.total
-        lines.append(
-            f"{r.rm}: emb {r.baseline.emb_lookup / bt:.2f}->{n['emb_lookup']:.2f} "
-            f"gemm {r.baseline.gemm / bt:.2f}->{n['gemm']:.2f} "
-            f"a2a {r.baseline.a2a / bt:.2f}->{n['a2a']:.2f} "
-            f"other {r.baseline.other / bt:.2f}->{n['other']:.2f}"
-        )
-    return lines
-
-
 def fig10_reader_cpu(
     scale: float = 1.0, num_sessions: int = 200, seed: int = 0
 ) -> list[BreakdownRow]:
@@ -402,17 +357,6 @@ def fig10_reader_cpu(
     return _breakdown_rows(
         scale, num_sessions, seed, lambda res: res.reader.cpu, train_batches=1
     )
-
-
-def _fig10_lines(rows: list[BreakdownRow]) -> list[str]:
-    lines = []
-    for r in rows:
-        n = r.recd_normalized
-        lines.append(
-            f"{r.rm}: fill->{n['fill']:.2f} convert->{n['convert']:.2f} "
-            f"process->{n['process']:.2f} total->{n['total']:.2f}"
-        )
-    return lines
 
 
 # -- Fig 9: RM1 ablation -----------------------------------------------------
@@ -482,17 +426,6 @@ def ablation_from_store(
     )
 
 
-def _fig9_lines(stages: list[AblationStage]) -> list[str]:
-    return [f"{s.label:24s} {s.normalized:6.2f}x" for s in stages]
-
-
-def _fig9_stored_lines(store: RunStore, profile: str | None) -> list[str]:
-    return [
-        f"{s.label:<10} qps {s.qps:12.1f}  ({s.normalized:.2f}x)"
-        for s in ablation_from_store(store, profile)
-    ]
-
-
 # -- Table 2: trainer resource utilization for RM1 ---------------------------
 
 
@@ -514,8 +447,9 @@ def table2_resource_util(
     w = rm1(scale)
     B = w.baseline_batch_size
     # The paper reinvests RecD's freed memory in 2x embedding dims (128 ->
-    # 256).  Our simulation frees a smaller fraction (see EXPERIMENTS.md),
-    # so the equivalent "largest dim that fits" step is 1.5x.
+    # 256).  Our simulation frees a smaller fraction (the RecD row's
+    # max_mem cell beside its paper value), so the equivalent "largest
+    # dim that fits" step is 1.5x.
     configs = [
         ("Baseline", w, _BASELINE, B),
         ("RecD", w, _RECD, B),
@@ -565,15 +499,6 @@ def table2_resource_util(
     return rows
 
 
-def _table2_lines(rows: list[Table2Row]) -> list[str]:
-    return [
-        f"{r.config:18s} qps {r.norm_qps:5.2f} "
-        f"max {100 * r.max_mem_util:5.1f}% avg {100 * r.avg_mem_util:5.1f}% "
-        f"eff {r.norm_compute_efficiency:5.2f}"
-        for r in rows
-    ]
-
-
 # -- Table 3: reader ingest & egress bytes for a fixed number of samples -----
 
 
@@ -609,12 +534,36 @@ def table3_reader_bytes(
     return rows
 
 
-def _table3_lines(rows: list[Table3Row]) -> list[str]:
-    return [
-        f"{r.config:14s} read {r.bytes.read / 2**20:8.2f} MB  "
-        f"send {r.bytes.decoded / 2**20:8.2f} MB"
-        for r in rows
-    ]
+# -- Table 4: each optimization's own impact on RM1 --------------------------
+
+
+def table4_opt_summary(
+    scale: float = 1.0, num_sessions: int = 250, seed: int = 0
+) -> dict[str, float]:
+    """Table 4: O1's Scribe gain, O1+O2's storage gain and fill-time
+    cut, O3's convert-time rise and O4's process-time cut (one batch at
+    the baseline batch size each), then Fig 9's O5+O6 and full-stack
+    trainer throughput."""
+    w = rm1(scale)
+    base, o1, o2, o3 = (
+        _run(w, toggles, num_sessions, seed, train_batches=1, batch_size=w.baseline_batch_size)
+        for toggles in (
+            _BASELINE,
+            RecDToggles(o1_shard_by_session=True),
+            _CLUSTERED,
+            _DEDUP_EMB,
+        )
+    )
+    ablation = fig9_ablation(scale, num_sessions, seed)
+    return {
+        "scribe_x": o1.scribe_compression / base.scribe_compression,
+        "storage_x": o2.storage_compression / base.storage_compression,
+        "fill_cut": 1.0 - o2.reader.cpu.fill / base.reader.cpu.fill,
+        "convert_up": o3.reader.cpu.convert / o2.reader.cpu.convert - 1.0,
+        "process_cut": 1.0 - o3.reader.cpu.process / o2.reader.cpu.process,
+        "o56_x": ablation[2].normalized,
+        "o7_x": ablation[4].normalized,
+    }
 
 
 # -- §6.1: Scribe sharding compression (O1 alone) ----------------------------
@@ -633,13 +582,6 @@ def scribe_sharding_compression(
         _, stats, _, _, _ = land_table(_spec(w, toggles, num_sessions, seed))
         ratios[policy] = stats.compression_ratio
     return ratios
-
-
-def _scribe_lines(res: dict[str, float]) -> list[str]:
-    return [
-        f"random  : {res['random']:.2f}x",
-        f"session : {res['session']:.2f}x",
-    ]
 
 
 # -- §6.2: single-node training ----------------------------------------------
@@ -661,10 +603,6 @@ def single_node_speedup(
     }
     results["speedup"] = results["recd"] / results["baseline"]
     return results
-
-
-def _single_node_lines(res: dict[str, float]) -> list[str]:
-    return [f"speedup: {res['speedup']:.2f}x (paper 2.18x)"]
 
 
 # -- §6.2: clustering's accuracy mechanism (repeat sparse updates) -----------
@@ -724,16 +662,6 @@ def accuracy_clustering(
     )
 
 
-def _accuracy_lines(res: AccuracyResult) -> list[str]:
-    return [
-        "fraction of embedding rows updated in >1 iteration:",
-        f"  interleaved (baseline) : {res.interleaved_repeat_fraction:.3f}",
-        f"  clustered (O2)         : {res.clustered_repeat_fraction:.3f}",
-        f"mean training loss interleaved : {res.interleaved_loss:.4f}",
-        f"mean training loss clustered   : {res.clustered_loss:.4f}",
-    ]
-
-
 # -- §4.2: the DedupeFactor analytical model vs measurement ------------------
 
 
@@ -777,14 +705,6 @@ def dedupe_factor_model_sweep(seed: int = 0) -> list[DedupeModelPoint]:
     return points
 
 
-def _dedupe_model_lines(points: list[DedupeModelPoint]) -> list[str]:
-    return [
-        f"S={p.samples_per_session:<4.0f} d={p.d:<5.2f} "
-        f"modeled {p.modeled:6.2f} measured {p.measured:6.2f}"
-        for p in points
-    ]
-
-
 # -- §7: partial IKJTs -------------------------------------------------------
 
 
@@ -824,13 +744,6 @@ def partial_vs_exact(
         exact_captured_fraction=1.0 - 1.0 / exact,
         partial_captured_fraction=1.0 - 1.0 / partial,
     )
-
-
-def _partial_lines(res: PartialResult) -> list[str]:
-    return [
-        f"exact factor   : {res.exact_factor:.2f}x",
-        f"partial factor : {res.partial_factor:.2f}x",
-    ]
 
 
 # -- harness-only report sections (no live driver, no subcommand) ------------
@@ -887,20 +800,129 @@ class Figure:
     Attributes:
         run: the driver — runs the figure's configurations and returns
             its rows.
-        lines: renders the driver's rows as the subcommand's stdout.
+        cells: the figure's numbers off the driver's rows, in print
+            order, as ``{(row label, column): value}``; a column named
+            ``""`` prints its value alone.
         flags: the CLI flags ``run`` reads, as ``{flag (argparse dest):
             driver parameter}``; the subcommand registers exactly these.
+        title: the heading the benchmark harness prints the figure under.
+        formats: ``{column: str.format template}``; a column not named
+            prints as ``{:.2f}``.
+        paper: the published value of each cell that has one, keyed like
+            ``cells`` — a number (formatted like its cell) or text
+            printed as given.  The only place a paper number is written.
         stored: the figure's ``repro experiments report`` section, for
-            one a profile grid records: ``(title, lines)`` where
-            ``lines(store, profile)`` raises :class:`LookupError`
-            (naming the command that populates the store) when the grid
-            is absent.  ``None``: only a live run produces the figure.
+            one a profile grid records: ``(title, rows)`` where
+            ``rows(store, profile)`` returns what ``run`` would, from
+            the stored runs, or raises :class:`LookupError` (naming the
+            command that populates the store) when the grid is absent.
+            ``None``: only a live run produces the figure.
     """
 
     run: Callable
-    lines: Callable[..., list[str]]
+    cells: Callable[..., dict[tuple[str, str], float]]
     flags: Mapping[str, str]
-    stored: tuple[str, Callable[[RunStore, str | None], list[str]]] | None = None
+    title: str
+    formats: Mapping[str, str] = field(default_factory=dict)
+    paper: Mapping[tuple[str, str], float | str] = field(default_factory=dict)
+    stored: tuple[str, Callable[[RunStore, str | None], object]] | None = None
+
+
+def render(fig: Figure, rows) -> list[str]:
+    """A figure as text — the one renderer behind the CLI, ``repro
+    experiments report`` and the benchmark harness: one line per row
+    label, each of its cells as ``column value`` with ``(paper …)``
+    beside a cell :attr:`Figure.paper` declares, padded to line up by
+    position."""
+    table: dict[str, list[str]] = {}
+    for (label, column), value in fig.cells(rows).items():
+        fmt = fig.formats.get(column, "{:.2f}")
+        text = f"{column} {fmt.format(value)}".lstrip()
+        if (label, column) in fig.paper:
+            paper = fig.paper[label, column]
+            text += f" (paper {paper if isinstance(paper, str) else fmt.format(paper)})"
+        table.setdefault(label, []).append(text)
+    lines = [[label, *cells] for label, cells in table.items()]
+    widths = [max(map(len, position)) for position in zip_longest(*lines, fillvalue="")]
+    return ["  ".join(map(str.ljust, line, widths)).rstrip() for line in lines]
+
+
+def _columns(label: str, **columns: str) -> Callable:
+    """The ``cells`` of a driver that returns a list of row dataclasses:
+    the ``label`` field names the row, each ``column=field`` is a cell."""
+    return lambda rows: {
+        (getattr(row, label), column): getattr(row, attr)
+        for row in rows
+        for column, attr in columns.items()
+    }
+
+
+def _paper(columns: Iterable[str], rows: Mapping[str, tuple]) -> dict:
+    """A paper table typed row by row (``{label: values under columns}``)
+    as :attr:`Figure.paper` keys."""
+    return {
+        (label, column): value
+        for label, values in rows.items()
+        for column, value in zip(columns, values)
+    }
+
+
+def _single(run: Callable, flags: Mapping[str, str], title: str, *table: tuple) -> Figure:
+    """The :class:`Figure` of a driver that returns one result, typed
+    one cell per line: ``(row label, column, source, format, paper value
+    or None)``, where ``source`` is a key or attribute of the result,
+    or a function of it."""
+
+    def cells(res) -> dict:
+        get = res.__getitem__ if isinstance(res, dict) else partial(getattr, res)
+        return {
+            (label, column): source(res) if callable(source) else get(source)
+            for label, column, source, _, _ in table
+        }
+
+    formats = {column: fmt for _, column, _, fmt, _ in table}
+    paper = {(row[0], row[1]): row[4] for row in table if row[4] is not None}
+    return Figure(run, cells, flags, title, formats, paper)
+
+
+def _mean_exact(kind: FeatureKind, rep: CharacterizationReport) -> float:
+    return float(np.mean([f.exact_fraction for f in rep.features if f.kind is kind]))
+
+
+def _breakdown_cells(rows: list[BreakdownRow]) -> dict:
+    """Figs 8 and 10: both endpoints' phases (and their total) as
+    fractions of the baseline's total."""
+    return {
+        (f"{r.rm} {config}", phase): fraction
+        for r in rows
+        for config, phases in (
+            ("baseline", r.baseline.normalized_to(r.baseline)),
+            ("RecD", r.recd_normalized),
+        )
+        for phase, fraction in phases.items()
+    }
+
+
+def _table3_cells(rows: list[Table3Row]) -> dict:
+    base = rows[0].bytes
+    return {
+        (r.config, column): value
+        for r in rows
+        for column, value in (
+            ("read", r.bytes.read / 2**20),
+            ("send", r.bytes.decoded / 2**20),
+            ("read/baseline", r.bytes.read / base.read),
+            ("send/baseline", r.bytes.decoded / base.decoded),
+        )
+    }
+
+
+def _dedupe_model_cells(points: list[DedupeModelPoint]) -> dict:
+    return {
+        (f"S={p.samples_per_session:.0f} d={p.d:.2f}", column): getattr(p, column)
+        for p in points
+        for column in ("modeled", "measured")
+    }
 
 
 _SEED = {"seed": "seed"}
@@ -908,35 +930,142 @@ _SESSIONS = {"sessions": "num_sessions", **_SEED}
 _STATS = {"sessions_large": "num_sessions", **_SEED}
 _SESSION = {"scale": "scale", **_SESSIONS}
 
+_X, _COUNT, _PERCENT, _FRACTION = "{:.2f}x", "{:.0f}", "{:.0%}", "{:.3f}"
+_PARTITION, _BATCH = "partition samples/session", "batch(4096) samples/session"
+_EXACT, _PARTIAL = "exact duplicate fraction", "partial duplicate fraction"
+_REPEATS = "rows updated in >1 iteration"
+
 #: subcommand name -> the figure it regenerates
 FIGURES: dict[str, Figure] = {
-    "fig3": Figure(fig3_session_histogram, _fig3_lines, _STATS),
-    "fig4": Figure(fig4_duplication, _fig4_lines, _STATS),
+    "fig3": _single(
+        fig3_session_histogram, _STATS, "Figure 3 — samples per session",
+        (_PARTITION, "mean", lambda r: r.partition_stats["mean"], "{:.2f}", "16.5"),
+        (_PARTITION, "p50", lambda r: r.partition_stats["p50"], _COUNT, None),
+        (_PARTITION, "p99", lambda r: r.partition_stats["p99"], _COUNT, None),
+        (_PARTITION, "max", lambda r: r.partition_stats["max"], _COUNT, None),
+        ("sessions with >1000 samples", "", lambda r: r.partition_stats["tail_1000"], _COUNT,
+         "'significant tail'"),
+        (_BATCH, "interleaved", "batch_mean_interleaved", "{:.2f}", 1.15),
+        (_BATCH, "clustered", "batch_mean_clustered", "{:.2f}", "~16.5"),
+    ),
+    "fig4": _single(
+        fig4_duplication, _STATS, "Figure 4 — feature duplication",
+        (_EXACT, "mean", "mean_exact", _FRACTION, 0.800),
+        (_EXACT, "byte-weighted", "byte_weighted_exact", _FRACTION, 0.816),
+        (_EXACT, "user features", partial(_mean_exact, FeatureKind.USER), _FRACTION, None),
+        (_EXACT, "item features", partial(_mean_exact, FeatureKind.ITEM), _FRACTION, None),
+        (_PARTIAL, "mean", "mean_partial", _FRACTION, 0.839),
+        (_PARTIAL, "byte-weighted", "byte_weighted_partial", _FRACTION, 0.894),
+    ),
     "fig7": Figure(
         fig7_end_to_end,
-        _fig7_lines,
+        _columns("rm", trainer="trainer_x", reader="reader_x", storage="storage_x", scribe="scribe_x"),
         _SESSION,
-        ("Fig 7: end-to-end speedups (RecD / baseline)", _fig7_stored_lines),
+        "Figure 7 — end-to-end gains",
+        dict.fromkeys(("trainer", "reader", "storage", "scribe"), _X),
+        _paper(
+            ("trainer", "reader", "storage"),
+            {"RM1": (2.48, 1.79, 3.71), "RM2": (1.25, 1.38, 3.71), "RM3": (1.43, 1.36, 2.06)},
+        ),
+        ("Fig 7: end-to-end speedups (RecD / baseline)", fig7_from_store),
     ),
-    "fig8": Figure(fig8_iteration_breakdown, _fig8_lines, _SESSION),
+    "fig8": Figure(
+        fig8_iteration_breakdown, _breakdown_cells, _SESSION,
+        "Figure 8 — iteration breakdown (fractions of the baseline iteration)",
+    ),
     "ablation": Figure(
         fig9_ablation,
-        _fig9_lines,
+        _columns("label", qps="qps", normalized="normalized"),
         _SESSION,
-        ("Fig 9: RM1 optimization staircase", _fig9_stored_lines),
+        "Figure 9 — RM1 ablation",
+        {"qps": "{:.1f}", "normalized": _X},
+        {
+            ("Baseline B1x", "normalized"): 1.0,
+            ("O2 CT", "normalized"): 1.0,
+            ("+O5 DE +O6 JIS B2x", "normalized"): 1.34,  # @ B4096
+            ("+O7 DC B2x", "normalized"): 2.42,
+            ("+B3x", "normalized"): 2.48,  # @ B6144
+        },
+        ("Fig 9: RM1 optimization staircase", ablation_from_store),
     ),
-    "fig10": Figure(fig10_reader_cpu, _fig10_lines, _SESSION),
-    "table2": Figure(table2_resource_util, _table2_lines, _SESSION),
-    "table3": Figure(table3_reader_bytes, _table3_lines, _SESSION),
-    "scribe": Figure(scribe_sharding_compression, _scribe_lines, _SESSION),
-    "single-node": Figure(single_node_speedup, _single_node_lines, _SESSION),
-    "accuracy": Figure(accuracy_clustering, _accuracy_lines, _SESSION),
-    "dedupe-model": Figure(dedupe_factor_model_sweep, _dedupe_model_lines, _SEED),
-    "partial": Figure(partial_vs_exact, _partial_lines, _SESSIONS),
+    "fig10": Figure(
+        fig10_reader_cpu, _breakdown_cells, _SESSION,
+        "Figure 10 — reader CPU breakdown (fractions of the baseline reader CPU)",
+    ),
+    "table2": Figure(
+        table2_resource_util,
+        _columns("config", qps="norm_qps", max_mem="max_mem_util", avg_mem="avg_mem_util",
+                 eff="norm_compute_efficiency"),
+        _SESSION,
+        "Table 2 — RM1 resource utilization",
+        {"max_mem": "{:.1%}", "avg_mem": "{:.1%}"},
+        _paper(
+            ("qps", "max_mem", "avg_mem", "eff"),
+            {
+                "Baseline": (1.00, 0.999, 0.728, 1.00),
+                "RecD": (1.89, 0.278, 0.222, 1.73),
+                "RecD + EMB D1.5x": (1.55, 0.409, 0.312, 1.92),  # paper row: D256
+                "RecD + B3x": (2.26, 0.918, 0.516, 2.12),  # paper row: B6144
+            },
+        ),
+    ),
+    "table3": Figure(
+        table3_reader_bytes, _table3_cells, _SESSION, "Table 3 — reader bytes",
+        {"read": "{:.2f} MB", "send": "{:.2f} MB"},
+        _paper(
+            ("read", "send"),
+            {
+                "Baseline": ("538 GB", "837 GB"),
+                "with Cluster": ("179 GB", "837 GB"),
+                "with IKJT": ("179 GB", "713 GB"),
+            },
+        ),
+    ),
+    "table4": _single(
+        table4_opt_summary, _SESSION, "Table 4 — per-optimization impacts (RM1)",
+        ("O1", "scribe compression", "scribe_x", _X, 1.50),
+        ("O2", "storage compression", "storage_x", _X, 3.71),
+        ("O2", "reader fill time cut", "fill_cut", _PERCENT, 0.50),
+        ("O3", "convert time increase", "convert_up", _PERCENT, 0.21),
+        ("O4", "process time cut", "process_cut", _PERCENT, 0.13),
+        ("O5+O6", "trainer throughput", "o56_x", _X, 1.34),  # @ B4096
+        ("O7 full stack", "trainer throughput", "o7_x", _X, 2.48),  # @ B6144
+    ),
+    "scribe": _single(
+        scribe_sharding_compression, _SESSION, "Scribe sharding (O1)",
+        ("random sharding", "compression", "random", _X, 1.50),
+        ("session sharding", "compression", "session", _X, 2.25),
+        ("relative gain", "", lambda res: res["session"] / res["random"], _X, 1.50),
+    ),
+    "single-node": _single(
+        single_node_speedup, _SESSION, "Single-node training (§6.2)",
+        ("baseline", "QPS", "baseline", _COUNT, None),
+        ("RecD", "QPS", "recd", _COUNT, None),
+        ("speedup", "", "speedup", _X, 2.18),
+    ),
+    "accuracy": _single(
+        accuracy_clustering, _SESSION, "Clustering accuracy mechanism (§6.2)",
+        ("interleaved (baseline)", _REPEATS, "interleaved_repeat_fraction", _FRACTION, None),
+        ("interleaved (baseline)", "mean training loss", "interleaved_loss", "{:.4f}", None),
+        ("clustered (O2)", _REPEATS, "clustered_repeat_fraction", _FRACTION, None),
+        ("clustered (O2)", "mean training loss", "clustered_loss", "{:.4f}", None),
+    ),
+    "dedupe-model": Figure(
+        dedupe_factor_model_sweep, _dedupe_model_cells, _SEED,
+        "DedupeFactor model validation (§4.2)",
+    ),
+    "partial": _single(
+        partial_vs_exact, _SESSIONS, "Partial IKJTs (§7)",
+        # the paper's two fractions are of duplicated *bytes*
+        ("exact", "dedupe factor", "exact_factor", _X, None),
+        ("exact", "values captured", "exact_captured_fraction", "{:.1%}", 0.816),
+        ("partial", "dedupe factor", "partial_factor", _X, None),
+        ("partial", "values captured", "partial_captured_fraction", "{:.1%}", 0.894),
+    ),
 }
 
-#: report sections with no live driver or subcommand, same shape as
-#: :attr:`Figure.stored`
+#: report sections with no live driver or subcommand: ``(title,
+#: lines(store, profile))``
 _HARNESS_SECTIONS = (
     ("Fleet scaling: modeled scan throughput vs width", _fleet_scaling_stored_lines),
     ("Single node: ingestion overlap attribution", _overlap_stored_lines),
@@ -947,12 +1076,17 @@ def render_report(
     store: RunStore, profile: str | None = None
 ) -> str:
     """Render every stored section as one text report: each figure
-    with a ``stored`` section, then the harness-only ones.
+    with a ``stored`` section (its rows from the store, through
+    :func:`render`), then the harness-only ones.
 
     Sections missing from the store are noted, not fatal — so a
     partially populated store still renders what it has.
     """
-    sections = [fig.stored for fig in FIGURES.values() if fig.stored]
+    sections = [
+        (fig.stored[0], lambda store, profile, fig=fig: render(fig, fig.stored[1](store, profile)))
+        for fig in FIGURES.values()
+        if fig.stored
+    ]
     blocks = []
     for title, section_lines in (*sections, *_HARNESS_SECTIONS):
         lines = [title, "-" * len(title)]

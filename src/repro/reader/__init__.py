@@ -1,6 +1,6 @@
 """Reader tier: Fill -> Convert (O3) -> Process (O4) -> trainers."""
 
-from .autoscale import ReaderAutoscaler
+from .autoscale import ReaderAutoscaler, TierPlan, readers_required
 from .batch import Batch
 from .config import DataLoaderConfig
 from .convert import ConvertStats, convert_rows
@@ -19,7 +19,6 @@ from .preprocess import (
     apply_transforms,
 )
 from .shard import RowRangeShard, covering_files, plan_epoch, plan_shards
-from .tier import TierPlan, readers_required
 from .tier_scheduler import SharedReaderTier, TierJob, allocate_workers
 
 __all__ = [

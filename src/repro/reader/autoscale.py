@@ -27,17 +27,21 @@ from the reader cost model and the trainer's modeled step times), the
 controller's decisions are bit-reproducible across runs — which is how
 a ``Session`` with a ``ScalingSpec`` stays deterministic under the
 in-process executor.
+
+:func:`readers_required` is the static counterpart: the one-shot sizing
+formula (§2.1, §6.1) for a job whose reader and trainer rates are known.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 from ..metrics.breakdown import QueueWaitBreakdown
 from ..metrics.overlap import OverlapReport
 from ..metrics.scaling import ScalingDecision, ScalingTrace
 
-__all__ = ["ReaderAutoscaler"]
+__all__ = ["ReaderAutoscaler", "readers_required", "TierPlan"]
 
 
 class ReaderAutoscaler:
@@ -261,3 +265,34 @@ class ReaderAutoscaler:
             f"reader-stall {rsf:.2f} within target "
             f"{self.target_stall:.2f}",
         )
+
+
+@dataclass(frozen=True)
+class TierPlan:
+    """Provisioning outcome for one training job."""
+
+    trainer_samples_per_s: float
+    reader_samples_per_s: float
+    num_readers: int
+
+
+def readers_required(
+    trainer_samples_per_s: float,
+    reader_samples_per_s: float,
+    headroom: float = 1.1,
+) -> TierPlan:
+    """Readers needed so trainers never data-stall.
+
+    ``headroom`` over-provisions slightly, as the deployed system does to
+    "avoid data stalls in all configurations" (§6.1).
+    """
+    if trainer_samples_per_s < 0 or reader_samples_per_s <= 0:
+        raise ValueError("throughputs must be positive")
+    if headroom < 1.0:
+        raise ValueError("headroom must be >= 1.0")
+    n = math.ceil(trainer_samples_per_s * headroom / reader_samples_per_s)
+    return TierPlan(
+        trainer_samples_per_s=trainer_samples_per_s,
+        reader_samples_per_s=reader_samples_per_s,
+        num_readers=max(n, 1),
+    )

@@ -10,6 +10,8 @@ functions (``from tests.conftest import ...``), tests take the fixtures.
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from repro.datagen import (
@@ -21,13 +23,34 @@ from repro.datagen import (
     rm1,
 )
 from repro.etl import cluster_by_session
+from repro.experiments import FIGURES
 from repro.storage import HiveTable, TectonicFS
 
 __all__ = [
+    "SMALL",
     "make_reader_schema",
     "make_trace",
     "land_samples",
 ]
+
+
+#: the figure-subcommand flag values ``tests/pipeline/golden_figures.json``
+#: was recorded at: ``--scale 0.25 --sessions 60 --sessions-large 3000
+#: --seed 1``
+SMALL = {"scale": 0.25, "sessions": 60, "sessions_large": 3000, "seed": 1}
+
+
+@pytest.fixture(scope="session")
+def small():
+    """``small(name)``: the ``FIGURES`` entry's rows at :data:`SMALL`,
+    run once per test session however many tests read them."""
+
+    @functools.cache
+    def rows(name):
+        fig = FIGURES[name]
+        return fig.run(**{param: SMALL[f] for f, param in fig.flags.items()})
+
+    return rows
 
 
 def make_reader_schema(

@@ -1,6 +1,7 @@
 """The ``FIGURES`` table is the only declaration of a figure: the CLI,
-``repro list``, the docs and the store report all agree with it, and
-the live and store paths compute Fig 7 / Fig 9 with the same code."""
+``repro list``, the docs and the store report all agree with it, every
+figure is printed by the one ``render``, and the live and store paths
+compute Fig 7 / Fig 9 with the same code."""
 
 import inspect
 from dataclasses import replace
@@ -18,9 +19,11 @@ from repro.experiments import (
     run_grid,
 )
 from repro.experiments.figures import (
+    Figure,
     ablation_from_store,
     ablation_stages,
     fig7_from_store,
+    render,
     speedup_row,
 )
 from repro.experiments.profiles import ABLATION_STAGES
@@ -75,6 +78,34 @@ class TestOneTable:
         }
 
 
+class TestOneRenderer:
+    @pytest.mark.parametrize("name", sorted(FIGURES))
+    def test_every_paper_key_names_a_cell(self, name, small):
+        """A typo in a ``paper`` key would silently print no paper
+        value; it fails here, at the golden's sizes, not nightly."""
+        fig = FIGURES[name]
+        assert fig.paper.keys() <= fig.cells(small(name)).keys()
+
+    def test_paper_beside_declared_cells_one_line_per_label(self):
+        fig = Figure(
+            run=None,
+            cells=lambda rows: {
+                ("a", "x"): rows[0],
+                ("a", "share"): rows[1],
+                ("b", ""): rows[2],
+            },
+            flags={},
+            title="three cells",
+            formats={"share": "{:.0%}", "": "{:.1f}x"},
+            paper={("a", "share"): 0.5, ("b", ""): "~3x"},
+        )
+        # cells are padded to line up by position
+        assert render(fig, [1.234, 0.25, 2.0]) == [
+            "a  x 1.23            share 25% (paper 50%)",
+            "b  2.0x (paper ~3x)",
+        ]
+
+
 @pytest.fixture(scope="module")
 def small_grids():
     """The smoke profile's Fig 7 / Fig 9 grids, shrunk to RM1 at 40
@@ -109,9 +140,14 @@ class TestLiveAndStoreShareTheCode:
             p.values["toggles"]: headline_metrics(Session(p.job_spec()).run())
             for p in expand_grid(small_grids[0])
         }
-        assert fig7_from_store(store) == [
-            speedup_row("RM1", live["baseline"], live["recd"])
-        ]
+        rows = [speedup_row("RM1", live["baseline"], live["recd"])]
+        assert fig7_from_store(store) == rows
+        # ...and print as the same text, paper column included, in the
+        # report's stored section as on the CLI
+        text = render(FIGURES["fig7"], fig7_from_store(store))
+        assert text == render(FIGURES["fig7"], rows)
+        assert "trainer" in text[0] and "(paper 2.48x)" in text[0]
+        assert "\n".join(text) in render_report(store, "test")
 
     def test_fig9(self, small_grids, store):
         live = {

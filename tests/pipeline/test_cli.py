@@ -197,7 +197,7 @@ class TestSmallRuns:
     def test_partial(self, capsys):
         assert main(["partial", "--sessions", "60"]) == 0
         out = capsys.readouterr().out
-        assert "partial factor" in out
+        assert "partial  dedupe factor" in out
 
     def test_scribe(self, capsys):
         assert main(
@@ -273,4 +273,4 @@ class TestSmallRuns:
 
     def test_fig3_small(self, capsys):
         assert main(["fig3", "--sessions-large", "5000"]) == 0
-        assert "partition mean" in capsys.readouterr().out
+        assert "partition samples/session" in capsys.readouterr().out

@@ -1,43 +1,32 @@
 """Tests for the per-figure experiment drivers (small scales).
 
 The Session-backed cases and the stdout golden share one set of runs:
-``small(name)`` is the ``FIGURES`` entry's rows at the golden's flags,
-computed once per module, so a figure asserted on twice still runs once.
+``small(name)`` (``tests/conftest.py``) is the ``FIGURES`` entry's rows
+at the golden's flags, computed once per session, so a figure asserted
+on twice — here or in ``tests/experiments/test_figures.py`` — still
+runs once.
 """
 
-import functools
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.experiments.figures import FIGURES, fig3_session_histogram
-
-#: the flag values the golden was recorded at (parent 98682a7):
-#: ``--scale 0.25 --sessions 60 --sessions-large 3000 --seed 1``
-SMALL = {"scale": 0.25, "sessions": 60, "sessions_large": 3000, "seed": 1}
+from repro.experiments.figures import FIGURES, fig3_session_histogram, render
 
 #: stdout of the figure subcommands whose numbers do not depend on the
-#: zlib build (no compressed byte count reaches a printed digit)
+#: zlib build (no compressed byte count reaches a printed digit) —
+#: which leaves out fig7, fig10, table3, table4, scribe and accuracy;
+#: recorded at ``tests.conftest.SMALL``
 GOLDEN = json.loads(
     Path(__file__).with_name("golden_figures.json").read_text()
 )
 
 
-@pytest.fixture(scope="module")
-def small():
-    @functools.cache
-    def rows(name):
-        fig = FIGURES[name]
-        return fig.run(**{param: SMALL[f] for f, param in fig.flags.items()})
-
-    return rows
-
-
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_stdout_matches_parent_golden(name, small):
-    lines = FIGURES[name].lines(small(name))
+    lines = render(FIGURES[name], small(name))
     assert "\n".join(lines) + "\n" == GOLDEN[name]
 
 
