@@ -32,10 +32,6 @@ __all__ = [
 ]
 
 
-def _row_key(jt: JaggedTensor, i: int) -> bytes:
-    return jt.row(i).tobytes()
-
-
 def dedup_rows(jt: JaggedTensor) -> tuple[np.ndarray, np.ndarray]:
     """Find duplicate rows of one jagged tensor via content hashing:
     the one-member case of :func:`dedup_grouped_rows`."""
@@ -51,6 +47,18 @@ def dedup_grouped_rows(
     identical values for both rows.  Rows whose group members were not
     synchronously updated therefore stay un-deduplicated, preserving the
     shared-``inverse_lookup`` invariant (§4.2, Grouped IKJTs).
+
+    Equality is exact and bytewise, never probabilistic: two rows are
+    equal iff, in every member, they have the same length and the same
+    value *bytes* — so ``0.0`` and ``-0.0`` are distinct, two ``NaN``
+    rows with the same bits are equal, and members may be of any (and
+    of different) value dtypes.
+
+    A fixed number of array passes, none per row: each row's key is its
+    lengths and zero-padded value bytes across the members, and one
+    ``np.unique`` over the keys finds the duplicates.  The key matrix is
+    ``num_rows`` x the members' longest rows, so one very long row
+    widens every row's key.
     """
     if not tensors:
         raise ValueError("need at least one tensor in the group")
@@ -58,18 +66,20 @@ def dedup_grouped_rows(
     for t in tensors[1:]:
         if t.num_rows != n:
             raise ValueError("group members must share a batch size")
-    seen: dict[tuple[bytes, ...], int] = {}
-    unique: list[int] = []
-    inverse = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        key = tuple(_row_key(t, i) for t in tensors)
-        pos = seen.get(key)
-        if pos is None:
-            pos = len(unique)
-            seen[key] = pos
-            unique.append(i)
-        inverse[i] = pos
-    return np.asarray(unique, dtype=np.int64), inverse
+    columns = []
+    for t in tensors:
+        columns.append(t.lengths.reshape(n, 1).view(np.uint8))
+        columns.append(t.to_dense().view(np.uint8))
+    keys = np.concatenate(columns, axis=1)
+    _, first, inverse = np.unique(
+        keys.view(np.dtype((np.void, keys.shape[1]))).ravel(),
+        return_index=True,
+        return_inverse=True,
+    )
+    # np.unique numbers the distinct rows in key order; renumber them in
+    # the order their first copies appear
+    unique_indices = np.sort(first)
+    return unique_indices, np.searchsorted(unique_indices, first[inverse])
 
 
 # ---------------------------------------------------------------------------

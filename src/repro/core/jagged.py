@@ -78,7 +78,7 @@ class JaggedTensor:
             raise ValueError(
                 f"offsets[-1] ({offsets[-1]}) must equal len(values) ({values.size})"
             )
-        if offsets.size > 1 and np.any(np.diff(offsets) < 0):
+        if (offsets[1:] < offsets[:-1]).any():
             raise ValueError("offsets must be non-decreasing")
         self._values = values
         self._offsets = offsets
@@ -118,7 +118,7 @@ class JaggedTensor:
 
     @property
     def lengths(self) -> np.ndarray:
-        return np.diff(self._offsets)
+        return self._offsets[1:] - self._offsets[:-1]
 
     @property
     def num_rows(self) -> int:

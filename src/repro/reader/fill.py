@@ -48,7 +48,11 @@ def fill_batches(
     skipped without being fetched or decoded (their headers carry the row
     counts), so a shard pays fill cost only for stripes it touches; edge
     stripes are decoded whole and sliced, exactly as a real columnar
-    reader would.
+    reader would.  The stripes the window touches within one file are
+    consecutive: each reader is told that run once
+    (:meth:`~repro.storage.dwrf.DwrfReader.plan_run`) and decodes it in
+    one pass inside the first ``read_stripe`` that needs it, so an epoch
+    cut short decodes no file past the one it stopped in.
     """
     if batch_size <= 0:
         raise ValueError("batch_size must be positive")
@@ -82,6 +86,9 @@ def fill_batches(
     for reader in readers:
         if done:
             break
+        # (stripe, lo, hi, rows) of each stripe of this file the window
+        # touches, from the headers alone
+        touched = []
         for stripe_idx in range(reader.num_stripes):
             stripe_rows = reader.stripe_num_rows(stripe_idx)
             lo = max(row_start - pos, 0)
@@ -92,8 +99,12 @@ def fill_batches(
             if hi <= 0:  # stripe is entirely past the window
                 done = True
                 break
-            if lo >= stripe_rows:  # stripe is entirely before the window
-                continue
+            if lo < stripe_rows:  # else entirely before the window
+                touched.append((stripe_idx, lo, hi, stripe_rows))
+        if not touched:
+            continue
+        reader.plan_run(touched[0][0], touched[-1][0] + 1)
+        for stripe_idx, lo, hi, stripe_rows in touched:
             block = reader.read_stripe(stripe_idx)
             if (lo, hi) != (0, stripe_rows):
                 block = block[lo:hi]

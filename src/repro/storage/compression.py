@@ -36,14 +36,23 @@ def compress(data: bytes, codec: Codec = Codec.ZLIB, level: int = 6) -> bytes:
 
 
 def decompress(blob: bytes) -> bytes:
-    """Invert :func:`compress`, validating the frame's recorded length."""
+    """Invert :func:`compress`, validating the frame's recorded length;
+    a frame that is cut short, names no codec or does not inflate is a
+    :class:`ValueError`."""
+    if len(blob) < _FRAME.size:
+        raise ValueError(
+            f"corrupt frame: {len(blob)} bytes, shorter than its header"
+        )
     codec_id, raw_len = _FRAME.unpack_from(blob, 0)
     body = blob[_FRAME.size :]
     codec = Codec(codec_id)
     if codec is Codec.NONE:
         out = body
     elif codec is Codec.ZLIB:
-        out = zlib.decompress(body)
+        try:
+            out = zlib.decompress(body)
+        except zlib.error as err:
+            raise ValueError(f"corrupt frame: {err}") from err
     else:  # pragma: no cover - Codec() raises first
         raise ValueError(f"unknown codec {codec}")
     if len(out) != raw_len:

@@ -26,7 +26,8 @@ from __future__ import annotations
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import pairwise
+from itertools import groupby, pairwise
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from ..core.jagged import offsets_from_lengths
 from ..datagen.schema import DatasetSchema
 from ..datagen.session import Sample
 from .compression import Codec, compress, decompress
-from .encoding import IntEncoding, decode_int64, encode_int64_chunks
+from .encoding import IntEncoding, decode_int64_chunks, encode_int64_chunks
 from .rowblock import RowBlock
 
 __all__ = ["DwrfWriter", "DwrfReader", "StripeStats", "FileStats"]
@@ -199,18 +200,36 @@ class DwrfWriter:
         return b"".join(parts), stats
 
 
+class _Run(NamedTuple):
+    """A decoded run of consecutive stripes: their rows as one block."""
+
+    stripes: range
+    block: RowBlock
+    #: row index of each stripe's first row within ``block`` (+ the end)
+    bounds: list[int]
+    #: per stripe: compressed bytes, decompressed bytes, values decoded
+    work: list[tuple[int, int, int]]
+
+
 class DwrfReader:
     """Reads stripes of a DWRF blob back as columnar row blocks.
 
     A decoded stripe is handed on as a :class:`~repro.storage.rowblock.
     RowBlock` — the streams' arrays themselves, never per-row objects;
     :meth:`read_all` materializes rows for the cold callers that want
-    them.  Tracks the byte accounting the reader cost model consumes:
+    them.  Stripes are decoded a *run* at a time, mirroring how the
+    writer encodes a column once per file: a caller about to read
+    consecutive stripes says so once (:meth:`plan_run`), each stream of
+    the run is then decoded in one pass, and :meth:`read_stripe` hands
+    the stripes out as views of the run's columns.  Tracks the byte
+    accounting the reader cost model consumes, per stripe handed out:
     ``bytes_read`` (compressed, what travels from Tectonic),
     ``raw_bytes`` (decompressed) and ``values_decoded``.
     """
 
     def __init__(self, blob: bytes, schema: DatasetSchema):
+        if len(blob) < _FILE_HEADER.size:
+            raise ValueError("DWRF blob is cut short inside its file header")
         magic, version, num_stripes = _FILE_HEADER.unpack_from(blob, 0)
         if magic != MAGIC:
             raise ValueError("not a DWRF blob")
@@ -218,14 +237,28 @@ class DwrfReader:
             raise ValueError(f"unsupported version {version}")
         self.schema = schema
         self._blob = blob
-        self._stripe_offsets: list[int] = []
+        #: per stripe: byte offset, byte length, stream count
+        self._stripes: list[tuple[int, int, int]] = []
         self._stripe_rows: list[int] = []
         pos = _FILE_HEADER.size
-        for _ in range(num_stripes):
-            self._stripe_offsets.append(pos)
-            (byte_len, stripe_rows, _) = _STRIPE_HEADER.unpack_from(blob, pos)
+        for index in range(num_stripes):
+            if pos + _STRIPE_HEADER.size > len(blob):
+                raise ValueError(
+                    f"stripe {index}: header runs past the end of the blob"
+                )
+            byte_len, stripe_rows, num_streams = _STRIPE_HEADER.unpack_from(
+                blob, pos
+            )
+            if not _STRIPE_HEADER.size <= byte_len <= len(blob) - pos:
+                raise ValueError(
+                    f"stripe {index}: byte_len {byte_len} does not fit the "
+                    f"{len(blob) - pos} bytes left in the blob"
+                )
+            self._stripes.append((pos, byte_len, num_streams))
             self._stripe_rows.append(stripe_rows)
             pos += byte_len
+        self._planned = range(0)
+        self._run: _Run | None = None
         self.bytes_read = 0
         self.raw_bytes = 0
         self.values_decoded = 0
@@ -233,7 +266,7 @@ class DwrfReader:
     @property
     def num_stripes(self) -> int:
         """Stripes in the file, known from the file header alone."""
-        return len(self._stripe_offsets)
+        return len(self._stripes)
 
     @property
     def num_rows(self) -> int:
@@ -247,76 +280,186 @@ class DwrfReader:
             raise IndexError(f"stripe {index} out of range")
         return self._stripe_rows[index]
 
+    def plan_run(self, start: int, stop: int) -> range:
+        """Declare that stripes ``[start, stop)`` are about to be read.
+
+        Nothing is fetched here: the first :meth:`read_stripe` of a
+        planned stripe decodes the whole run, and the run is dropped
+        once its last stripe is handed out.  Returns the planned stripe
+        indices, so ``for i in reader.plan_run(a, b): reader.
+        read_stripe(i)`` reads a run.
+        """
+        if not 0 <= start <= stop <= self.num_stripes:
+            raise IndexError(f"stripes [{start}, {stop}) out of range")
+        self._planned = range(start, stop)
+        return self._planned
+
     def read_stripe(self, index: int) -> RowBlock:
-        """Fetch + decode one stripe into a block of columns, accounting
-        the bytes read and values decoded (the reader tier's fill costs).
+        """One stripe as a block of columns, accounting the bytes read
+        and values decoded (the reader tier's fill costs).
+
+        Inside a planned run (:meth:`plan_run`) the block is a view of
+        the run's columns, decoded by the first such call.  Alone, the
+        stripe is the run ``[index, index + 1)``: only its own bytes
+        are touched, so a corrupt neighbour cannot break it.
 
         Raises :class:`ValueError` naming the stripe and stream when the
-        decoded streams do not describe ``num_rows`` consistent rows.
+        streams do not fit the stripe's bytes or do not describe
+        ``num_rows`` consistent rows; for a run, when it is decoded and
+        naming its first offending stripe.
         """
         if not 0 <= index < self.num_stripes:
             raise IndexError(f"stripe {index} out of range")
+        run = self._run
+        if run is None or index not in run.stripes:
+            stripes = (
+                self._planned
+                if index in self._planned
+                else range(index, index + 1)
+            )
+            try:
+                run = self._decode(stripes)
+            except ValueError:
+                if len(stripes) > 1:
+                    # raise what the first offending stripe raises alone
+                    for one in stripes:
+                        self._decode(range(one, one + 1))
+                raise
+            self._run = run
+        if index == run.stripes[-1]:
+            self._run = None
+        at = index - run.stripes.start
+        compressed, raw, values = run.work[at]
+        self.bytes_read += compressed
+        self.raw_bytes += raw
+        self.values_decoded += values
+        return run.block[run.bounds[at] : run.bounds[at + 1]]
+
+    def _fetch(
+        self, index: int
+    ) -> tuple[dict[str, tuple[int, int, bytes]], tuple[int, int, int]]:
+        """Walk one stripe's stream headers and decompress its streams:
+        stream name -> (encoding id, value count, payload), and the
+        stripe's (compressed bytes, decompressed bytes, values)."""
         blob = self._blob
-        pos = self._stripe_offsets[index]
-        byte_len, num_rows, num_streams = _STRIPE_HEADER.unpack_from(blob, pos)
-        self.bytes_read += byte_len
+        pos, byte_len, num_streams = self._stripes[index]
+        end = pos + byte_len
         pos += _STRIPE_HEADER.size
-        columns: dict[str, np.ndarray] = {}
+        found = {}
+        raw = values = 0
         for _ in range(num_streams):
+            if pos + _STREAM_HEADER.size > end:
+                raise ValueError(
+                    f"stripe {index}: a stream header runs past the "
+                    f"stripe's {byte_len} bytes"
+                )
             (name_len,) = _STREAM_HEADER.unpack_from(blob, pos)
             pos += _STREAM_HEADER.size
+            if pos + name_len + _STREAM_META.size > end:
+                raise ValueError(
+                    f"stripe {index}: a stream name of {name_len} bytes "
+                    f"runs past the stripe's {byte_len} bytes"
+                )
             name = blob[pos : pos + name_len].decode()
             pos += name_len
             enc_id, count, blob_len = _STREAM_META.unpack_from(blob, pos)
             pos += _STREAM_META.size
-            payload = decompress(blob[pos : pos + blob_len])
-            pos += blob_len
-            self.raw_bytes += len(payload)
-            if name == _TIMESTAMP or name.startswith("d:"):
-                columns[name] = np.frombuffer(payload, dtype=np.float64).copy()
-            else:
-                columns[name] = decode_int64(
-                    payload, count, IntEncoding(enc_id)
-                )
-            self.values_decoded += count
-
-        def stream(name: str, size: int = num_rows) -> np.ndarray:
-            """One decoded stream, checked to hold ``size`` values."""
-            column = columns.get(name)
-            if column is None:
-                raise ValueError(f"stripe {index}: stream {name!r} is missing")
-            if column.size != size:
+            if pos + blob_len > end:
                 raise ValueError(
-                    f"stripe {index}: stream {name!r} holds {column.size} "
-                    f"values, expected {size}"
+                    f"stripe {index}: stream {name!r} of {blob_len} bytes "
+                    f"runs past the stripe's {byte_len} bytes"
                 )
-            return column
+            try:
+                payload = decompress(blob[pos : pos + blob_len])
+            except ValueError as err:
+                raise ValueError(
+                    f"stripe {index}: stream {name!r}: {err}"
+                ) from err
+            pos += blob_len
+            found[name] = (enc_id, count, payload)
+            raw += len(payload)
+            values += count
+        return found, (byte_len, raw, values)
+
+    def _decode(self, stripes: range) -> _Run:
+        """Fetch + decode a run: decompress each stripe's streams (the
+        bytes demand that), then decode every column of the schema once
+        for the run and check it against the stripes' row counts."""
+        fetched = [self._fetch(index) for index in stripes]
+        streams = [found for found, _ in fetched]
+        bounds = offsets_from_lengths(
+            self._stripe_rows[stripes.start : stripes.stop]
+        )
+        rows = np.diff(bounds)
+
+        def column(name: str, sizes: np.ndarray = rows) -> np.ndarray:
+            """One stream across the run, each stripe's chunk checked to
+            hold ``sizes`` values."""
+            chunks = [found.get(name) for found in streams]
+            if None in chunks:
+                raise ValueError(
+                    f"stripe {stripes[chunks.index(None)]}: "
+                    f"stream {name!r} is missing"
+                )
+            if name == _TIMESTAMP or name.startswith("d:"):
+                # float64 bits, always plain, as many as the bytes hold
+                payloads = [payload for _, _, payload in chunks]
+                held = [len(payload) // 8 for payload in payloads]
+                values = decode_int64_chunks(
+                    payloads, held, IntEncoding.PLAIN
+                ).view(np.float64)
+            else:
+                held, parts = [], []
+                for enc_id, group in groupby(chunks, key=lambda c: c[0]):
+                    _, counts, payloads = zip(*group)
+                    held += counts
+                    parts.append(
+                        decode_int64_chunks(
+                            payloads, counts, IntEncoding(enc_id)
+                        )
+                    )
+                values = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            bad = np.flatnonzero(np.asarray(held) != sizes)
+            if bad.size:
+                at = int(bad[0])
+                raise ValueError(
+                    f"stripe {stripes[at]}: stream {name!r} holds "
+                    f"{held[at]} values, expected {sizes[at]}"
+                )
+            return values
 
         sparse = {}
         for spec in self.schema.sparse:
-            lengths = stream(f"s:{spec.name}:len")
+            lengths = column(f"s:{spec.name}:len")
             try:
                 offsets = offsets_from_lengths(lengths)
             except ValueError as err:  # a negative length
+                row = np.flatnonzero(lengths < 0)[0]
+                at = int(np.searchsorted(bounds, row, side="right")) - 1
                 raise ValueError(
-                    f"stripe {index}: stream 's:{spec.name}:len': {err}"
+                    f"stripe {stripes[at]}: stream 's:{spec.name}:len': {err}"
                 ) from err
             sparse[spec.name] = (
                 offsets,
-                stream(f"s:{spec.name}:val", int(offsets[-1])),
+                column(f"s:{spec.name}:val", np.diff(offsets[bounds])),
             )
-        return RowBlock(
-            sample_id=stream(_SAMPLE_ID),
-            session_id=stream(_SESSION),
-            timestamp=stream(_TIMESTAMP),
-            label=stream(_LABEL),
+        block = RowBlock(
+            sample_id=column(_SAMPLE_ID),
+            session_id=column(_SESSION),
+            timestamp=column(_TIMESTAMP),
+            label=column(_LABEL),
             sparse=sparse,
-            dense={d.name: stream(f"d:{d.name}") for d in self.schema.dense},
+            dense={
+                d.name: column(f"d:{d.name}") for d in self.schema.dense
+            },
+        )
+        return _Run(
+            stripes, block, bounds.tolist(), [work for _, work in fetched]
         )
 
     def read_all(self) -> list[Sample]:
         """Every row in the file, in stripe order (the serial scan)."""
         out: list[Sample] = []
-        for i in range(self.num_stripes):
-            out.extend(self.read_stripe(i))
+        for index in self.plan_run(0, self.num_stripes):
+            out.extend(self.read_stripe(index))
         return out

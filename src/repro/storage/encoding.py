@@ -31,6 +31,7 @@ __all__ = [
     "encode_int64",
     "encode_int64_chunks",
     "decode_int64",
+    "decode_int64_chunks",
     "zigzag",
     "unzigzag",
     "best_encoding",
@@ -98,30 +99,61 @@ def _varint_encode(values: np.ndarray) -> bytes:
     return _varint_pack(values)[0]
 
 
-def _varint_decode(data: bytes, count: int) -> np.ndarray:
-    buf = np.frombuffer(data, dtype=np.uint8)
-    if buf.size == count and (count == 0 or buf.max() < 0x80):
-        return unzigzag(buf)  # every byte is a whole value
-    if buf.size and buf[-1] >= 0x80:
-        raise ValueError("varint stream is truncated inside its last value")
-    # a value ends at the first byte with the continuation bit clear
-    ends = np.flatnonzero(buf < 0x80)
-    if ends.size != count:
-        raise ValueError(
-            f"varint stream holds {ends.size} values, expected {count}"
-        )
-    starts = np.zeros(count, dtype=np.int64)
-    starts[1:] = ends[:-1] + 1
-    nbytes = ends - starts + 1
-    # an int64 needs at most 10 groups of 7 bits; past that the shift
-    # below is undefined
-    if int(nbytes.max()) > 10:
+def _varint_decode_chunks(
+    payloads: Sequence[bytes], counts: np.ndarray
+) -> np.ndarray:
+    """The values of back-to-back varint streams, decoded in one pass.
+
+    Chunk ``i`` must hold exactly ``counts[i]`` whole values; the first
+    chunk that does not raises what decoding it alone raises (it ends
+    inside a value, holds another count, or holds a value longer than
+    10 bytes — checked in that order).
+    """
+    sizes = np.fromiter(map(len, payloads), np.int64, len(payloads))
+    buf = np.frombuffer(b"".join(payloads), dtype=np.uint8)
+    whole = buf.size == counts.sum() and (buf.size == 0 or buf.max() < 0x80)
+    if whole:  # every byte is a whole value: a chunk holds its byte length
+        held = sizes
+        truncated = overlong = np.zeros(sizes.size, dtype=bool)
+    else:
+        cuts = np.zeros(sizes.size + 1, dtype=np.int64)
+        np.cumsum(sizes, out=cuts[1:])
+        # a value ends at the first byte with the continuation bit clear
+        ends = np.flatnonzero(buf < 0x80)
+        starts = np.zeros(ends.size, dtype=np.int64)
+        starts[1:] = ends[:-1] + 1
+        nbytes = ends - starts + 1
+        held = np.diff(np.searchsorted(ends, cuts))
+        filled = sizes > 0
+        truncated = np.zeros(sizes.size, dtype=bool)
+        truncated[filled] = buf[cuts[1:][filled] - 1] >= 0x80
+        # an int64 needs at most 10 groups of 7 bits; past that the
+        # shift below is undefined
+        overlong = np.zeros(sizes.size, dtype=bool)
+        if nbytes.size and nbytes.max() > 10:
+            long_starts = starts[nbytes > 10]
+            overlong[np.searchsorted(cuts, long_starts, side="right") - 1] = True
+    bad = truncated | (held != counts) | overlong
+    if bad.any():
+        i = int(bad.argmax())
+        if truncated[i]:
+            raise ValueError("varint stream is truncated inside its last value")
+        if held[i] != counts[i]:
+            raise ValueError(
+                f"varint stream holds {held[i]} values, expected {counts[i]}"
+            )
         raise ValueError("varint stream holds a value longer than 10 bytes")
+    if whole:
+        return unzigzag(buf)
     # shift every byte's 7 bits to its rank within its value, then sum
     # each value's bytes (disjoint bits, so the sum is the OR)
     rank = np.arange(buf.size) - np.repeat(starts, nbytes)
     groups = (buf & 0x7F).astype(np.uint64) << (7 * rank).astype(np.uint64)
     return unzigzag(np.add.reduceat(groups, starts))
+
+
+def _varint_decode(data: bytes, count: int) -> np.ndarray:
+    return _varint_decode_chunks([data], np.array([count], dtype=np.int64))
 
 
 def _rle_encode(values: np.ndarray) -> bytes:
@@ -211,24 +243,54 @@ def encode_int64_chunks(
     return [data[a:b] for a, b in pairwise(cuts.tolist())]
 
 
+def decode_int64_chunks(
+    payloads: Sequence[bytes], counts: Sequence[int], encoding: IntEncoding
+) -> np.ndarray:
+    """The exact inverse of :func:`encode_int64_chunks`: the values of
+    every payload back to back, payload ``i`` holding ``counts[i]`` of
+    them (how a run of stripes' streams becomes one column again).
+
+    PLAIN and VARINT decode the concatenated payloads in one pass; RLE
+    and DICT carry chunk-local state and decode chunk by chunk.  Each
+    payload is still checked on its own — it may not end inside a value
+    nor hold another count than it declares, even when a neighbour
+    compensates — and the first that fails raises the
+    :class:`ValueError` that decoding it alone raises.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    if len(payloads) != counts.size:
+        raise ValueError(
+            f"{len(payloads)} payloads for {counts.size} declared counts"
+        )
+    if encoding is IntEncoding.PLAIN:
+        sizes = np.fromiter(map(len, payloads), np.int64, len(payloads))
+        bad = sizes != 8 * counts
+        if bad.any():
+            i = int(bad.argmax())
+            raise ValueError(
+                f"plain stream is {sizes[i]} bytes, expected {8 * counts[i]}"
+            )
+        return np.frombuffer(b"".join(payloads), dtype=np.int64).copy()
+    if encoding is IntEncoding.VARINT:
+        return _varint_decode_chunks(payloads, counts)
+    if encoding is IntEncoding.RLE:
+        decode = _rle_decode
+    elif encoding is IntEncoding.DICT:
+        decode = _dict_decode
+    else:
+        raise ValueError(f"unknown encoding {encoding}")
+    return np.concatenate(
+        [np.empty(0, dtype=np.int64)]
+        + [decode(data, count) for data, count in zip(payloads, counts.tolist())]
+    )
+
+
 def decode_int64(
     data: bytes, count: int, encoding: IntEncoding
 ) -> np.ndarray:
     """Exact round-trip inverse of :func:`encode_int64` for ``count``
     values."""
-    if encoding is IntEncoding.PLAIN:
-        if len(data) != count * 8:
-            raise ValueError(
-                f"plain stream is {len(data)} bytes, expected {count * 8}"
-            )
-        return np.frombuffer(data, dtype=np.int64, count=count).copy()
-    if encoding is IntEncoding.VARINT:
-        return _varint_decode(data, count)
-    if encoding is IntEncoding.RLE:
-        return _rle_decode(data, count)
-    if encoding is IntEncoding.DICT:
-        return _dict_decode(data, count)
-    raise ValueError(f"unknown encoding {encoding}")
+    return decode_int64_chunks([data], [count], encoding)
 
 
 def best_encoding(values: np.ndarray) -> IntEncoding:

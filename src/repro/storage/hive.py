@@ -144,7 +144,7 @@ class HiveTable:
         rows = RowBlock.concat(
             reader.read_stripe(i)
             for reader in self.open_readers(partition)
-            for i in range(reader.num_stripes)
+            for i in reader.plan_run(0, reader.num_stripes)
         )
         order = list(self.partitions)
         for path in old.files:

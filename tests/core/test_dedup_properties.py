@@ -13,6 +13,12 @@ rests on three algebraic contracts of :mod:`repro.core.dedup` and
   restores the duplicate-bearing KJT bit-for-bit, and the analytic
   ``expanded_nbytes`` equals what the restored KJT actually carries.
 
+``dedup_grouped_rows`` itself is a fixed number of array passes; the
+dict-of-``tobytes`` row loop it replaced lives on here as
+:func:`_reference_dedup`, the oracle the array version must equal
+exactly, and ``TestEqualityRule`` pins what "equal rows" means (bytes,
+not values).
+
 The edge-case unit tests at the bottom pin the exact error messages and
 empty/single-row behaviour of the characterization helpers.
 """
@@ -42,6 +48,123 @@ _batch = st.lists(_row, max_size=12)
 
 def _gather(jt: JaggedTensor, indices: np.ndarray) -> list[list]:
     return [jt.row(int(i)).tolist() for i in indices]
+
+
+def _reference_dedup(tensors):
+    """The per-row hash loop ``dedup_grouped_rows`` used to be: a row's
+    key is the tuple of its members' value bytes."""
+    n = tensors[0].num_rows
+    seen: dict[tuple[bytes, ...], int] = {}
+    unique: list[int] = []
+    inverse = np.empty(n, dtype=np.int64)
+    for i in range(n):
+        key = tuple(t.row(i).tobytes() for t in tensors)
+        pos = seen.get(key)
+        if pos is None:
+            pos = len(unique)
+            seen[key] = pos
+            unique.append(i)
+        inverse[i] = pos
+    return np.asarray(unique, dtype=np.int64), inverse
+
+
+#: float values whose bytes and ``==`` disagree, among ordinary ones
+_FLOATS = [0.0, -0.0, float("nan"), 1.0, 2.5]
+
+
+@st.composite
+def _ragged_groups(draw):
+    """1-4 members over 0-80 shared rows of 0-12 values each, drawn from
+    a few distinct rows per member so duplicates are common; members
+    are int64, float32 or float64."""
+    num_rows = draw(st.integers(0, 80))
+    group = []
+    for _ in range(draw(st.integers(1, 4))):
+        dtype = draw(st.sampled_from([np.int64, np.float32, np.float64]))
+        alphabet = (
+            st.integers(-2, 3) if dtype is np.int64 else st.sampled_from(_FLOATS)
+        )
+        pool = draw(
+            st.lists(st.lists(alphabet, max_size=12), min_size=1, max_size=5)
+        )
+        picks = draw(
+            st.lists(
+                st.integers(0, len(pool) - 1),
+                min_size=num_rows,
+                max_size=num_rows,
+            )
+        )
+        group.append(
+            JaggedTensor.from_lists([pool[p] for p in picks], dtype=dtype)
+        )
+    return group
+
+
+class TestAgainstTheRowLoop:
+    @settings(max_examples=100, deadline=None)
+    @given(group=_ragged_groups())
+    def test_same_two_arrays_as_the_reference(self, group):
+        unique, inverse = dedup_grouped_rows(group)
+        want_unique, want_inverse = _reference_dedup(group)
+        assert unique.dtype == inverse.dtype == np.int64
+        np.testing.assert_array_equal(unique, want_unique)
+        np.testing.assert_array_equal(inverse, want_inverse)
+
+
+class TestEqualityRule:
+    """Rows are equal iff every member's row has the same length and
+    the same value *bytes*."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_signed_zeros_are_distinct_and_nans_are_equal(self, dtype):
+        jt = JaggedTensor.from_lists(
+            [[0.0], [-0.0], [np.nan], [0.0], [np.nan], [-0.0]], dtype=dtype
+        )
+        unique, inverse = dedup_rows(jt)
+        np.testing.assert_array_equal(unique, [0, 1, 2])
+        np.testing.assert_array_equal(inverse, [0, 1, 2, 0, 2, 1])
+
+    def test_nans_of_different_bits_are_distinct(self):
+        bits = np.array([0x7FF8000000000000, 0x7FF8000000000001], np.uint64)
+        jt = JaggedTensor(bits.view(np.float64), np.arange(3))
+        assert np.isnan(jt.values).all()
+        np.testing.assert_array_equal(dedup_rows(jt)[0], [0, 1])
+
+    def test_members_of_different_dtypes_in_one_group(self):
+        ids = JaggedTensor.from_lists([[7, 8], [7, 8], [7, 8], [9]])
+        weights = JaggedTensor.from_lists(
+            [[0.5], [0.5], [0.25], [0.5]], dtype=np.float32
+        )
+        unique, inverse = dedup_grouped_rows([ids, weights])
+        np.testing.assert_array_equal(unique, [0, 2, 3])
+        np.testing.assert_array_equal(inverse, [0, 0, 1, 2])
+
+    def test_rows_equal_in_one_member_only_do_not_collapse(self):
+        same = JaggedTensor.from_lists([[1, 2], [1, 2], [1, 2]])
+        differs = JaggedTensor.from_lists([[5], [6], [5]])
+        unique, inverse = dedup_grouped_rows([same, differs])
+        np.testing.assert_array_equal(unique, [0, 1])
+        np.testing.assert_array_equal(inverse, [0, 1, 0])
+
+    def test_padding_is_not_a_value(self):
+        """A trailing zero is a value; a shorter row is not that row."""
+        jt = JaggedTensor.from_lists([[4, 0], [4], [4, 0], [], [0]])
+        unique, inverse = dedup_rows(jt)
+        np.testing.assert_array_equal(unique, [0, 1, 3, 4])
+        np.testing.assert_array_equal(inverse, [0, 1, 0, 2, 3])
+
+    def test_zero_row_batch(self):
+        for group in ([JaggedTensor.empty(0)], [JaggedTensor.empty(0)] * 3):
+            unique, inverse = dedup_grouped_rows(group)
+            assert unique.shape == inverse.shape == (0,)
+            assert unique.dtype == inverse.dtype == np.int64
+
+    def test_all_empty_rows_are_one_row(self):
+        unique, inverse = dedup_grouped_rows(
+            [JaggedTensor.empty(4), JaggedTensor.empty(4, dtype=np.float32)]
+        )
+        np.testing.assert_array_equal(unique, [0])
+        np.testing.assert_array_equal(inverse, [0, 0, 0, 0])
 
 
 class TestInverseRoundTrip:

@@ -236,6 +236,72 @@ class TestHostileStreams:
             DwrfReader(bad, _schema()).read_stripe(1)
 
 
+class TestDamagedBytes:
+    """A blob cut short, or one whose length fields point outside it,
+    is a ``ValueError`` naming the stripe (and stream, where one is
+    known) — never ``struct.error`` / ``zlib.error``, never rows."""
+
+    def _blob(self):
+        blob, _ = DwrfWriter(_schema(), stripe_rows=10).write(
+            _trace(12, seed=8)[:20]
+        )
+        assert DwrfReader(blob, _schema()).num_stripes == 2
+        return blob
+
+    def test_truncation_anywhere_is_a_value_error(self):
+        blob = self._blob()
+        cuts = [*range(0, len(blob), 97), len(blob) - 1]
+        assert len(cuts) > 10
+        for cut in cuts:
+            with pytest.raises(ValueError):
+                DwrfReader(blob[:cut], _schema()).read_all()
+
+    def test_cut_inside_the_second_stripe_names_it(self):
+        blob = self._blob()
+        with pytest.raises(ValueError, match=r"stripe 1: byte_len"):
+            DwrfReader(blob[:-5], _schema())
+        with pytest.raises(ValueError, match="cut short inside its file header"):
+            DwrfReader(blob[:6], _schema())
+
+    def _first_stream_meta(self, blob, stripe):
+        """Byte offset of the ``_STREAM_META`` of a stripe's first stream."""
+        pos = _FILE_HEADER.size
+        for _ in range(stripe):
+            pos += _STRIPE_HEADER.unpack_from(blob, pos)[0]
+        pos += _STRIPE_HEADER.size
+        (name_len,) = _STREAM_HEADER.unpack_from(blob, pos)
+        return pos + _STREAM_HEADER.size + name_len
+
+    def test_stream_longer_than_its_stripe(self):
+        blob = bytearray(self._blob())
+        meta = self._first_stream_meta(blob, 1)
+        enc_id, count, _ = _STREAM_META.unpack_from(blob, meta)
+        _STREAM_META.pack_into(blob, meta, enc_id, count, 1 << 20)
+        reader = DwrfReader(bytes(blob), _schema())
+        with pytest.raises(
+            ValueError,
+            match=r"stripe 1: stream '__session_id' of 1048576 bytes runs past",
+        ):
+            reader.read_stripe(1)
+        assert len(reader.read_stripe(0)) == 10
+
+    def test_stream_name_longer_than_its_stripe(self):
+        blob = bytearray(self._blob())
+        pos = self._first_stream_meta(blob, 1) - len("__session_id") - 2
+        _STREAM_HEADER.pack_into(blob, pos, 0xFFFF)
+        with pytest.raises(ValueError, match=r"stripe 1: a stream name of 65535"):
+            DwrfReader(bytes(blob), _schema()).read_stripe(1)
+
+    def test_stream_that_does_not_inflate(self):
+        blob = bytearray(self._blob())
+        body = self._first_stream_meta(blob, 0) + _STREAM_META.size + 9
+        blob[body : body + 4] = b"\xff\xff\xff\xff"
+        with pytest.raises(
+            ValueError, match=r"stripe 0: stream '__session_id': corrupt frame"
+        ):
+            DwrfReader(bytes(blob), _schema()).read_stripe(0)
+
+
 class TestWriterBytes:
     def test_stripe_header_counts_its_own_bytes(self):
         """``byte_len`` spans header + streams, so stripes chain: walking
