@@ -22,6 +22,7 @@ from .analytics import (
 from .characterize import measure_feature_stats, measure_samples_per_session
 from .dedup import (
     dedup_grouped_rows,
+    dedup_groups,
     dedup_rows,
     exact_duplicate_fraction,
     measured_dedupe_factor,
@@ -60,6 +61,7 @@ __all__ = [
     "jagged_elementwise_sum",
     "dedup_rows",
     "dedup_grouped_rows",
+    "dedup_groups",
     "exact_duplicate_fraction",
     "partial_duplicate_fraction",
     "measured_dedupe_factor",

@@ -17,15 +17,20 @@ so ``rows[unique_indices][inverse_lookup] == rows`` element-wise.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 
 import numpy as np
 
 from .jagged import JaggedTensor
 
+#: bytes per key column; every member's columns start on a word boundary
+_WORD = 8
+
 __all__ = [
     "dedup_rows",
     "dedup_grouped_rows",
+    "dedup_groups",
     "exact_duplicate_fraction",
     "partial_duplicate_fraction",
     "measured_dedupe_factor",
@@ -48,38 +53,108 @@ def dedup_grouped_rows(
     synchronously updated therefore stay un-deduplicated, preserving the
     shared-``inverse_lookup`` invariant (§4.2, Grouped IKJTs).
 
-    Equality is exact and bytewise, never probabilistic: two rows are
-    equal iff, in every member, they have the same length and the same
-    value *bytes* — so ``0.0`` and ``-0.0`` are distinct, two ``NaN``
-    rows with the same bits are equal, and members may be of any (and
-    of different) value dtypes.
-
-    A fixed number of array passes, none per row: each row's key is its
-    lengths and zero-padded value bytes across the members, and one
-    ``np.unique`` over the keys finds the duplicates.  The key matrix is
-    ``num_rows`` x the members' longest rows, so one very long row
-    widens every row's key.
+    The one-group case of :func:`dedup_groups`, which states the
+    equality rule.
     """
-    if not tensors:
+    return dedup_groups([tensors])[0]
+
+
+def dedup_groups(
+    groups: Sequence[Sequence[JaggedTensor]],
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Dedup every group of one batch at once: one
+    ``(unique_indices, inverse_lookup)`` pair per group, in order.
+
+    Equality is exact and bytewise, never probabilistic: two rows are
+    equal iff, in every member of the group, they have the same length
+    and the same value *bytes* — so ``0.0`` and ``-0.0`` are distinct,
+    two ``NaN`` rows with the same bits are equal, and members may be of
+    any (and of different) value dtypes.
+
+    A fixed number of array passes, none per row and none per member: a
+    row's key is each member's ``[length | zero-padded value bytes]``
+    side by side, the members of all groups share one key matrix (a
+    group is a column range of it), one scatter writes every value of
+    one dtype, and one sort per group brings equal keys together.  A
+    member is padded to *its own* longest row, so one very long row
+    widens that member's columns and no other's.
+    """
+    if not all(groups):
         raise ValueError("need at least one tensor in the group")
-    n = tensors[0].num_rows
-    for t in tensors[1:]:
+    if not groups:
+        return []
+    members = [t for group in groups for t in group]
+    n = members[0].num_rows
+    for t in members:
         if t.num_rows != n:
             raise ValueError("group members must share a batch size")
-    columns = []
-    for t in tensors:
-        columns.append(t.lengths.reshape(n, 1).view(np.uint8))
-        columns.append(t.to_dense().view(np.uint8))
-    keys = np.concatenate(columns, axis=1)
-    _, first, inverse = np.unique(
-        keys.view(np.dtype((np.void, keys.shape[1]))).ravel(),
-        return_index=True,
-        return_inverse=True,
-    )
-    # np.unique numbers the distinct rows in key order; renumber them in
-    # the order their first copies appear
-    unique_indices = np.sort(first)
-    return unique_indices, np.searchsorted(unique_indices, first[inverse])
+    if n == 0:
+        return [
+            (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+            for _ in groups
+        ]
+    keys, base = _key_matrix(members)
+    every_row = np.arange(n)
+    results = []
+    stop = 0
+    for group in groups:
+        start, stop = stop, stop + len(group)
+        block = keys[:, base[start] : base[stop]]
+        row_keys = block.view(f"V{block.shape[1] * _WORD}")[:, 0]
+        # a stable sort keeps equal rows in batch order, so the leftmost
+        # sorted copy of a row's key is its first copy in the batch
+        order = row_keys.argsort(kind="stable")
+        first_copy = order[row_keys.searchsorted(row_keys, sorter=order)]
+        unique_indices = np.flatnonzero(first_copy == every_row)
+        results.append((unique_indices, unique_indices.searchsorted(first_copy)))
+    return results
+
+
+def _key_matrix(members: Sequence[JaggedTensor]) -> tuple[np.ndarray, list[int]]:
+    """The ``(rows, words)`` int64 matrix whose row ``i`` holds, member
+    after member, ``[length | zero-padded value bytes]`` of row ``i``,
+    and the first column of each member (plus the total, last)."""
+    offsets = np.array([t.offsets for t in members])
+    n = offsets.shape[1] - 1
+    starts = offsets[:, :-1]
+    lengths = offsets[:, 1:] - starts
+    # a member's columns: its length, then its longest row's bytes rounded
+    # up to whole words (the pad bytes are zero in every row)
+    base = [0]
+    for t, longest in zip(members, lengths.max(axis=1).tolist()):
+        base.append(base[-1] + 1 - (-longest * t.values.itemsize // _WORD))
+    width = base[-1]
+    keys = np.zeros((n, width), dtype=np.int64)
+    keys[:, base[:-1]] = lengths.T
+
+    by_dtype: dict[np.dtype, list[int]] = {}
+    for m, t in enumerate(members):
+        by_dtype.setdefault(t.values.dtype, []).append(m)
+    for dtype, which in by_dtype.items():
+        # one scatter of these members' values, laid member after member;
+        # positions count units of the largest size dividing both a value
+        # and a word
+        unit = math.gcd(dtype.itemsize, _WORD)
+        per_value, per_word = dtype.itemsize // unit, _WORD // unit
+        values = np.concatenate([members[m].values for m in which])
+        # unit k of ``values`` lands at k + (where its row's value columns
+        # start in ``keys`` - where its row starts in ``values``)
+        shift, before = [], 0
+        for m in which:
+            shift.append((base[m] + 1) * per_word - before)
+            before += members[m].values.size * per_value
+        row_starts, row_lengths = starts, lengths
+        if len(which) < len(members):  # mixed dtypes: this one's rows
+            row_starts, row_lengths = starts[which], lengths[which]
+        if per_value > 1:  # e.g. complex128: two word-sized units a value
+            row_starts = row_starts * per_value
+            row_lengths = row_lengths * per_value
+        delta = np.array(shift)[:, None] - row_starts
+        delta += np.arange(0, n * width * per_word, width * per_word)
+        dest = np.repeat(delta.ravel(), row_lengths.ravel())
+        dest += np.arange(before)
+        keys.reshape(-1).view(f"u{unit}")[dest] = values.view(f"u{unit}")
+    return keys, base
 
 
 # ---------------------------------------------------------------------------

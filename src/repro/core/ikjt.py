@@ -24,15 +24,60 @@ using :func:`~repro.core.jagged_ops.jagged_index_select` (O6).
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
+from itertools import accumulate
 
 import numpy as np
 
-from .dedup import dedup_grouped_rows
+from .dedup import dedup_groups
 from .jagged import JaggedTensor
-from .jagged_ops import gather_ranges
+from .jagged_ops import gather_indices, gather_ranges
 from .kjt import KeyedJaggedTensor
 
 __all__ = ["InverseKeyedJaggedTensor"]
+
+
+def _gather_members(
+    members: Sequence[JaggedTensor], rows: Sequence[np.ndarray]
+) -> list[JaggedTensor]:
+    """Rows ``rows[m]`` of every ``members[m]`` (one batch size).
+
+    Members of one value dtype are selected by a single gather over
+    their values laid back to back, and come back as slices of that
+    gather's output."""
+    dtypes = {jt.values.dtype for jt in members}
+    if len(dtypes) > 1:
+        out: list[JaggedTensor] = [None] * len(members)
+        for dtype in dtypes:
+            which = [m for m, jt in enumerate(members) if jt.values.dtype == dtype]
+            gathered = _gather_members(
+                [members[m] for m in which], [rows[m] for m in which]
+            )
+            for m, jt in zip(which, gathered):
+                out[m] = jt
+        return out
+    values, offsets, indices = members[0].values, members[0].offsets, rows[0]
+    counts = [picked.size for picked in rows]
+    if len(members) > 1:  # one member joined is that member: no copies
+        # member m's row i is row ``m * stride + i`` of the joined offsets:
+        # a member's last entry doubles as an empty row before the next's
+        stride = offsets.size
+        first_value = [0, *accumulate(jt.values.size for jt in members[:-1])]
+        values = np.concatenate([jt.values for jt in members])
+        offsets = np.array([jt.offsets for jt in members])
+        offsets += np.array(first_value)[:, None]
+        offsets = offsets.ravel()
+        indices = np.concatenate(rows)
+        indices += np.repeat(
+            np.arange(0, len(members) * stride, stride), counts
+        )
+    src, out_offsets = gather_indices(offsets, indices)
+    values = values[src]
+    cuts = [0, *accumulate(counts)]
+    ends = [int(out_offsets[row]) for row in cuts]
+    return [
+        JaggedTensor(values[a:b], out_offsets[lo : hi + 1] - a)
+        for lo, hi, a, b in zip(cuts, cuts[1:], ends, ends[1:])
+    ]
 
 
 class InverseKeyedJaggedTensor:
@@ -47,7 +92,14 @@ class InverseKeyedJaggedTensor:
     ) -> None:
         if not tensors:
             raise ValueError("IKJT requires at least one key")
-        inverse_lookup = np.asarray(inverse_lookup, dtype=np.int64)
+        inverse_lookup = np.asarray(inverse_lookup)
+        # casting would truncate a float index instead of rejecting it
+        if inverse_lookup.size and inverse_lookup.dtype.kind not in "iu":
+            raise ValueError(
+                "inverse_lookup must be an integer array, got "
+                f"{inverse_lookup.dtype}"
+            )
+        inverse_lookup = inverse_lookup.astype(np.int64, copy=False)
         if inverse_lookup.ndim != 1:
             raise ValueError("inverse_lookup must be 1-D")
         uniq_sizes = {jt.num_rows for jt in tensors.values()}
@@ -74,22 +126,53 @@ class InverseKeyedJaggedTensor:
     def from_kjt(
         cls, kjt: KeyedJaggedTensor, keys: Sequence[str] | None = None
     ) -> "InverseKeyedJaggedTensor":
-        """Deduplicate ``keys`` of ``kjt`` into one (grouped) IKJT.
+        """Deduplicate ``keys`` of ``kjt`` into one (grouped) IKJT: the
+        one-group case of :meth:`from_groups`."""
+        return cls.from_groups(kjt, [kjt.keys if keys is None else keys])[0]
+
+    @classmethod
+    def from_groups(
+        cls, kjt: KeyedJaggedTensor, groups: Sequence[Sequence[str]]
+    ) -> "list[InverseKeyedJaggedTensor]":
+        """Deduplicate each group of ``kjt``'s keys into its own IKJT,
+        all groups in one pass; IKJTs come back in ``groups`` order.
 
         This is the feature-conversion step of O3: duplicate rows are
-        detected by hashing and only the first occurrence's values are
-        kept.
+        detected by hashing (:func:`~repro.core.dedup.dedup_groups`) and
+        only the first occurrence's values are kept.  The unique rows of
+        every member of every group are gathered by one index
+        computation per value dtype, so the tensors of one call are
+        slices of shared buffers — buffers the call allocates, never
+        ``kjt``'s.  A key may appear once across all groups.
         """
-        keys = list(keys) if keys is not None else kjt.keys
-        if not keys:
+        groups = [list(group) for group in groups]
+        if not all(groups):
             raise ValueError("need at least one key to deduplicate")
-        group = [kjt[k] for k in keys]
-        unique_indices, inverse = dedup_grouped_rows(group)
-        tensors = {}
-        for k, jt in zip(keys, group):
-            values, offsets = gather_ranges(jt.values, jt.offsets, unique_indices)
-            tensors[k] = JaggedTensor(values, offsets)
-        return cls(tensors, inverse)
+        keys = [key for group in groups for key in group]
+        for key in keys:
+            if key not in kjt:
+                raise ValueError(f"key {key!r} is not in the KJT")
+        if len(set(keys)) < len(keys):
+            repeated = next(key for key in keys if keys.count(key) > 1)
+            raise ValueError(f"key {repeated!r} is named more than once")
+        if not groups:
+            return []
+        members = [[kjt[key] for key in group] for group in groups]
+        deduped = dedup_groups(members)
+        tensors = iter(
+            _gather_members(
+                [jt for group in members for jt in group],
+                [
+                    unique
+                    for group, (unique, _) in zip(groups, deduped)
+                    for _ in group
+                ],
+            )
+        )
+        return [
+            cls({key: next(tensors) for key in group}, inverse)
+            for group, (_, inverse) in zip(groups, deduped)
+        ]
 
     # -- accessors --------------------------------------------------------
 

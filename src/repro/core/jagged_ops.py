@@ -53,15 +53,15 @@ def gather_indices(
     ``inverse_lookup`` there).  ``indices`` must already be a valid 1-D
     int64 row selection; :func:`gather_ranges` is the checked entry.
     """
-    sel_lengths = np.diff(offsets)[indices]
+    starts = offsets[indices]
+    sel_lengths = offsets[indices + 1] - starts
     out_offsets = np.zeros(indices.size + 1, dtype=np.int64)
     np.cumsum(sel_lengths, out=out_offsets[1:])
-    # For each output element, its source position is the selected row's
-    # start offset plus the element's rank within the row.
-    within = np.arange(int(out_offsets[-1]), dtype=np.int64) - np.repeat(
-        out_offsets[:-1], sel_lengths
-    )
-    src = np.repeat(offsets[:-1][indices], sel_lengths) + within
+    # Output element k comes from source position k + (its row's start
+    # in the source - its row's start in the output).
+    starts -= out_offsets[:-1]
+    src = np.repeat(starts, sel_lengths)
+    src += np.arange(src.size)
     return src, out_offsets
 
 

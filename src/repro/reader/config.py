@@ -32,6 +32,20 @@ class DataLoaderConfig:
     def __post_init__(self) -> None:
         if self.batch_size <= 0:
             raise ValueError("batch_size must be positive")
+        # a bare string iterates as its characters, each a feature name
+        for name in (
+            "sparse_features",
+            "dedup_sparse_features",
+            "partial_dedup_sparse_features",
+        ):
+            if isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a sequence of names, not a str")
+        for group in self.dedup_sparse_features:
+            if isinstance(group, str):
+                raise ValueError(
+                    "dedup_sparse_features groups must be sequences of "
+                    f"names, got the str {group!r}"
+                )
         flat = [k for group in self.dedup_sparse_features for k in group]
         if len(flat) != len(set(flat)):
             raise ValueError("a feature may appear in only one dedup group")

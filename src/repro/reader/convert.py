@@ -44,8 +44,10 @@ def convert_rows(
 
     ``rows`` is the fill step's :class:`~repro.storage.rowblock.RowBlock`;
     a sequence of row objects (tests, examples) is columnarised first.
-    Every tensor is built over the block's columns — no per-row work —
-    and owns its memory, so batches cut from one stripe never alias.
+    Every tensor is built over the block's columns — no per-row work,
+    and none per dedup group — and none aliases the block, so batches
+    cut from one stripe never alias each other; the IKJT tensors of one
+    batch are slices of buffers that batch alone owns.
     """
     if not rows:
         raise ValueError("cannot convert an empty batch")
@@ -82,14 +84,15 @@ def convert_rows(
         stats.values_copied += kjt.total_values
 
     ikjts: list[InverseKeyedJaggedTensor] = []
-    for group in config.dedup_sparse_features:
-        # Dedup the group's full KJT view via hashing; only the unique
-        # rows are gathered (copied) out of the block.
-        group_kjt = keyed(group)
-        ikjt = InverseKeyedJaggedTensor.from_kjt(group_kjt, list(group))
-        ikjts.append(ikjt)
-        stats.values_hashed += group_kjt.total_values
-        stats.values_copied += ikjt.total_values
+    if config.dedup_sparse_features:
+        # Dedup every group's KJT view via hashing in one pass; only the
+        # unique rows are gathered (copied) out of the block.
+        grouped_kjt = keyed(config.dedup_feature_names)
+        ikjts = InverseKeyedJaggedTensor.from_groups(
+            grouped_kjt, config.dedup_sparse_features
+        )
+        stats.values_hashed += grouped_kjt.total_values
+        stats.values_copied += sum(ikjt.total_values for ikjt in ikjts)
 
     partial = None
     if config.partial_dedup_sparse_features:

@@ -13,15 +13,18 @@ rests on three algebraic contracts of :mod:`repro.core.dedup` and
   restores the duplicate-bearing KJT bit-for-bit, and the analytic
   ``expanded_nbytes`` equals what the restored KJT actually carries.
 
-``dedup_grouped_rows`` itself is a fixed number of array passes; the
-dict-of-``tobytes`` row loop it replaced lives on here as
+``dedup_groups`` — the batch kernel ``dedup_grouped_rows`` and
+``from_groups`` / ``from_kjt`` are calls of — is a fixed number of array
+passes; the dict-of-``tobytes`` row loop it replaced lives on here as
 :func:`_reference_dedup`, the oracle the array version must equal
-exactly, and ``TestEqualityRule`` pins what "equal rows" means (bytes,
-not values).
+exactly, one group alone or many groups in one call, and
+``TestEqualityRule`` pins what "equal rows" means (bytes, not values).
 
 The edge-case unit tests at the bottom pin the exact error messages and
 empty/single-row behaviour of the characterization helpers.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,8 +36,10 @@ from repro.core import (
     JaggedTensor,
     KeyedJaggedTensor,
     dedup_grouped_rows,
+    dedup_groups,
     dedup_rows,
     exact_duplicate_fraction,
+    jagged_index_select,
     measured_dedupe_factor,
     partial_duplicate_fraction,
 )
@@ -48,6 +53,16 @@ _batch = st.lists(_row, max_size=12)
 
 def _gather(jt: JaggedTensor, indices: np.ndarray) -> list[list]:
     return [jt.row(int(i)).tolist() for i in indices]
+
+
+def _same_bits(a: JaggedTensor, b: JaggedTensor) -> bool:
+    """Bytewise equality (``==`` would call a ``NaN`` row unequal to
+    itself and ``0.0`` equal to ``-0.0``)."""
+    return (
+        a.values.dtype == b.values.dtype
+        and a.values.tobytes() == b.values.tobytes()
+        and np.array_equal(a.offsets, b.offsets)
+    )
 
 
 def _reference_dedup(tensors):
@@ -72,32 +87,48 @@ def _reference_dedup(tensors):
 _FLOATS = [0.0, -0.0, float("nan"), 1.0, 2.5]
 
 
+def _draw_member(draw, num_rows, dtypes):
+    """One member over ``num_rows`` rows of 0-12 values each, drawn from
+    a few distinct rows so duplicates are common."""
+    dtype = draw(st.sampled_from(dtypes))
+    alphabet = (
+        st.integers(-2, 3) if dtype is np.int64 else st.sampled_from(_FLOATS)
+    )
+    pool = draw(
+        st.lists(st.lists(alphabet, max_size=12), min_size=1, max_size=5)
+    )
+    picks = draw(
+        st.lists(
+            st.integers(0, len(pool) - 1),
+            min_size=num_rows,
+            max_size=num_rows,
+        )
+    )
+    return JaggedTensor.from_lists([pool[p] for p in picks], dtype=dtype)
+
+
 @st.composite
 def _ragged_groups(draw):
-    """1-4 members over 0-80 shared rows of 0-12 values each, drawn from
-    a few distinct rows per member so duplicates are common; members
-    are int64, float32 or float64."""
+    """1-4 members over 0-80 shared rows; members are int64, float32 or
+    float64."""
     num_rows = draw(st.integers(0, 80))
-    group = []
-    for _ in range(draw(st.integers(1, 4))):
-        dtype = draw(st.sampled_from([np.int64, np.float32, np.float64]))
-        alphabet = (
-            st.integers(-2, 3) if dtype is np.int64 else st.sampled_from(_FLOATS)
-        )
-        pool = draw(
-            st.lists(st.lists(alphabet, max_size=12), min_size=1, max_size=5)
-        )
-        picks = draw(
-            st.lists(
-                st.integers(0, len(pool) - 1),
-                min_size=num_rows,
-                max_size=num_rows,
-            )
-        )
-        group.append(
-            JaggedTensor.from_lists([pool[p] for p in picks], dtype=dtype)
-        )
-    return group
+    return [
+        _draw_member(draw, num_rows, [np.int64, np.float32, np.float64])
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+
+
+@st.composite
+def _ragged_batches(draw):
+    """A KJT over 0-80 rows and 1-4 groups of 1-4 of its keys; int64 and
+    float32 members mix inside a group."""
+    num_rows = draw(st.integers(0, 80))
+    tensors, groups = {}, []
+    for g in range(draw(st.integers(1, 4))):
+        groups.append([f"g{g}m{m}" for m in range(draw(st.integers(1, 4)))])
+        for key in groups[-1]:
+            tensors[key] = _draw_member(draw, num_rows, [np.int64, np.float32])
+    return KeyedJaggedTensor(tensors), groups
 
 
 class TestAgainstTheRowLoop:
@@ -109,6 +140,108 @@ class TestAgainstTheRowLoop:
         assert unique.dtype == inverse.dtype == np.int64
         np.testing.assert_array_equal(unique, want_unique)
         np.testing.assert_array_equal(inverse, want_inverse)
+
+
+class TestBatchKernelAgainstTheRowLoop:
+    """``from_groups`` converts all groups of a batch in one pass; group
+    by group it must be what the row loop finds in that group alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(batch=_ragged_batches())
+    def test_every_group_equals_the_reference(self, batch):
+        kjt, groups = batch
+        tensors = [[kjt[key] for key in group] for group in groups]
+        pairs = dedup_groups(tensors)
+        ikjts = InverseKeyedJaggedTensor.from_groups(kjt, groups)
+        assert [ikjt.keys for ikjt in ikjts] == groups
+        assert len(pairs) == len(groups)
+        for ikjt, (unique, inverse), group, members in zip(
+            ikjts, pairs, groups, tensors
+        ):
+            want_unique, want_inverse = _reference_dedup(members)
+            assert unique.dtype == inverse.dtype == np.int64
+            np.testing.assert_array_equal(unique, want_unique)
+            np.testing.assert_array_equal(inverse, want_inverse)
+            assert ikjt.inverse_lookup.dtype == np.int64
+            np.testing.assert_array_equal(ikjt.inverse_lookup, want_inverse)
+            restored = ikjt.to_kjt()
+            # the one-group call, and from_kjt which is that call
+            (alone,) = InverseKeyedJaggedTensor.from_groups(kjt, [group])
+            single = InverseKeyedJaggedTensor.from_kjt(kjt, group)
+            assert alone.keys == single.keys == group
+            for other in (alone, single):
+                np.testing.assert_array_equal(
+                    other.inverse_lookup, want_inverse
+                )
+            for key, member in zip(group, members):
+                want = jagged_index_select(member, want_unique)
+                assert _same_bits(ikjt[key], want)
+                assert _same_bits(alone[key], want)
+                assert _same_bits(single[key], want)
+                assert _same_bits(restored[key], member)
+
+    def test_zero_row_kjt_gives_zero_unique_ikjts(self):
+        kjt = KeyedJaggedTensor(
+            {
+                "a": JaggedTensor.empty(0),
+                "b": JaggedTensor.empty(0, dtype=np.float32),
+                "c": JaggedTensor.empty(0),
+            }
+        )
+        ikjts = InverseKeyedJaggedTensor.from_groups(kjt, [["a", "b"], ["c"]])
+        assert [ikjt.keys for ikjt in ikjts] == [["a", "b"], ["c"]]
+        for ikjt in ikjts:
+            assert ikjt.num_unique == ikjt.batch_size == 0
+        assert ikjts[0]["b"].values.dtype == np.float32
+
+    def test_member_empty_in_every_row_dedups_to_one_row(self):
+        """The ``absent`` column ``convert_rows`` substitutes for a feature
+        the block lacks."""
+        kjt = KeyedJaggedTensor(
+            {
+                "absent": JaggedTensor.empty(5),
+                "hist": JaggedTensor.from_lists([[1], [2], [1], [], [2]]),
+            }
+        )
+        alone, beside = InverseKeyedJaggedTensor.from_groups(
+            kjt, [["absent"], ["hist"]]
+        )
+        assert alone.num_unique == 1
+        np.testing.assert_array_equal(alone.inverse_lookup, [0] * 5)
+        np.testing.assert_array_equal(beside.inverse_lookup, [0, 1, 0, 2, 1])
+        (grouped,) = InverseKeyedJaggedTensor.from_groups(
+            kjt, [["absent", "hist"]]
+        )
+        np.testing.assert_array_equal(grouped.inverse_lookup, [0, 1, 0, 2, 1])
+        assert grouped["absent"].num_rows == 3
+
+    def test_padding_is_per_member(self):
+        """One 50 000-value row widens its own member's key columns and
+        no other member's: the batch peaks below three of that member's
+        padded keys, where a shared width would need sixteen."""
+        rows, long_row = 64, 50_000
+        tensors = {
+            "long": JaggedTensor(
+                np.arange(long_row),
+                np.r_[0, np.full(rows, long_row)],
+            )
+        }
+        for m in range(15):
+            tensors[f"short{m}"] = JaggedTensor(
+                np.arange(rows * 8) % (m + 2), np.arange(rows + 1) * 8
+            )
+        kjt = KeyedJaggedTensor(tensors)
+        groups = [["long"], *([key] for key in tensors if key != "long")]
+        padded_key = rows * (8 + long_row * 8)
+        tracemalloc.start()
+        try:
+            ikjts = InverseKeyedJaggedTensor.from_groups(kjt, groups)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * padded_key
+        assert ikjts[0].num_unique == 2
+        assert ikjts[0].to_kjt() == kjt.select(["long"])
 
 
 class TestEqualityRule:
@@ -129,6 +262,22 @@ class TestEqualityRule:
         jt = JaggedTensor(bits.view(np.float64), np.arange(3))
         assert np.isnan(jt.values).all()
         np.testing.assert_array_equal(dedup_rows(jt)[0], [0, 1])
+
+    @pytest.mark.parametrize(
+        "dtype", [np.int8, np.float16, np.complex128, "U3"], ids=str
+    )
+    def test_values_narrower_and_wider_than_a_key_word(self, dtype):
+        """Key columns are 8-byte words; a value may be any size."""
+        rows = [[1, 0], [1], [1, 0], [], [2, 1, 0], [1]]
+        group = [
+            JaggedTensor.from_lists(rows, dtype=dtype),
+            JaggedTensor.from_lists(rows[::-1]),
+        ]
+        for tensors in ([group[0]], group):
+            unique, inverse = dedup_grouped_rows(tensors)
+            want_unique, want_inverse = _reference_dedup(tensors)
+            np.testing.assert_array_equal(unique, want_unique)
+            np.testing.assert_array_equal(inverse, want_inverse)
 
     def test_members_of_different_dtypes_in_one_group(self):
         ids = JaggedTensor.from_lists([[7, 8], [7, 8], [7, 8], [9]])

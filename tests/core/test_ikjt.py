@@ -114,6 +114,50 @@ class TestValidation:
                 {"a": JaggedTensor.from_lists([[1]])}, np.zeros((1, 1))
             )
 
+    @pytest.mark.parametrize(
+        "inverse, dtype",
+        [(np.array([0.9, 1.9]), "float64"), (np.array([False, True]), "bool")],
+    )
+    def test_non_integer_inverse_rejected_not_truncated(self, inverse, dtype):
+        with pytest.raises(
+            ValueError,
+            match=f"inverse_lookup must be an integer array, got {dtype}",
+        ):
+            InverseKeyedJaggedTensor(
+                {"a": JaggedTensor.from_lists([[1], [2]])}, inverse
+            )
+
+    def test_integer_and_empty_inverse_accepted(self):
+        jt = JaggedTensor.from_lists([[1], [2]])
+        for inverse in ([1, 0, 1], np.array([1, 0, 1], dtype=np.uint8)):
+            ikjt = InverseKeyedJaggedTensor({"a": jt}, inverse)
+            assert ikjt.inverse_lookup.dtype == np.int64
+            assert ikjt.inverse_lookup.tolist() == [1, 0, 1]
+        # an empty list is a float64 array; there is nothing to truncate
+        assert InverseKeyedJaggedTensor({"a": jt}, []).batch_size == 0
+
+    @pytest.mark.parametrize(
+        "groups", [[["a", "a"]], [["a", "b"], ["c", "a"]]], ids=["one", "two"]
+    )
+    def test_key_named_twice_rejected(self, groups):
+        with pytest.raises(ValueError, match="key 'a' is named more than once"):
+            InverseKeyedJaggedTensor.from_groups(figure5_kjt(), groups)
+
+    def test_from_kjt_key_named_twice_rejected(self):
+        with pytest.raises(ValueError, match="key 'a' is named more than once"):
+            InverseKeyedJaggedTensor.from_kjt(figure5_kjt(), ["a", "a"])
+
+    def test_missing_key_is_a_value_error_naming_it(self):
+        with pytest.raises(ValueError, match="key 'zz' is not in the KJT"):
+            InverseKeyedJaggedTensor.from_kjt(figure5_kjt(), ["a", "zz"])
+
+    def test_empty_group_among_groups_rejected(self):
+        with pytest.raises(ValueError, match="need at least one key"):
+            InverseKeyedJaggedTensor.from_groups(figure5_kjt(), [["a"], []])
+
+    def test_no_groups_is_no_ikjts(self):
+        assert InverseKeyedJaggedTensor.from_groups(figure5_kjt(), []) == []
+
     def test_unhashable_and_eq(self):
         a = InverseKeyedJaggedTensor.from_kjt(figure5_kjt(), ["a"])
         b = InverseKeyedJaggedTensor.from_kjt(figure5_kjt(), ["a"])

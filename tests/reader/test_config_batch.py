@@ -39,6 +39,22 @@ class TestDataLoaderConfig:
         with pytest.raises(ValueError):
             DataLoaderConfig(batch_size=1, dedup_sparse_features=((),))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("dedup_sparse_features", ("ab",)),
+            ("dedup_sparse_features", (("a",), "bc")),
+            ("dedup_sparse_features", "ab"),
+            ("sparse_features", "ab"),
+            ("partial_dedup_sparse_features", "ab"),
+        ],
+    )
+    def test_bare_string_is_not_a_list_of_names(self, field, value):
+        """A str iterates as its characters: ("ab",) would dedup features
+        "a" and "b" as one group."""
+        with pytest.raises(ValueError, match=field):
+            DataLoaderConfig(batch_size=2, **{field: value})
+
     def test_without_dedup(self):
         cfg = DataLoaderConfig(
             batch_size=8,

@@ -3,13 +3,19 @@
 import numpy as np
 import pytest
 
-from repro.core import JaggedTensor
+from repro.core import (
+    InverseKeyedJaggedTensor,
+    JaggedTensor,
+    KeyedJaggedTensor,
+)
 from repro.datagen import (
     DatasetSchema,
     DenseFeatureSpec,
     SparseFeatureSpec,
     TraceConfig,
     generate_partition,
+    rm1,
+    rm3,
 )
 from repro.reader import (
     ClampValues,
@@ -18,7 +24,9 @@ from repro.reader import (
     TruncateLength,
     apply_transforms,
     convert_rows,
+    fill_batches,
 )
+from tests.conftest import land_samples, make_trace
 
 
 def _schema():
@@ -101,6 +109,90 @@ class TestConvert:
         cfg = DataLoaderConfig(batch_size=4, sparse_features=("u",))
         with pytest.raises(ValueError):
             convert_rows([], cfg)
+
+
+def _ikjt_arrays(ikjt):
+    out = [ikjt.inverse_lookup]
+    for _, jt in ikjt.items():
+        out += [jt.values, jt.offsets]
+    return out
+
+
+def _batch_arrays(batch):
+    out = [batch.dense, batch.labels]
+    for _, jt in batch.kjt.items():
+        out += [jt.values, jt.offsets]
+    for ikjt in batch.ikjts:
+        out += _ikjt_arrays(ikjt)
+    return out
+
+
+def _block_arrays(block):
+    out = [block.label, *block.dense.values()]
+    for offsets, values in block.sparse.values():
+        out += [offsets, values]
+    return out
+
+
+class TestBatchConversionEqualsPerGroup:
+    """``convert_rows`` keys and gathers all of a batch's dedup groups in
+    one ``from_groups`` pass; every batch must be, bit for bit, the one
+    built by a ``from_kjt`` call per group."""
+
+    @pytest.mark.parametrize("workload", [rm1, rm3], ids=["RM1", "RM3"])
+    def test_over_a_landed_clustered_table(self, workload):
+        w = workload(scale=0.25)
+        assert [len(group) for group in w.dedup_groups] == {
+            "RM1": [4, 3, 3, 3, 3, 1, 1, 1, 1, 1],
+            "RM3": [11, 1, 1, 1, 1, 1],
+        }[w.name]
+        cfg = DataLoaderConfig(
+            batch_size=48,
+            sparse_features=tuple(
+                name
+                for name in w.schema.sparse_names
+                if name not in w.dedup_feature_names
+            ),
+            dedup_sparse_features=w.dedup_groups,
+            dense_features=tuple(w.schema.dense_names),
+        )
+        table = land_samples(
+            w.schema,
+            make_trace(w.schema, sessions=24, seed=5, clustered=True),
+            stripe_rows=64,
+        )
+        previous, batches = [], 0
+        for block, _ in fill_batches(table.open_readers("p"), cfg.batch_size):
+            batch, stats = convert_rows(block, cfg)
+            hashed = copied = 0
+            for ikjt, group in zip(
+                batch.ikjts, cfg.dedup_sparse_features, strict=True
+            ):
+                views = KeyedJaggedTensor(
+                    {
+                        key: JaggedTensor(values, offsets)
+                        for key in group
+                        for offsets, values in [block.sparse[key]]
+                    }
+                )
+                by_hand = InverseKeyedJaggedTensor.from_kjt(views, list(group))
+                assert ikjt.keys == by_hand.keys == list(group)
+                for got, want in zip(
+                    _ikjt_arrays(ikjt), _ikjt_arrays(by_hand), strict=True
+                ):
+                    assert got.dtype == want.dtype
+                    np.testing.assert_array_equal(got, want)
+                hashed += views.total_values
+                copied += by_hand.total_values
+            assert stats.values_hashed == hashed
+            assert stats.values_copied == copied + batch.kjt.total_values
+            mine = _batch_arrays(batch)
+            for a in mine:
+                for b in _block_arrays(block) + previous:
+                    assert not np.shares_memory(a, b)
+            previous = mine
+            batches += 1
+        assert batches >= 4
 
 
 class TestTransforms:
