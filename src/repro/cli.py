@@ -40,6 +40,7 @@ from .experiments import (
     run_grid,
     run_profile,
 )
+from .experiments.grid import spec_default
 from .pipeline import Session
 from .reader.costmodel import TRANSPORT_MODES
 from .reader.fleet import EXECUTORS
@@ -69,7 +70,9 @@ class _Flag(NamedTuple):
     #: the non-figure subcommands that register it (a figure subcommand
     #: registers the flags its ``Figure.flags`` names)
     on: tuple[str, ...]
-    #: ``add_argument`` keywords
+    #: ``add_argument`` keywords; a typed row naming no ``default``
+    #: offers its spec field's own (a literal is a default that differs
+    #: from the spec's on purpose)
     kwargs: dict
 
     @property
@@ -78,6 +81,8 @@ class _Flag(NamedTuple):
 
 
 def _flag(flag, path=None, key=None, on=_RUN, **kwargs) -> _Flag:
+    if flag and "default" not in kwargs and kwargs.keys() & {"type", "choices"}:
+        kwargs["default"] = spec_default(path)
     return _Flag(flag, path, key, on, kwargs)
 
 
@@ -94,22 +99,21 @@ _FLAGS = (
     _flag("--recd", "toggles", "recd", action="store_true",
           help="enable all RecD optimizations (O1-O7)"),
     _flag("--num-partitions", "data.num_partitions", "partitions",
-          type=int, default=1,
+          type=int,
           help="time partitions the table lands as (stream: the ticks "
                "the trace is cut into)"),
     _flag("--num-readers", "reader.num_readers", type=int, default=1,
           help="reader-fleet width; under multijob/stream the width of "
                "the pool serving every job"),
-    _flag("--prefetch-depth", "reader.prefetch_depth", type=int, default=2,
+    _flag("--prefetch-depth", "reader.prefetch_depth", type=int,
           help="bounded prefetch per reader worker"),
     _flag("--reader-executor", "reader.executor", choices=EXECUTORS,
-          default="inprocess",
           help="fleet executor (the batch stream is bit-identical for "
                "all of them): inprocess scans serially, process forks "
                "real workers, async interleaves every shard worker "
                "deterministically so wide fleets run fast"),
     _flag("--transport", "reader.transport", choices=TRANSPORT_MODES,
-          default="copy",
+          default=spec_default("reader.transport").mode,
           help="batch transport across the worker->trainer boundary: "
                "copy charges a modeled per-batch serialize cost, shm "
                "models the zero-copy handoff (stream stays bit-identical)"),
@@ -122,9 +126,9 @@ _FLAGS = (
                "queues; the trainer expands after the pooled lookup "
                "(losses stay bit-identical, bytes-decoded shrink)"),
     _flag("--train-epochs", "train.train_epochs", "epochs", type=int,
-          default=1, help="epochs over the landed partitions, per job"),
+          help="epochs over the landed partitions, per job"),
     _flag("--train-batches", "train.train_batches", "batches", type=int,
-          default=2, help="per-epoch batch cap, per job"),
+          help="per-epoch batch cap, per job"),
     _flag(None, "train.batch_size", "batch_size", type=int),
     _flag(None, "weight", "weight", type=float),
     _flag("--autoscale", action="store_true",
@@ -132,10 +136,9 @@ _FLAGS = (
                "(multijob/stream: the pool between rounds from the "
                "aggregate stall); --num-readers sets the initial width"),
     _flag("--target-stall", "scaling.target_stall", type=float,
-          default=0.10,
           help="autoscaler target band: grow while the reader-stall "
                "fraction exceeds this"),
-    _flag("--max-readers", "scaling.max_readers", type=int, default=32,
+    _flag("--max-readers", "scaling.max_readers", type=int,
           help="autoscaler upper bound on the width"),
     _flag("--retain-partitions", "retention.window", "retain", type=int,
           default=None,
@@ -143,14 +146,14 @@ _FLAGS = (
                "partitions live; between epochs the next partition lands "
                "and the oldest is dropped"),
     _flag("--stream-interval", "stream.interval_seconds", on=("stream",),
-          type=float, default=60.0,
+          type=float,
           help="modeled seconds between micro-partition sealing ticks"),
     _flag("--land-latency", "stream.land_latency_seconds", on=("stream",),
-          type=float, default=5.0,
+          type=float,
           help="modeled scribe->ETL->Hive landing latency after each "
                "tick seals"),
     _flag("--stream-rows-per-file", "stream.rows_per_file", on=("stream",),
-          type=int, default=256,
+          type=int,
           help="DWRF rows-per-file for freshly streamed micro-partitions "
                "(the between-tick compactor rewrites them at the table's "
                "full size)"),

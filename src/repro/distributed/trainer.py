@@ -119,7 +119,8 @@ class TrainingReport:
         """Serialize to a plain JSON-ready dict (the run-store form):
         the loss trajectory (the bit-identity fingerprint), the modeled
         throughput summary, the mean phase breakdown, and the measured
-        ingestion-loop wall tallies."""
+        ingestion-loop wall tallies.  Hand-written as a policy: the
+        per-iteration results reduce to losses and means, not fields."""
         return {
             "steps": len(self.iterations),
             "losses": self.losses,
@@ -182,21 +183,28 @@ class DistributedTrainer:
         executed) FLOPs.  MLP/interaction FLOPs are path-independent;
         pooling FLOPs are re-counted over the *expanded* value counts.
         """
-        model = self.model
-        dim = model.config.embedding_dim
+        features = self.model.sparse_arch.features
+        dim = self.model.config.embedding_dim
         flops = delta.get("mlp_flops", 0.0)
         if batch.kjt is not None:
             for key in batch.kjt.keys:
                 jt = batch.kjt[key]
-                flops += model.sparse_arch.features[key].pooling.flops(
+                flops += features[key].pooling.flops(
                     jt.total_values, dim, jt.num_rows
                 )
         for ikjt in batch.ikjts:
             for key in ikjt.keys:
                 jt = ikjt[key]
                 expanded = int(jt.lengths[ikjt.inverse_lookup].sum())
-                flops += model.sparse_arch.features[key].pooling.flops(
+                flops += features[key].pooling.flops(
                     expanded, dim, ikjt.batch_size
+                )
+        if batch.partial is not None:
+            for key in batch.partial.keys:
+                pjt = batch.partial[key]
+                expanded = int(pjt.inverse_lookup[:, 1].sum())
+                flops += features[key].pooling.flops(
+                    expanded, dim, pjt.batch_size
                 )
         return flops
 

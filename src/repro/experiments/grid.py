@@ -32,7 +32,7 @@ import hashlib
 import itertools
 import json
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 from ..datagen.workloads import WORKLOADS
 from ..pipeline.config import RecDToggles
@@ -48,7 +48,13 @@ from ..pipeline.spec import (
     TrainSpec,
 )
 
-__all__ = ["GridSpec", "RunPoint", "expand_grid", "build_job_spec"]
+__all__ = [
+    "GridSpec",
+    "RunPoint",
+    "expand_grid",
+    "build_job_spec",
+    "spec_default",
+]
 
 #: spec sections reachable by dotted paths, mapped to their dataclasses
 _SECTIONS = {
@@ -75,6 +81,15 @@ def _known_paths() -> list[str]:
                 continue
             paths.append(f"{section}.{f.name}")
     return sorted(paths)
+
+
+def spec_default(path: str):
+    """What a point that leaves ``section.field`` unset runs with: the
+    spec dataclass's own default (a CLI flag that offers the same
+    default reads it here instead of retyping it)."""
+    section, _, leaf = path.partition(".")
+    f = _SECTIONS[section].__dataclass_fields__[leaf]
+    return f.default_factory() if f.default is MISSING else f.default
 
 
 def _validate_path(path: str, where: str) -> None:

@@ -197,7 +197,8 @@ class RunOutcome:
     records: list = field(default_factory=list)
 
     def merge(self, other: "RunOutcome") -> None:
-        """Fold another grid's outcome in (profile aggregation)."""
+        """Fold another grid's outcome in (profile aggregation);
+        hand-written: three ID lists, not a serialized report."""
         self.executed.extend(other.executed)
         self.skipped.extend(other.skipped)
         self.records.extend(other.records)

@@ -28,7 +28,8 @@ class Counters:
         return self.values.get(name, 0.0)
 
     def merge(self, other: "Counters") -> None:
-        """Fold another bag's counters in, name by name."""
+        """Fold another bag's counters in, name by name (hand-written:
+        the bag is keyed by runtime names, ``Folded`` folds fields)."""
         for name, amount in other.values.items():
             self.add(name, amount)
 
@@ -40,7 +41,8 @@ class Counters:
         return self.get(name)
 
     def as_dict(self) -> dict[str, float]:
-        """A snapshot copy of every counter."""
+        """A snapshot copy of every counter (hand-written: a copy of
+        the name-keyed bag, there are no fields to derive from)."""
         return dict(self.values)
 
 

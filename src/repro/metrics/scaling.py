@@ -15,7 +15,7 @@ the trace into the same row-dict shape the benchmark harness writes to
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 __all__ = ["ScalingDecision", "ScalingTrace"]
 
@@ -114,7 +114,11 @@ class ScalingTrace:
         return settled
 
     def as_dict(self) -> dict:
-        """Serialize to a plain JSON-ready dict (the run-store form)."""
+        """Serialize to a plain JSON-ready dict (the run-store form).
+
+        Hand-written as a policy: the stored form leads with the two
+        derived headlines (final width, convergence epoch).
+        """
         return {
             "target_stall": self.target_stall,
             "final_width": self.final_width,
@@ -124,15 +128,4 @@ class ScalingTrace:
 
     def as_rows(self) -> list[dict]:
         """Serialize the trace into figure-style row dicts."""
-        return [
-            {
-                "epoch": d.epoch,
-                "reader_stall_fraction": d.reader_stall_fraction,
-                "trainer_stall_fraction": d.trainer_stall_fraction,
-                "width_before": d.width_before,
-                "action": d.action,
-                "width_after": d.width_after,
-                "reason": d.reason,
-            }
-            for d in self.decisions
-        ]
+        return [asdict(d) for d in self.decisions]

@@ -18,7 +18,7 @@ report, which the chaos test tier asserts.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from ..reader.fleet import FleetReport
 from .freshness import FreshnessReport
@@ -211,21 +211,13 @@ class SLOReport:
 
     def as_dict(self) -> dict:
         """Serialize to plain dicts — stable across replays of the same
-        seed, so two reports can be compared with ``==``."""
+        seed, so two reports can be compared with ``==``.
+
+        Hand-written as a policy: the scoreboard is the counters plus
+        the three headline SLOs, which are properties, not fields.
+        """
         return {
-            "jobs": [
-                {
-                    "job": j.job,
-                    "admitted_round": j.admitted_round,
-                    "finished_round": j.finished_round,
-                    "wall_seconds": j.wall_seconds,
-                    "busy_seconds": j.busy_seconds,
-                    "starved_rounds": j.starved_rounds,
-                    "epochs": j.epochs,
-                    "batches": j.batches,
-                }
-                for j in self.jobs
-            ],
+            "jobs": [asdict(j) for j in self.jobs],
             "total_wall_seconds": self.total_wall_seconds,
             "reader_cpu_seconds": self.reader_cpu_seconds,
             "wasted_cpu_seconds": self.wasted_cpu_seconds,

@@ -244,7 +244,11 @@ class TierReport:
     def as_dict(self) -> dict:
         """Serialize to a plain JSON-ready dict (the run-store form):
         the policy, every (round, job) row, the per-job and aggregate
-        overlap attributions, and the scaling trace when present."""
+        overlap attributions, and the scaling trace when present.
+
+        Hand-written as a policy: the stored form is a *view* — rounds
+        flattened to rows, overlaps re-folded per job — not the fields.
+        """
         return {
             "policy": self.policy,
             "widths": self.widths,
@@ -264,32 +268,25 @@ class TierReport:
     def as_rows(self) -> list[dict]:
         """Serialize to figure-style row dicts: one row per (round,
         job) pair, zero-worker rounds included."""
-        rows = []
-        for rnd in self.rounds:
-            for s in rnd.stats:
-                rows.append(
-                    {
-                        "round": rnd.index,
-                        "width": rnd.width,
-                        "job": s.job,
-                        "workers": s.workers,
-                        "reader_cpu_seconds": s.reader_cpu_seconds,
-                        "trainer_busy_seconds": s.trainer_busy_seconds,
-                        "batches": s.batches,
-                        **s.bytes.counters(),
-                    }
-                )
-            for name in rnd.skipped:
-                rows.append(
-                    {
-                        "round": rnd.index,
-                        "width": rnd.width,
-                        "job": name,
-                        "workers": 0,
-                        "reader_cpu_seconds": 0.0,
-                        "trainer_busy_seconds": 0.0,
-                        "batches": 0,
-                        **ByteLedger().counters(),
-                    }
-                )
-        return rows
+        return [
+            row
+            for rnd in self.rounds
+            for row in (
+                *(_row(rnd, s.job, s) for s in rnd.stats),
+                *(_row(rnd, name) for name in rnd.skipped),
+            )
+        ]
+
+
+def _row(rnd: TierRound, job: str, stat: JobRoundStat | None = None) -> dict:
+    """One (round, job) row; no ``stat`` is a job the round skipped."""
+    return {
+        "round": rnd.index,
+        "width": rnd.width,
+        "job": job,
+        "workers": stat.workers if stat else 0,
+        "reader_cpu_seconds": stat.reader_cpu_seconds if stat else 0.0,
+        "trainer_busy_seconds": stat.trainer_busy_seconds if stat else 0.0,
+        "batches": stat.batches if stat else 0,
+        **(stat.bytes if stat else ByteLedger()).counters(),
+    }

@@ -529,7 +529,6 @@ class Session:
             raise RuntimeError(
                 "session already prepared; build a new Session to rerun"
             )
-        scaling = self.scaling
 
         def injector(round_index, name, epoch):
             """Map a job's FaultSpec onto its scheduled epochs (a
@@ -544,23 +543,12 @@ class Session:
         self.tier = SharedReaderTier(
             self.width,
             policy=self.policy,
-            autoscale=scaling is not None,
-            target_stall=(
-                scaling.target_stall if scaling is not None else 0.10
-            ),
-            max_readers=(
-                scaling.max_readers if scaling is not None else 32
-            ),
+            scaling=self.scaling,
             fault_injector=injector,
             freshness_slo=self.freshness_slo,
-            ewma_alpha=(
-                scaling.ewma_alpha if scaling is not None else None
-            ),
         )
         for name, spec in zip(self.names, self.specs):
-            runtime = JobRuntime(name, spec, model_store=self.model_store)
-            self._runtimes[name] = runtime
-            self.tier.register(runtime.tier_job)
+            self.admit(spec, name)
         return self.tier
 
     # -- the drive loop -----------------------------------------------------
@@ -688,10 +676,11 @@ class Session:
         )
 
     def admit(self, spec: JobSpec, name: str) -> JobRuntime:
-        """Register a new or resumed job mid-run.
+        """Register a job with the tier: every job at :meth:`prepare`,
+        a new or resumed one mid-run.
 
-        The tier grants the newcomer strict next-round priority, so an
-        admitted job is never starved more than one round.
+        Mid-run the tier grants the newcomer strict next-round priority,
+        so an admitted job is never starved more than one round.
 
         Args:
             spec: the job's spec — typically a :meth:`preempt` return

@@ -12,7 +12,8 @@ namespace — and every combination composes for one job or many:
 * :class:`TrainSpec` — what the trainers do: epochs, per-epoch batch
   cap, batch size, cluster shape, update tracking.
 * :class:`ScalingSpec` — whether and how the fleet/pool width adapts:
-  target stall band and width bound.
+  target stall band and width bound (declared beside the autoscaler it
+  configures, :mod:`repro.reader.autoscale`, and re-exported here).
 * :class:`RetentionSpec` — the rolling partition window.
 * :class:`StreamSpec` — continuous ingestion: the job's partitions
   land as scribe-fed micro-partitions on the modeled clock *while* the
@@ -37,6 +38,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, replace
 
 from ..datagen.workloads import RMWorkload
+from ..reader.autoscale import ScalingSpec
 from ..reader.config import DataLoaderConfig
 from ..reader.costmodel import TransportSpec
 from ..reader.fleet import EXECUTORS, FleetFaults
@@ -111,9 +113,10 @@ class ReaderSpec:
             buffering).
         executor: ``"inprocess"`` (deterministic serial scan, the
             default), ``"process"`` (real multiprocessing workers; runs
-            only when named), or ``"async"`` (deterministic coroutine
-            scheduler — modeled queue waits, wide widths in tier-1
-            time); the batch stream is bit-identical for all of them.
+            only when named), or ``"async"`` (the serial scan plus a
+            modeled queue clock — reproducible queue waits, wide widths
+            in tier-1 time); the batch stream is bit-identical for all
+            of them.
         transport: how batches cross the worker→trainer boundary —
             ``"copy"`` (modeled per-batch serialize cost,
             ``bytes.copied``) or ``"shm"`` (zero-copy,
@@ -127,11 +130,9 @@ class ReaderSpec:
             prefetch queues (the workload's dedup groups become
             :class:`~repro.core.ikjt.InverseKeyedJaggedTensor`\\ s and
             the trainer expands inverse indices *after* the pooled
-            embedding lookup).  Unlike ``DataSpec.toggles.o3_ikjt``
-            this flips *only* transport and compute — batch size and
-            data layout stay the non-dedup baseline's, which is what
-            makes a dedup-on/off pair a bit-identity A/B: losses are
-            identical, only bytes-decoded and modeled work shrink.
+            embedding lookup).  Sugar over the toggles, read in one
+            place — :attr:`JobSpec.effective_toggles` — so losses are
+            identical and only bytes-decoded and modeled work shrink.
     """
 
     num_readers: int = 1
@@ -190,46 +191,6 @@ class TrainSpec:
         _require_positive("TrainSpec.num_gpus", self.num_gpus)
         _require_positive("TrainSpec.gpus_per_node", self.gpus_per_node)
         _require_positive("TrainSpec.max_table_rows", self.max_table_rows)
-
-
-@dataclass(frozen=True)
-class ScalingSpec:
-    """Adaptive width: the autoscaler's set-point and bound.
-
-    Attaching a ``ScalingSpec`` to a :class:`JobSpec` turns
-    autoscaling *on* (``scaling=None`` runs at fixed width): a
-    :class:`~repro.reader.autoscale.ReaderAutoscaler` resizes the
-    fleet — or, under a shared tier, the pool — between epochs.
-
-    Attributes:
-        target_stall: grow the width while the observed reader-stall
-            fraction exceeds this band.
-        max_readers: upper bound on the width.
-        ewma_alpha: when set, the autoscaler decides on an exponential
-            moving average of the observed overlap signals instead of
-            each raw round (``new = alpha * observed + (1 - alpha) *
-            old``).  Live-loop rounds are noisy — a round that landed a
-            fresh micro-partition looks reader-bound, the next looks
-            trainer-bound — and smoothing stops the width flapping;
-            ``None`` keeps the historical raw-signal behaviour.
-    """
-
-    target_stall: float = 0.10
-    max_readers: int = 32
-    ewma_alpha: float | None = None
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.target_stall < 1.0:
-            raise ValueError(
-                "ScalingSpec.target_stall must be in (0, 1), got "
-                f"{self.target_stall}"
-            )
-        _require_positive("ScalingSpec.max_readers", self.max_readers)
-        if self.ewma_alpha is not None and not 0.0 < self.ewma_alpha <= 1.0:
-            raise ValueError(
-                "ScalingSpec.ewma_alpha must be in (0, 1], got "
-                f"{self.ewma_alpha}"
-            )
 
 
 @dataclass(frozen=True)
@@ -379,30 +340,22 @@ class FaultSpec:
     lost_fraction: float = 0.5
 
     def __post_init__(self) -> None:
-        for epoch, shards in self.crashes.items():
-            if epoch < 0:
-                raise ValueError(
-                    f"FaultSpec.crashes epoch must be non-negative, "
-                    f"got {epoch}"
-                )
-            for pos in shards:
-                if pos < 0:
+        plans = (("crashes", self.crashes), ("stragglers", self.stragglers))
+        for field_name, plan in plans:
+            for epoch, shards in plan.items():
+                if epoch < 0:
                     raise ValueError(
-                        "FaultSpec.crashes shard positions must be "
-                        f"non-negative, got {pos} (epoch {epoch})"
+                        f"FaultSpec.{field_name} epoch must be "
+                        f"non-negative, got {epoch}"
                     )
+                for pos in shards:  # a straggler mapping yields its positions
+                    if pos < 0:
+                        raise ValueError(
+                            f"FaultSpec.{field_name} shard positions must "
+                            f"be non-negative, got {pos} (epoch {epoch})"
+                        )
         for epoch, factors in self.stragglers.items():
-            if epoch < 0:
-                raise ValueError(
-                    f"FaultSpec.stragglers epoch must be non-negative, "
-                    f"got {epoch}"
-                )
             for pos, factor in factors.items():
-                if pos < 0:
-                    raise ValueError(
-                        "FaultSpec.stragglers shard positions must be "
-                        f"non-negative, got {pos} (epoch {epoch})"
-                    )
                 if not factor >= 1.0:
                     raise ValueError(
                         "FaultSpec.stragglers factors must be >= 1.0, "
@@ -413,6 +366,18 @@ class FaultSpec:
                 "FaultSpec.lost_fraction must be in [0, 1], got "
                 f"{self.lost_fraction}"
             )
+
+    def __hash__(self) -> int:
+        """Hash by content: the generated field-tuple hash cannot take
+        the mappings, and a :class:`JobSpec` carrying faults must stay
+        hashable like any other (equality is the generated one)."""
+        crashes = [(e, tuple(s)) for e, s in self.crashes.items()]
+        stragglers = [
+            (e, tuple(sorted(f.items()))) for e, f in self.stragglers.items()
+        ]
+        return hash(
+            (*sorted(crashes), *sorted(stragglers), self.lost_fraction)
+        )
 
     def for_epoch(self, epoch: int) -> FleetFaults | None:
         """The epoch's :class:`~repro.reader.fleet.FleetFaults`, or
@@ -519,42 +484,42 @@ class JobSpec:
         )
 
     @property
-    def trainer_flags(self) -> "TrainerOptFlags":
-        """The trainer-side (O5–O7) flags this job's trainer runs under.
+    def effective_toggles(self) -> RecDToggles:
+        """The toggles the reader and trainer run under — the one place
+        ``ReaderSpec.dedup`` is read.
 
-        ``ReaderSpec.dedup`` streams IKJT batches regardless of the O3
-        toggle, so it upgrades the trainer to the full dedup stack
-        (unique-row lookup, jagged index select, dedup compute) — the
-        expansion back to batch rows happens after the pooled lookup.
+        ``dedup`` is sugar for the IKJT stack (O3 transport, O5–O7
+        trainer) at the *baseline's* batch size and layout:
+        :attr:`effective_batch_size` and landing keep reading
+        ``data.toggles``, which is what makes a dedup-on/off pair a
+        bit-identity A/B.
         """
-        if self.reader.dedup:
-            return TrainerOptFlags.full()
-        return self.data.toggles.trainer_flags
+        if not self.reader.dedup:
+            return self.data.toggles
+        return self.data.toggles.with_(
+            o3_ikjt=True,
+            o5_dedup_emb=True,
+            o6_jagged_index_select=True,
+            o7_dedup_compute=True,
+        )
+
+    @property
+    def trainer_flags(self) -> "TrainerOptFlags":
+        """The trainer-side (O5–O7) flags this job's trainer runs under."""
+        return self.effective_toggles.trainer_flags
 
     def dataloader_config(self) -> DataLoaderConfig:
-        """The job's DataLoader spec under the current toggles.
-
-        ``ReaderSpec.dedup`` also selects the dedup-group config — same
-        features, same batch size, IKJT transport — without touching
-        the O3 toggle's batch-size or layout implications.
-        """
+        """The job's DataLoader spec: the workload's dedup groups ship
+        as IKJTs under (effective) O3, every feature as a KJT otherwise."""
         w = self.data.workload
-        if self.data.toggles.o3_ikjt or self.reader.dedup:
-            plain = tuple(
-                f.name
-                for f in w.schema.sparse
-                if f.name not in w.dedup_feature_names
-            )
-            return DataLoaderConfig(
-                batch_size=self.effective_batch_size,
-                sparse_features=plain,
-                dedup_sparse_features=w.dedup_groups,
-                dense_features=tuple(w.schema.dense_names),
-                transforms=self.data.transforms,
-            )
+        groups = w.dedup_groups if self.effective_toggles.o3_ikjt else ()
+        grouped = {name for group in groups for name in group}
         return DataLoaderConfig(
             batch_size=self.effective_batch_size,
-            sparse_features=tuple(w.schema.sparse_names),
+            sparse_features=tuple(
+                n for n in w.schema.sparse_names if n not in grouped
+            ),
+            dedup_sparse_features=groups,
             dense_features=tuple(w.schema.dense_names),
             transforms=self.data.transforms,
         )

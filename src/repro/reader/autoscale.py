@@ -41,7 +41,53 @@ from ..metrics.breakdown import QueueWaitBreakdown
 from ..metrics.overlap import OverlapReport
 from ..metrics.scaling import ScalingDecision, ScalingTrace
 
-__all__ = ["ReaderAutoscaler", "readers_required", "TierPlan"]
+__all__ = ["ReaderAutoscaler", "ScalingSpec", "readers_required", "TierPlan"]
+
+
+@dataclass(frozen=True)
+class ScalingSpec:
+    """Adaptive width: the autoscaler's set-point and bound.
+
+    Attaching a ``ScalingSpec`` to a
+    :class:`~repro.pipeline.spec.JobSpec` — or handing one to a
+    :class:`~repro.reader.tier_scheduler.SharedReaderTier` — turns
+    autoscaling *on* (``scaling=None`` runs at fixed width): a
+    :class:`ReaderAutoscaler` resizes the fleet — or, under a shared
+    tier, the pool — between epochs.
+
+    Attributes:
+        target_stall: grow the width while the observed reader-stall
+            fraction exceeds this band.
+        max_readers: upper bound on the width.
+        ewma_alpha: when set, the autoscaler decides on an exponential
+            moving average of the observed overlap signals instead of
+            each raw round (``new = alpha * observed + (1 - alpha) *
+            old``).  Live-loop rounds are noisy — a round that landed a
+            fresh micro-partition looks reader-bound, the next looks
+            trainer-bound — and smoothing stops the width flapping;
+            ``None`` keeps the historical raw-signal behaviour.
+    """
+
+    target_stall: float = 0.10
+    max_readers: int = 32
+    ewma_alpha: float | None = None
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.target_stall < 1.0:
+            raise ValueError(
+                "ScalingSpec.target_stall must be in (0, 1), got "
+                f"{self.target_stall}"
+            )
+        if self.max_readers <= 0:
+            raise ValueError(
+                "ScalingSpec.max_readers must be positive, got "
+                f"{self.max_readers}"
+            )
+        if self.ewma_alpha is not None and not 0.0 < self.ewma_alpha <= 1.0:
+            raise ValueError(
+                "ScalingSpec.ewma_alpha must be in (0, 1], got "
+                f"{self.ewma_alpha}"
+            )
 
 
 class ReaderAutoscaler:
@@ -77,17 +123,12 @@ class ReaderAutoscaler:
             shrink_trainer_stall: ``trainer_stall_fraction`` above which
                 an epoch counts as shrink-worthy (the trainer held the
                 pipeline and readers idled).
-            ewma_alpha: smoothing factor for the observed signals.
-                When set, the control law steers on exponentially
-                weighted moving averages of the measured wall,
-                reader-stall, trainer-busy, and producer queue-wait
-                seconds (``new = alpha * observed + (1 - alpha) *
-                old``) instead of each epoch's raw report, damping
-                single-epoch noise the same way the shrink hysteresis
-                damps flapping.  ``None`` (the default) steers on raw
-                observations.  Smoothing is pure arithmetic over
-                already-deterministic inputs, so decisions stay
-                bit-reproducible.
+            ewma_alpha: smoothing factor for the observed signals
+                (see :class:`ScalingSpec`): the control law steers on
+                moving averages of the measured wall, reader-stall,
+                trainer-busy, and producer queue-wait seconds.  Pure
+                arithmetic over already-deterministic inputs, so
+                decisions stay bit-reproducible.
 
         Raises:
             ValueError: if any bound or threshold is out of range.
@@ -105,10 +146,8 @@ class ReaderAutoscaler:
             raise ValueError(
                 f"num_readers must be positive, got {num_readers}"
             )
-        if not 0.0 < target_stall < 1.0:
-            raise ValueError(
-                f"target_stall must be in (0, 1), got {target_stall}"
-            )
+        # the set-point, bound and smoothing obey the spec's own rules
+        ScalingSpec(target_stall, max_readers, ewma_alpha)
         if not 0.0 < shrink_trainer_stall <= 1.0:
             raise ValueError(
                 "shrink_trainer_stall must be in (0, 1], "
@@ -117,10 +156,6 @@ class ReaderAutoscaler:
         if shrink_patience <= 0:
             raise ValueError(
                 f"shrink_patience must be positive, got {shrink_patience}"
-            )
-        if ewma_alpha is not None and not 0.0 < ewma_alpha <= 1.0:
-            raise ValueError(
-                f"ewma_alpha must be in (0, 1], got {ewma_alpha}"
             )
         self.ewma_alpha = ewma_alpha
         self._ewma: dict[str, float] | None = None

@@ -23,25 +23,24 @@ every partition in order, and the fleet drains the global shard sequence
 keeping at most ``num_readers`` worker processes in flight (workers for
 later shards — including later partitions' — launch as earlier shards
 finish, so prefetch overlaps partition boundaries).  Output order stays
-bit-identical to scanning the partitions serially.  Both entry points
-return lazy iterators: a consumer that trains while iterating overlaps
-reader decode with trainer steps, which is what the pipeline's streaming
-mode does.
+bit-identical to scanning the partitions serially.  It returns a lazy
+iterator: a consumer that trains while iterating overlaps reader decode
+with trainer steps, which is what the pipeline's streaming mode does
+(:meth:`ReaderFleet.run` / ``run_epoch`` are the materialized forms).
 
-Three executors share this plan.  ``"process"`` runs workers as real
-``multiprocessing`` processes — actual CPU parallelism, the production
-shape, and the authority on *measured* wall/queue times.  ``"inprocess"``
-runs the same shards sequentially in the calling process —
-deterministic, dependency-free, what tests and ``num_readers=1`` use.
-``"async"`` is a deterministic coroutine scheduler: it interleaves every
-shard worker in one process on a virtual clock, replaying the bounded
-prefetch queues (producers block on full queues, the consumer drains in
-shard order) as a discrete-event simulation — so its
+One shard scan, two schedules.  :func:`_scan_shard` is the only code
+that turns a shard into batches; what differs is who calls it when.
+The *serial* schedule (``_iter_serial``) scans the shards one after
+another in the calling process — deterministic, dependency-free.
+Named ``"inprocess"`` (the default) it is exactly that loop; named
+``"async"`` it is the same loop plus a modeled queue clock, so its
 :class:`~repro.metrics.breakdown.QueueWaitBreakdown` is fully *modeled*
 (bit-reproducible) and a width-64 fleet runs in tier-1 time.  The
-default is ``"inprocess"``; ``"process"`` runs only when named, and a
-platform that cannot start its workers fails the scan with a
-``RuntimeError`` instead of quietly scanning in-process.
+*forked* schedule, ``"process"``, runs the scan in real
+``multiprocessing`` workers — actual CPU parallelism, the production
+shape, and the authority on *measured* wall/queue times; it runs only
+when named, and a platform that cannot start its workers fails the scan
+with a ``RuntimeError`` instead of quietly scanning in-process.
 
 Batches cross the worker→trainer boundary under a
 :class:`~repro.reader.costmodel.TransportSpec`: the default ``copy``
@@ -55,7 +54,7 @@ respawned, and overloaded hosts straggle.  :class:`FleetFaults` injects
 both deterministically — a crashed shard is re-scanned from the start by
 its respawned worker (batch content unchanged; the lost partial scan is
 charged as wasted CPU), and a straggler shard's modeled CPU is scaled by
-its slowdown factor.  Fault injection runs on a deterministic executor —
+its slowdown factor.  Fault injection runs on the serial schedule —
 in-process, or async when requested (where stragglers additionally slow
 the virtual clock) — so every fault's effect on the modeled accounting
 is bit-reproducible, which is what lets the scenario simulator
@@ -242,7 +241,9 @@ class FleetReport(Folded):
         return self.merged.cpu.total / width
 
     def merge(self, other: "FleetReport") -> None:
-        """Fold another run's measurements in (epoch aggregation)."""
+        """Fold another run's measurements in (epoch aggregation);
+        the one non-additive field, the executor name, degrades to
+        ``"mixed"`` when runs disagree."""
         was_empty = not self.workers and self.num_shards == 0
         if was_empty or self.executor_used == other.executor_used:
             self.executor_used = other.executor_used
@@ -255,6 +256,8 @@ class FleetReport(Folded):
 
         Per-worker reports serialize individually so the stored form
         preserves shard-level imbalance, not just the merged rollup.
+        Hand-written as a policy: a view (workers, rollup, modeled
+        walls) that leaves the measured ``wall_seconds`` out.
         """
         return {
             "executor_used": self.executor_used,
@@ -277,6 +280,21 @@ class FleetReport(Folded):
         }
 
 
+def _scan_shard(
+    blobs: list[bytes],
+    schema,
+    config: DataLoaderConfig,
+    cost_model: ReaderCostModel,
+    local_start: int,
+    local_stop: int,
+) -> tuple[ReaderNode, Iterator[Batch]]:
+    """Open one shard's covering files and scan its row window: the
+    node (its report fills as the batches are drawn) and the batches."""
+    node = ReaderNode(config, cost_model)
+    readers = [DwrfReader(blob, schema) for blob in blobs]
+    return node, node.run(readers, row_start=local_start, row_stop=local_stop)
+
+
 def _fleet_worker(
     blobs: list[bytes],
     schema,
@@ -288,12 +306,11 @@ def _fleet_worker(
 ) -> None:
     """One worker process: scan a shard window, stream batches back."""
     try:
-        readers = [DwrfReader(blob, schema) for blob in blobs]
-        node = ReaderNode(config, cost_model)
+        node, batches = _scan_shard(
+            blobs, schema, config, cost_model, local_start, local_stop
+        )
         put_wait = 0.0
-        for batch in node.run(
-            readers, row_start=local_start, row_stop=local_stop
-        ):
+        for batch in batches:
             t0 = time.perf_counter()
             out.put(batch)
             put_wait += time.perf_counter() - t0
@@ -361,7 +378,7 @@ class ReaderFleet:
     ) -> list[Batch]:
         """Scan one partition with the fleet; returns batches in serial
         order and leaves the merged measurements in ``self.report``."""
-        return list(self.iter_batches(table, partition, max_batches))
+        return list(self.iter_epoch(table, [partition], max_batches))
 
     def run_epoch(
         self,
@@ -371,15 +388,6 @@ class ReaderFleet:
     ) -> list[Batch]:
         """Materialized :meth:`iter_epoch` (tests and small experiments)."""
         return list(self.iter_epoch(table, partitions, max_batches))
-
-    def iter_batches(
-        self,
-        table: HiveTable,
-        partition: str,
-        max_batches: int | None = None,
-    ) -> Iterator[Batch]:
-        """Stream one partition's batches in deterministic (serial) order."""
-        return self.iter_epoch(table, [partition], max_batches=max_batches)
 
     def iter_epoch(
         self,
@@ -441,9 +449,9 @@ class ReaderFleet:
                 yield from self._shard_sources(table, info, shards)
 
         iterate = {
-            "inprocess": self._iter_inprocess,
+            "inprocess": self._iter_serial,
             "process": self._iter_multiprocess,
-            "async": self._iter_async,
+            "async": self._iter_serial,
         }[self.executor]
         try:
             yield from iterate(table.schema, sources())
@@ -471,28 +479,19 @@ class ReaderFleet:
             ledger.avoided += ledger.decoded
 
     def _settle_shard(
-        self,
-        node: ReaderNode,
-        position: int,
-        crashed: set[int],
-        factors: dict[int, float],
+        self, node: ReaderNode, slowdown: float | None, crashed: bool
     ) -> None:
-        """Close one deterministic-executor shard: apply its injected
-        faults to the modeled CPU, charge transport, file the report.
-
-        The one copy of this arithmetic is what keeps worker reports
-        bit-identical between the in-process and async executors.
-        """
+        """Close one serially scanned shard: apply its injected faults
+        to the modeled CPU, charge transport, file the report."""
         cpu = node.report.cpu
-        if position in factors:
-            # Straggler: the shard's worker ran `factor` times slower —
-            # same batches, scaled modeled CPU.
-            factor = factors[position]
-            cpu.fill *= factor
-            cpu.convert *= factor
-            cpu.process *= factor
+        if slowdown is not None:
+            # Straggler: the shard's worker ran `slowdown` times slower
+            # — same batches, scaled modeled CPU.
+            cpu.fill *= slowdown
+            cpu.convert *= slowdown
+            cpu.process *= slowdown
             self.report.straggler_shards += 1
-        if position in crashed:
+        if crashed:
             # Crash/respawn: the first attempt died after
             # `lost_fraction` of the scan; the respawn re-scanned the
             # whole shard (the batches already yielded), so the lost
@@ -526,54 +525,34 @@ class ReaderFleet:
                 shard.row_stop - base,
             )
 
-    def _iter_inprocess(
+    def _iter_serial(
         self,
         schema,
         sources: Iterable[tuple[RowRangeShard, list[bytes], int, int]],
     ) -> Iterator[Batch]:
-        if self.faults:
-            crashed, factors = self.faults.resolved(self.report.num_shards)
-        else:
-            crashed, factors = set(), {}
-        for position, (_, blobs, local_start, local_stop) in enumerate(
-            sources
-        ):
-            readers = [DwrfReader(blob, schema) for blob in blobs]
-            node = ReaderNode(self.config, self.cost_model)
-            yield from node.run(
-                readers, row_start=local_start, row_stop=local_stop
-            )
-            self._settle_shard(node, position, crashed, factors)
+        """The serial schedule: shards scanned one after another in
+        this process — ``"inprocess"`` as is, ``"async"`` with the
+        modeled queue clock beside it.
 
-    def _iter_async(
-        self,
-        schema,
-        sources: Iterable[tuple[RowRangeShard, list[bytes], int, int]],
-    ) -> Iterator[Batch]:
-        """The deterministic coroutine executor: every shard worker
-        interleaved in one process on a virtual clock.
-
-        The discrete-event replay mirrors the process executor's shape
-        exactly — ``num_readers`` workers in flight, one bounded
-        prefetch queue (depth ``prefetch_depth``) per worker, consumer
-        draining workers in shard order, later shards' workers starting
-        as slots free — but time is *modeled*: a worker's per-batch cost
-        is its cost-model CPU delta (scaled by any injected
-        straggler/crash factors), producers block on full virtual
-        queues (``put_wait``), the consumer waits on empty ones
+        The clock is a discrete-event replay of the process executor's
+        shape — ``num_readers`` workers in flight, one bounded prefetch
+        queue (depth ``prefetch_depth``) per worker, consumer draining
+        workers in shard order, later shards' workers starting as slots
+        free — in *modeled* time: a worker's per-batch cost is its
+        cost-model CPU delta (scaled by any injected straggler/crash
+        factors), producers block on full virtual queues
+        (``put_wait``), the consumer waits on empty ones
         (``get_wait``), and the copy transport advances the consumer
         clock per batch.  Batches, worker reports, and bytes accounting
-        are bit-identical to the other executors; the queue waits are
+        never depend on it; the queue waits it adds are
         bit-*reproducible*, which the process executor's measured waits
         can never be.
         """
-        if self.faults:
-            crashed, factors = self.faults.resolved(self.report.num_shards)
-        else:
-            crashed, factors = set(), {}
+        faults = self.faults or FleetFaults()
+        crashed, factors = faults.resolved(self.report.num_shards)
+        clocked = self.executor == "async"
         cm = self.cost_model
         charges = self.transport.charges
-        depth = self.prefetch_depth
         width = self.num_readers
         consumer_clock = 0.0
         # virtual time each drained worker's slot frees: shard
@@ -584,27 +563,28 @@ class ReaderFleet:
         for position, (_, blobs, local_start, local_stop) in enumerate(
             sources
         ):
-            start = slot_free[position - width] if position >= width else 0.0
-            readers = [DwrfReader(blob, schema) for blob in blobs]
-            node = ReaderNode(self.config, self.cost_model)
-            factor = factors.get(position, 1.0)
-            scale = (
-                1.0 + self.faults.lost_fraction
-                if self.faults and position in crashed
-                else 1.0
+            node, batches = _scan_shard(
+                blobs, schema, self.config, cm, local_start, local_stop
             )
-            cost_scale = factor * scale
+            slowdown = factors.get(position)  # None: not a straggler
+            crash = position in crashed
+            if not clocked:
+                yield from batches
+                self._settle_shard(node, slowdown, crash)
+                continue
+            start = slot_free[position - width] if position >= width else 0.0
+            cost_scale = (1.0 if slowdown is None else slowdown) * (
+                1.0 + faults.lost_fraction if crash else 1.0
+            )
             charged = 0.0  # node CPU already converted to virtual time
             enqueued_at = start  # when the previous batch hit the queue
             pops: deque[float] = deque()  # pop times freeing queue slots
             last_pop = start
-            for index, batch in enumerate(
-                node.run(readers, row_start=local_start, row_stop=local_stop)
-            ):
+            for index, batch in enumerate(batches):
                 total = node.report.cpu.total
                 finish = enqueued_at + (total - charged) * cost_scale
                 charged = total
-                if index >= depth:
+                if index >= self.prefetch_depth:
                     # the bounded queue is full: the producer holds this
                     # batch until the consumer pops batch index - depth
                     ready = max(finish, pops.popleft())
@@ -623,7 +603,7 @@ class ReaderFleet:
                 enqueued_at = ready
                 yield batch
             slot_free.append(last_pop)
-            self._settle_shard(node, position, crashed, factors)
+            self._settle_shard(node, slowdown, crash)
 
     def _iter_multiprocess(
         self,

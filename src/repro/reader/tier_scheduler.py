@@ -25,7 +25,8 @@ scans one job's epoch, one trainer consumes it.
   batch stream — and therefore its training losses — is bit-identical
   to running alone on a private fleet of any width.  Sharing only moves
   modeled wall-clock.
-* **Aggregate autoscaling** — with ``autoscale=True`` a
+* **Aggregate autoscaling** — given a
+  :class:`~repro.reader.autoscale.ScalingSpec`, a
   :class:`~repro.reader.autoscale.ReaderAutoscaler` resizes the *pool*
   between rounds from the tier-level overlap (every job's reader CPU
   pooled over the width vs the slowest trainer), not any single job's
@@ -77,7 +78,7 @@ from dataclasses import dataclass, field
 from ..metrics.freshness import FreshnessReport
 from ..metrics.tier import JobRoundStat, TierReport, TierRound
 from ..storage.hive import HiveTable
-from .autoscale import ReaderAutoscaler
+from .autoscale import ReaderAutoscaler, ScalingSpec
 from .batch import Batch
 from .config import DataLoaderConfig
 from .costmodel import TransportSpec
@@ -291,14 +292,11 @@ class SharedReaderTier:
         self,
         num_readers: int,
         policy: str = "stall_weighted",
-        autoscale: bool = False,
-        target_stall: float = 0.10,
-        max_readers: int = 32,
+        scaling: ScalingSpec | None = None,
         fault_injector: (
             Callable[[int, str, int], FleetFaults | None] | None
         ) = None,
         freshness_slo: float | None = None,
-        ewma_alpha: float | None = None,
     ):
         """Configure the shared pool.
 
@@ -306,11 +304,11 @@ class SharedReaderTier:
             num_readers: pool width (workers shared by all jobs).
             policy: worker-allocation policy (``"round_robin"`` or
                 ``"stall_weighted"``).
-            autoscale: resize the pool between rounds from the
-                aggregate tier overlap.
-            target_stall: the tier autoscaler's target band for the
-                *aggregate* reader-stall fraction.
-            max_readers: the tier autoscaler's upper width bound.
+            scaling: when set, resize the pool between rounds from the
+                *aggregate* tier overlap, steering for the spec's
+                ``target_stall`` band under its ``max_readers`` bound
+                (smoothed by its ``ewma_alpha``); ``None`` keeps the
+                width fixed.
             fault_injector: optional hook called as
                 ``fault_injector(round_index, job_name, epoch)``
                 (``epoch`` being the job's position in its registered
@@ -326,15 +324,11 @@ class SharedReaderTier:
                 toward the jobs falling behind their data.  Purely a
                 wall-clock lever: batch content — and therefore every
                 loss — is unaffected.
-            ewma_alpha: smoothing factor for the tier autoscaler's
-                observed signals (see
-                :class:`~repro.reader.autoscale.ReaderAutoscaler`);
-                ``None`` steers on raw per-round observations.
 
         Raises:
             ValueError: on a non-positive width, unknown policy, a
-                non-positive ``freshness_slo``, or — with
-                ``autoscale`` — ``max_readers < num_readers``.
+                non-positive ``freshness_slo``, or a ``scaling`` whose
+                ``max_readers < num_readers``.
         """
         if num_readers <= 0:
             raise ValueError(
@@ -344,10 +338,10 @@ class SharedReaderTier:
             raise ValueError(
                 f"policy must be one of {POLICIES}, got {policy!r}"
             )
-        if autoscale and max_readers < num_readers:
+        if scaling is not None and scaling.max_readers < num_readers:
             raise ValueError(
-                f"max_readers ({max_readers}) must be >= num_readers "
-                f"({num_readers}) when autoscale is on"
+                f"max_readers ({scaling.max_readers}) must be >= "
+                f"num_readers ({num_readers}) when autoscale is on"
             )
         if freshness_slo is not None and not freshness_slo > 0.0:
             raise ValueError(
@@ -355,12 +349,9 @@ class SharedReaderTier:
             )
         self.num_readers = num_readers
         self.policy = policy
-        self.autoscale = autoscale
-        self.target_stall = target_stall
-        self.max_readers = max_readers
+        self.scaling = scaling
         self.fault_injector = fault_injector
         self.freshness_slo = freshness_slo
-        self.ewma_alpha = ewma_alpha
         #: the tier's modeled clock: advances by each round's wall and
         #: by :meth:`advance_clock` while the pool waits on data
         self.clock = 0.0
@@ -536,32 +527,20 @@ class SharedReaderTier:
         if not self._jobs:
             raise ValueError("no jobs registered")
         self._started = True
-        self._autoscaler = (
-            ReaderAutoscaler(
+        if self.scaling is not None:
+            self._autoscaler = ReaderAutoscaler(
                 self.num_readers,
-                target_stall=self.target_stall,
+                target_stall=self.scaling.target_stall,
                 # the fairness floor: never shrink the pool so far that
                 # the admitted job set cannot be served one worker each
                 # within two rounds
                 min_readers=max(1, math.ceil(len(self._jobs) / 2)),
-                max_readers=self.max_readers,
-                ewma_alpha=self.ewma_alpha,
+                max_readers=self.scaling.max_readers,
+                ewma_alpha=self.scaling.ewma_alpha,
             )
-            if self.autoscale
-            else None
-        )
-        self._width = (
-            self._autoscaler.num_readers
-            if self._autoscaler
-            else self.num_readers
-        )
+            self._width = self._autoscaler.num_readers
         self.job_fleets = {name: FleetReport() for name in self._jobs}
         self._progress = {name: 0 for name in self._jobs}
-        self._demand = {}
-        self._starved = set()
-        self._rounds = []
-        self._cursor = 0
-        self._lag = {}
         self.clock = 0.0
 
     @property

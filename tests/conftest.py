@@ -24,6 +24,7 @@ from repro.datagen import (
 )
 from repro.etl import cluster_by_session
 from repro.experiments import FIGURES
+from repro.pipeline import Session
 from repro.storage import HiveTable, TectonicFS
 
 __all__ = [
@@ -51,6 +52,17 @@ def small():
         return fig.run(**{param: SMALL[f] for f, param in fig.flags.items()})
 
     return rows
+
+
+@pytest.fixture(scope="session")
+def run_of():
+    """``run_of(spec)``: ``Session(spec).run()``, run once per test
+    session however many tests read that reference run.  Sound because a
+    ``JobSpec`` is frozen, hashable and fully determines its run —
+    ``test_autoscale_pipeline.py::test_trace_reproducible_across_runs``
+    runs one spec twice *uncached* and is the licence for every hit.
+    Results are shared between tests: read them, never mutate them."""
+    return functools.cache(lambda spec: Session(spec).run())
 
 
 def make_reader_schema(

@@ -13,15 +13,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.distributed.trainer import TrainingReport
+from repro.distributed.trainer import IterationResult, TrainingReport
 from repro.metrics import (
     ByteLedger,
     FreshnessReport,
     IterationBreakdown,
     JobRoundStat,
+    JobSLO,
     OverlapReport,
     QueueWaitBreakdown,
     ReaderCpuBreakdown,
+    ScalingDecision,
+    ScalingTrace,
+    SLOReport,
     TierReport,
     TierRound,
 )
@@ -252,7 +256,9 @@ GOLDEN = json.loads(
 
 def _golden_instances() -> dict:
     """The fixed instances ``golden_as_dict.json`` was recorded from (at
-    the commit before the fold, with the five flat byte fields)."""
+    the commit before the fold, with the five flat byte fields; the
+    ``SLOReport`` / ``ScalingTrace`` / ``TrainingReport`` entries at
+    10d2e2e, while their row dicts were still typed out by hand)."""
     cpu = ReaderCpuBreakdown(fill=1.5, convert=0.25, process=0.125)
     queue = QueueWaitBreakdown(put_wait=0.5, get_wait=0.25, transport=0.125)
     copied = ByteLedger(read=1000, decoded=4000, expanded=6000, copied=4000)
@@ -274,12 +280,57 @@ def _golden_instances() -> dict:
         bytes=copied,
         freshness=freshness,
     )
+    breakdown = IterationBreakdown(
+        emb_lookup=1.0, gemm=2.0, a2a=0.5, other=0.25
+    )
+    scaling = ScalingTrace(
+        target_stall=0.125,
+        decisions=[
+            ScalingDecision(0, 0.5, 0.25, 2, "grow", 4, "reader-stall"),
+            ScalingDecision(1, 0.0625, 0.75, 4, "hold", 4),
+        ],
+    )
     return {
+        "SLOReport": SLOReport(
+            jobs=[
+                JobSLO("a", 0, 2, 6.0, 4.5, 1, 2, 10),
+                JobSLO("b", 1, 2, 3.0, 3.0, 0, 2, 6),
+            ],
+            total_wall_seconds=8.0,
+            reader_cpu_seconds=12.0,
+            wasted_cpu_seconds=1.5,
+            crashes=1,
+            straggler_shards=2,
+            preemptions=1,
+            freshness=freshness,
+        ),
+        "ScalingTrace": scaling,
+        "TrainingReport": TrainingReport(
+            iterations=[
+                IterationResult(
+                    loss=loss,
+                    breakdown=breakdown,
+                    iteration_seconds=3.75,
+                    samples_per_second=rate,
+                    max_mem_bytes=3.0e9,
+                    static_mem_bytes=1.0e9,
+                    dynamic_mem_bytes=2.0e9,
+                    max_mem_util=util,
+                    avg_mem_util=0.25,
+                    flops_per_gpu_second=flops,
+                )
+                for loss, rate, util, flops in [
+                    (0.75, 128.0, 0.5, 2.0e12),
+                    (0.625, 64.0, 0.375, 1.0e12),
+                ]
+            ],
+            ingest_wait_seconds=0.5,
+            step_wall_seconds=1.5,
+            run_wall_seconds=2.25,
+        ),
         "ReaderCpuBreakdown": cpu,
         "QueueWaitBreakdown": queue,
-        "IterationBreakdown": IterationBreakdown(
-            emb_lookup=1.0, gemm=2.0, a2a=0.5, other=0.25
-        ),
+        "IterationBreakdown": breakdown,
         "ReaderReport": reader,
         "OverlapReport": OverlapReport(
             wall_seconds=4.0,

@@ -47,10 +47,10 @@ def _reader_bound(
 
 
 class TestConvergence:
-    def test_converges_within_band_in_four_epochs(self):
+    def test_converges_within_band_in_four_epochs(self, run_of):
         """The acceptance bar: a reader-bound workload must enter the
         target stall band within 4 epochs and stay there."""
-        res = Session(_reader_bound(1)).run()
+        res = run_of(_reader_bound(1))
         trace = res.scaling
         assert trace is not None
         # epoch 0 really was reader-bound
@@ -64,27 +64,28 @@ class TestConvergence:
 
     def test_trace_reproducible_across_runs(self):
         """The acceptance bar: identical specs produce bit-identical
-        ScalingTraces under the deterministic executor."""
+        ScalingTraces under the deterministic executor.  Both runs are
+        deliberately uncached: this is what licenses ``run_of``."""
         a = Session(_reader_bound(1)).run()
         b = Session(_reader_bound(1)).run()
         assert a.scaling.as_rows() == b.scaling.as_rows()
 
-    def test_shrinks_overprovisioned_fleet_with_hysteresis(self):
-        res = Session(_reader_bound(32)).run()
+    def test_shrinks_overprovisioned_fleet_with_hysteresis(self, run_of):
+        res = run_of(_reader_bound(32))
         trace = res.scaling
         assert "shrink" in trace.actions
         # hysteresis: the shrink cannot be the very first action
         assert trace.actions[0] == "hold"
         assert trace.final_width < 32
 
-    def test_both_directions_agree(self):
+    def test_both_directions_agree(self, run_of):
         """Growing from 1 and shrinking from 32 settle in the same
         neighbourhood.  They need not match exactly: sharding has real
         modeled overhead (boundary stripes decode in both neighbouring
         shards), so aggregate reader CPU rises with width and the
         downward fixed point sits slightly above the upward one."""
-        up = Session(_reader_bound(1)).run()
-        down = Session(_reader_bound(32, train_epochs=8)).run()
+        up = run_of(_reader_bound(1))
+        down = run_of(_reader_bound(32, train_epochs=8))
         assert down.scaling.actions.count("shrink") >= 2
         assert (
             up.scaling.final_width
@@ -98,11 +99,11 @@ class TestConvergence:
 
 
 class TestFunctionalIdentity:
-    def test_autoscale_keeps_losses_bit_identical(self):
+    def test_autoscale_keeps_losses_bit_identical(self, run_of):
         """Fleet width never changes which rows form which batch, so an
         autoscaled run trains bit-identically to any fixed width."""
-        scaled = Session(_reader_bound(1)).run()
-        fixed = Session(_reader_bound(4, scaling=None)).run()
+        scaled = run_of(_reader_bound(1))
+        fixed = run_of(_reader_bound(4, scaling=None))
         assert scaled.training.losses == fixed.training.losses
 
     def test_autoscale_off_records_no_trace(self):

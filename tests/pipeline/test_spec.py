@@ -6,6 +6,7 @@ import pytest
 from repro.datagen import rm1
 from repro.pipeline import (
     DataSpec,
+    FaultSpec,
     JobSpec,
     ReaderSpec,
     RecDToggles,
@@ -74,6 +75,30 @@ class TestValidationNamesSpecAndField:
                 "ScalingSpec.max_readers",
             ),
             (lambda w: RetentionSpec(window=0), "RetentionSpec.window"),
+            (
+                lambda w: FaultSpec(crashes={-1: (0,)}),
+                "FaultSpec.crashes epoch",
+            ),
+            (
+                lambda w: FaultSpec(crashes={0: (2, -1)}),
+                "FaultSpec.crashes shard positions",
+            ),
+            (
+                lambda w: FaultSpec(stragglers={-2: {0: 2.0}}),
+                "FaultSpec.stragglers epoch",
+            ),
+            (
+                lambda w: FaultSpec(stragglers={0: {-1: 2.0}}),
+                "FaultSpec.stragglers shard positions",
+            ),
+            (
+                lambda w: FaultSpec(stragglers={0: {1: 0.5}}),
+                "FaultSpec.stragglers factors",
+            ),
+            (
+                lambda w: FaultSpec(lost_fraction=1.5),
+                "FaultSpec.lost_fraction",
+            ),
         ],
     )
     def test_error_names_the_offending_field(self, workload, build, needle):
@@ -130,6 +155,49 @@ class TestDerived:
                     workload.schema.dense_names
                 )
                 assert dl.transforms == spec.data.transforms
+
+    def test_reader_dedup_is_the_toggles_at_the_baseline_batch_size(
+        self, workload
+    ):
+        """``ReaderSpec.dedup`` flips O3 + O5–O7 for the reader and
+        trainer and nothing else: batch size stays the baseline's."""
+        base = _spec(workload)
+        dedup = base.with_(reader=ReaderSpec(dedup=True))
+        assert base.effective_toggles is base.data.toggles
+        assert dedup.effective_toggles == RecDToggles.baseline().with_(
+            o3_ikjt=True,
+            o5_dedup_emb=True,
+            o6_jagged_index_select=True,
+            o7_dedup_compute=True,
+        )
+        assert dedup.trainer_flags == RecDToggles.full().trainer_flags
+        assert (
+            dedup.dataloader_config().dedup_sparse_features
+            == workload.dedup_groups
+        )
+        assert dedup.effective_batch_size == workload.baseline_batch_size
+        full = _spec(
+            workload,
+            data=DataSpec(workload, toggles=RecDToggles.full()),
+            reader=ReaderSpec(dedup=True),
+        )
+        assert full.effective_toggles == RecDToggles.full()
+
+    def test_faulted_spec_hashes_by_content(self, workload):
+        """A frozen JobSpec is a dict key whatever it carries: two equal
+        faulted specs (mappings built in different orders) hash equal."""
+        a, b = (
+            _spec(
+                workload,
+                faults=FaultSpec(
+                    crashes={0: (1,)}, stragglers={1: dict(order)}
+                ),
+            )
+            for order in ([(0, 2.0), (2, 1.5)], [(2, 1.5), (0, 2.0)])
+        )
+        assert a == b and hash(a) == hash(b)
+        assert {a: "cached"}[b] == "cached"
+        assert a != _spec(workload, faults=FaultSpec(crashes={0: (2,)}))
 
     def test_with_copies_top_level_fields(self, workload):
         spec = _spec(workload)

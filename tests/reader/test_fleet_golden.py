@@ -1,0 +1,76 @@
+"""Golden fleet clock: the async executor's modeled numbers, pinned.
+
+Executor-vs-executor equality (``test_async_executor.py``) cannot see a
+change made to both sides at once, so ``golden_fleet_async.json`` pins
+the absolute values: ``FleetReport.queue``, ``wasted_cpu_seconds`` and
+every worker's CPU breakdown as ``float.hex()``, for a width-3 async
+fleet over a two-partition epoch (six shards, so the second three start
+as slots free), at prefetch depth 1 and 2, clean and under one crash +
+two stragglers.  Captured at parent 10d2e2e — when the in-process and
+async loops were still two copies — by running this module as a script
+(``PYTHONPATH=src:. python tests/reader/test_fleet_golden.py``).
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.reader import FleetFaults, ReaderFleet
+from repro.storage import HiveTable, TectonicFS
+from tests.conftest import make_reader_schema, make_trace
+from tests.reader.test_fleet import _plain_cfg
+
+GOLDEN_PATH = Path(__file__).with_name("golden_fleet_async.json")
+
+FAULTS = FleetFaults(
+    crashed_shards=(1,),
+    straggler_factors={1: 2.5, 4: 1.75},
+    lost_fraction=0.3,
+)
+CASES = [
+    f"depth{depth}/{state}"
+    for depth in (1, 2)
+    for state in ("clean", "faulted")
+]
+
+
+def capture(case: str) -> dict:
+    depth, state = case.split("/")
+    schema = make_reader_schema()
+    table = HiveTable("t", schema, TectonicFS(), stripe_rows=64)
+    for seed, partition in enumerate(("p", "q"), start=31):
+        table.land_partition(partition, make_trace(schema, seed=seed))
+    fleet = ReaderFleet(
+        3,
+        _plain_cfg(),
+        prefetch_depth=int(depth[-1]),
+        executor="async",
+        faults=FAULTS if state == "faulted" else None,
+    )
+    batches = fleet.run_epoch(table, ["p", "q"])
+    report = fleet.report
+    return {
+        "batches": len(batches),
+        "num_shards": report.num_shards,
+        "queue": {
+            k: float(v).hex() for k, v in report.queue.as_dict().items()
+        },
+        "wasted_cpu_seconds": report.wasted_cpu_seconds.hex(),
+        "workers": [
+            [w.cpu.fill.hex(), w.cpu.convert.hex(), w.cpu.process.hex()]
+            for w in report.workers
+        ],
+    }
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_async_clock_matches_parent_golden(case):
+    assert capture(case) == json.loads(GOLDEN_PATH.read_text())[case]
+
+
+if __name__ == "__main__":
+    GOLDEN_PATH.write_text(
+        json.dumps({c: capture(c) for c in CASES}, indent=1, sort_keys=True)
+        + "\n"
+    )

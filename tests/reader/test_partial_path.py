@@ -1,9 +1,12 @@
 """Integration tests for the §7 partial-IKJT path through the reader and
 trainer."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.distributed import DistributedTrainer, sim_cluster
 from repro.reader import DataLoaderConfig, apply_transforms, convert_rows
 from repro.trainer import DLRM, DLRMConfig, TrainerOptFlags
 
@@ -148,17 +151,21 @@ class TestThroughReaderNode:
             assert expanded.kjt["hist"] == pb.kjt["hist"]
 
 
+def _dlrm_cfg():
+    return DLRMConfig(
+        embedding_dim=8,
+        bottom_mlp=(8, 8),
+        top_mlp=(8, 1),
+        num_dense=1,
+        max_table_rows=200,
+        seed=2,
+    )
+
+
 class TestTraining:
     def test_partial_training_matches_plain(self):
         schema = _schema()
-        cfg = DLRMConfig(
-            embedding_dim=8,
-            bottom_mlp=(8, 8),
-            top_mlp=(8, 1),
-            num_dense=1,
-            max_table_rows=200,
-            seed=2,
-        )
+        cfg = _dlrm_cfg()
         plain_model = DLRM(list(schema.sparse), cfg, TrainerOptFlags.baseline())
         partial_model = DLRM(list(schema.sparse), cfg, TrainerOptFlags.baseline())
         rows = _rows(seed=4)
@@ -172,3 +179,21 @@ class TestTraining:
             partial_model.sparse_arch.tables(),
         ):
             np.testing.assert_allclose(a.weight, b.weight, atol=1e-10)
+
+    def test_logical_flops_count_partial_features(self):
+        """Table 2's compute efficiency is logical (baseline-path) work
+        per GPU-second: a partial batch pools ``hist`` through the same
+        module as its expanded twin, so both report the same FLOPs."""
+        schema = _schema()
+        cfg = _dlrm_cfg()
+        trainer = DistributedTrainer(
+            DLRM(list(schema.sparse), cfg, TrainerOptFlags.baseline()),
+            sim_cluster(),
+        )
+        batch, _ = convert_rows(_rows(seed=4), _partial_cfg())
+        twin = batch.to_kjt_only()
+        assert batch.partial is not None and twin.partial is None
+        got = trainer._logical_fwd_flops({}, batch)
+        assert got == trainer._logical_fwd_flops({}, twin)
+        item_only = trainer._logical_fwd_flops({}, replace(batch, partial=None))
+        assert got > item_only > 0

@@ -17,6 +17,7 @@ from repro.reader import (
     TierJob,
     allocate_workers,
 )
+from repro.reader.autoscale import ScalingSpec
 from tests.conftest import land_samples, make_reader_schema, make_trace
 
 
@@ -300,7 +301,7 @@ class TestAdmission:
         with pytest.raises(ValueError):
             SharedReaderTier(2, policy="lifo")
         with pytest.raises(ValueError):
-            SharedReaderTier(8, autoscale=True, max_readers=4)
+            SharedReaderTier(8, scaling=ScalingSpec(max_readers=4))
 
     def test_rejects_non_positive_job_weight(self):
         tier = SharedReaderTier(2)
@@ -471,7 +472,7 @@ class TestSchedule:
         """An autoscaled tier never shrinks below ceil(jobs / 2), so
         the one-round starvation bound survives pool resizing."""
         tier = self._tier(
-            num_jobs=4, width=4, autoscale=True, max_readers=8
+            num_jobs=4, width=4, scaling=ScalingSpec(max_readers=8)
         )
         report = tier.run()
         assert report.scaling is not None
