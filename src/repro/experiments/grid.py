@@ -3,7 +3,7 @@
 A :class:`GridSpec` names an experiment and describes a matrix of runs
 in *point space*: flat dicts mapping dotted spec paths
 (``"data.num_sessions"``, ``"reader.num_readers"``,
-``"faults.lost_fraction"``, …) to JSON-native values.  ``base`` holds
+``"retention.window"``, …) to JSON-native values.  ``base`` holds
 the values every run shares, each entry in ``axes`` sweeps one path
 over a list of values (the matrix is their cartesian product),
 ``exclude`` filters drop matching combinations, and ``include`` adds
@@ -37,9 +37,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from ..datagen.workloads import WORKLOADS
 from ..pipeline.config import RecDToggles
 from ..pipeline.spec import (
-    CheckpointSpec,
     DataSpec,
-    FaultSpec,
     JobSpec,
     ReaderSpec,
     RetentionSpec,
@@ -57,6 +55,8 @@ __all__ = [
 ]
 
 #: spec sections reachable by dotted paths, mapped to their dataclasses
+#: (a run point never restores a checkpoint — a grid run has no model
+#: store — and faults are FaultPlan events, not spec fields)
 _SECTIONS = {
     "data": DataSpec,
     "reader": ReaderSpec,
@@ -64,8 +64,6 @@ _SECTIONS = {
     "scaling": ScalingSpec,
     "retention": RetentionSpec,
     "stream": StreamSpec,
-    "checkpoint": CheckpointSpec,
-    "faults": FaultSpec,
 }
 
 #: point keys that do not map onto a spec section field
@@ -309,29 +307,14 @@ def _build_toggles(value) -> RecDToggles:
     )
 
 
-def _build_faults(kwargs: dict) -> FaultSpec:
-    """Fault kwargs with JSON-string epoch keys → :class:`FaultSpec`."""
-    if "crashes" in kwargs:
-        kwargs["crashes"] = {
-            int(epoch): tuple(shards)
-            for epoch, shards in kwargs["crashes"].items()
-        }
-    if "stragglers" in kwargs:
-        kwargs["stragglers"] = {
-            int(epoch): {int(pos): f for pos, f in factors.items()}
-            for epoch, factors in kwargs["stragglers"].items()
-        }
-    return FaultSpec(**kwargs)
-
-
 def build_job_spec(values: Mapping) -> JobSpec:
     """Build the :class:`JobSpec` a resolved point describes.
 
     Args:
         values: dotted-path values (a :attr:`RunPoint.values` mapping).
             Unset paths take the spec dataclasses' own defaults; the
-            optional sections (``scaling``/``retention``/``checkpoint``/
-            ``faults``) stay ``None`` unless some path touches them.
+            optional sections (``scaling``/``retention``/``stream``)
+            stay ``None`` unless some path touches them.
 
     Returns:
         The executable spec — rebuilt purely from constructor inputs,
@@ -390,14 +373,6 @@ def build_job_spec(values: Mapping) -> JobSpec:
             StreamSpec(**sections["stream"])
             if sections["stream"]
             else None
-        ),
-        checkpoint=(
-            CheckpointSpec(**sections["checkpoint"])
-            if sections["checkpoint"]
-            else None
-        ),
-        faults=(
-            _build_faults(sections["faults"]) if sections["faults"] else None
         ),
         weight=weight,
     )

@@ -3,9 +3,8 @@
 Compose a :class:`~repro.pipeline.spec.JobSpec` from
 small spec dataclasses (:class:`DataSpec`, :class:`ReaderSpec`,
 :class:`TrainSpec`, :class:`ScalingSpec`, :class:`RetentionSpec`,
-:class:`StreamSpec`, :class:`CheckpointSpec`, :class:`FaultSpec`) and
-execute one or many with :class:`~repro.pipeline.session.Session`
-(see ``docs/api.md``).  The paper-figure drivers built on it live in
+:class:`StreamSpec`, :class:`CheckpointSpec`) and execute one or many
+with :class:`~repro.pipeline.session.Session` (see ``docs/api.md``).  The paper-figure drivers built on it live in
 :mod:`repro.experiments.figures`.
 """
 
@@ -21,7 +20,6 @@ from .session import (
 from .spec import (
     CheckpointSpec,
     DataSpec,
-    FaultSpec,
     JobSpec,
     ReaderSpec,
     RetentionSpec,
@@ -40,7 +38,6 @@ __all__ = [
     "RetentionSpec",
     "StreamSpec",
     "CheckpointSpec",
-    "FaultSpec",
     "TransportSpec",
     "JobSpec",
     "JobRuntime",

@@ -529,22 +529,10 @@ class Session:
             raise RuntimeError(
                 "session already prepared; build a new Session to rerun"
             )
-
-        def injector(round_index, name, epoch):
-            """Map a job's FaultSpec onto its scheduled epochs (a
-            resumed job's plan offsets by its start epoch)."""
-            runtime = self._runtimes.get(name)
-            if runtime is None or runtime.spec.faults is None:
-                return None
-            return runtime.spec.faults.for_epoch(
-                runtime.start_epoch + epoch
-            )
-
         self.tier = SharedReaderTier(
             self.width,
             policy=self.policy,
             scaling=self.scaling,
-            fault_injector=injector,
             freshness_slo=self.freshness_slo,
         )
         for name, spec in zip(self.names, self.specs):

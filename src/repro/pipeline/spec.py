@@ -20,8 +20,9 @@ namespace — and every combination composes for one job or many:
   job trains, instead of all up front.
 * :class:`CheckpointSpec` — where training (re)starts: the snapshot to
   restore and the epoch the plan resumes from.
-* :class:`FaultSpec` — deterministic reader faults (shard crashes and
-  stragglers) injected into the job's scheduled epochs.
+
+Reader faults are not part of a job's description: they are events of
+a :class:`~repro.sim.faults.FaultPlan`, injected by the scenario runner.
 
 A :class:`JobSpec` composes them (plus a scheduling ``weight`` and an
 optional ``name``) into everything one training job needs, and
@@ -34,14 +35,14 @@ construction is diagnosable without a traceback spelunk.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+import math
 from dataclasses import dataclass, field, fields, replace
 
 from ..datagen.workloads import RMWorkload
 from ..reader.autoscale import ScalingSpec
 from ..reader.config import DataLoaderConfig
 from ..reader.costmodel import TransportSpec
-from ..reader.fleet import EXECUTORS, FleetFaults
+from ..reader.fleet import EXECUTORS
 from ..trainer.sparse_arch import TrainerOptFlags
 from .config import RecDToggles
 
@@ -54,15 +55,17 @@ __all__ = [
     "RetentionSpec",
     "StreamSpec",
     "CheckpointSpec",
-    "FaultSpec",
     "JobSpec",
 ]
 
 
 def _require_positive(where: str, value) -> None:
-    """Raise unless ``value`` is a positive number, naming the field."""
-    if value <= 0:
+    """Raise unless ``value`` is a positive finite number, naming the
+    field (NaN fails the first check, infinity the second)."""
+    if not value > 0:
         raise ValueError(f"{where} must be positive, got {value}")
+    if not math.isfinite(value):
+        raise ValueError(f"{where} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -259,10 +262,10 @@ class StreamSpec:
         _require_positive(
             "StreamSpec.interval_seconds", self.interval_seconds
         )
-        if self.land_latency_seconds < 0:
+        if not 0 <= self.land_latency_seconds < math.inf:
             raise ValueError(
-                "StreamSpec.land_latency_seconds must be non-negative, "
-                f"got {self.land_latency_seconds}"
+                "StreamSpec.land_latency_seconds must be non-negative and "
+                f"finite, got {self.land_latency_seconds}"
             )
         _require_positive("StreamSpec.rows_per_file", self.rows_per_file)
 
@@ -313,87 +316,6 @@ class CheckpointSpec:
 
 
 @dataclass(frozen=True)
-class FaultSpec:
-    """Deterministic reader faults injected into a job's epochs.
-
-    Attaching a ``FaultSpec`` to a :class:`JobSpec` makes named shard
-    positions crash (the respawned worker re-scans, charging wasted
-    CPU) or straggle (scaled CPU cost) during named epochs of *this
-    job's* plan.  Faults only perturb the modeled cost surface — batch
-    content and losses stay bit-identical — and they need a
-    deterministic executor (in-process or async, whichever the reader
-    names), so a seeded faulty run is as replayable as a clean one.
-
-    Attributes:
-        crashes: epoch index → shard positions (modulo the epoch's
-            shard count) whose worker crashes mid-scan.
-        stragglers: epoch index → {shard position: slowdown factor
-            >= 1.0}.
-        lost_fraction: fraction of a crashed shard's work lost and
-            redone, in ``[0, 1]``.
-    """
-
-    crashes: Mapping[int, tuple[int, ...]] = field(default_factory=dict)
-    stragglers: Mapping[int, Mapping[int, float]] = field(
-        default_factory=dict
-    )
-    lost_fraction: float = 0.5
-
-    def __post_init__(self) -> None:
-        plans = (("crashes", self.crashes), ("stragglers", self.stragglers))
-        for field_name, plan in plans:
-            for epoch, shards in plan.items():
-                if epoch < 0:
-                    raise ValueError(
-                        f"FaultSpec.{field_name} epoch must be "
-                        f"non-negative, got {epoch}"
-                    )
-                for pos in shards:  # a straggler mapping yields its positions
-                    if pos < 0:
-                        raise ValueError(
-                            f"FaultSpec.{field_name} shard positions must "
-                            f"be non-negative, got {pos} (epoch {epoch})"
-                        )
-        for epoch, factors in self.stragglers.items():
-            for pos, factor in factors.items():
-                if not factor >= 1.0:
-                    raise ValueError(
-                        "FaultSpec.stragglers factors must be >= 1.0, "
-                        f"got {factor} (epoch {epoch}, shard {pos})"
-                    )
-        if not 0.0 <= self.lost_fraction <= 1.0:
-            raise ValueError(
-                "FaultSpec.lost_fraction must be in [0, 1], got "
-                f"{self.lost_fraction}"
-            )
-
-    def __hash__(self) -> int:
-        """Hash by content: the generated field-tuple hash cannot take
-        the mappings, and a :class:`JobSpec` carrying faults must stay
-        hashable like any other (equality is the generated one)."""
-        crashes = [(e, tuple(s)) for e, s in self.crashes.items()]
-        stragglers = [
-            (e, tuple(sorted(f.items()))) for e, f in self.stragglers.items()
-        ]
-        return hash(
-            (*sorted(crashes), *sorted(stragglers), self.lost_fraction)
-        )
-
-    def for_epoch(self, epoch: int) -> FleetFaults | None:
-        """The epoch's :class:`~repro.reader.fleet.FleetFaults`, or
-        ``None`` when this epoch runs clean."""
-        crashed = tuple(self.crashes.get(epoch, ()))
-        factors = dict(self.stragglers.get(epoch, {}))
-        if not crashed and not factors:
-            return None
-        return FleetFaults(
-            crashed_shards=crashed,
-            straggler_factors=factors,
-            lost_fraction=self.lost_fraction,
-        )
-
-
-@dataclass(frozen=True)
 class JobSpec:
     """One training job, as composed specs.
 
@@ -414,8 +336,6 @@ class JobSpec:
             job trains; ``None`` lands everything up front.
         checkpoint: snapshot restore + epoch offset when set; a fresh
             full run when ``None``.
-        faults: deterministic reader faults when set; clean epochs
-            when ``None``.
         weight: scheduling weight under a shared tier — the
             stall-weighted allocator scales this job's observed reader
             demand by it, so a weight-2 job pulls roughly twice the
@@ -430,12 +350,11 @@ class JobSpec:
     retention: RetentionSpec | None = None
     stream: StreamSpec | None = None
     checkpoint: CheckpointSpec | None = None
-    faults: FaultSpec | None = None
     weight: float = 1.0
     name: str | None = None
 
     def __post_init__(self) -> None:
-        if not self.weight > 0.0 or self.weight != self.weight:
+        if not 0.0 < self.weight < math.inf:
             raise ValueError(
                 f"JobSpec.weight must be positive and finite, got "
                 f"{self.weight}"
@@ -451,11 +370,6 @@ class JobSpec:
                 f" must be < TrainSpec.train_epochs "
                 f"({self.train.train_epochs}): a resumed job needs at "
                 "least one epoch left to run"
-            )
-        if self.faults is not None and self.reader.executor == "process":
-            raise ValueError(
-                "FaultSpec needs a deterministic executor; set "
-                'ReaderSpec.executor to "inprocess" or "async"'
             )
         if (
             self.scaling is not None
@@ -543,7 +457,6 @@ def spec_field_names() -> dict[str, list[str]]:
             RetentionSpec,
             StreamSpec,
             CheckpointSpec,
-            FaultSpec,
             JobSpec,
         )
     }

@@ -61,9 +61,11 @@ job (its name frees up for re-registration with its remaining epochs)
 or :meth:`~SharedReaderTier.register` a new one.  A job admitted
 mid-run — including a re-admitted preempted job — enters with strict
 next-round priority (it is treated as starved), so the one-round
-starvation bound survives churn.  A ``fault_injector`` hook supplies
-per-(round, job) :class:`~repro.reader.fleet.FleetFaults` so worker
-crashes and stragglers hit the leased fleets deterministically.
+starvation bound survives churn.  A driver sets the tier's
+``fault_injector(round_index, job_name)`` hook — the scenario runner
+sets :meth:`~repro.sim.faults.FaultPlan.fleet_faults` there, the only
+source of faults — so worker crashes and stragglers hit the leased
+fleets per (round, job), deterministically.
 
 Every round's allocation, per-job modeled overlap, and the tier-level
 aggregate land in a :class:`~repro.metrics.tier.TierReport`.
@@ -130,7 +132,8 @@ def allocate_workers(
 
     Raises:
         ValueError: on a non-positive width, an unknown policy,
-            duplicate job names, or a non-positive job weight.
+            duplicate job names, or a job weight that is not positive
+            and finite.
     """
     if width <= 0:
         raise ValueError(f"width must be positive, got {width}")
@@ -149,9 +152,11 @@ def allocate_workers(
     starved_set = set(starved)
     observed = demand or {}
     job_weight = weights or {}
-    bad = {n: w for n, w in job_weight.items() if not w > 0.0}
+    bad = {n: w for n, w in job_weight.items() if not 0.0 < w < math.inf}
     if bad:
-        raise ValueError(f"job weights must be positive, got {bad}")
+        raise ValueError(
+            f"job weights must be positive and finite, got {bad}"
+        )
     scaled = {
         name: job_weight.get(name, 1.0) * observed[name]
         for name in observed
@@ -293,9 +298,6 @@ class SharedReaderTier:
         num_readers: int,
         policy: str = "stall_weighted",
         scaling: ScalingSpec | None = None,
-        fault_injector: (
-            Callable[[int, str, int], FleetFaults | None] | None
-        ) = None,
         freshness_slo: float | None = None,
     ):
         """Configure the shared pool.
@@ -309,13 +311,6 @@ class SharedReaderTier:
                 ``target_stall`` band under its ``max_readers`` bound
                 (smoothed by its ``ewma_alpha``); ``None`` keeps the
                 width fixed.
-            fault_injector: optional hook called as
-                ``fault_injector(round_index, job_name, epoch)``
-                (``epoch`` being the job's position in its registered
-                plan) before each leased scan; a returned
-                :class:`~repro.reader.fleet.FleetFaults` crashes or
-                slows that job's workers for the round (``None`` = no
-                faults).
             freshness_slo: target p99 event-time → trained-on lag in
                 modeled seconds.  When set, a freshness-tracking job
                 whose last observed p99 lag exceeds the target has its
@@ -350,7 +345,15 @@ class SharedReaderTier:
         self.num_readers = num_readers
         self.policy = policy
         self.scaling = scaling
-        self.fault_injector = fault_injector
+        #: optional hook called as ``fault_injector(round_index,
+        #: job_name)`` before each leased scan — the signature of
+        #: :meth:`~repro.sim.faults.FaultPlan.fleet_faults`; a returned
+        #: :class:`~repro.reader.fleet.FleetFaults` crashes or slows that
+        #: job's workers for the round (``None`` = no faults).  A driver
+        #: sets it on the prepared tier.
+        self.fault_injector: (
+            Callable[[int, str], FleetFaults | None] | None
+        ) = None
         self.freshness_slo = freshness_slo
         #: the tier's modeled clock: advances by each round's wall and
         #: by :meth:`advance_clock` while the pool waits on data
@@ -384,7 +387,7 @@ class SharedReaderTier:
         * the name must be unique among *currently registered* jobs and
           non-empty (a preempted job's name is free again, which is how
           a resumed job re-registers with its remaining epochs);
-        * the scheduling weight must be positive;
+        * the scheduling weight must be positive and finite;
         * the job set must stay schedulable without starving anyone for
           more than one round (at most ``2 * num_readers`` jobs);
         * every partition in the epoch plan must be live in the job's
@@ -420,10 +423,10 @@ class SharedReaderTier:
                 f"{2 * self.num_readers}); widen the tier or run fewer "
                 "jobs"
             )
-        if not job.weight > 0.0:
+        if not 0.0 < job.weight < math.inf:
             raise ValueError(
-                f"job {job.name!r} has a non-positive scheduling weight "
-                f"({job.weight}); weights must be positive"
+                f"job {job.name!r} has scheduling weight {job.weight}; "
+                "weights must be positive and finite"
             )
         if not job.epochs or any(not epoch for epoch in job.epochs):
             raise ValueError(
@@ -738,7 +741,7 @@ class SharedReaderTier:
             # this epoch's partitions and ages out the expired ones.
             job.prepare(epoch)
         faults = (
-            self.fault_injector(len(self._rounds), job.name, epoch)
+            self.fault_injector(len(self._rounds), job.name)
             if self.fault_injector is not None
             else None
         )

@@ -8,10 +8,11 @@ plain frozen data: build one by hand, draw one from
 :meth:`FaultPlan.seeded` (same seed, same plan, forever), or let
 hypothesis generate adversarial ones in the chaos test tier.
 
-The plan deliberately speaks rounds while a job's
-:class:`~repro.pipeline.spec.FaultSpec` speaks the job's own epochs:
-the scenario runner injects plan faults through the tier's round-level
-hook and falls back to any per-spec faults, so both surfaces compose.
+A plan is the only way to fault a run: a :class:`~repro.pipeline.spec.JobSpec`
+carries no faults, and :meth:`FaultPlan.fleet_faults` has exactly the
+signature of the tier's ``fault_injector(round_index, job_name)`` hook,
+which the scenario runner sets.  A single-job tier runs one epoch per
+round, so for a solo job, faulting round *r* faults its epoch *r*.
 
 Injected :class:`~repro.reader.fleet.FleetFaults` need a deterministic
 executor: the serial ``inprocess`` one, or — for wide pools like the
@@ -211,31 +212,6 @@ class FaultPlan:
             straggler_factors=factors,
             lost_fraction=max(lost) if lost else 0.5,
         )
-
-    def preemptions_at(self, round_index: int) -> list[Preemption]:
-        """Preemptions scheduled before the given round, job-sorted."""
-        return sorted(
-            (p for p in self.preemptions if p.round == round_index),
-            key=lambda p: p.job,
-        )
-
-    def arrivals_at(self, round_index: int) -> list[Arrival]:
-        """Arrivals scheduled before the given round, name-sorted."""
-        return sorted(
-            (a for a in self.arrivals if a.round == round_index),
-            key=lambda a: a.name,
-        )
-
-    @property
-    def horizon(self) -> int:
-        """The last round any scheduled event names (-1 when empty)."""
-        rounds = (
-            [c.round for c in self.crashes]
-            + [s.round for s in self.stragglers]
-            + [p.round for p in self.preemptions]
-            + [a.round for a in self.arrivals]
-        )
-        return max(rounds, default=-1)
 
     @classmethod
     def seeded(

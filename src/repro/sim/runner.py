@@ -18,6 +18,7 @@ replay-stable digest the chaos tests compare across reruns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from ..metrics.slo import SLOReport
 from ..metrics.tier import TierReport
@@ -28,6 +29,14 @@ from ..trainer.checkpoint import ModelStore
 from .faults import FaultPlan
 
 __all__ = ["ScenarioResult", "ScenarioRunner"]
+
+
+def _take_due(pending: list[tuple], rnd: int, order=itemgetter(1)):
+    """Split ``(round, name, payload)`` events into those due by round
+    ``rnd``, sorted by ``order`` (the name unless told otherwise), and
+    the rest, kept in their original order."""
+    due = sorted((e for e in pending if e[0] <= rnd), key=order)
+    return due, [e for e in pending if e[0] > rnd]
 
 
 @dataclass
@@ -129,13 +138,10 @@ class ScenarioRunner:
         tier = session.prepare()
 
         trace: list[dict] = []
-        spec_injector = tier.fault_injector
 
-        def injector(round_index, name, epoch):
-            """Plan faults first, then any per-spec FaultSpec faults."""
+        def injector(round_index, name):
+            """The plan's faults for one leased scan, traced."""
             faults = plan.fleet_faults(round_index, name)
-            if faults is None and spec_injector is not None:
-                faults = spec_injector(round_index, name, epoch)
             if faults is not None:
                 trace.append(
                     {
@@ -158,32 +164,22 @@ class ScenarioRunner:
         pending_arrivals = [
             (a.round, a.name, a.spec) for a in plan.arrivals
         ]
-        pending_preempts = list(plan.preemptions)
+        pending_preempts = [
+            (p.round, p.job, p.resume_after) for p in plan.preemptions
+        ]
         preempt_count = 0
 
         tier.start()
         while True:
             rnd = tier.round_index
-            due_arrivals = sorted(
-                (a for a in pending_arrivals if a[0] <= rnd),
-                key=lambda a: a[1],
-            )
-            pending_arrivals = [
-                a for a in pending_arrivals if a[0] > rnd
-            ]
-            for _, name, spec in due_arrivals:
+            due, pending_arrivals = _take_due(pending_arrivals, rnd)
+            for _, name, spec in due:
                 session.admit(spec, name)
                 trace.append(
                     {"round": rnd, "job": name, "event": "arrival"}
                 )
-            due_resumes = sorted(
-                (r for r in pending_resumes if r[0] <= rnd),
-                key=lambda r: r[1],
-            )
-            pending_resumes = [
-                r for r in pending_resumes if r[0] > rnd
-            ]
-            for _, name, spec in due_resumes:
+            due, pending_resumes = _take_due(pending_resumes, rnd)
+            for _, name, spec in due:
                 session.admit(spec, name)
                 trace.append(
                     {
@@ -198,35 +194,31 @@ class ScenarioRunner:
             # resume collapsed the idle gap back to this round), the
             # event is spent, not retried — otherwise a preempt whose
             # resume lands on the same round index would loop forever.
-            due_preempts = sorted(
-                (p for p in pending_preempts if p.round <= rnd),
-                key=lambda p: (p.round, p.job),
+            due, pending_preempts = _take_due(
+                pending_preempts, rnd, order=itemgetter(0, 1)
             )
-            pending_preempts = [
-                p for p in pending_preempts if p.round > rnd
-            ]
-            for p in due_preempts:
+            for _, job, resume_after in due:
                 try:
-                    runtime = session.runtime(p.job)
+                    runtime = session.runtime(job)
                 except KeyError:
                     continue  # arrived later, or currently descheduled
-                done = runtime.start_epoch + tier.epochs_completed(p.job)
+                done = runtime.start_epoch + tier.epochs_completed(job)
                 if done >= runtime.spec.train.train_epochs:
                     continue  # already finished; nothing to preempt
                 losses = list(runtime.trainer.report.losses)
-                resume_spec = session.preempt(p.job)
-                segments.setdefault(p.job, []).extend(losses)
+                resume_spec = session.preempt(job)
+                segments.setdefault(job, []).extend(losses)
                 pending_resumes.append(
-                    (rnd + p.resume_after, p.job, resume_spec)
+                    (rnd + resume_after, job, resume_spec)
                 )
                 preempt_count += 1
                 trace.append(
                     {
                         "round": rnd,
-                        "job": p.job,
+                        "job": job,
                         "event": "preempt",
                         "epochs_done": resume_spec.checkpoint.start_epoch,
-                        "resume_round": rnd + p.resume_after,
+                        "resume_round": rnd + resume_after,
                     }
                 )
             if session.tick():
@@ -270,13 +262,10 @@ class ScenarioRunner:
         compares against: a scenario run's stitched losses must equal
         these exactly.
         """
-        specs = [
-            s.with_(checkpoint=None, faults=None)
-            for s in self.session.specs
-        ]
+        specs = [s.with_(checkpoint=None) for s in self.session.specs]
         names = list(self.session.names)
         for a in self.plan.arrivals:
-            specs.append(a.spec.with_(checkpoint=None, faults=None))
+            specs.append(a.spec.with_(checkpoint=None))
             names.append(a.name)
         clean = Session(
             specs, width=self.width, policy=self.policy, names=names

@@ -56,13 +56,25 @@ def small():
 
 @pytest.fixture(scope="session")
 def run_of():
-    """``run_of(spec)``: ``Session(spec).run()``, run once per test
-    session however many tests read that reference run.  Sound because a
-    ``JobSpec`` is frozen, hashable and fully determines its run —
+    """``run_of(jobs, land_first=False, **session_kw)``:
+    ``Session(jobs, **session_kw).run()``, run once per test session
+    however many tests read that reference run.  ``jobs`` is one spec
+    or a tuple of them; ``land_first=True`` lands every job's whole
+    stream before round one (the live loop's reference).  Sound because
+    a ``JobSpec`` is frozen, hashable and fully determines its run —
     ``test_autoscale_pipeline.py::test_trace_reproducible_across_runs``
     runs one spec twice *uncached* and is the licence for every hit.
     Results are shared between tests: read them, never mutate them."""
-    return functools.cache(lambda spec: Session(spec).run())
+
+    @functools.cache
+    def run(jobs, land_first=False, **session_kw):
+        session = Session(jobs, **session_kw)
+        if land_first:
+            session.prepare()
+            session.land_all_streams()
+        return session.run()
+
+    return run
 
 
 def make_reader_schema(

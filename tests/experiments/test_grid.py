@@ -207,7 +207,7 @@ class TestBuildJobSpec:
         assert isinstance(spec, JobSpec)
         assert spec.data.workload.name == "RM1"
         assert spec.scaling is None
-        assert spec.faults is None
+        assert spec.stream is None
 
     def test_same_values_build_equal_specs(self):
         values = {
@@ -253,18 +253,14 @@ class TestBuildJobSpec:
         assert spec.data.toggles.o1_shard_by_session
         assert not spec.data.toggles.o3_ikjt
 
-    def test_fault_spec_epoch_keys_recover_from_json_strings(self):
-        # JSON round-trips dict keys as strings; the builder must map
-        # them back to the ints FaultSpec expects
-        spec = build_job_spec(
-            {
-                "faults.crashes": {"0": [1]},
-                "faults.stragglers": {"1": {"0": 2.0}},
-                "faults.lost_fraction": 0.25,
-            }
-        )
-        assert spec.faults.crashes == {0: (1,)}
-        assert spec.faults.stragglers == {1: {0: 2.0}}
+    @pytest.mark.parametrize(
+        "point", [{"faults.lost_fraction": 0.5}, {"checkpoint.save_as": "x"}]
+    )
+    def test_faults_and_checkpoint_are_not_point_paths(self, point):
+        """Faults are FaultPlan events and a grid run has no model store
+        to restore from: neither section is a spec path."""
+        with pytest.raises(ValueError, match="unknown spec path"):
+            build_job_spec(point)
 
     def test_label_never_reaches_the_spec(self):
         assert build_job_spec({"label": "x"}) == build_job_spec({})

@@ -69,14 +69,9 @@ def _spec(
     )
 
 
-def _land_first_losses(specs, *, width, freshness_slo=None):
+def _land_first_losses(run_of, specs, *, width):
     """The reference: land the whole stream, then run the tier."""
-    session = Session(
-        list(specs), width=width, freshness_slo=freshness_slo
-    )
-    session.prepare()
-    session.land_all_streams()
-    result = session.run()
+    result = run_of(tuple(specs), land_first=True, width=width)
     return {j.name: list(j.training.losses) for j in result.jobs}
 
 
@@ -244,9 +239,9 @@ class TestLiveLoopDeadlock:
 
 
 class TestLiveLoopBitIdentity:
-    def test_single_streamed_job_matches_land_first(self):
+    def test_single_streamed_job_matches_land_first(self, run_of):
         live = Session(_spec(name="solo")).run()
-        base = _land_first_losses([_spec(name="solo")], width=2)
+        base = _land_first_losses(run_of, [_spec(name="solo")], width=2)
         assert list(live.training.losses) == base["solo"]
         assert live.training.losses  # actually trained
         # The growing window: epoch e scans p0..min(e, P-1).
@@ -258,15 +253,15 @@ class TestLiveLoopBitIdentity:
             ["p0", "p1", "p2", "p3"],
         ]
 
-    def test_retention_window_slides_and_stays_bit_identical(self):
+    def test_retention_window_slides_and_stays_bit_identical(self, run_of):
         spec = _spec(window=2, name="rolled")
         live = Session(spec).run()
-        base = _land_first_losses([_spec(window=2, name="rolled")], width=2)
+        base = _land_first_losses(run_of, [spec], width=2)
         assert list(live.training.losses) == base["rolled"]
         assert live.dropped_partitions == ["p0", "p1"]
         assert live.epoch_partitions[-1] == ["p2", "p3"]
 
-    def test_streamed_and_static_jobs_share_the_pool(self):
+    def test_streamed_and_static_jobs_share_the_pool(self, run_of):
         def specs():
             return [
                 _spec(name="streamy", seed=11),
@@ -276,15 +271,15 @@ class TestLiveLoopBitIdentity:
 
         session = Session(specs(), width=4)
         res = session.run()
-        base = _land_first_losses(specs(), width=4)
+        base = _land_first_losses(run_of, specs(), width=4)
         for job in res.jobs:
             assert list(job.training.losses) == base[job.name]
         # Only the streamed job tracks freshness.
         assert res.tier.job_freshness("streamy").batches > 0
         assert res.tier.job_freshness("static").batches == 0
 
-    def test_freshness_slo_weighting_never_touches_losses(self):
-        plain = Session(_spec(name="j")).run()
+    def test_freshness_slo_weighting_never_touches_losses(self, run_of):
+        plain = run_of(_spec(name="j"))
         boosted = Session(
             [_spec(name="j")], width=2, freshness_slo=1.0
         ).run()

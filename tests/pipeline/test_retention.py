@@ -17,7 +17,7 @@ from repro.pipeline import (
 from repro.streaming import plan_windows
 
 
-def _run(
+def _spec(
     num_partitions: int,
     train_epochs: int,
     retain: int | None = None,
@@ -26,32 +26,30 @@ def _run(
     streaming: bool = True,
     num_sessions: int = 120,
     batch_size: int = 128,
-):
+) -> JobSpec:
     """One job over a ``num_partitions``-day stream, ``retain`` days
     live at a time (``None`` keeps them all)."""
-    return Session(
-        JobSpec(
-            data=DataSpec(
-                workload=rm1(scale=0.25),
-                num_sessions=num_sessions,
-                num_partitions=num_partitions,
-                seed=3,
-            ),
-            reader=ReaderSpec(
-                num_readers=num_readers,
-                executor="inprocess",
-                streaming=streaming,
-            ),
-            train=TrainSpec(
-                train_epochs=train_epochs,
-                train_batches=3,
-                batch_size=batch_size,
-            ),
-            retention=(
-                RetentionSpec(window=retain) if retain is not None else None
-            ),
-        )
-    ).run()
+    return JobSpec(
+        data=DataSpec(
+            workload=rm1(scale=0.25),
+            num_sessions=num_sessions,
+            num_partitions=num_partitions,
+            seed=3,
+        ),
+        reader=ReaderSpec(
+            num_readers=num_readers,
+            executor="inprocess",
+            streaming=streaming,
+        ),
+        train=TrainSpec(
+            train_epochs=train_epochs,
+            train_batches=3,
+            batch_size=batch_size,
+        ),
+        retention=(
+            RetentionSpec(window=retain) if retain is not None else None
+        ),
+    )
 
 
 class TestPlanRetentionWindows:
@@ -85,11 +83,11 @@ class TestPlanRetentionWindows:
 
 
 class TestRetentionLifecycle:
-    def test_land_train_age_end_to_end(self):
+    def test_land_train_age_end_to_end(self, run_of):
         """5-day stream, 2-day window, 4 epochs: each epoch scans the
         sliding window, aged partitions are dropped in order, and every
         partition of the stream eventually lands."""
-        res = _run(5, 4, retain=2)
+        res = run_of(_spec(5, 4, retain=2))
         assert res.epoch_partitions == [
             ["p0", "p1"],
             ["p1", "p2"],
@@ -119,7 +117,7 @@ class TestRetentionLifecycle:
             return real_plan_epoch(partition_rows, *args, **kwargs)
 
         monkeypatch.setattr(fleet_mod, "plan_epoch", spy)
-        res = _run(6, 5, retain=3)
+        res = Session(_spec(6, 5, retain=3)).run()  # spied: uncached
         expected_windows = plan_windows(6, 3, 5, live=False)
         assert planned_names == [
             [f"p{i}" for i in w] for w in expected_windows
@@ -136,43 +134,48 @@ class TestRetentionLifecycle:
                 dropped |= {f"p{i}" for i in range(next_lo)}
         assert res.dropped_partitions == sorted(dropped)
 
-    def test_dropped_partition_files_deleted(self):
+    def test_dropped_partition_files_deleted(self, run_of):
         """Dropping is real: a retention run ends with only the live
         window's rows still counted in live partitions."""
-        res = _run(4, 3, retain=1)
+        res = run_of(_spec(4, 3, retain=1))
         assert res.dropped_partitions == ["p0", "p1"]
         assert res.epoch_partitions == [["p0"], ["p1"], ["p2"]]
         # p3 stays in the stream, unlanded: only 3 epochs elapsed
         assert [p.name for p in res.partitions] == ["p0", "p1", "p2"]
 
-    def test_retaining_everything_matches_non_retention(self):
+    def test_retaining_everything_matches_non_retention(self, run_of):
         """A window >= num_partitions never drops and must be
         bit-identical to the retention-free path."""
-        plain = _run(3, 2)
-        retained = _run(3, 2, retain=3)
+        plain = run_of(_spec(3, 2))
+        retained = run_of(_spec(3, 2, retain=3))
         assert retained.training.losses == plain.training.losses
         assert retained.dropped_partitions == []
         assert retained.epoch_partitions == plain.epoch_partitions
 
-    def test_streaming_materialized_equivalent_under_retention(self):
-        streamed = _run(4, 3, retain=2, num_readers=2, streaming=True)
-        materialized = _run(4, 3, retain=2, num_readers=2, streaming=False)
+    def test_streaming_materialized_equivalent_under_retention(self, run_of):
+        streamed = run_of(_spec(4, 3, retain=2, num_readers=2))
+        materialized = run_of(
+            _spec(4, 3, retain=2, num_readers=2, streaming=False)
+        )
         assert streamed.training.losses == materialized.training.losses
 
-    def test_width_does_not_change_retention_stream(self):
-        wide = _run(4, 3, retain=2, num_readers=4)
-        narrow = _run(4, 3, retain=2, num_readers=1)
+    def test_width_does_not_change_retention_stream(self, run_of):
+        wide = run_of(_spec(4, 3, retain=2, num_readers=4))
+        narrow = run_of(_spec(4, 3, retain=2, num_readers=1))
         assert wide.training.losses == narrow.training.losses
 
-    def test_non_retention_epochs_recorded(self):
-        res = _run(2, 2)
-        assert res.epoch_partitions == [["p0", "p1"], ["p0", "p1"]]
+    def test_non_retention_epochs_recorded(self, run_of):
+        """Read off the un-retained reference run above."""
+        res = run_of(_spec(3, 2))
+        assert res.epoch_partitions == [["p0", "p1", "p2"]] * 2
         assert res.dropped_partitions == []
         assert res.scaling is None
 
     def test_undersized_first_window_fails_fast(self):
         with pytest.raises(ValueError, match="too small"):
-            _run(2, 2, retain=1, num_sessions=2, batch_size=100_000)
+            Session(
+                _spec(2, 2, retain=1, num_sessions=2, batch_size=100_000)
+            ).run()
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

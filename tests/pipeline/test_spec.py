@@ -6,12 +6,12 @@ import pytest
 from repro.datagen import rm1
 from repro.pipeline import (
     DataSpec,
-    FaultSpec,
     JobSpec,
     ReaderSpec,
     RecDToggles,
     RetentionSpec,
     ScalingSpec,
+    StreamSpec,
     TrainSpec,
 )
 
@@ -24,6 +24,37 @@ def workload():
 def _spec(workload, **kw) -> JobSpec:
     kw.setdefault("data", DataSpec(workload=workload))
     return JobSpec(**kw)
+
+
+#: every numeric field a spec checks for a positive (or, for the
+#: landing latency, non-negative) value: NaN and infinity must fail it
+#: too, or a modeled clock is left undefined
+_NUMERIC_FIELDS = [
+    (DataSpec, "num_sessions"),
+    (DataSpec, "mean_samples_per_session"),
+    (DataSpec, "num_scribe_shards"),
+    (DataSpec, "num_partitions"),
+    (ReaderSpec, "num_readers"),
+    (ReaderSpec, "prefetch_depth"),
+    (TrainSpec, "train_epochs"),
+    (TrainSpec, "train_batches"),
+    (TrainSpec, "batch_size"),
+    (TrainSpec, "num_gpus"),
+    (TrainSpec, "gpus_per_node"),
+    (TrainSpec, "max_table_rows"),
+    (RetentionSpec, "window"),
+    (StreamSpec, "interval_seconds"),
+    (StreamSpec, "land_latency_seconds"),
+    (StreamSpec, "rows_per_file"),
+]
+
+
+def _with(cls, name, value):
+    """A builder of ``cls`` with one field set (``DataSpec`` also takes
+    the workload)."""
+    if cls is DataSpec:
+        return lambda w: DataSpec(w, **{name: value})
+    return lambda w: cls(**{name: value})
 
 
 class TestValidationNamesSpecAndField:
@@ -75,29 +106,14 @@ class TestValidationNamesSpecAndField:
                 "ScalingSpec.max_readers",
             ),
             (lambda w: RetentionSpec(window=0), "RetentionSpec.window"),
-            (
-                lambda w: FaultSpec(crashes={-1: (0,)}),
-                "FaultSpec.crashes epoch",
-            ),
-            (
-                lambda w: FaultSpec(crashes={0: (2, -1)}),
-                "FaultSpec.crashes shard positions",
-            ),
-            (
-                lambda w: FaultSpec(stragglers={-2: {0: 2.0}}),
-                "FaultSpec.stragglers epoch",
-            ),
-            (
-                lambda w: FaultSpec(stragglers={0: {-1: 2.0}}),
-                "FaultSpec.stragglers shard positions",
-            ),
-            (
-                lambda w: FaultSpec(stragglers={0: {1: 0.5}}),
-                "FaultSpec.stragglers factors",
-            ),
-            (
-                lambda w: FaultSpec(lost_fraction=1.5),
-                "FaultSpec.lost_fraction",
+            *(
+                pytest.param(
+                    _with(cls, name, bad),
+                    f"{cls.__name__}.{name}",
+                    id=f"{cls.__name__}.{name}={bad}",
+                )
+                for cls, name in _NUMERIC_FIELDS
+                for bad in (float("nan"), float("inf"))
             ),
         ],
     )
@@ -110,6 +126,8 @@ class TestValidationNamesSpecAndField:
             _spec(workload, weight=0.0)
         with pytest.raises(ValueError, match=r"JobSpec\.weight"):
             _spec(workload, weight=float("nan"))
+        with pytest.raises(ValueError, match=r"JobSpec\.weight"):
+            _spec(workload, weight=float("inf"))
         with pytest.raises(ValueError, match=r"JobSpec\.name"):
             _spec(workload, name="")
 
@@ -182,22 +200,6 @@ class TestDerived:
             reader=ReaderSpec(dedup=True),
         )
         assert full.effective_toggles == RecDToggles.full()
-
-    def test_faulted_spec_hashes_by_content(self, workload):
-        """A frozen JobSpec is a dict key whatever it carries: two equal
-        faulted specs (mappings built in different orders) hash equal."""
-        a, b = (
-            _spec(
-                workload,
-                faults=FaultSpec(
-                    crashes={0: (1,)}, stragglers={1: dict(order)}
-                ),
-            )
-            for order in ([(0, 2.0), (2, 1.5)], [(2, 1.5), (0, 2.0)])
-        )
-        assert a == b and hash(a) == hash(b)
-        assert {a: "cached"}[b] == "cached"
-        assert a != _spec(workload, faults=FaultSpec(crashes={0: (2,)}))
 
     def test_with_copies_top_level_fields(self, workload):
         spec = _spec(workload)

@@ -9,7 +9,7 @@ from repro.datagen import rm1
 from repro.pipeline import DataSpec, JobSpec, ReaderSpec, Session, TrainSpec
 
 
-def _run(
+def _spec(
     *,
     num_readers: int = 1,
     streaming: bool = True,
@@ -18,33 +18,33 @@ def _run(
     train_batches: int = 3,
     num_sessions: int = 120,
     batch_size: int = 128,
-):
-    return Session(
-        JobSpec(
-            data=DataSpec(
-                workload=rm1(scale=0.25),
-                num_sessions=num_sessions,
-                num_partitions=num_partitions,
-                seed=3,
-            ),
-            reader=ReaderSpec(num_readers=num_readers, streaming=streaming),
-            train=TrainSpec(
-                train_epochs=train_epochs,
-                train_batches=train_batches,
-                batch_size=batch_size,
-            ),
-        )
-    ).run()
+) -> JobSpec:
+    return JobSpec(
+        data=DataSpec(
+            workload=rm1(scale=0.25),
+            num_sessions=num_sessions,
+            num_partitions=num_partitions,
+            seed=3,
+        ),
+        reader=ReaderSpec(num_readers=num_readers, streaming=streaming),
+        train=TrainSpec(
+            train_epochs=train_epochs,
+            train_batches=train_batches,
+            batch_size=batch_size,
+        ),
+    )
 
 
 class TestStreamingEquivalence:
     @pytest.mark.parametrize("num_readers", [1, 2, 4])
-    def test_streaming_losses_bit_identical(self, num_readers):
+    def test_streaming_losses_bit_identical(self, run_of, num_readers):
         """The acceptance bar: a streaming run must produce
         bit-identical TrainingReport losses to the materialized path at
         every fleet width, and both must report overlap fractions."""
-        streamed = _run(num_readers=num_readers, streaming=True)
-        materialized = _run(num_readers=num_readers, streaming=False)
+        streamed = run_of(_spec(num_readers=num_readers))
+        materialized = run_of(
+            _spec(num_readers=num_readers, streaming=False)
+        )
         assert streamed.training.losses == materialized.training.losses
         for res in (streamed, materialized):
             ov = res.overlap
@@ -54,17 +54,17 @@ class TestStreamingEquivalence:
         assert streamed.overlap.streaming
         assert not materialized.overlap.streaming
 
-    def test_fractions_sum_to_one(self):
-        res = _run(num_readers=2)
+    def test_fractions_sum_to_one(self, run_of):
+        res = run_of(_spec(num_readers=2))
         assert sum(res.overlap.fractions.values()) == pytest.approx(1.0)
         assert res.overlap.batches == len(res.training.iterations)
 
-    def test_streaming_measures_ingest_waits(self):
+    def test_streaming_measures_ingest_waits(self, run_of):
         """Streaming hands the trainer a live iterator, so some wall
         time is spent pulling batches; the materialized path shows
         essentially none."""
-        streamed = _run(num_readers=2, streaming=True)
-        materialized = _run(num_readers=2, streaming=False)
+        streamed = run_of(_spec(num_readers=2))
+        materialized = run_of(_spec(num_readers=2, streaming=False))
         assert streamed.training.ingest_wait_seconds > 0.0
         assert (
             materialized.overlap.reader_stall_fraction
@@ -81,8 +81,8 @@ class TestStreamingEquivalence:
 
 
 class TestMultiPartitionEpochs:
-    def test_partitions_land_contiguously(self):
-        res = _run(num_partitions=3)
+    def test_partitions_land_contiguously(self, run_of):
+        res = run_of(_spec(num_partitions=3))
         assert len(res.partitions) == 3
         assert [p.name for p in res.partitions] == ["p0", "p1", "p2"]
         assert res.partition.num_rows == res.samples_landed
@@ -90,28 +90,30 @@ class TestMultiPartitionEpochs:
             sum(p.num_rows for p in res.partitions) == res.samples_landed
         )
 
-    def test_epoch_loop_multiplies_iterations(self):
-        res = _run(num_partitions=2, train_epochs=3, train_batches=2)
+    def test_epoch_loop_multiplies_iterations(self, run_of):
+        res = run_of(_spec(num_partitions=2, train_epochs=3, train_batches=2))
         assert len(res.training.iterations) == 6
         assert res.reader.batches == 6
         assert res.overlap.batches == 6
 
-    def test_multi_partition_prefix_matches_single(self):
+    def test_multi_partition_prefix_matches_single(self, run_of):
         """Partitions are contiguous chunks of the same row order, so an
         epoch's first batches are bit-identical to the single-partition
         run's (the cap lands inside partition 0)."""
-        single = _run(num_partitions=1)
-        multi = _run(num_partitions=3)
+        single = run_of(_spec(num_partitions=1))
+        multi = run_of(_spec(num_partitions=3))
         assert multi.training.losses == single.training.losses
 
-    def test_multi_partition_streaming_equivalence(self):
+    def test_multi_partition_streaming_equivalence(self, run_of):
         streamed, materialized = (
-            _run(
-                num_partitions=2,
-                train_epochs=2,
-                num_readers=2,
-                streaming=streaming,
-                train_batches=4,
+            run_of(
+                _spec(
+                    num_partitions=2,
+                    train_epochs=2,
+                    num_readers=2,
+                    streaming=streaming,
+                    train_batches=4,
+                )
             )
             for streaming in (True, False)
         )
@@ -139,7 +141,9 @@ class TestFailFastValidation:
 
         monkeypatch.setattr(tier_mod, "ReaderFleet", NoFleet)
         with pytest.raises(ValueError, match="too small"):
-            _run(num_sessions=2, batch_size=100_000, train_batches=2)
+            Session(
+                _spec(num_sessions=2, batch_size=100_000, train_batches=2)
+            ).run()
 
     def test_zero_effective_batches_counts_every_partition(self, monkeypatch):
         """Each partition sub-batch-sized: no partition can fill a batch
@@ -153,4 +157,6 @@ class TestFailFastValidation:
 
         monkeypatch.setattr(tier_mod, "ReaderFleet", NoFleet)
         with pytest.raises(ValueError, match="partition"):
-            _run(num_sessions=30, batch_size=200, num_partitions=8)
+            Session(
+                _spec(num_sessions=30, batch_size=200, num_partitions=8)
+            ).run()

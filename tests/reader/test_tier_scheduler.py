@@ -231,6 +231,17 @@ class TestJobWeights:
         with pytest.raises(ValueError, match="positive"):
             allocate_workers(4, ["a"], weights={"a": -1.0})
 
+    def test_infinite_weight_rejected_before_apportioning(self):
+        """An infinite weight makes the surplus shares NaN; it must fail
+        as a named weight error, not mid-round in ``int(nan)``."""
+        with pytest.raises(ValueError, match="weights must be positive and finite"):
+            allocate_workers(
+                4,
+                ["a", "b"],
+                demand={"a": 1.0, "b": 1.0},
+                weights={"a": float("inf")},
+            )
+
 
 # -- SharedReaderTier ------------------------------------------------------
 
@@ -309,6 +320,19 @@ class TestAdmission:
             tier.register(
                 TierJob(
                     "a", _landed(), _dl_config(), epochs=[["p"]], weight=0.0
+                )
+            )
+
+    def test_rejects_infinite_job_weight(self):
+        tier = SharedReaderTier(2)
+        with pytest.raises(ValueError, match="scheduling weight inf"):
+            tier.register(
+                TierJob(
+                    "a",
+                    _landed(),
+                    _dl_config(),
+                    epochs=[["p"]],
+                    weight=float("inf"),
                 )
             )
 

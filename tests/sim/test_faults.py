@@ -103,32 +103,6 @@ class TestFleetFaultMerge:
         assert plan.fleet_faults(0, "a").lost_fraction == 0.5
 
 
-class TestPlanQueries:
-    def test_events_at_round_are_name_sorted(self):
-        plan = FaultPlan(
-            preemptions=(
-                Preemption(round=2, job="zeta"),
-                Preemption(round=2, job="alpha"),
-                Preemption(round=3, job="beta"),
-            ),
-            arrivals=(
-                Arrival(round=1, name="y", spec=None),
-                Arrival(round=1, name="x", spec=None),
-            ),
-        )
-        assert [p.job for p in plan.preemptions_at(2)] == ["alpha", "zeta"]
-        assert plan.preemptions_at(0) == []
-        assert [a.name for a in plan.arrivals_at(1)] == ["x", "y"]
-
-    def test_horizon(self):
-        assert FaultPlan().horizon == -1
-        plan = FaultPlan(
-            crashes=(CrashFault(round=1, job="a"),),
-            arrivals=(Arrival(round=5, name="x", spec=None),),
-        )
-        assert plan.horizon == 5
-
-
 class TestSeeded:
     def test_same_seed_same_plan(self):
         a = FaultPlan.seeded(42, ["j0", "j1"], rounds=6)

@@ -15,9 +15,11 @@ import pytest
 
 from repro.pipeline import Session
 from repro.sim import (
+    CrashFault,
     FaultPlan,
     Preemption,
     ScenarioRunner,
+    StragglerFault,
     build_scenario,
     scenario_names,
 )
@@ -372,3 +374,20 @@ def test_catalog_sweep_bit_identity_and_replay(name):
     # Fairness holds under every scenario's churn.
     for job in result.tier.jobs:
         assert result.tier.max_consecutive_skips(job) <= 1
+
+
+class TestSoloJobFaults:
+    def test_round_faults_hit_a_solo_job_epoch_by_epoch(self):
+        """A solo job's tier runs one epoch per round, so a plan faults
+        its epochs by round number — the only way to fault a job."""
+        spec = _job(rm1(scale=0.1), seed=1, epochs=3, sessions=30)
+        plan = FaultPlan(
+            crashes=(CrashFault(round=1, job="solo"),),
+            stragglers=(StragglerFault(round=2, job="solo"),),
+        )
+        runner = ScenarioRunner([spec], plan, width=2, names=["solo"])
+        result = runner.run()
+        assert result.slo.crashes == 1
+        assert result.slo.straggler_shards == 1
+        assert [ev["round"] for ev in result.trace] == [1, 2]
+        assert result.losses == runner.baseline()
