@@ -78,6 +78,15 @@ class ScalingSpec:
                 "ScalingSpec.target_stall must be in (0, 1), got "
                 f"{self.target_stall}"
             )
+        # NaN, infinity and 2.5 pass ``<= 0`` but are no reader count
+        if not (
+            math.isfinite(self.max_readers)
+            and float(self.max_readers).is_integer()
+        ):
+            raise ValueError(
+                "ScalingSpec.max_readers must be a whole number, got "
+                f"{self.max_readers}"
+            )
         if self.max_readers <= 0:
             raise ValueError(
                 "ScalingSpec.max_readers must be positive, got "

@@ -11,14 +11,23 @@ window-based LZ codecs, which is all O1 relies on).  The cluster tracks:
 O1's claim — session-ID sharding raises the compression ratio (paper:
 1.50x -> 2.25x) and with it cuts storage and ETL-ingest network demand —
 falls out of measuring those counters under the two policies.
+
+Sealing a block hands it to the compression pool
+(:func:`~repro.storage.compression.deflate_later`) and returns, so
+logging goes on while earlier blocks compress.  A shard keeps its
+blocks in seal order and settles every pending one to its bytes before
+anything reads a block or a compressed size (``stats``, ``drain``,
+``read_messages``, ``egress_bytes``); counting blocks never waits.
 """
 
 from __future__ import annotations
 
 import zlib
+from concurrent.futures import Future
 from dataclasses import dataclass
 
 from ..metrics.ledger import Folded
+from ..storage.compression import deflate_later
 from .message import EventLogRecord, FeatureLogRecord
 from .sharding import ShardKeyPolicy, route
 
@@ -57,10 +66,26 @@ class ScribeShard:
         self.block_bytes = block_bytes
         self._pending: list[bytes] = []
         self._pending_bytes = 0
-        self._blocks: list[bytes] = []
+        #: sealed blocks in seal order; one still compressing is a future
+        self._blocks: list[bytes | Future[bytes]] = []
         #: how many sealed blocks :meth:`drain` has already handed out
         self._drained = 0
-        self.stats = ScribeStats()
+        self._stats = ScribeStats()
+
+    @property
+    def stats(self) -> ScribeStats:
+        """The shard's byte accounting, every sealed block settled."""
+        self._settle()
+        return self._stats
+
+    def _settle(self) -> None:
+        """Wait for the blocks still compressing and put their bytes in
+        place, in seal order."""
+        blocks = self._blocks
+        for index, block in enumerate(blocks):
+            if isinstance(block, Future):
+                blocks[index] = block = block.result()
+                self._stats.compressed_bytes += len(block)
 
     def append(self, message: bytes) -> None:
         """Buffer one message; seal a compressed block at the high-water
@@ -69,19 +94,16 @@ class ScribeShard:
         framed = len(message).to_bytes(4, "little") + message
         self._pending.append(framed)
         self._pending_bytes += len(framed)
-        self.stats.raw_bytes += len(framed)
-        self.stats.num_messages += 1
+        self._stats.raw_bytes += len(framed)
+        self._stats.num_messages += 1
         if self._pending_bytes >= self.block_bytes:
             self._seal_block()
 
     def _seal_block(self) -> None:
         if not self._pending:
             return
-        raw = b"".join(self._pending)
-        block = zlib.compress(raw, level=6)
-        self._blocks.append(block)
-        self.stats.compressed_bytes += len(block)
-        self.stats.num_blocks += 1
+        self._blocks.append(deflate_later(b"".join(self._pending), level=6))
+        self._stats.num_blocks += 1
         self._pending.clear()
         self._pending_bytes = 0
 
@@ -97,9 +119,9 @@ class ScribeShard:
         the :data:`DEFAULT_BLOCK_BYTES` high-water mark.  Returns the
         number of blocks sealed (0 when nothing was buffered).
         """
-        before = self.stats.num_blocks
+        before = len(self._blocks)
         self._seal_block()
-        return self.stats.num_blocks - before
+        return len(self._blocks) - before
 
     def drain(self) -> list[bytes]:
         """Hand out messages from sealed, not-yet-drained blocks.
@@ -134,6 +156,7 @@ class ScribeShard:
         messages; a frame that runs past its block is a ``ValueError``
         naming shard, block and byte offset, never a shortened message.
         """
+        self._settle()
         out: list[bytes] = []
         for index in range(first, len(self._blocks)):
             raw = zlib.decompress(self._blocks[index])
@@ -218,7 +241,7 @@ class ScribeCluster:
         """
         out: list[bytes] = []
         for shard in self.shards:
-            if shard.stats.num_blocks > shard._drained:
+            if len(shard._blocks) > shard._drained:
                 out.extend(shard.drain())
         return out
 

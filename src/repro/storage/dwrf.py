@@ -34,7 +34,7 @@ import numpy as np
 from ..core.jagged import offsets_from_lengths
 from ..datagen.schema import DatasetSchema
 from ..datagen.session import Sample
-from .compression import Codec, compress, decompress
+from .compression import Codec, compress_many, decompress
 from .encoding import IntEncoding, decode_int64_chunks, encode_int64_chunks
 from .rowblock import RowBlock
 
@@ -91,16 +91,6 @@ class FileStats:
         return self.raw_bytes / self.compressed_bytes
 
 
-def _encode_stream(
-    name: str, payload: bytes, encoding: IntEncoding, count: int, codec: Codec
-) -> tuple[bytes, int, int]:
-    blob = compress(payload, codec)
-    encoded_name = name.encode()
-    head = _STREAM_HEADER.pack(len(encoded_name)) + encoded_name
-    meta = _STREAM_META.pack(encoding.value, count, len(blob))
-    return head + meta + blob, len(payload), len(blob)
-
-
 class DwrfWriter:
     """Serializes a block of rows into a DWRF-like byte blob."""
 
@@ -129,7 +119,10 @@ class DwrfWriter:
         (:func:`~repro.storage.encoding.encode_int64_chunks`).  A
         sequence of :class:`Sample` rows is columnarised once, here; a
         schema feature the block does not carry is written as absent
-        (empty lists / ``0.0``).
+        (empty lists / ``0.0``).  Every stream of every stripe is then
+        compressed in one ordered
+        :func:`~repro.storage.compression.compress_many` call (on the
+        compression pool), and the stripes are assembled in order.
         """
         schema = self.schema
         if isinstance(rows, RowBlock):
@@ -175,18 +168,34 @@ class DwrfWriter:
                 f"d:{dspec.name}", block.dense.get(dspec.name, np.zeros(n))
             )
 
+        blobs = iter(
+            compress_many(
+                [
+                    payloads[j]
+                    for j in range(rows_per_stripe.size)
+                    for _, _, _, payloads in streams
+                ],
+                self.codec,
+            )
+        )
+        heads = [
+            _STREAM_HEADER.pack(len(encoded)) + encoded
+            for encoded in (name.encode() for name, _, _, _ in streams)
+        ]
         stats = FileStats()
         parts = [_FILE_HEADER.pack(MAGIC, 1, rows_per_stripe.size)]
         for j, num_rows in enumerate(rows_per_stripe.tolist()):
             sstat = StripeStats(num_rows=num_rows)
             body: list[bytes] = []
-            for name, encoding, counts, payloads in streams:
-                data, raw, comp = _encode_stream(
-                    name, payloads[j], encoding, counts[j], self.codec
+            for head, (_, encoding, counts, payloads) in zip(heads, streams):
+                blob = next(blobs)
+                body += (
+                    head,
+                    _STREAM_META.pack(encoding.value, counts[j], len(blob)),
+                    blob,
                 )
-                body.append(data)
-                sstat.raw_bytes += raw
-                sstat.compressed_bytes += comp
+                sstat.raw_bytes += len(payloads[j])
+                sstat.compressed_bytes += len(blob)
             # byte_len counts the stripe header itself
             parts.append(
                 _STRIPE_HEADER.pack(

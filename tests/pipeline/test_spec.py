@@ -108,6 +108,14 @@ class TestValidationNamesSpecAndField:
             (lambda w: RetentionSpec(window=0), "RetentionSpec.window"),
             *(
                 pytest.param(
+                    _with(ScalingSpec, "max_readers", bad),
+                    "ScalingSpec.max_readers",
+                    id=f"ScalingSpec.max_readers={bad}",
+                )
+                for bad in (float("nan"), float("inf"), 2.5)
+            ),
+            *(
+                pytest.param(
                     _with(cls, name, bad),
                     f"{cls.__name__}.{name}",
                     id=f"{cls.__name__}.{name}={bad}",

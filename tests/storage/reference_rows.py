@@ -3,7 +3,7 @@
 Kept under ``tests/`` only, as the oracle the property tests compare
 ``src/`` against: the ≤10-plane masked varint loops and the row-based
 stripe writer (six ``[r.x for r in rows]`` comprehensions and one
-encode per stream per stripe), both as they stood before
+encode + compress per stream per stripe), both as they stood before
 ``DwrfWriter.write`` took a ``RowBlock``.
 """
 
@@ -11,12 +11,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.storage import Codec, IntEncoding, encode_int64, unzigzag, zigzag
+from repro.storage import (
+    Codec,
+    IntEncoding,
+    compress,
+    encode_int64,
+    unzigzag,
+    zigzag,
+)
 from repro.storage.dwrf import (
     _FILE_HEADER,
+    _STREAM_HEADER,
+    _STREAM_META,
     _STRIPE_HEADER,
     MAGIC,
-    _encode_stream,
 )
 
 
@@ -75,6 +83,18 @@ def varint_decode_planes(data: bytes, count: int) -> np.ndarray:
     return unzigzag(values)
 
 
+def encode_stream(
+    name: str, payload: bytes, encoding: IntEncoding, count: int, codec: Codec
+) -> tuple[bytes, int, int]:
+    """One stream, framed and compressed on its own: its bytes, raw
+    length and compressed length."""
+    blob = compress(payload, codec)
+    encoded_name = name.encode()
+    head = _STREAM_HEADER.pack(len(encoded_name)) + encoded_name
+    meta = _STREAM_META.pack(encoding.value, count, len(blob))
+    return head + meta + blob, len(payload), len(blob)
+
+
 def _encode(values: np.ndarray, encoding: IntEncoding) -> bytes:
     if encoding is IntEncoding.VARINT:
         return varint_encode_planes(np.ascontiguousarray(values, np.int64))
@@ -95,7 +115,7 @@ def write_rows(
 
         def add(name, payload, encoding, count):
             nonlocal raw_total, comp_total
-            data, raw, comp = _encode_stream(
+            data, raw, comp = encode_stream(
                 name, payload, encoding, count, codec
             )
             streams.append(data)

@@ -26,8 +26,9 @@ from repro.storage.dwrf import (
     _STREAM_HEADER,
     _STREAM_META,
     _STRIPE_HEADER,
-    _encode_stream,
 )
+
+from .reference_rows import encode_stream
 
 
 def _schema():
@@ -140,14 +141,14 @@ def _patch_stream(blob: bytes, stripe: int, name: str, values) -> bytes:
             elif np.asarray(values).dtype.kind == "f":
                 payload = np.asarray(values, dtype=np.float64).tobytes()
                 streams.append(
-                    _encode_stream(
+                    encode_stream(
                         name, payload, IntEncoding.PLAIN, len(values), Codec.NONE
                     )[0]
                 )
             else:
                 ints = np.asarray(values, dtype=np.int64)
                 streams.append(
-                    _encode_stream(
+                    encode_stream(
                         name,
                         encode_int64(ints, IntEncoding.VARINT),
                         IntEncoding.VARINT,
