@@ -1,16 +1,14 @@
 """Shared benchmark utilities.
 
-Every benchmark regenerates one of the paper's tables/figures, prints the
-paper-style rows, and persists them twice: the rendered text block lands
-in ``benchmarks/results/{name}.txt`` (the human-readable view; ``name``
-is the figure's ``FIGURES`` key for ``test_figures.py``, the test's node
-name elsewhere), and the run — with any machine-readable ``metrics``
-the benchmark passes — is recorded in the results store
-(``benchmarks/results/store/runs.sqlite``) as a ``kind="bench"``
-:class:`~repro.experiments.store.RunRecord`, where the regression gate
-(``check_regression.py``) and ``repro experiments query`` can reach it.
-Benchmarks run the experiment once (``benchmark.pedantic(rounds=1)``) —
-the interesting output is the rows, not the harness's wall time.
+Every benchmark regenerates one of the paper's tables/figures (or one
+of the repo's own claims), prints the rendered rows, and persists them
+twice: the text block lands in ``benchmarks/results/{name}.txt`` (the
+human-readable view; ``name`` is the figure's ``FIGURES`` key, or
+``fleet-scaling`` for the stored grid's section), and the block is
+recorded in the results store (``benchmarks/results/store/runs.sqlite``)
+as a ``kind="bench"`` :class:`~repro.experiments.store.RunRecord`, where
+``repro experiments query`` can reach it.  Measured time is the
+stopwatch's (``benchmarks/stopwatch/``); these print modeled numbers.
 """
 
 from __future__ import annotations
@@ -46,18 +44,11 @@ def bench_env() -> dict:
 
 @pytest.fixture()
 def emit(results_dir, run_store, bench_env, request):
-    """Print a block of result lines and persist them per-benchmark.
+    """Print a block of result lines and persist them as ``name``: the
+    ``.txt`` view, and the store record ``bench:<name>`` (a stable run
+    ID, so re-runs replace)."""
 
-    The ``.txt`` file keeps the rendered view; passing ``metrics=``
-    additionally records the numbers in the results store under
-    ``bench:<name>`` (a stable run ID, so re-runs replace); ``name``
-    defaults to the test's node name.
-    """
-
-    def _emit(
-        title: str, lines: list[str], metrics: dict | None = None, name: str | None = None
-    ) -> None:
-        name = name or request.node.name
+    def _emit(title: str, lines: list[str], name: str) -> None:
         block = [f"== {title} =="] + lines
         text = "\n".join(block)
         print("\n" + text)
@@ -74,7 +65,6 @@ def emit(results_dir, run_store, bench_env, request):
                 ),
                 spec={"node": request.node.nodeid, "title": title},
                 env=bench_env,
-                metrics=metrics or {},
                 artifact=text + "\n",
             )
         )

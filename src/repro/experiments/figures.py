@@ -29,6 +29,8 @@ from itertools import zip_longest
 
 import numpy as np
 
+from ..core import FeatureDedupStats, InverseKeyedJaggedTensor, KeyedJaggedTensor
+from ..core import select_features_to_dedup
 from ..core.analytics import dedupe_factor
 from ..core.dedup import measured_dedupe_factor
 from ..core.jagged import JaggedTensor
@@ -42,13 +44,19 @@ from ..datagen.characterization import (
 from ..datagen.generator import TraceConfig, TraceGenerator
 from ..datagen.schema import DatasetSchema, FeatureKind, SparseFeatureSpec
 from ..datagen.session import sample_session_sizes, session_size_stats
-from ..datagen.workloads import RMWorkload, all_workloads, rm1
+from ..datagen.workloads import RMWorkload, all_workloads, rm1, rm2
+from ..distributed import DistributedTrainer, TrainerCostConstants, sim_cluster
+from ..etl import cluster_by_session, samples_per_session
+from ..etl import downsample_per_sample, downsample_per_session
 from ..metrics.breakdown import IterationBreakdown, ReaderCpuBreakdown
 from ..metrics.ledger import ByteLedger
 from ..pipeline.config import RecDToggles
-from ..pipeline.session import PipelineResult, Session, land_table
-from ..pipeline.spec import DataSpec, JobSpec, TrainSpec
+from ..pipeline.session import MultiJobResult, PipelineResult, Session, land_table
+from ..pipeline.spec import DataSpec, JobSpec, StreamSpec, TrainSpec
+from ..reader import convert_rows
 from ..reader.node import ReaderNode
+from ..storage import IntEncoding, best_encoding, encode_int64
+from ..trainer import DLRM, DLRMConfig, TrainerOptFlags
 from .profiles import ABLATION_STAGES, CLUSTERED, DEDUP_EMB
 from .runner import headline_metrics
 from .store import RunRecord, RunStore
@@ -85,6 +93,16 @@ __all__ = [
     "dedupe_factor_model_sweep",
     "PartialResult",
     "partial_vs_exact",
+    "per_session_downsampling",
+    "grouping_ablation",
+    "comm_overlap_sweep",
+    "dedup_threshold_sweep",
+    "encoding_sizes",
+    "freshness_scheduling",
+    "o6_memory_amplification",
+    "FleetScaling",
+    "fleet_scaling_from_store",
+    "FLEET_SCALING",
 ]
 
 
@@ -173,9 +191,7 @@ class Fig3Result:
     histogram_edges: np.ndarray
 
 
-def fig3_session_histogram(
-    num_sessions: int = 100_000, batch_size: int = 4096, seed: int = 0
-) -> Fig3Result:
+def fig3_session_histogram(num_sessions: int, seed: int, batch_size: int = 4096) -> Fig3Result:
     """Fig 3: partition-level histogram (left) and per-batch means (right).
 
     At partition scale only session *sizes* matter, so sizes are drawn
@@ -215,7 +231,7 @@ def fig3_session_histogram(
 
 
 def fig4_duplication(
-    num_features: int = 733, num_sessions: int = 20_000, seed: int = 0
+    num_sessions: int, seed: int, num_features: int = 733
 ) -> CharacterizationReport:
     """Fig 4 over a paper-shaped 733-feature schema."""
     _require_sessions(num_sessions)
@@ -260,10 +276,7 @@ def speedup_row(rm: str, base: Mapping, recd: Mapping) -> SpeedupRow:
 
 
 def fig7_end_to_end(
-    scale: float = 1.0,
-    num_sessions: int = 250,
-    train_batches: int = 2,
-    seed: int = 0,
+    scale: float, num_sessions: int, seed: int, train_batches: int = 2
 ) -> list[SpeedupRow]:
     """Fig 7: trainer/reader/storage/scribe speedups per workload."""
     rows = []
@@ -341,18 +354,14 @@ def _breakdown_rows(
     return rows
 
 
-def fig8_iteration_breakdown(
-    scale: float = 1.0, num_sessions: int = 250, seed: int = 0
-) -> list[BreakdownRow]:
+def fig8_iteration_breakdown(scale: float, num_sessions: int, seed: int) -> list[BreakdownRow]:
     """Fig 8 uses the *same batch size* as the baseline for each RM."""
     return _breakdown_rows(
         scale, num_sessions, seed, lambda res: res.training.mean_breakdown
     )
 
 
-def fig10_reader_cpu(
-    scale: float = 1.0, num_sessions: int = 200, seed: int = 0
-) -> list[BreakdownRow]:
+def fig10_reader_cpu(scale: float, num_sessions: int, seed: int) -> list[BreakdownRow]:
     """Fig 10: Fill/Convert/Process CPU, baseline vs RecD."""
     return _breakdown_rows(
         scale, num_sessions, seed, lambda res: res.reader.cpu, train_batches=1
@@ -383,9 +392,7 @@ def ablation_stages(
     return stages
 
 
-def fig9_ablation(
-    scale: float = 1.0, num_sessions: int = 250, seed: int = 0
-) -> list[AblationStage]:
+def fig9_ablation(scale: float, num_sessions: int, seed: int) -> list[AblationStage]:
     """Paper stages: Baseline(B2048) -> +CT -> +DE/JIS(B4096) ->
     +DC(B4096) -> +B6144; our batch sizes scale as B, B, 2B, 2B, 3B."""
     w = rm1(scale)
@@ -440,9 +447,7 @@ class Table2Row:
     norm_compute_efficiency: float
 
 
-def table2_resource_util(
-    scale: float = 1.0, num_sessions: int = 250, seed: int = 0
-) -> list[Table2Row]:
+def table2_resource_util(scale: float, num_sessions: int, seed: int) -> list[Table2Row]:
     """Table 2: QPS, memory utilization, and compute efficiency."""
     w = rm1(scale)
     B = w.baseline_batch_size
@@ -510,9 +515,7 @@ class Table3Row:
     bytes: ByteLedger
 
 
-def table3_reader_bytes(
-    scale: float = 1.0, num_sessions: int = 250, seed: int = 0
-) -> list[Table3Row]:
+def table3_reader_bytes(scale: float, num_sessions: int, seed: int) -> list[Table3Row]:
     """Table 3: bytes read off storage and sent to trainers."""
     w = rm1(scale)
     B = w.baseline_batch_size
@@ -537,9 +540,7 @@ def table3_reader_bytes(
 # -- Table 4: each optimization's own impact on RM1 --------------------------
 
 
-def table4_opt_summary(
-    scale: float = 1.0, num_sessions: int = 250, seed: int = 0
-) -> dict[str, float]:
+def table4_opt_summary(scale: float, num_sessions: int, seed: int) -> dict[str, float]:
     """Table 4: O1's Scribe gain, O1+O2's storage gain and fill-time
     cut, O3's convert-time rise and O4's process-time cut (one batch at
     the baseline batch size each), then Fig 9's O5+O6 and full-stack
@@ -569,9 +570,7 @@ def table4_opt_summary(
 # -- §6.1: Scribe sharding compression (O1 alone) ----------------------------
 
 
-def scribe_sharding_compression(
-    scale: float = 1.0, num_sessions: int = 300, seed: int = 0
-) -> dict[str, float]:
+def scribe_sharding_compression(scale: float, num_sessions: int, seed: int) -> dict[str, float]:
     """Paper: 1.50x (random) -> 2.25x (session sharding)."""
     w = rm1(scale)
     ratios = {}
@@ -587,9 +586,7 @@ def scribe_sharding_compression(
 # -- §6.2: single-node training ----------------------------------------------
 
 
-def single_node_speedup(
-    scale: float = 0.5, num_sessions: int = 250, seed: int = 0
-) -> dict[str, float]:
+def single_node_speedup(scale: float, num_sessions: int, seed: int) -> dict[str, float]:
     """Downsized RM1 on one 8-GPU node (NVLink): paper reports 2.18x."""
     w = rm1(scale)
     node = {"num_gpus": 8, "gpus_per_node": 8}
@@ -622,8 +619,7 @@ class AccuracyResult:
 
 
 def accuracy_clustering(
-    scale: float = 0.5, num_sessions: int = 200, train_batches: int = 6,
-    seed: int = 0,
+    scale: float, num_sessions: int, seed: int, train_batches: int = 6
 ) -> AccuracyResult:
     """§6.2: training-accuracy parity of clustered vs interleaved."""
     w = rm1(scale)
@@ -675,7 +671,7 @@ class DedupeModelPoint:
     measured: float
 
 
-def dedupe_factor_model_sweep(seed: int = 0) -> list[DedupeModelPoint]:
+def dedupe_factor_model_sweep(seed: int) -> list[DedupeModelPoint]:
     """Sweep S and d(f); compare DedupeFactor(f) with the measured ratio
     on batches generated to the model's assumptions."""
     rng = np.random.default_rng(seed)
@@ -718,9 +714,7 @@ class PartialResult:
     partial_captured_fraction: float
 
 
-def partial_vs_exact(
-    num_sessions: int = 150, seed: int = 0
-) -> PartialResult:
+def partial_vs_exact(num_sessions: int, seed: int) -> PartialResult:
     """§7: partial IKJTs capture shifted lists exact dedup misses."""
     schema = DatasetSchema(
         sparse=(
@@ -746,26 +740,256 @@ def partial_vs_exact(
     )
 
 
-# -- harness-only report sections (no live driver, no subcommand) ------------
+# -- §4.2 / §7 ablations and the repo's own claims ---------------------------
 
 
-def _fleet_scaling_stored_lines(
-    store: RunStore, profile: str | None
-) -> list[str]:
-    """The ``fleet_scaling`` grid's width curve, narrowest first."""
-    records = _latest_by_label(store, "fleet_scaling", profile)
-    by_width = {
-        int(r.spec["reader.num_readers"]): r.metrics[
-            "fleet_modeled_samples_per_second"
-        ]
-        for r in records.values()
-    }
-    serial = by_width[min(by_width)]
-    return [
-        f"width {width:>2}: {by_width[width]:12.1f} samples/s  "
-        f"({by_width[width] / serial:.2f}x vs serial)"
-        for width in sorted(by_width)
+def per_session_downsampling(num_sessions: int, seed: int) -> dict[str, dict[str, float]]:
+    """§7: keeping 30 % of whole sessions instead of 30 % of samples
+    keeps S — and so the dedupe factor of a clustered 4096-row batch —
+    high at about the same retained volume."""
+    _require_sessions(num_sessions)
+    schema = DatasetSchema(sparse=(SparseFeatureSpec("hist", avg_length=24, change_prob=0.05),))
+    samples = TraceGenerator(schema, TraceConfig(seed=seed)).generate_partition(num_sessions)
+    rows = {"full partition": {"samples": len(samples), "S": samples_per_session(samples)}}
+    for label, policy in (
+        ("per-sample (base)", downsample_per_sample),
+        ("per-session (§7)", downsample_per_session),
+    ):
+        kept = policy(samples, 0.3, seed=1)
+        batch = [s.sparse["hist"] for s in cluster_by_session(kept)[:4096]]
+        rows[label] = {
+            "samples": len(kept),
+            "S": samples_per_session(kept),
+            "dedupe factor": measured_dedupe_factor(JaggedTensor.from_lists(batch)),
+        }
+    return rows
+
+
+def grouping_ablation(seed: int) -> dict[str, dict[str, object]]:
+    """§4.2's grouped IKJTs over a 2048-row batch of features ``a`` and
+    ``b``: one shared inverse_lookup saves bytes when the members update
+    in sync (12-row runs; rng ``seed``) and weakens dedup when ``b`` also
+    changes every fifth row (rng ``seed + 1``); either way the group
+    expands back to its KJT exactly."""
+    rows = {}
+    for label, rng_seed, synced in (("synced", seed, True), ("unsynced", seed + 1, False)):
+        rng, samples = np.random.default_rng(rng_seed), []
+        for i in range(2048):
+            if i % 12 == 0:
+                a = rng.integers(0, 10**6, size=16).tolist()
+                b = rng.integers(0, 10**6, size=16).tolist()
+            elif not synced and i % 5 == 0:
+                b = rng.integers(0, 10**6, size=16).tolist()
+            samples.append({"a": a, "b": b})
+        kjt = KeyedJaggedTensor.from_rows(samples)
+        grouped = InverseKeyedJaggedTensor.from_kjt(kjt, ["a", "b"])
+        solo = [InverseKeyedJaggedTensor.from_kjt(kjt, [k]) for k in ("a", "b")]
+        rows[label] = {
+            "grouped bytes": grouped.nbytes,
+            "2x singleton bytes": sum(s.nbytes for s in solo),
+            "lookups saved": sum(s.inverse_lookup.nbytes for s in solo)
+            - grouped.inverse_lookup.nbytes,
+            "grouped dedupe": grouped.dedupe_factor(),
+            "solo-a dedupe": solo[0].dedupe_factor(),
+            "lossless": grouped.to_kjt() == kjt,
+        }
+    return rows
+
+
+def comm_overlap_sweep(scale: float, num_sessions: int, seed: int) -> dict[str, dict[str, float]]:
+    """RM1's RecD/baseline trainer multiplier at one batch size as the
+    exposed-communication fraction shrinks: the default cost model
+    overlaps nothing, which is why Fig 7's trainer cells overshoot."""
+    w = rm1(scale)
+    B, trace = w.baseline_batch_size, TraceGenerator(w.schema, TraceConfig(seed=seed))
+    samples = cluster_by_session(trace.generate_partition(num_sessions))
+    jobs = [
+        _spec(w, toggles, num_sessions, seed, {"transforms": ()}, batch_size=B)
+        for toggles in (_BASELINE, _RECD)
     ]
+    batches = [
+        [convert_rows(samples[i * B : (i + 1) * B], job.dataloader_config())[0] for i in range(2)]
+        for job in jobs
+    ]
+    cluster, rows = sim_cluster(num_gpus=48), {}
+    for overlap in (0.0, 0.25, 0.5, 0.75):
+        costs = TrainerCostConstants(comm_overlap_fraction=overlap)
+        base, recd = (
+            DistributedTrainer(
+                DLRM(
+                    list(w.schema.sparse),
+                    DLRMConfig.from_workload(w, max_table_rows=1000, seed=1),
+                    job.trainer_flags,
+                ),
+                cluster,
+                costs,
+            ).run(job_batches).mean_samples_per_second
+            for job, job_batches in zip(jobs, batches)
+        )
+        rows[f"overlap {overlap:.2f}"] = {"RecD/baseline": recd / base}
+    return rows
+
+
+def dedup_threshold_sweep(seed: int) -> dict[str, dict[str, int]]:
+    """§7's selection rule (dedup a feature when DedupeFactor > t) over
+    a 1024-row batch of four features spanning the duplication spectrum:
+    how many it picks and the batch's wire bytes, per threshold ``t``."""
+    rng, batch_size = np.random.default_rng(seed), 1024
+    specs = (("hot", 0.95, 32), ("warm", 0.7, 16), ("cool", 0.4, 8), ("cold", 0.05, 8))
+    samples, state = [], {}
+    for i in range(batch_size):
+        for name, d, length in specs:
+            if i == 0 or rng.random() > d:
+                state[name] = rng.integers(0, 10**6, size=length).tolist()
+        samples.append({k: list(v) for k, v in state.items()})
+    kjt = KeyedJaggedTensor.from_rows(samples)
+    stats = [FeatureDedupStats(name, length, d) for name, d, length in specs]
+    rows = {}
+    for t in (1.0, 1.25, 1.5, 2.0, 4.0, 8.0):
+        chosen = select_features_to_dedup(
+            stats, batch_size=batch_size, samples_per_session=16.5, threshold=t
+        )
+        rows[f"threshold {t:.2f}"] = {
+            "#dedup": len(chosen),
+            "batch bytes": sum(
+                (InverseKeyedJaggedTensor.from_kjt(kjt, [n]) if n in chosen else kjt[n]).nbytes
+                for n, _, _ in specs
+            ),
+        }
+    return rows
+
+
+def encoding_sizes(seed: int) -> dict[str, dict[str, int | str]]:
+    """Each int64 stream encoding's size on three 8192-value DLRM column
+    shapes — a fixed-length lengths stream, a 50-value categorical,
+    user-history IDs — and the one :func:`~repro.storage.best_encoding`
+    picks."""
+    rng, length = np.random.default_rng(seed), 8192
+    columns = {
+        "lengths_fixed": np.full(length, 48, dtype=np.int64),
+        "country_ids": rng.choice(np.arange(50, dtype=np.int64) + 10**6, size=length),
+        "history_ids": rng.integers(0, 10**7, size=length, dtype=np.int64),
+    }
+    return {
+        name: {
+            **{enc.name: len(encode_int64(col, enc)) for enc in IntEncoding},
+            "chosen": best_encoding(col).name,
+        }
+        for name, col in columns.items()
+    }
+
+
+#: the freshness figure's target p99 lag (modeled seconds): below what
+#: the round-robin split achieves, so the boost engages
+_FRESHNESS_SLO = 0.05
+
+
+def freshness_scheduling(scale: float, num_sessions: int, seed: int) -> dict[str, MultiJobResult]:
+    """Three streamed jobs share a width-4 pool while their partitions
+    land on the live clock: ``round_robin`` splits it evenly, while
+    ``stall_weighted`` with a freshness SLO steers workers to the
+    laggiest job.  Weights move only modeled time, never a batch, so
+    losses match."""
+    jobs = [
+        replace(
+            _spec(
+                workload, _BASELINE, sessions, seed + k, {"num_partitions": partitions},
+                train_epochs=epochs, train_batches=batches,
+            ),
+            # sub-second ticks put landing cadence on the scale of the
+            # modeled compute, so worker allocation — not waiting for
+            # data — dominates each batch's lag
+            stream=StreamSpec(interval_seconds=interval, land_latency_seconds=0.002),
+            name=name,
+        )
+        for k, (name, workload, sessions, partitions, epochs, batches, interval) in enumerate(
+            (
+                ("heavy", rm1(0.3 * scale), 2 * num_sessions, 4, 6, 4, 0.02),
+                ("light-a", rm2(0.2 * scale), num_sessions, 3, 5, 3, 0.03),
+                ("light-b", rm1(0.2 * scale), num_sessions, 3, 5, 3, 0.04),
+            ),
+            start=1,
+        )
+    ]
+    return {
+        "round_robin": Session(jobs, width=4, policy="round_robin").run(),
+        "freshness-weighted": Session(
+            jobs, width=4, policy="stall_weighted", freshness_slo=_FRESHNESS_SLO
+        ).run(),
+    }
+
+
+def o6_memory_amplification(seed: int) -> dict[str, int]:
+    """O6's motivation: gathering 4096 of 512 jagged rows, a dense index
+    select pads every row to the longest (B x max_len cells); the jagged
+    one moves only the values the rows hold."""
+    rng = np.random.default_rng(seed)
+    jt = JaggedTensor.from_lists(
+        [rng.integers(0, 10**6, size=rng.integers(1, 64)).tolist() for _ in range(512)]
+    )
+    idx = rng.integers(0, 512, size=4096)
+    return {"dense": idx.size * int(jt.lengths.max()), "jagged": int(jt.lengths[idx].sum())}
+
+
+# -- stored report sections with no live driver or subcommand --------------
+
+
+@dataclass(frozen=True)
+class FleetScaling:
+    """The stored ``fleet_scaling`` grid by series, each ``{width:
+    record}`` narrowest first: ``curves[(dedup, transport)]`` holds the
+    axis points, ``wide[transport]`` the dedup-free ``wide-*`` include
+    points."""
+
+    curves: dict[tuple[bool, str], dict[int, RunRecord]]
+    wide: dict[str, dict[int, RunRecord]]
+
+
+def fleet_scaling_from_store(store: RunStore, profile: str | None = None) -> FleetScaling:
+    """The ``fleet_scaling`` grid's series from the store.  An include
+    point (``wide-*``, ``stream-*``) is never part of an axis curve.
+
+    Raises:
+        LookupError: when the store lacks the grid.
+    """
+    curves, wide = {}, {}
+    for label, record in _latest_by_label(store, "fleet_scaling", profile).items():
+        spec, width = record.spec, int(record.spec["reader.num_readers"])
+        if "label" not in spec:
+            curves.setdefault((spec["reader.dedup"], spec["reader.transport"]), {})[width] = record
+        elif label.startswith("wide-") and not spec.get("reader.dedup"):
+            wide.setdefault(spec["reader.transport"], {})[width] = record
+    return FleetScaling(
+        {series: dict(sorted(c.items())) for series, c in sorted(curves.items())},
+        {transport: dict(sorted(w.items())) for transport, w in sorted(wide.items())},
+    )
+
+
+def _fleet_cells(rows: FleetScaling) -> dict:
+    """Each axis series' width curve, the wide copy-vs-shm bend, then
+    the dedup-vs-baseline wall per width on the ``copy`` series."""
+    cells = {}
+    for (dedup, transport), curve in rows.curves.items():
+        serial = curve[min(curve)].metrics["fleet_modeled_samples_per_second"]
+        for width, r in curve.items():
+            label = f"{transport}{' dedup' if dedup else ''} x{width}"
+            cells[label, "samples/s"] = r.metrics["fleet_modeled_samples_per_second"]
+            cells[label, "vs serial"] = cells[label, "samples/s"] / serial
+            cells[label, "wall"] = r.metrics["fleet_modeled_wall_seconds"] * 1e3
+    for transport, points in rows.wide.items():
+        for width, r in points.items():
+            label = f"wide {transport} x{width}"
+            cells[label, "decode wall"] = r.metrics["fleet_modeled_wall_seconds"] * 1e3
+            cells[label, "transport wait"] = r.metrics["fleet_transport_wait_seconds"] * 1e3
+            cells[label, "delivered samples/s"] = r.metrics["fleet_delivered_samples_per_second"]
+    base, dedup = rows.curves.get((False, "copy"), {}), rows.curves.get((True, "copy"), {})
+    for width in sorted(base.keys() & dedup.keys()):
+        label = f"dedup vs baseline x{width}"
+        cells[label, "speedup"] = (
+            cells[f"copy x{width}", "wall"] / cells[f"copy dedup x{width}", "wall"]
+        )
+        cells[label, "dedupe byte factor"] = dedup[width].metrics["dedupe_byte_factor"]
+    return cells
 
 
 def _overlap_stored_lines(
@@ -925,6 +1149,27 @@ def _dedupe_model_cells(points: list[DedupeModelPoint]) -> dict:
     }
 
 
+def _nested(rows: Mapping[str, Mapping[str, object]]) -> dict:
+    """The ``cells`` of a driver that returns ``{row label: {column:
+    value}}``."""
+    return {(label, column): v for label, cells in rows.items() for column, v in cells.items()}
+
+
+def _freshness_cells(runs: Mapping[str, MultiJobResult]) -> dict:
+    """Both policies' lag percentiles (per job, its p99), then the p99
+    cut and the SLO that drove it."""
+    cells = {}
+    for label, run in runs.items():
+        cells[label, "p50"] = run.tier.freshness.p50_lag_seconds * 1e3
+        cells[label, "p99"] = run.tier.freshness.p99_lag_seconds * 1e3
+        for job in run.jobs:
+            cells[label, job.name] = run.tier.job_freshness(job.name).p99_lag_seconds * 1e3
+    rr, wt = (runs[k].tier.freshness.p99_lag_seconds for k in ("round_robin", "freshness-weighted"))
+    cells["p99 lag reduction", ""] = 1.0 - wt / rr
+    cells["p99 lag reduction", "SLO target"] = _FRESHNESS_SLO * 1e3
+    return cells
+
+
 _SEED = {"seed": "seed"}
 _SESSIONS = {"sessions": "num_sessions", **_SEED}
 _STATS = {"sessions_large": "num_sessions", **_SEED}
@@ -1062,13 +1307,57 @@ FIGURES: dict[str, Figure] = {
         ("partial", "dedupe factor", "partial_factor", _X, None),
         ("partial", "values captured", "partial_captured_fraction", "{:.1%}", 0.894),
     ),
+    "downsampling": Figure(
+        per_session_downsampling, _nested, _SESSIONS, "Per-session downsampling (§7)",
+        {"samples": _COUNT, "dedupe factor": _X},
+    ),
+    "grouping": Figure(
+        grouping_ablation, _nested, _SEED, "Grouping ablation (§4.2)",
+        {**dict.fromkeys(("grouped bytes", "2x singleton bytes", "lookups saved"), _COUNT),
+         "lossless": "{}"},
+    ),
+    "comm-overlap": Figure(
+        comm_overlap_sweep, _nested, _SESSION, "Overlap ablation (RM1, same batch size)",
+        {"RecD/baseline": _X},
+        # the paper's overlap is not reported; its number sits beside the
+        # most-overlapped point
+        {("overlap 0.75", "RecD/baseline"): "RM1 ~1.8x at equal batch, a 44% iteration cut"},
+    ),
+    "threshold": Figure(
+        dedup_threshold_sweep, _nested, _SEED, "Dedup threshold sweep (§7)",
+        {"#dedup": _COUNT, "batch bytes": _COUNT},
+    ),
+    "encodings": Figure(
+        encoding_sizes, _nested, _SEED, "Column encoding sizes",
+        {**{enc.name: _COUNT for enc in IntEncoding}, "chosen": "{}"},
+    ),
+    "freshness": Figure(
+        freshness_scheduling, _freshness_cells, _SESSION,
+        "Stream freshness: lag-boosted weights vs round-robin",
+        {
+            **dict.fromkeys(("p50", "p99", "heavy", "light-a", "light-b"), "{:.1f} ms"),
+            "": "{:.1%}",
+            "SLO target": "{:.0f} ms",
+        },
+    ),
+    "o6-memory": _single(
+        o6_memory_amplification, _SEED, "O6 memory amplification",
+        ("dense intermediate", "cells", "dense", _COUNT, None),
+        ("jagged gathered", "cells", "jagged", _COUNT, None),
+        ("memory amplification", "", lambda r: r["dense"] / r["jagged"], _X, None),
+    ),
 }
 
-#: report sections with no live driver or subcommand: ``(title,
-#: lines(store, profile))``
-_HARNESS_SECTIONS = (
-    ("Fleet scaling: modeled scan throughput vs width", _fleet_scaling_stored_lines),
-    ("Single node: ingestion overlap attribution", _overlap_stored_lines),
+#: the stored ``fleet_scaling`` grid's report section: a figure with no
+#: live driver, so no subcommand
+FLEET_SCALING = Figure(
+    None, _fleet_cells, {}, "Fleet scaling: modeled scan throughput vs width",
+    {
+        **dict.fromkeys(("samples/s", "delivered samples/s"), "{:.1f}"),
+        **dict.fromkeys(("wall", "decode wall", "transport wait"), "{:.2f} ms"),
+        **dict.fromkeys(("vs serial", "speedup", "dedupe byte factor"), _X),
+    },
+    stored=("Fleet scaling: modeled scan throughput vs width", fleet_scaling_from_store),
 )
 
 
@@ -1077,18 +1366,20 @@ def render_report(
 ) -> str:
     """Render every stored section as one text report: each figure
     with a ``stored`` section (its rows from the store, through
-    :func:`render`), then the harness-only ones.
+    :func:`render`), :data:`FLEET_SCALING`, then the ``single_node``
+    overlap attribution.
 
     Sections missing from the store are noted, not fatal — so a
     partially populated store still renders what it has.
     """
     sections = [
         (fig.stored[0], lambda store, profile, fig=fig: render(fig, fig.stored[1](store, profile)))
-        for fig in FIGURES.values()
+        for fig in (*FIGURES.values(), FLEET_SCALING)
         if fig.stored
     ]
+    sections.append(("Single node: ingestion overlap attribution", _overlap_stored_lines))
     blocks = []
-    for title, section_lines in (*sections, *_HARNESS_SECTIONS):
+    for title, section_lines in sections:
         lines = [title, "-" * len(title)]
         try:
             lines.extend(section_lines(store, profile))

@@ -23,6 +23,7 @@ from repro.experiments.figures import (
     ablation_from_store,
     ablation_stages,
     fig7_from_store,
+    fleet_scaling_from_store,
     render,
     speedup_row,
 )
@@ -171,3 +172,49 @@ class TestLiveAndStoreShareTheCode:
         assert len(titles) == 4
         # the two grids this store lacks degrade to a note
         assert report.count("(not in store: ") == 2
+
+
+@pytest.fixture(scope="module")
+def fleet_store(tmp_path_factory):
+    """The smoke ``fleet_scaling`` grid at widths 1 and 4 and 40 sessions,
+    with one wide pair and the width-4 ``stream-retained`` point: every
+    kind of point its report section must keep apart."""
+    grid = get_profile("smoke").grid("fleet_scaling")
+    keep = {"wide-16-copy", "wide-16-shm", "stream-retained"}
+    small = replace(
+        grid,
+        base={**grid.base, "data.num_sessions": 40},
+        axes={**grid.axes, "reader.num_readers": [1, 4]},
+        include=tuple(p for p in grid.include if p["label"] in keep),
+    )
+    store = RunStore(tmp_path_factory.mktemp("fleet") / "runs.sqlite")
+    return store, run_grid(small, store, profile="test").records
+
+
+class TestStoredFleetScaling:
+    """The report's "Fleet scaling" section once keyed runs by width
+    alone, so the last stored run per width won: a dedup run at width 1,
+    the stream point's 3-partition table at width 4, the batch-24 wide
+    points as the curve's widest widths."""
+
+    def test_each_axis_point_prints_on_its_own_series_line(self, fleet_store):
+        store, records = fleet_store
+        section = render_report(store, "test").split("Fleet scaling")[1].split("\n\n")[0]
+        # the stream point's 3-partition table is no width's throughput
+        stream = next(r for r in records if r.label == "stream-retained")
+        assert f"{stream.metrics['fleet_modeled_samples_per_second']:.1f}" not in section
+        lines = {line.split("  ")[0]: line for line in section.splitlines()[2:]}
+        for r in records:
+            if "label" in r.spec:
+                continue
+            series = r.spec["reader.transport"] + (" dedup" if r.spec["reader.dedup"] else "")
+            line = lines[f"{series} x{r.spec['reader.num_readers']}"]
+            assert f"samples/s {r.metrics['fleet_modeled_samples_per_second']:.1f} " in line
+
+    def test_include_points_stay_out_of_the_curves(self, fleet_store):
+        store, records = fleet_store
+        rows = fleet_scaling_from_store(store, "test")
+        curve_ids = {r.run_id for curve in rows.curves.values() for r in curve.values()}
+        assert curve_ids == {r.run_id for r in records if "label" not in r.spec}
+        assert {t: list(points) for t, points in rows.wide.items()} == {"copy": [16], "shm": [16]}
+        assert [w for curve in rows.curves.values() for w in curve] == [1, 4] * 4

@@ -17,8 +17,9 @@ from repro.experiments.figures import FIGURES, fig3_session_histogram, render
 
 #: stdout of the figure subcommands whose numbers do not depend on the
 #: zlib build (no compressed byte count reaches a printed digit) —
-#: which leaves out fig7, fig10, table3, table4, scribe and accuracy;
-#: recorded at ``tests.conftest.SMALL``
+#: which leaves out fig7, fig10, table3, table4, scribe, accuracy and
+#: freshness (fill cost reads compressed bytes); recorded at
+#: ``tests.conftest.SMALL``
 GOLDEN = json.loads(
     Path(__file__).with_name("golden_figures.json").read_text()
 )
