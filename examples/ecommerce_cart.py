@@ -23,8 +23,9 @@ from repro.datagen import (
     TraceConfig,
     generate_partition,
 )
-from repro.etl import cluster_by_session
+from repro.etl.cluster import cluster_order
 from repro.reader import DataLoaderConfig, convert_rows
+from repro.storage import RowBlock
 from repro.trainer import DLRM, DLRMConfig, TrainerOptFlags
 
 
@@ -71,9 +72,9 @@ def build_schema() -> DatasetSchema:
 
 def main() -> None:
     schema = build_schema()
-    samples = cluster_by_session(
-        generate_partition(schema, 120, TraceConfig(seed=7))
-    )
+    # the trace as one block, clustered by session (O2)
+    trace = RowBlock.from_samples(generate_partition(schema, 120, TraceConfig(seed=7)))
+    samples = trace.take(cluster_order(trace.session_id, trace.timestamp))
     batch_size = 128
     print(f"generated {len(samples)} samples from 120 shopper sessions")
 

@@ -15,7 +15,6 @@ from repro.core import (
     JaggedTensor,
     dedupe_factor,
     measure_feature_stats,
-    measure_samples_per_session,
     measured_dedupe_factor,
     select_features_to_dedup,
 )
@@ -26,7 +25,9 @@ from repro.datagen import (
     TraceConfig,
     generate_partition,
 )
-from repro.etl import cluster_by_session
+from repro.etl import samples_per_session
+from repro.etl.cluster import cluster_order
+from repro.storage import RowBlock
 
 
 def main() -> None:
@@ -56,13 +57,11 @@ def main() -> None:
 
     # validate the model against a real clustered trace
     print("\nvalidation on a generated, clustered trace:")
-    samples = cluster_by_session(
-        generate_partition(schema, 300, TraceConfig(seed=3))
-    )
+    trace = RowBlock.from_samples(generate_partition(schema, 300, TraceConfig(seed=3)))
+    samples = trace.take(cluster_order(trace.session_id, trace.timestamp))
     for f in specs:
-        jt = JaggedTensor.from_lists(
-            [s.sparse[f.name] for s in samples[:B]]
-        )
+        offsets, values = samples[:B].sparse[f.name]
+        jt = JaggedTensor(values, offsets)
         measured = measured_dedupe_factor(jt)
         modeled = dedupe_factor(f.avg_length, B, S, f.d)
         print(
@@ -73,7 +72,7 @@ def main() -> None:
     # from logged samples instead, then select
     print("\nonline characterization (no schema truth):")
     est_stats = measure_feature_stats(samples, [f.name for f in specs])
-    est_S = measure_samples_per_session(samples)
+    est_S = samples_per_session(samples.session_id)
     est_chosen = select_features_to_dedup(est_stats, B, est_S)
     for s_ in est_stats:
         print(

@@ -19,7 +19,7 @@ from .analytics import (
     dedupe_len,
     select_features_to_dedup,
 )
-from .characterize import measure_feature_stats, measure_samples_per_session
+from .characterize import measure_feature_stats
 from .dedup import (
     dedup_grouped_rows,
     dedup_groups,
@@ -71,5 +71,4 @@ __all__ = [
     "select_features_to_dedup",
     "DEFAULT_DEDUPE_THRESHOLD",
     "measure_feature_stats",
-    "measure_samples_per_session",
 ]

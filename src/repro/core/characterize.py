@@ -4,7 +4,8 @@ The §7 workflow starts from per-feature statistics.  The schema "truth"
 is unavailable in production — engineers estimate d(f) (probability a
 value repeats across a session's adjacent samples) and l(f) (mean list
 length) from logged samples.  This module does that estimation, feeding
-:func:`~repro.core.analytics.select_features_to_dedup`.
+:func:`~repro.core.analytics.select_features_to_dedup` beside the
+measured S (:func:`repro.etl.samples_per_session`).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .analytics import FeatureDedupStats
 
-__all__ = ["measure_feature_stats", "measure_samples_per_session"]
+__all__ = ["measure_feature_stats"]
 
 
 def measure_feature_stats(
@@ -60,15 +61,3 @@ def measure_feature_stats(
         avg_len = total_len / count if count else 0.0
         stats.append(FeatureDedupStats(name, avg_len, d))
     return stats
-
-
-def measure_samples_per_session(samples: Sequence) -> float:
-    """Measured S over a sample set (0.0 when empty)."""
-    sessions: set[int] = set()
-    n = 0
-    for s in samples:
-        sessions.add(s.session_id)
-        n += 1
-    if not sessions:
-        return 0.0
-    return n / len(sessions)

@@ -1,22 +1,14 @@
-"""ETL substrate: join, clustering (O2), downsampling (§7)."""
+"""ETL substrate: join, clustering (O2), downsampling (§7) — each a rule
+over a :class:`~repro.storage.rowblock.RowBlock`'s columns, in its own
+module (``join_rows``, ``cluster_order``, ``keep_samples`` /
+``keep_sessions``), that :class:`ETLJob` applies with one ``take``."""
 
-from .cluster import cluster_by_session, is_clustered
-from .downsample import (
-    downsample_per_sample,
-    downsample_per_session,
-    samples_per_session,
-)
-from .join import join_logs
+from .downsample import samples_per_session
 from .pipeline import ETLConfig, ETLJob, ETLResult
 
 __all__ = [
-    "join_logs",
-    "cluster_by_session",
-    "is_clustered",
-    "downsample_per_sample",
-    "downsample_per_session",
-    "samples_per_session",
     "ETLConfig",
     "ETLJob",
     "ETLResult",
+    "samples_per_session",
 ]

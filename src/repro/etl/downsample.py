@@ -6,23 +6,16 @@ RecD proposes dropping *per session* instead: the same retained volume
 concentrates into fewer, complete sessions, raising S and with it every
 DedupeFactor — without affecting model accuracy.
 
-Each policy is a keep-mask over rows (:func:`keep_samples`,
-:func:`keep_sessions`); the row-list helpers apply the same masks.
+Each policy is a keep-mask over a block's rows (:func:`keep_samples`,
+:func:`keep_sessions`); :func:`samples_per_session` is the S they differ
+on, over the same ``session_id`` column.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..datagen.session import Sample
-
-__all__ = [
-    "downsample_per_sample",
-    "downsample_per_session",
-    "keep_samples",
-    "keep_sessions",
-    "samples_per_session",
-]
+__all__ = ["keep_samples", "keep_sessions", "samples_per_session"]
 
 
 def _rng(keep_rate: float, seed: int) -> np.random.Generator:
@@ -48,31 +41,9 @@ def keep_sessions(
     return (_rng(keep_rate, seed).random(sessions.size) < keep_rate)[inverse]
 
 
-def downsample_per_sample(
-    samples: list[Sample], keep_rate: float, seed: int = 0
-) -> list[Sample]:
-    """:func:`keep_samples` applied to a list of rows."""
-    keep = keep_samples(len(samples), keep_rate, seed)
-    return [s for s, k in zip(samples, keep) if k]
-
-
-def downsample_per_session(
-    samples: list[Sample], keep_rate: float, seed: int = 0
-) -> list[Sample]:
-    """:func:`keep_sessions` applied to a list of rows."""
-    keep = keep_sessions(
-        np.array([s.session_id for s in samples], dtype=np.int64),
-        keep_rate,
-        seed,
-    )
-    return [s for s, k in zip(samples, keep) if k]
-
-
-def samples_per_session(samples: list[Sample]) -> float:
-    """Mean S over a partition (the §7 metric the policies differ on)."""
-    if not samples:
+def samples_per_session(session_id: np.ndarray) -> float:
+    """Mean S over rows with these session ids: rows per distinct
+    session (0.0 for no rows)."""
+    if session_id.size == 0:
         return 0.0
-    counts: dict[int, int] = {}
-    for s in samples:
-        counts[s.session_id] = counts.get(s.session_id, 0) + 1
-    return len(samples) / len(counts)
+    return session_id.size / np.unique(session_id).size

@@ -5,21 +5,17 @@ categories and join them on request ID to produce labeled samples.  A
 feature record without an event (the impression never resolved) or an
 event without features is dropped, as a production join would.
 
-The join is a rule over id columns (:func:`join_rows`); the row-list
-helper :func:`join_logs` applies the same rule.
+The join is a rule over id columns (:func:`join_rows`): the drained
+feature messages as one block, the events as one structured array.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
 import numpy as np
 
-from ..datagen.session import Sample
-from ..scribe.message import EventLogRecord, FeatureLogRecord, parse_payloads
 from ..storage.rowblock import RowBlock
 
-__all__ = ["join_logs", "join_rows", "records_as_columns"]
+__all__ = ["join_rows"]
 
 
 def join_rows(
@@ -48,29 +44,3 @@ def join_rows(
     slot = np.searchsorted(ids, wanted, side="right") - 1
     matched = ids[slot] == wanted  # slot -1 wraps to the largest id: no match
     return rows[matched], events["label"][by_id[slot[matched]]]
-
-
-def records_as_columns(
-    features: Iterable[FeatureLogRecord], events: Iterable[EventLogRecord]
-) -> tuple[RowBlock, np.ndarray]:
-    """Record objects as the columns their wire bytes parse to
-    (:func:`~repro.scribe.message.parse_payloads`), each stream in the
-    order given."""
-    return parse_payloads([r.serialize() for r in (*features, *events)])
-
-
-def join_logs(
-    features: Iterable[FeatureLogRecord],
-    events: Iterable[EventLogRecord],
-) -> list[Sample]:
-    """Hash-join the two log streams into training samples.
-
-    Output order follows the *feature* stream (inference-time order),
-    matching the baseline pipeline's "samples ordered by inference time"
-    behaviour that O2 exists to change.
-    """
-    block, event_columns = records_as_columns(features, events)
-    kept, labels = join_rows(block, event_columns, np.arange(len(block)))
-    joined = block.take(kept)
-    joined.label = labels
-    return list(joined)

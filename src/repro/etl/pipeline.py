@@ -3,7 +3,8 @@
 Mirrors §2.1/§4.1: a batch engine ingests the feature and event log
 categories from Scribe, joins them into labeled samples, optionally
 applies RecD's CLUSTER BY session (O2) and a downsampling policy (§7),
-and hands the ordered row set to storage for landing.
+and hands the ordered rows to storage for landing as one
+:class:`~repro.storage.rowblock.RowBlock`.
 """
 
 from __future__ import annotations
@@ -13,11 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..scribe.bus import ScribeCluster
-from ..scribe.message import EventLogRecord, FeatureLogRecord, parse_payloads
+from ..scribe.message import parse_payloads
 from ..storage.rowblock import RowBlock
 from .cluster import cluster_order
 from .downsample import keep_samples, keep_sessions
-from .join import join_rows, records_as_columns
+from .join import join_rows
 
 __all__ = ["ETLConfig", "ETLJob", "ETLResult"]
 
@@ -34,14 +35,24 @@ class ETLConfig:
     downsample_by: str = "sample"
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        # written so that NaN fails too
+        if not 0.0 <= self.keep_rate <= 1.0:
+            raise ValueError(
+                f"ETLConfig.keep_rate must be in [0, 1], got {self.keep_rate!r}"
+            )
+        if self.downsample_by not in ("sample", "session"):
+            raise ValueError(
+                "ETLConfig.downsample_by must be 'sample' or 'session', "
+                f"got {self.downsample_by!r}"
+            )
+
 
 @dataclass
 class ETLResult:
     """The landed row set plus ingest accounting."""
 
-    #: the rows as columns; ``len``, slicing, ``samples[i]`` and
-    #: iteration (lazy :class:`~repro.datagen.session.Sample` rows) work
-    #: as on a list
+    #: the landed rows, in landing order
     samples: RowBlock
     ingest_bytes: int
     joined_rows: int
@@ -78,12 +89,8 @@ class ETLJob:
                 keep = keep_sessions(
                     features.session_id[rows], cfg.keep_rate, cfg.seed
                 )
-            elif cfg.downsample_by == "sample":
-                keep = keep_samples(joined, cfg.keep_rate, cfg.seed)
             else:
-                raise ValueError(
-                    f"unknown downsample_by: {cfg.downsample_by!r}"
-                )
+                keep = keep_samples(joined, cfg.keep_rate, cfg.seed)
             rows, labels = rows[keep], labels[keep]
         if cfg.cluster:
             order = cluster_order(
@@ -97,18 +104,6 @@ class ETLJob:
             ingest_bytes=ingest_bytes,
             joined_rows=joined,
             dropped_rows=joined - rows.size,
-        )
-
-    def run_from_records(
-        self,
-        features: list[FeatureLogRecord],
-        events: list[EventLogRecord],
-        ingest_bytes: int = 0,
-    ) -> ETLResult:
-        """Land record objects; output order follows ``features``."""
-        block, event_columns = records_as_columns(features, events)
-        return self._land(
-            block, event_columns, np.arange(len(block)), ingest_bytes
         )
 
     def run_from_payloads(

@@ -46,8 +46,9 @@ from ..datagen.schema import DatasetSchema, FeatureKind, SparseFeatureSpec
 from ..datagen.session import sample_session_sizes, session_size_stats
 from ..datagen.workloads import RMWorkload, all_workloads, rm1, rm2
 from ..distributed import DistributedTrainer, TrainerCostConstants, sim_cluster
-from ..etl import cluster_by_session, samples_per_session
-from ..etl import downsample_per_sample, downsample_per_session
+from ..etl import samples_per_session
+from ..etl.cluster import cluster_order
+from ..etl.downsample import keep_samples, keep_sessions
 from ..metrics.breakdown import IterationBreakdown, ReaderCpuBreakdown
 from ..metrics.ledger import ByteLedger
 from ..pipeline.config import RecDToggles
@@ -55,7 +56,7 @@ from ..pipeline.session import MultiJobResult, PipelineResult, Session, land_tab
 from ..pipeline.spec import DataSpec, JobSpec, StreamSpec, TrainSpec
 from ..reader import convert_rows
 from ..reader.node import ReaderNode
-from ..storage import IntEncoding, best_encoding, encode_int64
+from ..storage import IntEncoding, RowBlock, best_encoding, encode_int64
 from ..trainer import DLRM, DLRMConfig, TrainerOptFlags
 from .profiles import ABLATION_STAGES, CLUSTERED, DEDUP_EMB
 from .runner import headline_metrics
@@ -723,13 +724,14 @@ def partial_vs_exact(num_sessions: int, seed: int) -> PartialResult:
             ),  # shifts often: partial's sweet spot
         )
     )
-    samples = TraceGenerator(
-        schema, TraceConfig(seed=seed)
-    ).generate_partition(num_sessions)
-    # cluster so duplicates are batch-local
-    samples.sort(key=lambda s: (s.session_id, s.timestamp))
-    rows = [s.sparse["hist"] for s in samples]
-    jt = JaggedTensor.from_lists(rows)
+    rows = RowBlock.from_samples(
+        TraceGenerator(schema, TraceConfig(seed=seed)).generate_partition(num_sessions)
+    )
+    # cluster so duplicates are batch-local: by session id, then time
+    # (not cluster_order, which orders sessions by their first timestamp)
+    rows = rows.take(np.lexsort((rows.timestamp, rows.session_id)))
+    offsets, values = rows.sparse["hist"]
+    jt = JaggedTensor(values, offsets)
     exact = measured_dedupe_factor(jt)
     partial = PartialJaggedTensor.from_jagged(jt).dedupe_factor()
     return PartialResult(
@@ -749,18 +751,21 @@ def per_session_downsampling(num_sessions: int, seed: int) -> dict[str, dict[str
     high at about the same retained volume."""
     _require_sessions(num_sessions)
     schema = DatasetSchema(sparse=(SparseFeatureSpec("hist", avg_length=24, change_prob=0.05),))
-    samples = TraceGenerator(schema, TraceConfig(seed=seed)).generate_partition(num_sessions)
-    rows = {"full partition": {"samples": len(samples), "S": samples_per_session(samples)}}
-    for label, policy in (
-        ("per-sample (base)", downsample_per_sample),
-        ("per-session (§7)", downsample_per_session),
+    full = RowBlock.from_samples(
+        TraceGenerator(schema, TraceConfig(seed=seed)).generate_partition(num_sessions)
+    )
+    rows = {"full partition": {"samples": len(full), "S": samples_per_session(full.session_id)}}
+    for label, keep in (
+        ("per-sample (base)", keep_samples(len(full), 0.3, seed=1)),
+        ("per-session (§7)", keep_sessions(full.session_id, 0.3, seed=1)),
     ):
-        kept = policy(samples, 0.3, seed=1)
-        batch = [s.sparse["hist"] for s in cluster_by_session(kept)[:4096]]
+        kept = full.take(np.flatnonzero(keep))
+        batch = kept.take(cluster_order(kept.session_id, kept.timestamp)[:4096])
+        offsets, values = batch.sparse["hist"]
         rows[label] = {
             "samples": len(kept),
-            "S": samples_per_session(kept),
-            "dedupe factor": measured_dedupe_factor(JaggedTensor.from_lists(batch)),
+            "S": samples_per_session(kept.session_id),
+            "dedupe factor": measured_dedupe_factor(JaggedTensor(values, offsets)),
         }
     return rows
 
@@ -802,7 +807,8 @@ def comm_overlap_sweep(scale: float, num_sessions: int, seed: int) -> dict[str, 
     overlaps nothing, which is why Fig 7's trainer cells overshoot."""
     w = rm1(scale)
     B, trace = w.baseline_batch_size, TraceGenerator(w.schema, TraceConfig(seed=seed))
-    samples = cluster_by_session(trace.generate_partition(num_sessions))
+    rows = RowBlock.from_samples(trace.generate_partition(num_sessions))
+    samples = rows.take(cluster_order(rows.session_id, rows.timestamp))
     jobs = [
         _spec(w, toggles, num_sessions, seed, {"transforms": ()}, batch_size=B)
         for toggles in (_BASELINE, _RECD)

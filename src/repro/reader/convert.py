@@ -13,7 +13,6 @@ conversion; everything else becomes plain KJTs.  Work accounting:
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,7 @@ from ..core.ikjt import InverseKeyedJaggedTensor
 from ..core.jagged import JaggedTensor
 from ..core.kjt import KeyedJaggedTensor
 from ..core.partial import PartialKeyedJaggedTensor
-from ..storage.rowblock import RowBlock
+from ..storage.rowblock import RowBlock, require_block
 from .batch import Batch
 from .config import DataLoaderConfig
 
@@ -38,23 +37,23 @@ class ConvertStats:
 
 
 def convert_rows(
-    rows: RowBlock | Sequence, config: DataLoaderConfig
+    rows: RowBlock, config: DataLoaderConfig
 ) -> tuple[Batch, ConvertStats]:
     """Convert one filled batch of rows into tensors per the job config.
 
-    ``rows`` is the fill step's :class:`~repro.storage.rowblock.RowBlock`;
-    a sequence of row objects (tests, examples) is columnarised first.
+    ``rows`` is the fill step's :class:`~repro.storage.rowblock.RowBlock`.
     Every tensor is built over the block's columns — no per-row work,
     and none per dedup group — and none aliases the block, so batches
     cut from one stripe never alias each other; the IKJT tensors of one
     batch are slices of buffers that batch alone owns.
+
+    Raises:
+        TypeError: if ``rows`` is not a :class:`RowBlock`.
+        ValueError: if the block has no rows.
     """
+    require_block(rows, "convert_rows")
     if not rows:
         raise ValueError("cannot convert an empty batch")
-    if not isinstance(rows, RowBlock):
-        rows = RowBlock.from_samples(
-            rows, config.all_sparse_names, config.dense_features
-        )
     num_rows = len(rows)
     stats = ConvertStats()
 

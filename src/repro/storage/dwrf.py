@@ -24,7 +24,6 @@ where ``blob`` is a framed, compressed byte string
 from __future__ import annotations
 
 import struct
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import groupby, pairwise
 from typing import NamedTuple
@@ -33,12 +32,11 @@ import numpy as np
 
 from ..core.jagged import offsets_from_lengths
 from ..datagen.schema import DatasetSchema
-from ..datagen.session import Sample
 from .compression import Codec, compress_many, decompress
 from .encoding import IntEncoding, decode_int64_chunks, encode_int64_chunks
-from .rowblock import RowBlock
+from .rowblock import RowBlock, require_block
 
-__all__ = ["DwrfWriter", "DwrfReader", "StripeStats", "FileStats"]
+__all__ = ["DwrfWriter", "DwrfReader", "StripeStats", "FileStats", "concat_rows"]
 
 MAGIC = b"DWRF"
 _FILE_HEADER = struct.Struct("<4sHI")
@@ -51,6 +49,17 @@ _SESSION = "__session_id"
 _TIMESTAMP = "__timestamp"
 _LABEL = "__label"
 _SAMPLE_ID = "__sample_id"
+
+
+def concat_rows(schema: DatasetSchema, blocks: list[RowBlock]) -> RowBlock:
+    """``blocks`` back to back (:meth:`RowBlock.concat`); no blocks at all
+    is a zero-row block carrying every ``schema`` column, which
+    ``concat`` cannot build."""
+    if blocks:
+        return RowBlock.concat(blocks)
+    return RowBlock.from_samples(
+        (), [s.name for s in schema.sparse], [d.name for d in schema.dense]
+    )
 
 
 @dataclass
@@ -108,31 +117,24 @@ class DwrfWriter:
         self.codec = codec
         self.int_encoding = int_encoding
 
-    def write(
-        self, rows: RowBlock | Sequence[Sample]
-    ) -> tuple[bytes, FileStats]:
-        """Serialize the rows into one file blob, ``stripe_rows`` rows
-        per stripe; returns the blob and its per-stripe accounting.
+    def write(self, block: RowBlock) -> tuple[bytes, FileStats]:
+        """Serialize the block's rows into one file blob, ``stripe_rows``
+        rows per stripe; returns the blob and its per-stripe accounting.
 
         The rows move as columns: each schema column is encoded once
         for the file and cut at the stripe boundaries
-        (:func:`~repro.storage.encoding.encode_int64_chunks`).  A
-        sequence of :class:`Sample` rows is columnarised once, here; a
-        schema feature the block does not carry is written as absent
-        (empty lists / ``0.0``).  Every stream of every stripe is then
+        (:func:`~repro.storage.encoding.encode_int64_chunks`); a schema
+        feature the block does not carry is written as absent (empty
+        lists / ``0.0``).  Every stream of every stripe is then
         compressed in one ordered
         :func:`~repro.storage.compression.compress_many` call (on the
         compression pool), and the stripes are assembled in order.
+
+        Raises:
+            TypeError: if ``block`` is not a :class:`RowBlock`.
         """
+        require_block(block, "DwrfWriter.write")
         schema = self.schema
-        if isinstance(rows, RowBlock):
-            block = rows
-        else:
-            block = RowBlock.from_samples(
-                rows,
-                [s.name for s in schema.sparse],
-                [d.name for d in schema.dense],
-            )
         n = len(block)
         bounds = np.minimum(
             np.arange(0, n + self.stripe_rows, self.stripe_rows), n
@@ -225,8 +227,8 @@ class DwrfReader:
 
     A decoded stripe is handed on as a :class:`~repro.storage.rowblock.
     RowBlock` — the streams' arrays themselves, never per-row objects;
-    :meth:`read_all` materializes rows for the cold callers that want
-    them.  Stripes are decoded a *run* at a time, mirroring how the
+    :meth:`read_all` hands the whole file on as one block.  Stripes are
+    decoded a *run* at a time, mirroring how the
     writer encodes a column once per file: a caller about to read
     consecutive stripes says so once (:meth:`plan_run`), each stream of
     the run is then decoded in one pass, and :meth:`read_stripe` hands
@@ -466,9 +468,10 @@ class DwrfReader:
             stripes, block, bounds.tolist(), [work for _, work in fetched]
         )
 
-    def read_all(self) -> list[Sample]:
-        """Every row in the file, in stripe order (the serial scan)."""
-        out: list[Sample] = []
-        for index in self.plan_run(0, self.num_stripes):
-            out.extend(self.read_stripe(index))
-        return out
+    def read_all(self) -> RowBlock:
+        """Every row in the file, in stripe order, as one block (the
+        serial scan; a file of no stripes reads as zero rows)."""
+        return concat_rows(
+            self.schema,
+            [self.read_stripe(i) for i in self.plan_run(0, self.num_stripes)],
+        )

@@ -8,15 +8,13 @@ order the ETL job handed it.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from ..datagen.schema import DatasetSchema
-from ..datagen.session import Sample
 from .compression import Codec
-from .dwrf import DwrfReader, DwrfWriter
+from .dwrf import DwrfReader, DwrfWriter, concat_rows
 from .encoding import IntEncoding
-from .rowblock import RowBlock
+from .rowblock import RowBlock, require_block
 from .tectonic import TectonicFS
 
 __all__ = ["HiveTable", "PartitionInfo"]
@@ -71,13 +69,18 @@ class HiveTable:
     def land_partition(
         self,
         partition: str,
-        samples: RowBlock | Sequence[Sample],
+        samples: RowBlock,
         rows_per_file: int | None = None,
     ) -> PartitionInfo:
-        """Write one partition's rows (a block, or a sequence of row
-        objects), in the order given, as DWRF files of ``rows_per_file``
-        rows (default: the table's own size; a streaming lander passes
-        its smaller micro-partition size)."""
+        """Write one partition's rows, in the block's order, as DWRF
+        files of ``rows_per_file`` rows (default: the table's own size;
+        a streaming lander passes its smaller micro-partition size).
+
+        Raises:
+            TypeError: if ``samples`` is not a :class:`RowBlock`.
+            ValueError: if the partition has already landed.
+        """
+        require_block(samples, "HiveTable.land_partition")
         if partition in self.partitions:
             raise ValueError(f"partition {partition} already landed")
         if rows_per_file is None:
@@ -141,11 +144,7 @@ class HiveTable:
         want = max(1, -(-old.num_rows // self.rows_per_file))
         if len(old.files) <= want:
             return 0
-        rows = RowBlock.concat(
-            reader.read_stripe(i)
-            for reader in self.open_readers(partition)
-            for i in reader.plan_run(0, reader.num_stripes)
-        )
+        rows = self.read_partition(partition)
         order = list(self.partitions)
         for path in old.files:
             self.fs.delete(path)
@@ -181,12 +180,13 @@ class HiveTable:
             DwrfReader(self.fs.read(path), self.schema) for path in info.files
         ]
 
-    def read_partition(self, partition: str) -> list[Sample]:
-        """Every row of the partition, in landed order (serial scan)."""
-        out: list[Sample] = []
-        for reader in self.open_readers(partition):
-            out.extend(reader.read_all())
-        return out
+    def read_partition(self, partition: str) -> RowBlock:
+        """Every row of the partition, in landed order, as one block
+        (the serial scan; a partition of no files reads as zero rows)."""
+        return concat_rows(
+            self.schema,
+            [reader.read_all() for reader in self.open_readers(partition)],
+        )
 
     def partition_stored_bytes(self, partition: str) -> int:
         """Bytes the partition's files occupy on the filesystem."""

@@ -1,14 +1,16 @@
-"""RowBlock — a run of rows held as columns.
+"""RowBlock — a run of rows held as columns, the one row shape past the
+trace generator.
 
 Storage is columnar (one stream per flattened feature, §2.1) and the
-reader's output tensors are columnar (``values`` / ``offsets``), so the
-hot read path never needs a row object in between: a decoded stripe
-*is* a :class:`RowBlock`, a batch is a slice (or a concatenation of
-slices) of blocks, and feature conversion wraps the block's columns as
-jagged tensors.  Row objects (:class:`~repro.datagen.session.Sample`)
-are materialized only on demand — by iterating or integer-indexing a
-block — for the cold callers that want them (serial partition scans,
-compaction, tests).
+reader's output tensors are columnar (``values`` / ``offsets``), so no
+row object is needed in between: the ETL job lands a block, the DWRF
+writer encodes a block, a decoded stripe *is* a block, a batch is a
+slice (or a concatenation of slices) of blocks, and feature conversion
+wraps the block's columns as jagged tensors.  The generator's row
+objects (:class:`~repro.datagen.session.Sample`) become columns once,
+through :meth:`RowBlock.from_samples`; iterating or integer-indexing a
+block materializes them again for the cold callers that want rows
+(scribe logging, feature characterization, tests).
 """
 
 from __future__ import annotations
@@ -22,7 +24,18 @@ from ..core.jagged import JaggedTensor
 from ..core.jagged_ops import gather_ranges
 from ..datagen.session import Sample
 
-__all__ = ["RowBlock"]
+__all__ = ["RowBlock", "require_block"]
+
+
+def require_block(rows, where: str) -> None:
+    """Raise ``TypeError`` unless ``rows`` is a :class:`RowBlock` — the
+    only row shape ``where`` (a write, land or convert entry point)
+    takes."""
+    if not isinstance(rows, RowBlock):
+        raise TypeError(
+            f"{where} takes a RowBlock, got {type(rows).__name__}; "
+            "columnarise row objects once with RowBlock.from_samples"
+        )
 
 
 @dataclass(eq=False)

@@ -34,10 +34,11 @@ storage.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from collections.abc import Iterable
+
+import numpy as np
 
 from ..datagen.generator import TraceConfig, TraceGenerator
-from ..datagen.session import Sample
 from ..etl.pipeline import ETLConfig, ETLJob
 from ..scribe.bus import ScribeCluster
 from ..scribe.message import split_sample
@@ -136,14 +137,13 @@ class Lander:
     Attributes:
         table: the job's :class:`~repro.storage.hive.HiveTable`
             (empty until the first landing).
-        samples: the rows partitions are cut from — the ETL output of
-            a static job (a :class:`~repro.storage.rowblock.RowBlock`:
-            no row object exists between the scribe drain and the
-            landed files), the re-stamped trace in event-time order of
-            a streamed one (a list of generated rows, still to be
-            logged).  ``len`` and slicing work on both, and the length
-            is the row count ground truth for admission validation
-            either way.
+        samples: the rows partitions are cut from, as one
+            :class:`~repro.storage.rowblock.RowBlock` — the ETL output
+            of a static job (no row object exists between the scribe
+            drain and the landed files), the re-stamped trace in
+            event-time order of a streamed one (still to be logged).
+            Its length is the row count ground truth for admission
+            validation either way.
         scribe: the lander's transport cluster; a streamed job's
             ``stats`` accrue tick by tick.
         partitions: every landed
@@ -195,24 +195,23 @@ class Lander:
         self.ingest_bytes = 0
         self._landed = 0
         if self.stream is None:
-            self.samples: RowBlock | list[Sample] = self._transport(trace)
+            self.samples = self._transport(trace)
             self.slices = partition_slices(
                 len(self.samples), d.num_partitions
             )
         else:
             self.slices = partition_slices(len(trace), d.num_partitions)
+            # the generator's own feature order: scribe messages list
+            # features in the order the rows carry them
+            self.samples = RowBlock.from_samples(trace)
+            start, stop = np.array(self.slices, dtype=np.int64).T
+            n = stop - start
+            tick = np.repeat(np.arange(n.size), n)
+            j = np.arange(tick.size) - start[tick]
             interval = self.stream.interval_seconds
-            self.samples = []
-            for i, (start, stop) in enumerate(self.slices):
-                n = stop - start
-                for j, s in enumerate(trace[start:stop]):
-                    self.samples.append(
-                        replace(
-                            s,
-                            timestamp=i * interval
-                            + (j + 1) / n * interval,
-                        )
-                    )
+            self.samples.timestamp = (
+                tick * interval + (j + 1) / n[tick] * interval
+            )
 
     @property
     def num_partitions(self) -> int:
@@ -312,9 +311,11 @@ class Lander:
         bit for bit."""
         return self.land_through(len(self.slices) - 1)
 
-    def _transport(self, rows: list[Sample]) -> RowBlock:
-        """One tick's rows through scribe and the ETL join: log to the
-        cluster, :meth:`~repro.scribe.bus.ScribeCluster.seal` the tick
+    def _transport(self, rows: Iterable) -> RowBlock:
+        """One tick's rows through scribe and the ETL join: log each
+        generated row (the trace's own objects, or a streamed block's
+        rows materialized one at a time) to the cluster,
+        :meth:`~repro.scribe.bus.ScribeCluster.seal` the tick
         boundary, drain the sealed blocks, and join them
         (:meth:`~repro.etl.pipeline.ETLJob.run_from_payloads`).  The
         tick's ingest is the compressed bytes it added to the

@@ -22,10 +22,10 @@ from repro.datagen import (
     generate_partition,
     rm1,
 )
-from repro.etl import cluster_by_session
+from repro.etl.cluster import cluster_order
 from repro.experiments import FIGURES
 from repro.pipeline import Session
-from repro.storage import HiveTable, TectonicFS
+from repro.storage import HiveTable, RowBlock, TectonicFS
 
 __all__ = [
     "SMALL",
@@ -101,21 +101,25 @@ def make_trace(
     sessions: int = 60,
     seed: int = 0,
     clustered: bool = False,
-):
-    """Generate one partition's samples, optionally session-clustered (O2)."""
-    samples = generate_partition(schema, sessions, TraceConfig(seed=seed))
+) -> RowBlock:
+    """Generate one partition's samples as one block (columnarised once),
+    optionally session-clustered (O2)."""
+    rows = RowBlock.from_samples(
+        generate_partition(schema, sessions, TraceConfig(seed=seed))
+    )
     if clustered:
-        samples = cluster_by_session(samples)
-    return samples
+        rows = rows.take(cluster_order(rows.session_id, rows.timestamp))
+    return rows
 
 
 def land_samples(
     schema: DatasetSchema,
-    samples,
+    samples: RowBlock,
     rows_per_file: int = 4096,
     stripe_rows: int = 256,
 ) -> HiveTable:
-    """Land ``samples`` as partition ``"p"`` of an in-memory table ``"t"``."""
+    """Land the block ``samples`` as partition ``"p"`` of an in-memory
+    table ``"t"``."""
     table = HiveTable(
         "t",
         schema,

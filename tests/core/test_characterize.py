@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    measure_feature_stats,
-    measure_samples_per_session,
-    select_features_to_dedup,
-)
+from repro.core import measure_feature_stats, select_features_to_dedup
 from repro.datagen import (
     DatasetSchema,
     FeatureKind,
@@ -16,6 +12,8 @@ from repro.datagen import (
     generate_partition,
 )
 from repro.datagen.session import Sample
+from repro.etl import samples_per_session
+from repro.storage import RowBlock
 
 
 def _sample(sid, ts, **sparse):
@@ -110,7 +108,7 @@ class TestMeasureFeatureStats:
         )
         samples = generate_partition(schema, 200, TraceConfig(seed=18))
         stats = measure_feature_stats(samples, ["hot", "cold"])
-        s = measure_samples_per_session(samples)
+        s = samples_per_session(RowBlock.from_samples(samples).session_id)
         chosen = select_features_to_dedup(stats, batch_size=1024,
                                           samples_per_session=s)
         assert chosen == ["hot"]
@@ -118,10 +116,11 @@ class TestMeasureFeatureStats:
 
 class TestSamplesPerSession:
     def test_empty(self):
-        assert measure_samples_per_session([]) == 0.0
+        assert samples_per_session(np.empty(0, dtype=np.int64)) == 0.0
 
     def test_basic(self):
         samples = [
             _sample(0, 1.0), _sample(0, 2.0), _sample(1, 3.0),
         ]
-        assert measure_samples_per_session(samples) == pytest.approx(1.5)
+        block = RowBlock.from_samples(samples)
+        assert samples_per_session(block.session_id) == pytest.approx(1.5)

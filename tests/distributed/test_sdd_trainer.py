@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 
 from repro.core import InverseKeyedJaggedTensor, KeyedJaggedTensor
-from repro.datagen import TraceConfig, generate_partition, rm1
+from repro.datagen import rm1
 from repro.distributed import (
     DistributedTrainer,
     plan_sharding,
     sdd_volume,
     sim_cluster,
 )
-from repro.etl import cluster_by_session
 from repro.reader import Batch, DataLoaderConfig, convert_rows
 from repro.trainer import DLRM, DLRMConfig, TrainerOptFlags
+from tests.conftest import make_trace
 
 
 def dup_kjt(batch=12, values_per_row=6):
@@ -74,9 +74,7 @@ class TestSDDVolume:
 
 
 def _batches(w, dedup, batch_size, n=2, seed=0):
-    samples = cluster_by_session(
-        generate_partition(w.schema, 150, TraceConfig(seed=seed))
-    )
+    samples = make_trace(w.schema, sessions=150, seed=seed, clustered=True)
     if dedup:
         cfg = DataLoaderConfig(
             batch_size=batch_size,

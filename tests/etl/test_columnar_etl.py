@@ -4,8 +4,10 @@
 implementation as the oracle.  Whatever crosses a scribe cluster —
 features without events, duplicate events, timestamp ties, rows missing
 features — both must land the same rows in the same order, under every
-policy; and between the scribe drain and the last file write of a
-static job the columnar path builds no row or record object at all.
+policy; each block rule (``join_rows``, ``cluster_order``, the keep
+masks) picks the rows its row-list counterpart did; and between the
+scribe drain and the last file write of a static job the columnar path
+builds no row or record object at all.
 """
 
 import numpy as np
@@ -15,14 +17,10 @@ from hypothesis import strategies as st
 
 from repro.datagen import rm1
 from repro.datagen.session import Sample
-from repro.etl import (
-    ETLConfig,
-    ETLJob,
-    cluster_by_session,
-    downsample_per_sample,
-    downsample_per_session,
-    join_logs,
-)
+from repro.etl import ETLConfig, ETLJob
+from repro.etl.cluster import cluster_order
+from repro.etl.downsample import keep_samples, keep_sessions
+from repro.etl.join import join_rows
 from repro.pipeline import (
     DataSpec,
     JobSpec,
@@ -36,6 +34,7 @@ from repro.scribe import (
     FeatureLogRecord,
     ScribeCluster,
     ShardKeyPolicy,
+    parse_payloads,
 )
 from repro.storage import RowBlock, TectonicFS
 
@@ -142,43 +141,48 @@ def test_scribe_to_rows_matches_the_row_etl(
     assert result.dropped_rows == joined - len(want)
 
 
+def _join_rows(features, events) -> RowBlock:
+    """:func:`join_rows` over the records' wire bytes, in the feature
+    stream's own order (no sort by time)."""
+    block, event_columns = parse_payloads(
+        [r.serialize() for r in (*features, *events)]
+    )
+    kept, labels = join_rows(block, event_columns, np.arange(len(block)))
+    joined = block.take(kept)
+    joined.label = labels
+    return joined
+
+
 @settings(deadline=None)
-@given(_logs(), _configs)
-def test_records_to_rows_matches_the_row_etl(logs, config):
-    """``run_from_records`` keeps the feature stream's own order (no
-    sort by time), and ``join_logs`` is its no-policy case."""
-    features, events = logs
-    result = ETLJob(config).run_from_records(features, events, ingest_bytes=7)
-    _assert_rows_equal(
-        result.samples, ref.run_from_records(config, features, events)
-    )
-    assert result.ingest_bytes == 7
-    joined = join_logs(features, events)
-    assert all(isinstance(s, Sample) for s in joined)
-    _assert_rows_equal(
-        RowBlock.from_samples(joined, _SPARSE, _DENSE),
-        ref.join_logs(features, events),
-    )
+@given(_logs())
+def test_records_to_rows_matches_the_row_etl(logs):
+    """:func:`join_rows` over the records' columns: feature rows without
+    an event drop, the last event's label wins, and the feature stream's
+    order is kept — as the row join did."""
+    _assert_rows_equal(_join_rows(*logs), ref.join_logs(*logs))
 
 
 @settings(deadline=None)
 @given(_logs(), st.sampled_from([1.0, 0.5, 0.0]), st.integers(0, 3))
-def test_list_helpers_return_the_reference_rows_themselves(logs, rate, seed):
-    """The list-level helpers pick and order the *same objects* the
-    row-based ones did — they only call the index-level rule."""
+def test_block_rules_pick_the_reference_rows(logs, rate, seed):
+    """``cluster_order`` and the keep masks pick and order the rows the
+    row-list policies did, over the same rows as columns."""
     samples = ref.join_logs(*logs)
-    for ours, theirs in [
-        (cluster_by_session(samples), ref.cluster_by_session(samples)),
-        (
-            downsample_per_sample(samples, rate, seed),
-            ref.downsample_per_sample(samples, rate, seed),
-        ),
-        (
-            downsample_per_session(samples, rate, seed),
-            ref.downsample_per_session(samples, rate, seed),
-        ),
-    ]:
-        assert [id(s) for s in ours] == [id(s) for s in theirs]
+    block = RowBlock.from_samples(samples, _SPARSE, _DENSE)
+    position = {id(s): i for i, s in enumerate(samples)}
+
+    def picked(rows):
+        return [position[id(s)] for s in rows]
+
+    assert cluster_order(block.session_id, block.timestamp).tolist() == (
+        picked(ref.cluster_by_session(samples))
+    )
+    assert np.flatnonzero(keep_samples(len(block), rate, seed)).tolist() == (
+        picked(ref.downsample_per_sample(samples, rate, seed))
+    )
+    assert np.flatnonzero(keep_sessions(block.session_id, rate, seed)).tolist() == (
+        picked(ref.downsample_per_session(samples, rate, seed))
+    )
 
 
 def test_last_event_wins_and_unmatched_rows_drop():
@@ -192,7 +196,7 @@ def test_last_event_wins_and_unmatched_rows_drop():
         EventLogRecord(9, 0, 0.0, 1),  # no such request
         EventLogRecord(1, 0, 0.0, 1),  # supersedes the first
     ]
-    out = ETLJob().run_from_records(features, events).samples
+    out = _join_rows(features, events)
     assert out.sample_id.tolist() == [3, 1]
     assert out.label.tolist() == [1, 1]
 

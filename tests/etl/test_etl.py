@@ -9,21 +9,15 @@ from repro.datagen import (
     TraceConfig,
     generate_partition,
 )
-from repro.etl import (
-    ETLConfig,
-    ETLJob,
-    cluster_by_session,
-    downsample_per_sample,
-    downsample_per_session,
-    is_clustered,
-    join_logs,
-    samples_per_session,
-)
+from repro.etl import ETLConfig, ETLJob, samples_per_session
+from repro.etl.cluster import cluster_order
+from repro.etl.downsample import keep_samples, keep_sessions
 from repro.scribe import (
     ScribeCluster,
     ShardKeyPolicy,
     split_sample,
 )
+from repro.storage import RowBlock
 
 
 def _schema():
@@ -34,11 +28,33 @@ def _trace(n=60, seed=0):
     return generate_partition(_schema(), n, TraceConfig(seed=seed))
 
 
+def _block(n=60, seed=0) -> RowBlock:
+    return RowBlock.from_samples(_trace(n, seed))
+
+
+def _clustered(block: RowBlock) -> RowBlock:
+    return block.take(cluster_order(block.session_id, block.timestamp))
+
+
+def _is_clustered(session_id: np.ndarray) -> bool:
+    """True when every session's rows form one contiguous run."""
+    starts = np.flatnonzero(np.diff(session_id)) + 1
+    runs = session_id[np.concatenate([[0], starts])] if session_id.size else session_id
+    return np.unique(runs).size == runs.size
+
+
+def _join(features, events) -> RowBlock:
+    """The ETL join, no policy, of two record streams logged in
+    inference-time order: the feature rows that have an event, labelled."""
+    payloads = [r.serialize() for r in (*features, *events)]
+    return ETLJob().run_from_payloads(payloads, ingest_bytes=0).samples
+
+
 class TestJoin:
     def test_join_matches_ground_truth(self):
         samples = _trace(20)
         feats, evs = zip(*(split_sample(s) for s in samples))
-        joined = join_logs(feats, evs)
+        joined = _join(feats, evs)
         assert len(joined) == len(samples)
         for a, b in zip(joined, samples):
             assert a.sample_id == b.sample_id
@@ -48,97 +64,88 @@ class TestJoin:
     def test_unmatched_features_dropped(self):
         samples = _trace(10)
         feats, evs = zip(*(split_sample(s) for s in samples))
-        joined = join_logs(feats, evs[:5])
+        joined = _join(feats, evs[:5])
         matched_ids = {e.request_id for e in evs[:5]}
-        assert {s.sample_id for s in joined} == matched_ids
+        assert set(joined.sample_id.tolist()) == matched_ids
 
     def test_unmatched_events_ignored(self):
         samples = _trace(10)
         feats, evs = zip(*(split_sample(s) for s in samples))
-        joined = join_logs(feats[:3], evs)
+        joined = _join(feats[:3], evs)
         assert len(joined) == 3
 
     def test_preserves_feature_order(self):
         samples = _trace(30)
         feats, evs = zip(*(split_sample(s) for s in samples))
-        joined = join_logs(feats, evs)
-        assert [s.sample_id for s in joined] == [s.sample_id for s in samples]
+        joined = _join(feats, evs)
+        assert joined.sample_id.tolist() == [s.sample_id for s in samples]
 
 
 class TestCluster:
     def test_clustering_makes_clustered(self):
-        samples = _trace(100)
-        assert not is_clustered(samples)  # interleaved by construction
-        clustered = cluster_by_session(samples)
-        assert is_clustered(clustered)
+        block = _block(100)
+        assert not _is_clustered(block.session_id)  # interleaved by construction
+        assert _is_clustered(_clustered(block).session_id)
 
     def test_clustering_preserves_rows(self):
-        samples = _trace(50)
-        clustered = cluster_by_session(samples)
-        assert sorted(s.sample_id for s in clustered) == sorted(
-            s.sample_id for s in samples
-        )
+        block = _block(50)
+        order = cluster_order(block.session_id, block.timestamp)
+        assert sorted(order.tolist()) == list(range(len(block)))
 
     def test_within_session_timestamp_order(self):
-        clustered = cluster_by_session(_trace(50))
-        prev_sid, prev_ts = None, None
-        for s in clustered:
-            if s.session_id == prev_sid:
-                assert s.timestamp >= prev_ts
-            prev_sid, prev_ts = s.session_id, s.timestamp
+        clustered = _clustered(_block(50))
+        same = clustered.session_id[1:] == clustered.session_id[:-1]
+        assert (np.diff(clustered.timestamp)[same] >= 0).all()
 
     def test_sessions_ordered_by_first_timestamp(self):
-        clustered = cluster_by_session(_trace(50))
-        firsts = []
-        seen = set()
-        for s in clustered:
-            if s.session_id not in seen:
-                seen.add(s.session_id)
-                firsts.append(s.timestamp)
-        assert firsts == sorted(firsts)
+        clustered = _clustered(_block(50))
+        _, first = np.unique(clustered.session_id, return_index=True)
+        firsts = clustered.timestamp[np.sort(first)]
+        assert (np.diff(firsts) >= 0).all()
 
     def test_is_clustered_detects_split_runs(self):
-        samples = _trace(30)
-        clustered = cluster_by_session(samples)
-        broken = clustered[1:] + clustered[:1]  # splits the first session
-        assert not is_clustered(broken)
+        """The contiguity check the tests above lean on is not vacuous."""
+        sid = _clustered(_block(30)).session_id
+        broken = np.concatenate([sid[1:], sid[:1]])  # splits the first session
+        assert not _is_clustered(broken)
 
     def test_empty(self):
-        assert cluster_by_session([]) == []
-        assert is_clustered([])
+        empty = _block(0)
+        assert cluster_order(empty.session_id, empty.timestamp).size == 0
+        assert _is_clustered(empty.session_id)
 
 
 class TestDownsample:
     def test_rates_comparable_but_s_differs(self):
         """§7: per-session downsampling keeps S high; per-sample collapses
         it — at similar retained volume."""
-        samples = _trace(300, seed=5)
-        per_sample = downsample_per_sample(samples, 0.25, seed=1)
-        per_session = downsample_per_session(samples, 0.25, seed=1)
+        sid = _block(300, seed=5).session_id
+        per_sample = sid[keep_samples(sid.size, 0.25, seed=1)]
+        per_session = sid[keep_sessions(sid, 0.25, seed=1)]
         # similar volume (within 2x)
-        assert 0.5 < len(per_sample) / max(len(per_session), 1) < 2.0
+        assert 0.5 < per_sample.size / max(per_session.size, 1) < 2.0
         assert samples_per_session(per_session) > samples_per_session(
             per_sample
         ) * 2
 
     def test_keep_all(self):
-        samples = _trace(10)
-        assert downsample_per_sample(samples, 1.0) == samples
-        assert len(downsample_per_session(samples, 1.0)) == len(samples)
+        sid = _block(10).session_id
+        assert keep_samples(sid.size, 1.0).all()
+        assert keep_sessions(sid, 1.0).all()
 
     def test_keep_none(self):
-        samples = _trace(10)
-        assert downsample_per_sample(samples, 0.0) == []
-        assert downsample_per_session(samples, 0.0) == []
+        sid = _block(10).session_id
+        assert not keep_samples(sid.size, 0.0).any()
+        assert not keep_sessions(sid, 0.0).any()
 
     def test_invalid_rate(self):
         with pytest.raises(ValueError):
-            downsample_per_sample([], 1.5)
+            keep_samples(0, 1.5)
         with pytest.raises(ValueError):
-            downsample_per_session([], -0.1)
+            keep_sessions(np.empty(0, dtype=np.int64), -0.1)
 
     def test_samples_per_session_empty(self):
-        assert samples_per_session([]) == 0.0
+        assert samples_per_session(np.empty(0, dtype=np.int64)) == 0.0
 
 
 class TestETLJob:
@@ -158,31 +165,27 @@ class TestETLJob:
         assert result.dropped_rows == 0
         assert result.ingest_bytes > 0
         # baseline keeps inference-time order
-        ids = [s.sample_id for s in result.samples]
-        assert ids == [s.sample_id for s in samples]
+        assert result.samples.sample_id.tolist() == [s.sample_id for s in samples]
 
     def test_end_to_end_clustered(self):
         samples = _trace(40, seed=8)
         result = ETLJob(ETLConfig(cluster=True)).run_from_scribe(
             self._scribe(samples)
         )
-        assert is_clustered(result.samples)
+        assert _is_clustered(result.samples.session_id)
         assert len(result.samples) == len(samples)
 
     def test_downsampling_session_mode(self):
         samples = _trace(100, seed=9)
         result = ETLJob(
             ETLConfig(keep_rate=0.5, downsample_by="session")
-        ).run_from_records(*zip(*(split_sample(s) for s in samples)))
+        ).run_from_scribe(self._scribe(samples))
         assert result.dropped_rows == len(samples) - len(result.samples)
         assert 0 < len(result.samples) < len(samples)
 
     def test_unknown_downsample_mode(self):
-        samples = _trace(5)
-        with pytest.raises(ValueError):
-            ETLJob(
-                ETLConfig(keep_rate=0.5, downsample_by="bogus")
-            ).run_from_records(*zip(*(split_sample(s) for s in samples)))
+        with pytest.raises(ValueError, match=r"ETLConfig\.downsample_by"):
+            ETLConfig(keep_rate=0.5, downsample_by="bogus")
 
     def test_round_trip_feature_values(self):
         samples = _trace(20, seed=10)
@@ -192,3 +195,28 @@ class TestETLJob:
             np.testing.assert_array_equal(
                 got.sparse["f"], by_id[got.sample_id].sparse["f"]
             )
+
+
+@pytest.mark.parametrize(
+    "field, kwargs",
+    [
+        ("keep_rate", {"keep_rate": 1.5}),
+        ("keep_rate", {"keep_rate": -0.25}),
+        ("keep_rate", {"keep_rate": float("nan")}),
+        ("keep_rate", {"keep_rate": float("inf")}),
+        ("downsample_by", {"downsample_by": "bogus"}),
+    ],
+    ids=[
+        "keep-rate-above-one",
+        "keep-rate-negative",
+        "keep-rate-nan",
+        "keep-rate-inf",
+        "downsample-by-unknown-without-downsampling",
+    ],
+)
+def test_config_rejects_a_bad_field_at_construction(field, kwargs):
+    """A bad policy raises where it is written, naming its field — not
+    later, and not never (a ``keep_rate`` of 1.5 or NaN, or an unknown
+    ``downsample_by`` with no downsampling, used to land every row)."""
+    with pytest.raises(ValueError, match=rf"ETLConfig\.{field}"):
+        ETLConfig(**kwargs)

@@ -18,7 +18,7 @@ from repro.datagen import (
     TraceConfig,
     generate_partition,
 )
-from repro.etl import ETLConfig, ETLJob, is_clustered
+from repro.etl import ETLConfig, ETLJob
 from repro.reader import DataLoaderConfig, ReaderNode
 from repro.scribe import ScribeCluster, ShardKeyPolicy, split_sample
 from repro.storage import HiveTable, TectonicFS
@@ -69,7 +69,9 @@ class TestTransportAndLanding:
 
     def test_landed_partition_clustered(self, stack):
         _, _, etl, _ = stack
-        assert is_clustered(etl.samples)
+        sid = etl.samples.session_id
+        runs = sid[np.flatnonzero(np.diff(sid, prepend=sid[0] - 1))]
+        assert np.unique(runs).size == runs.size  # one run per session
 
     def test_feature_values_survive_transport_and_storage(self, stack):
         _, samples, _, table = stack

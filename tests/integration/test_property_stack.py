@@ -8,7 +8,7 @@ from repro.core import InverseKeyedJaggedTensor, KeyedJaggedTensor
 from repro.datagen import DatasetSchema, DenseFeatureSpec, SparseFeatureSpec
 from repro.datagen.session import Sample
 from repro.scribe import EventLogRecord, FeatureLogRecord
-from repro.storage import Codec, DwrfReader, DwrfWriter, IntEncoding
+from repro.storage import Codec, DwrfReader, DwrfWriter, IntEncoding, RowBlock
 
 
 @st.composite
@@ -66,7 +66,7 @@ def test_property_dwrf_round_trip_any_samples(samples, encoding):
     writer = DwrfWriter(
         _SCHEMA, stripe_rows=7, codec=Codec.ZLIB, int_encoding=encoding
     )
-    blob, _ = writer.write(samples)
+    blob, _ = writer.write(RowBlock.from_samples(samples))
     got = DwrfReader(blob, _SCHEMA).read_all()
     assert len(got) == len(samples)
     for a, b in zip(got, samples):

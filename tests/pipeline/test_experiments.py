@@ -13,7 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core import JaggedTensor
+from repro.datagen import TraceGenerator
+from repro.etl.cluster import cluster_order
+from repro.experiments import figures
 from repro.experiments.figures import FIGURES, fig3_session_histogram, render
+from repro.storage import RowBlock
 
 #: stdout of the figure subcommands whose numbers do not depend on the
 #: zlib build (no compressed byte count reaches a printed digit) —
@@ -142,3 +147,30 @@ class TestPartial:
         res = small("partial")
         assert res.partial_factor > res.exact_factor
         assert res.partial_captured_fraction > res.exact_captured_fraction
+
+    def test_rows_are_sorted_by_session_id_then_time(self, monkeypatch):
+        """``partial_vs_exact`` measures its rows sorted by
+        ``(session_id, timestamp)`` — ``np.lexsort``, not
+        ``cluster_order``, which puts sessions in first-timestamp order —
+        the tensor the row-list sort built."""
+        traces, measured = [], []
+        generate = TraceGenerator.generate_partition
+        factor = figures.measured_dedupe_factor
+        monkeypatch.setattr(
+            TraceGenerator,
+            "generate_partition",
+            lambda self, n: traces.append(generate(self, n)) or traces[-1],
+        )
+        monkeypatch.setattr(
+            figures,
+            "measured_dedupe_factor",
+            lambda jt: measured.append(jt) or factor(jt),
+        )
+        figures.partial_vs_exact(num_sessions=60, seed=0)
+        (trace,), (jt,) = traces, measured
+        by_key = sorted(trace, key=lambda s: (s.session_id, s.timestamp))
+        assert jt == JaggedTensor.from_lists([s.sparse["hist"] for s in by_key])
+        # the two orders differ on this trace, so the check above has teeth
+        block = RowBlock.from_samples(trace)
+        clustered = block.take(cluster_order(block.session_id, block.timestamp))
+        assert clustered.sample_id.tolist() != [s.sample_id for s in by_key]

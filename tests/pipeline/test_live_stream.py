@@ -12,10 +12,12 @@ job), mid-loop admission of a streamed job, freshness accounting, and
 the ``repro stream --verify`` CLI gate.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cli import main
-from repro.datagen import rm1
+from repro.datagen import TraceConfig, generate_partition, rm1
 from repro.pipeline import (
     DataSpec,
     JobSpec,
@@ -26,6 +28,8 @@ from repro.pipeline import (
     StreamSpec,
     TrainSpec,
 )
+from repro.scribe import split_sample
+from repro.storage import RowBlock
 from repro.streaming import Lander, plan_windows
 
 
@@ -42,10 +46,11 @@ def _spec(
     name=None,
     toggles=RecDToggles.baseline,
     rows_per_file=256,
+    scale=0.2,
 ):
     return JobSpec(
         data=DataSpec(
-            workload=rm1(scale=0.2),
+            workload=rm1(scale=scale),
             toggles=toggles(),
             num_sessions=sessions,
             num_partitions=partitions,
@@ -223,6 +228,54 @@ class TestStreamLander:
             live = table.partitions[info.name]
             assert info.compressed_bytes == live.compressed_bytes
             assert info.files == live.files
+
+
+class TestStreamedBlock:
+    """A streamed lander holds its trace as one block, re-stamped onto
+    the event-time axis as one column write; the scribe messages its
+    rows log must not change for it."""
+
+    @pytest.mark.parametrize(
+        "interval", [60.0, 45.0, 0.02, 0.03, 0.04, 1 / 3, 7.1], ids=str
+    )
+    @pytest.mark.parametrize("partitions", [1, 3, 4, 7])
+    def test_event_times_equal_the_per_row_formula_bitwise(
+        self, interval, partitions
+    ):
+        lander = Lander(
+            _spec(partitions=partitions, interval=interval, sessions=12)
+        )
+        assert isinstance(lander.samples, RowBlock)
+        want = [
+            i * interval + (j + 1) / (stop - start) * interval
+            for i, (start, stop) in enumerate(lander.slices)
+            for j in range(stop - start)
+        ]
+        got = lander.samples.timestamp.tolist()
+        assert [t.hex() for t in got] == [t.hex() for t in want]
+
+    def test_rows_log_the_messages_of_the_re_stamped_trace(self):
+        """The block keeps the generator's feature order (RM1's schema
+        order differs from it at this scale), so every row serializes to
+        the bytes the generated row with its event time does."""
+        spec = _spec(sessions=12, scale=0.25)
+        d = spec.data
+        trace = generate_partition(
+            d.workload.schema,
+            d.num_sessions,
+            TraceConfig(
+                seed=d.seed, mean_samples_per_session=d.mean_samples_per_session
+            ),
+        )
+        lander = Lander(spec)
+        assert list(lander.samples.sparse) == list(trace[0].sparse)
+        assert list(trace[0].sparse) != list(d.workload.schema.sparse_names)
+        assert len(lander.samples) == len(trace)
+        for row, original in zip(lander.samples, trace):
+            want = replace(original, timestamp=row.timestamp)
+            assert [r.serialize() for r in split_sample(row)] == [
+                r.serialize() for r in split_sample(want)
+            ]
 
 
 class TestLiveLoopDeadlock:

@@ -26,6 +26,7 @@ from repro.reader import (
     convert_rows,
     fill_batches,
 )
+from repro.storage import RowBlock
 from tests.conftest import land_samples, make_trace
 
 
@@ -40,8 +41,10 @@ def _schema():
     )
 
 
-def _rows(n=32, seed=0):
-    return generate_partition(_schema(), 4, TraceConfig(seed=seed))[:n]
+def _rows(n=32, seed=0) -> RowBlock:
+    return RowBlock.from_samples(
+        generate_partition(_schema(), 4, TraceConfig(seed=seed))[:n]
+    )
 
 
 class TestConvert:
@@ -108,7 +111,14 @@ class TestConvert:
     def test_empty_rows_rejected(self):
         cfg = DataLoaderConfig(batch_size=4, sparse_features=("u",))
         with pytest.raises(ValueError):
-            convert_rows([], cfg)
+            convert_rows(_rows(0), cfg)
+
+    def test_row_list_rejected(self):
+        cfg = DataLoaderConfig(batch_size=4, sparse_features=("u",))
+        with pytest.raises(
+            TypeError, match=r"convert_rows.*RowBlock\.from_samples"
+        ):
+            convert_rows(list(_rows(4)), cfg)
 
 
 def _ikjt_arrays(ikjt):

@@ -126,11 +126,11 @@ class TestRunEqualsStripeAtATime:
             "p", make_trace(schema, sessions=20, seed=3), rows_per_file=100
         )
         files_before = len(table.partitions["p"].files)
-        before = [r.sample_id for r in table.read_partition("p")]
+        before = table.read_partition("p")
         del runs[:]
         assert table.compact_partition("p") > 0
         assert len(runs) == files_before  # one run per small file
-        assert [r.sample_id for r in table.read_partition("p")] == before
+        _assert_same_block(table.read_partition("p"), before)
 
     def test_stripes_of_a_run_are_views_until_the_last_is_taken(self, files):
         blobs, schema = files

@@ -3,9 +3,8 @@
 ``tests/storage/reference_rows.py`` keeps the plane-loop varint codec
 and the row-based stripe writer as oracles: the constant-pass codec must
 produce and accept the same bytes (and the same error messages), and
-``DwrfWriter.write`` must produce the same file whether it is handed a
-``RowBlock``, the list of rows the block materializes to, or the rows
-are written the old way.
+``DwrfWriter.write`` of a ``RowBlock`` must produce the file the old
+writer made of the rows the block materializes to.
 """
 
 import numpy as np
@@ -132,7 +131,7 @@ def test_chunked_encode_equals_encode_of_each_chunk(values, cuts, encoding):
     ]
 
 
-# -- write(block) == write(rows) == the row writer -----------------------------
+# -- write(block) == the row writer -------------------------------------------
 
 _SCHEMA = DatasetSchema(
     sparse=(
@@ -176,43 +175,38 @@ def _blocks(draw):
 )
 def test_block_and_rows_write_the_same_file(block, encoding, codec, stripe_rows):
     """4 encodings × 2 codecs × ragged last stripe × absent features ×
-    empty input: one file, whichever form the rows arrive in."""
+    empty input: the block's file is the row writer's file of its rows."""
     writer = DwrfWriter(_SCHEMA, stripe_rows, codec, encoding)
     blob, stats = writer.write(block)
-    rows = list(block)
-    blob_rows, stats_rows = writer.write(rows)
-    assert blob == blob_rows
     want_blob, want_stats = write_rows(
-        _SCHEMA, rows, stripe_rows, codec, encoding
+        _SCHEMA, list(block), stripe_rows, codec, encoding
     )
     assert blob == want_blob
-    for got in (stats, stats_rows):
-        assert [
-            (s.raw_bytes, s.compressed_bytes, s.num_rows) for s in got.stripes
-        ] == want_stats
-    # and it reads back as the block, absent features empty / 0.0
+    assert [
+        (s.raw_bytes, s.compressed_bytes, s.num_rows) for s in stats.stripes
+    ] == want_stats
+    # and it reads back as the block, absent features empty / 0.0, every
+    # schema column present even when there are no rows
     reader = DwrfReader(blob, _SCHEMA)
     assert reader.num_rows == len(block)
-    if len(block):
-        back = RowBlock.concat(
-            reader.read_stripe(i) for i in range(reader.num_stripes)
+    back = reader.read_all()
+    np.testing.assert_array_equal(back.sample_id, block.sample_id)
+    np.testing.assert_array_equal(back.timestamp, block.timestamp)
+    for name in ("hist", "item", "never_logged"):
+        offsets, values = block.sparse.get(
+            name, (np.zeros(len(block) + 1, np.int64), np.empty(0, np.int64))
         )
-        np.testing.assert_array_equal(back.sample_id, block.sample_id)
-        np.testing.assert_array_equal(back.timestamp, block.timestamp)
-        for name in ("hist", "item", "never_logged"):
-            offsets, values = block.sparse.get(
-                name, (np.zeros(len(block) + 1, np.int64), np.empty(0, np.int64))
-            )
-            np.testing.assert_array_equal(back.sparse[name][0], offsets)
-            np.testing.assert_array_equal(back.sparse[name][1], values)
-        np.testing.assert_array_equal(
-            back.dense["never_logged_d"], np.zeros(len(block))
-        )
+        np.testing.assert_array_equal(back.sparse[name][0], offsets)
+        np.testing.assert_array_equal(back.sparse[name][1], values)
+    np.testing.assert_array_equal(
+        back.dense["never_logged_d"], np.zeros(len(block))
+    )
 
 
 def test_a_slice_of_a_block_writes_like_its_rows():
     """Stripes are cut from a block whose offsets do not start at the
-    underlying arrays' origin (how ``land_partition`` cuts files)."""
+    underlying arrays' origin (how ``land_partition`` cuts files): the
+    file equals that of a fresh block of the same rows."""
     rng = np.random.default_rng(3)
     rows = [
         Sample(
@@ -230,7 +224,8 @@ def test_a_slice_of_a_block_writes_like_its_rows():
     ]
     block = RowBlock.from_samples(rows, ["hist", "item"], ["hour"])
     writer = DwrfWriter(_SCHEMA, stripe_rows=7)
-    assert writer.write(block[11:43])[0] == writer.write(rows[11:43])[0]
+    fresh = RowBlock.from_samples(rows[11:43], ["hist", "item"], ["hour"])
+    assert writer.write(block[11:43])[0] == writer.write(fresh)[0]
 
 
 def test_compaction_builds_no_sample_and_equals_a_direct_landing(count_constructions):
@@ -253,10 +248,11 @@ def test_compaction_builds_no_sample_and_equals_a_direct_landing(count_construct
     def table():
         return HiveTable("t", _SCHEMA, TectonicFS(), rows_per_file=64, stripe_rows=8)
 
+    block = RowBlock.from_samples(rows)
     direct = table()
-    direct.land_partition("p", rows)
+    direct.land_partition("p", block)
     micro = table()
-    micro.land_partition("p", rows, rows_per_file=10)
+    micro.land_partition("p", block, rows_per_file=10)
     built = count_constructions(Sample)
     assert micro.compact_partition("p") == 9 - 2
     assert built == [0]

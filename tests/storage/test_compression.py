@@ -18,13 +18,7 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
-from repro.datagen import (
-    DatasetSchema,
-    DenseFeatureSpec,
-    SparseFeatureSpec,
-    TraceConfig,
-    generate_partition,
-)
+from repro.datagen import DatasetSchema, DenseFeatureSpec, SparseFeatureSpec
 from repro.scribe import (
     ScribeCluster,
     ScribeShard,
@@ -43,6 +37,7 @@ from repro.storage import (
 )
 from repro.storage import compression
 from repro.storage.compression import _FRAME, compress_many
+from tests.conftest import make_trace
 
 
 def _schema():
@@ -56,7 +51,7 @@ def _schema():
 
 
 def _trace(sessions=40, seed=0):
-    return generate_partition(_schema(), sessions, TraceConfig(seed=seed))
+    return make_trace(_schema(), sessions=sessions, seed=seed)
 
 
 def _shut_down_pool() -> None:

@@ -12,7 +12,7 @@ from repro.datagen import (
     TraceConfig,
     generate_partition,
 )
-from repro.etl import cluster_by_session
+from repro.etl.cluster import cluster_order
 from repro.storage import (
     Codec,
     DwrfReader,
@@ -41,8 +41,14 @@ def _schema():
     )
 
 
-def _trace(n=40, seed=0):
-    return generate_partition(_schema(), n, TraceConfig(seed=seed))
+def _trace(n=40, seed=0) -> RowBlock:
+    return RowBlock.from_samples(
+        generate_partition(_schema(), n, TraceConfig(seed=seed))
+    )
+
+
+def _clustered(block: RowBlock) -> RowBlock:
+    return block.take(cluster_order(block.session_id, block.timestamp))
 
 
 class TestRoundTrip:
@@ -88,11 +94,19 @@ class TestRoundTrip:
         ]
 
     def test_empty_file(self):
+        """A file of no stripes reads as a zero-row block that still
+        carries every schema column (``RowBlock.concat`` of nothing
+        cannot)."""
         writer = DwrfWriter(_schema())
-        blob, stats = writer.write([])
+        blob, stats = writer.write(_trace(0))
         reader = DwrfReader(blob, _schema())
-        assert reader.num_stripes == 0
-        assert reader.read_all() == []
+        assert reader.num_stripes == 0 and stats.num_rows == 0
+        got = reader.read_all()
+        assert isinstance(got, RowBlock) and len(got) == 0
+        assert list(got.sparse) == ["hist", "short"]
+        assert list(got.dense) == ["hour"]
+        for offsets, values in got.sparse.values():
+            assert offsets.tolist() == [0] and values.size == 0
 
 
 class TestValidation:
@@ -109,6 +123,11 @@ class TestValidation:
     def test_bad_stripe_rows(self):
         with pytest.raises(ValueError):
             DwrfWriter(_schema(), stripe_rows=0)
+
+    def test_write_takes_only_a_block(self):
+        rows = list(_trace(5))
+        with pytest.raises(TypeError, match=r"DwrfWriter\.write.*RowBlock\.from_samples"):
+            DwrfWriter(_schema()).write(rows)
 
 
 def _patch_stream(blob: bytes, stripe: int, name: str, values) -> bytes:
@@ -357,7 +376,7 @@ class TestClusteringImprovesCompression:
         samples = _trace(250, seed=6)
         writer = DwrfWriter(_schema(), stripe_rows=256)
         _, base = writer.write(samples)
-        _, clustered = writer.write(cluster_by_session(samples))
+        _, clustered = writer.write(_clustered(samples))
         assert (
             clustered.compression_ratio > base.compression_ratio * 1.3
         ), (
@@ -369,5 +388,5 @@ class TestClusteringImprovesCompression:
         samples = _trace(250, seed=7)
         writer = DwrfWriter(_schema(), stripe_rows=256)
         blob_base, _ = writer.write(samples)
-        blob_clustered, _ = writer.write(cluster_by_session(samples))
+        blob_clustered, _ = writer.write(_clustered(samples))
         assert len(blob_clustered) < len(blob_base)

@@ -298,23 +298,22 @@ def _convert_row_by_row(rows, config):
 @settings(deadline=None)
 @given(_rows(min_size=1), _config())
 def test_convert_block_equals_convert_rows(drawn, cfg):
-    """Plain, dedup-group and partial configs: a block, and the row list
-    it came from, convert to the reference's arrays (values, offsets,
-    inverse_lookup, dense, labels — dtypes included) and work units."""
+    """Plain, dedup-group and partial configs: ``convert_rows`` of a
+    block converts to the row-by-row reference's arrays (values,
+    offsets, inverse_lookup, dense, labels — dtypes included) and work
+    units."""
     rows, sparse_keys, dense_keys = drawn
     block = RowBlock.from_samples(rows, sparse_keys, dense_keys)
     reference, reference_stats = _convert_row_by_row(rows, cfg)
     want = _jagged_pairs(reference)
-    for source in (block, rows):
-        batch, stats = convert_rows(source, cfg)
-        assert stats == reference_stats
-        assert batch.sparse_keys == reference.sparse_keys
-        got = _jagged_pairs(batch)
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            _assert_same_array(g, w)
+    batch, stats = convert_rows(block, cfg)
+    assert stats == reference_stats
+    assert batch.sparse_keys == reference.sparse_keys
+    got = _jagged_pairs(batch)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        _assert_same_array(g, w)
     # and the tensors own their memory: nothing aliases the block
-    batch, _ = convert_rows(block, cfg)
     columns = [a for pair in block.sparse.values() for a in pair]
     for g in _jagged_pairs(batch):
         for column in columns:

@@ -8,8 +8,8 @@ from repro.datagen import (
     TraceConfig,
     generate_partition,
 )
-from repro.etl import cluster_by_session
-from repro.storage import HiveTable, TectonicFS
+from repro.etl.cluster import cluster_order
+from repro.storage import HiveTable, RowBlock, TectonicFS
 
 
 def _schema():
@@ -18,8 +18,10 @@ def _schema():
     )
 
 
-def _trace(n=50, seed=0):
-    return generate_partition(_schema(), n, TraceConfig(seed=seed))
+def _trace(n=50, seed=0) -> RowBlock:
+    return RowBlock.from_samples(
+        generate_partition(_schema(), n, TraceConfig(seed=seed))
+    )
 
 
 class TestTectonicFS:
@@ -86,7 +88,25 @@ class TestHiveTable:
         assert info.num_rows == 70
         assert len(info.files) == 3  # ceil(70/32)
         got = table.read_partition("2026061200")
-        assert [s.sample_id for s in got] == [s.sample_id for s in samples]
+        assert isinstance(got, RowBlock)
+        assert got.sample_id.tolist() == samples.sample_id.tolist()
+
+    def test_land_takes_only_a_block(self):
+        table = self._table()
+        with pytest.raises(
+            TypeError, match=r"HiveTable\.land_partition.*RowBlock\.from_samples"
+        ):
+            table.land_partition("p", list(_trace(5)))
+        assert table.partitions == {}
+
+    def test_zero_file_partition_reads_as_every_schema_column(self):
+        """Landing no rows writes no file; reading it back is a zero-row
+        block with the schema's columns, not a failed ``concat``."""
+        table = self._table()
+        assert table.land_partition("p", _trace(0)).files == []
+        got = table.read_partition("p")
+        assert len(got) == 0 and list(got.sparse) == ["hist"]
+        assert got.sparse["hist"][0].tolist() == [0]
 
     def test_duplicate_partition_rejected(self):
         table = self._table()
@@ -148,9 +168,9 @@ class TestHiveTable:
         assert merged == micro_files - 1
         assert len(small.partitions["p"].files) == 1
         # Row order is preserved exactly — readers see the same stream.
-        assert [s.sample_id for s in small.read_partition("p")] == [
-            s.sample_id for s in rows
-        ]
+        assert small.read_partition("p").sample_id.tolist() == (
+            rows.sample_id.tolist()
+        )
         # Already compact: a second pass is a no-op.
         assert small.compact_partition("p") == 0
 
@@ -176,7 +196,8 @@ class TestHiveTable:
         samples = _trace(200, seed=5)
         base = table.land_partition("base", samples)
         clustered = table.land_partition(
-            "clustered", cluster_by_session(samples)
+            "clustered",
+            samples.take(cluster_order(samples.session_id, samples.timestamp)),
         )
         assert clustered.compression_ratio > base.compression_ratio
         assert table.partition_stored_bytes(

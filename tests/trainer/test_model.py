@@ -4,15 +4,11 @@ identically."""
 import numpy as np
 import pytest
 
-from repro.datagen import (
-    TraceConfig,
-    generate_partition,
-    rm1,
-)
-from repro.etl import cluster_by_session
+from repro.datagen import rm1
 from repro.reader import DataLoaderConfig, convert_rows
 from repro.trainer import DLRM, DLRMConfig, TrainerOptFlags
 from repro.trainer.embedding import EmbeddingTable
+from tests.conftest import make_trace
 
 
 def small_workload():
@@ -20,10 +16,7 @@ def small_workload():
 
 
 def make_batches(workload, dedup: bool, n_batches=2, batch_size=32, seed=0):
-    samples = generate_partition(
-        workload.schema, 30, TraceConfig(seed=seed)
-    )
-    samples = cluster_by_session(samples)
+    samples = make_trace(workload.schema, sessions=30, seed=seed, clustered=True)
     if dedup:
         cfg = DataLoaderConfig(
             batch_size=batch_size,
