@@ -5,9 +5,11 @@ Public surface of the paper's primary contribution (§4.2, §5):
 * :class:`~repro.core.jagged.JaggedTensor` — variable-length row batches.
 * :class:`~repro.core.kjt.KeyedJaggedTensor` — baseline keyed format (KJT).
 * :class:`~repro.core.ikjt.InverseKeyedJaggedTensor` — deduplicated IKJT,
-  including grouped IKJTs with a shared ``inverse_lookup``.
-* :class:`~repro.core.partial.PartialKeyedJaggedTensor` — §7's shift-aware
-  partial dedup extension.
+  including grouped IKJTs with a shared ``inverse_lookup``.  KJTs and
+  IKJTs are the only tensors a reader batch carries.
+* :class:`~repro.core.partial.PartialJaggedTensor` — §7's shift-aware
+  partial encoding of one feature, measured by the ``partial`` figure
+  (no loader emits it).
 * :func:`~repro.core.jagged_ops.jagged_index_select` — O6 kernel.
 * :mod:`~repro.core.analytics` — the DedupeFactor analytical model.
 """
@@ -34,21 +36,18 @@ from .jagged_ops import (
     dense_index_select,
     expand_pooled,
     gather_ranges,
-    jagged_elementwise_sum,
     jagged_index_select,
-    segment_max,
     segment_mean,
     segment_sum,
 )
 from .kjt import KeyedJaggedTensor
-from .partial import PartialJaggedTensor, PartialKeyedJaggedTensor
+from .partial import PartialJaggedTensor
 
 __all__ = [
     "JaggedTensor",
     "KeyedJaggedTensor",
     "InverseKeyedJaggedTensor",
     "PartialJaggedTensor",
-    "PartialKeyedJaggedTensor",
     "offsets_from_lengths",
     "lengths_from_offsets",
     "jagged_index_select",
@@ -56,9 +55,7 @@ __all__ = [
     "gather_ranges",
     "segment_sum",
     "segment_mean",
-    "segment_max",
     "expand_pooled",
-    "jagged_elementwise_sum",
     "dedup_rows",
     "dedup_grouped_rows",
     "dedup_groups",

@@ -35,9 +35,7 @@ __all__ = [
     "scatter",
     "segment_sum",
     "segment_mean",
-    "segment_max",
     "expand_pooled",
-    "jagged_elementwise_sum",
 ]
 
 
@@ -166,26 +164,6 @@ def segment_mean(activations: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     safe = np.maximum(counts, 1.0)
     return sums / safe.reshape((-1,) + (1,) * (sums.ndim - 1))
 
-def segment_max(activations: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Max-pool per segment; empty segments yield zeros."""
-    offsets = _check_segments(activations, offsets)
-    num_seg = offsets.size - 1
-    out_shape = (num_seg,) + activations.shape[1:]
-    out = np.zeros(out_shape, dtype=activations.dtype)
-    if activations.shape[0] == 0:
-        return out
-    lengths = np.diff(offsets)
-    nonempty = lengths > 0
-    if not nonempty.any():
-        return out
-    # reduceat needs strictly valid starts; restrict to non-empty segments.
-    starts = offsets[:-1][nonempty]
-    reduced = np.maximum.reduceat(activations, starts, axis=0)
-    # reduceat merges a segment with the next when starts repeat — they can't
-    # here because every selected segment is non-empty.
-    out[nonempty] = reduced
-    return out
-
 
 def expand_pooled(pooled: np.ndarray, inverse_lookup: np.ndarray) -> np.ndarray:
     """Expand per-unique-row pooled outputs back to the full batch (O7).
@@ -201,21 +179,3 @@ def expand_pooled(pooled: np.ndarray, inverse_lookup: np.ndarray) -> np.ndarray:
     ):
         raise IndexError("inverse_lookup out of range of pooled rows")
     return pooled[inverse_lookup]
-
-
-def jagged_elementwise_sum(tensors: list[JaggedTensor]) -> JaggedTensor:
-    """Element-wise sum of jagged tensors sharing identical offsets.
-
-    Models the grouped-feature compute in §5's worked example (features c
-    and d element-wise summed).  Raises if the jagged structures differ.
-    """
-    if not tensors:
-        raise ValueError("need at least one tensor")
-    first = tensors[0]
-    for t in tensors[1:]:
-        if not np.array_equal(t.offsets, first.offsets):
-            raise ValueError("jagged structures differ; cannot sum element-wise")
-    total = first.values.astype(np.result_type(*[t.values.dtype for t in tensors]))
-    for t in tensors[1:]:
-        total = total + t.values
-    return JaggedTensor(total, first.offsets.copy())

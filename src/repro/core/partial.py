@@ -15,18 +15,19 @@ The detector here recognizes a row as a *window* of a previously stored
 row (suffix/prefix overlap from list shifting); when a row extends a
 stored row by appending on the right while dropping a prefix, we extend
 the stored buffer in place when it is the buffer's tail.
+
+The encoding is measured, not shipped: the ``partial`` figure
+(``repro partial``) sets its dedupe factor beside exact dedup's, and no
+reader emits it — a batch carries KJTs and IKJTs only.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
-
 import numpy as np
 
 from .jagged import JaggedTensor
-from .kjt import KeyedJaggedTensor
 
-__all__ = ["PartialJaggedTensor", "PartialKeyedJaggedTensor"]
+__all__ = ["PartialJaggedTensor"]
 
 
 def _find_window(buffer: np.ndarray, row: np.ndarray) -> int | None:
@@ -148,53 +149,4 @@ class PartialJaggedTensor:
         return JaggedTensor.from_lists(
             [self.row(i) for i in range(self.batch_size)],
             dtype=self._values.dtype,
-        )
-
-
-class PartialKeyedJaggedTensor:
-    """Keyed collection of :class:`PartialJaggedTensor` over one batch."""
-
-    __slots__ = ("_tensors", "_batch_size")
-
-    def __init__(self, tensors: Mapping[str, PartialJaggedTensor]) -> None:
-        if not tensors:
-            raise ValueError("requires at least one key")
-        sizes = {t.batch_size for t in tensors.values()}
-        if len(sizes) != 1:
-            raise ValueError("all keys must share a batch size")
-        self._tensors = dict(tensors)
-        self._batch_size = sizes.pop()
-
-    @classmethod
-    def from_kjt(
-        cls, kjt: KeyedJaggedTensor, keys: Sequence[str] | None = None
-    ) -> "PartialKeyedJaggedTensor":
-        keys = list(keys) if keys is not None else kjt.keys
-        return cls({k: PartialJaggedTensor.from_jagged(kjt[k]) for k in keys})
-
-    @property
-    def keys(self) -> list[str]:
-        return list(self._tensors)
-
-    @property
-    def batch_size(self) -> int:
-        return self._batch_size
-
-    def __getitem__(self, key: str) -> PartialJaggedTensor:
-        return self._tensors[key]
-
-    @property
-    def total_values(self) -> int:
-        return sum(t.total_values for t in self._tensors.values())
-
-    def dedupe_factor(self) -> float:
-        orig = sum(
-            int(t.inverse_lookup[:, 1].sum()) for t in self._tensors.values()
-        )
-        dedup = self.total_values
-        return orig / dedup if dedup else 1.0
-
-    def to_kjt(self) -> KeyedJaggedTensor:
-        return KeyedJaggedTensor(
-            {k: t.to_jagged() for k, t in self._tensors.items()}
         )

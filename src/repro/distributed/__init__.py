@@ -2,29 +2,19 @@
 
 from .comm import all_reduce_seconds, all_to_all_seconds
 from .costmodel import TrainerCostConstants, sim_cluster, sim_gpu
-from .device import ClusterSpec, GPUDevice, GPUSpec
-from .sdd import (
-    SDDVolume,
-    ShardingPlan,
-    plan_sharding,
-    plan_sharding_balanced,
-    sdd_volume,
-)
+from .device import ClusterSpec, GPUSpec
+from .sdd import SDDVolume, sdd_volume
 from .trainer import DistributedTrainer, IterationResult, TrainingReport
 
 __all__ = [
     "GPUSpec",
     "ClusterSpec",
-    "GPUDevice",
     "all_to_all_seconds",
     "all_reduce_seconds",
     "TrainerCostConstants",
     "sim_gpu",
     "sim_cluster",
-    "ShardingPlan",
     "SDDVolume",
-    "plan_sharding",
-    "plan_sharding_balanced",
     "sdd_volume",
     "DistributedTrainer",
     "IterationResult",

@@ -1,18 +1,20 @@
-"""Simulated GPU devices and cluster topology (§6.1's ZionEX testbed).
+"""Simulated GPU envelope and cluster topology (§6.1's ZionEX testbed).
 
 Each ZionEX node has 8 A100s (NVLink intra-node) with a 200 Gbps RoCE NIC
 per GPU for inter-node collectives.  We keep the *ratios* of those
 constants and scale the magnitudes to the reproduction's workload sizes —
 only relative phase times matter for Fig 8/9 and Table 2.
+
+These are specs, not devices: there is one memory model and it is the
+trainer's (``DistributedTrainer._static_bytes_per_gpu`` /
+``_dynamic_bytes_per_gpu`` against ``GPUSpec.memory_bytes``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..metrics.counters import MemoryTracker
-
-__all__ = ["GPUSpec", "ClusterSpec", "GPUDevice"]
+__all__ = ["GPUSpec", "ClusterSpec"]
 
 
 @dataclass(frozen=True)
@@ -63,15 +65,3 @@ class ClusterSpec:
         the RoCE NICs (§6.2, Single-node Training).
         """
         return self.gpu.nvlink_bw if self.single_node else self.gpu.nic_bw
-
-
-class GPUDevice:
-    """One simulated GPU: a memory tracker against the spec's capacity."""
-
-    def __init__(self, spec: GPUSpec, device_id: int = 0):
-        self.spec = spec
-        self.device_id = device_id
-        self.memory = MemoryTracker(spec.memory_bytes)
-
-    def __repr__(self) -> str:
-        return f"GPUDevice(id={self.device_id}, spec={self.spec.name})"

@@ -5,6 +5,10 @@ every GPU's local batch) onto the GPU holding that feature's
 model-parallel embedding shard (§2.2).  RecD's O5 sends only the IKJT's
 ``values``/``offsets`` slices — ``inverse_lookup`` stays local (§5) — so
 SDD bytes shrink by DedupeFactor(f) per deduplicated feature.
+
+There is one placement model: the trainer spreads a batch's SDD bytes
+evenly over the cluster's GPUs (``input_bytes / num_gpus`` per
+all-to-all); which GPU owns which table is not modeled.
 """
 
 from __future__ import annotations
@@ -13,60 +17,10 @@ from dataclasses import dataclass
 
 from ..reader.batch import Batch
 
-__all__ = [
-    "ShardingPlan",
-    "SDDVolume",
-    "plan_sharding",
-    "plan_sharding_balanced",
-    "sdd_volume",
-]
+__all__ = ["SDDVolume", "sdd_volume"]
 
 _ID_BYTES = 8  # int64 sparse IDs on the wire
 _OFFSET_BYTES = 8
-
-
-@dataclass(frozen=True)
-class ShardingPlan:
-    """feature key -> owning GPU (round-robin model parallelism)."""
-
-    owner: dict[str, int]
-    num_gpus: int
-
-
-def plan_sharding(feature_names: list[str], num_gpus: int) -> ShardingPlan:
-    if num_gpus <= 0:
-        raise ValueError("num_gpus must be positive")
-    if not feature_names:
-        raise ValueError("need at least one feature")
-    return ShardingPlan(
-        owner={name: i % num_gpus for i, name in enumerate(feature_names)},
-        num_gpus=num_gpus,
-    )
-
-
-def plan_sharding_balanced(
-    table_bytes: dict[str, int], num_gpus: int
-) -> ShardingPlan:
-    """Greedy size-balanced model parallelism (RecShard-lite, §8).
-
-    Assigns the largest table to the least-loaded GPU first, so per-GPU
-    EMB memory stays balanced when table sizes are skewed.
-    """
-    if num_gpus <= 0:
-        raise ValueError("num_gpus must be positive")
-    if not table_bytes:
-        raise ValueError("need at least one feature")
-    if any(v < 0 for v in table_bytes.values()):
-        raise ValueError("table sizes must be non-negative")
-    loads = [0] * num_gpus
-    owner: dict[str, int] = {}
-    for name, size in sorted(
-        table_bytes.items(), key=lambda kv: (-kv[1], kv[0])
-    ):
-        gpu = min(range(num_gpus), key=lambda g: loads[g])
-        owner[name] = gpu
-        loads[gpu] += size
-    return ShardingPlan(owner=owner, num_gpus=num_gpus)
 
 
 @dataclass
@@ -108,12 +62,4 @@ def sdd_volume(batch: Batch, dedup_output: bool = True) -> SDDVolume:
             vol.output_rows += (
                 jt.num_rows if dedup_output else ikjt.batch_size
             )
-    if batch.partial is not None:
-        for key in batch.partial.keys:
-            pt = batch.partial[key]
-            # §7 partial encoding on the wire: shared buffer + per-row
-            # [offset, length] windows (which replace the offsets slice)
-            vol.input_bytes += pt.values.size * _ID_BYTES
-            vol.input_bytes += pt.inverse_lookup.size * _OFFSET_BYTES
-            vol.output_rows += pt.batch_size
     return vol

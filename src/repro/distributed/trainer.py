@@ -199,13 +199,6 @@ class DistributedTrainer:
                 flops += features[key].pooling.flops(
                     expanded, dim, ikjt.batch_size
                 )
-        if batch.partial is not None:
-            for key in batch.partial.keys:
-                pjt = batch.partial[key]
-                expanded = int(pjt.inverse_lookup[:, 1].sum())
-                flops += features[key].pooling.flops(
-                    expanded, dim, pjt.batch_size
-                )
         return flops
 
     # -- iteration ------------------------------------------------------------

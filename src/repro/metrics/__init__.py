@@ -5,7 +5,7 @@ from .breakdown import (
     QueueWaitBreakdown,
     ReaderCpuBreakdown,
 )
-from .counters import Counters, MemoryTracker
+from .counters import Counters
 from .freshness import FreshnessReport
 from .ledger import ByteLedger
 from .overlap import OverlapReport
@@ -16,7 +16,6 @@ from .tier import JobRoundStat, TierReport, TierRound
 __all__ = [
     "ByteLedger",
     "Counters",
-    "MemoryTracker",
     "FreshnessReport",
     "IterationBreakdown",
     "JobRoundStat",

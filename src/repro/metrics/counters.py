@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["Counters", "MemoryTracker"]
+__all__ = ["Counters"]
 
 
 @dataclass
@@ -44,55 +44,3 @@ class Counters:
         """A snapshot copy of every counter (hand-written: a copy of
         the name-keyed bag, there are no fields to derive from)."""
         return dict(self.values)
-
-
-class MemoryTracker:
-    """Tracks current and peak allocation of a simulated device memory."""
-
-    def __init__(self, capacity_bytes: int | None = None):
-        if capacity_bytes is not None and capacity_bytes <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity_bytes = capacity_bytes
-        self.current_bytes = 0
-        self.peak_bytes = 0
-
-    def alloc(self, nbytes: int) -> None:
-        """Claim bytes; raises ``MemoryError`` past a bounded capacity."""
-        if nbytes < 0:
-            raise ValueError("cannot allocate negative bytes")
-        new = self.current_bytes + nbytes
-        if self.capacity_bytes is not None and new > self.capacity_bytes:
-            raise MemoryError(
-                f"allocation of {nbytes} exceeds capacity "
-                f"({new} > {self.capacity_bytes})"
-            )
-        self.current_bytes = new
-        self.peak_bytes = max(self.peak_bytes, new)
-
-    def free(self, nbytes: int) -> None:
-        """Release previously claimed bytes (peak is unaffected)."""
-        if nbytes < 0:
-            raise ValueError("cannot free negative bytes")
-        if nbytes > self.current_bytes:
-            raise ValueError(
-                f"freeing {nbytes} but only {self.current_bytes} allocated"
-            )
-        self.current_bytes -= nbytes
-
-    def reset_peak(self) -> None:
-        """Restart peak tracking from the current allocation."""
-        self.peak_bytes = self.current_bytes
-
-    @property
-    def utilization(self) -> float:
-        """Current utilization in [0, 1]; 0 when capacity is unbounded."""
-        if not self.capacity_bytes:
-            return 0.0
-        return self.current_bytes / self.capacity_bytes
-
-    @property
-    def peak_utilization(self) -> float:
-        """Peak utilization in [0, 1]; 0 when capacity is unbounded."""
-        if not self.capacity_bytes:
-            return 0.0
-        return self.peak_bytes / self.capacity_bytes

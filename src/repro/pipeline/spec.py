@@ -39,6 +39,7 @@ import math
 from dataclasses import dataclass, field, fields, replace
 
 from ..datagen.workloads import RMWorkload
+from ..distributed.device import ClusterSpec
 from ..reader.autoscale import ScalingSpec
 from ..reader.config import DataLoaderConfig
 from ..reader.costmodel import TransportSpec
@@ -82,7 +83,8 @@ class DataSpec:
         num_partitions: time partitions the table lands as (the
             paper's day-partitioned tables).
         seed: the run's seed (trace generation and model init).
-        transforms: reader-side preprocessing transform names.
+        transforms: reader-side preprocessing transform names, each a
+            key of :data:`~repro.reader.preprocess.TRANSFORM_REGISTRY`.
     """
 
     workload: RMWorkload
@@ -102,6 +104,11 @@ class DataSpec:
         )
         _require_positive("DataSpec.num_scribe_shards", self.num_scribe_shards)
         _require_positive("DataSpec.num_partitions", self.num_partitions)
+        # the reader's own config owns the transform-name rule
+        try:
+            DataLoaderConfig(batch_size=1, transforms=self.transforms)
+        except ValueError as exc:
+            raise ValueError(f"DataSpec.{exc}") from None
 
 
 @dataclass(frozen=True)
@@ -170,7 +177,9 @@ class TrainSpec:
             window).
         batch_size: overrides the workload's per-path batch size when
             set.
-        num_gpus: modeled cluster size.
+        num_gpus: modeled cluster size; past one node, a multiple of
+            ``gpus_per_node`` (the
+            :class:`~repro.distributed.device.ClusterSpec` rule).
         gpus_per_node: modeled cluster shape.
         max_table_rows: embedding-table hash modulus cap.
         track_updates: forward per-step update tracking to the trainer
@@ -194,6 +203,14 @@ class TrainSpec:
         _require_positive("TrainSpec.num_gpus", self.num_gpus)
         _require_positive("TrainSpec.gpus_per_node", self.gpus_per_node)
         _require_positive("TrainSpec.max_table_rows", self.max_table_rows)
+        # the modeled cluster owns the shape rule
+        try:
+            ClusterSpec(num_gpus=self.num_gpus, gpus_per_node=self.gpus_per_node)
+        except ValueError as exc:
+            raise ValueError(
+                f"TrainSpec.{exc}, got num_gpus={self.num_gpus} and "
+                f"gpus_per_node={self.gpus_per_node}"
+            ) from None
 
 
 @dataclass(frozen=True)

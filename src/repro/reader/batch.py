@@ -1,9 +1,10 @@
 """The preprocessed batch readers ship to trainers.
 
-Holds dense features, labels, plain KJTs, and per-group IKJTs.  The
-``wire_nbytes`` property is what the reader->trainer network link carries
-(Table 3's "Send Bytes"): IKJT groups ship deduplicated values/offsets
-plus one inverse_lookup per group.
+A batch is dense features, labels, at most one plain KJT, and one IKJT
+per dedup group — nothing else.  The ``wire_nbytes`` property is what
+the reader->trainer network link carries (Table 3's "Send Bytes"): IKJT
+groups ship deduplicated values/offsets plus one inverse_lookup per
+group.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import numpy as np
 
 from ..core.ikjt import InverseKeyedJaggedTensor
 from ..core.kjt import KeyedJaggedTensor
-from ..core.partial import PartialKeyedJaggedTensor
 
 __all__ = ["Batch"]
 
@@ -27,8 +27,6 @@ class Batch:
     labels: np.ndarray  # (B,) float32
     kjt: KeyedJaggedTensor | None = None
     ikjts: list[InverseKeyedJaggedTensor] = field(default_factory=list)
-    #: §7 partial IKJTs (shift-aware dedup)
-    partial: PartialKeyedJaggedTensor | None = None
 
     def __post_init__(self) -> None:
         sizes = {self.dense.shape[0], self.labels.shape[0]}
@@ -36,8 +34,6 @@ class Batch:
             sizes.add(self.kjt.batch_size)
         for ik in self.ikjts:
             sizes.add(ik.batch_size)
-        if self.partial is not None:
-            sizes.add(self.partial.batch_size)
         if len(sizes) != 1:
             raise ValueError(f"inconsistent batch sizes: {sorted(sizes)}")
 
@@ -48,12 +44,10 @@ class Batch:
 
     @property
     def sparse_keys(self) -> list[str]:
-        """Every sparse feature name, across KJT/IKJT/partial inputs."""
+        """Every sparse feature name, across the KJT and the IKJTs."""
         keys = list(self.kjt.keys) if self.kjt is not None else []
         for ik in self.ikjts:
             keys.extend(ik.keys)
-        if self.partial is not None:
-            keys.extend(self.partial.keys)
         return keys
 
     @property
@@ -74,10 +68,6 @@ class Batch:
             total += self.kjt.nbytes
         for ik in self.ikjts:
             total += ik.nbytes
-        if self.partial is not None:
-            total += sum(
-                self.partial[k].nbytes for k in self.partial.keys
-            )
         return total
 
     @property
@@ -94,20 +84,13 @@ class Batch:
             total += self.kjt.nbytes
         for ik in self.ikjts:
             total += ik.expanded_nbytes
-        if self.partial is not None:
-            total += sum(
-                self.partial[k].nbytes for k in self.partial.keys
-            )
         return total
 
     def to_kjt_only(self) -> "Batch":
-        """Expand every (partial) IKJT back to a KJT
-        (functional-equivalence tests)."""
+        """Expand every IKJT back to a KJT (functional-equivalence tests)."""
         tensors = dict(self.kjt.items()) if self.kjt is not None else {}
         for ik in self.ikjts:
             tensors.update(ik.to_kjt().items())
-        if self.partial is not None:
-            tensors.update(self.partial.to_kjt().items())
         return Batch(
             dense=self.dense,
             labels=self.labels,

@@ -3,12 +3,16 @@
 §4.2: ML engineers add a ``dedup_sparse_features`` field, a
 ``List[List[featureKey]]`` of feature groups to deduplicate, next to the
 usual ``sparse_features`` list.  Features named in neither list are not
-materialized (the job does not use them).
+materialized (the job does not use them).  A feature is a plain KJT key
+or a member of one IKJT group; there is no third form.  Every name list
+and every transform name is checked at construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from .preprocess import TRANSFORM_REGISTRY
 
 __all__ = ["DataLoaderConfig"]
 
@@ -22,9 +26,6 @@ class DataLoaderConfig:
     sparse_features: tuple[str, ...] = ()
     #: feature groups converted to (grouped) IKJTs — O3
     dedup_sparse_features: tuple[tuple[str, ...], ...] = ()
-    #: features converted to *partial* IKJTs (§7): shift-aware dedup that
-    #: also captures lists that changed by appending/dropping IDs
-    partial_dedup_sparse_features: tuple[str, ...] = ()
     dense_features: tuple[str, ...] = ()
     #: names of preprocessing transforms to apply, in order (O4)
     transforms: tuple[str, ...] = ()
@@ -32,14 +33,21 @@ class DataLoaderConfig:
     def __post_init__(self) -> None:
         if self.batch_size <= 0:
             raise ValueError("batch_size must be positive")
-        # a bare string iterates as its characters, each a feature name
+        # a bare string iterates as its characters, each a name
         for name in (
             "sparse_features",
             "dedup_sparse_features",
-            "partial_dedup_sparse_features",
+            "dense_features",
+            "transforms",
         ):
             if isinstance(getattr(self, name), str):
                 raise ValueError(f"{name} must be a sequence of names, not a str")
+        for transform in self.transforms:
+            if transform not in TRANSFORM_REGISTRY:
+                raise ValueError(
+                    f"transforms names an unknown transform {transform!r}; "
+                    f"known: {sorted(TRANSFORM_REGISTRY)}"
+                )
         for group in self.dedup_sparse_features:
             if isinstance(group, str):
                 raise ValueError(
@@ -49,15 +57,10 @@ class DataLoaderConfig:
         flat = [k for group in self.dedup_sparse_features for k in group]
         if len(flat) != len(set(flat)):
             raise ValueError("a feature may appear in only one dedup group")
-        claimed = [
-            *self.sparse_features,
-            *flat,
-            *self.partial_dedup_sparse_features,
-        ]
+        claimed = [*self.sparse_features, *flat]
         if len(claimed) != len(set(claimed)):
             raise ValueError(
-                "a feature may be plain, exact-dedup, or partial-dedup — "
-                "not several at once"
+                "a feature may be plain or exact-dedup — not both at once"
             )
         for group in self.dedup_sparse_features:
             if not group:
@@ -71,11 +74,7 @@ class DataLoaderConfig:
     @property
     def all_sparse_names(self) -> list[str]:
         """Every sparse feature the loader emits, dedup'd or not."""
-        return (
-            list(self.sparse_features)
-            + self.dedup_feature_names
-            + list(self.partial_dedup_sparse_features)
-        )
+        return list(self.sparse_features) + self.dedup_feature_names
 
     def without_dedup(self) -> "DataLoaderConfig":
         """The baseline config: same features, all as plain KJTs."""
@@ -83,7 +82,6 @@ class DataLoaderConfig:
             batch_size=self.batch_size,
             sparse_features=tuple(self.all_sparse_names),
             dedup_sparse_features=(),
-            partial_dedup_sparse_features=(),
             dense_features=self.dense_features,
             transforms=self.transforms,
         )

@@ -3,7 +3,9 @@
 The convert step copies feature data from a filled block of rows into
 structured tensors.  Features listed in ``dedup_sparse_features`` are
 deduplicated into (grouped) IKJTs by hashing row values during
-conversion; everything else becomes plain KJTs.  Work accounting:
+conversion; every other configured feature goes into the one plain
+KJT.  Those are the only two tensor forms a batch carries.  Work
+accounting:
 
 * every value of a dedup-group feature is *hashed* (the O3 overhead
   measured at +21/37/11% convert time in Fig 10);
@@ -20,7 +22,6 @@ import numpy as np
 from ..core.ikjt import InverseKeyedJaggedTensor
 from ..core.jagged import JaggedTensor
 from ..core.kjt import KeyedJaggedTensor
-from ..core.partial import PartialKeyedJaggedTensor
 from ..storage.rowblock import RowBlock, require_block
 from .batch import Batch
 from .config import DataLoaderConfig
@@ -93,16 +94,4 @@ def convert_rows(
         stats.values_hashed += grouped_kjt.total_values
         stats.values_copied += sum(ikjt.total_values for ikjt in ikjts)
 
-    partial = None
-    if config.partial_dedup_sparse_features:
-        keys = list(config.partial_dedup_sparse_features)
-        partial_kjt = keyed(keys)
-        partial = PartialKeyedJaggedTensor.from_kjt(partial_kjt, keys)
-        # partial matching scans windows: charge hashing for every value
-        stats.values_hashed += partial_kjt.total_values
-        stats.values_copied += partial.total_values
-
-    return (
-        Batch(dense=dense, labels=labels, kjt=kjt, ikjts=ikjts, partial=partial),
-        stats,
-    )
+    return Batch(dense=dense, labels=labels, kjt=kjt, ikjts=ikjts), stats

@@ -6,7 +6,8 @@ values — hashing, clamping, normalization.  RecD wraps each module so it
 deduplicated ``values``/``offsets`` slices, so the module body is
 unchanged while processing ``DedupeFactor(f)`` fewer values.  Outputs
 stay IKJTs, so the savings also reach the reader->trainer network hop and
-the trainer itself.
+the trainer itself.  A batch's plain KJT and its IKJT groups are the
+only tensors transforms see: there is no third batch shape.
 """
 
 from __future__ import annotations
@@ -33,15 +34,9 @@ __all__ = [
 
 
 class SparseTransform:
-    """Base: a user module mapping JaggedTensor -> JaggedTensor.
-
-    ``elementwise`` transforms map each value independently and are
-    therefore valid over a *partial* IKJT's shared value buffer (§7);
-    structure-changing transforms (truncation) are not.
-    """
+    """Base: a user module mapping JaggedTensor -> JaggedTensor."""
 
     name = "identity"
-    elementwise = True
 
     def apply(self, jt: JaggedTensor) -> JaggedTensor:
         """Transform one feature's jagged values; returns a new tensor."""
@@ -84,7 +79,6 @@ class TruncateLength(SparseTransform):
     """Keep only the most recent ``max_len`` IDs of each row."""
 
     name = "truncate_length"
-    elementwise = False
 
     def __init__(self, max_len: int = 256):
         if max_len < 0:
@@ -172,39 +166,7 @@ def apply_transforms(
     for t in transforms:
         wrapper = DedupPreprocWrapper(t)
         ikjts = [wrapper.apply(ik, stats) for ik in ikjts]
-    partial = batch.partial
-    if partial is not None and transforms:
-        from ..core.partial import PartialJaggedTensor, PartialKeyedJaggedTensor
-
-        for t in transforms:
-            if not t.elementwise:
-                raise ValueError(
-                    f"transform {t.name!r} changes row structure and cannot "
-                    "run over a partial IKJT's shared value buffer"
-                )
-        out = {}
-        for key in partial.keys:
-            pt = partial[key]
-            values = pt.values
-            for t in transforms:
-                # element-wise: reuse the JaggedTensor body over the flat
-                # buffer (one trivial segment)
-                shim = JaggedTensor(
-                    values,
-                    np.array([0, values.size], dtype=np.int64),
-                )
-                values = t.apply(shim).values
-                stats.values_processed += values.size
-            stats.rows_processed += pt.batch_size
-            out[key] = PartialJaggedTensor(values, pt.inverse_lookup.copy())
-        partial = PartialKeyedJaggedTensor(out)
     return (
-        Batch(
-            dense=batch.dense,
-            labels=batch.labels,
-            kjt=kjt,
-            ikjts=ikjts,
-            partial=partial,
-        ),
+        Batch(dense=batch.dense, labels=batch.labels, kjt=kjt, ikjts=ikjts),
         stats,
     )

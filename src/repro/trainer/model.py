@@ -167,9 +167,7 @@ class DLRM:
         self.counters.add(
             "mlp_flops", self.bottom_mlp.flops(batch.batch_size)
         )
-        pooled = self.sparse_arch.forward(
-            batch.kjt, batch.ikjts, partial=batch.partial
-        )
+        pooled = self.sparse_arch.forward(batch.kjt, batch.ikjts)
         vectors = [dense_repr] + pooled
         inter = self.interaction.forward(vectors)
         self.counters.add(

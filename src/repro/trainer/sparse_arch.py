@@ -14,6 +14,10 @@ This is where RecD's trainer-side optimizations (Table 1, O5–O7) live:
 
 Every combination of flags is functionally identical — asserted by the
 test suite — because IKJTs encode the same logical data (§6.2).
+
+A feature arrives in one of two forms, a KJT key or a member of an IKJT
+group: :meth:`SparseArch.forward` takes exactly the batch's KJT and its
+IKJTs.
 """
 
 from __future__ import annotations
@@ -238,10 +242,7 @@ class SparseArch:
         self._order: list[str] = []
 
     def forward(
-        self,
-        kjt,
-        ikjts: list[InverseKeyedJaggedTensor],
-        partial=None,
+        self, kjt, ikjts: list[InverseKeyedJaggedTensor]
     ) -> list[np.ndarray]:
         """Pooled (B, D) vectors in *model* feature order.
 
@@ -249,11 +250,6 @@ class SparseArch:
         order) keeps the interaction layer's input layout identical
         whether a feature arrived as KJT or IKJT — a requirement for the
         bit-equivalence the paper claims in §6.2.
-
-        ``partial`` (a :class:`~repro.core.partial.PartialKeyedJaggedTensor`)
-        is expanded to jagged form before lookup: §7 defines the partial
-        *encoding*; trainer-side compute over partials is future work in
-        the paper too.
         """
         by_key: dict[str, np.ndarray] = {}
         if kjt is not None:
@@ -268,12 +264,6 @@ class SparseArch:
                     ikjt.inverse_lookup,
                     self.flags,
                     self.counters,
-                )
-        if partial is not None:
-            for key in partial.keys:
-                feature = self._feature(key)
-                by_key[key] = feature.forward_kjt(
-                    partial[key].to_jagged(), self.counters
                 )
         if not by_key:
             raise ValueError("batch carried no sparse features")

@@ -10,9 +10,7 @@ from repro.core import (
     dense_index_select,
     expand_pooled,
     gather_ranges,
-    jagged_elementwise_sum,
     jagged_index_select,
-    segment_max,
     segment_mean,
     segment_sum,
 )
@@ -101,29 +99,9 @@ class TestSegmentReductions:
         out = segment_mean(acts, np.array([0, 2, 2]))
         np.testing.assert_allclose(out, [[3.0], [0.0]])
 
-    def test_segment_max(self):
-        acts = np.array([[1.0, 9.0], [5.0, 2.0], [3.0, 3.0]])
-        out = segment_max(acts, np.array([0, 2, 3]))
-        np.testing.assert_allclose(out, [[5.0, 9.0], [3.0, 3.0]])
-
-    def test_segment_max_empty_segment_zero(self):
-        acts = np.array([[7.0]])
-        out = segment_max(acts, np.array([0, 0, 1]))
-        np.testing.assert_allclose(out, [[0.0], [7.0]])
-
-    def test_segment_max_all_empty(self):
-        out = segment_max(np.empty((0, 3)), np.array([0, 0, 0]))
-        np.testing.assert_allclose(out, np.zeros((2, 3)))
-
     def test_mismatched_rows_raise(self):
         with pytest.raises(ValueError):
             segment_sum(np.zeros((3, 1)), np.array([0, 2]))
-
-    def test_no_empty_nonempty_merge(self):
-        # empty segment between two non-empty ones must stay zero
-        acts = np.array([[1.0], [2.0], [3.0]])
-        out = segment_max(acts, np.array([0, 1, 1, 3]))
-        np.testing.assert_allclose(out, [[1.0], [0.0], [3.0]])
 
 
 @given(
@@ -192,27 +170,3 @@ class TestExpandPooled:
     def test_empty_lookup(self):
         out = expand_pooled(np.zeros((2, 3)), np.array([], dtype=np.int64))
         assert out.shape == (0, 3)
-
-
-class TestJaggedElementwiseSum:
-    def test_paper_example(self):
-        # §5: element-wise sum across grouped features c and d is the
-        # motivating compute; here same-structure tensors sum values.
-        x = JaggedTensor.from_lists([[1, 2], [3]])
-        y = JaggedTensor.from_lists([[10, 20], [30]])
-        out = jagged_elementwise_sum([x, y])
-        assert out.to_lists() == [[11, 22], [33]]
-
-    def test_structure_mismatch_raises(self):
-        x = JaggedTensor.from_lists([[1, 2]])
-        y = JaggedTensor.from_lists([[1], [2]])
-        with pytest.raises(ValueError):
-            jagged_elementwise_sum([x, y])
-
-    def test_empty_input_raises(self):
-        with pytest.raises(ValueError):
-            jagged_elementwise_sum([])
-
-    def test_single_tensor(self):
-        x = JaggedTensor.from_lists([[5]])
-        assert jagged_elementwise_sum([x]).to_lists() == [[5]]

@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core import (
     JaggedTensor,
-    KeyedJaggedTensor,
     PartialJaggedTensor,
-    PartialKeyedJaggedTensor,
 )
 
 
@@ -70,38 +68,6 @@ class TestValidation:
         jt = JaggedTensor.from_lists([[1, 2]])
         pt = PartialJaggedTensor.from_jagged(jt)
         assert pt.nbytes == pt.values.nbytes + pt.inverse_lookup.nbytes
-
-
-class TestKeyed:
-    def test_from_kjt_round_trip(self):
-        rows = [
-            {"a": [1, 2], "b": [3, 4, 5]},
-            {"a": [2, 3], "b": [4, 5, 6]},
-        ]
-        kjt = KeyedJaggedTensor.from_rows(rows)
-        pkjt = PartialKeyedJaggedTensor.from_kjt(kjt)
-        assert pkjt.to_kjt() == kjt
-        assert pkjt.keys == ["a", "b"]
-        assert pkjt.batch_size == 2
-        assert pkjt.dedupe_factor() > 1.0
-
-    def test_getitem(self):
-        kjt = KeyedJaggedTensor.from_rows([{"a": [1]}])
-        pkjt = PartialKeyedJaggedTensor.from_kjt(kjt)
-        assert isinstance(pkjt["a"], PartialJaggedTensor)
-        assert pkjt.total_values == 1
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            PartialKeyedJaggedTensor({})
-
-    def test_mismatched_batch_rejected(self):
-        a = PartialJaggedTensor.from_jagged(JaggedTensor.from_lists([[1]]))
-        b = PartialJaggedTensor.from_jagged(
-            JaggedTensor.from_lists([[1], [2]])
-        )
-        with pytest.raises(ValueError):
-            PartialKeyedJaggedTensor({"a": a, "b": b})
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,8 +4,6 @@ import pytest
 
 from repro.distributed import (
     ClusterSpec,
-    GPUDevice,
-    GPUSpec,
     all_reduce_seconds,
     all_to_all_seconds,
     sim_cluster,
@@ -30,11 +28,6 @@ class TestClusterSpec:
             ClusterSpec(num_gpus=0)
         with pytest.raises(ValueError):
             ClusterSpec(num_gpus=12, gpus_per_node=8)
-
-    def test_device(self):
-        d = GPUDevice(GPUSpec(), device_id=3)
-        assert d.memory.capacity_bytes == GPUSpec().memory_bytes
-        assert "id=3" in repr(d)
 
 
 class TestCollectives:

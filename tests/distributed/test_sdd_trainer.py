@@ -7,7 +7,6 @@ from repro.core import InverseKeyedJaggedTensor, KeyedJaggedTensor
 from repro.datagen import rm1
 from repro.distributed import (
     DistributedTrainer,
-    plan_sharding,
     sdd_volume,
     sim_cluster,
 )
@@ -28,18 +27,6 @@ def make_batch(kjt=None, ikjts=None, batch=12):
         kjt=kjt,
         ikjts=ikjts or [],
     )
-
-
-class TestShardingPlan:
-    def test_round_robin(self):
-        plan = plan_sharding(["a", "b", "c"], 2)
-        assert plan.owner == {"a": 0, "b": 1, "c": 0}
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            plan_sharding([], 2)
-        with pytest.raises(ValueError):
-            plan_sharding(["a"], 0)
 
 
 class TestSDDVolume:

@@ -1,11 +1,10 @@
-"""Tests for counters, memory tracking, breakdowns, and overlap."""
+"""Tests for counters, breakdowns, and overlap."""
 
 import pytest
 
 from repro.metrics import (
     Counters,
     IterationBreakdown,
-    MemoryTracker,
     OverlapReport,
     QueueWaitBreakdown,
     ReaderCpuBreakdown,
@@ -34,46 +33,6 @@ class TestCounters:
         assert c.as_dict() == {"x": 1}
         c.reset()
         assert c.as_dict() == {}
-
-
-class TestMemoryTracker:
-    def test_alloc_free_peak(self):
-        m = MemoryTracker(capacity_bytes=100)
-        m.alloc(60)
-        m.alloc(20)
-        m.free(50)
-        assert m.current_bytes == 30
-        assert m.peak_bytes == 80
-        assert m.peak_utilization == pytest.approx(0.8)
-        assert m.utilization == pytest.approx(0.3)
-
-    def test_capacity_enforced(self):
-        m = MemoryTracker(capacity_bytes=10)
-        with pytest.raises(MemoryError):
-            m.alloc(11)
-
-    def test_unbounded(self):
-        m = MemoryTracker()
-        m.alloc(10**12)
-        assert m.utilization == 0.0
-
-    def test_invalid_ops(self):
-        m = MemoryTracker(100)
-        with pytest.raises(ValueError):
-            m.alloc(-1)
-        with pytest.raises(ValueError):
-            m.free(-1)
-        with pytest.raises(ValueError):
-            m.free(1)
-        with pytest.raises(ValueError):
-            MemoryTracker(0)
-
-    def test_reset_peak(self):
-        m = MemoryTracker(100)
-        m.alloc(50)
-        m.free(50)
-        m.reset_peak()
-        assert m.peak_bytes == 0
 
 
 class TestBreakdowns:

@@ -93,6 +93,11 @@ class TestValidationNamesSpecAndField:
                 "TrainSpec.train_batches",
             ),
             (lambda w: TrainSpec(batch_size=-5), "TrainSpec.batch_size"),
+            pytest.param(
+                lambda w: TrainSpec(num_gpus=12, gpus_per_node=8),
+                "TrainSpec.num_gpus",
+                id="TrainSpec.num_gpus=12-on-8-per-node",
+            ),
             (
                 lambda w: ScalingSpec(target_stall=0.0),
                 "ScalingSpec.target_stall",

@@ -1,9 +1,13 @@
 """Tests for DataLoaderConfig and Batch."""
 
+import re
+
 import numpy as np
 import pytest
 
 from repro.core import InverseKeyedJaggedTensor, KeyedJaggedTensor
+from repro.datagen import rm1
+from repro.pipeline import DataSpec
 from repro.reader import Batch, DataLoaderConfig
 
 
@@ -46,14 +50,30 @@ class TestDataLoaderConfig:
             ("dedup_sparse_features", (("a",), "bc")),
             ("dedup_sparse_features", "ab"),
             ("sparse_features", "ab"),
-            ("partial_dedup_sparse_features", "ab"),
+            ("dense_features", "ab"),
+            ("transforms", "hash_modulo"),
+            ("transforms", ("hash_modulus",)),
+            pytest.param(
+                "DataSpec.transforms", "hash_modulo", id="DataSpec-bare-str"
+            ),
+            pytest.param(
+                "DataSpec.transforms",
+                ("hash_modulo", "hash_modulus"),
+                id="DataSpec-unknown-transform",
+            ),
         ],
     )
     def test_bare_string_is_not_a_list_of_names(self, field, value):
         """A str iterates as its characters: ("ab",) would dedup features
-        "a" and "b" as one group."""
-        with pytest.raises(ValueError, match=field):
-            DataLoaderConfig(batch_size=2, **{field: value})
+        "a" and "b" as one group, and dense_features="ab" would build two
+        all-zero columns.  A transform name must be registered.  Both
+        fail at construction, and a DataSpec names its own field —
+        before any table lands."""
+        with pytest.raises(ValueError, match=re.escape(field)):
+            if field.startswith("DataSpec."):
+                DataSpec(rm1(scale=0.25), transforms=value)
+            else:
+                DataLoaderConfig(batch_size=2, **{field: value})
 
     def test_without_dedup(self):
         cfg = DataLoaderConfig(

@@ -10,11 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (
-    InverseKeyedJaggedTensor,
-    KeyedJaggedTensor,
-    PartialKeyedJaggedTensor,
-)
+from repro.core import InverseKeyedJaggedTensor, KeyedJaggedTensor
 from repro.datagen.session import Sample
 from repro.reader import Batch, ConvertStats, DataLoaderConfig, convert_rows
 from repro.storage import RowBlock
@@ -223,9 +219,9 @@ def test_index_and_concat_validation():
 @st.composite
 def _config(draw):
     """A config over ``a, b, c`` plus ``ghost`` (in no block): each key
-    plain, in one of two dedup groups, partial, or unused."""
+    plain, in one of two dedup groups, or unused."""
     roles = {
-        key: draw(st.sampled_from(["plain", "g1", "g2", "partial", None]))
+        key: draw(st.sampled_from(["plain", "g1", "g2", None]))
         for key in (*_SPARSE, "ghost")
     }
 
@@ -238,7 +234,6 @@ def _config(draw):
         dedup_sparse_features=tuple(
             g for g in (having("g1"), having("g2")) if g
         ),
-        partial_dedup_sparse_features=having("partial"),
         dense_features=tuple(
             draw(st.lists(st.sampled_from((*_DENSE, "nope")), unique=True))
         ),
@@ -255,9 +250,6 @@ def _jagged_pairs(batch):
         for _, jt in ik.items():
             out += [jt.values, jt.offsets]
         out.append(ik.inverse_lookup)
-    if batch.partial is not None:
-        for key in batch.partial.keys:
-            out += [batch.partial[key].values, batch.partial[key].inverse_lookup]
     return out
 
 
@@ -282,23 +274,13 @@ def _convert_row_by_row(rows, config):
         ikjts.append(ikjt)
         stats.values_hashed += group_kjt.total_values
         stats.values_copied += ikjt.total_values
-    partial = None
-    if config.partial_dedup_sparse_features:
-        keys = list(config.partial_dedup_sparse_features)
-        partial_kjt = KeyedJaggedTensor.from_rows(sparse, keys=keys)
-        partial = PartialKeyedJaggedTensor.from_kjt(partial_kjt, keys)
-        stats.values_hashed += partial_kjt.total_values
-        stats.values_copied += partial.total_values
-    return (
-        Batch(dense=dense, labels=labels, kjt=kjt, ikjts=ikjts, partial=partial),
-        stats,
-    )
+    return Batch(dense=dense, labels=labels, kjt=kjt, ikjts=ikjts), stats
 
 
 @settings(deadline=None)
 @given(_rows(min_size=1), _config())
 def test_convert_block_equals_convert_rows(drawn, cfg):
-    """Plain, dedup-group and partial configs: ``convert_rows`` of a
+    """Plain and dedup-group configs: ``convert_rows`` of a
     block converts to the row-by-row reference's arrays (values,
     offsets, inverse_lookup, dense, labels — dtypes included) and work
     units."""
