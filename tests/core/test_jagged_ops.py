@@ -103,6 +103,17 @@ class TestSegmentReductions:
         with pytest.raises(ValueError):
             segment_sum(np.zeros((3, 1)), np.array([0, 2]))
 
+    def test_no_empty_nonempty_merge(self):
+        # empty segment between two non-empty ones must stay zero
+        acts = np.array([[1.0], [2.0], [3.0]])
+        offsets = np.array([0, 1, 1, 3])
+        np.testing.assert_allclose(
+            segment_sum(acts, offsets), [[1.0], [0.0], [5.0]]
+        )
+        np.testing.assert_allclose(
+            segment_mean(acts, offsets), [[1.0], [0.0], [2.5]]
+        )
+
 
 @given(
     st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=8),
@@ -117,6 +128,22 @@ def test_property_segment_sum_matches_loop(lengths, dim):
     got = segment_sum(acts, offsets)
     for i, ln in enumerate(lengths):
         ref = acts[offsets[i] : offsets[i + 1]].sum(axis=0)
+        np.testing.assert_allclose(got[i], ref)
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=8),
+    st.integers(min_value=1, max_value=4),
+)
+def test_property_segment_mean_matches_loop(lengths, dim):
+    """segment_mean equals a per-segment loop; an empty segment is zero."""
+    rng = np.random.default_rng(1)
+    acts = rng.normal(size=(sum(lengths), dim))
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    got = segment_mean(acts, offsets)
+    for i, ln in enumerate(lengths):
+        seg = acts[offsets[i] : offsets[i + 1]]
+        ref = seg.mean(axis=0) if ln else np.zeros(dim)
         np.testing.assert_allclose(got[i], ref)
 
 

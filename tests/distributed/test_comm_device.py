@@ -4,6 +4,7 @@ import pytest
 
 from repro.distributed import (
     ClusterSpec,
+    GPUSpec,
     all_reduce_seconds,
     all_to_all_seconds,
     sim_cluster,
@@ -28,6 +29,18 @@ class TestClusterSpec:
             ClusterSpec(num_gpus=0)
         with pytest.raises(ValueError):
             ClusterSpec(num_gpus=12, gpus_per_node=8)
+
+    def test_part_of_one_node_is_single_node(self):
+        """Any count up to one node is legal, multiple or not."""
+        c = ClusterSpec(num_gpus=3, gpus_per_node=8)
+        assert c.single_node
+        assert c.num_nodes == 1
+        assert c.collective_bw == c.gpu.nvlink_bw
+
+    def test_gpu_spec_carries_the_memory_capacity(self):
+        assert ClusterSpec().gpu.memory_bytes == GPUSpec().memory_bytes
+        assert GPUSpec().memory_bytes == 40 * 2**30
+        assert sim_cluster(memory_bytes=2**20).gpu.memory_bytes == 2**20
 
 
 class TestCollectives:

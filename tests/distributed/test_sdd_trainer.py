@@ -7,6 +7,7 @@ from repro.core import InverseKeyedJaggedTensor, KeyedJaggedTensor
 from repro.datagen import rm1
 from repro.distributed import (
     DistributedTrainer,
+    TrainerCostConstants,
     sdd_volume,
     sim_cluster,
 )
@@ -58,6 +59,51 @@ class TestSDDVolume:
             make_batch(ikjts=[InverseKeyedJaggedTensor.from_kjt(kjt)], batch=20)
         )
         assert recd.input_bytes < base.input_bytes
+
+    def test_inverse_lookup_stays_local(self):
+        """§5: only the IKJT's values/offsets slices enter the SDD; the
+        inverse_lookup the reader shipped stays on the trainer."""
+        kjt = KeyedJaggedTensor.from_rows(
+            [{"f": [1, 2, 3]}, {"f": [1, 2, 3]}, {"f": [4]}]
+        )
+        ikjt = InverseKeyedJaggedTensor.from_kjt(kjt)
+        vol = sdd_volume(make_batch(ikjts=[ikjt], batch=3))
+        jt = ikjt["f"]
+        assert vol.input_bytes == 8 * (jt.total_values + jt.offsets.size)
+        assert vol.input_bytes == ikjt.nbytes - ikjt.inverse_lookup.nbytes
+
+    def test_volume_adds_over_kjt_and_groups(self):
+        """A batch's volume is the sum of its KJT's and each IKJT group's:
+        no feature is placed, so nothing depends on which GPU owns it."""
+        rows = [
+            {"a": [i % 3], "b": [1, 2], "c": [7, 8, 9], "d": [i % 2]}
+            for i in range(10)
+        ]
+        kjt = KeyedJaggedTensor.from_rows(rows)
+        plain = kjt.select(["a"])
+        g1 = InverseKeyedJaggedTensor.from_kjt(kjt, ["b", "c"])
+        g2 = InverseKeyedJaggedTensor.from_kjt(kjt, ["d"])
+        parts = [
+            sdd_volume(make_batch(kjt=plain, batch=10)),
+            sdd_volume(make_batch(ikjts=[g1], batch=10)),
+            sdd_volume(make_batch(ikjts=[g2], batch=10)),
+        ]
+        whole = sdd_volume(make_batch(kjt=plain, ikjts=[g1, g2], batch=10))
+        assert whole.input_bytes == sum(p.input_bytes for p in parts)
+        assert whole.output_rows == sum(p.output_rows for p in parts)
+        # b and c share one unique row; d has two
+        assert whole.output_rows == 10 + 2 * 1 + 2
+
+    def test_batch_without_sparse_features_ships_nothing(self):
+        vol = sdd_volume(make_batch(batch=4))
+        assert vol.input_bytes == 0
+        assert vol.output_rows == 0
+        assert vol.output_bytes(16) == 0
+
+    def test_output_bytes_scale_with_dim_and_dtype(self):
+        vol = sdd_volume(make_batch(kjt=dup_kjt(batch=12)))
+        assert vol.output_bytes(16, 2) == 12 * 16 * 2
+        assert vol.output_bytes(32, 2) == 2 * vol.output_bytes(16, 2)
 
 
 def _batches(w, dedup, batch_size, n=2, seed=0):
@@ -220,6 +266,96 @@ class TestDistributedTrainer:
         trainer = DistributedTrainer(model, sim_cluster())
         assert trainer.report.mean_samples_per_second == 0.0
         assert trainer.report.max_mem_util == 0.0
+
+
+class TestMemoryModel:
+    """The trainer's per-GPU memory is the one memory model: EMB tables
+    shard over the GPUs, dense parameters replicate, and activations plus
+    input buffers split over the GPUs, all against ``GPUSpec.memory_bytes``.
+    """
+
+    @staticmethod
+    def _run(w, batches, **cluster_kw):
+        model = DLRM(
+            list(w.schema.sparse),
+            DLRMConfig.from_workload(w, max_table_rows=500, seed=12),
+            TrainerOptFlags.full(),
+        )
+        trainer = DistributedTrainer(model, sim_cluster(**cluster_kw))
+        return model, trainer.run(batches)
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        w = rm1(scale=0.5)
+        batches = _batches(w, True, w.baseline_batch_size, n=2, seed=13)
+        out = {
+            (n, mem): self._run(w, batches, num_gpus=n, memory_bytes=mem)
+            for n, mem in [(16, 48 * 2**20), (32, 48 * 2**20), (16, 24 * 2**20)]
+        }
+        return batches, out
+
+    def test_peak_is_static_plus_dynamic(self, runs):
+        _, out = runs
+        for _, rep in out.values():
+            for r in rep.iterations:
+                assert r.static_mem_bytes > 0 and r.dynamic_mem_bytes > 0
+                assert r.max_mem_bytes == r.static_mem_bytes + r.dynamic_mem_bytes
+
+    def test_utilization_is_against_gpu_capacity(self, runs):
+        _, out = runs
+        frac = TrainerCostConstants().avg_dynamic_fraction
+        for (_, mem), (_, rep) in out.items():
+            for r in rep.iterations:
+                assert r.max_mem_util == r.max_mem_bytes / mem
+                assert r.avg_mem_util == pytest.approx(
+                    (r.static_mem_bytes + frac * r.dynamic_mem_bytes) / mem
+                )
+                assert r.avg_mem_util < r.max_mem_util
+
+    def test_halving_capacity_doubles_utilization(self, runs):
+        _, out = runs
+        full, half = out[16, 48 * 2**20][1], out[16, 24 * 2**20][1]
+        for a, b in zip(full.iterations, half.iterations):
+            assert b.max_mem_bytes == a.max_mem_bytes
+            assert b.max_mem_util == pytest.approx(2 * a.max_mem_util)
+
+    def test_embedding_tables_shard_dense_params_replicate(self, runs):
+        """static(n) = EMB / n + dense: doubling the GPUs halves the EMB
+        shard and leaves the replicated dense parameters as they are."""
+        _, out = runs
+        model, rep16 = out[16, 48 * 2**20]
+        rep32 = out[32, 48 * 2**20][1]
+        s16 = rep16.iterations[0].static_mem_bytes
+        s32 = rep32.iterations[0].static_mem_bytes
+        emb = model.embedding_nbytes() / 2  # fp64 simulation -> fp32
+        assert s16 - s32 == pytest.approx(emb / 32)
+        assert 2 * s32 - s16 == pytest.approx(
+            TrainerCostConstants().param_mem_scale
+            * sum(p.nbytes for p in model.dense_params())
+            / 2
+        )
+
+    def test_dynamic_bytes_split_over_gpus(self, runs):
+        _, out = runs
+        rep16, rep32 = out[16, 48 * 2**20][1], out[32, 48 * 2**20][1]
+        for a, b in zip(rep16.iterations, rep32.iterations):
+            assert a.dynamic_mem_bytes == pytest.approx(2 * b.dynamic_mem_bytes)
+
+    def test_input_buffers_count_the_wire_bytes(self, runs):
+        """Each GPU holds its share of the batch the readers shipped, on
+        top of its activations."""
+        batches, out = runs
+        for (n, _), (_, rep) in out.items():
+            for batch, r in zip(batches, rep.iterations):
+                assert r.dynamic_mem_bytes * n > batch.wire_nbytes
+
+    def test_report_peak_is_max_over_iterations(self, runs):
+        _, out = runs
+        for _, rep in out.values():
+            assert rep.max_mem_util == max(
+                r.max_mem_util for r in rep.iterations
+            )
+            assert rep.as_dict()["max_mem_util"] == rep.max_mem_util
 
 
 class TestStreamingIngestion:

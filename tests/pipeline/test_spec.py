@@ -14,6 +14,7 @@ from repro.pipeline import (
     StreamSpec,
     TrainSpec,
 )
+from repro.pipeline.session import build_trainer
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +99,16 @@ class TestValidationNamesSpecAndField:
                 "TrainSpec.num_gpus",
                 id="TrainSpec.num_gpus=12-on-8-per-node",
             ),
+            *(
+                pytest.param(
+                    lambda w, n=n, per=per: TrainSpec(
+                        num_gpus=n, gpus_per_node=per
+                    ),
+                    "TrainSpec.num_gpus",
+                    id=f"TrainSpec.num_gpus={n}-on-{per}-per-node",
+                )
+                for n, per in [(9, 8), (20, 8), (10, 4), (7, 2)]
+            ),
             (
                 lambda w: ScalingSpec(target_stall=0.0),
                 "ScalingSpec.target_stall",
@@ -133,6 +144,31 @@ class TestValidationNamesSpecAndField:
     def test_error_names_the_offending_field(self, workload, build, needle):
         with pytest.raises(ValueError, match=needle.replace(".", r"\.")):
             build(workload)
+
+    @pytest.mark.parametrize(
+        ("num_gpus", "gpus_per_node"),
+        [(1, 8), (3, 8), (8, 8), (16, 8), (48, 8), (6, 2)],
+    )
+    def test_train_spec_takes_every_shape_the_cluster_takes(
+        self, workload, num_gpus, gpus_per_node
+    ):
+        """Any count within one node, else whole nodes: the shape a
+        TrainSpec accepts is the trainer's modeled cluster."""
+        train = TrainSpec(
+            num_gpus=num_gpus, gpus_per_node=gpus_per_node, max_table_rows=64
+        )
+        cluster = build_trainer(_spec(workload, train=train)).cluster
+        assert (cluster.num_gpus, cluster.gpus_per_node) == (
+            num_gpus,
+            gpus_per_node,
+        )
+        assert cluster.single_node == (num_gpus <= gpus_per_node)
+
+    def test_cluster_shape_error_states_both_counts(self):
+        with pytest.raises(
+            ValueError, match=r"num_gpus=12 and gpus_per_node=8"
+        ):
+            TrainSpec(num_gpus=12, gpus_per_node=8)
 
     def test_jobspec_weight_and_name(self, workload):
         with pytest.raises(ValueError, match=r"JobSpec\.weight"):

@@ -7,8 +7,9 @@ import pytest
 
 from repro.core import InverseKeyedJaggedTensor, KeyedJaggedTensor
 from repro.datagen import rm1
-from repro.pipeline import DataSpec
+from repro.pipeline import DataSpec, JobSpec
 from repro.reader import Batch, DataLoaderConfig
+from repro.reader.preprocess import TRANSFORM_REGISTRY
 
 
 class TestDataLoaderConfig:
@@ -74,6 +75,22 @@ class TestDataLoaderConfig:
                 DataSpec(rm1(scale=0.25), transforms=value)
             else:
                 DataLoaderConfig(batch_size=2, **{field: value})
+
+    @pytest.mark.parametrize("name", sorted(TRANSFORM_REGISTRY))
+    def test_every_registered_transform_is_accepted(self, name):
+        """The construction check rejects only unregistered names: each
+        registered one builds a config, a DataSpec, and reaches the job's
+        DataLoader spec."""
+        cfg = DataLoaderConfig(batch_size=2, transforms=(name,))
+        assert cfg.transforms == (name,)
+        data = DataSpec(rm1(scale=0.25), transforms=(name,))
+        assert JobSpec(data=data).dataloader_config().transforms == (name,)
+
+    def test_no_transforms_and_every_transform_in_order(self):
+        assert DataLoaderConfig(batch_size=2).transforms == ()
+        names = tuple(sorted(TRANSFORM_REGISTRY, reverse=True))
+        assert DataLoaderConfig(batch_size=2, transforms=names).transforms == names
+        assert DataSpec(rm1(scale=0.25), transforms=()).transforms == ()
 
     def test_without_dedup(self):
         cfg = DataLoaderConfig(

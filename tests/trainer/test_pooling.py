@@ -133,6 +133,47 @@ class TestSemantics:
         )
         np.testing.assert_allclose(MaxPooling().forward(acts), [[5.0, 9.0]])
 
+    # MaxPooling.forward is the one max-pool kernel: the cases below pin
+    # its per-row, per-dimension semantics on small hand-made batches
+
+    def test_max_pooling_per_dimension_per_row(self):
+        acts = EmbeddingActivations(
+            np.array([[1.0, 9.0], [5.0, 2.0], [3.0, 3.0]]),
+            np.array([0, 2, 3]),
+            np.zeros(3, dtype=np.int64),
+        )
+        np.testing.assert_allclose(
+            MaxPooling().forward(acts), [[5.0, 9.0], [3.0, 3.0]]
+        )
+
+    def test_max_pooling_empty_row_between_rows_is_zero(self):
+        acts = EmbeddingActivations(
+            np.array([[1.0], [2.0], [3.0]]),
+            np.array([0, 1, 1, 3]),
+            np.zeros(3, dtype=np.int64),
+        )
+        np.testing.assert_allclose(
+            MaxPooling().forward(acts), [[1.0], [0.0], [3.0]]
+        )
+
+    def test_max_pooling_all_rows_empty(self):
+        acts = EmbeddingActivations(
+            np.empty((0, 3)), np.array([0, 0, 0]), np.zeros(0, dtype=np.int64)
+        )
+        np.testing.assert_allclose(MaxPooling().forward(acts), np.zeros((2, 3)))
+
+    def test_max_pooling_keeps_negative_maxima(self):
+        """Only an empty row pools to zero: a row of negatives keeps its
+        (negative) maximum rather than being clamped at the pad value."""
+        acts = EmbeddingActivations(
+            np.array([[-4.0, -1.0], [-2.0, -3.0]]),
+            np.array([0, 2, 2]),
+            np.zeros(2, dtype=np.int64),
+        )
+        np.testing.assert_allclose(
+            MaxPooling().forward(acts), [[-2.0, -1.0], [0.0, 0.0]]
+        )
+
     def test_attention_is_convex_combination(self):
         """Attention output lies in the convex hull of the segment rows."""
         rng = np.random.default_rng(10)
@@ -165,6 +206,31 @@ class TestSemantics:
             small = pool.flops(100, 8, 10)
             large = pool.flops(1000, 8, 10)
             assert 0 < small < large, name
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=8),
+    st.sampled_from([1, 3]),
+    st.integers(0, 2**16),
+)
+def test_property_max_pooling_matches_loop(lengths, dim, seed):
+    """MaxPooling.forward equals a per-row loop's max (zero for an empty
+    row), and its argmax points at an entry holding that max."""
+    rng = np.random.default_rng(seed)
+    acts = make_acts(rng, lengths, dim)
+    pool = MaxPooling()
+    got = pool.forward(acts)
+    offsets = acts.offsets
+    for i, ln in enumerate(lengths):
+        seg = acts.values[offsets[i] : offsets[i + 1]]
+        want = seg.max(axis=0) if ln else np.zeros(dim)
+        assert got[i].tobytes() == want.tobytes()
+        if ln:
+            picked = acts.values[pool._argmax[i], np.arange(dim)]
+            assert picked.tobytes() == want.tobytes()
+        else:
+            assert (pool._argmax[i] == -1).all()
 
 
 # -- cache expansion (the IKJT backward's gather) ----------------------------
