@@ -22,7 +22,7 @@ import pytest
 
 from repro.datagen import FeatureKind
 from repro.experiments import FIGURES, figures, get_profile, render, run_grid
-from repro.experiments.figures import FLEET_SCALING, fleet_scaling_from_store
+from repro.experiments.figures import FLEET_SCALING
 
 
 def _fig3(res):
@@ -241,7 +241,7 @@ def _o6_memory(res):
 CASES = {
     "fig3": (dict(num_sessions=100_000, seed=0), _fig3),
     "fig4": (dict(num_features=733, num_sessions=20_000, seed=0), _fig4),
-    "fig7": (dict(scale=1.0, num_sessions=220, train_batches=2, seed=0), _fig7),
+    "fig7": (dict(scale=1.0, num_sessions=220, seed=0), _fig7),
     "fig8": (dict(scale=1.0, num_sessions=220, seed=0), _fig8),
     "ablation": (dict(scale=1.0, num_sessions=220, seed=0), _fig9),
     "fig10": (dict(scale=1.0, num_sessions=200, seed=0), _fig10),
@@ -373,8 +373,8 @@ def test_fleet_scaling(run_store, emit):
     """The paper profile's ``fleet_scaling`` grid, read from the store
     (resume-on-rerun skips every point a profile run already stored) and
     held to its three claims."""
-    run_grid(get_profile("paper").grid("fleet_scaling"), run_store, profile="paper")
-    rows = fleet_scaling_from_store(run_store, "paper")
+    outcome = run_grid(get_profile("paper").grid("fleet_scaling"), run_store, profile="paper")
+    rows = FLEET_SCALING.rows(outcome.records)
     emit(FLEET_SCALING.title, render(FLEET_SCALING, rows), name="fleet-scaling")
     for check in (_fleet_widths, _transport_bend, _dedup_width):
         check(rows)

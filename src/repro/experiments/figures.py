@@ -9,23 +9,22 @@ and the ``benchmarks/test_figures.py`` harness all iterate that one
 table and print through one :func:`render` — so "what is a figure", and
 what it looks like, has one answer.
 
-Two config sets stay apart on purpose.  A driver called live runs its
-configurations inline at the sizes its flags give; a figure with a
-``stored`` section is *also* rendered from the results store, over the
-profile grids ``repro experiments run`` recorded
-(:mod:`repro.experiments.profiles`, pinned by
-``benchmarks/baselines/*.json``).  Both paths compute their numbers
-with the same functions — :func:`speedup_row` for Fig 7's ratios,
-:func:`ablation_stages` for Fig 9's normalisation — only the runs fed
-in differ.
+A figure whose cells are stored run data (Figs 7–10 and the single-node
+speedup) is also declared once: its :attr:`Figure.grid` names its runs
+at a size, its :attr:`Figure.rows` reads its rows off their records.
+The live driver runs the grid into a throwaway store, the report reads
+the same grid back from the results store, and every profile
+(:mod:`repro.experiments.profiles`) runs it at the profile's size.
 """
 
 from __future__ import annotations
 
+import tempfile
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import zip_longest
+from pathlib import Path
 
 import numpy as np
 
@@ -44,7 +43,7 @@ from ..datagen.characterization import (
 from ..datagen.generator import TraceConfig, TraceGenerator
 from ..datagen.schema import DatasetSchema, FeatureKind, SparseFeatureSpec
 from ..datagen.session import sample_session_sizes, session_size_stats
-from ..datagen.workloads import RMWorkload, all_workloads, rm1, rm2
+from ..datagen.workloads import WORKLOADS, RMWorkload, all_workloads, rm1, rm2
 from ..distributed import DistributedTrainer, TrainerCostConstants, sim_cluster
 from ..etl import samples_per_session
 from ..etl.cluster import cluster_order
@@ -57,9 +56,8 @@ from ..pipeline.spec import DataSpec, JobSpec, StreamSpec, TrainSpec
 from ..reader import convert_rows
 from ..reader.node import ReaderNode
 from ..storage import IntEncoding, RowBlock, best_encoding, encode_int64
-from ..trainer import DLRM, DLRMConfig, TrainerOptFlags
-from .profiles import ABLATION_STAGES, CLUSTERED, DEDUP_EMB
-from .runner import headline_metrics
+from ..trainer import DLRM, DLRMConfig
+from .grid import GridSpec
 from .store import RunRecord, RunStore
 
 __all__ = [
@@ -76,10 +74,8 @@ __all__ = [
     "fig3_session_histogram",
     "fig4_duplication",
     "fig7_end_to_end",
-    "fig7_from_store",
     "fig8_iteration_breakdown",
     "fig9_ablation",
-    "ablation_from_store",
     "Table2Row",
     "table2_resource_util",
     "Table3Row",
@@ -102,16 +98,24 @@ __all__ = [
     "freshness_scheduling",
     "o6_memory_amplification",
     "FleetScaling",
-    "fleet_scaling_from_store",
     "FLEET_SCALING",
 ]
 
 
-# -- the shared run helper ---------------------------------------------------
+# -- the shared run helpers --------------------------------------------------
+
+#: the toggle sets between the ``"baseline"`` and ``"recd"`` endpoints,
+#: as the O-flag dicts a grid point hashes — only the flags that are on.
+#: Each adds the next group on top of the previous (O4 rides with O3, O6
+#: with O5 — the paper's pairings).
+CLUSTERED = {"o1_shard_by_session": True, "o2_cluster_table": True}
+_DEDUP_EMB_FLAGS = {
+    **CLUSTERED, "o3_ikjt": True, "o5_dedup_emb": True, "o6_jagged_index_select": True
+}
 
 _BASELINE = RecDToggles.baseline()
 _CLUSTERED = RecDToggles(**CLUSTERED)
-_DEDUP_EMB = RecDToggles(**DEDUP_EMB)
+_DEDUP_EMB = RecDToggles(**_DEDUP_EMB_FLAGS)
 _RECD = RecDToggles.full()
 
 
@@ -123,8 +127,9 @@ def _spec(
     data: Mapping | None = None,
     **train,
 ) -> JobSpec:
-    """The one place a figure composes a spec: ``data`` and ``train``
-    are the figure's overrides of the remaining spec defaults."""
+    """The one place a live driver composes a spec: ``data`` and
+    ``train`` are the figure's overrides of the remaining spec
+    defaults."""
     return JobSpec(
         data=DataSpec(
             workload=workload,
@@ -143,14 +148,47 @@ def _run(*args, **kwargs) -> PipelineResult:
     return Session(_spec(*args, **kwargs)).run()
 
 
-def _pair(
-    workload: RMWorkload, num_sessions: int, seed: int, **kwargs
-) -> tuple[PipelineResult, PipelineResult]:
-    """One configuration at Fig 7's two endpoints: (baseline, RecD)."""
-    return tuple(
-        _run(workload, toggles, num_sessions, seed, **kwargs)
-        for toggles in (_BASELINE, _RECD)
+def _sized(
+    name: str,
+    scale: float,
+    num_sessions: int,
+    seed: int,
+    points: Iterable[Mapping],
+    shared: Mapping | None = None,
+) -> GridSpec:
+    """A stored figure's grid: its run ``points`` at one size, plus the
+    ``shared`` values every point has."""
+    return GridSpec(
+        name=name,
+        description=FIGURES[name].title,
+        base={
+            "workload.scale": scale,
+            "data.num_sessions": num_sessions,
+            "data.seed": seed,
+            **(shared or {}),
+        },
+        include=tuple(points),
     )
+
+
+def _live(name: str, scale: float, num_sessions: int, seed: int):
+    """A stored figure run live: its grid into a throwaway store, then
+    its rows off the records."""
+    from .runner import run_grid  # the runner imports the profiles, which import this table
+
+    fig = FIGURES[name]
+    with tempfile.TemporaryDirectory() as tmp:
+        outcome = run_grid(fig.grid(scale, num_sessions, seed), RunStore(Path(tmp) / "runs.sqlite"))
+    return fig.rows(outcome.records)
+
+
+def _endpoints(records: Iterable[RunRecord]) -> list[tuple[str, RunRecord, RunRecord]]:
+    """``(workload, baseline record, RecD record)`` per workload, in
+    workload order."""
+    pairs: dict[str, dict] = {}
+    for record in records:
+        pairs.setdefault(record.spec["workload.rm"], {})[record.spec["toggles"]] = record
+    return [(rm, pair["baseline"], pair["recd"]) for rm, pair in sorted(pairs.items())]
 
 
 def _require_sessions(num_sessions: int) -> None:
@@ -262,10 +300,8 @@ def speedup_row(rm: str, base: Mapping, recd: Mapping) -> SpeedupRow:
 
     Args:
         rm: the workload name.
-        base: the baseline run's metrics — a live result's
-            :func:`~repro.experiments.runner.headline_metrics` or a
-            stored :attr:`RunRecord.metrics` (the same names).
-        recd: the RecD run's, likewise.
+        base: the baseline run's :attr:`RunRecord.metrics`.
+        recd: the RecD run's.
     """
     return SpeedupRow(
         rm=rm,
@@ -276,51 +312,26 @@ def speedup_row(rm: str, base: Mapping, recd: Mapping) -> SpeedupRow:
     )
 
 
-def fig7_end_to_end(
-    scale: float, num_sessions: int, seed: int, train_batches: int = 2
-) -> list[SpeedupRow]:
+def _fig7_grid(scale: float, num_sessions: int, seed: int) -> GridSpec:
+    """Fig 7's runs: every workload at both endpoints.  RM3's production
+    table exhibits fewer samples/session, which is why its storage gain
+    is smaller (§6.1: 2.06x vs 3.71x)."""
+    rm3 = {"data.num_sessions": int(num_sessions * 3.0), "data.mean_samples_per_session": 5.0}
+    return _sized("fig7", scale, num_sessions, seed, (
+        {"workload.rm": rm, "toggles": toggles, **(rm3 if rm == "RM3" else {})}
+        for rm in WORKLOADS
+        for toggles in ("baseline", "recd")
+    ))
+
+
+def _fig7_rows(records: Iterable[RunRecord]) -> list[SpeedupRow]:
+    """One :class:`SpeedupRow` per workload."""
+    return [speedup_row(rm, base.metrics, recd.metrics) for rm, base, recd in _endpoints(records)]
+
+
+def fig7_end_to_end(scale: float, num_sessions: int, seed: int) -> list[SpeedupRow]:
     """Fig 7: trainer/reader/storage/scribe speedups per workload."""
-    rows = []
-    for w in all_workloads(scale):
-        # RM3's production table exhibits fewer samples/session, which is
-        # why its storage gain is smaller (§6.1: 2.06x vs 3.71x).
-        if w.name == "RM3":
-            sessions, s_mean = int(num_sessions * 3.0), 5.0
-        else:
-            sessions, s_mean = num_sessions, 16.5
-        data = {"mean_samples_per_session": s_mean}
-        base, recd = _pair(w, sessions, seed, data=data, train_batches=train_batches)
-        rows.append(speedup_row(w.name, headline_metrics(base), headline_metrics(recd)))
-    return rows
-
-
-def fig7_from_store(
-    store: RunStore, profile: str | None = None
-) -> list[SpeedupRow]:
-    """Fig 7 from the stored ``fig7_throughput`` grid, per RM.
-
-    Args:
-        store: a store populated with the ``fig7_throughput`` grid.
-        profile: restrict to one profile's runs.
-
-    Raises:
-        LookupError: when the store lacks the grid, or a workload is
-            missing either its baseline or RecD endpoint.
-    """
-    records = _latest_by_label(store, "fig7_throughput", profile)
-    by_rm: dict[str, dict[str, Mapping]] = {}
-    for record in records.values():
-        rm = record.spec.get("workload.rm", "?")
-        by_rm.setdefault(rm, {})[record.spec.get("toggles")] = record.metrics
-    rows = []
-    for rm, pair in sorted(by_rm.items()):
-        if not {"baseline", "recd"} <= pair.keys():
-            raise LookupError(
-                f"fig7_throughput has no complete baseline/recd pair "
-                f"for {rm}: labels {sorted(records)}"
-            )
-        rows.append(speedup_row(rm, pair["baseline"], pair["recd"]))
-    return rows
+    return _live("fig7", scale, num_sessions, seed)
 
 
 # -- Fig 8 / Fig 10: phase breakdowns, baseline vs RecD ----------------------
@@ -341,32 +352,38 @@ class BreakdownRow:
         return self.recd.normalized_to(self.baseline)
 
 
-def _breakdown_rows(
-    scale: float, num_sessions: int, seed: int, pick: Callable, **train
-) -> list[BreakdownRow]:
-    """Both endpoints per workload at the *baseline's* batch size;
-    ``pick`` takes the figure's breakdown off each result."""
-    rows = []
-    for w in all_workloads(scale):
-        base, recd = _pair(
-            w, num_sessions, seed, batch_size=w.baseline_batch_size, **train
-        )
-        rows.append(BreakdownRow(w.name, pick(base), pick(recd)))
-    return rows
+def _breakdown_grid(
+    name: str, scale: float, num_sessions: int, seed: int, shared: Mapping | None = None
+) -> GridSpec:
+    """Both endpoints per workload at the *baseline's* batch size."""
+    return _sized(name, scale, num_sessions, seed, (
+        {"workload.rm": w.name, "toggles": toggles, "train.batch_size": w.baseline_batch_size}
+        for w in all_workloads(scale)
+        for toggles in ("baseline", "recd")
+    ), shared)
+
+
+def _phase_rows(kind: type, path: tuple[str, ...], records: Iterable[RunRecord]) -> list[BreakdownRow]:
+    """Each workload's two ``kind`` breakdowns, read from the reports
+    at ``path`` (their stored form ends with the derived total)."""
+
+    def phases(record: RunRecord):
+        stored = record.reports
+        for key in path:
+            stored = stored[key]
+        return kind(**{phase: value for phase, value in stored.items() if phase != "total"})
+
+    return [BreakdownRow(rm, phases(base), phases(recd)) for rm, base, recd in _endpoints(records)]
 
 
 def fig8_iteration_breakdown(scale: float, num_sessions: int, seed: int) -> list[BreakdownRow]:
     """Fig 8 uses the *same batch size* as the baseline for each RM."""
-    return _breakdown_rows(
-        scale, num_sessions, seed, lambda res: res.training.mean_breakdown
-    )
+    return _live("fig8", scale, num_sessions, seed)
 
 
 def fig10_reader_cpu(scale: float, num_sessions: int, seed: int) -> list[BreakdownRow]:
     """Fig 10: Fill/Convert/Process CPU, baseline vs RecD."""
-    return _breakdown_rows(
-        scale, num_sessions, seed, lambda res: res.reader.cpu, train_batches=1
-    )
+    return _live("fig10", scale, num_sessions, seed)
 
 
 # -- Fig 9: RM1 ablation -----------------------------------------------------
@@ -385,7 +402,7 @@ def ablation_stages(
     qps_by_stage: Iterable[tuple[str, float]],
 ) -> list[AblationStage]:
     """A staircase of ``(label, trainer qps)`` normalised to its first
-    stage — Fig 9's arithmetic, live or from the store."""
+    stage — Fig 9's arithmetic."""
     stages: list[AblationStage] = []
     for label, qps in qps_by_stage:
         base_qps = stages[0].qps if stages else qps
@@ -393,45 +410,36 @@ def ablation_stages(
     return stages
 
 
+#: the paper's stages, Baseline(B2048) -> +CT -> +DE/JIS(B4096) ->
+#: +DC(B4096) -> +B6144, as (label, toggles, batch size in baseline
+#: batches): ours scale as B, B, 2B, 2B, 3B
+_FIG9 = (
+    ("Baseline B1x", "baseline", 1),
+    ("O2 CT", CLUSTERED, 1),
+    ("+O5 DE +O6 JIS B2x", _DEDUP_EMB_FLAGS, 2),
+    ("+O7 DC B2x", "recd", 2),
+    ("+B3x", "recd", 3),
+)
+
+
+def _fig9_grid(scale: float, num_sessions: int, seed: int) -> GridSpec:
+    """RM1 once per stage, labelled like the paper's stages."""
+    batch = rm1(scale).baseline_batch_size
+    return _sized("ablation", scale, num_sessions, seed, (
+        {"label": label, "toggles": toggles, "train.batch_size": k * batch}
+        for label, toggles, k in _FIG9
+    ), {"workload.rm": "RM1"})
+
+
+def _fig9_rows(records: Iterable[RunRecord]) -> list[AblationStage]:
+    """The stages in the paper's order, normalised to the baseline."""
+    qps = {record.label: record.metrics["trainer_qps"] for record in records}
+    return ablation_stages((label, qps[label]) for label, _, _ in _FIG9)
+
+
 def fig9_ablation(scale: float, num_sessions: int, seed: int) -> list[AblationStage]:
-    """Paper stages: Baseline(B2048) -> +CT -> +DE/JIS(B4096) ->
-    +DC(B4096) -> +B6144; our batch sizes scale as B, B, 2B, 2B, 3B."""
-    w = rm1(scale)
-    B = w.baseline_batch_size
-    stages = [
-        ("Baseline B1x", _BASELINE, B),
-        ("O2 CT", _CLUSTERED, B),
-        ("+O5 DE +O6 JIS B2x", _DEDUP_EMB, 2 * B),
-        ("+O7 DC B2x", _RECD, 2 * B),
-        ("+B3x", _RECD, 3 * B),
-    ]
-    return ablation_stages(
-        (label, _run(w, toggles, num_sessions, seed, batch_size=batch).trainer_qps)
-        for label, toggles, batch in stages
-    )
-
-
-def ablation_from_store(
-    store: RunStore, profile: str | None = None
-) -> list[AblationStage]:
-    """The stored ``fig9_ablation`` grid's cumulative O1→O7 staircase,
-    in stage order (five fixed-batch stages — not :func:`fig9_ablation`'s
-    batch-growing ones).
-
-    Raises:
-        LookupError: when the store lacks the grid or any stage.
-    """
-    records = _latest_by_label(store, "fig9_ablation", profile)
-    for label, _ in ABLATION_STAGES:
-        if label not in records:
-            raise LookupError(
-                f"fig9_ablation is missing stage {label!r}; "
-                f"stored labels: {sorted(records)}"
-            )
-    return ablation_stages(
-        (label, records[label].metrics["trainer_qps"])
-        for label, _ in ABLATION_STAGES
-    )
+    """Fig 9: RM1's trainer throughput as the optimizations stack up."""
+    return _live("ablation", scale, num_sessions, seed)
 
 
 # -- Table 2: trainer resource utilization for RM1 ---------------------------
@@ -587,20 +595,25 @@ def scribe_sharding_compression(scale: float, num_sessions: int, seed: int) -> d
 # -- §6.2: single-node training ----------------------------------------------
 
 
+def _single_node_grid(scale: float, num_sessions: int, seed: int) -> GridSpec:
+    """RM1 on one 8-GPU node: the baseline at its batch size, RecD at
+    its grown one."""
+    w = rm1(scale)
+    return _sized("single-node", scale, num_sessions, seed, (
+        {"toggles": "baseline", "train.batch_size": w.baseline_batch_size},
+        {"toggles": "recd", "train.batch_size": w.recd_batch_size},
+    ), {"workload.rm": "RM1", "train.num_gpus": 8, "train.gpus_per_node": 8})
+
+
+def _single_node_rows(records: Iterable[RunRecord]) -> dict[str, float]:
+    """Both endpoints' trainer QPS and their ratio."""
+    qps = {record.spec["toggles"]: record.metrics["trainer_qps"] for record in records}
+    return {"baseline": qps["baseline"], "recd": qps["recd"], "speedup": qps["recd"] / qps["baseline"]}
+
+
 def single_node_speedup(scale: float, num_sessions: int, seed: int) -> dict[str, float]:
     """Downsized RM1 on one 8-GPU node (NVLink): paper reports 2.18x."""
-    w = rm1(scale)
-    node = {"num_gpus": 8, "gpus_per_node": 8}
-    results = {
-        "baseline": _run(
-            w, _BASELINE, num_sessions, seed, batch_size=w.baseline_batch_size, **node
-        ).trainer_qps,
-        "recd": _run(
-            w, _RECD, num_sessions, seed, batch_size=w.recd_batch_size, **node
-        ).trainer_qps,
-    }
-    results["speedup"] = results["recd"] / results["baseline"]
-    return results
+    return _live("single-node", scale, num_sessions, seed)
 
 
 # -- §6.2: clustering's accuracy mechanism (repeat sparse updates) -----------
@@ -917,12 +930,11 @@ def freshness_scheduling(scale: float, num_sessions: int, seed: int) -> dict[str
             start=1,
         )
     ]
-    return {
-        "round_robin": Session(jobs, width=4, policy="round_robin").run(),
-        "freshness-weighted": Session(
-            jobs, width=4, policy="stall_weighted", freshness_slo=_FRESHNESS_SLO
-        ).run(),
+    policies = {
+        "round_robin": {"policy": "round_robin"},
+        "freshness-weighted": {"policy": "stall_weighted", "freshness_slo": _FRESHNESS_SLO},
     }
+    return {label: Session(jobs, width=4, **policy).run() for label, policy in policies.items()}
 
 
 def o6_memory_amplification(seed: int) -> dict[str, int]:
@@ -951,19 +963,15 @@ class FleetScaling:
     wide: dict[str, dict[int, RunRecord]]
 
 
-def fleet_scaling_from_store(store: RunStore, profile: str | None = None) -> FleetScaling:
-    """The ``fleet_scaling`` grid's series from the store.  An include
-    point (``wide-*``, ``stream-*``) is never part of an axis curve.
-
-    Raises:
-        LookupError: when the store lacks the grid.
-    """
+def _fleet_rows(records: Iterable[RunRecord]) -> FleetScaling:
+    """The ``fleet_scaling`` grid's series.  An include point
+    (``wide-*``, ``stream-*``) is never part of an axis curve."""
     curves, wide = {}, {}
-    for label, record in _latest_by_label(store, "fleet_scaling", profile).items():
+    for record in records:
         spec, width = record.spec, int(record.spec["reader.num_readers"])
         if "label" not in spec:
             curves.setdefault((spec["reader.dedup"], spec["reader.transport"]), {})[width] = record
-        elif label.startswith("wide-") and not spec.get("reader.dedup"):
+        elif record.label.startswith("wide-") and not spec.get("reader.dedup"):
             wide.setdefault(spec["reader.transport"], {})[width] = record
     return FleetScaling(
         {series: dict(sorted(c.items())) for series, c in sorted(curves.items())},
@@ -998,26 +1006,15 @@ def _fleet_cells(rows: FleetScaling) -> dict:
     return cells
 
 
-def _overlap_stored_lines(
-    store: RunStore, profile: str | None
-) -> list[str]:
-    """The ``single_node`` grid's streaming-vs-materialized wall-clock
-    attribution (the time streaming overlaps away shows up as the
-    materialized mode's ``other`` fraction)."""
-    records = _latest_by_label(store, "single_node", profile)
-    by_mode = {
-        (
-            "streaming"
-            if record.spec.get("reader.streaming", True)
-            else "materialized"
-        ): record.reports.get("overlap", {}).get("fractions", {})
-        for record in records.values()
+def _overlap_rows(records: Iterable[RunRecord]) -> dict[str, dict[str, float]]:
+    """The ``ingest_overlap`` grid's wall-clock attribution per reader
+    mode (the time streaming overlaps away shows up as the materialized
+    mode's ``other`` fraction)."""
+    return {
+        "streaming" if record.spec.get("reader.streaming", True) else "materialized":
+            record.reports["overlap"]["fractions"]
+        for record in records
     }
-    return [
-        f"{mode:<12} "
-        + "  ".join(f"{k}={v:.1%}" for k, v in sorted(fractions.items()))
-        for mode, fractions in sorted(by_mode.items())
-    ]
 
 
 # -- the table ---------------------------------------------------------------
@@ -1041,21 +1038,24 @@ class Figure:
         paper: the published value of each cell that has one, keyed like
             ``cells`` — a number (formatted like its cell) or text
             printed as given.  The only place a paper number is written.
-        stored: the figure's ``repro experiments report`` section, for
-            one a profile grid records: ``(title, rows)`` where
-            ``rows(store, profile)`` returns what ``run`` would, from
-            the stored runs, or raises :class:`LookupError` (naming the
-            command that populates the store) when the grid is absent.
-            ``None``: only a live run produces the figure.
+        grid: for a figure whose cells are stored run data, its runs:
+            ``grid(scale, num_sessions, seed)`` is the
+            :class:`~repro.experiments.grid.GridSpec` the driver runs
+            and every profile stores under the figure's name.
+        rows: what ``run`` returns, off the grid's
+            :class:`~repro.experiments.store.RunRecord`\\ s — live or
+            read back from the store; a missing run raises
+            :class:`LookupError`.
     """
 
-    run: Callable
+    run: Callable | None
     cells: Callable[..., dict[tuple[str, str], float]]
     flags: Mapping[str, str]
     title: str
     formats: Mapping[str, str] = field(default_factory=dict)
     paper: Mapping[tuple[str, str], float | str] = field(default_factory=dict)
-    stored: tuple[str, Callable[[RunStore, str | None], object]] | None = None
+    grid: Callable[[float, int, int], GridSpec] | None = None
+    rows: Callable[[Iterable[RunRecord]], object] | None = None
 
 
 def render(fig: Figure, rows) -> list[str]:
@@ -1097,11 +1097,14 @@ def _paper(columns: Iterable[str], rows: Mapping[str, tuple]) -> dict:
     }
 
 
-def _single(run: Callable, flags: Mapping[str, str], title: str, *table: tuple) -> Figure:
+def _single(
+    run: Callable, flags: Mapping[str, str], title: str, *table: tuple, **stored
+) -> Figure:
     """The :class:`Figure` of a driver that returns one result, typed
     one cell per line: ``(row label, column, source, format, paper value
     or None)``, where ``source`` is a key or attribute of the result,
-    or a function of it."""
+    or a function of it; ``stored`` is the figure's ``grid`` and
+    ``rows``, if it has them."""
 
     def cells(res) -> dict:
         get = res.__getitem__ if isinstance(res, dict) else partial(getattr, res)
@@ -1112,7 +1115,7 @@ def _single(run: Callable, flags: Mapping[str, str], title: str, *table: tuple) 
 
     formats = {column: fmt for _, column, _, fmt, _ in table}
     paper = {(row[0], row[1]): row[4] for row in table if row[4] is not None}
-    return Figure(run, cells, flags, title, formats, paper)
+    return Figure(run, cells, flags, title, formats, paper, **stored)
 
 
 def _mean_exact(kind: FeatureKind, rep: CharacterizationReport) -> float:
@@ -1218,11 +1221,14 @@ FIGURES: dict[str, Figure] = {
             ("trainer", "reader", "storage"),
             {"RM1": (2.48, 1.79, 3.71), "RM2": (1.25, 1.38, 3.71), "RM3": (1.43, 1.36, 2.06)},
         ),
-        ("Fig 7: end-to-end speedups (RecD / baseline)", fig7_from_store),
+        grid=_fig7_grid,
+        rows=_fig7_rows,
     ),
     "fig8": Figure(
         fig8_iteration_breakdown, _breakdown_cells, _SESSION,
         "Figure 8 — iteration breakdown (fractions of the baseline iteration)",
+        grid=partial(_breakdown_grid, "fig8"),
+        rows=partial(_phase_rows, IterationBreakdown, ("training", "mean_breakdown")),
     ),
     "ablation": Figure(
         fig9_ablation,
@@ -1237,11 +1243,14 @@ FIGURES: dict[str, Figure] = {
             ("+O7 DC B2x", "normalized"): 2.42,
             ("+B3x", "normalized"): 2.48,  # @ B6144
         },
-        ("Fig 9: RM1 optimization staircase", ablation_from_store),
+        grid=_fig9_grid,
+        rows=_fig9_rows,
     ),
     "fig10": Figure(
         fig10_reader_cpu, _breakdown_cells, _SESSION,
         "Figure 10 — reader CPU breakdown (fractions of the baseline reader CPU)",
+        grid=partial(_breakdown_grid, "fig10", shared={"train.train_batches": 1}),
+        rows=partial(_phase_rows, ReaderCpuBreakdown, ("fleet", "merged", "cpu")),
     ),
     "table2": Figure(
         table2_resource_util,
@@ -1293,6 +1302,8 @@ FIGURES: dict[str, Figure] = {
         ("baseline", "QPS", "baseline", _COUNT, None),
         ("RecD", "QPS", "recd", _COUNT, None),
         ("speedup", "", "speedup", _X, 2.18),
+        grid=_single_node_grid,
+        rows=_single_node_rows,
     ),
     "accuracy": _single(
         accuracy_clustering, _SESSION, "Clustering accuracy mechanism (§6.2)",
@@ -1354,41 +1365,52 @@ FIGURES: dict[str, Figure] = {
     ),
 }
 
-#: the stored ``fleet_scaling`` grid's report section: a figure with no
-#: live driver, so no subcommand
-FLEET_SCALING = Figure(
-    None, _fleet_cells, {}, "Fleet scaling: modeled scan throughput vs width",
-    {
-        **dict.fromkeys(("samples/s", "delivered samples/s"), "{:.1f}"),
-        **dict.fromkeys(("wall", "decode wall", "transport wait"), "{:.2f} ms"),
-        **dict.fromkeys(("vs serial", "speedup", "dedupe byte factor"), _X),
-    },
-    stored=("Fleet scaling: modeled scan throughput vs width", fleet_scaling_from_store),
-)
+#: the report sections of the two stored grids no subcommand runs, by
+#: the experiment name the profiles store them under
+_STORED = {
+    "fleet_scaling": Figure(
+        None, _fleet_cells, {}, "Fleet scaling: modeled scan throughput vs width",
+        {
+            **dict.fromkeys(("samples/s", "delivered samples/s"), "{:.1f}"),
+            **dict.fromkeys(("wall", "decode wall", "transport wait"), "{:.2f} ms"),
+            **dict.fromkeys(("vs serial", "speedup", "dedupe byte factor"), _X),
+        },
+        rows=_fleet_rows,
+    ),
+    "ingest_overlap": Figure(
+        None, _nested, {}, "Ingest overlap: streaming vs materialized wall-clock attribution",
+        dict.fromkeys(("reader_stall", "trainer_stall", "other"), "{:.1%}"),
+        rows=_overlap_rows,
+    ),
+}
+#: the ``fleet_scaling`` section, whose rows the benchmark harness checks
+FLEET_SCALING = _STORED["fleet_scaling"]
 
 
-def render_report(
-    store: RunStore, profile: str | None = None
-) -> str:
-    """Render every stored section as one text report: each figure
-    with a ``stored`` section (its rows from the store, through
-    :func:`render`), :data:`FLEET_SCALING`, then the ``single_node``
-    overlap attribution.
+def render_report(store: RunStore, profile: str | None = None) -> str:
+    """Render every stored section as one text report: each figure with
+    a grid, then :data:`FLEET_SCALING` and the ingest-overlap
+    attribution, each from its latest stored run per label, through
+    :func:`render`.  With no ``profile``, every profile in the store
+    renders under its own heading, so no section mixes two profiles'
+    runs.
 
     Sections missing from the store are noted, not fatal — so a
     partially populated store still renders what it has.
     """
-    sections = [
-        (fig.stored[0], lambda store, profile, fig=fig: render(fig, fig.stored[1](store, profile)))
-        for fig in (*FIGURES.values(), FLEET_SCALING)
-        if fig.stored
-    ]
-    sections.append(("Single node: ingestion overlap attribution", _overlap_stored_lines))
+    if profile is None:
+        profiles = sorted({record.profile for record in store.query(kind="grid")})
+        if profiles:
+            return "\n".join(
+                f"Profile {name!r}\n{'=' * (len(name) + 10)}\n\n" + render_report(store, name)
+                for name in profiles
+            )
+    sections = {**{name: fig for name, fig in FIGURES.items() if fig.grid}, **_STORED}
     blocks = []
-    for title, section_lines in sections:
-        lines = [title, "-" * len(title)]
+    for name, fig in sections.items():
+        lines = [fig.title, "-" * len(fig.title)]
         try:
-            lines.extend(section_lines(store, profile))
+            lines.extend(render(fig, fig.rows(_latest_by_label(store, name, profile).values())))
         except LookupError as exc:
             lines.append(f"(not in store: {exc})")
         blocks.append("\n".join(lines))

@@ -13,7 +13,7 @@ A baselines file is JSON:
     {
       "defaults": {"tolerance": 0.2, "direction": "higher"},
       "metrics": {
-        "fig7_throughput/rm=RM1,toggles=recd:trainer_qps": {
+        "fig7/toggles=recd,rm=RM1:trainer_qps": {
           "value": 123456.0
         }
       }

@@ -1,7 +1,11 @@
-"""Run profiles: the named experiment suites the harness executes.
+"""Run profiles: every stored figure's grid at one size.
 
-A :class:`Profile` bundles the grids behind the paper's figures at one
-of two sizes:
+A :class:`Profile` is the grid of every ``FIGURES`` row that has one
+(:attr:`~repro.experiments.figures.Figure.grid`, the same declaration
+the figure's live driver runs), at the profile's scale, session count
+and seed, plus the two grids no subcommand runs: ``fleet_scaling``
+(the reader-fleet sweep) and ``ingest_overlap`` (streaming vs
+materialized ingestion).  Two sizes ship:
 
 * ``smoke`` — CI-sized: every experiment present, every axis swept,
   but at quarter workload scale and a small session count, so the full
@@ -11,40 +15,20 @@ of two sizes:
   half workload scale (the repo's standard figure-generation size),
   the full session count, and wider fleet sweeps.
 
-Both profiles declare the *same experiments* — only ``base`` values and
-axis extents differ — so a metric regression caught by the smoke gate
+Both profiles declare the *same experiments* — only sizes and axis
+extents differ — so a metric regression caught by the smoke gate
 points at the same (experiment, label) the paper profile tracks.
-
-The ablation grid is the showcase for ``include`` points: Fig 9's
-stages pair a toggle set with a label (a cumulative O1→O7 staircase),
-which is a list of explicit points, not an axis product.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .grid import GridSpec
+from .figures import CLUSTERED, FIGURES
+from .grid import GridSpec, expand_grid
 
 __all__ = ["Profile", "PROFILES", "get_profile"]
-
-#: The toggle sets between the ``"baseline"`` and ``"recd"`` endpoints,
-#: as the O-flag dicts a grid point hashes — only the flags that are on,
-#: so run IDs stay what ``benchmarks/baselines/*.json`` pins.  Each adds
-#: the next group on top of the previous (O4 rides with O3, O6 with O5 —
-#: the paper's pairings); ``RecDToggles(**CLUSTERED)`` is the spec form.
-CLUSTERED = {"o1_shard_by_session": True, "o2_cluster_table": True}
-IKJT = {**CLUSTERED, "o3_ikjt": True}
-DEDUP_EMB = {**IKJT, "o5_dedup_emb": True, "o6_jagged_index_select": True}
-
-#: Fig 9's cumulative optimization staircase, as (label, toggles).
-ABLATION_STAGES = (
-    ("baseline", "baseline"),
-    ("o1-o2", CLUSTERED),
-    ("o1-o4", IKJT),
-    ("o1-o6", DEDUP_EMB),
-    ("recd", "recd"),
-)
 
 
 @dataclass(frozen=True)
@@ -54,18 +38,19 @@ class Profile:
     Attributes:
         name: the profile name (``repro experiments run --profile``).
         description: one line for ``repro experiments list``.
+        sizes: the ``scale``, ``num_sessions`` and ``seed`` every
+            figure's grid runs at.
         grids: the experiment matrices, in run order.
     """
 
     name: str
     description: str
+    sizes: Mapping
     grids: tuple
 
     @property
     def num_runs(self) -> int:
         """Total run points across every grid (before resume skips)."""
-        from .grid import expand_grid
-
         return sum(len(expand_grid(g)) for g in self.grids)
 
     def grid(self, name: str) -> GridSpec:
@@ -152,6 +137,7 @@ def _build_profile(
     wide_batch_size: int,
 ) -> Profile:
     """The shared experiment set at one size (see module docstring)."""
+    sizes = {"scale": scale, "num_sessions": sessions, "seed": 0}
     base = {
         "workload.scale": scale,
         "data.num_sessions": sessions,
@@ -160,31 +146,9 @@ def _build_profile(
     return Profile(
         name=name,
         description=description,
+        sizes=sizes,
         grids=(
-            GridSpec(
-                name="fig7_throughput",
-                description=(
-                    "Trainer/reader throughput, baseline vs RecD, "
-                    "across RM workloads (Fig 7)"
-                ),
-                base=base,
-                axes={
-                    "workload.rm": ["RM1", "RM2", "RM3"],
-                    "toggles": ["baseline", "recd"],
-                },
-            ),
-            GridSpec(
-                name="fig9_ablation",
-                description=(
-                    "Cumulative O1-O7 optimization staircase on RM1 "
-                    "(Fig 9)"
-                ),
-                base={**base, "workload.rm": "RM1"},
-                include=tuple(
-                    {"label": label, "toggles": toggles}
-                    for label, toggles in ABLATION_STAGES
-                ),
-            ),
+            *(fig.grid(**sizes) for fig in FIGURES.values() if fig.grid),
             GridSpec(
                 name="fleet_scaling",
                 description=(
@@ -215,10 +179,10 @@ def _build_profile(
                 + _stream_points(),
             ),
             GridSpec(
-                name="single_node",
+                name="ingest_overlap",
                 description=(
                     "Streaming vs materialized ingestion overlap on "
-                    "one RecD job (Fig 8's attribution)"
+                    "one RecD job"
                 ),
                 base={
                     **base,

@@ -10,7 +10,7 @@ def store_path(tmp_path):
     return str(tmp_path / "runs.sqlite")
 
 
-def _run_single_node(store_path) -> None:
+def _run_ingest_overlap(store_path) -> None:
     assert (
         main(
             [
@@ -19,7 +19,7 @@ def _run_single_node(store_path) -> None:
                 "--profile",
                 "smoke",
                 "--experiment",
-                "single_node",
+                "ingest_overlap",
                 "--store",
                 store_path,
             ]
@@ -33,8 +33,8 @@ class TestList:
         assert main(["experiments", "list"]) == 0
         out = capsys.readouterr().out
         assert "smoke:" in out and "paper:" in out
-        assert "fig7_throughput" in out
-        assert "fig9_ablation" in out
+        for name in ("fig7", "fig8", "ablation", "fig10", "single-node"):
+            assert f"  {name} (" in out
 
     def test_verbose_lists_run_ids(self, capsys):
         assert main(["experiments", "list", "-v"]) == 0
@@ -48,12 +48,12 @@ class TestList:
 
 class TestRunAndQuery:
     def test_run_query_report_round_trip(self, store_path, capsys):
-        _run_single_node(store_path)
+        _run_ingest_overlap(store_path)
         out = capsys.readouterr().out
         assert "executed 2, skipped 0" in out
 
         # resume-on-rerun through the CLI: nothing re-executes
-        _run_single_node(store_path)
+        _run_ingest_overlap(store_path)
         assert "executed 0, skipped 2" in capsys.readouterr().out
 
         assert (
@@ -64,7 +64,7 @@ class TestRunAndQuery:
                     "--store",
                     store_path,
                     "--experiment",
-                    "single_node",
+                    "ingest_overlap",
                     "--metric",
                     "trainer_qps",
                 ]
@@ -72,7 +72,7 @@ class TestRunAndQuery:
             == 0
         )
         out = capsys.readouterr().out
-        assert "single_node/streaming=True" in out
+        assert "ingest_overlap/streaming=True" in out
         assert "trainer_qps =" in out
 
         assert (

@@ -1,7 +1,7 @@
 """The ``FIGURES`` table is the only declaration of a figure: the CLI,
-``repro list``, the docs and the store report all agree with it, every
-figure is printed by the one ``render``, and the live and store paths
-compute Fig 7 / Fig 9 with the same code."""
+``repro list``, the docs, the profiles and the store report all agree
+with it, every figure is printed by the one ``render``, and a stored
+figure's report section is its live rows."""
 
 import inspect
 from dataclasses import replace
@@ -12,24 +12,18 @@ import pytest
 from repro.cli import build_parser, main
 from repro.experiments import (
     FIGURES,
+    PROFILES,
+    RunRecord,
     RunStore,
-    expand_grid,
     get_profile,
     render_report,
     run_grid,
 )
-from repro.experiments.figures import (
-    Figure,
-    ablation_from_store,
-    ablation_stages,
-    fig7_from_store,
-    fleet_scaling_from_store,
-    render,
-    speedup_row,
-)
-from repro.experiments.profiles import ABLATION_STAGES
-from repro.experiments.runner import headline_metrics
-from repro.pipeline import Session
+from repro.experiments.figures import FLEET_SCALING, Figure, render
+from tests.conftest import SMALL
+
+#: the figures whose cells are stored run data
+STORED = [name for name, fig in FIGURES.items() if fig.grid]
 
 DOCS = Path(__file__).resolve().parents[2] / "docs" / "experiments.md"
 
@@ -60,21 +54,18 @@ class TestOneTable:
         assert "unrecognized arguments: --scale" in capsys.readouterr().err
 
     def test_docs_table_matches(self):
-        """docs/experiments.md "Figures": subcommand, driver and the
-        from-the-store column agree with the table, row for row."""
+        """docs/experiments.md "Figures": subcommand, driver and grid
+        agree with the table, row for row."""
         section = DOCS.read_text().split("## Figures", 1)[1].split("\n## ")[0]
         documented = {}
         for line in section.splitlines():
             if line.startswith("| `"):
-                name, driver, _, stored = (
+                name, driver, _, grid = (
                     cell.strip() for cell in line.strip("|").split("|")
                 )
-                documented[name.strip("`")] = (
-                    driver.strip("`"),
-                    stored.startswith("yes"),
-                )
+                documented[name.strip("`")] = (driver.strip("`"), grid)
         assert documented == {
-            name: (fig.run.__name__, fig.stored is not None)
+            name: (fig.run.__name__, f"`{name}`" if fig.grid else "—")
             for name, fig in FIGURES.items()
         }
 
@@ -107,71 +98,51 @@ class TestOneRenderer:
         ]
 
 
-@pytest.fixture(scope="module")
-def small_grids():
-    """The smoke profile's Fig 7 / Fig 9 grids, shrunk to RM1 at 40
-    sessions: the real declarations (labels, include points), CI-sized."""
-    smoke = get_profile("smoke")
-    fig7 = smoke.grid("fig7_throughput")
-    fig9 = smoke.grid("fig9_ablation")
-    return (
-        replace(
-            fig7,
-            base={**fig7.base, "data.num_sessions": 40},
-            axes={**fig7.axes, "workload.rm": ["RM1"]},
-        ),
-        replace(fig9, base={**fig9.base, "data.num_sessions": 40}),
-    )
+class TestOneDefinitionPerFigure:
+    """A stored figure has one grid: the live driver runs it, every
+    profile stores it under the figure's name, and the report reads it
+    back into the same rows."""
+
+    @pytest.mark.parametrize("name", STORED)
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    def test_every_profile_runs_the_figures_grid(self, name, profile):
+        profile = PROFILES[profile]
+        assert profile.grid(name) == FIGURES[name].grid(**profile.sizes)
+
+    def test_no_other_grid_in_a_profile(self):
+        for profile in PROFILES.values():
+            assert [g.name for g in profile.grids] == [*STORED, "fleet_scaling", "ingest_overlap"]
 
 
 @pytest.fixture(scope="module")
-def store(small_grids, tmp_path_factory):
+def small_report(tmp_path_factory):
+    """Every stored figure's grid at the golden's sizes, run into one
+    store and rendered: ``{section title: its lines}``."""
     store = RunStore(tmp_path_factory.mktemp("figures") / "runs.sqlite")
-    for grid in small_grids:
-        run_grid(grid, store, profile="test")
-    return store
+    for name in STORED:
+        grid = FIGURES[name].grid(SMALL["scale"], SMALL["sessions"], SMALL["seed"])
+        run_grid(grid, store, profile="small")
+    blocks = render_report(store, "small").rstrip("\n").split("\n\n")
+    return {block.splitlines()[0]: block.splitlines()[2:] for block in blocks}
 
 
-class TestLiveAndStoreShareTheCode:
-    """Rows from live ``PipelineResult``s equal, field for field, the
-    rows from the ``RunRecord``s ``run_point`` stored for the same specs."""
+class TestStoredIsLive:
+    @pytest.mark.parametrize("name", STORED)
+    def test_report_section_is_the_live_figure(self, name, small, small_report):
+        fig = FIGURES[name]
+        assert small_report[fig.title] == render(fig, small(name))
 
-    def test_fig7(self, small_grids, store):
-        live = {
-            p.values["toggles"]: headline_metrics(Session(p.job_spec()).run())
-            for p in expand_grid(small_grids[0])
-        }
-        rows = [speedup_row("RM1", live["baseline"], live["recd"])]
-        assert fig7_from_store(store) == rows
-        # ...and print as the same text, paper column included, in the
-        # report's stored section as on the CLI
-        text = render(FIGURES["fig7"], fig7_from_store(store))
-        assert text == render(FIGURES["fig7"], rows)
-        assert "trainer" in text[0] and "(paper 2.48x)" in text[0]
-        assert "\n".join(text) in render_report(store, "test")
+    def test_stored_fig7_and_fig9_print_the_paper_column(self, small_report):
+        fig7 = small_report[FIGURES["fig7"].title]
+        assert "(paper 2.48x)" in fig7[0] and fig7[0].startswith("RM1")
+        fig9 = dict(line.split("  ", 1) for line in small_report[FIGURES["ablation"].title])
+        assert "(paper 2.42x)" in fig9["+O7 DC B2x"]
 
-    def test_fig9(self, small_grids, store):
-        live = {
-            p.label: Session(p.job_spec()).run().trainer_qps
-            for p in expand_grid(small_grids[1])
-        }
-        stages = ablation_from_store(store)
-        assert stages == ablation_stages(
-            (label, live[label]) for label, _ in ABLATION_STAGES
-        )
-        assert [s.normalized for s in stages][0] == 1.0
-
-    def test_report_renders_the_tables_stored_sections(self, store):
-        report = render_report(store, "test")
-        titles = [
-            block.splitlines()[0] for block in report.split("\n\n")
-        ]
-        assert titles[:2] == [
-            fig.stored[0] for fig in FIGURES.values() if fig.stored
-        ]
-        assert len(titles) == 4
-        # the two grids this store lacks degrade to a note
-        assert report.count("(not in store: ") == 2
+    def test_grids_this_store_lacks_are_noted(self, small_report):
+        titles = list(small_report)
+        assert titles[: len(STORED)] == [FIGURES[name].title for name in STORED]
+        noted = [small_report[title][0].startswith("(not in store: ") for title in titles]
+        assert noted == [False] * len(STORED) + [True, True]
 
 
 @pytest.fixture(scope="module")
@@ -212,9 +183,42 @@ class TestStoredFleetScaling:
             assert f"samples/s {r.metrics['fleet_modeled_samples_per_second']:.1f} " in line
 
     def test_include_points_stay_out_of_the_curves(self, fleet_store):
-        store, records = fleet_store
-        rows = fleet_scaling_from_store(store, "test")
+        _, records = fleet_store
+        rows = FLEET_SCALING.rows(records)
         curve_ids = {r.run_id for curve in rows.curves.values() for r in curve.values()}
         assert curve_ids == {r.run_id for r in records if "label" not in r.spec}
         assert {t: list(points) for t, points in rows.wide.items()} == {"copy": [16], "shm": [16]}
         assert [w for curve in rows.curves.values() for w in curve] == [1, 4] * 4
+
+
+class TestReportKeepsProfilesApart:
+    """With no ``--profile`` the report once kept the newest run per
+    label across every profile, and the labels are the same at every
+    size: a store that ran ``paper`` and then ``smoke`` printed paper's
+    x2 over smoke's x1 as "copy x2 vs serial"."""
+
+    def test_each_profile_renders_under_its_own_heading(self, tmp_path):
+        store = RunStore(tmp_path / "runs.sqlite")
+        for profile, width, qps, day in (
+            ("paper", 1, 100.0, 1), ("paper", 2, 190.0, 1), ("smoke", 1, 40.0, 2)
+        ):
+            store.record(
+                RunRecord(
+                    run_id=f"{profile}-x{width}",
+                    experiment="fleet_scaling",
+                    label=f"dedup=False,num_readers={width},transport=copy",
+                    profile=profile,
+                    created_at=f"2026-01-0{day}T00:00:00+00:00",
+                    spec={"reader.num_readers": width, "reader.dedup": False,
+                          "reader.transport": "copy"},
+                    metrics={"fleet_modeled_samples_per_second": qps,
+                             "fleet_modeled_wall_seconds": 1.0 / qps},
+                )
+            )
+        report = render_report(store)
+        assert "vs serial 4.75x" not in report  # 190 / 40: two sizes mixed
+        paper, smoke = report.split("Profile 'smoke'")
+        assert paper.startswith("Profile 'paper'")
+        assert paper.count("copy x") == 2 and "vs serial 1.90x" in paper
+        assert smoke.count("copy x") == 1 and "samples/s 40.0" in smoke
+        assert render_report(store, "smoke") in smoke
