@@ -231,7 +231,8 @@ class TierReport:
     def max_consecutive_skips(self, job: str) -> int:
         """Longest run of consecutive rounds the job was active but got
         zero workers — the scheduler's fairness guarantee bounds this
-        at 1 for any admitted job set."""
+        at 1 for any admitted job set.  A round the job sat out gated
+        on data neither resets nor extends the streak."""
         worst = streak = 0
         for rnd in self.rounds:
             if job in rnd.skipped:

@@ -180,7 +180,11 @@ class ReaderAutoscaler:
     # -- controller ---------------------------------------------------------
 
     def observe(
-        self, overlap: OverlapReport, epoch: int | None = None
+        self,
+        overlap: OverlapReport,
+        epoch: int | None = None,
+        width: int | None = None,
+        min_readers: int | None = None,
     ) -> int:
         """Consume one epoch's overlap report; return the next width.
 
@@ -190,6 +194,12 @@ class ReaderAutoscaler:
                 :meth:`~repro.metrics.OverlapReport.modeled`).
             epoch: 0-based epoch index for the trace; defaults to the
                 number of decisions already recorded.
+            width: the width the epoch ran at, when the caller lifted
+                the last returned one (a shared tier's fairness floor);
+                defaults to :attr:`num_readers`.
+            min_readers: this decision's lower bound, when the caller's
+                floor has risen since construction; defaults to
+                :attr:`min_readers`.
 
         Returns:
             The fleet width (``num_readers``) the next epoch should run
@@ -197,12 +207,13 @@ class ReaderAutoscaler:
         """
         if epoch is None:
             epoch = len(self.trace.decisions)
-        width = self.num_readers
+        width = self.num_readers if width is None else width
+        floor = self.min_readers if min_readers is None else min_readers
         signal = self._smooth(overlap)
         rsf = signal.reader_stall_fraction
         tsf = signal.trainer_stall_fraction
 
-        action, new_width, reason = self._decide(signal, width, rsf, tsf)
+        action, new_width, reason = self._decide(signal, width, floor, rsf, tsf)
         self.num_readers = new_width
         self.trace.record(
             ScalingDecision(
@@ -245,7 +256,12 @@ class ReaderAutoscaler:
         )
 
     def _decide(
-        self, overlap: OverlapReport, width: int, rsf: float, tsf: float
+        self,
+        overlap: OverlapReport,
+        width: int,
+        floor: int,
+        rsf: float,
+        tsf: float,
     ) -> tuple[str, int, str]:
         """The control law: (action, new_width, reason) for one epoch."""
         trainer_busy = overlap.trainer_busy_seconds
@@ -265,7 +281,7 @@ class ReaderAutoscaler:
         # Proportional set-point: reader work scales ~1/width, so this
         # is the width at which reader wall ~= trainer step time.
         proposed = math.ceil(width * reader_wall / trainer_busy)
-        proposed = min(max(proposed, self.min_readers), self.max_readers)
+        proposed = min(max(proposed, floor), self.max_readers)
 
         if rsf > self.target_stall:
             self._shrink_streak = 0
@@ -290,7 +306,7 @@ class ReaderAutoscaler:
                 self._shrink_streak = 0
                 return (
                     "shrink",
-                    max(proposed, self.min_readers),
+                    max(proposed, floor),
                     f"trainer-stall {tsf:.2f} dominated for "
                     f"{self.shrink_patience} consecutive epochs",
                 )

@@ -17,8 +17,9 @@ scans one job's epoch, one trainer consumes it.
   registered job with epochs remaining is a candidate, and
   :func:`allocate_workers` splits the pool's width across candidates —
   allocations always sum to the fleet width, and a job skipped one
-  round has strict priority the next (no admitted job is ever starved
-  for more than one consecutive round).
+  round has strict priority the next round it is runnable in (no
+  admitted job is skipped in two consecutive rounds in which it is
+  runnable).
 * **Isolation** — a job's leased workers run that job's own
   :class:`~repro.reader.fleet.ReaderFleet` over that job's table, so
   batch *content* is completely unaffected by sharing: every job's
@@ -49,23 +50,29 @@ Jobs whose tables land lazily (rolling-window retention) register a
 scheduled epochs — plus a declared ``partition_rows`` stream that
 admission validates their epoch plans against.
 
-Production tiers also *churn*: jobs are preempted and re-admitted
-mid-run, new jobs arrive while others train, and leased workers crash
-or straggle.  The tier therefore exposes its scheduling loop in two
-shapes — :meth:`SharedReaderTier.run` (rounds to completion, the
-classic closed loop) is just :meth:`~SharedReaderTier.start` /
-:meth:`~SharedReaderTier.step` / :meth:`~SharedReaderTier.finish`, and
-a driver holding the open loop (the scenario simulator in
-``repro.sim``) may, between steps, :meth:`~SharedReaderTier.preempt` a
-job (its name frees up for re-registration with its remaining epochs)
-or :meth:`~SharedReaderTier.register` a new one.  A job admitted
-mid-run — including a re-admitted preempted job — enters with strict
-next-round priority (it is treated as starved), so the one-round
-starvation bound survives churn.  A driver sets the tier's
-``fault_injector(round_index, job_name)`` hook — the scenario runner
-sets :meth:`~repro.sim.faults.FaultPlan.fleet_faults` there, the only
-source of faults — so worker crashes and stragglers hit the leased
+Production tiers also *churn*: between two
+:meth:`~SharedReaderTier.step` calls a driver holding the loop
+(:meth:`repro.pipeline.Session.tick`, the scenario simulator in
+``repro.sim``) may :meth:`~SharedReaderTier.preempt` a job (its name
+frees up for re-registration with its remaining epochs) or
+:meth:`~SharedReaderTier.register` a new one.  A job admitted mid-run —
+including a re-admitted preempted job — enters with strict next-round
+priority (it is treated as starved), so the one-round starvation bound
+survives churn.  A job whose ``ready`` gate holds it back *waits*: it
+neither earns priority nor loses it, so a job skipped in one round and
+gated in the next still leads the round after.  A driver sets the
+tier's ``fault_injector(round_index, job_name)`` hook — the scenario
+runner sets :meth:`~repro.sim.faults.FaultPlan.fleet_faults` there, the
+only source of faults — so worker crashes and stragglers hit the leased
 fleets per (round, job), deterministically.
+
+Every scheduling decision is made by a pure core over one frozen
+:class:`TierState`: :func:`admit`, :func:`remove`, :func:`plan_round`
+and :func:`settle` return a new state and touch no fleet, so
+``tests/reader/test_tier_explorer.py`` checks the fairness guarantees
+on every reachable state of a bounded tier.  :class:`SharedReaderTier`
+is the effect layer: each :meth:`~SharedReaderTier.step` plans, leases
+the fleets, then settles.
 
 Every round's allocation, per-job modeled overlap, and the tier-level
 aggregate land in a :class:`~repro.metrics.tier.TierReport`.
@@ -75,7 +82,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Collection, Iterator, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..metrics.freshness import FreshnessReport
 from ..metrics.tier import JobRoundStat, TierReport, TierRound
@@ -86,7 +93,19 @@ from .config import DataLoaderConfig
 from .costmodel import TransportSpec
 from .fleet import FleetFaults, FleetReport, ReaderFleet
 
-__all__ = ["POLICIES", "allocate_workers", "TierJob", "SharedReaderTier"]
+__all__ = [
+    "POLICIES",
+    "allocate_workers",
+    "JobState",
+    "TierState",
+    "RoundDecision",
+    "admit",
+    "remove",
+    "plan_round",
+    "settle",
+    "TierJob",
+    "SharedReaderTier",
+]
 
 #: the deterministic worker-allocation policies
 POLICIES = ("round_robin", "stall_weighted")
@@ -215,6 +234,176 @@ def allocate_workers(
     return out
 
 
+# -- the decision core: pure transitions over one TierState ------------------
+
+
+@dataclass(frozen=True)
+class JobState:
+    """One registered job as the scheduler sees it.
+
+    Attributes:
+        name: the job's name.
+        weight: its scheduling weight.
+        progress: epochs completed since admission.
+        demand: reader CPU seconds of its last served round (``None``
+            until first served: the ``stall_weighted`` cold start).
+        lag: p99 event-time lag of its last served round
+            (freshness-tracking jobs only).
+    """
+
+    name: str
+    weight: float = 1.0
+    progress: int = 0
+    demand: float | None = None
+    lag: float | None = None
+
+
+@dataclass(frozen=True)
+class TierState:
+    """Everything the scheduler decides from, as one immutable value.
+
+    Attributes:
+        width: the pool width the next round starts from (the
+            autoscaler's last proposal on an autoscaled tier).
+        policy: the allocation policy.
+        slo: the freshness SLO boosting lagging jobs' weights.
+        cursor: rounds planned so far (rotates the remainder).
+        jobs: registered jobs, in registration order.
+        starved: jobs skipped in the last round they were runnable,
+            plus boosted newcomers; they lead the next round they are
+            runnable in.
+        floor: the fairness floor, ⌈jobs/2⌉ at the largest job set
+            admitted so far: the narrowest pool that serves every job
+            within two rounds.
+    """
+
+    width: int
+    policy: str = "stall_weighted"
+    slo: float | None = None
+    cursor: int = 0
+    jobs: tuple[JobState, ...] = ()
+    starved: frozenset[str] = frozenset()
+    floor: int = 0
+
+    @property
+    def round_width(self) -> int:
+        """The width the next round runs at: :attr:`width` lifted to
+        the fairness floor and to the starved set, so every job owed a
+        worker gets one.  The only place either lift applies: a
+        mid-run admission raises the floor after the last settle."""
+        return max(self.width, self.floor, len(self.starved))
+
+    def job(self, name: str) -> JobState:
+        """The named registered job's state."""
+        return next(j for j in self.jobs if j.name == name)
+
+
+@dataclass(frozen=True)
+class RoundDecision:
+    """What one round's plan decided (truthy: a round ran).
+
+    Attributes:
+        width: the width the round runs at.
+        allocation: workers per runnable job (0 = skipped).
+        skipped: runnable jobs given no worker, sorted.
+        weights: each runnable job's effective scheduling weight.
+    """
+
+    width: int
+    allocation: Mapping[str, int]
+    skipped: tuple[str, ...]
+    weights: Mapping[str, float]
+
+
+def admit(
+    state: TierState, name: str, weight: float = 1.0, *, mid_run: bool = False
+) -> TierState:
+    """Register ``name`` unobserved at progress 0; the floor rises to
+    cover the grown job set.
+
+    A job admitted ``mid_run`` enters starved (served first in its
+    first round) while the starved set still fits the round: a
+    newcomer must not crowd a genuinely skipped job out.  An unboosted
+    newcomer skipped in its first round is starved in its next.
+    """
+    jobs = state.jobs + (JobState(name, weight),)
+    floor = max(state.floor, math.ceil(len(jobs) / 2))
+    grown = replace(state, jobs=jobs, floor=floor)
+    if mid_run and len(state.starved) < grown.round_width:
+        grown = replace(grown, starved=state.starved | {name})
+    return grown
+
+
+def remove(state: TierState, name: str) -> TierState:
+    """Deregister ``name``: it loses its progress, demand, lag and
+    priority (the floor stays)."""
+    jobs = tuple(j for j in state.jobs if j.name != name)
+    return replace(state, jobs=jobs, starved=state.starved - {name})
+
+
+def plan_round(
+    state: TierState, runnable: Sequence[str]
+) -> tuple[RoundDecision, TierState]:
+    """Decide one round over the ``runnable`` jobs.
+
+    Runnable starved jobs keep strict priority; the new starved set is
+    ``(starved - runnable) | skipped``: a waiting (gated) job neither
+    earns priority nor loses it.  Under a freshness SLO a job whose
+    last p99 lag overran it has its weight scaled by ``lag / slo``.
+    """
+    weights = {}
+    for name in runnable:
+        job = state.job(name)
+        lagging = state.slo is not None and job.lag is not None
+        boost = max(1.0, job.lag / state.slo) if lagging else 1.0
+        weights[name] = job.weight * boost
+    width = state.round_width
+    allocation = allocate_workers(
+        width,
+        runnable,
+        starved=state.starved,
+        demand={j.name: j.demand for j in state.jobs if j.demand is not None},
+        weights=weights,
+        policy=state.policy,
+        cursor=state.cursor,
+    )
+    skipped = tuple(sorted(n for n, w in allocation.items() if w == 0))
+    starved = (state.starved - set(runnable)) | set(skipped)
+    planned = replace(
+        state, width=width, cursor=state.cursor + 1, starved=starved
+    )
+    return RoundDecision(width, allocation, skipped, weights), planned
+
+
+def settle(
+    state: TierState, stats: Sequence[JobRoundStat], width: int
+) -> TierState:
+    """Fold a round's outcome in: each served job advances one epoch,
+    its reader CPU becomes its demand and (when tracked) its p99 lag
+    its lag; ``width`` (the autoscaler's proposal, or the round's own
+    width on a fixed tier) is where the next round starts from."""
+    served = {s.job: s for s in stats}
+    jobs = []
+    for job in state.jobs:
+        stat = served.get(job.name)
+        if stat is not None:
+            lag = job.lag
+            if stat.freshness is not None:
+                lag = stat.freshness.p99_lag_seconds
+            job = JobState(
+                job.name,
+                job.weight,
+                job.progress + 1,
+                stat.reader_cpu_seconds,
+                lag,
+            )
+        jobs.append(job)
+    return replace(state, jobs=tuple(jobs), width=width)
+
+
+# -- the effect layer -------------------------------------------------------
+
+
 @dataclass
 class TierJob:
     """One training job's registration with a shared reader tier.
@@ -257,9 +446,10 @@ class TierJob:
         ready: optional data gate called as ``ready(next_epoch)`` at
             the top of every round — ``False`` means the epoch's
             partitions have not landed yet, so the job sits the round
-            out as *waiting* (not starved: it holds no next-round
-            priority and draws no workers).  Live-loop streaming jobs
-            gate on their lander's landing progress here.
+            out as *waiting*: it draws no workers and neither earns
+            next-round priority nor loses the priority it holds.
+            Live-loop streaming jobs gate on their lander's landing
+            progress here.
         track_freshness: record a per-round
             :class:`~repro.metrics.freshness.FreshnessReport` from the
             job's delivered batch event times against the tier's
@@ -286,11 +476,12 @@ class TierJob:
 class SharedReaderTier:
     """One pool of reader workers multiplexed across registered jobs.
 
-    Register jobs with :meth:`register`, then :meth:`run` the tier to
-    completion: scheduling rounds repeat until every job's epoch plan is
-    exhausted, and the resulting :class:`~repro.metrics.tier.TierReport`
-    carries every round's allocation and modeled accounting.  Merged
-    per-job fleet measurements accumulate in :attr:`job_fleets`.
+    Register jobs with :meth:`register`, then :meth:`start`,
+    :meth:`step` until no job is runnable, and :meth:`finish`: the
+    resulting :class:`~repro.metrics.tier.TierReport` carries every
+    round's allocation and modeled accounting.  Merged per-job fleet
+    measurements accumulate in :attr:`job_fleets`.  The only scheduling
+    state is one :class:`TierState`, replaced on every transition.
     """
 
     def __init__(
@@ -343,8 +534,6 @@ class SharedReaderTier:
                 f"freshness_slo must be positive, got {freshness_slo}"
             )
         self.num_readers = num_readers
-        self.policy = policy
-        self.scaling = scaling
         #: optional hook called as ``fault_injector(round_index,
         #: job_name)`` before each leased scan — the signature of
         #: :meth:`~repro.sim.faults.FaultPlan.fleet_faults`; a returned
@@ -354,27 +543,30 @@ class SharedReaderTier:
         self.fault_injector: (
             Callable[[int, str], FleetFaults | None] | None
         ) = None
-        self.freshness_slo = freshness_slo
         #: the tier's modeled clock: advances by each round's wall and
         #: by :meth:`advance_clock` while the pool waits on data
         self.clock = 0.0
-        #: merged per-job FleetReports, populated by :meth:`run`
+        #: merged per-job FleetReports, one per job ever registered
         self.job_fleets: dict[str, FleetReport] = {}
         self.report: TierReport | None = None
+        self.state = TierState(num_readers, policy, freshness_slo)
         self._jobs: dict[str, TierJob] = {}
         self._started = False
         self._finished = False
         self._autoscaler: ReaderAutoscaler | None = None
-        self._width = num_readers
-        self._progress: dict[str, int] = {}
-        self._demand: dict[str, float] = {}
-        self._starved: set[str] = set()
+        if scaling is not None:
+            self._autoscaler = ReaderAutoscaler(
+                num_readers,
+                target_stall=scaling.target_stall,
+                max_readers=scaling.max_readers,
+                ewma_alpha=scaling.ewma_alpha,
+            )
         self._rounds: list[TierRound] = []
-        self._cursor = 0
-        self._lag: dict[str, float] = {}
-        #: epochs each preempted job had completed when it was removed,
-        #: keyed by job name (re-registration does not clear the entry)
-        self.preempted: dict[str, int] = {}
+
+    @property
+    def policy(self) -> str:
+        """The worker-allocation policy."""
+        return self.state.policy
 
     # -- registration / admission ------------------------------------------
 
@@ -396,10 +588,10 @@ class SharedReaderTier:
         * every epoch must fill at least one training batch.
 
         A job admitted while the tier is mid-run (after
-        :meth:`start`) enters with strict next-round priority — it is
-        treated as starved, so the allocator serves it before any
-        non-starved job and the one-round starvation bound holds from
-        its admission round.
+        :meth:`start`) enters with strict next-round priority while the
+        starved set still fits the round (:func:`admit`), and it raises
+        the fairness floor, so the one-round starvation bound holds
+        from its admission round even on a shrunken autoscaled pool.
 
         Raises:
             ValueError: if any admission check fails.
@@ -464,44 +656,17 @@ class SharedReaderTier:
                     f"all below batch {job.config.batch_size}"
                 )
         self._jobs[job.name] = job
-        if self._started:
-            # Mid-run admission: the newcomer gets strict next-round
-            # priority so it is never starved past one round even when
-            # it arrives into a contended pool.  The boost only applies
-            # while the priority set still fits the pool — otherwise a
-            # newcomer could crowd a genuinely-skipped job out of the
-            # width-bounded starved set and starve it a second round.
-            # An unboosted newcomer still meets the one-round bound: if
-            # its first round skips it, it joins the starved set and is
-            # served the round after.
-            self._progress[job.name] = 0
-            self.job_fleets.setdefault(job.name, FleetReport())
-            self._demand.pop(job.name, None)
-            if len(self._starved) < self._width:
-                self._starved.add(job.name)
-            if self._autoscaler is not None:
-                # Keep the autoscaler's fairness floor consistent with
-                # the grown job set: the pool must stay wide enough to
-                # serve every registered job one worker within two
-                # rounds.
-                self._autoscaler.min_readers = max(
-                    self._autoscaler.min_readers,
-                    math.ceil(len(self._jobs) / 2),
-                )
-
-    @property
-    def jobs(self) -> list[str]:
-        """Registered job names, in registration order."""
-        return list(self._jobs)
+        self.job_fleets.setdefault(job.name, FleetReport())
+        self.state = admit(
+            self.state, job.name, job.weight, mid_run=self._started
+        )
 
     # -- scheduling ---------------------------------------------------------
 
     def run(self) -> TierReport:
-        """Schedule rounds until every job's epoch plan is exhausted.
-
-        The closed-loop shape: :meth:`start`, :meth:`step` until no job
-        has epochs left, :meth:`finish`.  Drivers that need to preempt
-        or admit jobs mid-run call those three directly.
+        """:meth:`start`, :meth:`step` until no job is runnable, then
+        :meth:`finish` — a prepared session's tier driven without
+        :meth:`repro.pipeline.Session.tick`'s landing pumps.
 
         Returns:
             The run's :class:`~repro.metrics.tier.TierReport` (also left
@@ -530,27 +695,12 @@ class SharedReaderTier:
         if not self._jobs:
             raise ValueError("no jobs registered")
         self._started = True
-        if self.scaling is not None:
-            self._autoscaler = ReaderAutoscaler(
-                self.num_readers,
-                target_stall=self.scaling.target_stall,
-                # the fairness floor: never shrink the pool so far that
-                # the admitted job set cannot be served one worker each
-                # within two rounds
-                min_readers=max(1, math.ceil(len(self._jobs) / 2)),
-                max_readers=self.scaling.max_readers,
-                ewma_alpha=self.scaling.ewma_alpha,
-            )
-            self._width = self._autoscaler.num_readers
-        self.job_fleets = {name: FleetReport() for name in self._jobs}
-        self._progress = {name: 0 for name in self._jobs}
-        self.clock = 0.0
 
     @property
     def epochs_remaining(self) -> bool:
         """Whether any registered job still has epochs to run."""
         return any(
-            self._progress.get(name, 0) < len(job.epochs)
+            self.state.job(name).progress < len(job.epochs)
             for name, job in self._jobs.items()
         )
 
@@ -568,14 +718,14 @@ class SharedReaderTier:
         self.clock = max(self.clock, to)
         return self.clock
 
-    def step(self) -> bool:
-        """Run one scheduling round.
+    def step(self) -> RoundDecision | None:
+        """Run one scheduling round: plan it, lease the fleets, settle.
 
         Returns:
-            ``True`` if a round ran; ``False`` when no registered job
-            is *runnable* — every job either exhausted its epoch plan
-            or is gated on data by its ``ready`` hook (nothing is
-            recorded in that case, so a driver may still
+            The round's :class:`RoundDecision`; ``None`` when no
+            registered job is *runnable* — every job either exhausted
+            its epoch plan or is gated on data by its ``ready`` hook
+            (nothing is recorded in that case, so a driver may still
             :meth:`register` more work, land more data and
             :meth:`advance_clock`, and step again; consult
             :attr:`epochs_remaining` to tell the two apart).
@@ -589,58 +739,40 @@ class SharedReaderTier:
                 "step() needs an open scheduling loop: call start() "
                 "first (and not after finish())"
             )
-        active = [
-            job
-            for name, job in self._jobs.items()
-            if self._progress[name] < len(job.epochs)
-        ]
-        # Jobs whose next epoch's data has not landed yet sit the round
-        # out as waiting, not starved: they draw no workers and earn no
-        # next-round priority (priority is for jobs the *scheduler*
-        # skipped, not jobs the *stream* has not caught up to).
+        progress = {j.name: j.progress for j in self.state.jobs}
+        # ready is asked only of jobs with epochs left; a gated job
+        # waits: it draws no workers and keeps whatever priority it had
         runnable = [
             job
-            for job in active
-            if job.ready is None or job.ready(self._progress[job.name])
+            for name, job in self._jobs.items()
+            if progress[name] < len(job.epochs)
+            and (job.ready is None or job.ready(progress[name]))
         ]
         if not runnable:
-            return False
-        alloc = allocate_workers(
-            self._width,
-            [job.name for job in runnable],
-            starved=self._starved,
-            demand=self._demand,
-            weights={
-                job.name: self._effective_weight(job) for job in runnable
-            },
-            policy=self.policy,
-            cursor=self._cursor,
-        )
-        self._cursor += 1
-        stats = []
-        for job in runnable:
-            workers = alloc[job.name]
-            if workers == 0:
-                continue
-            stats.append(
-                self._run_job_epoch(job, self._progress[job.name], workers)
-            )
-            self._progress[job.name] += 1
-            self._demand[job.name] = stats[-1].reader_cpu_seconds
-        self._starved = {name for name, w in alloc.items() if w == 0}
+            return None
+        decision, planned = plan_round(self.state, [j.name for j in runnable])
+        alloc = decision.allocation
+        stats = [
+            self._run_job_epoch(job, progress[job.name], alloc[job.name])
+            for job in runnable
+            if alloc[job.name]
+        ]
         rnd = TierRound(
             index=len(self._rounds),
-            width=self._width,
+            width=decision.width,
             stats=stats,
-            skipped=sorted(self._starved),
+            skipped=list(decision.skipped),
         )
         self._rounds.append(rnd)
         self.clock += rnd.modeled_wall_seconds
+        width = decision.width
         if self._autoscaler is not None:
-            self._width = self._autoscaler.observe(
-                rnd.aggregate, epoch=rnd.index
+            # the proposal starts from the width the round ran at
+            width = self._autoscaler.observe(
+                rnd.aggregate, rnd.index, width, min_readers=planned.floor
             )
-        return True
+        self.state = settle(planned, stats, width)
+        return decision
 
     def finish(self) -> TierReport:
         """Close the loop and build the run's report.
@@ -657,11 +789,7 @@ class SharedReaderTier:
         self.report = TierReport(
             policy=self.policy,
             rounds=self._rounds,
-            scaling=(
-                self._autoscaler.trace
-                if self._autoscaler is not None
-                else None
-            ),
+            scaling=self._autoscaler.trace if self._autoscaler else None,
         )
         return self.report
 
@@ -681,7 +809,7 @@ class SharedReaderTier:
                 f"no registered job named {name!r}; registered: "
                 f"{list(self._jobs)}"
             )
-        return self._progress.get(name, 0)
+        return self.state.job(name).progress
 
     def preempt(self, name: str) -> int:
         """Remove a registered job mid-run; its name frees up again.
@@ -690,9 +818,9 @@ class SharedReaderTier:
         measurements stay in :attr:`job_fleets` (a later
         re-registration under the same name keeps merging into them)
         and its completed rounds stay in the report.  The number of
-        epochs it completed is recorded in :attr:`preempted` and
-        returned, which is what a checkpoint/resume driver needs to
-        rebuild the job's remaining epoch plan.
+        epochs it completed is returned, which is what a
+        checkpoint/resume driver needs to rebuild the job's remaining
+        epoch plan.
 
         Args:
             name: the registered job to remove.
@@ -714,23 +842,9 @@ class SharedReaderTier:
                 f"{list(self._jobs)}"
             )
         del self._jobs[name]
-        done = self._progress.pop(name, 0)
-        self._demand.pop(name, None)
-        self._starved.discard(name)
-        self._lag.pop(name, None)
-        self.preempted[name] = done
+        done = self.state.job(name).progress
+        self.state = remove(self.state, name)
         return done
-
-    def _effective_weight(self, job: TierJob) -> float:
-        """The job's scheduling weight, lag-boosted under a freshness
-        SLO: a tracking job whose last observed p99 lag overran the
-        target pulls proportionally more of the surplus pool."""
-        if self.freshness_slo is None:
-            return job.weight
-        lag = self._lag.get(job.name)
-        if lag is None:
-            return job.weight
-        return job.weight * max(1.0, lag / self.freshness_slo)
 
     def _run_job_epoch(
         self, job: TierJob, epoch: int, workers: int
@@ -781,7 +895,6 @@ class SharedReaderTier:
             freshness = FreshnessReport.from_batches(
                 merged.batch_event_times, trained_at
             )
-            self._lag[job.name] = freshness.p99_lag_seconds
         return JobRoundStat(
             job=job.name,
             workers=workers,
