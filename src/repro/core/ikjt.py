@@ -1,12 +1,22 @@
 """InverseKeyedJaggedTensor (IKJT) — RecD's deduplicated batch format.
 
-An IKJT (§4.2, Figure 5) stores, for each feature key in a *group*:
+An IKJT (§4.2, Figure 5) stores, for the feature keys of one *group*:
 
-* ``values`` / ``offsets`` — the jagged slices of only the **unique** rows;
+* ``values`` / ``offsets`` — the jagged slices of only the **unique**
+  rows, in the :class:`~repro.core.kjt.KeyedJaggedTensor` layout: one
+  jagged tensor over ``K·U`` rows for ``K`` keys and ``U`` unique rows,
+  key ``k`` owning rows ``k·U … (k+1)·U``, with one value dtype;
 
 plus one ``inverse_lookup`` slice shared by the whole group, where
 ``inverse_lookup[i]`` points at the deduplicated row backing batch row
 ``i``.  A single-feature IKJT is simply a group of size one.
+``ikjt[key]`` is a zero-copy view of the key's unique rows, and
+:attr:`InverseKeyedJaggedTensor.flat` the whole ``K·U``-row tensor, so
+a transform runs once per group.  Byte accounting is per key as it
+always was: :attr:`~InverseKeyedJaggedTensor.wire_nbytes` is
+``values.nbytes + K·(U+1)·8`` and
+:attr:`~InverseKeyedJaggedTensor.expanded_nbytes` the expanded values
+plus ``K·(B+1)·8``.
 
 Grouped IKJTs cover features that are updated synchronously across
 samples (the paper's cart item-ID / seller-ID example): they share one
@@ -18,80 +28,38 @@ the invariant.
 
 The format is lossless: :meth:`InverseKeyedJaggedTensor.to_kjt` expands
 back to the exact original :class:`~repro.core.kjt.KeyedJaggedTensor`
-using :func:`~repro.core.jagged_ops.jagged_index_select` (O6).
+with one :func:`~repro.core.jagged_ops.gather_ranges` (O6's kernel).
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from itertools import accumulate
 
 import numpy as np
 
 from .dedup import dedup_groups
 from .jagged import JaggedTensor
 from .jagged_ops import gather_indices, gather_ranges
-from .kjt import KeyedJaggedTensor
+from .kjt import _OFFSET, KeyedJaggedTensor
 
 __all__ = ["InverseKeyedJaggedTensor"]
-
-
-def _gather_members(
-    members: Sequence[JaggedTensor], rows: Sequence[np.ndarray]
-) -> list[JaggedTensor]:
-    """Rows ``rows[m]`` of every ``members[m]`` (one batch size).
-
-    Members of one value dtype are selected by a single gather over
-    their values laid back to back, and come back as slices of that
-    gather's output."""
-    dtypes = {jt.values.dtype for jt in members}
-    if len(dtypes) > 1:
-        out: list[JaggedTensor] = [None] * len(members)
-        for dtype in dtypes:
-            which = [m for m, jt in enumerate(members) if jt.values.dtype == dtype]
-            gathered = _gather_members(
-                [members[m] for m in which], [rows[m] for m in which]
-            )
-            for m, jt in zip(which, gathered):
-                out[m] = jt
-        return out
-    values, offsets, indices = members[0].values, members[0].offsets, rows[0]
-    counts = [picked.size for picked in rows]
-    if len(members) > 1:  # one member joined is that member: no copies
-        # member m's row i is row ``m * stride + i`` of the joined offsets:
-        # a member's last entry doubles as an empty row before the next's
-        stride = offsets.size
-        first_value = [0, *accumulate(jt.values.size for jt in members[:-1])]
-        values = np.concatenate([jt.values for jt in members])
-        offsets = np.array([jt.offsets for jt in members])
-        offsets += np.array(first_value)[:, None]
-        offsets = offsets.ravel()
-        indices = np.concatenate(rows)
-        indices += np.repeat(
-            np.arange(0, len(members) * stride, stride), counts
-        )
-    src, out_offsets = gather_indices(offsets, indices)
-    values = values[src]
-    cuts = [0, *accumulate(counts)]
-    ends = [int(out_offsets[row]) for row in cuts]
-    return [
-        JaggedTensor(values[a:b], out_offsets[lo : hi + 1] - a)
-        for lo, hi, a, b in zip(cuts, cuts[1:], ends, ends[1:])
-    ]
 
 
 class InverseKeyedJaggedTensor:
     """Deduplicated sparse features for one feature group in one batch."""
 
-    __slots__ = ("_tensors", "_inverse_lookup", "_batch_size")
+    __slots__ = ("_unique", "_inverse_lookup")
 
     def __init__(
         self,
         tensors: Mapping[str, JaggedTensor],
         inverse_lookup: np.ndarray,
     ) -> None:
-        if not tensors:
-            raise ValueError("IKJT requires at least one key")
+        """Pack ``key -> JaggedTensor`` of the unique rows (one row
+        count, one dtype) once."""
+        self._adopt(KeyedJaggedTensor(tensors), inverse_lookup)
+
+    def _adopt(self, unique: KeyedJaggedTensor, inverse_lookup) -> None:
         inverse_lookup = np.asarray(inverse_lookup)
         # casting would truncate a float index instead of rejecting it
         if inverse_lookup.size and inverse_lookup.dtype.kind not in "iu":
@@ -102,13 +70,7 @@ class InverseKeyedJaggedTensor:
         inverse_lookup = inverse_lookup.astype(np.int64, copy=False)
         if inverse_lookup.ndim != 1:
             raise ValueError("inverse_lookup must be 1-D")
-        uniq_sizes = {jt.num_rows for jt in tensors.values()}
-        if len(uniq_sizes) != 1:
-            raise ValueError(
-                "all group members must have the same deduplicated row count, "
-                f"got {sorted(uniq_sizes)}"
-            )
-        num_unique = uniq_sizes.pop()
+        num_unique = unique.batch_size
         if inverse_lookup.size and (
             inverse_lookup.min() < 0 or inverse_lookup.max() >= num_unique
         ):
@@ -116,11 +78,20 @@ class InverseKeyedJaggedTensor:
                 f"inverse_lookup must index [0, {num_unique}); got range "
                 f"[{inverse_lookup.min()}, {inverse_lookup.max()}]"
             )
-        self._tensors: dict[str, JaggedTensor] = dict(tensors)
+        self._unique = unique
         self._inverse_lookup = inverse_lookup
-        self._batch_size = int(inverse_lookup.size)
 
     # -- constructors -----------------------------------------------------
+
+    @classmethod
+    def from_flat(
+        cls, keys: Sequence[str], flat: JaggedTensor, inverse_lookup: np.ndarray
+    ) -> "InverseKeyedJaggedTensor":
+        """Wrap a ``K·U``-row tensor of unique rows (key ``k`` owns rows
+        ``k·U … (k+1)·U``) without copying it."""
+        ikjt = cls.__new__(cls)
+        ikjt._adopt(KeyedJaggedTensor.from_flat(keys, flat), inverse_lookup)
+        return ikjt
 
     @classmethod
     def from_kjt(
@@ -140,10 +111,10 @@ class InverseKeyedJaggedTensor:
         This is the feature-conversion step of O3: duplicate rows are
         detected by hashing (:func:`~repro.core.dedup.dedup_groups`) and
         only the first occurrence's values are kept.  The unique rows of
-        every member of every group are gathered by one index
-        computation per value dtype, so the tensors of one call are
-        slices of shared buffers — buffers the call allocates, never
-        ``kjt``'s.  A key may appear once across all groups.
+        every member of every group are gathered out of ``kjt``'s buffer
+        by one index computation, so each group's tensor is a slice of
+        one shared buffer — a buffer the call allocates, never ``kjt``'s.
+        A key may appear once across all groups.
         """
         groups = [list(group) for group in groups]
         if not all(groups):
@@ -157,63 +128,70 @@ class InverseKeyedJaggedTensor:
             raise ValueError(f"key {repeated!r} is named more than once")
         if not groups:
             return []
-        members = [[kjt[key] for key in group] for group in groups]
-        deduped = dedup_groups(members)
-        tensors = iter(
-            _gather_members(
-                [jt for group in members for jt in group],
-                [
-                    unique
-                    for group, (unique, _) in zip(groups, deduped)
-                    for _ in group
-                ],
-            )
+        deduped = dedup_groups([[kjt[key] for key in group] for group in groups])
+        # key k's unique row i is row k·B + i of kjt's buffer
+        first_row = {key: k * kjt.batch_size for k, key in enumerate(kjt.keys)}
+        rows = np.concatenate(
+            [
+                first_row[key] + unique
+                for group, (unique, _) in zip(groups, deduped)
+                for key in group
+            ]
         )
-        return [
-            cls({key: next(tensors) for key in group}, inverse)
-            for group, (_, inverse) in zip(groups, deduped)
-        ]
+        src, offsets = gather_indices(kjt.flat.offsets, rows)
+        gathered = JaggedTensor(kjt.flat.values[src], offsets)
+        out, start = [], 0
+        for group, (unique, inverse) in zip(groups, deduped):
+            stop = start + len(group) * unique.size
+            out.append(
+                cls.from_flat(group, gathered.slice_rows(start, stop), inverse)
+            )
+            start = stop
+        return out
 
     # -- accessors --------------------------------------------------------
 
     @property
     def keys(self) -> list[str]:
-        return list(self._tensors)
+        return self._unique.keys
 
     @property
     def batch_size(self) -> int:
-        return self._batch_size
+        return int(self._inverse_lookup.size)
 
     @property
     def num_unique(self) -> int:
-        return next(iter(self._tensors.values())).num_rows
+        return self._unique.batch_size
 
     @property
     def inverse_lookup(self) -> np.ndarray:
         return self._inverse_lookup
 
+    @property
+    def flat(self) -> JaggedTensor:
+        """The ``K·U``-row tensor of unique rows behind every key's view."""
+        return self._unique.flat
+
     def __getitem__(self, key: str) -> JaggedTensor:
-        """The deduplicated jagged tensor for one feature key."""
-        return self._tensors[key]
+        """The deduplicated jagged tensor for one feature key (a view)."""
+        return self._unique[key]
 
     def __contains__(self, key: str) -> bool:
-        return key in self._tensors
+        return key in self._unique
 
     def items(self):
-        return self._tensors.items()
+        """``(key, view)`` pairs in key order."""
+        return self._unique.items()
 
     @property
     def total_values(self) -> int:
         """Total deduplicated value count across the group."""
-        return sum(jt.total_values for jt in self._tensors.values())
+        return self._unique.total_values
 
     @property
     def nbytes(self) -> int:
         """Bytes of all slices including ``inverse_lookup``."""
-        return (
-            sum(jt.nbytes for jt in self._tensors.values())
-            + self._inverse_lookup.nbytes
-        )
+        return self._unique.nbytes + self._inverse_lookup.nbytes
 
     @property
     def wire_nbytes(self) -> int:
@@ -223,7 +201,12 @@ class InverseKeyedJaggedTensor:
         local to each GPU — which is why IKJTs *strictly* shrink
         over-the-network tensor sizes (§4.2).
         """
-        return sum(jt.nbytes for jt in self._tensors.values())
+        return self._unique.nbytes
+
+    def _expanded_values(self) -> int:
+        """Values of the fully-materialized KJT, from lengths alone."""
+        lengths = self.flat.lengths.reshape(len(self.keys), self.num_unique)
+        return int(lengths[:, self._inverse_lookup].sum())
 
     @property
     def expanded_nbytes(self) -> int:
@@ -233,27 +216,22 @@ class InverseKeyedJaggedTensor:
         so bytes-decoded vs bytes-expanded savings are reportable
         without paying for the expansion.
         """
-        total = 0
-        offsets_nbytes = (self._batch_size + 1) * np.dtype(np.int64).itemsize
-        for jt in self._tensors.values():
-            expanded_values = int(jt.lengths[self._inverse_lookup].sum())
-            total += expanded_values * jt.values.itemsize + offsets_nbytes
-        return total
+        return (
+            self._expanded_values() * self.flat.values.itemsize
+            + len(self.keys) * (self.batch_size + 1) * _OFFSET
+        )
 
     def dedupe_factor(self, key: str | None = None) -> float:
         """Realized dedupe factor: original values length / dedup length.
 
         With ``key=None``, aggregated over the whole group.
         """
-        if key is not None:
-            items = [(key, self._tensors[key])]
+        if key is None:
+            dedup, orig = self.total_values, self._expanded_values()
         else:
-            items = list(self._tensors.items())
-        orig = 0
-        dedup = 0
-        for _, jt in items:
-            dedup += jt.total_values
-            orig += int(jt.lengths[self._inverse_lookup].sum())
+            jt = self[key]
+            dedup = jt.total_values
+            orig = int(jt.lengths[self._inverse_lookup].sum())
         if dedup == 0:
             return 1.0
         return orig / dedup
@@ -261,24 +239,21 @@ class InverseKeyedJaggedTensor:
     # -- conversion ---------------------------------------------------------
 
     def to_kjt(self) -> KeyedJaggedTensor:
-        """Expand back to the duplicate-bearing KJT via jagged index select."""
-        tensors = {}
-        for k, jt in self._tensors.items():
-            values, offsets = gather_ranges(
-                jt.values, jt.offsets, self._inverse_lookup
-            )
-            tensors[k] = JaggedTensor(values, offsets)
-        return KeyedJaggedTensor(tensors)
+        """Expand back to the duplicate-bearing KJT: one jagged index
+        select of every key's rows."""
+        flat = self.flat
+        first_row = np.arange(len(self.keys)) * self.num_unique
+        rows = (first_row[:, None] + self._inverse_lookup).ravel()
+        values, offsets = gather_ranges(flat.values, flat.offsets, rows)
+        return KeyedJaggedTensor.from_flat(self.keys, JaggedTensor(values, offsets))
 
     # -- dunder -----------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, InverseKeyedJaggedTensor):
             return NotImplemented
-        return (
-            self.keys == other.keys
-            and np.array_equal(self._inverse_lookup, other._inverse_lookup)
-            and all(self._tensors[k] == other._tensors[k] for k in self._tensors)
+        return self._unique == other._unique and np.array_equal(
+            self._inverse_lookup, other._inverse_lookup
         )
 
     def __hash__(self):
@@ -287,6 +262,6 @@ class InverseKeyedJaggedTensor:
     def __repr__(self) -> str:
         return (
             f"InverseKeyedJaggedTensor(keys={self.keys}, "
-            f"batch_size={self._batch_size}, num_unique={self.num_unique}, "
+            f"batch_size={self.batch_size}, num_unique={self.num_unique}, "
             f"dedupe_factor={self.dedupe_factor():.2f})"
         )

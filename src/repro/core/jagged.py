@@ -60,14 +60,21 @@ class JaggedTensor:
         N+1 monotonically non-decreasing ``int64`` array delimiting rows.
 
     The constructor validates the invariants so that downstream kernels can
-    skip bounds checks.
+    skip bounds checks; :meth:`slice_rows` views of a valid tensor are
+    valid by construction and skip them.
     """
 
     __slots__ = ("_values", "_offsets")
 
     def __init__(self, values: np.ndarray, offsets: np.ndarray) -> None:
         values = np.asarray(values)
-        offsets = np.asarray(offsets, dtype=np.int64)
+        offsets = np.asarray(offsets)
+        # casting would truncate a float offset instead of rejecting it
+        if offsets.size and offsets.dtype.kind not in "iu":
+            raise ValueError(
+                f"offsets must be an integer array, got {offsets.dtype}"
+            )
+        offsets = offsets.astype(np.int64, copy=False)
         if values.ndim != 1:
             raise ValueError(f"values must be 1-D, got shape {values.shape}")
         if offsets.ndim != 1 or offsets.size == 0:
@@ -132,6 +139,18 @@ class JaggedTensor:
     def nbytes(self) -> int:
         """Bytes held by both slices (what travels over the wire)."""
         return int(self._values.nbytes + self._offsets.nbytes)
+
+    def slice_rows(self, start: int, stop: int) -> "JaggedTensor":
+        """Rows ``start`` up to (not including) ``stop`` as a jagged
+        tensor: ``values`` is a view, ``offsets`` the slice rebased to 0.
+        Not re-validated — rows of a valid tensor are one — and not
+        bounds-checked."""
+        view = JaggedTensor.__new__(JaggedTensor)
+        offsets = self._offsets[start : stop + 1]
+        first = offsets[0]
+        view._values = self._values[first : offsets[-1]]
+        view._offsets = offsets - first
+        return view
 
     def row(self, i: int) -> np.ndarray:
         """The ``i``-th row as a view into ``values``."""

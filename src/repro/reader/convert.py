@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.ikjt import InverseKeyedJaggedTensor
-from ..core.jagged import JaggedTensor
 from ..core.kjt import KeyedJaggedTensor
 from ..storage.rowblock import RowBlock, require_block
 from .batch import Batch
@@ -44,9 +43,11 @@ def convert_rows(
 
     ``rows`` is the fill step's :class:`~repro.storage.rowblock.RowBlock`.
     Every tensor is built over the block's columns — no per-row work,
-    and none per dedup group — and none aliases the block, so batches
+    and none per feature or dedup group: the plain KJT is one
+    concatenation of its columns, and the IKJT groups are gathered out
+    of one concatenation of theirs.  None aliases the block, so batches
     cut from one stripe never alias each other; the IKJT tensors of one
-    batch are slices of buffers that batch alone owns.
+    batch are slices of a buffer that batch alone owns.
 
     Raises:
         TypeError: if ``rows`` is not a :class:`RowBlock`.
@@ -60,17 +61,13 @@ def convert_rows(
 
     absent = (np.zeros(num_rows + 1, dtype=np.int64), np.empty(0, dtype=np.int64))
 
-    def keyed(keys, own: bool = False) -> KeyedJaggedTensor:
-        """A KJT over the block's columns for ``keys`` — views, or one
-        contiguous copy per feature when the result must ``own`` its
-        memory.  A feature the block lacks is empty in every row."""
-        tensors = {}
-        for key in keys:
-            offsets, values = rows.sparse.get(key, absent)
-            if own:
-                offsets, values = offsets.copy(), values.copy()
-            tensors[key] = JaggedTensor(values, offsets)
-        return KeyedJaggedTensor(tensors)
+    def keyed(keys) -> KeyedJaggedTensor:
+        """One KJT over the block's columns for ``keys``: one
+        concatenation, owned by the KJT.  A feature the block lacks is
+        empty in every row."""
+        return KeyedJaggedTensor.from_columns(
+            {key: rows.sparse.get(key, absent) for key in keys}
+        )
 
     dense = np.zeros((num_rows, len(config.dense_features)), dtype=np.float32)
     for j, name in enumerate(config.dense_features):
@@ -80,13 +77,13 @@ def convert_rows(
 
     kjt = None
     if config.sparse_features:
-        kjt = keyed(config.sparse_features, own=True)
+        kjt = keyed(config.sparse_features)
         stats.values_copied += kjt.total_values
 
     ikjts: list[InverseKeyedJaggedTensor] = []
     if config.dedup_sparse_features:
-        # Dedup every group's KJT view via hashing in one pass; only the
-        # unique rows are gathered (copied) out of the block.
+        # Dedup every group via hashing in one pass; only the unique rows
+        # are gathered (copied) into the IKJTs' buffer.
         grouped_kjt = keyed(config.dedup_feature_names)
         ikjts = InverseKeyedJaggedTensor.from_groups(
             grouped_kjt, config.dedup_sparse_features

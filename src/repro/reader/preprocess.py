@@ -34,7 +34,13 @@ __all__ = [
 
 
 class SparseTransform:
-    """Base: a user module mapping JaggedTensor -> JaggedTensor."""
+    """Base: a user module mapping JaggedTensor -> JaggedTensor.
+
+    A transform must be element- or row-local — output row ``i`` is a
+    function of input row ``i`` alone, and the row count is kept —
+    because it runs once over every key's rows back to back (a KJT's or
+    IKJT group's ``flat`` tensor), not once per key.
+    """
 
     name = "identity"
 
@@ -120,14 +126,15 @@ class DedupPreprocWrapper:
     def apply(
         self, ikjt: InverseKeyedJaggedTensor, stats: ProcessStats
     ) -> InverseKeyedJaggedTensor:
-        """Apply the wrapped transform to each dedup'd slice, metering
-        work against the *deduplicated* value counts (O4's saving)."""
-        out = {}
-        for key, jt in ikjt.items():
-            out[key] = self.transform.apply(jt)
-            stats.values_processed += jt.total_values
-            stats.rows_processed += jt.num_rows
-        return InverseKeyedJaggedTensor(out, ikjt.inverse_lookup.copy())
+        """Apply the wrapped transform once to the group's unique rows
+        (every key's, back to back), metering work against the
+        *deduplicated* value counts (O4's saving)."""
+        flat = ikjt.flat
+        stats.values_processed += flat.total_values
+        stats.rows_processed += flat.num_rows
+        return InverseKeyedJaggedTensor.from_flat(
+            ikjt.keys, self.transform.apply(flat), ikjt.inverse_lookup.copy()
+        )
 
 
 TRANSFORM_REGISTRY: dict[str, type[SparseTransform]] = {
@@ -142,8 +149,12 @@ def apply_transforms(
 ) -> tuple[Batch, ProcessStats]:
     """Apply the configured transforms to every sparse tensor of a batch.
 
-    Plain KJT features process every (duplicate-bearing) value; IKJT
-    groups process only unique values via the wrapper.
+    Each transform runs once on the plain KJT's ``K·B``-row tensor and
+    once per IKJT group on its ``K·U`` unique rows: every registered
+    transform is element- or row-local, so the result is bit for bit
+    the per-key one.  Plain KJT features process every
+    (duplicate-bearing) value; IKJT groups process only unique values
+    via the wrapper.
     """
     stats = ProcessStats()
     transforms = []
@@ -156,12 +167,10 @@ def apply_transforms(
     kjt = batch.kjt
     for t in transforms:
         if kjt is not None:
-            new = {}
-            for key, jt in kjt.items():
-                new[key] = t.apply(jt)
-                stats.values_processed += jt.total_values
-                stats.rows_processed += jt.num_rows
-            kjt = KeyedJaggedTensor(new)
+            flat = kjt.flat
+            stats.values_processed += flat.total_values
+            stats.rows_processed += flat.num_rows
+            kjt = KeyedJaggedTensor.from_flat(kjt.keys, t.apply(flat))
     ikjts = batch.ikjts
     for t in transforms:
         wrapper = DedupPreprocWrapper(t)

@@ -120,14 +120,16 @@ def _ragged_groups(draw):
 
 @st.composite
 def _ragged_batches(draw):
-    """A KJT over 0-80 rows and 1-4 groups of 1-4 of its keys; int64 and
-    float32 members mix inside a group."""
+    """A KJT over 0-80 rows and 1-4 groups of 1-4 of its keys, all int64
+    or all float32 (a KJT is one buffer of one dtype; members of mixed
+    dtypes meet in ``TestEqualityRule``, on the kernel)."""
     num_rows = draw(st.integers(0, 80))
+    dtype = draw(st.sampled_from([np.int64, np.float32]))
     tensors, groups = {}, []
     for g in range(draw(st.integers(1, 4))):
         groups.append([f"g{g}m{m}" for m in range(draw(st.integers(1, 4)))])
         for key in groups[-1]:
-            tensors[key] = _draw_member(draw, num_rows, [np.int64, np.float32])
+            tensors[key] = _draw_member(draw, num_rows, [dtype])
     return KeyedJaggedTensor(tensors), groups
 
 
@@ -183,9 +185,9 @@ class TestBatchKernelAgainstTheRowLoop:
     def test_zero_row_kjt_gives_zero_unique_ikjts(self):
         kjt = KeyedJaggedTensor(
             {
-                "a": JaggedTensor.empty(0),
+                "a": JaggedTensor.empty(0, dtype=np.float32),
                 "b": JaggedTensor.empty(0, dtype=np.float32),
-                "c": JaggedTensor.empty(0),
+                "c": JaggedTensor.empty(0, dtype=np.float32),
             }
         )
         ikjts = InverseKeyedJaggedTensor.from_groups(kjt, [["a", "b"], ["c"]])

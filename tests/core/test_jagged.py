@@ -78,8 +78,37 @@ class TestJaggedTensorConstruction:
         with pytest.raises(ValueError):
             JaggedTensor(np.arange(0), np.array([], dtype=np.int64))
 
+    @pytest.mark.parametrize(
+        "offsets, dtype",
+        [
+            (np.array([0, 1.7, 3.0]), "float64"),
+            (np.array([0.0, 1.0, 3.0], dtype=np.float32), "float32"),
+            (np.array([False, True, True]), "bool"),
+        ],
+    )
+    def test_non_integer_offsets_rejected_not_truncated(self, offsets, dtype):
+        with pytest.raises(
+            ValueError, match=f"offsets must be an integer array, got {dtype}"
+        ):
+            JaggedTensor(np.arange(3), offsets)
+
+    def test_integer_offsets_of_any_width_accepted(self):
+        for offsets in ([0, 1, 3], np.array([0, 1, 3], dtype=np.uint8)):
+            jt = JaggedTensor(np.arange(3), offsets)
+            assert jt.offsets.dtype == np.int64
+            assert jt.to_lists() == [[0], [1, 2]]
+
 
 class TestJaggedTensorAccess:
+    def test_slice_rows_is_a_rebased_view(self):
+        jt = JaggedTensor.from_lists([[1], [2, 3], [], [4, 5, 6]])
+        part = jt.slice_rows(1, 3)
+        assert part.to_lists() == [[2, 3], []]
+        np.testing.assert_array_equal(part.offsets, [0, 2, 2])
+        assert np.shares_memory(part.values, jt.values)
+        assert jt.slice_rows(2, 2).to_lists() == []
+        assert jt.slice_rows(0, 4) == jt
+
     def test_row_views(self):
         jt = JaggedTensor.from_lists([[1, 2], [3, 4, 5], [7, 8]])
         np.testing.assert_array_equal(jt.row(1), [3, 4, 5])

@@ -82,6 +82,17 @@ class TestAccess:
         with pytest.raises(KeyError):
             make_kjt().select(["nope"])
 
+    def test_select_repeated_key_raises_naming_it(self):
+        with pytest.raises(ValueError, match="key 'a' is named more than once"):
+            make_kjt().select(["a", "c", "a"])
+
+    def test_select_reorders_and_copies(self):
+        kjt = make_kjt()
+        sub = kjt.select(["d", "a"])
+        assert sub.keys == ["d", "a"]
+        assert sub["d"] == kjt["d"] and sub["a"] == kjt["a"]
+        assert not np.shares_memory(sub.flat.values, kjt.flat.values)
+
     def test_to_row_dicts_round_trip(self):
         rows = [
             {"a": [1, 2], "b": [3]},

@@ -18,9 +18,12 @@ from repro.datagen import (
     rm3,
 )
 from repro.reader import (
+    TRANSFORM_REGISTRY,
+    Batch,
     ClampValues,
     DataLoaderConfig,
     HashModulo,
+    SparseTransform,
     TruncateLength,
     apply_transforms,
     convert_rows,
@@ -285,3 +288,52 @@ class TestApplyTransforms:
         out, stats = apply_transforms(batch, ())
         assert stats.values_processed == 0
         assert out.ikjts == batch.ikjts
+
+
+class _Spy(SparseTransform):
+    """Records the row count of every tensor it is applied to."""
+
+    name = "spy"
+    calls: list[int] = []
+
+    def apply(self, jt: JaggedTensor) -> JaggedTensor:
+        _Spy.calls.append(jt.num_rows)
+        return JaggedTensor(jt.values + 1, jt.offsets.copy())
+
+
+class TestOneApplyPerTensor:
+    """A transform runs once per KJT and once per IKJT group — over every
+    key's rows back to back — never once per feature."""
+
+    def test_apply_is_called_once_per_kjt_and_per_group(self, monkeypatch):
+        monkeypatch.setitem(TRANSFORM_REGISTRY, _Spy.name, _Spy)
+        monkeypatch.setattr(_Spy, "calls", [])
+        rows = _rows(16)
+        plain, _ = convert_rows(
+            rows, DataLoaderConfig(batch_size=16, sparse_features=("u", "v", "w"))
+        )
+        dedup, _ = convert_rows(
+            rows,
+            DataLoaderConfig(
+                batch_size=16, dedup_sparse_features=(("u",), ("v", "w"))
+            ),
+        )
+        # one KJT of three keys beside two IKJT groups
+        batch = Batch(
+            dense=plain.dense, labels=plain.labels, kjt=plain.kjt,
+            ikjts=dedup.ikjts,
+        )
+        out, stats = apply_transforms(batch, ("spy", "spy"))
+        groups = [len(ikjt.keys) * ikjt.num_unique for ikjt in dedup.ikjts]
+        # both transforms on the KJT's K·B rows, then on each group's K·U
+        assert _Spy.calls == [3 * 16] * 2 + groups * 2
+        assert stats.rows_processed == (3 * 16 + sum(groups)) * 2
+        for key in ("u", "v", "w"):
+            np.testing.assert_array_equal(
+                out.kjt[key].values, plain.kjt[key].values + 2
+            )
+        for got, ikjt in zip(out.ikjts, dedup.ikjts, strict=True):
+            for key in ikjt.keys:
+                np.testing.assert_array_equal(
+                    got[key].values, ikjt[key].values + 2
+                )
