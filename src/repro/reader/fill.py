@@ -4,8 +4,11 @@ A reader fills batches by reading stripes out of DWRF files, paying for
 (1) fetching/decrypting/decompressing compressed bytes and (2) decoding
 the streams' values.  Both work inputs are measured by the underlying
 :class:`~repro.storage.dwrf.DwrfReader` counters.  Rows stay columnar
-throughout: a batch is cut from the decoded stripes'
-:class:`~repro.storage.rowblock.RowBlock` columns by offset arithmetic.
+throughout and are not copied here: a file's touched stripes decode as
+one run, one :class:`~repro.storage.rowblock.RowBlock`, and a batch is a
+row range of it — a view, cut by offset arithmetic.  Only a batch that
+crosses a run, i.e. a file boundary, is concatenated.  Feature
+conversion is then the batch's one copy.
 """
 
 from __future__ import annotations
@@ -53,6 +56,12 @@ def fill_batches(
     (:meth:`~repro.storage.dwrf.DwrfReader.plan_run`) and decodes it in
     one pass inside the first ``read_stripe`` that needs it, so an epoch
     cut short decodes no file past the one it stopped in.
+
+    A yielded batch is a view of its run's block (``block[lo:hi]``; see
+    :meth:`~repro.storage.dwrf.DwrfReader.run_of`), not a copy: it stays
+    valid, and other batches of the run share its arrays.  Only a batch
+    that crosses a file boundary owns fresh arrays
+    (:meth:`RowBlock.concat`).
     """
     if batch_size <= 0:
         raise ValueError("batch_size must be positive")
@@ -60,7 +69,11 @@ def fill_batches(
         raise ValueError("row_start must be non-negative")
     if row_stop is not None and row_stop < row_start:
         raise ValueError("row_stop must be >= row_start")
-    pending: list[RowBlock] = []  # decoded, not yet batched, in row order
+    # decoded, not yet batched, in row order: [run block, lo, hi, stripe]
+    # ranges, ``stripe`` being read_stripe's own view while the range is
+    # exactly that stripe (a batch that is one whole stripe is not cut
+    # again), else None
+    pending: list[list] = []
     pending_rows = 0
     prev = FillStats()
 
@@ -86,7 +99,7 @@ def fill_batches(
     for reader in readers:
         if done:
             break
-        # (stripe, lo, hi, rows) of each stripe of this file the window
+        # (stripe, lo, hi) of each stripe of this file the window
         # touches, from the headers alone
         touched = []
         for stripe_idx in range(reader.num_stripes):
@@ -100,29 +113,47 @@ def fill_batches(
                 done = True
                 break
             if lo < stripe_rows:  # else entirely before the window
-                touched.append((stripe_idx, lo, hi, stripe_rows))
+                touched.append((stripe_idx, lo, hi))
         if not touched:
             continue
         reader.plan_run(touched[0][0], touched[-1][0] + 1)
-        for stripe_idx, lo, hi, stripe_rows in touched:
-            block = reader.read_stripe(stripe_idx)
-            if (lo, hi) != (0, stripe_rows):
-                block = block[lo:hi]
-            pending.append(block)
-            pending_rows += len(block)
+        for stripe_idx, lo, hi in touched:
+            stripe = reader.read_stripe(stripe_idx)  # decodes + accounts
+            run, first = reader.run_of(stripe_idx)
+            whole = stripe if hi - lo == len(stripe) else None
+            lo, hi = first + lo, first + hi
+            if pending and pending[-1][0] is run and pending[-1][2] == lo:
+                pending[-1][2:] = hi, None  # the run's next stripe
+            else:
+                pending.append([run, lo, hi, whole])
+            pending_rows += hi - lo
             while pending_rows >= batch_size:
-                # whole blocks while they fit, then the head of the next
+                # the head range's rows, and the next range's if the
+                # head runs out (the next run: a file boundary)
                 taken, need = [], batch_size
                 while need:
                     head = pending[0]
-                    if len(head) <= need:
-                        taken.append(pending.pop(0))
-                        need -= len(head)
+                    if need >= head[2] - head[1]:
+                        taken.append(_rows(pending.pop(0)))
                     else:
-                        taken.append(head[:need])
-                        pending[0] = head[need:]
-                        need = 0
+                        block, start = head[:2]
+                        taken.append(block[start : start + need])
+                        head[1], head[3] = start + need, None
+                    need -= len(taken[-1])
                 pending_rows -= batch_size
-                yield RowBlock.concat(taken), snapshot()
+                yield _joined(taken), snapshot()
     if pending_rows and not drop_last:
-        yield RowBlock.concat(pending), snapshot()
+        yield _joined([_rows(entry) for entry in pending]), snapshot()
+
+
+def _rows(entry: list) -> RowBlock:
+    """A pending range's rows: its stripe's own view, else a view cut
+    from the run."""
+    block, start, stop, stripe = entry
+    return block[start:stop] if stripe is None else stripe
+
+
+def _joined(parts: list[RowBlock]) -> RowBlock:
+    """A batch's parts as one block: a lone part is its run's view as
+    is; parts from several runs are concatenated."""
+    return parts[0] if len(parts) == 1 else RowBlock.concat(parts)

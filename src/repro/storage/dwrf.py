@@ -36,7 +36,7 @@ from .compression import Codec, compress_many, decompress
 from .encoding import IntEncoding, decode_int64_chunks, encode_int64_chunks
 from .rowblock import RowBlock, require_block
 
-__all__ = ["DwrfWriter", "DwrfReader", "StripeStats", "FileStats", "concat_rows"]
+__all__ = ["DwrfWriter", "DwrfReader", "StripeStats", "FileStats"]
 
 MAGIC = b"DWRF"
 _FILE_HEADER = struct.Struct("<4sHI")
@@ -49,17 +49,6 @@ _SESSION = "__session_id"
 _TIMESTAMP = "__timestamp"
 _LABEL = "__label"
 _SAMPLE_ID = "__sample_id"
-
-
-def concat_rows(schema: DatasetSchema, blocks: list[RowBlock]) -> RowBlock:
-    """``blocks`` back to back (:meth:`RowBlock.concat`); no blocks at all
-    is a zero-row block carrying every ``schema`` column, which
-    ``concat`` cannot build."""
-    if blocks:
-        return RowBlock.concat(blocks)
-    return RowBlock.from_samples(
-        (), [s.name for s in schema.sparse], [d.name for d in schema.dense]
-    )
 
 
 @dataclass
@@ -232,7 +221,9 @@ class DwrfReader:
     writer encodes a column once per file: a caller about to read
     consecutive stripes says so once (:meth:`plan_run`), each stream of
     the run is then decoded in one pass, and :meth:`read_stripe` hands
-    the stripes out as views of the run's columns.  Tracks the byte
+    the stripes out as views of the run's columns.  A caller that cuts
+    its own row ranges (the reader's fill) takes the run's block itself
+    from :meth:`run_of` after each read.  Tracks the byte
     accounting the reader cost model consumes, per stripe handed out:
     ``bytes_read`` (compressed, what travels from Tectonic),
     ``raw_bytes`` (decompressed) and ``values_decoded``.
@@ -270,6 +261,8 @@ class DwrfReader:
             pos += byte_len
         self._planned = range(0)
         self._run: _Run | None = None
+        #: the run the latest read_stripe served, until run_of takes it
+        self._served: tuple[_Run, int] | None = None
         self.bytes_read = 0
         self.raw_bytes = 0
         self.values_decoded = 0
@@ -315,9 +308,9 @@ class DwrfReader:
         are touched, so a corrupt neighbour cannot break it.
 
         Raises :class:`ValueError` naming the stripe and stream when the
-        streams do not fit the stripe's bytes or do not describe
-        ``num_rows`` consistent rows; for a run, when it is decoded and
-        naming its first offending stripe.
+        streams do not fit the stripe's bytes, do not decode, or do not
+        describe ``num_rows`` consistent rows; for a run, when it is
+        decoded and naming its first offending stripe.
         """
         if not 0 <= index < self.num_stripes:
             raise IndexError(f"stripe {index} out of range")
@@ -340,11 +333,33 @@ class DwrfReader:
         if index == run.stripes[-1]:
             self._run = None
         at = index - run.stripes.start
+        self._served = run, index
         compressed, raw, values = run.work[at]
         self.bytes_read += compressed
         self.raw_bytes += raw
         self.values_decoded += values
         return run.block[run.bounds[at] : run.bounds[at + 1]]
+
+    def run_of(self, index: int) -> tuple[RowBlock, int]:
+        """The decoded run that :meth:`read_stripe` just handed stripe
+        ``index`` out of, as one block, and the stripe's first row in
+        it — so a caller can cut row ranges across the run's stripes
+        without copying them back together.
+
+        Nothing is fetched, decoded or accounted here: ask right after
+        ``read_stripe(index)``.  Each read answers one call, which ends
+        the reader's hold on the run as served: once the run's last
+        stripe is handed out, only the caller keeps its block.
+
+        Raises:
+            LookupError: if the latest :meth:`read_stripe` was not of
+                ``index``, or its run was already taken.
+        """
+        if self._served is None or self._served[1] != index:
+            raise LookupError(f"stripe {index} was not the latest read")
+        run, _ = self._served
+        self._served = None
+        return run.block, run.bounds[index - run.stripes.start]
 
     def _fetch(
         self, index: int
@@ -403,6 +418,20 @@ class DwrfReader:
         )
         rows = np.diff(bounds)
 
+        def decoded(at: int, name: str, payloads, counts, enc_id: int):
+            """``decode_int64_chunks`` of the chunks from ``stripes[at]``
+            on, its errors named by stripe and stream; in a run of more
+            stripes, :meth:`read_stripe`'s re-read names the first that
+            fails alone."""
+            try:
+                return decode_int64_chunks(
+                    payloads, counts, IntEncoding(enc_id)
+                )
+            except ValueError as err:
+                raise ValueError(
+                    f"stripe {stripes[at]}: stream {name!r}: {err}"
+                ) from err
+
         def column(name: str, sizes: np.ndarray = rows) -> np.ndarray:
             """One stream across the run, each stripe's chunk checked to
             hold ``sizes`` values."""
@@ -416,20 +445,22 @@ class DwrfReader:
                 # float64 bits, always plain, as many as the bytes hold
                 payloads = [payload for _, _, payload in chunks]
                 held = [len(payload) // 8 for payload in payloads]
-                values = decode_int64_chunks(
-                    payloads, held, IntEncoding.PLAIN
+                values = decoded(
+                    0, name, payloads, held, IntEncoding.PLAIN.value
                 ).view(np.float64)
             else:
                 held, parts = [], []
                 for enc_id, group in groupby(chunks, key=lambda c: c[0]):
                     _, counts, payloads = zip(*group)
-                    held += counts
                     parts.append(
-                        decode_int64_chunks(
-                            payloads, counts, IntEncoding(enc_id)
-                        )
+                        decoded(len(held), name, payloads, counts, enc_id)
                     )
-                values = parts[0] if len(parts) == 1 else np.concatenate(parts)
+                    held += counts
+                values = (
+                    parts[0]
+                    if len(parts) == 1
+                    else np.concatenate([np.empty(0, dtype=np.int64), *parts])
+                )
             bad = np.flatnonzero(np.asarray(held) != sizes)
             if bad.size:
                 at = int(bad[0])
@@ -470,8 +501,15 @@ class DwrfReader:
 
     def read_all(self) -> RowBlock:
         """Every row in the file, in stripe order, as one block (the
-        serial scan; a file of no stripes reads as zero rows)."""
-        return concat_rows(
-            self.schema,
-            [self.read_stripe(i) for i in self.plan_run(0, self.num_stripes)],
-        )
+        serial scan): the file is one planned run, each stripe is read
+        (and accounted) through :meth:`read_stripe`, and the run's block
+        is returned as decoded — no stripe is copied back together.  A
+        file of no stripes reads as a zero-row block carrying every
+        schema column."""
+        stripes = self.plan_run(0, self.num_stripes)
+        if not stripes:
+            return self._decode(stripes).block
+        for index in stripes:
+            self.read_stripe(index)
+            block, _ = self.run_of(index)
+        return block

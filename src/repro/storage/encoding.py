@@ -175,14 +175,30 @@ def _rle_decode(data: bytes, count: int) -> np.ndarray:
         if count:
             raise ValueError("empty RLE stream for non-empty column")
         return np.empty(0, dtype=np.int64)
+    # every length read is bounded before it sizes an allocation: a run
+    # takes at least two bytes, and np.repeat allocates the runs' sum
+    if len(data) < 8:
+        raise ValueError("RLE stream is cut short inside its run count")
     (num_runs,) = struct.unpack_from("<Q", data, 0)
-    interleaved = _varint_decode(data[8:], 2 * num_runs)
-    values = np.repeat(interleaved[0::2], interleaved[1::2])
-    if values.size != count:
+    if 2 * num_runs > len(data) - 8:
         raise ValueError(
-            f"RLE stream expands to {values.size} values, expected {count}"
+            f"RLE stream declares {num_runs} runs in {len(data) - 8} bytes"
         )
-    return values
+    interleaved = _varint_decode(data[8:], 2 * num_runs)
+    lengths = interleaved[1::2]
+    if lengths.size and lengths.min() < 0:
+        raise ValueError(f"RLE stream has a run of {lengths.min()} values")
+    # a run longer than the column fails before the sum can overflow
+    if lengths.size and lengths.max() > count:
+        raise ValueError(
+            f"RLE stream has a run of {lengths.max()} values, expected "
+            f"{count} in all"
+        )
+    if lengths.sum() != count:
+        raise ValueError(
+            f"RLE stream expands to {lengths.sum()} values, expected {count}"
+        )
+    return np.repeat(interleaved[0::2], lengths)
 
 
 def _dict_encode(values: np.ndarray) -> bytes:
@@ -202,8 +218,15 @@ def _dict_decode(data: bytes, count: int) -> np.ndarray:
         if count:
             raise ValueError("empty DICT stream for non-empty column")
         return np.empty(0, dtype=np.int64)
+    if len(data) < 16:
+        raise ValueError("DICT stream is cut short inside its header")
     num_uniques, dict_len = struct.unpack_from("<QQ", data, 0)
     pos = 16
+    if not num_uniques <= dict_len <= len(data) - pos:
+        raise ValueError(
+            f"DICT stream declares {num_uniques} values in {dict_len} "
+            f"dictionary bytes of {len(data) - pos}"
+        )
     uniques = _varint_decode(data[pos : pos + dict_len], num_uniques)
     codes = _varint_decode(data[pos + dict_len :], count)
     if codes.size and (codes.min() < 0 or codes.max() >= num_uniques):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from ..datagen.schema import DatasetSchema
 from .compression import Codec
-from .dwrf import DwrfReader, DwrfWriter, concat_rows
+from .dwrf import DwrfReader, DwrfWriter
 from .encoding import IntEncoding
 from .rowblock import RowBlock, require_block
 from .tectonic import TectonicFS
@@ -182,10 +182,14 @@ class HiveTable:
 
     def read_partition(self, partition: str) -> RowBlock:
         """Every row of the partition, in landed order, as one block
-        (the serial scan; a partition of no files reads as zero rows)."""
-        return concat_rows(
-            self.schema,
-            [reader.read_all() for reader in self.open_readers(partition)],
+        (the serial scan): each file's :meth:`DwrfReader.read_all`,
+        concatenated only when there are several.  A partition of no
+        files reads as a zero-row block carrying every schema column."""
+        blocks = [reader.read_all() for reader in self.open_readers(partition)]
+        if blocks:
+            return RowBlock.concat(blocks)
+        return RowBlock.from_samples(
+            (), self.schema.sparse_names, self.schema.dense_names
         )
 
     def partition_stored_bytes(self, partition: str) -> int:

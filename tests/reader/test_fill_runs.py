@@ -7,9 +7,22 @@ import numpy as np
 import pytest
 
 from repro.reader import fill_batches
-from repro.storage import Codec, DwrfReader, DwrfWriter, HiveTable, TectonicFS
+from repro.storage import (
+    Codec,
+    DwrfReader,
+    DwrfWriter,
+    HiveTable,
+    RowBlock,
+    TectonicFS,
+)
 from tests.conftest import make_reader_schema, make_trace
-from tests.storage.test_dwrf import _patch_stream, _schema, _trace
+from tests.storage.test_dwrf import (
+    HOSTILE_PAYLOADS,
+    _patch_payload,
+    _patch_stream,
+    _schema,
+    _trace,
+)
 
 
 class _StripeAtATime(DwrfReader):
@@ -69,7 +82,7 @@ _GRID = [
 
 class TestRunEqualsStripeAtATime:
     @pytest.mark.parametrize("window", _GRID, ids=str)
-    @pytest.mark.parametrize("batch_size", [40, 64])
+    @pytest.mark.parametrize("batch_size", [17, 40, 64, 100])
     def test_blocks_counters_and_fill_stats(self, files, window, batch_size):
         blobs, schema = files
         start, stop = window
@@ -132,6 +145,33 @@ class TestRunEqualsStripeAtATime:
         assert len(runs) == files_before  # one run per small file
         _assert_same_block(table.read_partition("p"), before)
 
+    def test_read_all_is_the_run_without_a_concat(self, files, monkeypatch):
+        blobs, schema = files
+        bare = _StripeAtATime(blobs[0], schema)
+        want = RowBlock.concat(
+            [bare.read_stripe(i) for i in range(bare.num_stripes)]
+        )
+        concats = _spy_concat(monkeypatch)
+        reader = DwrfReader(blobs[0], schema)
+        got = reader.read_all()
+        assert reader.num_stripes == 7 and concats == []
+        _assert_same_block(got, want)
+        for counter in ("bytes_read", "raw_bytes", "values_decoded"):
+            assert getattr(reader, counter) == getattr(bare, counter)
+
+    def test_run_of_answers_the_latest_read_once(self, files):
+        blobs, schema = files
+        reader = DwrfReader(blobs[0], schema)
+        reader.plan_run(1, 4)
+        stripe = reader.read_stripe(2)
+        with pytest.raises(LookupError, match="stripe 1"):
+            reader.run_of(1)
+        block, first = reader.run_of(2)
+        assert (len(block), first) == (3 * 48, 48)
+        _assert_same_block(block[first : first + 48], stripe)
+        with pytest.raises(LookupError, match="stripe 2"):
+            reader.run_of(2)
+
     def test_stripes_of_a_run_are_views_until_the_last_is_taken(self, files):
         blobs, schema = files
         reader = DwrfReader(blobs[0], schema)
@@ -147,6 +187,42 @@ class TestRunEqualsStripeAtATime:
         assert not np.shares_memory(alone.sample_id, second.sample_id)
         with pytest.raises(IndexError):
             reader.plan_run(3, 9)
+
+
+def _spy_concat(monkeypatch) -> list[int]:
+    """Record the block count of every ``RowBlock.concat`` call."""
+    calls, inner = [], RowBlock.concat
+
+    def concat(cls, blocks):
+        blocks = list(blocks)
+        calls.append(len(blocks))
+        return inner(blocks)
+
+    monkeypatch.setattr(RowBlock, "concat", classmethod(concat))
+    return calls
+
+
+class TestABatchIsAViewOfItsRun:
+    @pytest.mark.parametrize("window", [(0, None), (17, 620), (299, 301)])
+    @pytest.mark.parametrize("batch_size", [17, 64, 100, 301])
+    def test_concat_only_across_a_file_boundary(
+        self, files, monkeypatch, window, batch_size
+    ):
+        """The fixture's files hold rows [0, 300), [300, 600) and
+        [600, 643): one concat per batch that straddles 300 or 600."""
+        blobs, schema = files
+        start, stop = window
+        stop = 643 if stop is None else stop
+        readers = [DwrfReader(blob, schema) for blob in blobs]
+        concats = _spy_concat(monkeypatch)
+        lo = start
+        for block, _ in fill_batches(readers, batch_size, False, start, stop):
+            hi = lo + len(block)
+            crossed = sum(lo < edge < hi for edge in (300, 600))
+            assert concats == ([crossed + 1] if crossed else [])
+            del concats[:]
+            lo = hi
+        assert lo == stop
 
 
 def _three_stripes():
@@ -213,6 +289,24 @@ class TestHostileStreamsInAWindow:
         with pytest.raises(ValueError) as in_window:
             list(fill_batches([DwrfReader(bad, _schema())], 10))
         assert str(in_window.value) == str(alone.value)
+
+    @pytest.mark.parametrize("stripe", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "payload, enc_id, message",
+        HOSTILE_PAYLOADS,
+        ids=["truncated-varint", "negative-run", "long-run", "unknown-id"],
+    )
+    def test_a_payload_that_does_not_decode_names_its_stripe(
+        self, stripe, payload, enc_id, message
+    ):
+        blob, _ = _three_stripes()
+        bad = _patch_payload(blob, stripe, "__label", payload, enc_id, 10)
+        want = f"stripe {stripe}: stream '__label': {message}"
+        with pytest.raises(ValueError) as alone:
+            DwrfReader(bad, _schema()).read_stripe(stripe)
+        with pytest.raises(ValueError) as in_window:
+            list(fill_batches([DwrfReader(bad, _schema())], 10))
+        assert str(alone.value) == str(in_window.value) == want
 
     def test_two_bad_stripes_name_the_first(self):
         """Column order must not decide: a late column of an early

@@ -1,6 +1,8 @@
 """Tests for the DWRF-like columnar format and compression accounting."""
 
 import hashlib
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +21,8 @@ from repro.storage import (
     DwrfWriter,
     IntEncoding,
     RowBlock,
+    compress,
+    decode_int64,
     encode_int64,
 )
 from repro.storage.dwrf import (
@@ -27,8 +31,6 @@ from repro.storage.dwrf import (
     _STREAM_META,
     _STRIPE_HEADER,
 )
-
-from .reference_rows import encode_stream
 
 
 def _schema():
@@ -135,6 +137,29 @@ def _patch_stream(blob: bytes, stripe: int, name: str, values) -> bytes:
     ``values`` (int streams as plain-codec varint, float streams as
     float64), stripe ``byte_len`` fixed up — a well-formed file whose
     streams disagree with each other."""
+    values = np.asarray(values)
+    if values.dtype.kind == "f":
+        payload = values.astype(np.float64).tobytes()
+        return _patch_payload(
+            blob, stripe, name, payload, IntEncoding.PLAIN.value, values.size
+        )
+    ints = values.astype(np.int64)
+    return _patch_payload(
+        blob,
+        stripe,
+        name,
+        encode_int64(ints, IntEncoding.VARINT),
+        IntEncoding.VARINT.value,
+        ints.size,
+    )
+
+
+def _patch_payload(
+    blob: bytes, stripe: int, name: str, payload: bytes, enc_id: int, count
+) -> bytes:
+    """``blob`` with one stream of one stripe replaced by ``payload``
+    under encoding id ``enc_id`` (any byte, known or not) declaring
+    ``count`` values, uncompressed, stripe ``byte_len`` fixed up."""
     _, _, num_stripes = _FILE_HEADER.unpack_from(blob, 0)
     out = [blob[: _FILE_HEADER.size]]
     pos = _FILE_HEADER.size
@@ -157,24 +182,13 @@ def _patch_stream(blob: bytes, stripe: int, name: str, values) -> bytes:
             pos += _STREAM_META.size + blob_len
             if this != name:
                 streams.append(blob[start:pos])
-            elif np.asarray(values).dtype.kind == "f":
-                payload = np.asarray(values, dtype=np.float64).tobytes()
-                streams.append(
-                    encode_stream(
-                        name, payload, IntEncoding.PLAIN, len(values), Codec.NONE
-                    )[0]
-                )
-            else:
-                ints = np.asarray(values, dtype=np.int64)
-                streams.append(
-                    encode_stream(
-                        name,
-                        encode_int64(ints, IntEncoding.VARINT),
-                        IntEncoding.VARINT,
-                        ints.size,
-                        Codec.NONE,
-                    )[0]
-                )
+                continue
+            framed = compress(payload, Codec.NONE)
+            streams.append(
+                blob[start : start + _STREAM_HEADER.size + name_len]
+                + _STREAM_META.pack(enc_id, count, len(framed))
+                + framed
+            )
         assert pos == end
         body = b"".join(streams)
         out.append(
@@ -254,6 +268,108 @@ class TestHostileStreams:
             ValueError, match=rf"stripe 1: stream '{name}' holds {column.size}"
         ):
             DwrfReader(bad, _schema()).read_stripe(1)
+
+
+def _rle_runs(*runs: tuple[int, int]) -> bytes:
+    """An RLE payload of ``(value, length)`` runs, lengths unchecked."""
+    return struct.pack("<Q", len(runs)) + encode_int64(
+        np.array(runs, dtype=np.int64).ravel(), IntEncoding.VARINT
+    )
+
+
+#: payloads that do not decode, as (payload, encoding id, the codec's
+#: message), each standing in for a 10-value ``__label`` chunk
+HOSTILE_PAYLOADS = [
+    (
+        bytes(9) + b"\x80",
+        IntEncoding.VARINT.value,
+        "varint stream is truncated inside its last value",
+    ),
+    (
+        _rle_runs((0, -2), (1, 12)),
+        IntEncoding.RLE.value,
+        "RLE stream has a run of -2 values",
+    ),
+    (
+        _rle_runs((0, 1 << 33)),
+        IntEncoding.RLE.value,
+        "RLE stream has a run of 8589934592 values, expected 10 in all",
+    ),
+    (bytes(10), 9, "9 is not a valid IntEncoding"),
+]
+
+
+class TestHostilePayloads:
+    """A payload its codec cannot decode fails naming the stripe and the
+    stream, like every other malformed stream, and a run length read
+    from the bytes never sizes an allocation before it is checked."""
+
+    def _blob(self):
+        blob, _ = DwrfWriter(_schema(), stripe_rows=10).write(
+            _trace(12, seed=8)[:20]
+        )
+        return blob
+
+    @pytest.mark.parametrize(
+        "payload, enc_id, message",
+        HOSTILE_PAYLOADS,
+        ids=["truncated-varint", "negative-run", "long-run", "unknown-id"],
+    )
+    def test_decode_errors_name_stripe_and_stream(
+        self, payload, enc_id, message
+    ):
+        bad = _patch_payload(self._blob(), 1, "__label", payload, enc_id, 10)
+        with pytest.raises(ValueError) as got:
+            DwrfReader(bad, _schema()).read_stripe(1)
+        assert str(got.value) == f"stripe 1: stream '__label': {message}"
+        assert len(DwrfReader(bad, _schema()).read_stripe(0)) == 10
+
+    @pytest.mark.parametrize("run", [1 << 27, 1 << 33, -2])
+    def test_a_hostile_run_length_allocates_nothing(self, run):
+        """One run of 2^27 values used to reach ~1 GB of RSS, 2^33 a
+        64 GiB request, -2 numpy's negative-dimensions error."""
+        payload = _rle_runs((7, run))
+        bad = _patch_payload(
+            self._blob(), 1, "__label", payload, IntEncoding.RLE.value, 10
+        )
+        reader = DwrfReader(bad, _schema())
+        tracemalloc.start()
+        try:
+            with pytest.raises(
+                ValueError,
+                match=rf"stripe 1: stream '__label': RLE stream has a run "
+                rf"of {run} values",
+            ):
+                reader.read_stripe(1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            (struct.pack("<Q", 1 << 62), "declares 4611686018427387904 runs"),
+            (b"\x01", "cut short inside its run count"),
+        ],
+        ids=["more-runs-than-bytes", "no-run-count"],
+    )
+    def test_rle_run_count_is_bounded_by_the_bytes(self, payload, message):
+        with pytest.raises(ValueError, match=message):
+            decode_int64(payload, 10, IntEncoding.RLE)
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            (struct.pack("<QQ", 1 << 62, 4), "declares 4611686018427387904"),
+            (struct.pack("<QQ", 1, 1 << 40), "1 values in 1099511627776"),
+            (b"\x01" * 8, "cut short inside its header"),
+        ],
+        ids=["more-values-than-bytes", "dict-past-the-end", "no-header"],
+    )
+    def test_dict_header_is_bounded_by_the_bytes(self, payload, message):
+        with pytest.raises(ValueError, match=message):
+            decode_int64(payload, 10, IntEncoding.DICT)
 
 
 class TestDamagedBytes:
