@@ -108,10 +108,10 @@ _FLAGS = (
     _flag("--prefetch-depth", "reader.prefetch_depth", type=int,
           help="bounded prefetch per reader worker"),
     _flag("--reader-executor", "reader.executor", choices=EXECUTORS,
-          help="fleet executor (the batch stream is bit-identical for "
-               "all of them): inprocess scans serially, process forks "
-               "real workers, async interleaves every shard worker "
-               "deterministically so wide fleets run fast"),
+          help="fleet executor (the batch stream is bit-identical under "
+               "both): inprocess scans serially beside a modeled queue "
+               "clock, so wide fleets run fast; process forks real "
+               "workers"),
     _flag("--transport", "reader.transport", choices=TRANSPORT_MODES,
           default=spec_default("reader.transport").mode,
           help="batch transport across the worker->trainer boundary: "
@@ -335,40 +335,38 @@ def _cmd_pipeline(args) -> int:
     print(f"  reader throughput   : {res.reader_qps:,.0f} samples/cpu-s")
     print(f"  trainer throughput  : {res.trainer_qps:,.0f} samples/s")
     fleet = res.fleet
-    if fleet is not None:
+    print(
+        f"  reader fleet        : {len(fleet.workers)} workers "
+        f"({fleet.executor_used}), modeled wall "
+        f"{fleet.modeled_wall_seconds * 1e3:.1f} ms, queue wait "
+        f"put {fleet.queue.put_wait * 1e3:.1f} ms / "
+        f"get {fleet.queue.get_wait * 1e3:.1f} ms"
+    )
+    wire = fleet.merged.bytes
+    if wire.copied or wire.avoided:
         print(
-            f"  reader fleet        : {len(fleet.workers)} workers "
-            f"({fleet.executor_used}), modeled wall "
-            f"{fleet.modeled_wall_seconds * 1e3:.1f} ms, queue wait "
-            f"put {fleet.queue.put_wait * 1e3:.1f} ms / "
-            f"get {fleet.queue.get_wait * 1e3:.1f} ms"
+            f"  transport           : "
+            f"copied {wire.copied:,} B / "
+            f"avoided {wire.avoided:,} B, transport wait "
+            f"{fleet.queue.transport * 1e3:.1f} ms, delivered wall "
+            f"{fleet.modeled_delivered_wall_seconds * 1e3:.1f} ms"
         )
-        wire = fleet.merged.bytes
-        if wire.copied or wire.avoided:
-            print(
-                f"  transport           : "
-                f"copied {wire.copied:,} B / "
-                f"avoided {wire.avoided:,} B, transport wait "
-                f"{fleet.queue.transport * 1e3:.1f} ms, delivered wall "
-                f"{fleet.modeled_delivered_wall_seconds * 1e3:.1f} ms"
-            )
     ov = res.overlap
-    if ov is not None:
-        mode = "streaming" if ov.streaming else "materialized"
+    mode = "streaming" if ov.streaming else "materialized"
+    print(
+        f"  overlap ({mode[:6]})  : reader-stall "
+        f"{100 * ov.reader_stall_fraction:.1f}% / trainer "
+        f"{100 * ov.trainer_stall_fraction:.1f}% / other "
+        f"{100 * ov.other_fraction:.1f}% of "
+        f"{ov.wall_seconds * 1e3:.1f} ms wall"
+    )
+    if ov.bytes.decoded:
         print(
-            f"  overlap ({mode[:6]})  : reader-stall "
-            f"{100 * ov.reader_stall_fraction:.1f}% / trainer "
-            f"{100 * ov.trainer_stall_fraction:.1f}% / other "
-            f"{100 * ov.other_fraction:.1f}% of "
-            f"{ov.wall_seconds * 1e3:.1f} ms wall"
+            f"  bytes               : read {ov.bytes.read:,}, "
+            f"decoded {ov.bytes.decoded:,}, expanded "
+            f"{ov.bytes.expanded:,} (saved {ov.bytes.saved:,}, "
+            f"{ov.bytes.dedupe_factor:.2f}x)"
         )
-        if ov.bytes.decoded:
-            print(
-                f"  bytes               : read {ov.bytes.read:,}, "
-                f"decoded {ov.bytes.decoded:,}, expanded "
-                f"{ov.bytes.expanded:,} (saved {ov.bytes.saved:,}, "
-                f"{ov.bytes.dedupe_factor:.2f}x)"
-            )
     if res.dropped_partitions:
         print(
             f"  retention           : window {args.retain_partitions}, "

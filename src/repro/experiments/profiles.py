@@ -75,7 +75,8 @@ def _wide_points(
 
     Wide fleets need many batches (an epoch never plans more shards
     than batches), so these points shrink the batch size and lift the
-    per-epoch batch cap; the async executor runs them in tier-1 time.
+    per-epoch batch cap; the serial executor's modeled queue clock runs
+    them in tier-1 time.
     The widest width also carries a dedup pair — shm+dedup is the
     compounding configuration the tentpole benchmark headlines.
     """
@@ -138,11 +139,7 @@ def _build_profile(
 ) -> Profile:
     """The shared experiment set at one size (see module docstring)."""
     sizes = {"scale": scale, "num_sessions": sessions, "seed": 0}
-    base = {
-        "workload.scale": scale,
-        "data.num_sessions": sessions,
-        "reader.executor": "inprocess",
-    }
+    base = {"workload.scale": scale, "data.num_sessions": sessions}
     return Profile(
         name=name,
         description=description,
@@ -161,15 +158,10 @@ def _build_profile(
                 # transport stays KJT, so the reader.dedup axis is a
                 # pure bit-identity A/B (same losses, fewer decoded
                 # bytes, smaller modeled wall at every width).  The
-                # async executor keeps the whole grid — wide include
-                # points most of all — deterministic and CI-fast; its
-                # batch stream is bit-identical to the other executors.
-                base={
-                    **base,
-                    "workload.rm": "RM1",
-                    "reader.executor": "async",
-                    "toggles": CLUSTERED,
-                },
+                # default in-process executor keeps the whole grid —
+                # wide include points most of all — deterministic and
+                # CI-fast.
+                base={**base, "workload.rm": "RM1", "toggles": CLUSTERED},
                 axes={
                     "reader.num_readers": list(widths),
                     "reader.dedup": [False, True],

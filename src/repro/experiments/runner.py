@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 from ..metrics.slo import SLOReport
+from ..metrics.tier import TierReport
 from ..pipeline.session import PipelineResult, Session
 from .env import environment_fingerprint
 from .grid import GridSpec, RunPoint, expand_grid
@@ -65,67 +66,55 @@ def extract_metrics(result: PipelineResult, slo: SLOReport) -> dict:
         # percentiles the freshness SLO defends
         metrics["freshness_p50_seconds"] = slo.freshness_p50_seconds
         metrics["freshness_p99_seconds"] = slo.freshness_p99_seconds
-    if result.fleet is not None:
-        metrics["fleet_modeled_samples_per_second"] = (
-            result.fleet.modeled_samples_per_second
-        )
-        metrics["fleet_modeled_wall_seconds"] = (
-            result.fleet.modeled_wall_seconds
-        )
-        # the transport-floored delivery view: where wide-fleet scaling
-        # bends under the copy transport (equals the modeled wall under
-        # shm, whose transport charge is zero)
-        metrics["fleet_delivered_samples_per_second"] = (
-            result.fleet.modeled_delivered_samples_per_second
-        )
-        metrics["fleet_transport_wait_seconds"] = (
-            result.fleet.queue.transport
-        )
-    if result.overlap is not None:
-        metrics["reader_stall_fraction"] = (
-            result.overlap.reader_stall_fraction
-        )
-        metrics["trainer_stall_fraction"] = (
-            result.overlap.trainer_stall_fraction
-        )
-        # bytes-read vs bytes-decoded vs bytes-expanded: the dedup
-        # transport savings the regression gate tracks
-        ledger = result.overlap.bytes
-        metrics["reader_bytes_read"] = float(ledger.read)
-        metrics["reader_bytes_decoded"] = float(ledger.decoded)
-        metrics["reader_bytes_expanded"] = float(ledger.expanded)
-        metrics["bytes_saved"] = float(ledger.saved)
-        metrics["dedupe_byte_factor"] = ledger.dedupe_factor
-        # copy-vs-shm transport accounting (exactly one is non-zero)
-        metrics["reader_bytes_copied"] = float(ledger.copied)
-        metrics["reader_copies_avoided"] = float(ledger.avoided)
+    fleet = result.fleet
+    metrics["fleet_modeled_samples_per_second"] = (
+        fleet.modeled_samples_per_second
+    )
+    metrics["fleet_modeled_wall_seconds"] = fleet.modeled_wall_seconds
+    # the transport-floored delivery view: where wide-fleet scaling
+    # bends under the copy transport (equals the modeled wall under
+    # shm, whose transport charge is zero)
+    metrics["fleet_delivered_samples_per_second"] = (
+        fleet.modeled_delivered_samples_per_second
+    )
+    metrics["fleet_transport_wait_seconds"] = fleet.queue.transport
+    metrics["reader_stall_fraction"] = result.overlap.reader_stall_fraction
+    metrics["trainer_stall_fraction"] = result.overlap.trainer_stall_fraction
+    # bytes-read vs bytes-decoded vs bytes-expanded: the dedup
+    # transport savings the regression gate tracks
+    ledger = result.overlap.bytes
+    metrics["reader_bytes_read"] = float(ledger.read)
+    metrics["reader_bytes_decoded"] = float(ledger.decoded)
+    metrics["reader_bytes_expanded"] = float(ledger.expanded)
+    metrics["bytes_saved"] = float(ledger.saved)
+    metrics["dedupe_byte_factor"] = ledger.dedupe_factor
+    # copy-vs-shm transport accounting (exactly one is non-zero)
+    metrics["reader_bytes_copied"] = float(ledger.copied)
+    metrics["reader_copies_avoided"] = float(ledger.avoided)
     return metrics
 
 
-def extract_reports(result: PipelineResult, session: Session) -> dict:
+def extract_reports(
+    result: PipelineResult, slo: SLOReport, tier: TierReport
+) -> dict:
     """Every report object the run produced, serialized for the store.
 
     Args:
         result: the session's single-job result.
-        session: the finished session (its tier holds the
-            :class:`~repro.metrics.tier.TierReport` and per-job fleet
-            reports).
+        slo: the run's tier-level SLO scoreboard.
+        tier: the finished session's tier report.
 
     Returns:
         Report name → JSON-ready dict (``fleet``/``overlap``/``tier``/
         ``slo``/``training``, plus ``scaling`` for autoscaled runs).
     """
-    tier_report = session.tier.report
-    slo = SLOReport.from_run(tier_report, session.tier.job_fleets)
     reports = {
-        "tier": tier_report.as_dict(),
+        "tier": tier.as_dict(),
         "slo": slo.as_dict(),
         "training": result.training.as_dict(),
+        "fleet": result.fleet.as_dict(),
+        "overlap": result.overlap.as_dict(),
     }
-    if result.fleet is not None:
-        reports["fleet"] = result.fleet.as_dict()
-    if result.overlap is not None:
-        reports["overlap"] = result.overlap.as_dict()
     if result.scaling is not None:
         reports["scaling"] = result.scaling.as_dict()
     return reports
@@ -166,7 +155,7 @@ def run_point(
         env=env if env is not None else environment_fingerprint(),
         losses=tuple(result.training.losses),
         metrics=extract_metrics(result, slo),
-        reports=extract_reports(result, session),
+        reports=extract_reports(result, slo, tier_report),
     )
     store.record(record)
     return record

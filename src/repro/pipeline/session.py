@@ -75,14 +75,14 @@ class PipelineResult:
     training: TrainingReport
     samples_landed: int
     #: per-worker + queue-wait detail behind the merged ``reader`` report
-    fleet: FleetReport | None = None
-    #: per-partition landing detail behind the rolled-up ``partition``
-    #: (under retention: every partition that landed, dropped or not)
-    partitions: list[PartitionInfo] = field(default_factory=list)
+    fleet: FleetReport
     #: reader-stall vs trainer-stall attribution of the train loop,
     #: merged across rounds: measured wall-clock for a job run alone,
     #: the tier's modeled share for a job sharing the pool
-    overlap: OverlapReport | None = None
+    overlap: OverlapReport
+    #: per-partition landing detail behind the rolled-up ``partition``
+    #: (under retention: every partition that landed, dropped or not)
+    partitions: list[PartitionInfo] = field(default_factory=list)
     #: which partitions each epoch actually scanned, in epoch order
     epoch_partitions: list[list[str]] = field(default_factory=list)
     #: partitions aged out by rolling-window retention, in drop order
@@ -488,11 +488,6 @@ class Session:
                 # a wide pool would trip the autoscaler's sanity check
                 # on behalf of a job that never mentioned the pool.
                 floor = [] if self._single else [self.width]
-                alphas = [
-                    s.ewma_alpha
-                    for s in per_job
-                    if s.ewma_alpha is not None
-                ]
                 scaling = ScalingSpec(
                     target_stall=min(s.target_stall for s in per_job),
                     max_readers=max(
@@ -501,7 +496,7 @@ class Session:
                     # The most smoothing any job asked for wins: the
                     # pool damps at least as hard as its jumpiest
                     # job's request.
-                    ewma_alpha=min(alphas) if alphas else None,
+                    ewma_alpha=min(s.ewma_alpha for s in per_job),
                 )
         self.scaling = scaling
         self.model_store = model_store

@@ -121,12 +121,11 @@ class ReaderSpec:
             pool width is the Session's.
         prefetch_depth: bounded prefetch per reader worker (2 = double
             buffering).
-        executor: ``"inprocess"`` (deterministic serial scan, the
-            default), ``"process"`` (real multiprocessing workers; runs
-            only when named), or ``"async"`` (the serial scan plus a
-            modeled queue clock — reproducible queue waits, wide widths
-            in tier-1 time); the batch stream is bit-identical for all
-            of them.
+        executor: ``"inprocess"`` (the default: a deterministic serial
+            scan beside a modeled queue clock — reproducible queue
+            waits, wide widths in tier-1 time) or ``"process"`` (real
+            multiprocessing workers; runs only when named); the batch
+            stream is bit-identical under both.
         transport: how batches cross the worker→trainer boundary —
             ``"copy"`` (modeled per-batch serialize cost,
             ``bytes.copied``) or ``"shm"`` (zero-copy,

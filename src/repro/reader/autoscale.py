@@ -59,18 +59,18 @@ class ScalingSpec:
         target_stall: grow the width while the observed reader-stall
             fraction exceeds this band.
         max_readers: upper bound on the width.
-        ewma_alpha: when set, the autoscaler decides on an exponential
-            moving average of the observed overlap signals instead of
-            each raw round (``new = alpha * observed + (1 - alpha) *
-            old``).  Live-loop rounds are noisy — a round that landed a
-            fresh micro-partition looks reader-bound, the next looks
-            trainer-bound — and smoothing stops the width flapping;
-            ``None`` keeps the historical raw-signal behaviour.
+        ewma_alpha: the autoscaler decides on an exponential moving
+            average of the observed overlap signals (``new = alpha *
+            observed + (1 - alpha) * old``).  Live-loop rounds are
+            noisy — a round that landed a fresh micro-partition looks
+            reader-bound, the next looks trainer-bound — and a smaller
+            alpha stops the width flapping; the default ``1.0`` steers
+            on each raw round.
     """
 
     target_stall: float = 0.10
     max_readers: int = 32
-    ewma_alpha: float | None = None
+    ewma_alpha: float = 1.0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.target_stall < 1.0:
@@ -92,7 +92,7 @@ class ScalingSpec:
                 "ScalingSpec.max_readers must be positive, got "
                 f"{self.max_readers}"
             )
-        if self.ewma_alpha is not None and not 0.0 < self.ewma_alpha <= 1.0:
+        if not 0.0 < self.ewma_alpha <= 1.0:
             raise ValueError(
                 "ScalingSpec.ewma_alpha must be in (0, 1], got "
                 f"{self.ewma_alpha}"
@@ -116,7 +116,7 @@ class ReaderAutoscaler:
         max_readers: int = 32,
         shrink_patience: int = 2,
         shrink_trainer_stall: float = 0.75,
-        ewma_alpha: float | None = None,
+        ewma_alpha: float = 1.0,
     ):
         """Configure the controller.
 
@@ -229,12 +229,9 @@ class ReaderAutoscaler:
         return new_width
 
     def _smooth(self, overlap: OverlapReport) -> OverlapReport:
-        """The control signal: the raw report, or — with ``ewma_alpha``
-        — a synthetic report over the smoothed measurements (the
-        fractions then derive from the smoothed seconds, so they stay
-        mutually consistent)."""
-        if self.ewma_alpha is None:
-            return overlap
+        """The control signal: a synthetic report over the
+        ``ewma_alpha``-smoothed measurements (the fractions derive from
+        the smoothed seconds, so they stay mutually consistent)."""
         raw = {
             "wall": overlap.wall_seconds,
             "stall": overlap.reader_stall_seconds,

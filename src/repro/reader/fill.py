@@ -34,14 +34,13 @@ class FillStats:
 def fill_batches(
     readers: list[DwrfReader],
     batch_size: int,
-    drop_last: bool = True,
     row_start: int = 0,
     row_stop: int | None = None,
 ) -> Iterator[tuple[RowBlock, FillStats]]:
     """Stream fixed-size batches of rows off a partition's file readers.
 
-    Each batch is one :class:`RowBlock` of exactly ``batch_size`` rows
-    (fewer only for a kept last batch).  Stripes are read lazily; each
+    Each batch is one :class:`RowBlock` of exactly ``batch_size`` rows;
+    a trailing partial batch is dropped.  Stripes are read lazily; each
     yielded batch carries the *incremental* fill work (so a node can
     attribute CPU time per batch).
 
@@ -142,8 +141,6 @@ def fill_batches(
                     need -= len(taken[-1])
                 pending_rows -= batch_size
                 yield _joined(taken), snapshot()
-    if pending_rows and not drop_last:
-        yield _joined([_rows(entry) for entry in pending]), snapshot()
 
 
 def _rows(entry: list) -> RowBlock:

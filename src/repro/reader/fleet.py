@@ -30,10 +30,9 @@ with trainer steps, which is what the pipeline's streaming mode does
 
 One shard scan, two schedules.  :func:`_scan_shard` is the only code
 that turns a shard into batches; what differs is who calls it when.
-The *serial* schedule (``_iter_serial``) scans the shards one after
-another in the calling process — deterministic, dependency-free.
-Named ``"inprocess"`` (the default) it is exactly that loop; named
-``"async"`` it is the same loop plus a modeled queue clock, so its
+The *serial* schedule, ``"inprocess"`` (the default, ``_iter_serial``),
+scans the shards one after another in the calling process beside a
+modeled queue clock — deterministic, dependency-free — so its
 :class:`~repro.metrics.breakdown.QueueWaitBreakdown` is fully *modeled*
 (bit-reproducible) and a width-64 fleet runs in tier-1 time.  The
 *forked* schedule, ``"process"``, runs the scan in real
@@ -54,10 +53,9 @@ respawned, and overloaded hosts straggle.  :class:`FleetFaults` injects
 both deterministically — a crashed shard is re-scanned from the start by
 its respawned worker (batch content unchanged; the lost partial scan is
 charged as wasted CPU), and a straggler shard's modeled CPU is scaled by
-its slowdown factor.  Fault injection runs on the serial schedule —
-in-process, or async when requested (where stragglers additionally slow
-the virtual clock) — so every fault's effect on the modeled accounting
-is bit-reproducible, which is what lets the scenario simulator
+its slowdown factor.  Fault injection runs on the serial schedule
+(where stragglers also slow the virtual queue clock), so every fault's
+effect on the modeled accounting is bit-reproducible, which is what lets the scenario simulator
 (``repro.sim``) replay chaos runs exactly, now at width 64+.
 """
 
@@ -83,7 +81,7 @@ from .shard import RowRangeShard, covering_files, plan_epoch
 __all__ = ["EXECUTORS", "FleetFaults", "FleetReport", "ReaderFleet"]
 
 #: the fleet executors; the batch stream is bit-identical under each
-EXECUTORS = ("inprocess", "process", "async")
+EXECUTORS = ("inprocess", "process")
 _DONE = "__shard_done__"
 _ERROR = "__shard_error__"
 _WORKER_JOIN_TIMEOUT = 30.0
@@ -355,7 +353,7 @@ class ReaderFleet:
             raise ValueError(
                 "fault injection needs a deterministic executor "
                 "(crash/straggler effects must be bit-reproducible); "
-                "use executor='inprocess' or 'async'"
+                "use executor='inprocess'"
             )
         self.num_readers = num_readers
         self.config = config
@@ -448,11 +446,11 @@ class ReaderFleet:
             for info, shards in planned:
                 yield from self._shard_sources(table, info, shards)
 
-        iterate = {
-            "inprocess": self._iter_serial,
-            "process": self._iter_multiprocess,
-            "async": self._iter_serial,
-        }[self.executor]
+        iterate = (
+            self._iter_multiprocess
+            if self.executor == "process"
+            else self._iter_serial
+        )
         try:
             yield from iterate(table.schema, sources())
         finally:
@@ -531,8 +529,7 @@ class ReaderFleet:
         sources: Iterable[tuple[RowRangeShard, list[bytes], int, int]],
     ) -> Iterator[Batch]:
         """The serial schedule: shards scanned one after another in
-        this process — ``"inprocess"`` as is, ``"async"`` with the
-        modeled queue clock beside it.
+        this process, with the modeled queue clock beside them.
 
         The clock is a discrete-event replay of the process executor's
         shape — ``num_readers`` workers in flight, one bounded prefetch
@@ -550,7 +547,6 @@ class ReaderFleet:
         """
         faults = self.faults or FleetFaults()
         crashed, factors = faults.resolved(self.report.num_shards)
-        clocked = self.executor == "async"
         cm = self.cost_model
         charges = self.transport.charges
         width = self.num_readers
@@ -568,10 +564,6 @@ class ReaderFleet:
             )
             slowdown = factors.get(position)  # None: not a straggler
             crash = position in crashed
-            if not clocked:
-                yield from batches
-                self._settle_shard(node, slowdown, crash)
-                continue
             start = slot_free[position - width] if position >= width else 0.0
             cost_scale = (1.0 if slowdown is None else slowdown) * (
                 1.0 + faults.lost_fraction if crash else 1.0

@@ -7,8 +7,8 @@ workers' batch streams in shard order reproduces the serial reader's
 output *bit-identically* — every figure/table reproduction that consumed
 serial batches stays valid under any fleet width.  The trailing
 ``num_rows % batch_size`` rows ride along in the last shard, where the
-worker's ``drop_last`` fill drops exactly the rows the serial reader
-would have dropped.
+worker's fill drops exactly the rows the serial reader would have
+dropped.
 
 :func:`covering_files` then maps a shard window to the subset of a
 partition's files it actually touches, so a multiprocessing worker ships
@@ -85,7 +85,7 @@ def plan_shards(
         num_batches = max_batches
     if num_batches == 0:
         # Not even one full batch: a single shard holds every row and its
-        # drop_last fill yields nothing, exactly like the serial reader.
+        # fill yields nothing, exactly like the serial reader.
         return [] if capped else [RowRangeShard(0, 0, num_rows)]
 
     width = min(num_shards, num_batches)
@@ -117,7 +117,7 @@ def plan_epoch(
     once it is exhausted, later partitions contribute no shards.
 
     A partition that cannot fill a single batch contributes no shards
-    either: its rows would all be dropped by ``drop_last`` anyway, so
+    either: its rows would all be dropped by the fill anyway, so
     the batch stream is unchanged and no worker is spawned to scan it.
     """
     remaining = max_batches

@@ -424,7 +424,7 @@ class TierJob:
             (reader-only jobs).
         prefetch_depth: bounded prefetch per leased worker.
         executor: fleet executor for the job's scans
-            (``"inprocess"``, ``"process"``, or ``"async"``).
+            (``"inprocess"`` or ``"process"``).
         transport: batch-transport model for the job's scans (``copy``
             charges modeled serialize cost and counts ``bytes.copied``;
             ``shm`` is the zero-copy A/B).

@@ -14,11 +14,10 @@ signature of the tier's ``fault_injector(round_index, job_name)`` hook,
 which the scenario runner sets.  A single-job tier runs one epoch per
 round, so for a solo job, faulting round *r* faults its epoch *r*.
 
-Injected :class:`~repro.reader.fleet.FleetFaults` need a deterministic
-executor: the serial ``inprocess`` one, or — for wide pools like the
-``wide-crash-resume`` scenario's width-64 tier — the ``async``
-coroutine executor, whose crash/straggler arithmetic is bit-identical
-to the serial executor at any width.
+Injected :class:`~repro.reader.fleet.FleetFaults` need the
+deterministic ``inprocess`` executor, whose crash/straggler arithmetic
+and modeled queue clock are bit-reproducible at any width — the
+``wide-crash-resume`` scenario's width-64 tier included.
 """
 
 from __future__ import annotations

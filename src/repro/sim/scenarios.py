@@ -15,9 +15,9 @@ names the shapes the paper's production tier actually weathers:
 * ``stragglers`` — slow shards dilating rounds without changing
   batches.
 * ``wide-crash-resume`` — the crash/straggler/preempt shape on a
-  width-64 pool with every job on the async coroutine executor (the
-  only executor that makes a 64-wide faulted tier tier-1-fast), one
-  job streaming dedup batches over the shm transport.
+  width-64 pool (the serial executor's modeled queue clock keeps a
+  64-wide faulted tier tier-1-fast), one job streaming dedup batches
+  over the shm transport.
 * ``stream-crash-resume`` — two live-loop streaming jobs whose
   micro-partitions land on the modeled clock mid-run, weathering a
   crash, a straggler, and a preempt/resume; losses must match the
@@ -93,7 +93,6 @@ def _job(
     sessions: int = 60,
     recd: bool = False,
     dedup: bool = False,
-    executor: str = "inprocess",
     transport: str = "copy",
     batch_size: int = 32,
     train_batches: int | None = 2,
@@ -103,11 +102,9 @@ def _job(
 ) -> JobSpec:
     """A small, fast job spec for simulator scenarios.
 
-    Simulator jobs need a deterministic executor — fault injection
-    requires one — and tiny tables, so whole scenario sweeps stay
-    test-tier fast.  The default is the serial in-process executor;
-    wide scenarios pass ``executor="async"`` (the coroutine scheduler,
-    equally deterministic but cheap at width 64) and lift the per-epoch
+    Simulator jobs run on the deterministic in-process executor —
+    fault injection requires it — over tiny tables, so whole scenario
+    sweeps stay test-tier fast.  Wide scenarios lift the per-epoch
     batch cap (``train_batches=None``) so a wide pool actually has a
     shard per worker.  ``dedup=True`` makes the job's fleet ship
     session-deduplicated IKJT batches (the streaming hot path) without
@@ -124,7 +121,6 @@ def _job(
         ),
         reader=ReaderSpec(
             num_readers=2,
-            executor=executor,
             dedup=dedup,
             transport=transport,
         ),
@@ -201,12 +197,12 @@ def _dedup_crash_resume(seed: int, scale: float) -> Scenario:
 
 
 def _wide_crash_resume(seed: int, scale: float) -> Scenario:
-    """The crash-resume shape on a width-64 pool, async executor.
+    """The crash-resume shape on a width-64 pool.
 
     Both jobs lift the per-epoch batch cap and shrink the batch size so
     a 64-wide pool really fans out (an epoch never plans more shards
-    than batches); the async coroutine executor keeps the whole faulted
-    run deterministic and tier-1-fast at that width.  ``beta`` also
+    than batches); the serial executor's modeled queue clock keeps the
+    whole faulted run deterministic and tier-1-fast at that width.  ``beta`` also
     streams dedup batches over the zero-copy shm transport — the
     compounding configuration — while a worker crashes, a shard
     straggles, and ``alpha`` is preempted/checkpointed/resumed.
@@ -214,7 +210,6 @@ def _wide_crash_resume(seed: int, scale: float) -> Scenario:
     wide = dict(
         epochs=3,
         sessions=48,
-        executor="async",
         batch_size=12,
         train_batches=None,
     )
@@ -242,7 +237,7 @@ def _wide_crash_resume(seed: int, scale: float) -> Scenario:
     return Scenario(
         name="wide-crash-resume",
         description=(
-            "width-64 async tier: crash + straggler + preempt/resume "
+            "width-64 tier: crash + straggler + preempt/resume "
             "with dedup+shm streaming on one job, bit-identical to the "
             "uninterrupted run"
         ),

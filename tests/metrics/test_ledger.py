@@ -69,7 +69,7 @@ def instances(cls):
         elif isinstance(default, float):
             kwargs[f.name] = st.floats(0.0, 1e9)
         else:
-            kwargs[f.name] = st.sampled_from(["inprocess", "async"])
+            kwargs[f.name] = st.sampled_from(["inprocess", "process"])
     return st.builds(cls, **kwargs)
 
 
@@ -345,6 +345,8 @@ def _golden_instances() -> dict:
         "FleetReport": FleetReport(
             workers=[reader],
             queue=queue,
+            # a plain string to the report; the golden keeps the name
+            # it was captured with
             executor_used="async",
             num_shards=1,
             wall_seconds=0.75,

@@ -140,6 +140,11 @@ class TestBadValues:
                 ["pipeline", "--reader-executor", "auto"],
                 "argument --reader-executor: invalid choice: 'auto'",
             ),
+            (
+                ["pipeline", "--reader-executor", "async"],
+                "invalid choice: 'async' (choose from 'inprocess', "
+                "'process')",
+            ),
             # too small for one batch: found by prepare(), before any
             # reader or trainer ran
             (["pipeline", "--sessions", "3"], "raise --sessions or"),

@@ -145,6 +145,11 @@ class TestValidationNamesSpecAndField:
         with pytest.raises(ValueError, match=needle.replace(".", r"\.")):
             build(workload)
 
+    def test_executor_error_names_both_choices(self):
+        with pytest.raises(ValueError) as exc:
+            ReaderSpec(executor="async")
+        assert "('inprocess', 'process'), got 'async'" in str(exc.value)
+
     @pytest.mark.parametrize(
         ("num_gpus", "gpus_per_node"),
         [(1, 8), (3, 8), (8, 8), (16, 8), (48, 8), (6, 2)],

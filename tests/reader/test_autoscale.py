@@ -161,20 +161,41 @@ class TestEwmaSmoothing:
             ):
                 ReaderAutoscaler(1, ewma_alpha=bad)
 
-    def test_alpha_one_matches_unsmoothed(self):
-        """alpha=1 is the identity: the controller steers on raw
-        observations exactly as with smoothing off."""
-        raw = ReaderAutoscaler(2)
-        smoothed = ReaderAutoscaler(2, ewma_alpha=1.0)
+    def test_default_alpha_steers_on_raw_rounds(self):
+        """The default alpha=1 is the identity: these rows are what the
+        controller produced with smoothing switched off entirely."""
+        scaler = ReaderAutoscaler(2)
         for rw, tb in [(4.0, 1.0), (1.0, 1.0), (0.1, 1.0)]:
-            raw.observe(_overlap(rw, tb))
-            smoothed.observe(_overlap(rw, tb))
-        assert raw.trace.as_rows() == smoothed.trace.as_rows()
+            scaler.observe(_overlap(rw, tb))
+
+        def row(epoch, action, rsf, before, after, reason):
+            return {
+                "epoch": epoch,
+                "reader_stall_fraction": rsf,
+                "trainer_stall_fraction": 1.0 - rsf,
+                "width_before": before,
+                "action": action,
+                "width_after": after,
+                "reason": reason,
+            }
+
+        assert scaler.trace.as_rows() == [
+            row(0, "grow", 0.75, 2, 8, "reader-stall 0.75 > target 0.10"),
+            row(1, "hold", 0.0, 8, 8, "reader-stall 0.00 within target 0.10"),
+            row(
+                2,
+                "hold",
+                0.0,
+                8,
+                8,
+                "trainer-stall 1.00 dominates; waiting out hysteresis (1/2)",
+            ),
+        ]
 
     def test_smoothing_damps_a_single_noisy_epoch(self):
         """One spiky epoch after calm history: the raw controller sizes
         for the spike, the EWMA controller for the damped average."""
-        raw = ReaderAutoscaler(4, ewma_alpha=None)
+        raw = ReaderAutoscaler(4)
         smoothed = ReaderAutoscaler(4, ewma_alpha=0.2)
         calm, spike = (1.0, 1.0), (8.0, 1.0)
         for obs in (calm, calm, calm):

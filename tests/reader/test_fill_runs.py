@@ -88,8 +88,8 @@ class TestRunEqualsStripeAtATime:
         start, stop = window
         runs = [DwrfReader(blob, schema) for blob in blobs]
         bare = [_StripeAtATime(blob, schema) for blob in blobs]
-        got = list(fill_batches(runs, batch_size, False, start, stop))
-        want = list(fill_batches(bare, batch_size, False, start, stop))
+        got = list(fill_batches(runs, batch_size, start, stop))
+        want = list(fill_batches(bare, batch_size, start, stop))
         assert len(got) == len(want)
         for (block, stats), (ref_block, ref_stats) in zip(got, want):
             _assert_same_block(block, ref_block)
@@ -216,13 +216,13 @@ class TestABatchIsAViewOfItsRun:
         readers = [DwrfReader(blob, schema) for blob in blobs]
         concats = _spy_concat(monkeypatch)
         lo = start
-        for block, _ in fill_batches(readers, batch_size, False, start, stop):
+        for block, _ in fill_batches(readers, batch_size, start, stop):
             hi = lo + len(block)
             crossed = sum(lo < edge < hi for edge in (300, 600))
             assert concats == ([crossed + 1] if crossed else [])
             del concats[:]
             lo = hi
-        assert lo == stop
+        assert lo == start + (stop - start) // batch_size * batch_size
 
 
 def _three_stripes():

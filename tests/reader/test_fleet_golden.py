@@ -1,13 +1,14 @@
-"""Golden fleet clock: the async executor's modeled numbers, pinned.
+"""Golden fleet clock: the in-process executor's modeled numbers, pinned.
 
-Executor-vs-executor equality (``test_async_executor.py``) cannot see a
-change made to both sides at once, so ``golden_fleet_async.json`` pins
-the absolute values: ``FleetReport.queue``, ``wasted_cpu_seconds`` and
-every worker's CPU breakdown as ``float.hex()``, for a width-3 async
-fleet over a two-partition epoch (six shards, so the second three start
-as slots free), at prefetch depth 1 and 2, clean and under one crash +
-two stragglers.  Captured at parent 10d2e2e — when the in-process and
-async loops were still two copies — by running this module as a script
+The serial schedule's modeled queue clock is checked against no second
+implementation, so ``golden_fleet_async.json`` pins its absolute
+values: ``FleetReport.queue``, ``wasted_cpu_seconds`` and every
+worker's CPU breakdown as ``float.hex()``, for a width-3 fleet over a
+two-partition epoch (six shards, so the second three start as slots
+free), at prefetch depth 1 and 2, clean and under one crash + two
+stragglers.  The file keeps the name of the executor it was first
+captured under (``"async"``, since folded into ``"inprocess"``);
+regenerate it only on purpose by running this module as a script
 (``PYTHONPATH=src:. python tests/reader/test_fleet_golden.py``).
 """
 
@@ -45,7 +46,7 @@ def capture(case: str) -> dict:
         3,
         _plain_cfg(),
         prefetch_depth=int(depth[-1]),
-        executor="async",
+        executor="inprocess",
         faults=FAULTS if state == "faulted" else None,
     )
     batches = fleet.run_epoch(table, ["p", "q"])
@@ -65,7 +66,7 @@ def capture(case: str) -> dict:
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_async_clock_matches_parent_golden(case):
+def test_serial_clock_matches_golden(case):
     assert capture(case) == json.loads(GOLDEN_PATH.read_text())[case]
 
 

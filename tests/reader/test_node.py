@@ -33,15 +33,6 @@ class TestFillBatches:
         batches = list(fill_batches(readers, 50))
         assert all(len(rows) == 50 for rows, _ in batches)
 
-    def test_keep_last(self, landed_table):
-        table, samples = landed_table(seed=2)
-        readers = table.open_readers("p")
-        total = sum(
-            len(rows)
-            for rows, _ in fill_batches(readers, 50, drop_last=False)
-        )
-        assert total == len(samples)
-
     def test_incremental_stats(self, landed_table):
         table, _ = landed_table(seed=3)
         readers = table.open_readers("p")

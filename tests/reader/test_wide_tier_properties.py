@@ -1,14 +1,14 @@
-"""Property wall for wide fleets and tiers under the async executor.
+"""Property wall for wide fleets and tiers under the in-process executor.
 
-Hypothesis drives random pool widths up to 64 — the scale the async
-coroutine executor makes tier-1-affordable — and checks the contracts
-that must survive any width:
+Hypothesis drives random pool widths up to 64 — the scale the serial
+schedule's modeled queue clock makes tier-1-affordable — and checks the
+contracts that must survive any width:
 
 * every scheduling round's worker allocation sums to the pool width;
 * no admitted job is starved more than one consecutive round;
 * every fleet's :class:`~repro.metrics.QueueWaitBreakdown` fractions
   are in ``[0, 1]`` and sum to 1 (or are all zero on an idle queue);
-* the async batch stream stays bit-identical to the serial reader at
+* the fleet's batch stream stays bit-identical to the serial reader at
   any width.
 """
 
@@ -52,7 +52,7 @@ def _landed(sessions: int = 60):
 
 @lru_cache(maxsize=None)
 def _serial_reference(batch_size: int = 8):
-    """The serial batch stream every wide async fleet must reproduce."""
+    """The serial batch stream every wide fleet must reproduce."""
     table = _landed()
     return tuple(
         ReaderNode(_dl_config(batch_size)).run_all(table.open_readers("p"))
@@ -116,8 +116,8 @@ class TestWideAllocation:
             starved = now_starved
 
 
-class TestWideAsyncFleet:
-    """Random widths up to 64 through the async executor."""
+class TestWideFleet:
+    """Random widths up to 64 through the in-process executor."""
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -128,9 +128,7 @@ class TestWideAsyncFleet:
         self, width, transport
     ):
         table = _landed()
-        fleet = ReaderFleet(
-            width, _dl_config(), executor="async", transport=transport
-        )
+        fleet = ReaderFleet(width, _dl_config(), transport=transport)
         got = fleet.run(table, "p")
         assert_batches_identical(got, list(_serial_reference()))
         fractions = fleet.report.queue.fractions()
@@ -145,7 +143,7 @@ class TestWideAsyncFleet:
 
 
 class TestWideTier:
-    """End-to-end shared tiers at random wide widths, async executor."""
+    """End-to-end shared tiers at random wide widths."""
 
     def _tier(self, width: int, num_jobs: int) -> SharedReaderTier:
         tier = SharedReaderTier(width)
@@ -158,7 +156,6 @@ class TestWideTier:
                     _dl_config(batch_size=16),
                     epochs=[["p"], ["p"]],
                     max_batches=2,
-                    executor="async",
                 )
             )
         return tier

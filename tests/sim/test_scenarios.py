@@ -312,8 +312,8 @@ class TestRunnerGuards:
 
 @pytest.mark.chaos
 class TestWideCrashResume:
-    """Satellite: the width-64 async scenario rides out the full fault
-    shape bit-identically (the chaos-tier acceptance for the async
+    """The width-64 scenario rides out the full fault shape
+    bit-identically (the chaos-tier acceptance for the in-process
     executor at scale)."""
 
     @pytest.fixture(scope="class")
@@ -325,12 +325,9 @@ class TestWideCrashResume:
         replay = scenario.runner().run()
         return scenario, result, baseline, replay
 
-    def test_is_actually_wide_and_async(self, wide):
+    def test_is_actually_wide(self, wide):
         scenario, _, _, _ = wide
         assert scenario.width == 64
-        assert all(
-            spec.reader.executor == "async" for _, spec in scenario.jobs
-        )
         # per-epoch batch caps are lifted so the pool really fans out
         assert all(
             spec.train.train_batches is None for _, spec in scenario.jobs
