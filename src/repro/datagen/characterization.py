@@ -46,15 +46,6 @@ class FeatureDuplication:
     exact_fraction: float
     partial_fraction: float
 
-    @property
-    def exact_bytes(self) -> float:
-        """Duplicated bytes ∝ duplicated IDs = fraction × length weight."""
-        return self.exact_fraction * self.avg_length
-
-    @property
-    def partial_bytes(self) -> float:
-        return self.partial_fraction * self.avg_length
-
 
 def simulate_feature_duplication(
     spec: SparseFeatureSpec,

@@ -100,14 +100,6 @@ class TrainingReport:
         return max((r.max_mem_util for r in self.iterations), default=0.0)
 
     @property
-    def mean_avg_mem_util(self) -> float:
-        if not self.iterations:
-            return 0.0
-        return sum(r.avg_mem_util for r in self.iterations) / len(
-            self.iterations
-        )
-
-    @property
     def mean_flops_per_gpu_second(self) -> float:
         if not self.iterations:
             return 0.0

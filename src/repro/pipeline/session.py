@@ -31,22 +31,28 @@ from __future__ import annotations
 import time
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import TYPE_CHECKING
 
 from ..distributed.costmodel import sim_cluster
 from ..distributed.trainer import DistributedTrainer, TrainingReport
 from ..metrics.overlap import OverlapReport
 from ..metrics.scaling import ScalingTrace
 from ..metrics.tier import TierReport
-from ..reader.fleet import FleetReport
+from ..reader.fleet import FleetFaults, FleetReport
 from ..reader.node import ReaderReport
 from ..reader.tier_scheduler import SharedReaderTier, TierJob
 from ..scribe.bus import ScribeStats
 from ..storage.hive import HiveTable, PartitionInfo
 from ..storage.rowblock import RowBlock
+from ..storage.tectonic import TectonicFS
 from ..streaming.lander import Lander, plan_windows
 from ..trainer.checkpoint import ModelStore
 from ..trainer.model import DLRM, DLRMConfig
 from .spec import CheckpointSpec, JobSpec, ScalingSpec
+
+if TYPE_CHECKING:  # repro.sim imports repro.pipeline
+    from ..sim.faults import FaultPlan
 
 __all__ = [
     "PipelineResult",
@@ -231,6 +237,9 @@ def build_trainer(job: JobSpec) -> DistributedTrainer:
 
 # -- the engine --------------------------------------------------------------
 
+#: plan event kinds, in the order a round applies them
+_ARRIVAL, _RESUME, _PREEMPT = range(3)
+
 
 def _require_spec(spec, where: str) -> None:
     """The engine's input boundary: only a :class:`JobSpec` gets in."""
@@ -243,15 +252,16 @@ def _require_spec(spec, where: str) -> None:
 class JobRuntime:
     """One registered job's live state inside a :class:`Session`.
 
-    Public because open-loop drivers — the scenario simulator in
-    ``repro.sim`` — build these directly to preempt, checkpoint, and
-    resume jobs between scheduling rounds.  A runtime built from a spec
-    carrying a :class:`~repro.pipeline.spec.CheckpointSpec` restores
-    the named snapshot into its freshly built trainer and registers
-    only the plan's remaining epochs (``start_epoch`` onward), which is
-    exactly the shape a preempted job resumes in: because restore is
-    exact and batch content never depends on scheduling, the resumed
-    losses are bit-identical to the uninterrupted run's tail.
+    Public because :meth:`Session.runtime` hands it out: its trainer,
+    lander and table are how a caller reads a job mid-run.  A runtime
+    built from a spec carrying a
+    :class:`~repro.pipeline.spec.CheckpointSpec` restores the named
+    snapshot into its freshly built trainer and registers only the
+    plan's remaining epochs (``start_epoch`` onward), which is exactly
+    the shape a preempted job resumes in when the session plays a
+    fault plan: because restore is exact and batch content never
+    depends on scheduling, the resumed losses are bit-identical to the
+    uninterrupted run's tail.
     """
 
     def __init__(
@@ -367,29 +377,6 @@ class JobRuntime:
             track_freshness=live,
         )
 
-    @property
-    def snapshot_name(self) -> str:
-        """The store name this job's snapshots land under."""
-        ckpt = self.spec.checkpoint
-        if ckpt is not None and ckpt.save_as is not None:
-            return ckpt.save_as
-        return self.name
-
-    def checkpoint(self, model_store: ModelStore) -> int:
-        """Snapshot the trainer's model state into the store.
-
-        Called by a preempting driver at an epoch boundary (the tier
-        only preempts between rounds, so the model is never mid-epoch).
-
-        Args:
-            model_store: the store to snapshot into, under
-                :attr:`snapshot_name`.
-
-        Returns:
-            The snapshot's version number.
-        """
-        return model_store.save(self.snapshot_name, self.trainer.model)
-
 
 class Session:
     """The execution engine: one or many :class:`JobSpec`\\ s, one loop.
@@ -404,13 +391,13 @@ class Session:
     :class:`~repro.pipeline.spec.ScalingSpec`\\ s (tightest
     ``target_stall``, widest ``max_readers``), else fixed width.
 
-    :meth:`run` is the closed loop over :meth:`tick`.  Open-loop
-    drivers — the scenario simulator in ``repro.sim`` — instead call
-    :meth:`prepare`, start the returned tier, call :meth:`tick`
-    themselves, and may :meth:`preempt` a job (it
-    checkpoints into the session's ``model_store`` and comes back as a
-    resume spec) or :meth:`admit` a new or resumed job between rounds,
-    then :meth:`collect` the results.
+    :meth:`run` is the one loop, over :meth:`tick`.  A session built
+    with a :class:`~repro.sim.faults.FaultPlan` plays it inside that
+    loop: each tick first applies the plan's due arrivals, resumes and
+    preemptions (a preempted job checkpoints into ``model_store`` and
+    its losses so far move to :attr:`segments`), the plan's crashes
+    and stragglers reach the tier through its fault hook, and every
+    applied event is appended once to :attr:`events`.
     """
 
     def __init__(
@@ -423,6 +410,7 @@ class Session:
         names: Sequence[str] | None = None,
         model_store: ModelStore | None = None,
         freshness_slo: float | None = None,
+        plan: FaultPlan | None = None,
     ):
         """Configure the session.
 
@@ -437,19 +425,25 @@ class Session:
                 to the jobs' own specs.
             names: report names overriding each spec's ``name``.
             model_store: snapshot store for checkpoint/resume; required
-                by :meth:`preempt` and by any spec whose
-                ``CheckpointSpec`` restores a snapshot.
+                by any spec whose ``CheckpointSpec`` restores a
+                snapshot.  With a ``plan`` and no store, the session
+                makes its own on a fresh simulated Tectonic namespace.
             freshness_slo: target p99 event-time → trained-on lag in
                 modeled seconds for streaming jobs; the tier boosts
                 the allocation weight of jobs lagging past it (see
                 :class:`~repro.reader.tier_scheduler.SharedReaderTier`).
+            plan: the misfortune schedule to play (crashes,
+                stragglers, preemptions, arrivals), keyed by tier
+                round; ``None`` runs clean.
 
         Raises:
             TypeError: if ``jobs`` is neither a :class:`JobSpec` nor a
                 sequence of them (the message names the offending type
-                and its position; a bare non-spec counts as position 0).
+                and its position; a bare non-spec counts as position 0),
+                or a plan arrival's spec is not a :class:`JobSpec`.
             ValueError: on an empty job list, missing multi-job width,
-                or duplicate/mismatched names.
+                duplicate/mismatched names, or a plan arrival named
+                like an initial job.
         """
         self._single = isinstance(jobs, JobSpec)
         self.specs = list(jobs) if isinstance(jobs, Iterable) else [jobs]
@@ -499,17 +493,39 @@ class Session:
                     ewma_alpha=min(s.ewma_alpha for s in per_job),
                 )
         self.scaling = scaling
-        self.model_store = model_store
         self.freshness_slo = freshness_slo
+        self.plan = plan
+        #: every plan event applied so far, in application order
+        self.events: list[dict] = []
+        #: per-job losses of the registrations a preemption cut short
+        self.segments: dict[str, list[float]] = {}
+        #: plan events still owed, as ``(round, kind, job, payload)``
+        self._agenda: list[tuple] = []
+        if plan is not None:
+            clash = {a.name for a in plan.arrivals} & set(self.names)
+            if clash:
+                raise ValueError(
+                    f"arrival names collide with initial jobs: {sorted(clash)}"
+                )
+            for a in plan.arrivals:
+                _require_spec(a.spec, f"plan arrival {a.name!r} spec")
+                self._agenda.append((a.round, _ARRIVAL, a.name, a.spec))
+            for p in plan.preemptions:
+                self._agenda.append((p.round, _PREEMPT, p.job, p.resume_after))
+            if model_store is None:
+                model_store = ModelStore(TectonicFS())
+        self.model_store = model_store
         self.tier: SharedReaderTier | None = None
         self._runtimes: dict[str, JobRuntime] = {}
 
     def prepare(self) -> SharedReaderTier:
         """Build the tier and every job's runtime; register everything.
 
-        Called implicitly by :meth:`run`; open-loop drivers call it
-        directly, then :meth:`~SharedReaderTier.start` the returned
-        tier and :meth:`tick` it themselves.
+        Called implicitly by :meth:`run`; call it first to reach a
+        job's :meth:`runtime` before the loop starts.  With a plan, it
+        also sets the tier's fault hook to the plan's
+        :meth:`~repro.sim.faults.FaultPlan.fleet_faults`, recording
+        every fault that fires in :attr:`events`.
 
         Returns:
             The session's :class:`~repro.reader.tier_scheduler.SharedReaderTier`
@@ -530,36 +546,56 @@ class Session:
             scaling=self.scaling,
             freshness_slo=self.freshness_slo,
         )
+        if self.plan is not None:
+            self.tier.fault_injector = self._fleet_faults
         for name, spec in zip(self.names, self.specs):
             self.admit(spec, name)
         return self.tier
+
+    def _fleet_faults(self, round_index: int, name: str) -> FleetFaults | None:
+        """The plan's faults for one leased scan, recorded as an event."""
+        faults = self.plan.fleet_faults(round_index, name)
+        if faults is not None:
+            self.events.append(
+                {
+                    "round": round_index,
+                    "job": name,
+                    "event": "fleet_faults",
+                    "crashed_shards": list(faults.crashed_shards),
+                    "straggler_factors": dict(
+                        sorted(faults.straggler_factors.items())
+                    ),
+                    "lost_fraction": faults.lost_fraction,
+                }
+            )
+        return faults
 
     # -- the drive loop -----------------------------------------------------
 
     def tick(self) -> bool:
         """Run one iteration of the drive loop.
 
-        The only place landing, scheduling, and idle time are
-        sequenced: pump every job's lander at the tier's current
-        clock — so no round ever trains over a partition that had not
-        landed at the modeled moment the round started — then try one
-        tier round.  A round that cannot run means every remaining job
-        is either finished or gated on data; if a lander still has
-        ticks pending, the clock jumps to the next landing time
-        instead of spinning, the modeled equivalent of the platform
-        sitting idle until the next scribe tick seals.  For jobs that
-        are fully landed the pump is a no-op and there is no next
-        event, so a static session's ticks are exactly its tier's
-        rounds.  Open-loop drivers (the scenario simulator) inject
-        their events between calls instead of re-implementing this
-        sequence.
+        The only place plan events, landing, scheduling, and idle
+        time are sequenced: apply the plan's events due this round,
+        pump every job's lander at the tier's current clock — so no
+        round ever trains over a partition that had not landed at the
+        modeled moment the round started — then try one tier round.
+        A round that cannot run means every remaining job is either
+        finished or gated on data; if a lander still has ticks
+        pending, the clock jumps to the next landing time instead of
+        spinning, the modeled equivalent of the platform sitting idle
+        until the next scribe tick seals.  If none has but the plan
+        still owes an arrival or a resume, that idle gap collapses:
+        everything owed falls due now.  For jobs that are fully landed
+        the pump is a no-op and there is no next event, so a static
+        session's ticks are exactly its tier's rounds.
 
         Returns:
-            ``True`` if the loop moved (a round ran or the clock
-            jumped) and should be ticked again; ``False`` when nothing
-            is runnable and no landing is pending — the run is
-            complete, or, if the tier still has epochs remaining,
-            stuck.
+            ``True`` if the loop moved (a round ran, the clock jumped,
+            or an idle gap collapsed) and should be ticked again;
+            ``False`` when nothing is runnable, no landing is pending
+            and the plan owes no job — the run is complete, or, if the
+            tier still has epochs remaining, stuck.
 
         Raises:
             RuntimeError: if the session was never prepared, or its
@@ -568,19 +604,92 @@ class Session:
         if self.tier is None:
             raise RuntimeError("session not prepared; nothing to tick")
         tier = self.tier
+        if self._agenda:
+            self._play(tier.round_index)
         landers = [rt.lander for rt in self._runtimes.values()]
         for lander in landers:
             lander.pump(tier.clock)
         if tier.step():
             return True
-        if not tier.epochs_remaining:
+        if tier.epochs_remaining:
+            events = [lander.next_event(tier.clock) for lander in landers]
+            nxt = min((e for e in events if e is not None), default=None)
+            if nxt is not None:
+                tier.advance_clock(nxt)
+                return True
+        # idle: if the plan still owes a job, everything owed is due now
+        if all(e[1] == _PREEMPT for e in self._agenda):
             return False
-        events = [lander.next_event(tier.clock) for lander in landers]
-        nxt = min((e for e in events if e is not None), default=None)
-        if nxt is None:
-            return False
-        tier.advance_clock(nxt)
+        rnd = tier.round_index
+        self._agenda = [
+            e if e[1] == _PREEMPT else (rnd, *e[1:]) for e in self._agenda
+        ]
         return True
+
+    def _play(self, rnd: int) -> None:
+        """Apply the plan events due at round ``rnd``: arrivals, then
+        resumes, then preemptions, each kind in job-name order.
+
+        A tick plays every event as soon as it falls due, so every
+        due event is this round's.  Each fires at most once: a
+        preemption whose victim is not registered (unknown, not yet
+        arrived, or descheduled) or has finished its plan is spent,
+        not retried: a retried preemption whose resume a collapsed
+        idle gap pulled back to its round would loop forever.
+        """
+        due = sorted(
+            (e for e in self._agenda if e[0] <= rnd), key=itemgetter(1, 2)
+        )
+        self._agenda = [e for e in self._agenda if e[0] > rnd]
+        for _, kind, name, payload in due:
+            if kind == _PREEMPT:
+                self._preempt(name, rnd, payload)
+                continue
+            self.admit(payload, name)
+            event = {"round": rnd, "job": name, "event": "arrival"}
+            if kind == _RESUME:
+                event.update(
+                    event="resume", start_epoch=payload.checkpoint.start_epoch
+                )
+            self.events.append(event)
+
+    def _preempt(self, name: str, rnd: int, resume_after: int) -> None:
+        """Checkpoint and deschedule a job; owe its resume.
+
+        The job's model snapshots into ``model_store``, its losses so
+        far move to :attr:`segments`, and the tier stops scheduling it
+        (its name frees up).  ``resume_after`` rounds on, the job's own
+        spec comes back with a :class:`~repro.pipeline.spec.CheckpointSpec`
+        pointing at the snapshot and the first epoch still unrun.
+        """
+        runtime = self._runtimes.get(name)
+        if runtime is None:
+            return
+        done = runtime.start_epoch + self.tier.epochs_completed(name)
+        if done >= runtime.spec.train.train_epochs:
+            return
+        self.tier.preempt(name)
+        del self._runtimes[name]
+        losses = runtime.trainer.report.losses
+        self.segments.setdefault(name, []).extend(losses)
+        ckpt = runtime.spec.checkpoint
+        snapshot = (ckpt and ckpt.save_as) or name
+        self.model_store.save(snapshot, runtime.trainer.model)
+        resume = runtime.spec.with_(
+            checkpoint=CheckpointSpec(
+                restore_from=snapshot, start_epoch=done, save_as=snapshot
+            )
+        )
+        self._agenda.append((rnd + resume_after, _RESUME, name, resume))
+        self.events.append(
+            {
+                "round": rnd,
+                "job": name,
+                "event": "preempt",
+                "epochs_done": done,
+                "resume_round": rnd + resume_after,
+            }
+        )
 
     def land_all_streams(self) -> None:
         """Land every job's table in full, now — the
@@ -610,54 +719,6 @@ class Session:
             )
         return self._runtimes[name]
 
-    def preempt(self, name: str) -> JobSpec:
-        """Checkpoint and deschedule a job mid-run.
-
-        The job's model state snapshots into the session's
-        ``model_store`` and the tier stops scheduling it (its name
-        frees up).  The returned spec — the job's own spec with a
-        :class:`~repro.pipeline.spec.CheckpointSpec` pointing at the
-        snapshot and the first epoch still unrun — is everything
-        :meth:`admit` needs to resume the job later, bit-identically.
-
-        Args:
-            name: the registered job to preempt.
-
-        Returns:
-            The resume spec.
-
-        Raises:
-            KeyError: if no such job is registered.
-            ValueError: if the session has no ``model_store`` or the
-                job already finished its plan.
-            RuntimeError: if called before :meth:`prepare`.
-        """
-        if self.tier is None:
-            raise RuntimeError("session not prepared; nothing to preempt")
-        if self.model_store is None:
-            raise ValueError(
-                "preempting checkpoints the job, which needs "
-                "Session(model_store=...)"
-            )
-        runtime = self.runtime(name)
-        done_here = self.tier.preempt(name)
-        done = runtime.start_epoch + done_here
-        if done >= runtime.spec.train.train_epochs:
-            raise ValueError(
-                f"job {name!r} already finished its "
-                f"{runtime.spec.train.train_epochs}-epoch plan; "
-                "nothing to resume"
-            )
-        runtime.checkpoint(self.model_store)
-        del self._runtimes[name]
-        return runtime.spec.with_(
-            checkpoint=CheckpointSpec(
-                restore_from=runtime.snapshot_name,
-                start_epoch=done,
-                save_as=runtime.snapshot_name,
-            )
-        )
-
     def admit(self, spec: JobSpec, name: str) -> JobRuntime:
         """Register a job with the tier: every job at :meth:`prepare`,
         a new or resumed one mid-run.
@@ -666,8 +727,8 @@ class Session:
         so an admitted job is never starved more than one round.
 
         Args:
-            spec: the job's spec — typically a :meth:`preempt` return
-                value when resuming.
+            spec: the job's spec (a resumed job's carries its
+                :class:`~repro.pipeline.spec.CheckpointSpec`).
             name: the job's report name (a preempted job resumes under
                 its old name).
 
@@ -694,9 +755,8 @@ class Session:
         """Assemble results for every job still registered.
 
         A resumed job's result covers its current registration (the
-        epochs since its last resume); drivers stitching full
-        trajectories across preemptions track the per-segment losses
-        themselves.
+        epochs since its last resume); the losses of the registrations
+        before it are in :attr:`segments`.
 
         Args:
             wall_seconds: measured loop wall-clock for the single-job

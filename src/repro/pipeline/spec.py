@@ -22,7 +22,8 @@ namespace — and every combination composes for one job or many:
   restore and the epoch the plan resumes from.
 
 Reader faults are not part of a job's description: they are events of
-a :class:`~repro.sim.faults.FaultPlan`, injected by the scenario runner.
+a :class:`~repro.sim.faults.FaultPlan`, played by the session it is
+handed to (``Session(..., plan=...)``).
 
 A :class:`JobSpec` composes them (plus a scheduling ``weight`` and an
 optional ``name``) into everything one training job needs, and

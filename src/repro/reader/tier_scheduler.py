@@ -61,9 +61,9 @@ priority (it is treated as starved), so the one-round starvation bound
 survives churn.  A job whose ``ready`` gate holds it back *waits*: it
 neither earns priority nor loses it, so a job skipped in one round and
 gated in the next still leads the round after.  A driver sets the
-tier's ``fault_injector(round_index, job_name)`` hook — the scenario
-runner sets :meth:`~repro.sim.faults.FaultPlan.fleet_faults` there, the
-only source of faults — so worker crashes and stragglers hit the leased
+tier's ``fault_injector(round_index, job_name)`` hook — a session
+playing a fault plan sets :meth:`~repro.sim.faults.FaultPlan.fleet_faults`
+there, the only source of faults — so worker crashes and stragglers hit the leased
 fleets per (round, job), deterministically.
 
 Every scheduling decision is made by a pure core over one frozen
@@ -538,8 +538,8 @@ class SharedReaderTier:
         #: job_name)`` before each leased scan — the signature of
         #: :meth:`~repro.sim.faults.FaultPlan.fleet_faults`; a returned
         #: :class:`~repro.reader.fleet.FleetFaults` crashes or slows that
-        #: job's workers for the round (``None`` = no faults).  A driver
-        #: sets it on the prepared tier.
+        #: job's workers for the round (``None`` = no faults).  A
+        #: session built with a fault plan sets it in ``prepare()``.
         self.fault_injector: (
             Callable[[int, str], FleetFaults | None] | None
         ) = None

@@ -9,10 +9,11 @@ reproduced as *seeded, bit-replayable* scenarios over the real
 * :mod:`repro.sim.faults` — :class:`FaultPlan`: the misfortune
   schedule (crashes, stragglers, preemptions, arrivals), hand-built or
   drawn from a seed.
-* :mod:`repro.sim.runner` — :class:`ScenarioRunner`: executes a plan
-  over a live session, checkpointing preempted jobs into a
+* :mod:`repro.sim.runner` — :class:`ScenarioRunner`: hands a plan to
+  a :class:`~repro.pipeline.session.Session`, which plays it inside its
+  drive loop (checkpointing preempted jobs into a
   :class:`~repro.trainer.checkpoint.ModelStore` and resuming them
-  bit-identically.
+  bit-identically), and assembles the :class:`ScenarioResult`.
 * :mod:`repro.sim.scenarios` — the named catalog behind the
   ``repro simulate`` CLI subcommand.
 

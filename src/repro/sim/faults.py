@@ -11,8 +11,9 @@ hypothesis generate adversarial ones in the chaos test tier.
 A plan is the only way to fault a run: a :class:`~repro.pipeline.spec.JobSpec`
 carries no faults, and :meth:`FaultPlan.fleet_faults` has exactly the
 signature of the tier's ``fault_injector(round_index, job_name)`` hook,
-which the scenario runner sets.  A single-job tier runs one epoch per
-round, so for a solo job, faulting round *r* faults its epoch *r*.
+which a session built with the plan sets.  A single-job tier runs one
+epoch per round, so for a solo job, faulting round *r* faults its
+epoch *r*.
 
 Injected :class:`~repro.reader.fleet.FleetFaults` need the
 deterministic ``inprocess`` executor, whose crash/straggler arithmetic

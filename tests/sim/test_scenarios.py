@@ -225,15 +225,27 @@ class TestStreamCrashResumeAcceptance:
 STREAM_CRASH_RESUME_DIGEST = (
     "e9b3ef5507db2659fb5135ab711a224c7f531a4523025cfe955373411b13393d"
 )
+#: the same for ``churn``, the one scenario where an arrival, a
+#: preempt/resume and fleet faults all fire: it pins the order a tick
+#: applies a round's events in (arrivals, resumes, preemptions).
+CHURN_DIGEST = (
+    "28d82eb73025581ff2193e3605e82dee6e2512051e98d6e7c3281016ed07e071"
+)
 
 
 class TestOneDriveLoop:
-    """A streamed scenario and the closed ``Session.run()`` run the
-    same iteration method; the scenario runner only injects events
-    between its calls."""
+    """A scenario and the clean ``Session.run()`` run the same
+    iteration method; the plan is played inside it."""
 
+    @pytest.mark.parametrize(
+        "name, pinned",
+        [
+            ("stream-crash-resume", STREAM_CRASH_RESUME_DIGEST),
+            ("churn", CHURN_DIGEST),
+        ],
+    )
     def test_scenario_and_drive_share_the_tick(
-        self, monkeypatch, stream_crash_resume
+        self, monkeypatch, name, pinned
     ):
         ticks: list[bool] = []
         real_tick = Session.tick
@@ -243,19 +255,17 @@ class TestOneDriveLoop:
             return ticks[-1]
 
         monkeypatch.setattr(Session, "tick", spy)
-        scenario, result, baseline, _ = stream_crash_resume
+        scenario = build_scenario(name, seed=SEED, scale=SCALE)
 
         spied = scenario.runner().run()
         # every round the scenario scheduled went through tick(); the
         # surplus True ticks are idle clock jumps to the next landing
         assert ticks.count(True) >= len(spied.tier.rounds)
         assert ticks[-1] is False
-        fingerprint = spied.fingerprint()
-        assert fingerprint == result.fingerprint()
         digest = hashlib.sha256(
-            json.dumps(fingerprint, sort_keys=True).encode()
+            json.dumps(spied.fingerprint(), sort_keys=True).encode()
         ).hexdigest()
-        assert digest == STREAM_CRASH_RESUME_DIGEST
+        assert digest == pinned
 
         ticks.clear()
         clean = Session(
@@ -266,7 +276,7 @@ class TestOneDriveLoop:
         assert ticks.count(True) >= len(clean.tier.rounds)
         assert ticks[-1] is False
         for job in clean.jobs:
-            assert job.training.losses == baseline[job.name]
+            assert job.training.losses == spied.losses[job.name]
 
 
 class TestCatalog:
@@ -301,13 +311,53 @@ class TestRunnerGuards:
         with pytest.raises(ValueError, match="collide with initial jobs"):
             ScenarioRunner([spec], plan, width=2, names=["alpha"])
 
-    def test_preempting_unknown_job_is_ignored(self):
+    def test_arrival_spec_checked_before_the_run(self):
+        from repro.sim import Arrival
+
         spec = _job(rm1(scale=0.1), seed=1, epochs=2, sessions=30)
-        plan = FaultPlan(preemptions=(Preemption(round=1, job="ghost"),))
-        runner = ScenarioRunner([spec], plan, width=2, names=["alpha"])
+        plan = FaultPlan(
+            arrivals=(Arrival(round=2, name="late", spec={"epochs": 2}),)
+        )
+        with pytest.raises(
+            TypeError, match="arrival 'late' spec must be a JobSpec, got dict"
+        ):
+            ScenarioRunner([spec], plan, width=2, names=["alpha"])
+
+    @pytest.mark.parametrize(
+        "preemptions, fired",
+        [
+            pytest.param(
+                (Preemption(round=1, job="ghost"),), [], id="unknown-job"
+            ),
+            # a (2 epochs) is done after round 1; b (4 epochs) runs on
+            pytest.param(
+                (Preemption(round=3, job="a"),), [], id="already-finished"
+            ),
+            pytest.param(
+                (
+                    Preemption(round=1, job="a", resume_after=2),
+                    Preemption(round=2, job="a"),
+                ),
+                [(1, "preempt", "a"), (3, "resume", "a")],
+                id="descheduled",
+            ),
+            pytest.param(
+                (Preemption(round=99, job="b"),), [], id="past-the-end"
+            ),
+        ],
+    )
+    def test_spent_preemptions_are_ignored(self, preemptions, fired):
+        a = _job(rm1(scale=0.1), seed=1, epochs=2, sessions=30)
+        b = _job(rm1(scale=0.1), seed=2, epochs=4, sessions=30)
+        plan = FaultPlan(preemptions=preemptions)
+        runner = ScenarioRunner([a, b], plan, width=2, names=["a", "b"])
         result = runner.run()
-        assert result.slo.preemptions == 0
-        assert len(result.losses["alpha"]) == 4
+        trace = [(ev["round"], ev["event"], ev["job"]) for ev in result.trace]
+        assert trace == fired
+        assert result.slo.preemptions == sum(
+            event == "preempt" for _, event, _ in fired
+        )
+        assert result.losses == runner.baseline()
 
 
 @pytest.mark.chaos
