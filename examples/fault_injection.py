@@ -8,9 +8,9 @@ crashes, a straggler, and a preempt/checkpoint/resume cycle) and then
 proves the two guarantees the simulator is built around:
 
 1. **Bit-identity** — every job's stitched loss trajectory (the epochs
-   before preemption + the resumed tail restored from the
-   ``ModelStore``) equals the same job run on a clean, fault-free tier,
-   float for float;
+   before preemption + the resumed tail, restored from the snapshot the
+   session kept in its own ``ModelStore``) equals the same job run on a
+   clean, fault-free tier (``Scenario.baseline()``), float for float;
 2. **Replayability** — rerunning the same seed reproduces the identical
    fault trace and ``SLOReport``, so a chaos run is as debuggable as a
    deterministic test.
@@ -29,8 +29,7 @@ SEED = 7
 
 def main() -> None:
     scenario = build_scenario("churn", seed=SEED, scale=0.2)
-    runner = scenario.runner()
-    result = runner.run()
+    result = scenario.run()
 
     print(f"scenario: {scenario.name} — {scenario.description}\n")
     print("fault trace (as applied):")
@@ -43,7 +42,7 @@ def main() -> None:
         print(f"  round {ev['round']}: {ev['event']} {ev['job']} {extras}")
 
     # Guarantee 1: chaos never touches training results.
-    baseline = runner.baseline()
+    baseline = scenario.baseline()
     for name, losses in sorted(result.losses.items()):
         assert losses == baseline[name], f"{name} diverged under faults!"
         print(
@@ -51,7 +50,7 @@ def main() -> None:
         )
 
     # Guarantee 2: the same seed replays to the same fingerprint.
-    replay = scenario.runner().run()
+    replay = scenario.run()
     assert replay.fingerprint() == result.fingerprint()
     print("\nreplay of the same seed: identical fingerprint")
 

@@ -521,8 +521,7 @@ def _cmd_simulate(args) -> int:
         scenario = build_scenario(
             args.scenario, seed=args.seed, scale=args.scale
         )
-        runner = scenario.runner()
-    res = runner.run()
+    res = scenario.run()
     print(f"scenario {scenario.name}: {scenario.description}")
     print(
         f"  jobs {len(res.slo.jobs)}, width {scenario.width}, "
@@ -573,14 +572,14 @@ def _cmd_simulate(args) -> int:
             f"epochs {j.epochs}  batches {j.batches}"
         )
     if args.verify:
-        base = runner.baseline()
+        base = scenario.baseline()
         diverged = sorted(
             name for name in base if res.losses.get(name) != base[name]
         )
         if diverged:
             print(f"VERIFY FAILED: losses diverged for {diverged}")
             return 1
-        replay = scenario.runner().run()
+        replay = scenario.run()
         if replay.fingerprint() != res.fingerprint():
             print("VERIFY FAILED: replaying the seed changed the result")
             return 1

@@ -32,10 +32,6 @@ class Sample:
     sparse: dict[str, np.ndarray] = field(default_factory=dict)
     dense: dict[str, float] = field(default_factory=dict)
 
-    def payload_values(self) -> int:
-        """Total sparse IDs carried (the dominant byte cost, §2.1)."""
-        return int(sum(v.size for v in self.sparse.values()))
-
 
 def sample_session_sizes(
     num_sessions: int,

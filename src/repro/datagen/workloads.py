@@ -20,6 +20,7 @@ DedupeFactor for deduplicated features lands in the paper's 4–15 band.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .schema import (
@@ -127,9 +128,12 @@ def _dedup_groups_from_schema(
 def _require_scale(scale: float) -> None:
     """Every magnitude below is floored (``max(floor, int(k * scale))``),
     so a non-positive scale would quietly build the floor-sized workload
-    and print plausible numbers instead of failing."""
+    and print plausible numbers instead of failing; an infinite one has
+    no ``int`` at all."""
     if not scale > 0:
         raise ValueError(f"workload scale must be positive, got {scale}")
+    if not math.isfinite(scale):
+        raise ValueError(f"workload scale must be finite, got {scale}")
 
 
 def rm1(scale: float = 1.0) -> RMWorkload:

@@ -55,8 +55,8 @@ __all__ = [
 ]
 
 #: spec sections reachable by dotted paths, mapped to their dataclasses
-#: (a run point never restores a checkpoint — a grid run has no model
-#: store — and faults are FaultPlan events, not spec fields)
+#: (faults are FaultPlan events and resume state belongs to the session
+#: that preempted a job, so neither is a spec field)
 _SECTIONS = {
     "data": DataSpec,
     "reader": ReaderSpec,

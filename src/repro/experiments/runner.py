@@ -140,8 +140,7 @@ def run_point(
     """
     session = Session(point.job_spec())
     result = session.run()
-    tier_report = session.tier.report
-    slo = SLOReport.from_run(tier_report, session.tier.job_fleets)
+    slo = SLOReport.from_session(session)
     record = RunRecord(
         run_id=point.run_id,
         experiment=point.experiment,
@@ -155,7 +154,7 @@ def run_point(
         env=env if env is not None else environment_fingerprint(),
         losses=tuple(result.training.losses),
         metrics=extract_metrics(result, slo),
-        reports=extract_reports(result, slo, tier_report),
+        reports=extract_reports(result, slo, session.tier.report),
     )
     store.record(record)
     return record

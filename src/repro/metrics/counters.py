@@ -33,10 +33,6 @@ class Counters:
         for name, amount in other.values.items():
             self.add(name, amount)
 
-    def reset(self) -> None:
-        """Zero every counter."""
-        self.values.clear()
-
     def __getitem__(self, name: str) -> float:
         return self.get(name)
 

@@ -4,11 +4,13 @@ A production reader tier is judged by service-level objectives, not by
 any single job's throughput: what wall-clock did the p50/p99 job pay
 end to end, how long was any job starved of workers, and how much of
 the pool's CPU turned into *useful* training batches once crashes and
-stragglers took their cut.  This module rolls a
-:class:`~repro.metrics.tier.TierReport` (plus the per-job
-:class:`~repro.reader.fleet.FleetReport` fault counters) into one
-:class:`SLOReport` — the scoreboard the fault-injection scenario
-simulator (``repro.sim``) emits for every run.
+stragglers took their cut.  This module rolls a finished
+:class:`~repro.pipeline.session.Session` — its tier's
+:class:`~repro.metrics.tier.TierReport`, the per-job
+:class:`~repro.reader.fleet.FleetReport` fault counters and the
+preemptions it played — into one :class:`SLOReport`: the scoreboard
+the fault-injection scenario simulator (``repro.sim``) and the
+experiment runner emit for every run.
 
 All inputs are modeled (cost-model seconds), so an ``SLOReport`` is
 bit-reproducible: replaying a seeded scenario reproduces the identical
@@ -17,13 +19,14 @@ report, which the chaos test tier asserts.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
+from typing import TYPE_CHECKING
 
-from ..reader.fleet import FleetReport
 from .freshness import FreshnessReport
 from .stats import percentile
-from .tier import TierReport
+
+if TYPE_CHECKING:  # repro.pipeline imports repro.metrics
+    from ..pipeline.session import Session
 
 __all__ = ["JobSLO", "SLOReport", "percentile"]
 
@@ -77,7 +80,8 @@ class SLOReport:
             (work redone by the respawn).
         crashes: reader worker crashes injected over the run.
         straggler_shards: shard scans slowed by injected stragglers.
-        preemptions: jobs preempted (and later resumed) by the driver.
+        preemptions: jobs preempted (and later resumed) by the session's
+            fault plan.
         freshness: per-batch event-time → trained-on lags merged over
             every freshness-tracking (live-loop streaming) job; empty
             for runs over static, pre-landed tables.
@@ -93,24 +97,12 @@ class SLOReport:
     freshness: FreshnessReport = field(default_factory=FreshnessReport)
 
     @classmethod
-    def from_run(
-        cls,
-        report: TierReport,
-        fleets: Mapping[str, FleetReport] | None = None,
-        preemptions: int = 0,
-    ) -> "SLOReport":
-        """Roll a finished tier run into its SLO scoreboard.
-
-        Args:
-            report: the tier's round-by-round report.
-            fleets: per-job merged fleet reports (the tier's
-                ``job_fleets``) carrying the crash/straggler/waste
-                counters; ``None`` reads as a fault-free run.
-            preemptions: driver-side preemption count to record.
-
-        Returns:
-            The run's :class:`SLOReport`.
-        """
+    def from_session(cls, session: Session) -> "SLOReport":
+        """Roll a finished session into its SLO scoreboard: its tier's
+        round-by-round report, the crash/straggler/waste counters of
+        its job fleets, and the ``preempt`` events it played."""
+        report = session.tier.report
+        fleets = session.tier.job_fleets.values()
         walls = [r.modeled_wall_seconds for r in report.rounds]
         jobs: list[JobSLO] = []
         for name in report.jobs:
@@ -139,7 +131,6 @@ class SLOReport:
                     batches=sum(s.batches for s in stats),
                 )
             )
-        fleets = fleets or {}
         return cls(
             jobs=jobs,
             total_wall_seconds=report.modeled_wall_seconds,
@@ -148,14 +139,12 @@ class SLOReport:
                 for r in report.rounds
                 for s in r.stats
             ),
-            wasted_cpu_seconds=sum(
-                f.wasted_cpu_seconds for f in fleets.values()
+            wasted_cpu_seconds=sum(f.wasted_cpu_seconds for f in fleets),
+            crashes=sum(f.crashes for f in fleets),
+            straggler_shards=sum(f.straggler_shards for f in fleets),
+            preemptions=sum(
+                ev["event"] == "preempt" for ev in session.events
             ),
-            crashes=sum(f.crashes for f in fleets.values()),
-            straggler_shards=sum(
-                f.straggler_shards for f in fleets.values()
-            ),
-            preemptions=preemptions,
             freshness=report.freshness,
         )
 

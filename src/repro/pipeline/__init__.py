@@ -1,10 +1,10 @@
 """End-to-end pipeline orchestration: the one run surface.
 
-Compose a :class:`~repro.pipeline.spec.JobSpec` from
-small spec dataclasses (:class:`DataSpec`, :class:`ReaderSpec`,
-:class:`TrainSpec`, :class:`ScalingSpec`, :class:`RetentionSpec`,
-:class:`StreamSpec`, :class:`CheckpointSpec`) and execute one or many
-with :class:`~repro.pipeline.session.Session` (see ``docs/api.md``).  The paper-figure drivers built on it live in
+Compose a :class:`~repro.pipeline.spec.JobSpec` from small spec
+dataclasses (:class:`DataSpec`, :class:`ReaderSpec`, :class:`TrainSpec`,
+:class:`ScalingSpec`, :class:`RetentionSpec`, :class:`StreamSpec`) and
+execute one or many with :class:`~repro.pipeline.session.Session` (see
+``docs/api.md``).  The paper-figure drivers built on it live in
 :mod:`repro.experiments.figures`.
 """
 
@@ -18,7 +18,6 @@ from .session import (
     land_table,
 )
 from .spec import (
-    CheckpointSpec,
     DataSpec,
     JobSpec,
     ReaderSpec,
@@ -37,7 +36,6 @@ __all__ = [
     "ScalingSpec",
     "RetentionSpec",
     "StreamSpec",
-    "CheckpointSpec",
     "TransportSpec",
     "JobSpec",
     "JobRuntime",

@@ -49,7 +49,7 @@ from ..storage.tectonic import TectonicFS
 from ..streaming.lander import Lander, plan_windows
 from ..trainer.checkpoint import ModelStore
 from ..trainer.model import DLRM, DLRMConfig
-from .spec import CheckpointSpec, JobSpec, ScalingSpec
+from .spec import JobSpec, ScalingSpec
 
 if TYPE_CHECKING:  # repro.sim imports repro.pipeline
     from ..sim.faults import FaultPlan
@@ -254,13 +254,12 @@ class JobRuntime:
 
     Public because :meth:`Session.runtime` hands it out: its trainer,
     lander and table are how a caller reads a job mid-run.  A runtime
-    built from a spec carrying a
-    :class:`~repro.pipeline.spec.CheckpointSpec` restores the named
-    snapshot into its freshly built trainer and registers only the
-    plan's remaining epochs (``start_epoch`` onward), which is exactly
-    the shape a preempted job resumes in when the session plays a
-    fault plan: because restore is exact and batch content never
-    depends on scheduling, the resumed losses are bit-identical to the
+    built with ``resume=(store, epochs_done)`` loads the job's snapshot
+    (saved under its name) into its freshly built trainer and registers
+    only the plan's remaining epochs, which is exactly the shape a
+    preempted job resumes in when the session plays a fault plan:
+    because restore is exact and batch content never depends on
+    scheduling, the resumed losses are bit-identical to the
     uninterrupted run's tail.
     """
 
@@ -269,37 +268,28 @@ class JobRuntime:
         name: str,
         spec: JobSpec,
         *,
-        model_store: ModelStore | None = None,
+        resume: tuple[ModelStore, int] | None = None,
     ):
         """Prepare one job: trainer (restored if resuming), table, plan.
 
         Args:
             name: the job's report name.
             spec: the job's composed spec.
-            model_store: the session's snapshot store; required when
-                ``spec.checkpoint.restore_from`` is set.
+            resume: the preempting session's snapshot store and the
+                epochs of the plan already done; ``None`` starts fresh.
 
         Raises:
-            ValueError: if the spec restores a snapshot but no model
-                store was given, or an epoch window cannot fill one
-                batch.
-            FileNotFoundError: if the snapshot to restore does not
-                exist in the store.
+            ValueError: if an epoch window cannot fill one batch.
+            FileNotFoundError: if the store holds no snapshot of the job.
         """
         self.name = name
         self.spec = spec
-        ckpt = spec.checkpoint
-        self.start_epoch = ckpt.start_epoch if ckpt is not None else 0
+        store, start = resume if resume is not None else (None, 0)
+        #: epochs of the plan done before this registration
+        self.start_epoch = start
         self.trainer = build_trainer(spec)
-        if ckpt is not None and ckpt.restore_from is not None:
-            if model_store is None:
-                raise ValueError(
-                    f"job {name!r} restores snapshot "
-                    f"{ckpt.restore_from!r} but no model store was "
-                    "given (Session(model_store=...))"
-                )
-            model_store.load(ckpt.restore_from, self.trainer.model)
-        start = self.start_epoch
+        if store is not None:
+            store.load(name, self.trainer.model)
         #: the job's landing engine: the only way its rows reach storage
         self.lander = lander = Lander(spec)
         self.table = table = lander.table
@@ -394,10 +384,11 @@ class Session:
     :meth:`run` is the one loop, over :meth:`tick`.  A session built
     with a :class:`~repro.sim.faults.FaultPlan` plays it inside that
     loop: each tick first applies the plan's due arrivals, resumes and
-    preemptions (a preempted job checkpoints into ``model_store`` and
-    its losses so far move to :attr:`segments`), the plan's crashes
-    and stragglers reach the tier through its fault hook, and every
-    applied event is appended once to :attr:`events`.
+    preemptions (a preempted job checkpoints into the session's own
+    :class:`~repro.trainer.checkpoint.ModelStore` and its losses so far
+    move to :attr:`segments`), the plan's crashes and stragglers reach
+    the tier through its fault hook, and every applied event is
+    appended once to :attr:`events`.
     """
 
     def __init__(
@@ -408,7 +399,6 @@ class Session:
         policy: str = "stall_weighted",
         scaling: ScalingSpec | None = None,
         names: Sequence[str] | None = None,
-        model_store: ModelStore | None = None,
         freshness_slo: float | None = None,
         plan: FaultPlan | None = None,
     ):
@@ -424,17 +414,16 @@ class Session:
             scaling: pool-level autoscaling override; ``None`` defers
                 to the jobs' own specs.
             names: report names overriding each spec's ``name``.
-            model_store: snapshot store for checkpoint/resume; required
-                by any spec whose ``CheckpointSpec`` restores a
-                snapshot.  With a ``plan`` and no store, the session
-                makes its own on a fresh simulated Tectonic namespace.
             freshness_slo: target p99 event-time → trained-on lag in
                 modeled seconds for streaming jobs; the tier boosts
                 the allocation weight of jobs lagging past it (see
                 :class:`~repro.reader.tier_scheduler.SharedReaderTier`).
             plan: the misfortune schedule to play (crashes,
                 stragglers, preemptions, arrivals), keyed by tier
-                round; ``None`` runs clean.
+                round; ``None`` runs clean.  With a plan the session
+                keeps its preempted jobs' snapshots in its own
+                :class:`~repro.trainer.checkpoint.ModelStore`, on a
+                fresh simulated Tectonic namespace.
 
         Raises:
             TypeError: if ``jobs`` is neither a :class:`JobSpec` nor a
@@ -512,9 +501,7 @@ class Session:
                 self._agenda.append((a.round, _ARRIVAL, a.name, a.spec))
             for p in plan.preemptions:
                 self._agenda.append((p.round, _PREEMPT, p.job, p.resume_after))
-            if model_store is None:
-                model_store = ModelStore(TectonicFS())
-        self.model_store = model_store
+        self._store = ModelStore(TectonicFS()) if plan is not None else None
         self.tier: SharedReaderTier | None = None
         self._runtimes: dict[str, JobRuntime] = {}
 
@@ -645,22 +632,25 @@ class Session:
             if kind == _PREEMPT:
                 self._preempt(name, rnd, payload)
                 continue
-            self.admit(payload, name)
             event = {"round": rnd, "job": name, "event": "arrival"}
             if kind == _RESUME:
-                event.update(
-                    event="resume", start_epoch=payload.checkpoint.start_epoch
+                spec, done = payload
+                self._register(
+                    JobRuntime(name, spec, resume=(self._store, done))
                 )
+                event.update(event="resume", start_epoch=done)
+            else:
+                self.admit(payload, name)
             self.events.append(event)
 
     def _preempt(self, name: str, rnd: int, resume_after: int) -> None:
         """Checkpoint and deschedule a job; owe its resume.
 
-        The job's model snapshots into ``model_store``, its losses so
-        far move to :attr:`segments`, and the tier stops scheduling it
-        (its name frees up).  ``resume_after`` rounds on, the job's own
-        spec comes back with a :class:`~repro.pipeline.spec.CheckpointSpec`
-        pointing at the snapshot and the first epoch still unrun.
+        The job's model snapshots into the session's store under its
+        name, its losses so far move to :attr:`segments`, and the tier
+        stops scheduling it (its name frees up).  ``resume_after``
+        rounds on, its spec is registered again, resuming from that
+        snapshot at the first epoch still unrun.
         """
         runtime = self._runtimes.get(name)
         if runtime is None:
@@ -672,15 +662,10 @@ class Session:
         del self._runtimes[name]
         losses = runtime.trainer.report.losses
         self.segments.setdefault(name, []).extend(losses)
-        ckpt = runtime.spec.checkpoint
-        snapshot = (ckpt and ckpt.save_as) or name
-        self.model_store.save(snapshot, runtime.trainer.model)
-        resume = runtime.spec.with_(
-            checkpoint=CheckpointSpec(
-                restore_from=snapshot, start_epoch=done, save_as=snapshot
-            )
+        self._store.save(name, runtime.trainer.model)
+        self._agenda.append(
+            (rnd + resume_after, _RESUME, name, (runtime.spec, done))
         )
-        self._agenda.append((rnd + resume_after, _RESUME, name, resume))
         self.events.append(
             {
                 "round": rnd,
@@ -721,16 +706,14 @@ class Session:
 
     def admit(self, spec: JobSpec, name: str) -> JobRuntime:
         """Register a job with the tier: every job at :meth:`prepare`,
-        a new or resumed one mid-run.
+        a plan's arrival mid-run.
 
         Mid-run the tier grants the newcomer strict next-round priority,
         so an admitted job is never starved more than one round.
 
         Args:
-            spec: the job's spec (a resumed job's carries its
-                :class:`~repro.pipeline.spec.CheckpointSpec`).
-            name: the job's report name (a preempted job resumes under
-                its old name).
+            spec: the job's spec.
+            name: the job's report name.
 
         Returns:
             The admitted job's :class:`JobRuntime`.
@@ -744,9 +727,12 @@ class Session:
         if self.tier is None:
             raise RuntimeError("session not prepared; nothing to admit to")
         _require_spec(spec, f"Session.admit spec for job {name!r}")
-        runtime = JobRuntime(name, spec, model_store=self.model_store)
+        return self._register(JobRuntime(name, spec))
+
+    def _register(self, runtime: JobRuntime) -> JobRuntime:
+        """Hand a built runtime to the tier and track it by name."""
         self.tier.register(runtime.tier_job)
-        self._runtimes[name] = runtime
+        self._runtimes[runtime.name] = runtime
         return runtime
 
     def collect(

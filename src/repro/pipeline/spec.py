@@ -18,12 +18,10 @@ namespace — and every combination composes for one job or many:
 * :class:`StreamSpec` — continuous ingestion: the job's partitions
   land as scribe-fed micro-partitions on the modeled clock *while* the
   job trains, instead of all up front.
-* :class:`CheckpointSpec` — where training (re)starts: the snapshot to
-  restore and the epoch the plan resumes from.
-
-Reader faults are not part of a job's description: they are events of
-a :class:`~repro.sim.faults.FaultPlan`, played by the session it is
-handed to (``Session(..., plan=...)``).
+Reader faults and resume state are not part of a job's description:
+faults are events of a :class:`~repro.sim.faults.FaultPlan`, played by
+the session it is handed to (``Session(..., plan=...)``), and a job
+that plan preempts is checkpointed and resumed by that session alone.
 
 A :class:`JobSpec` composes them (plus a scheduling ``weight`` and an
 optional ``name``) into everything one training job needs, and
@@ -56,7 +54,6 @@ __all__ = [
     "ScalingSpec",
     "RetentionSpec",
     "StreamSpec",
-    "CheckpointSpec",
     "JobSpec",
 ]
 
@@ -105,6 +102,11 @@ class DataSpec:
         )
         _require_positive("DataSpec.num_scribe_shards", self.num_scribe_shards)
         _require_positive("DataSpec.num_partitions", self.num_partitions)
+        # numpy rejects a negative seed only once generation starts
+        if self.seed < 0:
+            raise ValueError(
+                f"DataSpec.seed must be non-negative, got {self.seed}"
+            )
         # the reader's own config owns the transform-name rule
         try:
             DataLoaderConfig(batch_size=1, transforms=self.transforms)
@@ -288,51 +290,6 @@ class StreamSpec:
 
 
 @dataclass(frozen=True)
-class CheckpointSpec:
-    """Where training (re)starts: snapshot restore and epoch offset.
-
-    Attaching a ``CheckpointSpec`` to a :class:`JobSpec` makes the job
-    resumable: the engine restores ``restore_from`` (latest version)
-    out of the session's :class:`~repro.trainer.checkpoint.ModelStore`
-    into the freshly built trainer, and the epoch plan skips the first
-    ``start_epoch`` epochs — exactly the shape a preempted job is
-    re-registered in.  Because checkpoint/restore is exact and batch
-    content never depends on scheduling, the resumed loss trajectory is
-    bit-identical to the uninterrupted run's tail.
-
-    Attributes:
-        restore_from: snapshot name in the session's model store to
-            restore before training (``None`` = fresh seeded init).
-        start_epoch: epochs of the plan already completed before this
-            registration; the job trains epochs ``start_epoch ..
-            train_epochs-1``.
-        save_as: snapshot name the session checkpoints this job under
-            (defaults to the job's report name).
-    """
-
-    restore_from: str | None = None
-    start_epoch: int = 0
-    save_as: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.start_epoch < 0:
-            raise ValueError(
-                "CheckpointSpec.start_epoch must be non-negative, got "
-                f"{self.start_epoch}"
-            )
-        if self.restore_from is not None and not self.restore_from:
-            raise ValueError(
-                "CheckpointSpec.restore_from must be non-empty when set"
-            )
-        if self.start_epoch > 0 and self.restore_from is None:
-            raise ValueError(
-                "CheckpointSpec.start_epoch > 0 needs restore_from: "
-                "skipping epochs without restoring their weights would "
-                "silently change the loss trajectory"
-            )
-
-
-@dataclass(frozen=True)
 class JobSpec:
     """One training job, as composed specs.
 
@@ -351,8 +308,6 @@ class JobSpec:
         stream: continuous ingestion when set — partitions land as
             scribe-fed micro-partitions on the modeled clock while the
             job trains; ``None`` lands everything up front.
-        checkpoint: snapshot restore + epoch offset when set; a fresh
-            full run when ``None``.
         weight: scheduling weight under a shared tier — the
             stall-weighted allocator scales this job's observed reader
             demand by it, so a weight-2 job pulls roughly twice the
@@ -366,7 +321,6 @@ class JobSpec:
     scaling: ScalingSpec | None = None
     retention: RetentionSpec | None = None
     stream: StreamSpec | None = None
-    checkpoint: CheckpointSpec | None = None
     weight: float = 1.0
     name: str | None = None
 
@@ -378,16 +332,6 @@ class JobSpec:
             )
         if self.name is not None and not self.name:
             raise ValueError("JobSpec.name must be non-empty when set")
-        if (
-            self.checkpoint is not None
-            and self.checkpoint.start_epoch >= self.train.train_epochs
-        ):
-            raise ValueError(
-                f"CheckpointSpec.start_epoch ({self.checkpoint.start_epoch})"
-                f" must be < TrainSpec.train_epochs "
-                f"({self.train.train_epochs}): a resumed job needs at "
-                "least one epoch left to run"
-            )
         if (
             self.scaling is not None
             and self.scaling.max_readers < self.reader.num_readers
@@ -473,7 +417,6 @@ def spec_field_names() -> dict[str, list[str]]:
             ScalingSpec,
             RetentionSpec,
             StreamSpec,
-            CheckpointSpec,
             JobSpec,
         )
     }

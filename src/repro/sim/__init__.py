@@ -9,13 +9,13 @@ reproduced as *seeded, bit-replayable* scenarios over the real
 * :mod:`repro.sim.faults` — :class:`FaultPlan`: the misfortune
   schedule (crashes, stragglers, preemptions, arrivals), hand-built or
   drawn from a seed.
-* :mod:`repro.sim.runner` — :class:`ScenarioRunner`: hands a plan to
-  a :class:`~repro.pipeline.session.Session`, which plays it inside its
-  drive loop (checkpointing preempted jobs into a
+* :mod:`repro.sim.scenarios` — :class:`Scenario`: jobs, a plan and a
+  pool width that run themselves (:meth:`Scenario.run` hands the plan
+  to one :class:`~repro.pipeline.session.Session`, which plays it
+  inside its drive loop, checkpointing preempted jobs into its own
   :class:`~repro.trainer.checkpoint.ModelStore` and resuming them
-  bit-identically), and assembles the :class:`ScenarioResult`.
-* :mod:`repro.sim.scenarios` — the named catalog behind the
-  ``repro simulate`` CLI subcommand.
+  bit-identically, and returns a :class:`ScenarioResult`), plus the
+  named catalog behind the ``repro simulate`` CLI subcommand.
 
 The load-bearing invariant: faults perturb only the modeled cost
 surface.  Batch content and model updates never depend on scheduling,
@@ -25,8 +25,13 @@ bit, and replaying a seed reproduces the identical
 """
 
 from .faults import Arrival, CrashFault, FaultPlan, Preemption, StragglerFault
-from .runner import ScenarioResult, ScenarioRunner
-from .scenarios import SCENARIOS, Scenario, build_scenario, scenario_names
+from .scenarios import (
+    SCENARIOS,
+    Scenario,
+    ScenarioResult,
+    build_scenario,
+    scenario_names,
+)
 
 __all__ = [
     "Arrival",
@@ -35,7 +40,6 @@ __all__ = [
     "Preemption",
     "StragglerFault",
     "ScenarioResult",
-    "ScenarioRunner",
     "SCENARIOS",
     "Scenario",
     "build_scenario",

@@ -27,17 +27,26 @@ names the shapes the paper's production tier actually weathers:
   mid-run arrival at once (the acceptance-criteria scenario).
 * ``burst`` — a quiet tier hit by a wave of late arrivals.
 
+A :class:`Scenario` runs itself: :meth:`Scenario.run` hands its plan
+to one :class:`~repro.pipeline.session.Session`, which plays it (and
+owns every preempted job's snapshot), and returns a
+:class:`ScenarioResult`.  An ad-hoc plan is a scenario too:
+``Scenario(name, description, jobs, plan, width=...)``.
+
 Every scenario is deterministic given its seed: replaying it must
 reproduce the identical fingerprint, and its stitched per-job losses
-must equal the clean baseline bit for bit.
+must equal the clean :meth:`Scenario.baseline` bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..datagen.workloads import rm1, rm2, rm3
+from ..metrics.slo import SLOReport
+from ..metrics.tier import TierReport
 from ..pipeline.config import RecDToggles
+from ..pipeline.session import Session
 from ..pipeline.spec import (
     DataSpec,
     JobSpec,
@@ -47,14 +56,49 @@ from ..pipeline.spec import (
     TrainSpec,
 )
 from .faults import Arrival, CrashFault, FaultPlan, Preemption, StragglerFault
-from .runner import ScenarioRunner
 
-__all__ = ["Scenario", "SCENARIOS", "build_scenario", "scenario_names"]
+__all__ = [
+    "Scenario",
+    "ScenarioResult",
+    "SCENARIOS",
+    "build_scenario",
+    "scenario_names",
+]
+
+
+@dataclass
+class ScenarioResult:
+    """Everything one scenario run produced.
+
+    Attributes:
+        slo: the run's service-level scoreboard.
+        tier: the tier's round-by-round report.
+        losses: per-job full loss trajectories, stitched across
+            preemption segments — the bit-identity fingerprint.
+        trace: the applied fault trace, in application order (plan
+            events that never fired — e.g. a preemption scheduled past
+            the run's end — are absent).
+    """
+
+    slo: SLOReport
+    tier: TierReport
+    losses: dict[str, list[float]] = field(default_factory=dict)
+    trace: list[dict] = field(default_factory=list)
+
+    def fingerprint(self) -> dict:
+        """A replay-stable digest: same seed, same fingerprint, bit for
+        bit — losses, SLO scoreboard, and fault trace."""
+        return {
+            "losses": {k: list(v) for k, v in self.losses.items()},
+            "slo": self.slo.as_dict(),
+            "trace": [dict(ev) for ev in self.trace],
+        }
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """One named, fully specified chaos experiment.
+    """One named, fully specified chaos experiment; :meth:`run` plays
+    it, :meth:`baseline` runs its clean reference.
 
     Attributes:
         name: catalog name (the CLI's ``--scenario`` argument).
@@ -73,16 +117,60 @@ class Scenario:
     width: int = 6
     freshness_slo: float | None = None
 
-    def runner(self) -> ScenarioRunner:
-        """A fresh :class:`~repro.sim.runner.ScenarioRunner` for this
-        scenario (fresh model store, fresh session)."""
-        return ScenarioRunner(
+    def run(self) -> ScenarioResult:
+        """Play the plan over a fresh session, to completion.
+
+        Raises:
+            TypeError: if an arrival's spec is not a ``JobSpec``.
+            ValueError: from Session validation (empty jobs, duplicate
+                names, an arrival named like an initial job).
+        """
+        session = Session(
             [spec for _, spec in self.jobs],
-            self.plan,
             width=self.width,
             names=[name for name, _ in self.jobs],
             freshness_slo=self.freshness_slo,
+            plan=self.plan,
         )
+        session.run()
+        report = session.tier.report
+        losses = {
+            name: session.segments.get(name, [])
+            + session.runtime(name).trainer.report.losses
+            for name in report.jobs
+        }
+        return ScenarioResult(
+            slo=SLOReport.from_session(session),
+            tier=report,
+            losses=losses,
+            trace=session.events,
+        )
+
+    def baseline(self) -> dict[str, list[float]]:
+        """Per-job loss trajectories with *no* faults, preemptions, or
+        staggered arrivals — every job (initial and arriving) admitted
+        up front in one clean session.
+
+        This is the reference the bit-identity acceptance criterion
+        compares against: a scenario run's stitched losses must equal
+        these exactly.
+        """
+        jobs = [*self.jobs, *((a.name, a.spec) for a in self.plan.arrivals)]
+        clean = Session(
+            [spec for _, spec in jobs],
+            width=self.width,
+            names=[name for name, _ in jobs],
+        )
+        # Land-everything-first: the strongest reference for a
+        # streamed scenario — the live loop's losses must match a
+        # run whose whole stream was on disk before round one (a
+        # static job's already is: for it this lands nothing).
+        clean.prepare()
+        clean.land_all_streams()
+        result = clean.run()
+        return {
+            job.name: list(job.training.losses) for job in result.jobs
+        }
 
 
 def _job(
@@ -425,9 +513,15 @@ def build_scenario(
 
     Raises:
         KeyError: for an unknown scenario name.
+        ValueError: for a negative seed, or a scale the workloads
+            reject.
     """
     if name not in SCENARIOS:
         raise KeyError(
             f"unknown scenario {name!r}; available: {scenario_names()}"
         )
+    # checked before the jobs derive their own seeds from it, so the
+    # error carries the seed the caller gave
+    if seed < 0:
+        raise ValueError(f"DataSpec.seed must be non-negative, got {seed}")
     return SCENARIOS[name](seed, scale)

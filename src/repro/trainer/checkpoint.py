@@ -141,13 +141,3 @@ class ModelStore:
             raise FileNotFoundError(f"{name!r} has no version {version}")
         load_model(model, self.fs.read(self._path(name, version)))
         return version
-
-    def prune(self, name: str, keep_last: int = 3) -> list[int]:
-        """Retention for old snapshots; returns deleted versions."""
-        if keep_last < 0:
-            raise ValueError("keep_last must be non-negative")
-        existing = self.versions(name)
-        doomed = existing[: max(0, len(existing) - keep_last)]
-        for version in doomed:
-            self.fs.delete(self._path(name, version))
-        return doomed

@@ -19,7 +19,7 @@ from ..reader.batch import Batch
 from .attention import AttentionPooling, TransformerPooling
 from .embedding import EmbeddingTable
 from .interaction import DotInteraction
-from .loss import bce_with_logits, sigmoid
+from .loss import bce_with_logits
 from .mlp import MLP
 from .optimizer import SGD, RowWiseAdagrad
 from .pooling import MaxPooling, MeanPooling, PoolingModule, SumPooling
@@ -206,7 +206,3 @@ class DLRM:
                     self.config.lr, track_updates=track_updates
                 )
         return loss
-
-    def predict(self, batch: Batch) -> np.ndarray:
-        """Click probabilities for one batch (inference)."""
-        return sigmoid(self.forward(batch))

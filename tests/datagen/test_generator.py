@@ -174,7 +174,3 @@ class TestTraceGenerator:
             for x, y in zip(a, b)
         )
 
-    def test_payload_values(self):
-        samples = generate_partition(small_schema(), 5, TraceConfig(seed=9))
-        s = samples[0]
-        assert s.payload_values() == sum(v.size for v in s.sparse.values())

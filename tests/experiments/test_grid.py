@@ -239,7 +239,6 @@ class TestBuildJobSpec:
         assert spec.scaling is not None
         assert spec.scaling.target_stall == 0.2
         assert spec.retention is None
-        assert spec.checkpoint is None
 
     def test_toggle_dict_builds_partial_toggles(self):
         spec = build_job_spec(
@@ -257,8 +256,8 @@ class TestBuildJobSpec:
         "point", [{"faults.lost_fraction": 0.5}, {"checkpoint.save_as": "x"}]
     )
     def test_faults_and_checkpoint_are_not_point_paths(self, point):
-        """Faults are FaultPlan events and a grid run has no model store
-        to restore from: neither section is a spec path."""
+        """Faults are FaultPlan events and resume state belongs to the
+        session that preempted a job: neither section is a spec path."""
         with pytest.raises(ValueError, match="unknown spec path"):
             build_job_spec(point)
 

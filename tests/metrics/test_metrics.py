@@ -27,12 +27,10 @@ class TestCounters:
         a.merge(b)
         assert a["x"] == 3 and a["y"] == 3
 
-    def test_reset_and_as_dict(self):
+    def test_as_dict(self):
         c = Counters()
         c.add("x", 1)
         assert c.as_dict() == {"x": 1}
-        c.reset()
-        assert c.as_dict() == {}
 
 
 class TestBreakdowns:

@@ -157,6 +157,13 @@ class TestBadValues:
             (["fig7", "--scale", "-1"], "workload scale must be positive"),
             (["scribe", "--scale", "0"], "workload scale must be positive"),
             (["simulate", "--scale", "0"], "workload scale must be positive"),
+            # were OverflowError tracebacks from int(48 * scale)
+            (["pipeline", "--scale", "inf"], "workload scale must be finite"),
+            (["simulate", "--scale", "inf"], "workload scale must be finite"),
+            # numpy's seed error named no flag; simulate raised it mid-run,
+            # and must name the seed typed, not a job's derived one
+            (["pipeline", "--seed", "-5"], "--seed must be non-negative, got -5"),
+            (["simulate", "--seed", "-5"], "--seed must be non-negative, got -5"),
             # was numpy's "zero-size array to reduction operation maximum"
             (
                 ["fig3", "--sessions-large", "0"],

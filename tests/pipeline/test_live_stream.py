@@ -354,17 +354,16 @@ class TestLiveLoopBitIdentity:
 
 class TestMidLoopAdmission:
     def test_streamed_job_admitted_mid_run_stays_bit_identical(self):
-        from repro.sim import Arrival, FaultPlan, ScenarioRunner
+        from repro.sim import Arrival, FaultPlan, Scenario
 
         late = _spec(partitions=3, epochs=3, seed=9, name="late")
         plan = FaultPlan(
             arrivals=(Arrival(round=2, name="late", spec=late),)
         )
-        runner = ScenarioRunner(
-            [_spec(name="early")], plan, width=4, names=["early"]
-        )
-        result = runner.run()
-        baseline = runner.baseline()
+        jobs = (("early", _spec(name="early")),)
+        scenario = Scenario("mid-loop", "a late arrival", jobs, plan, width=4)
+        result = scenario.run()
+        baseline = scenario.baseline()
         assert sorted(result.losses) == ["early", "late"]
         for name, losses in result.losses.items():
             assert losses  # both jobs trained

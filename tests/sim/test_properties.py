@@ -16,18 +16,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datagen.workloads import rm1, rm2
-from repro.sim import FaultPlan, ScenarioRunner
+from repro.sim import FaultPlan, Scenario
 from repro.sim.scenarios import _job
 
 pytestmark = pytest.mark.chaos
 
 
-def _runner(plan):
-    specs = [
-        _job(rm1(scale=0.15), seed=21, epochs=3, sessions=40),
-        _job(rm2(scale=0.15), seed=22, epochs=3, sessions=40),
-    ]
-    return ScenarioRunner(specs, plan, width=4, names=["alpha", "beta"])
+def _scenario(plan):
+    jobs = (
+        ("alpha", _job(rm1(scale=0.15), seed=21, epochs=3, sessions=40)),
+        ("beta", _job(rm2(scale=0.15), seed=22, epochs=3, sessions=40)),
+    )
+    return Scenario("seeded", "a seeded plan", jobs, plan, width=4)
 
 
 @settings(max_examples=8, deadline=None)
@@ -41,9 +41,9 @@ def test_any_seeded_plan_preserves_loss_bit_identity(seed):
         stragglers=2,
         preemptions=2,
     )
-    runner = _runner(plan)
-    result = runner.run()
-    baseline = runner.baseline()
+    scenario = _scenario(plan)
+    result = scenario.run()
+    baseline = scenario.baseline()
     assert sorted(result.losses) == ["alpha", "beta"]
     for job in ("alpha", "beta"):
         assert len(result.losses[job]) == 6  # 3 epochs x 2 batches
@@ -63,7 +63,7 @@ def test_any_seeded_plan_keeps_allocation_invariants(seed):
         stragglers=1,
         preemptions=2,
     )
-    result = _runner(plan).run()
+    result = _scenario(plan).run()
     tier = result.tier
     for rnd, width in zip(tier.rounds, tier.widths):
         leased = sum(s.workers for s in rnd.stats)

@@ -18,7 +18,7 @@ from repro.sim import (
     CrashFault,
     FaultPlan,
     Preemption,
-    ScenarioRunner,
+    Scenario,
     StragglerFault,
     build_scenario,
     scenario_names,
@@ -30,14 +30,19 @@ SEED = 3
 SCALE = 0.2
 
 
+def _adhoc(plan, *, width=2, **jobs) -> Scenario:
+    """An ad-hoc plan over the named jobs, as a scenario."""
+    jobs = tuple(jobs.items())
+    return Scenario("adhoc", "an ad-hoc plan", jobs, plan, width=width)
+
+
 @pytest.fixture(scope="module")
 def crash_resume():
     """One crash-resume run, its clean baseline, and a seeded replay."""
     scenario = build_scenario("crash-resume", seed=SEED, scale=SCALE)
-    runner = scenario.runner()
-    result = runner.run()
-    baseline = runner.baseline()
-    replay = scenario.runner().run()
+    result = scenario.run()
+    baseline = scenario.baseline()
+    replay = scenario.run()
     return scenario, result, baseline, replay
 
 
@@ -87,10 +92,9 @@ def dedup_crash_resume():
     """One dedup-streaming crash-resume run, its clean dedup baseline,
     and a seeded replay."""
     scenario = build_scenario("dedup-crash-resume", seed=SEED, scale=SCALE)
-    runner = scenario.runner()
-    result = runner.run()
-    baseline = runner.baseline()
-    replay = scenario.runner().run()
+    result = scenario.run()
+    baseline = scenario.baseline()
+    replay = scenario.run()
     return scenario, result, baseline, replay
 
 
@@ -148,10 +152,9 @@ def stream_crash_resume():
     """One live-landing crash-resume run, its land-everything-first
     baseline, and a seeded replay."""
     scenario = build_scenario("stream-crash-resume", seed=SEED, scale=SCALE)
-    runner = scenario.runner()
-    result = runner.run()
-    baseline = runner.baseline()
-    replay = scenario.runner().run()
+    result = scenario.run()
+    baseline = scenario.baseline()
+    replay = scenario.run()
     return scenario, result, baseline, replay
 
 
@@ -257,7 +260,7 @@ class TestOneDriveLoop:
         monkeypatch.setattr(Session, "tick", spy)
         scenario = build_scenario(name, seed=SEED, scale=SCALE)
 
-        spied = scenario.runner().run()
+        spied = scenario.run()
         # every round the scenario scheduled went through tick(); the
         # surplus True ticks are idle clock jumps to the next landing
         assert ticks.count(True) >= len(spied.tier.rounds)
@@ -302,14 +305,14 @@ class TestCatalog:
         assert [name for name, _ in a.jobs] == [name for name, _ in b.jobs]
 
 
-class TestRunnerGuards:
+class TestScenarioGuards:
     def test_arrival_name_collision_rejected(self):
         from repro.sim import Arrival
 
         spec = _job(rm1(scale=0.1), seed=1, epochs=2, sessions=30)
         plan = FaultPlan(arrivals=(Arrival(round=1, name="alpha", spec=spec),))
         with pytest.raises(ValueError, match="collide with initial jobs"):
-            ScenarioRunner([spec], plan, width=2, names=["alpha"])
+            _adhoc(plan, alpha=spec).run()
 
     def test_arrival_spec_checked_before_the_run(self):
         from repro.sim import Arrival
@@ -321,7 +324,7 @@ class TestRunnerGuards:
         with pytest.raises(
             TypeError, match="arrival 'late' spec must be a JobSpec, got dict"
         ):
-            ScenarioRunner([spec], plan, width=2, names=["alpha"])
+            _adhoc(plan, alpha=spec).run()
 
     @pytest.mark.parametrize(
         "preemptions, fired",
@@ -349,15 +352,44 @@ class TestRunnerGuards:
     def test_spent_preemptions_are_ignored(self, preemptions, fired):
         a = _job(rm1(scale=0.1), seed=1, epochs=2, sessions=30)
         b = _job(rm1(scale=0.1), seed=2, epochs=4, sessions=30)
-        plan = FaultPlan(preemptions=preemptions)
-        runner = ScenarioRunner([a, b], plan, width=2, names=["a", "b"])
-        result = runner.run()
+        scenario = _adhoc(FaultPlan(preemptions=preemptions), a=a, b=b)
+        result = scenario.run()
         trace = [(ev["round"], ev["event"], ev["job"]) for ev in result.trace]
         assert trace == fired
         assert result.slo.preemptions == sum(
             event == "preempt" for _, event, _ in fired
         )
-        assert result.losses == runner.baseline()
+        assert result.losses == scenario.baseline()
+
+    def test_preempted_twice_first_before_it_trains(self):
+        """The session names a job's snapshot after the job and counts
+        its epochs across registrations: a preemption at round 0 saves
+        an untrained model and resumes at epoch 0, and a second one
+        resumes where the first resumed registration stopped."""
+        a = _job(rm1(scale=0.1), seed=1, epochs=4, sessions=30)
+        b = _job(rm1(scale=0.1), seed=2, epochs=4, sessions=30)
+        plan = FaultPlan(
+            preemptions=(
+                Preemption(round=0, job="a", resume_after=1),
+                Preemption(round=3, job="a", resume_after=1),
+            )
+        )
+        scenario = _adhoc(plan, a=a, b=b)
+        result = scenario.run()
+        trace = [(ev["round"], ev["event"], ev["job"]) for ev in result.trace]
+        assert trace == [
+            (0, "preempt", "a"),
+            (1, "resume", "a"),
+            (3, "preempt", "a"),
+            (4, "resume", "a"),
+        ]
+        epochs = [
+            ev.get("epochs_done", ev.get("start_epoch"))
+            for ev in result.trace
+        ]
+        assert epochs == [0, 0, 2, 2]
+        assert result.slo.preemptions == 2
+        assert result.losses == scenario.baseline()
 
 
 @pytest.mark.chaos
@@ -369,10 +401,9 @@ class TestWideCrashResume:
     @pytest.fixture(scope="class")
     def wide(self):
         scenario = build_scenario("wide-crash-resume", seed=SEED, scale=SCALE)
-        runner = scenario.runner()
-        result = runner.run()
-        baseline = runner.baseline()
-        replay = scenario.runner().run()
+        result = scenario.run()
+        baseline = scenario.baseline()
+        replay = scenario.run()
         return scenario, result, baseline, replay
 
     def test_is_actually_wide(self, wide):
@@ -411,12 +442,11 @@ class TestWideCrashResume:
 def test_catalog_sweep_bit_identity_and_replay(name):
     """Every catalog scenario preserves bit-identity and replays."""
     scenario = build_scenario(name, seed=11, scale=SCALE)
-    runner = scenario.runner()
-    result = runner.run()
-    baseline = runner.baseline()
+    result = scenario.run()
+    baseline = scenario.baseline()
     for job, losses in result.losses.items():
         assert losses == baseline[job], f"{name}: {job} diverged"
-    replay = build_scenario(name, seed=11, scale=SCALE).runner().run()
+    replay = build_scenario(name, seed=11, scale=SCALE).run()
     assert replay.fingerprint() == result.fingerprint()
     # Fairness holds under every scenario's churn.
     for job in result.tier.jobs:
@@ -432,9 +462,9 @@ class TestSoloJobFaults:
             crashes=(CrashFault(round=1, job="solo"),),
             stragglers=(StragglerFault(round=2, job="solo"),),
         )
-        runner = ScenarioRunner([spec], plan, width=2, names=["solo"])
-        result = runner.run()
+        scenario = _adhoc(plan, solo=spec)
+        result = scenario.run()
         assert result.slo.crashes == 1
         assert result.slo.straggler_shards == 1
         assert [ev["round"] for ev in result.trace] == [1, 2]
-        assert result.losses == runner.baseline()
+        assert result.losses == scenario.baseline()

@@ -269,14 +269,3 @@ class TestModelStore:
         with pytest.raises(ValueError, match="missing=adagrad/"):
             store.load("m", other)
 
-    def test_prune_retention(self):
-        fs = TectonicFS()
-        store = ModelStore(fs)
-        model, _ = _model()
-        for _ in range(5):
-            store.save("m", model)
-        deleted = store.prune("m", keep_last=2)
-        assert deleted == [1, 2, 3]
-        assert store.versions("m") == [4, 5]
-        with pytest.raises(ValueError):
-            store.prune("m", keep_last=-1)

@@ -90,8 +90,6 @@ class TestTraining:
         (batch,) = make_batches(w, dedup=False, n_batches=1)
         logits = model.forward(batch)
         assert logits.shape == (batch.batch_size,)
-        probs = model.predict(batch)
-        assert np.all((probs >= 0) & (probs <= 1))
 
     def test_loss_decreases_on_repeated_batch(self):
         w = small_workload()
