@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
+from pathlib import Path
 from typing import NamedTuple
 
 from .datagen import WORKLOADS
@@ -191,6 +192,10 @@ _FLAGS += (
 _SHARED_DEFAULTS = {"num_readers": 8, "train_epochs": 2}
 
 
+#: the ``Session`` keywords a shared-pool command passes from its flags
+_SESSION_KWARGS = ("policy", "freshness_slo")
+
+
 class _UsageError(Exception):
     """A bad flag value, found before the first scheduling round;
     :func:`main` turns it into ``parser.error`` (exit 2)."""
@@ -199,14 +204,19 @@ class _UsageError(Exception):
 def _name_flags(message: str) -> str:
     """A spec error names ``ReaderSpec.num_readers``; the user typed
     ``--num-readers`` (path section ``reader`` is ``ReaderSpec``, and so
-    on for every section)."""
+    on for every section; a path with no section is a ``JobSpec``
+    field).  A ``Session`` keyword error opens with the keyword
+    (``freshness_slo`` is ``--freshness-slo``)."""
     for f in _FLAGS:
-        section, _, leaf = (f.path or "").partition(".")
-        if leaf:
+        if f.path:
+            section, _, leaf = f.path.rpartition(".")
+            owner = f"{section.capitalize()}Spec" if section else "JobSpec"
             message = message.replace(
-                f"{section.capitalize()}Spec.{leaf}",
-                f.flag or f"--job key {f.key!r}",
+                f"{owner}.{leaf}", f.flag or f"--job key {f.key!r}"
             )
+    for kw in _SESSION_KWARGS:
+        if message.startswith(f"{kw} "):
+            message = f"--{kw.replace('_', '-')}" + message.removeprefix(kw)
     return message
 
 
@@ -300,7 +310,7 @@ def _open_session(args, points: list[dict]) -> Session:
             width=args.num_readers,
             **{
                 kw: getattr(args, kw)
-                for kw in ("policy", "freshness_slo")
+                for kw in _SESSION_KWARGS
                 if hasattr(args, kw)
             },
         )
@@ -606,6 +616,10 @@ def _cmd_experiments(args) -> int:
                         print(f"    {p.run_id}  {p.label}")
         return 0
 
+    # only ``run`` creates a store: opening a mistyped path would make an
+    # empty one and report it as a store with no runs
+    if args.exp_command != "run" and not Path(args.store).is_file():
+        raise _UsageError(f"--store {args.store}: no results store there")
     store = RunStore(args.store)
     if args.exp_command == "run":
         profile = get_profile(args.profile)

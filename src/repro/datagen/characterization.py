@@ -120,12 +120,6 @@ class CharacterizationReport:
         p = np.array([f.partial_fraction for f in self.features])
         return float((p * w).sum() / w.sum())
 
-    def sorted_exact(self) -> list[FeatureDuplication]:
-        """Features by descending exact duplication (the Fig 4 x-axis)."""
-        return sorted(
-            self.features, key=lambda f: f.exact_fraction, reverse=True
-        )
-
 
 def characterize_schema(
     schema: DatasetSchema,

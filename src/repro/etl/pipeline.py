@@ -2,9 +2,10 @@
 
 Mirrors §2.1/§4.1: a batch engine ingests the feature and event log
 categories from Scribe, joins them into labeled samples, optionally
-applies RecD's CLUSTER BY session (O2) and a downsampling policy (§7),
-and hands the ordered rows to storage for landing as one
-:class:`~repro.storage.rowblock.RowBlock`.
+applies RecD's CLUSTER BY session (O2), and hands the ordered rows to
+storage for landing as one :class:`~repro.storage.rowblock.RowBlock`.
+The §7 downsampling policies are :mod:`repro.etl.downsample`'s masks,
+which the ``downsampling`` figure applies to a landed trace.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from ..scribe.bus import ScribeCluster
 from ..scribe.message import parse_payloads
 from ..storage.rowblock import RowBlock
 from .cluster import cluster_order
-from .downsample import keep_samples, keep_sessions
 from .join import join_rows
 
 __all__ = ["ETLConfig", "ETLJob", "ETLResult"]
@@ -29,23 +29,6 @@ class ETLConfig:
 
     #: O2: rewrite the partition clustered by session, sorted by timestamp
     cluster: bool = False
-    #: fraction of data to keep; 1.0 disables downsampling
-    keep_rate: float = 1.0
-    #: "session" (RecD, §7) or "sample" (baseline) downsampling granularity
-    downsample_by: str = "sample"
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        # written so that NaN fails too
-        if not 0.0 <= self.keep_rate <= 1.0:
-            raise ValueError(
-                f"ETLConfig.keep_rate must be in [0, 1], got {self.keep_rate!r}"
-            )
-        if self.downsample_by not in ("sample", "session"):
-            raise ValueError(
-                "ETLConfig.downsample_by must be 'sample' or 'session', "
-                f"got {self.downsample_by!r}"
-            )
 
 
 @dataclass
@@ -55,17 +38,15 @@ class ETLResult:
     #: the landed rows, in landing order
     samples: RowBlock
     ingest_bytes: int
-    joined_rows: int
-    dropped_rows: int
 
 
 class ETLJob:
     """One landing job for one (hourly) partition.
 
     The messages become columns once (:func:`~repro.scribe.message.
-    parse_payloads`); sort, join, downsampling and ``CLUSTER BY`` then
-    only ever re-index — each narrows or permutes one array of feature
-    row numbers — and a single :meth:`RowBlock.take
+    parse_payloads`); sort, join and ``CLUSTER BY`` then only ever
+    re-index — each narrows or permutes one array of feature row
+    numbers — and a single :meth:`RowBlock.take
     <repro.storage.rowblock.RowBlock.take>` moves the values.
     """
 
@@ -80,31 +61,16 @@ class ETLJob:
         ingest_bytes: int,
     ) -> ETLResult:
         """Join the feature ``rows`` (given in output order) to their
-        events, then downsample and cluster as configured."""
+        events, then cluster as configured."""
         rows, labels = join_rows(features, events, rows)
-        joined = rows.size
-        cfg = self.config
-        if cfg.keep_rate < 1.0:
-            if cfg.downsample_by == "session":
-                keep = keep_sessions(
-                    features.session_id[rows], cfg.keep_rate, cfg.seed
-                )
-            else:
-                keep = keep_samples(joined, cfg.keep_rate, cfg.seed)
-            rows, labels = rows[keep], labels[keep]
-        if cfg.cluster:
+        if self.config.cluster:
             order = cluster_order(
                 features.session_id[rows], features.timestamp[rows]
             )
             rows, labels = rows[order], labels[order]
         samples = features.take(rows)
         samples.label = labels
-        return ETLResult(
-            samples=samples,
-            ingest_bytes=ingest_bytes,
-            joined_rows=joined,
-            dropped_rows=joined - rows.size,
-        )
+        return ETLResult(samples=samples, ingest_bytes=ingest_bytes)
 
     def run_from_payloads(
         self, payloads: list[bytes], ingest_bytes: int

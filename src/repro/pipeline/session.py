@@ -476,10 +476,6 @@ class Session:
                     max_readers=max(
                         [s.max_readers for s in per_job] + floor
                     ),
-                    # The most smoothing any job asked for wins: the
-                    # pool damps at least as hard as its jumpiest
-                    # job's request.
-                    ewma_alpha=min(s.ewma_alpha for s in per_job),
                 )
         self.scaling = scaling
         self.freshness_slo = freshness_slo

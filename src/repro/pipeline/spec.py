@@ -264,18 +264,15 @@ class StreamSpec:
         land_latency_seconds: modeled scribe→ETL→storage delay between
             a tick sealing and its micro-partition becoming scannable.
         rows_per_file: DWRF file size for micro-partitions (small on
-            purpose — landing latency beats layout; compaction restores
-            the table's full file size as the window slides past).
-        compact: rewrite each micro-partition at the table's full
-            ``rows_per_file`` once the next one lands (row order — and
-            hence losses — untouched; only file count and layout
-            change).
+            purpose — landing latency beats layout).  Once the next
+            micro-partition lands, the previous one is compacted back
+            to the table's full file size; row order — and hence every
+            loss — is untouched, only file count and layout change.
     """
 
     interval_seconds: float = 60.0
     land_latency_seconds: float = 5.0
     rows_per_file: int = 256
-    compact: bool = True
 
     def __post_init__(self) -> None:
         _require_positive(

@@ -14,10 +14,11 @@ epochs:
   matches the trainer's step time;
 * **shrink** when ``trainer_stall_fraction`` dominates and the readers
   provably idle (producer-side queue wait), but only after
-  ``shrink_patience`` consecutive such observations — the hysteresis
+  ``_SHRINK_PATIENCE`` consecutive such observations — the hysteresis
   that keeps one noisy epoch from flapping the fleet;
-* **hold** inside the band, and at the ``min_readers``/``max_readers``
-  bounds.
+* **hold** inside the band, and at the bounds: the caller's
+  per-decision floor (a shared tier's fairness floor, else one reader)
+  and ``max_readers``.
 
 Every step is recorded in a
 :class:`~repro.metrics.scaling.ScalingTrace` (observed fractions ->
@@ -37,11 +38,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..metrics.breakdown import QueueWaitBreakdown
 from ..metrics.overlap import OverlapReport
 from ..metrics.scaling import ScalingDecision, ScalingTrace
 
 __all__ = ["ReaderAutoscaler", "ScalingSpec", "readers_required", "TierPlan"]
+
+#: consecutive shrink-worthy observations before the fleet shrinks
+_SHRINK_PATIENCE = 2
+#: ``trainer_stall_fraction`` at or above which an epoch is
+#: shrink-worthy (the trainer held the pipeline and readers idled)
+_SHRINK_TRAINER_STALL = 0.75
 
 
 @dataclass(frozen=True)
@@ -59,18 +65,10 @@ class ScalingSpec:
         target_stall: grow the width while the observed reader-stall
             fraction exceeds this band.
         max_readers: upper bound on the width.
-        ewma_alpha: the autoscaler decides on an exponential moving
-            average of the observed overlap signals (``new = alpha *
-            observed + (1 - alpha) * old``).  Live-loop rounds are
-            noisy — a round that landed a fresh micro-partition looks
-            reader-bound, the next looks trainer-bound — and a smaller
-            alpha stops the width flapping; the default ``1.0`` steers
-            on each raw round.
     """
 
     target_stall: float = 0.10
     max_readers: int = 32
-    ewma_alpha: float = 1.0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.target_stall < 1.0:
@@ -92,11 +90,6 @@ class ScalingSpec:
                 "ScalingSpec.max_readers must be positive, got "
                 f"{self.max_readers}"
             )
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ValueError(
-                "ScalingSpec.ewma_alpha must be in (0, 1], got "
-                f"{self.ewma_alpha}"
-            )
 
 
 class ReaderAutoscaler:
@@ -112,68 +105,31 @@ class ReaderAutoscaler:
         self,
         num_readers: int,
         target_stall: float = 0.10,
-        min_readers: int = 1,
         max_readers: int = 32,
-        shrink_patience: int = 2,
-        shrink_trainer_stall: float = 0.75,
-        ewma_alpha: float = 1.0,
     ):
         """Configure the controller.
 
         Args:
-            num_readers: initial fleet width (clamped into bounds).
+            num_readers: initial fleet width (capped at
+                ``max_readers``).
             target_stall: upper edge of the acceptable
                 ``reader_stall_fraction`` band; the controller grows the
                 fleet while observations exceed it.
-            min_readers: smallest width the controller will set.
             max_readers: largest width the controller will set.
-            shrink_patience: consecutive shrink-worthy observations
-                required before the fleet actually shrinks (hysteresis).
-            shrink_trainer_stall: ``trainer_stall_fraction`` above which
-                an epoch counts as shrink-worthy (the trainer held the
-                pipeline and readers idled).
-            ewma_alpha: smoothing factor for the observed signals
-                (see :class:`ScalingSpec`): the control law steers on
-                moving averages of the measured wall, reader-stall,
-                trainer-busy, and producer queue-wait seconds.  Pure
-                arithmetic over already-deterministic inputs, so
-                decisions stay bit-reproducible.
 
         Raises:
-            ValueError: if any bound or threshold is out of range.
+            ValueError: if ``num_readers`` is not positive, or the
+                set-point or bound breaks :class:`ScalingSpec`'s rules.
         """
-        if min_readers <= 0:
-            raise ValueError(
-                f"min_readers must be positive, got {min_readers}"
-            )
-        if max_readers < min_readers:
-            raise ValueError(
-                f"max_readers ({max_readers}) must be >= "
-                f"min_readers ({min_readers})"
-            )
         if num_readers <= 0:
             raise ValueError(
                 f"num_readers must be positive, got {num_readers}"
             )
-        # the set-point, bound and smoothing obey the spec's own rules
-        ScalingSpec(target_stall, max_readers, ewma_alpha)
-        if not 0.0 < shrink_trainer_stall <= 1.0:
-            raise ValueError(
-                "shrink_trainer_stall must be in (0, 1], "
-                f"got {shrink_trainer_stall}"
-            )
-        if shrink_patience <= 0:
-            raise ValueError(
-                f"shrink_patience must be positive, got {shrink_patience}"
-            )
-        self.ewma_alpha = ewma_alpha
-        self._ewma: dict[str, float] | None = None
+        # the set-point and bound obey the spec's own rules
+        ScalingSpec(target_stall, max_readers)
         self.target_stall = target_stall
-        self.min_readers = min_readers
         self.max_readers = max_readers
-        self.shrink_patience = shrink_patience
-        self.shrink_trainer_stall = shrink_trainer_stall
-        self.num_readers = min(max(num_readers, min_readers), max_readers)
+        self.num_readers = min(num_readers, max_readers)
         self.trace = ScalingTrace(target_stall=target_stall)
         self._shrink_streak = 0
 
@@ -197,9 +153,8 @@ class ReaderAutoscaler:
             width: the width the epoch ran at, when the caller lifted
                 the last returned one (a shared tier's fairness floor);
                 defaults to :attr:`num_readers`.
-            min_readers: this decision's lower bound, when the caller's
-                floor has risen since construction; defaults to
-                :attr:`min_readers`.
+            min_readers: this decision's lower bound (a shared tier's
+                fairness floor); defaults to one reader.
 
         Returns:
             The fleet width (``num_readers``) the next epoch should run
@@ -208,12 +163,13 @@ class ReaderAutoscaler:
         if epoch is None:
             epoch = len(self.trace.decisions)
         width = self.num_readers if width is None else width
-        floor = self.min_readers if min_readers is None else min_readers
-        signal = self._smooth(overlap)
-        rsf = signal.reader_stall_fraction
-        tsf = signal.trainer_stall_fraction
+        floor = 1 if min_readers is None else min_readers
+        rsf = overlap.reader_stall_fraction
+        tsf = overlap.trainer_stall_fraction
 
-        action, new_width, reason = self._decide(signal, width, floor, rsf, tsf)
+        action, new_width, reason = self._decide(
+            overlap, width, floor, rsf, tsf
+        )
         self.num_readers = new_width
         self.trace.record(
             ScalingDecision(
@@ -227,30 +183,6 @@ class ReaderAutoscaler:
             )
         )
         return new_width
-
-    def _smooth(self, overlap: OverlapReport) -> OverlapReport:
-        """The control signal: a synthetic report over the
-        ``ewma_alpha``-smoothed measurements (the fractions derive from
-        the smoothed seconds, so they stay mutually consistent)."""
-        raw = {
-            "wall": overlap.wall_seconds,
-            "stall": overlap.reader_stall_seconds,
-            "busy": overlap.trainer_busy_seconds,
-            "put_wait": overlap.queue.put_wait,
-        }
-        if self._ewma is None:
-            self._ewma = dict(raw)
-        else:
-            a = self.ewma_alpha
-            self._ewma = {
-                k: a * raw[k] + (1.0 - a) * self._ewma[k] for k in raw
-            }
-        return OverlapReport(
-            wall_seconds=self._ewma["wall"],
-            reader_stall_seconds=self._ewma["stall"],
-            trainer_busy_seconds=self._ewma["busy"],
-            queue=QueueWaitBreakdown(put_wait=self._ewma["put_wait"]),
-        )
 
     def _decide(
         self,
@@ -297,22 +229,21 @@ class ReaderAutoscaler:
                 f"reader-stall {rsf:.2f} > target {self.target_stall:.2f}",
             )
 
-        if tsf >= self.shrink_trainer_stall and proposed < width:
+        if tsf >= _SHRINK_TRAINER_STALL and proposed < width:
             self._shrink_streak += 1
-            if self._shrink_streak >= self.shrink_patience:
+            if self._shrink_streak >= _SHRINK_PATIENCE:
                 self._shrink_streak = 0
                 return (
                     "shrink",
                     max(proposed, floor),
                     f"trainer-stall {tsf:.2f} dominated for "
-                    f"{self.shrink_patience} consecutive epochs",
+                    f"{_SHRINK_PATIENCE} consecutive epochs",
                 )
             return (
                 "hold",
                 width,
                 f"trainer-stall {tsf:.2f} dominates; waiting out "
-                f"hysteresis ({self._shrink_streak}/"
-                f"{self.shrink_patience})",
+                f"hysteresis ({self._shrink_streak}/{_SHRINK_PATIENCE})",
             )
 
         self._shrink_streak = 0

@@ -26,7 +26,7 @@ finish, so prefetch overlaps partition boundaries).  Output order stays
 bit-identical to scanning the partitions serially.  It returns a lazy
 iterator: a consumer that trains while iterating overlaps reader decode
 with trainer steps, which is what the pipeline's streaming mode does
-(:meth:`ReaderFleet.run` / ``run_epoch`` are the materialized forms).
+(:meth:`ReaderFleet.run_epoch` is the materialized form).
 
 One shard scan, two schedules.  :func:`_scan_shard` is the only code
 that turns a shard into batches; what differs is who calls it when.
@@ -367,16 +367,6 @@ class ReaderFleet:
         self.report = FleetReport()
 
     # -- public API --------------------------------------------------------
-
-    def run(
-        self,
-        table: HiveTable,
-        partition: str,
-        max_batches: int | None = None,
-    ) -> list[Batch]:
-        """Scan one partition with the fleet; returns batches in serial
-        order and leaves the merged measurements in ``self.report``."""
-        return list(self.iter_epoch(table, [partition], max_batches))
 
     def run_epoch(
         self,

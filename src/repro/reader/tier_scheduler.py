@@ -499,9 +499,8 @@ class SharedReaderTier:
                 ``"stall_weighted"``).
             scaling: when set, resize the pool between rounds from the
                 *aggregate* tier overlap, steering for the spec's
-                ``target_stall`` band under its ``max_readers`` bound
-                (smoothed by its ``ewma_alpha``); ``None`` keeps the
-                width fixed.
+                ``target_stall`` band under its ``max_readers`` bound;
+                ``None`` keeps the width fixed.
             freshness_slo: target p99 event-time → trained-on lag in
                 modeled seconds.  When set, a freshness-tracking job
                 whose last observed p99 lag exceeds the target has its
@@ -559,7 +558,6 @@ class SharedReaderTier:
                 num_readers,
                 target_stall=scaling.target_stall,
                 max_readers=scaling.max_readers,
-                ewma_alpha=scaling.ewma_alpha,
             )
         self._rounds: list[TierRound] = []
 

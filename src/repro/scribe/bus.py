@@ -261,7 +261,3 @@ class ScribeCluster:
     def etl_ingest_bytes(self) -> int:
         """Network bytes a downstream ETL job pulls (compressed)."""
         return sum(s.egress_bytes for s in self.shards)
-
-    def shard_message_counts(self) -> list[int]:
-        """Messages landed per shard (routing-balance diagnostics)."""
-        return [s.stats.num_messages for s in self.shards]

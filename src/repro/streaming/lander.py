@@ -339,8 +339,7 @@ class Lander:
         micro-partition replays :meth:`_transport` on just its own
         rows and lands at the stream's small ``rows_per_file``; once
         tick ``i`` lands, tick ``i - 1`` is compacted back to the
-        table's full file size (when ``StreamSpec.compact`` is set and
-        the partition is still live).
+        table's full file size (when the partition is still live).
         """
         i = self._landed
         name = f"p{i}"
@@ -355,7 +354,7 @@ class Lander:
             )
         self.partitions.append(info)
         self._landed = i + 1
-        if stream is not None and stream.compact and i > 0:
+        if stream is not None and i > 0:
             prev = f"p{i - 1}"
             if prev in self.table.partitions:
                 self.table.compact_partition(prev)

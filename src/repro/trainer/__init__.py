@@ -7,7 +7,7 @@ from .interaction import DotInteraction
 from .loss import bce_with_logits, sigmoid
 from .mlp import MLP, Linear
 from .model import DLRM, DLRMConfig, make_pooling
-from .optimizer import SGD, RowWiseAdagrad, sparse_row_update
+from .optimizer import SGD, sparse_row_update
 from .params import Parameter
 from .pooling import MaxPooling, MeanPooling, PoolingModule, SumPooling
 from .sparse_arch import SparseArch, SparseFeature, TrainerOptFlags
@@ -17,7 +17,6 @@ __all__ = [
     "Linear",
     "MLP",
     "SGD",
-    "RowWiseAdagrad",
     "sparse_row_update",
     "EmbeddingTable",
     "EmbeddingActivations",

@@ -2,9 +2,9 @@
 
 The training pipeline's output is a trained model landed in a model
 store.  This module serializes a :class:`~repro.trainer.model.DLRM` —
-embedding tables, dense parameters, and sparse-optimizer state — to a
-self-describing byte blob (``np.savez``) and provides a
-Tectonic-backed :class:`ModelStore` with named, versioned snapshots.
+embedding tables and dense parameters — to a self-describing byte blob
+(``np.savez``) and provides a Tectonic-backed :class:`ModelStore` with
+named, versioned snapshots.
 
 Checkpoint/restore is exact: a restored model continues training on the
 precise trajectory it left (asserted by the test suite), which also
@@ -35,9 +35,6 @@ def model_state(model: DLRM) -> dict[str, np.ndarray]:
         state[f"emb/{name}/weight"] = feature.table.weight
     for i, p in enumerate(model.dense_params()):
         state[f"dense/{i}"] = p.value
-    if model._sparse_opts is not None:
-        for name, opt in model._sparse_opts.items():
-            state[f"adagrad/{name}/accumulator"] = opt.accumulator
     return state
 
 

@@ -91,16 +91,6 @@ class EmbeddingTable:
         self._grad_ids.clear()
         self._grad_values.clear()
 
-    def apply_optimizer(self, optimizer, track_updates: bool = False) -> None:
-        """Apply buffered gradients through a sparse optimizer object
-        (e.g. :class:`~repro.trainer.optimizer.RowWiseAdagrad`)."""
-        for ids, grads in zip(self._grad_ids, self._grad_values):
-            optimizer.update(self.weight, ids, grads)
-            if track_updates:
-                self._track(ids)
-        self._grad_ids.clear()
-        self._grad_values.clear()
-
     def _track(self, ids: np.ndarray) -> None:
         for rid in np.unique(ids):
             key = int(rid)

@@ -21,7 +21,7 @@ from .embedding import EmbeddingTable
 from .interaction import DotInteraction
 from .loss import bce_with_logits
 from .mlp import MLP
-from .optimizer import SGD, RowWiseAdagrad
+from .optimizer import SGD
 from .pooling import MaxPooling, MeanPooling, PoolingModule, SumPooling
 from .sparse_arch import SparseArch, SparseFeature, TrainerOptFlags
 
@@ -58,15 +58,7 @@ class DLRMConfig:
     #: sharded across GPUs, §2.2)
     max_table_rows: int = 5000
     lr: float = 0.05
-    #: "sgd" or "rowwise_adagrad" (TorchRec's production default)
-    sparse_optimizer: str = "sgd"
     seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.sparse_optimizer not in ("sgd", "rowwise_adagrad"):
-            raise ValueError(
-                f"unknown sparse optimizer {self.sparse_optimizer!r}"
-            )
 
     @classmethod
     def from_workload(
@@ -124,14 +116,6 @@ class DLRM:
         if self.top_mlp.out_dim != 1:
             raise ValueError("top MLP must end with a single logit")
         self.optimizer = SGD(self.dense_params(), lr=config.lr)
-        self._sparse_opts = (
-            {
-                name: RowWiseAdagrad(f.table.num_rows, lr=config.lr)
-                for name, f in self.sparse_arch.features.items()
-            }
-            if config.sparse_optimizer == "rowwise_adagrad"
-            else None
-        )
         self._cache: dict | None = None
 
     # -- parameters -----------------------------------------------------------
@@ -196,13 +180,8 @@ class DLRM:
         loss, dlogits = bce_with_logits(logits, batch.labels)
         self.backward(dlogits)
         self.optimizer.step()
-        for name, feature in self.sparse_arch.features.items():
-            if self._sparse_opts is not None:
-                feature.table.apply_optimizer(
-                    self._sparse_opts[name], track_updates=track_updates
-                )
-            else:
-                feature.table.apply_sgd(
-                    self.config.lr, track_updates=track_updates
-                )
+        for feature in self.sparse_arch.features.values():
+            feature.table.apply_sgd(
+                self.config.lr, track_updates=track_updates
+            )
         return loss

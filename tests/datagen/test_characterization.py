@@ -120,13 +120,6 @@ class TestCharacterizationReport:
         ]
         assert np.mean(user) > np.mean(item) + 0.3  # the Fig 4 knee
 
-    def test_sorted_exact_descending(self):
-        report = characterize_schema(
-            characterization_schema(num_features=50), num_sessions=500
-        )
-        fr = [f.exact_fraction for f in report.sorted_exact()]
-        assert fr == sorted(fr, reverse=True)
-
 
 class TestBatchSamplesPerSession:
     def test_interleaved_vs_clustered(self):

@@ -94,12 +94,6 @@ def downsample_per_session(samples, keep_rate, seed=0):
 
 def run_from_records(config: ETLConfig, features, events) -> list[Sample]:
     samples = join_logs(features, events)
-    if config.keep_rate < 1.0:
-        policy = {
-            "session": downsample_per_session,
-            "sample": downsample_per_sample,
-        }[config.downsample_by]
-        samples = policy(samples, config.keep_rate, config.seed)
     if config.cluster:
         samples = cluster_by_session(samples)
     return samples

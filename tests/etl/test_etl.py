@@ -144,6 +144,35 @@ class TestDownsample:
         with pytest.raises(ValueError):
             keep_sessions(np.empty(0, dtype=np.int64), -0.1)
 
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            lambda rate: keep_samples(4, rate),
+            lambda rate: keep_sessions(np.array([1, 1, 2, 3]), rate),
+        ],
+        ids=["per-sample", "per-session"],
+    )
+    @pytest.mark.parametrize(
+        "rate",
+        [1.5, -0.25, float("nan"), float("inf")],
+        ids=["above-one", "negative", "nan", "inf"],
+    )
+    def test_bad_rate_raises_naming_keep_rate(self, policy, rate):
+        """A rate outside [0, 1] raises before any row is drawn — NaN
+        and infinity too, which would otherwise keep every row (inf)
+        or none (NaN) without a word."""
+        with pytest.raises(ValueError, match=r"keep_rate must be in \[0, 1\]"):
+            policy(rate)
+
+    def test_per_session_keeps_or_drops_whole_sessions(self):
+        """Every session is kept entire or dropped entire, and a
+        mid-range rate does both."""
+        sid = _block(100, seed=9).session_id
+        keep = keep_sessions(sid, 0.5, seed=3)
+        for session in np.unique(sid):
+            assert np.unique(keep[sid == session]).size == 1
+        assert 0 < keep.sum() < sid.size
+
     def test_samples_per_session_empty(self):
         assert samples_per_session(np.empty(0, dtype=np.int64)) == 0.0
 
@@ -161,8 +190,7 @@ class TestETLJob:
     def test_end_to_end_baseline(self):
         samples = _trace(40, seed=7)
         result = ETLJob(ETLConfig()).run_from_scribe(self._scribe(samples))
-        assert result.joined_rows == len(samples)
-        assert result.dropped_rows == 0
+        assert len(result.samples) == len(samples)
         assert result.ingest_bytes > 0
         # baseline keeps inference-time order
         assert result.samples.sample_id.tolist() == [s.sample_id for s in samples]
@@ -175,18 +203,6 @@ class TestETLJob:
         assert _is_clustered(result.samples.session_id)
         assert len(result.samples) == len(samples)
 
-    def test_downsampling_session_mode(self):
-        samples = _trace(100, seed=9)
-        result = ETLJob(
-            ETLConfig(keep_rate=0.5, downsample_by="session")
-        ).run_from_scribe(self._scribe(samples))
-        assert result.dropped_rows == len(samples) - len(result.samples)
-        assert 0 < len(result.samples) < len(samples)
-
-    def test_unknown_downsample_mode(self):
-        with pytest.raises(ValueError, match=r"ETLConfig\.downsample_by"):
-            ETLConfig(keep_rate=0.5, downsample_by="bogus")
-
     def test_round_trip_feature_values(self):
         samples = _trace(20, seed=10)
         result = ETLJob(ETLConfig()).run_from_scribe(self._scribe(samples))
@@ -195,28 +211,3 @@ class TestETLJob:
             np.testing.assert_array_equal(
                 got.sparse["f"], by_id[got.sample_id].sparse["f"]
             )
-
-
-@pytest.mark.parametrize(
-    "field, kwargs",
-    [
-        ("keep_rate", {"keep_rate": 1.5}),
-        ("keep_rate", {"keep_rate": -0.25}),
-        ("keep_rate", {"keep_rate": float("nan")}),
-        ("keep_rate", {"keep_rate": float("inf")}),
-        ("downsample_by", {"downsample_by": "bogus"}),
-    ],
-    ids=[
-        "keep-rate-above-one",
-        "keep-rate-negative",
-        "keep-rate-nan",
-        "keep-rate-inf",
-        "downsample-by-unknown-without-downsampling",
-    ],
-)
-def test_config_rejects_a_bad_field_at_construction(field, kwargs):
-    """A bad policy raises where it is written, naming its field — not
-    later, and not never (a ``keep_rate`` of 1.5 or NaN, or an unknown
-    ``downsample_by`` with no downsampling, used to land every row)."""
-    with pytest.raises(ValueError, match=rf"ETLConfig\.{field}"):
-        ETLConfig(**kwargs)

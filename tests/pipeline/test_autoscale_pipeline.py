@@ -98,6 +98,28 @@ class TestConvergence:
             assert res.scaling.in_band(last.reader_stall_fraction)
 
 
+    def test_decisions_are_pinned(self, run_of):
+        """The exact width after each decision, and each action, that
+        both directions take end to end: the bands above would let the
+        control law drift unnoticed."""
+        for spec, widths, actions in [
+            (
+                _reader_bound(1),
+                [10, 10, 10, 10],
+                ["grow", "hold", "hold", "hold"],
+            ),
+            (
+                _reader_bound(32, train_epochs=8),
+                [32, 16, 16, 14, 14, 13, 13, 13],
+                ["hold", "shrink", "hold", "shrink"]
+                + ["hold", "shrink", "hold", "hold"],
+            ),
+        ]:
+            trace = run_of(spec).scaling
+            assert [d.width_after for d in trace.decisions] == widths
+            assert trace.actions == actions
+
+
 class TestFunctionalIdentity:
     def test_autoscale_keeps_losses_bit_identical(self, run_of):
         """Fleet width never changes which rows form which batch, so an

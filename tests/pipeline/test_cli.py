@@ -136,6 +136,56 @@ class TestBadValues:
                 ["multijob", "--job", "RM1:batch_size=0"],
                 "--job key 'batch_size' must be positive, got 0",
             ),
+            # a JobSpec field (no section) and a Session keyword used
+            # to print the spec field / keyword instead of the flag
+            (
+                ["multijob", "--job", "RM1:weight=0"],
+                "--job key 'weight' must be positive and finite",
+            ),
+            (
+                ["stream", "--freshness-slo", "-1"],
+                "--freshness-slo must be positive, got -1.0",
+            ),
+            (
+                ["multijob", "--job", "RM1:weight=nan"],
+                "--job key 'weight' must be positive and finite, got nan",
+            ),
+            (
+                ["stream", "--freshness-slo", "0"],
+                "--freshness-slo must be positive, got 0.0",
+            ),
+            (
+                ["stream", "--freshness-slo", "nan"],
+                "--freshness-slo must be positive, got nan",
+            ),
+            (
+                ["pipeline", "--autoscale", "--target-stall", "0"],
+                "--target-stall must be in (0, 1), got 0.0",
+            ),
+            (
+                ["pipeline", "--autoscale", "--max-readers", "0"],
+                "--max-readers must be positive, got 0",
+            ),
+            (
+                ["pipeline", "--num-partitions", "0"],
+                "--num-partitions must be positive, got 0",
+            ),
+            (
+                ["pipeline", "--train-epochs", "0"],
+                "--train-epochs must be positive, got 0",
+            ),
+            (
+                ["pipeline", "--train-batches", "0"],
+                "--train-batches must be positive, got 0",
+            ),
+            (
+                ["stream", "--stream-rows-per-file", "0"],
+                "--stream-rows-per-file must be positive, got 0",
+            ),
+            (
+                ["stream", "--land-latency", "-1"],
+                "--land-latency must be non-negative and finite, got -1.0",
+            ),
             (
                 ["pipeline", "--reader-executor", "auto"],
                 "argument --reader-executor: invalid choice: 'auto'",

@@ -43,7 +43,6 @@ SCHEDULES = {
         "stream": StreamSpec(),
         "retention": RetentionSpec(window=2),
     },
-    "streamed-nocompact": {"stream": StreamSpec(compact=False)},
 }
 TOGGLES = {"baseline": RecDToggles.baseline, "full": RecDToggles.full}
 CASES = [f"{s}/{t}" for s in SCHEDULES for t in TOGGLES]

@@ -173,7 +173,7 @@ class TestFleetDeterminism:
         cfg = _plain_cfg()
         serial = self._serial(table, cfg)
         fleet = ReaderFleet(num_readers, cfg, executor="inprocess")
-        got = fleet.run(table, "p")
+        got = fleet.run_epoch(table, ["p"])
         assert serial  # the table must be big enough to mean something
         assert_batches_identical(got, serial)
         assert fleet.report.executor_used == "inprocess"
@@ -184,7 +184,7 @@ class TestFleetDeterminism:
         cfg = _plain_cfg()
         serial = self._serial(table, cfg)
         fleet = ReaderFleet(num_readers, cfg, executor="process")
-        got = fleet.run(table, "p")
+        got = fleet.run_epoch(table, ["p"])
         assert_batches_identical(got, serial)
         assert fleet.report.executor_used == "process"
 
@@ -193,7 +193,7 @@ class TestFleetDeterminism:
         cfg = _dedup_cfg()
         serial = self._serial(table, cfg)
         fleet = ReaderFleet(3, cfg, executor="inprocess")
-        got = fleet.run(table, "p")
+        got = fleet.run_epoch(table, ["p"])
         assert serial and all(b.ikjts for b in serial)
         assert_batches_identical(got, serial)
 
@@ -202,7 +202,7 @@ class TestFleetDeterminism:
         cfg = _plain_cfg()
         serial = self._serial(table, cfg)
         fleet = ReaderFleet(4, cfg, executor="inprocess")
-        got = fleet.run(table, "p", max_batches=3)
+        got = fleet.run_epoch(table, ["p"], max_batches=3)
         assert_batches_identical(got, serial[:3])
 
     def test_max_batches_zero_yields_nothing(self, landed_table):
@@ -211,13 +211,13 @@ class TestFleetDeterminism:
         cfg = _plain_cfg()
         assert self._serial(table, cfg, max_batches=0) == []
         fleet = ReaderFleet(2, cfg, executor="inprocess")
-        assert fleet.run(table, "p", max_batches=0) == []
+        assert fleet.run_epoch(table, ["p"], max_batches=0) == []
 
     def test_partition_smaller_than_batch(self, landed_table):
         table, samples = landed_table(seed=5, sessions=2)
         cfg = _plain_cfg(batch_size=len(samples) + 10)
         fleet = ReaderFleet(2, cfg, executor="inprocess")
-        assert fleet.run(table, "p") == []
+        assert fleet.run_epoch(table, ["p"]) == []
         assert fleet.report.merged.batches == 0
 
     def test_validation(self):
@@ -407,7 +407,7 @@ class TestReportMerging:
         table, samples = landed_table(seed=6, stripe_rows=64)
         cfg = _plain_cfg()
         fleet = ReaderFleet(3, cfg, executor="inprocess")
-        batches = fleet.run(table, "p")
+        batches = fleet.run_epoch(table, ["p"])
         rep = fleet.report
         assert len(rep.workers) == rep.num_shards > 1
         merged = rep.merged

@@ -50,9 +50,9 @@ class TestExecutorEquivalence:
         table, _ = landed_table(seed=12, stripe_rows=64)
         cfg = _plain_cfg()
         proc = ReaderFleet(width, cfg, executor="process")
-        proc.run(table, "p")
+        proc.run_epoch(table, ["p"])
         fleet = ReaderFleet(width, cfg)
-        fleet.run(table, "p")
+        fleet.run_epoch(table, ["p"])
         assert proc.report.executor_used == "process"
         assert _accounting(fleet.report) == _accounting(proc.report)
 
@@ -60,8 +60,8 @@ class TestExecutorEquivalence:
     def test_max_batches_prefix(self, landed_table, width):
         table, _ = landed_table(seed=13, stripe_rows=64)
         cfg = _plain_cfg()
-        want = ReaderFleet(1, cfg).run(table, "p")
-        got = ReaderFleet(width, cfg).run(table, "p", max_batches=3)
+        want = ReaderFleet(1, cfg).run_epoch(table, ["p"])
+        got = ReaderFleet(width, cfg).run_epoch(table, ["p"], max_batches=3)
         assert_batches_identical(got, want[:3])
 
 
@@ -77,9 +77,9 @@ class TestSerialQueueClock:
         table, _ = landed_table(clustered=dedup, seed=11, stripe_rows=64)
         cfg = _dedup_cfg() if dedup else _plain_cfg()
         fleet = ReaderFleet(width, cfg)
-        got = fleet.run(table, "p")
+        got = fleet.run_epoch(table, ["p"])
         again = ReaderFleet(width, cfg)
-        assert_batches_identical(again.run(table, "p"), got)
+        assert_batches_identical(again.run_epoch(table, ["p"]), got)
         assert got  # the clock must actually see batches
         queue = fleet.report.queue
         # the consumer waits for the first batch of the epoch at least
@@ -105,7 +105,7 @@ class TestTransportAccounting:
         fleet = ReaderFleet(
             3, _plain_cfg(), executor=executor, transport="copy"
         )
-        fleet.run(table, "p")
+        fleet.run_epoch(table, ["p"])
         merged = fleet.report.merged
         assert merged.bytes.copied == merged.bytes.decoded > 0
         assert merged.bytes.avoided == 0
@@ -117,7 +117,7 @@ class TestTransportAccounting:
         fleet = ReaderFleet(
             3, _plain_cfg(), executor=executor, transport="shm"
         )
-        fleet.run(table, "p")
+        fleet.run_epoch(table, ["p"])
         merged = fleet.report.merged
         assert merged.bytes.avoided == merged.bytes.decoded > 0
         assert merged.bytes.copied == 0
@@ -134,7 +134,7 @@ class TestTransportAccounting:
         copy = ReaderFleet(4, cfg, transport="copy")
         shm = ReaderFleet(4, cfg, transport="shm")
         assert_batches_identical(
-            copy.run(table, "p"), shm.run(table, "p")
+            copy.run_epoch(table, ["p"]), shm.run_epoch(table, ["p"])
         )
 
     def test_delivered_wall_floors_at_transport(self):

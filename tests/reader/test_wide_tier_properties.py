@@ -129,7 +129,7 @@ class TestWideFleet:
     ):
         table = _landed()
         fleet = ReaderFleet(width, _dl_config(), transport=transport)
-        got = fleet.run(table, "p")
+        got = fleet.run_epoch(table, ["p"])
         assert_batches_identical(got, list(_serial_reference()))
         fractions = fleet.report.queue.fractions()
         assert set(fractions) == {"put_wait", "get_wait", "transport"}

@@ -16,7 +16,9 @@ from repro.trainer.checkpoint import (
 from .test_model import make_batches
 
 
-def _model(seed=1, optimizer="sgd"):
+def _model(seed=1, drop_last_feature=False):
+    """An RM2 model; ``drop_last_feature`` builds one with a smaller
+    feature set (one embedding table fewer, a narrower top MLP)."""
     w = rm2(scale=0.1)
     cfg = DLRMConfig(
         embedding_dim=w.embedding_dim,
@@ -24,10 +26,16 @@ def _model(seed=1, optimizer="sgd"):
         top_mlp=tuple(w.top_mlp),
         num_dense=len(w.schema.dense),
         max_table_rows=200,
-        sparse_optimizer=optimizer,
         seed=seed,
     )
-    return DLRM(list(w.schema.sparse), cfg, TrainerOptFlags.baseline()), w
+    sparse = list(w.schema.sparse)
+    if drop_last_feature:
+        sparse = sparse[:-1]
+    return DLRM(sparse, cfg, TrainerOptFlags.baseline()), w
+
+
+def _last_table_key():
+    return f"emb/{rm2(scale=0.1).schema.sparse[-1].name}/weight"
 
 
 class TestSerialization:
@@ -47,26 +55,30 @@ class TestSerialization:
 
     def test_resume_training_is_exact(self):
         """A restored model continues the identical loss trajectory."""
-        model, w = _model(optimizer="rowwise_adagrad")
+        model, w = _model()
         batches = make_batches(w, dedup=False, n_batches=4, seed=3)
         model.train_step(batches[0])
         blob = save_model(model)
         later = [model.train_step(b) for b in batches[1:]]
 
-        restored, _ = _model(seed=77, optimizer="rowwise_adagrad")
+        restored, _ = _model(seed=77)
         load_model(restored, blob)
         resumed = [restored.train_step(b) for b in batches[1:]]
         np.testing.assert_allclose(later, resumed, rtol=1e-12)
 
-    def test_adagrad_state_included(self):
-        model, _ = _model(optimizer="rowwise_adagrad")
+    def test_state_is_the_weights_and_nothing_else(self):
+        """One table weight per sparse feature, one array per dense
+        parameter, and the format marker: no optimizer state."""
+        model, w = _model()
         state = model_state(model)
-        assert any(k.startswith("adagrad/") for k in state)
+        tables = {f"emb/{f.name}/weight" for f in w.schema.sparse}
+        dense = {f"dense/{i}" for i in range(len(model.dense_params()))}
+        assert set(state) == {"__format__"} | tables | dense
 
     def test_architecture_mismatch_rejected(self):
         model, _ = _model()
         blob = save_model(model)
-        other, _ = _model(optimizer="rowwise_adagrad")  # extra state keys
+        other, _ = _model(drop_last_feature=True)  # one table fewer
         with pytest.raises(ValueError):
             load_model(other, blob)
 
@@ -151,17 +163,52 @@ class TestLoadModelErrors:
             f"shape={emb_key} (checkpoint (3, 3) vs model {want_shape})"
         )
 
-    def test_optimizer_mismatch_lists_missing_adagrad_keys(self):
-        model, _ = _model(optimizer="sgd")
-        blob = save_model(model)
-        other, _ = _model(optimizer="rowwise_adagrad")
-        wanted = sorted(
-            k for k in model_state(other) if k.startswith("adagrad/")
+    def test_feature_set_mismatch_lists_the_table_key(self):
+        """A checkpoint of another feature set names the table it lacks
+        (missing) or carries beyond the model (extra), then the dense
+        layers whose width the feature count sets (shape)."""
+        small, _ = _model(drop_last_feature=True)
+        full, _ = _model()
+        with pytest.raises(ValueError) as err:
+            load_model(full, save_model(small))
+        assert str(err.value).startswith(
+            f"checkpoint/model mismatch: missing={_last_table_key()}; shape="
         )
         with pytest.raises(ValueError) as err:
-            load_model(other, blob)
+            load_model(small, save_model(full))
+        assert str(err.value).startswith(
+            f"checkpoint/model mismatch: extra={_last_table_key()}; shape="
+        )
+
+    def test_optimizer_state_in_the_blob_is_extra(self):
+        """The checkpoint holds weights only: a blob carrying an
+        optimizer's per-row state beside them is refused, naming just
+        those arrays."""
+        import io
+
+        model, _ = _model()
+        state = model_state(model)
+        table = _last_table_key()
+        acc = table.replace("emb/", "adagrad/").replace("weight", "accumulator")
+        state[acc] = np.zeros(state[table].shape[0])
+        buf = io.BytesIO()
+        np.savez_compressed(buf, **state)
+        with pytest.raises(ValueError) as err:
+            load_model(model, buf.getvalue())
+        assert str(err.value) == f"checkpoint/model mismatch: extra={acc}"
+
+    def test_missing_table_alone_is_one_part(self):
+        import io
+
+        model, _ = _model()
+        state = model_state(model)
+        del state[_last_table_key()]
+        buf = io.BytesIO()
+        np.savez_compressed(buf, **state)
+        with pytest.raises(ValueError) as err:
+            load_model(model, buf.getvalue())
         assert str(err.value) == (
-            "checkpoint/model mismatch: missing=" + ", ".join(wanted)
+            f"checkpoint/model mismatch: missing={_last_table_key()}"
         )
 
     def test_mismatched_table_capacity_reports_shapes(self):
@@ -263,9 +310,9 @@ class TestModelStore:
 
     def test_restore_into_mismatched_architecture(self):
         store = ModelStore(TectonicFS())
-        model, _ = _model(optimizer="sgd")
+        model, _ = _model(drop_last_feature=True)
         store.save("m", model)
-        other, _ = _model(optimizer="rowwise_adagrad")
-        with pytest.raises(ValueError, match="missing=adagrad/"):
+        other, _ = _model()
+        with pytest.raises(ValueError, match=f"missing={_last_table_key()}"):
             store.load("m", other)
 

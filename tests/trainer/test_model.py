@@ -142,6 +142,54 @@ class TestKjtIkjtTrainingEquivalence:
         )
 
 
+class TestSparseSGD:
+    def test_train_step_moves_only_looked_up_rows(self, monkeypatch):
+        """Embeddings train by sparse SGD: a step changes exactly the
+        rows its batch looked up, each by ``-lr`` times its summed
+        gradient."""
+        w = small_workload()
+        model = make_model(w, TrainerOptFlags.baseline())
+        (batch,) = make_batches(w, dedup=False, n_batches=1, seed=4)
+        tables = [f.table for f in model.sparse_arch.features.values()]
+        before = [t.weight.copy() for t in tables]
+        seen = {}
+        apply_sgd = EmbeddingTable.apply_sgd
+
+        def spy(table, lr, track_updates=False):
+            total = np.zeros_like(table.weight)
+            for ids, g in zip(table._grad_ids, table._grad_values):
+                np.add.at(total, ids, g)
+            touched = np.unique(np.concatenate(table._grad_ids))
+            seen[id(table)] = (touched, total, lr)
+            apply_sgd(table, lr, track_updates)
+
+        monkeypatch.setattr(EmbeddingTable, "apply_sgd", spy)
+        model.train_step(batch)
+        assert seen.keys() == {id(t) for t in tables}
+        for table, old in zip(tables, before):
+            touched, total, lr = seen[id(table)]
+            assert lr == model.config.lr
+            untouched = np.setdiff1d(np.arange(table.num_rows), touched)
+            assert untouched.size and np.abs(total[touched]).max() > 0
+            np.testing.assert_array_equal(
+                table.weight[untouched], old[untouched]
+            )
+            np.testing.assert_allclose(
+                table.weight[touched],
+                old[touched] - lr * total[touched],
+                rtol=1e-12,
+                atol=1e-15,
+            )
+
+    def test_apply_sgd_with_no_gradient_is_a_no_op(self):
+        table = EmbeddingTable(8, 2, np.random.default_rng(0))
+        before = table.weight.copy()
+        table.accumulate_grad(np.array([], dtype=np.int64), np.zeros((0, 2)))
+        table.apply_sgd(0.1, track_updates=True)
+        np.testing.assert_array_equal(table.weight, before)
+        assert table.update_events == {}
+
+
 class TestUpdateTracking:
     def test_repeat_update_counting(self):
         table = EmbeddingTable(16, 2, np.random.default_rng(0))
