@@ -107,7 +107,10 @@ def _varint_decode_chunks(
     Chunk ``i`` must hold exactly ``counts[i]`` whole values; the first
     chunk that does not raises what decoding it alone raises (it ends
     inside a value, holds another count, or holds a value longer than
-    10 bytes — checked in that order).
+    10 bytes — checked in that order).  The decode then works per
+    value, not per byte: one gather of every value's k-th 7-bit group
+    for each k below the widest value's byte count, a width the
+    over-long check has already bounded by 10.
     """
     sizes = np.fromiter(map(len, payloads), np.int64, len(payloads))
     buf = np.frombuffer(b"".join(payloads), dtype=np.uint8)
@@ -127,10 +130,12 @@ def _varint_decode_chunks(
         filled = sizes > 0
         truncated = np.zeros(sizes.size, dtype=bool)
         truncated[filled] = buf[cuts[1:][filled] - 1] >= 0x80
-        # an int64 needs at most 10 groups of 7 bits; past that the
-        # shift below is undefined
+        # an int64 needs at most 10 groups of 7 bits; past that a group
+        # lands beyond bit 63, and the gather below loops once per byte
+        # of the widest value, so this bound is checked before it runs
+        width = int(nbytes.max(initial=0))
         overlong = np.zeros(sizes.size, dtype=bool)
-        if nbytes.size and nbytes.max() > 10:
+        if width > 10:
             long_starts = starts[nbytes > 10]
             overlong[np.searchsorted(cuts, long_starts, side="right") - 1] = True
     bad = truncated | (held != counts) | overlong
@@ -145,11 +150,17 @@ def _varint_decode_chunks(
         raise ValueError("varint stream holds a value longer than 10 bytes")
     if whole:
         return unzigzag(buf)
-    # shift every byte's 7 bits to its rank within its value, then sum
-    # each value's bytes (disjoint bits, so the sum is the OR)
-    rank = np.arange(buf.size) - np.repeat(starts, nbytes)
-    groups = (buf & 0x7F).astype(np.uint64) << (7 * rank).astype(np.uint64)
-    return unzigzag(np.add.reduceat(groups, starts))
+    # the k-th 7-bit group of every value at once, OR-ed in at bit 7k;
+    # the padding keeps ``starts + k`` inside the buffer, and a group
+    # past a value's end (its successor's first) is masked
+    low = np.zeros(buf.size + width, dtype=np.uint8)
+    np.bitwise_and(buf, 0x7F, out=low[: buf.size])
+    values = low[starts].astype(np.uint64)
+    for k in range(1, width):
+        group = low[k:][starts]
+        np.multiply(group, nbytes > k, out=group)
+        values |= np.left_shift(group, np.uint64(7 * k), dtype=np.uint64)
+    return unzigzag(values)
 
 
 def _varint_decode(data: bytes, count: int) -> np.ndarray:

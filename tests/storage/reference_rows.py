@@ -4,7 +4,10 @@ Kept under ``tests/`` only, as the oracle the property tests compare
 ``src/`` against: the ≤10-plane masked varint loops and the row-based
 stripe writer (six ``[r.x for r in rows]`` comprehensions and one
 encode + compress per stream per stripe), both as they stood before
-``DwrfWriter.write`` took a ``RowBlock``.
+``DwrfWriter.write`` took a ``RowBlock``.  The plane loop gathers a
+value's k-th byte the way the decoder in ``src/`` does, so the varint
+decoder's independent oracle is :func:`varint_decode_python`, a byte
+loop on Python ints.
 """
 
 from __future__ import annotations
@@ -81,6 +84,34 @@ def varint_decode_planes(data: bytes, count: int) -> np.ndarray:
         mask = nbytes_per_val > plane
         values[mask] |= payload[starts[mask] + plane] << np.uint64(7 * plane)
     return unzigzag(values)
+
+
+def varint_decode_python(data: bytes, count: int) -> np.ndarray:
+    """LEB128 + zigzag, one byte at a time on Python ints.
+
+    Raises what ``decode_int64(data, count, VARINT)`` raises, checked in
+    the same order: a stream ending inside a value, another number of
+    values than ``count``, a value longer than 10 bytes.  Bits a 10-byte
+    value sets past bit 63 are dropped, as a uint64 shift drops them.
+    """
+    if data and data[-1] >= 0x80:
+        raise ValueError("varint stream is truncated inside its last value")
+    values: list[int] = []
+    value = shift = longest = 0
+    for byte in data:
+        value |= (byte & 0x7F) << shift
+        shift += 7
+        if byte < 0x80:
+            values.append(value & (2**64 - 1))
+            longest = max(longest, shift // 7)
+            value = shift = 0
+    if len(values) != count:
+        raise ValueError(
+            f"varint stream holds {len(values)} values, expected {count}"
+        )
+    if longest > 10:
+        raise ValueError("varint stream holds a value longer than 10 bytes")
+    return np.array([(u >> 1) ^ -(u & 1) for u in values], dtype=np.int64)
 
 
 def encode_stream(

@@ -1,5 +1,7 @@
 """Round-trip tests for column stream encodings."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -13,6 +15,8 @@ from repro.storage import (
     zigzag,
 )
 from repro.storage.encoding import decode_int64_chunks, encode_int64_chunks
+
+from .reference_rows import varint_decode_python
 
 
 class TestZigzag:
@@ -218,3 +222,122 @@ class TestDecodeChunks:
         for encoding in IntEncoding:
             got = decode_int64_chunks([], [], encoding)
             assert got.dtype == np.int64 and got.size == 0
+
+
+# -- the varint kernel against an independent oracle ---------------------------
+
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
+def _width_edges() -> list[int]:
+    """Values on either side of a varint width step, 2**(7k), taken
+    both as the value and as its zigzag, plus the int64 ends."""
+    edges = {_INT64_MIN, _INT64_MAX}
+    for k in range(1, 10):
+        for step in (2 ** (7 * k) - 1, 2 ** (7 * k), 2 ** (7 * k) + 1):
+            edges.update((step, -step))
+            edges.add(step >> 1 if step % 2 == 0 else -((step + 1) >> 1))
+    return sorted(e for e in edges if _INT64_MIN <= e <= _INT64_MAX)
+
+
+_edge_columns = st.lists(
+    st.one_of(
+        st.sampled_from(_width_edges()),
+        st.integers(min_value=_INT64_MIN, max_value=_INT64_MAX),
+    ),
+    max_size=60,
+)
+_hostile_chunk = st.lists(
+    st.one_of(
+        st.binary(max_size=12),
+        # a run of continuation bytes, up to three times the widest value
+        st.builds(
+            lambda run, last: b"\x80" * run + bytes([last]),
+            st.integers(0, 30),
+            st.integers(0, 255),
+        ),
+    ),
+    max_size=4,
+).map(b"".join)
+
+
+class TestVarintOracle:
+    """``varint_decode_python`` is a byte loop on Python ints and shares
+    no code with the kernel; the plane loop in ``reference_rows`` gathers
+    per value as the kernel does, so it cannot be the oracle."""
+
+    @given(_edge_columns, st.lists(st.integers(0, 60), max_size=6))
+    def test_any_column_decodes_as_the_oracle(self, values, cuts):
+        v = np.array(values, dtype=np.int64)
+        bounds = sorted([0, v.size, *(min(c, v.size) for c in cuts)])
+        counts = np.diff(bounds)
+        payloads = encode_int64_chunks(v, bounds, IntEncoding.VARINT)
+        want = np.concatenate(
+            [np.empty(0, dtype=np.int64)]
+            + [
+                varint_decode_python(data, count)
+                for data, count in zip(payloads, counts.tolist())
+            ]
+        )
+        np.testing.assert_array_equal(want, v)
+        np.testing.assert_array_equal(
+            decode_int64_chunks(payloads, counts, IntEncoding.VARINT), want
+        )
+
+    @given(
+        st.lists(
+            st.tuples(_hostile_chunk, st.one_of(st.none(), st.integers(0, 13))),
+            max_size=5,
+        )
+    )
+    def test_any_bytes_decode_or_fail_as_the_oracle(self, chunks):
+        payloads = [data for data, _ in chunks]
+        # None: the count of value ends the chunk holds, so that chunks
+        # which decode come up as often as chunks which do not
+        counts = [
+            sum(byte < 0x80 for byte in data) if count is None else count
+            for data, count in chunks
+        ]
+        try:
+            want = [
+                varint_decode_python(data, count)
+                for data, count in zip(payloads, counts)
+            ]
+        except ValueError as err:
+            with pytest.raises(ValueError) as got:
+                decode_int64_chunks(payloads, counts, IntEncoding.VARINT)
+            assert str(got.value) == str(err)
+        else:
+            np.testing.assert_array_equal(
+                decode_int64_chunks(payloads, counts, IntEncoding.VARINT),
+                np.concatenate([np.empty(0, dtype=np.int64), *want]),
+            )
+
+    def test_a_hostile_width_fails_before_it_sizes_the_gather(self):
+        """The gather loops once per byte of the widest value, so the
+        width is bounded by the overlong check before it is used: a
+        megabyte of continuation bytes is one error, not a million
+        passes."""
+        hostile = b"\x80" * 1_000_000 + b"\x00"
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match="longer than 10 bytes"):
+            decode_int64_chunks([hostile], [1], IntEncoding.VARINT)
+        assert time.perf_counter() - started < 1.0
+        good = encode_int64(np.array([1, 300]), IntEncoding.VARINT)
+        long_mid = b"\x01" + b"\x80" * 11 + b"\x00" + b"\x02"
+        # an over-long value mid-stream is its own chunk's error: the
+        # wrong count in the chunk after it is never reached ...
+        with pytest.raises(ValueError, match="longer than 10 bytes"):
+            decode_int64_chunks(
+                [good, long_mid, good], [2, 3, 5], IntEncoding.VARINT
+            )
+        # ... and a wrong count in the chunk before it comes first
+        with pytest.raises(ValueError, match="holds 2 values, expected 1"):
+            decode_int64_chunks([good, long_mid], [1, 3], IntEncoding.VARINT)
+        # the widest legal value is ten bytes: INT64_MIN zigzags to 2**64 - 1
+        ten = encode_int64(np.array([_INT64_MIN]), IntEncoding.VARINT)
+        assert len(ten) == 10
+        np.testing.assert_array_equal(
+            decode_int64_chunks([good, ten], [2, 1], IntEncoding.VARINT),
+            [1, 300, _INT64_MIN],
+        )
