@@ -19,8 +19,12 @@ Usage::
 
 ``--tree`` runs another checkout's stopwatch on that checkout's source
 (its sha is recorded; the file is still written here).  Seeds default
-to ``100 * pr + 1 … 100 * pr + 5``, unseen by earlier records.  Exits 1
-when a run fails a check, 2 on usage errors.
+to ``100 * pr + 1 … 100 * pr + 5``, unseen by earlier records.  An
+existing ``BENCH_<pr>.json`` is never overwritten.  ``--compare`` also
+reads backfilled files (``"backfilled": true``), which may lack the
+sha, the slowdown, the fingerprints, the quartiles or some metrics.
+Exits 1 when a run fails a check, 2 on usage errors (an existing
+record included).
 """
 
 from __future__ import annotations
@@ -114,11 +118,21 @@ def compare(a: dict, b: dict, a_name: str, b_name: str) -> list[str]:
     """The markdown ratio table, B over A, one row per workload and
     end-to-end metric both files hold."""
     better = {m["name"]: m["better"] for m in declaration()["end_to_end"]}
+
+    def head(label: str, name: str, f: dict) -> str:
+        # a backfilled file may lack the sha, the slowdown or the seeds
+        sha = (f.get("git_sha") or "—")[:10]
+        slowdown = f.get("machine_slowdown")
+        slowdown = "—" if slowdown is None else f"{slowdown:.3f}"
+        kind = ", backfilled" if f.get("backfilled") else ""
+        return (
+            f"{label} = {name} (sha {sha}, seeds {f.get('seeds')}, "
+            f"slowdown {slowdown}{kind})"
+        )
+
     lines = [
-        f"A = {a_name} (sha {a['git_sha'][:10]}, seeds {a['seeds']}, "
-        f"slowdown {a['machine_slowdown']:.3f})",
-        f"B = {b_name} (sha {b['git_sha'][:10]}, seeds {b['seeds']}, "
-        f"slowdown {b['machine_slowdown']:.3f})",
+        head("A", a_name, a),
+        head("B", b_name, b),
         "",
         "| workload | metric | A median | A IQR | B median | B ÷ A | "
         "fingerprints |",
@@ -128,22 +142,24 @@ def compare(a: dict, b: dict, a_name: str, b_name: str) -> list[str]:
         wb = b["workloads"].get(name)
         if wb is None:
             continue
-        shared = set(wa["fingerprints"]) & set(wb["fingerprints"])
+        fa, fb = wa.get("fingerprints", {}), wb.get("fingerprints", {})
+        shared = set(fa) & set(fb)
         same = "—" if not shared else (
-            "equal" if all(wa["fingerprints"][s] == wb["fingerprints"][s]
-                           for s in shared) else "DIFFER"
+            "equal" if all(fa[s] == fb[s] for s in shared) else "DIFFER"
         )
         for metric, direction in better.items():
-            if metric not in wa["metrics"] or metric not in wb["metrics"]:
+            ma = wa.get("metrics", {}).get(metric, {})
+            mb = wb.get("metrics", {}).get(metric, {})
+            if "median" not in ma or "median" not in mb:
                 continue
-            ma, mb = wa["metrics"][metric], wb["metrics"][metric]
             ratio = mb["median"] / ma["median"]
             if ratio == 1:
                 verdict = "="
             else:
                 verdict = "better" if (ratio > 1) == (direction == "higher") else "worse"
+            iqr = f"{ma['iqr']:.4g}" if "iqr" in ma else "—"
             lines.append(
-                f"| {name} | {metric} | {ma['median']:.6g} | {ma['iqr']:.4g} "
+                f"| {name} | {metric} | {ma['median']:.6g} | {iqr} "
                 f"| {mb['median']:.6g} | ×{ratio:.3f} {verdict} | {same} |"
             )
     return lines
@@ -172,8 +188,10 @@ def main(argv: list[str] | None = None) -> int:
     seeds = args.seeds or [100 * args.pr + i for i in range(1, MIN_SEEDS + 1)]
     if len(set(seeds)) < MIN_SEEDS:
         parser.error(f"--seeds needs at least {MIN_SEEDS} distinct seeds")
-    result = record(pathlib.Path(args.tree).resolve(), args.pr, seeds)
     out = REPO_ROOT / f"BENCH_{args.pr}.json"
+    if out.exists():  # a committed record is never measured over
+        parser.error(f"{out} exists; move it away or record under another --pr")
+    result = record(pathlib.Path(args.tree).resolve(), args.pr, seeds)
     out.write_text(json.dumps(result, indent=1) + "\n")
     print(f"written {out}")
     failed = sum(w["failed"] for w in result["workloads"].values())

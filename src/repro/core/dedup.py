@@ -23,6 +23,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .jagged import JaggedTensor
+from .kjt import pack
 
 #: bytes per key column; every member's columns start on a word boundary
 _WORD = 8
@@ -31,6 +32,7 @@ __all__ = [
     "dedup_rows",
     "dedup_grouped_rows",
     "dedup_groups",
+    "dedup_flat",
     "exact_duplicate_fraction",
     "partial_duplicate_fraction",
     "measured_dedupe_factor",
@@ -71,13 +73,8 @@ def dedup_groups(
     two ``NaN`` rows with the same bits are equal, and members may be of
     any (and of different) value dtypes.
 
-    A fixed number of array passes, none per row and none per member: a
-    row's key is each member's ``[length | zero-padded value bytes]``
-    side by side, the members of all groups share one key matrix (a
-    group is a column range of it), one scatter writes every value of
-    one dtype, and one sort per group brings equal keys together.  A
-    member is padded to *its own* longest row, so one very long row
-    widens that member's columns and no other's.
+    The members are packed into one buffer and keyed by
+    :func:`dedup_flat`; members of mixed dtypes go in as their bytes.
     """
     if not all(groups):
         raise ValueError("need at least one tensor in the group")
@@ -88,17 +85,43 @@ def dedup_groups(
     for t in members:
         if t.num_rows != n:
             raise ValueError("group members must share a batch size")
-    if n == 0:
-        return [
-            (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-            for _ in groups
+    columns = [(t.offsets, t.values) for t in members]
+    if len({v.dtype for _, v in columns}) > 1:
+        # a row's length then counts units of a size dividing every value
+        unit = math.gcd(_WORD, *(v.itemsize for _, v in columns))
+        columns = [
+            (o * (v.itemsize // unit), np.ascontiguousarray(v).view(f"u{unit}"))
+            for o, v in columns
         ]
-    keys, base = _key_matrix(members)
+    return dedup_flat(pack(columns), [len(group) for group in groups])
+
+
+def dedup_flat(
+    flat: JaggedTensor, group_sizes: Sequence[int]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """:func:`dedup_groups` over one ``M·n``-row buffer of ``M`` members
+    (member ``m`` owns rows ``m·n … (m+1)·n``, a KJT's layout) whose
+    groups come one after another, ``group_sizes[g]`` members each.
+
+    A fixed number of array passes, none per row and none per member: a
+    row's key is each member's ``[length | zero-padded value bytes]``
+    side by side, the members of all groups share one key matrix (a
+    group is a column range of it), one scatter writes the whole buffer,
+    and one sort per group brings equal keys together.  A member is
+    padded to *its own* longest row, so one very long row widens that
+    member's columns and no other's.
+    """
+    members = sum(group_sizes)
+    n = flat.num_rows // members if members else 0
+    if n == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return [(empty, empty.copy()) for _ in group_sizes]
+    keys, base = _key_matrix(flat, members)
     every_row = np.arange(n)
     results = []
     stop = 0
-    for group in groups:
-        start, stop = stop, stop + len(group)
+    for size in group_sizes:
+        start, stop = stop, stop + size
         block = keys[:, base[start] : base[stop]]
         row_keys = block.view(f"V{block.shape[1] * _WORD}")[:, 0]
         # a stable sort keeps equal rows in batch order, so the leftmost
@@ -110,51 +133,32 @@ def dedup_groups(
     return results
 
 
-def _key_matrix(members: Sequence[JaggedTensor]) -> tuple[np.ndarray, list[int]]:
+def _key_matrix(flat: JaggedTensor, members: int) -> tuple[np.ndarray, list[int]]:
     """The ``(rows, words)`` int64 matrix whose row ``i`` holds, member
     after member, ``[length | zero-padded value bytes]`` of row ``i``,
     and the first column of each member (plus the total, last)."""
-    offsets = np.array([t.offsets for t in members])
-    n = offsets.shape[1] - 1
-    starts = offsets[:, :-1]
-    lengths = offsets[:, 1:] - starts
+    values = np.ascontiguousarray(flat.values)
+    # positions count units of the largest size dividing a value and a word
+    unit = math.gcd(values.itemsize, _WORD)
+    per_value, per_word = values.itemsize // unit, _WORD // unit
+    starts = flat.offsets[:-1].reshape(members, -1)
+    lengths = flat.lengths.reshape(members, -1)
+    n = lengths.shape[1]
     # a member's columns: its length, then its longest row's bytes rounded
     # up to whole words (the pad bytes are zero in every row)
-    base = [0]
-    for t, longest in zip(members, lengths.max(axis=1).tolist()):
-        base.append(base[-1] + 1 - (-longest * t.values.itemsize // _WORD))
-    width = base[-1]
+    base = np.zeros(members + 1, dtype=np.int64)
+    np.cumsum(1 - (-lengths.max(axis=1) * values.itemsize // _WORD), out=base[1:])
+    width = int(base[-1])
     keys = np.zeros((n, width), dtype=np.int64)
     keys[:, base[:-1]] = lengths.T
-
-    by_dtype: dict[np.dtype, list[int]] = {}
-    for m, t in enumerate(members):
-        by_dtype.setdefault(t.values.dtype, []).append(m)
-    for dtype, which in by_dtype.items():
-        # one scatter of these members' values, laid member after member;
-        # positions count units of the largest size dividing both a value
-        # and a word
-        unit = math.gcd(dtype.itemsize, _WORD)
-        per_value, per_word = dtype.itemsize // unit, _WORD // unit
-        values = np.concatenate([members[m].values for m in which])
-        # unit k of ``values`` lands at k + (where its row's value columns
-        # start in ``keys`` - where its row starts in ``values``)
-        shift, before = [], 0
-        for m in which:
-            shift.append((base[m] + 1) * per_word - before)
-            before += members[m].values.size * per_value
-        row_starts, row_lengths = starts, lengths
-        if len(which) < len(members):  # mixed dtypes: this one's rows
-            row_starts, row_lengths = starts[which], lengths[which]
-        if per_value > 1:  # e.g. complex128: two word-sized units a value
-            row_starts = row_starts * per_value
-            row_lengths = row_lengths * per_value
-        delta = np.array(shift)[:, None] - row_starts
-        delta += np.arange(0, n * width * per_word, width * per_word)
-        dest = np.repeat(delta.ravel(), row_lengths.ravel())
-        dest += np.arange(before)
-        keys.reshape(-1).view(f"u{unit}")[dest] = values.view(f"u{unit}")
-    return keys, base
+    # unit k of the buffer lands at k + (where its row's value columns
+    # start in ``keys`` - where its row starts in the buffer)
+    delta = (base[:-1, None] + 1) * per_word - starts * per_value
+    delta += np.arange(0, n * width * per_word, width * per_word)
+    dest = np.repeat(delta.ravel(), lengths.ravel() * per_value)
+    dest += np.arange(dest.size)
+    keys.reshape(-1).view(f"u{unit}")[dest] = values.view(f"u{unit}")
+    return keys, base.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,11 @@ plus one ``inverse_lookup`` slice shared by the whole group, where
 ``inverse_lookup[i]`` points at the deduplicated row backing batch row
 ``i``.  A single-feature IKJT is simply a group of size one.
 ``ikjt[key]`` is a zero-copy view of the key's unique rows, and
-:attr:`InverseKeyedJaggedTensor.flat` the whole ``K·U``-row tensor, so
-a transform runs once per group.  Byte accounting is per key as it
-always was: :attr:`~InverseKeyedJaggedTensor.wire_nbytes` is
+:attr:`InverseKeyedJaggedTensor.flat` the whole ``K·U``-row tensor;
+:meth:`~InverseKeyedJaggedTensor.gather_groups` puts a batch's groups
+in one buffer, each group's IKJT a view of its row range.  Byte
+accounting is per key as it always was:
+:attr:`~InverseKeyedJaggedTensor.wire_nbytes` is
 ``values.nbytes + K·(U+1)·8`` and
 :attr:`~InverseKeyedJaggedTensor.expanded_nbytes` the expanded values
 plus ``K·(B+1)·8``.
@@ -37,7 +39,7 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 
-from .dedup import dedup_groups
+from .dedup import dedup_flat
 from .jagged import JaggedTensor
 from .jagged_ops import gather_indices, gather_ranges
 from .kjt import _OFFSET, KeyedJaggedTensor
@@ -71,9 +73,8 @@ class InverseKeyedJaggedTensor:
         if inverse_lookup.ndim != 1:
             raise ValueError("inverse_lookup must be 1-D")
         num_unique = unique.batch_size
-        if inverse_lookup.size and (
-            inverse_lookup.min() < 0 or inverse_lookup.max() >= num_unique
-        ):
+        # one pass: as unsigned, a negative index is a huge one
+        if inverse_lookup.size and inverse_lookup.view(np.uint64).max() >= num_unique:
             raise ValueError(
                 f"inverse_lookup must index [0, {num_unique}); got range "
                 f"[{inverse_lookup.min()}, {inverse_lookup.max()}]"
@@ -106,15 +107,26 @@ class InverseKeyedJaggedTensor:
         cls, kjt: KeyedJaggedTensor, groups: Sequence[Sequence[str]]
     ) -> "list[InverseKeyedJaggedTensor]":
         """Deduplicate each group of ``kjt``'s keys into its own IKJT,
-        all groups in one pass; IKJTs come back in ``groups`` order.
+        all groups in one pass; IKJTs come back in ``groups`` order, as
+        views of :meth:`gather_groups`' one buffer."""
+        return cls.split(*cls.gather_groups(kjt, groups))
+
+    @staticmethod
+    def gather_groups(
+        kjt: KeyedJaggedTensor, groups: Sequence[Sequence[str]]
+    ) -> "tuple[JaggedTensor, list[tuple[list[str], int, np.ndarray]]]":
+        """The unique rows of every group of ``kjt``'s keys, group after
+        group in one buffer the call allocates (never ``kjt``'s), and its
+        layout: each group's ``(keys, num_unique, inverse_lookup)``, as
+        :meth:`split` cuts it into IKJTs.
 
         This is the feature-conversion step of O3: duplicate rows are
-        detected by hashing (:func:`~repro.core.dedup.dedup_groups`) and
-        only the first occurrence's values are kept.  The unique rows of
-        every member of every group are gathered out of ``kjt``'s buffer
-        by one index computation, so each group's tensor is a slice of
-        one shared buffer — a buffer the call allocates, never ``kjt``'s.
-        A key may appear once across all groups.
+        detected by hashing (:func:`~repro.core.dedup.dedup_flat` keys
+        every group straight from ``kjt``'s buffer) and only the first
+        occurrence's values are gathered, by one index computation.  A
+        key may appear once across all groups; groups that are not
+        ``kjt``'s keys in order are :meth:`KeyedJaggedTensor.select`-ed
+        first.
         """
         groups = [list(group) for group in groups]
         if not all(groups):
@@ -127,25 +139,29 @@ class InverseKeyedJaggedTensor:
             repeated = next(key for key in keys if keys.count(key) > 1)
             raise ValueError(f"key {repeated!r} is named more than once")
         if not groups:
-            return []
-        deduped = dedup_groups([[kjt[key] for key in group] for group in groups])
-        # key k's unique row i is row k·B + i of kjt's buffer
-        first_row = {key: k * kjt.batch_size for k, key in enumerate(kjt.keys)}
-        rows = np.concatenate(
-            [
-                first_row[key] + unique
-                for group, (unique, _) in zip(groups, deduped)
-                for key in group
-            ]
-        )
-        src, offsets = gather_indices(kjt.flat.offsets, rows)
-        gathered = JaggedTensor(kjt.flat.values[src], offsets)
+            return JaggedTensor.empty(), []
+        if keys != kjt.keys:
+            kjt = kjt.select(keys)
+        flat, sizes = kjt.flat, [len(group) for group in groups]
+        deduped = dedup_flat(flat, sizes)
+        # key k's unique row i is row k·B + i of the buffer
+        first_row = np.split(np.arange(len(keys)) * kjt.batch_size, np.cumsum(sizes)[:-1])
+        rows = [(f[:, None] + u).ravel() for f, (u, _) in zip(first_row, deduped)]
+        src, offsets = gather_indices(flat.offsets, np.concatenate(rows))
+        layout = [(g, u.size, inverse) for g, (u, inverse) in zip(groups, deduped)]
+        return JaggedTensor(flat.values[src], offsets), layout
+
+    @classmethod
+    def split(
+        cls, flat: JaggedTensor, layout: Sequence[tuple]
+    ) -> "list[InverseKeyedJaggedTensor]":
+        """One IKJT per ``(keys, num_unique, inverse_lookup)`` of
+        ``layout``, each a view of the next ``len(keys)·num_unique``
+        rows of ``flat``."""
         out, start = [], 0
-        for group, (unique, inverse) in zip(groups, deduped):
-            stop = start + len(group) * unique.size
-            out.append(
-                cls.from_flat(group, gathered.slice_rows(start, stop), inverse)
-            )
+        for keys, num_unique, inverse in layout:
+            stop = start + len(keys) * num_unique
+            out.append(cls.from_flat(keys, flat.slice_rows(start, stop), inverse))
             start = stop
         return out
 

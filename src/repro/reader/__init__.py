@@ -11,7 +11,6 @@ from .node import ReaderNode, ReaderReport
 from .preprocess import (
     TRANSFORM_REGISTRY,
     ClampValues,
-    DedupPreprocWrapper,
     HashModulo,
     ProcessStats,
     SparseTransform,
@@ -43,7 +42,6 @@ __all__ = [
     "HashModulo",
     "ClampValues",
     "TruncateLength",
-    "DedupPreprocWrapper",
     "ProcessStats",
     "TRANSFORM_REGISTRY",
     "apply_transforms",

@@ -44,10 +44,12 @@ def convert_rows(
     ``rows`` is the fill step's :class:`~repro.storage.rowblock.RowBlock`.
     Every tensor is built over the block's columns — no per-row work,
     and none per feature or dedup group: the plain KJT is one
-    concatenation of its columns, and the IKJT groups are gathered out
-    of one concatenation of theirs.  None aliases the block, so batches
-    cut from one stripe never alias each other; the IKJT tensors of one
-    batch are slices of a buffer that batch alone owns.
+    concatenation of its columns, and every dedup group is keyed and
+    gathered straight out of one concatenation of theirs into the
+    batch's one IKJT buffer (:attr:`Batch.unique`), each group's IKJT a
+    view of its row range.  None aliases the block, so batches cut from
+    one stripe never alias each other; the IKJT tensors of one batch
+    are views of a buffer that batch alone owns.
 
     Raises:
         TypeError: if ``rows`` is not a :class:`RowBlock`.
@@ -80,15 +82,15 @@ def convert_rows(
         kjt = keyed(config.sparse_features)
         stats.values_copied += kjt.total_values
 
-    ikjts: list[InverseKeyedJaggedTensor] = []
+    unique, layout = None, []
     if config.dedup_sparse_features:
         # Dedup every group via hashing in one pass; only the unique rows
         # are gathered (copied) into the IKJTs' buffer.
         grouped_kjt = keyed(config.dedup_feature_names)
-        ikjts = InverseKeyedJaggedTensor.from_groups(
+        unique, layout = InverseKeyedJaggedTensor.gather_groups(
             grouped_kjt, config.dedup_sparse_features
         )
         stats.values_hashed += grouped_kjt.total_values
-        stats.values_copied += sum(ikjt.total_values for ikjt in ikjts)
+        stats.values_copied += unique.total_values
 
-    return Batch(dense=dense, labels=labels, kjt=kjt, ikjts=ikjts), stats
+    return Batch(dense, labels, kjt, unique=unique, layout=layout), stats

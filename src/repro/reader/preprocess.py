@@ -1,13 +1,14 @@
 """Preprocessing transforms over KJTs and IKJTs (O4, §4.3).
 
 Users provide (TorchScript, in production) modules that transform sparse
-values — hashing, clamping, normalization.  RecD wraps each module so it
-*transparently* runs over an IKJT: the wrapper hands the module the
-deduplicated ``values``/``offsets`` slices, so the module body is
-unchanged while processing ``DedupeFactor(f)`` fewer values.  Outputs
-stay IKJTs, so the savings also reach the reader->trainer network hop and
-the trainer itself.  A batch's plain KJT and its IKJT groups are the
-only tensors transforms see: there is no third batch shape.
+values — hashing, clamping, normalization.  RecD runs each module
+*transparently* over IKJTs (O4's wrapper): the module is handed the
+batch's one buffer of deduplicated rows, every IKJT group's back to
+back, so its body is unchanged while processing ``DedupeFactor(f)``
+fewer values.  Outputs stay IKJTs, so the savings also reach the
+reader->trainer network hop and the trainer itself.  A batch's plain KJT
+and its IKJT buffer are the only tensors transforms see: there is no
+third batch shape.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.ikjt import InverseKeyedJaggedTensor
 from ..core.jagged import JaggedTensor
 from ..core.kjt import KeyedJaggedTensor
 from .batch import Batch
@@ -26,7 +26,6 @@ __all__ = [
     "HashModulo",
     "ClampValues",
     "TruncateLength",
-    "DedupPreprocWrapper",
     "ProcessStats",
     "TRANSFORM_REGISTRY",
     "apply_transforms",
@@ -38,8 +37,9 @@ class SparseTransform:
 
     A transform must be element- or row-local — output row ``i`` is a
     function of input row ``i`` alone, and the row count is kept —
-    because it runs once over every key's rows back to back (a KJT's or
-    IKJT group's ``flat`` tensor), not once per key.
+    because it runs once over every key's rows back to back (a KJT's
+    ``flat`` tensor, or every IKJT group's in a batch's one buffer), not
+    once per key or per group.
     """
 
     name = "identity"
@@ -117,26 +117,6 @@ class ProcessStats:
     rows_processed: int = 0
 
 
-class DedupPreprocWrapper:
-    """O4: run an unchanged transform over an IKJT's dedup slices."""
-
-    def __init__(self, transform: SparseTransform):
-        self.transform = transform
-
-    def apply(
-        self, ikjt: InverseKeyedJaggedTensor, stats: ProcessStats
-    ) -> InverseKeyedJaggedTensor:
-        """Apply the wrapped transform once to the group's unique rows
-        (every key's, back to back), metering work against the
-        *deduplicated* value counts (O4's saving)."""
-        flat = ikjt.flat
-        stats.values_processed += flat.total_values
-        stats.rows_processed += flat.num_rows
-        return InverseKeyedJaggedTensor.from_flat(
-            ikjt.keys, self.transform.apply(flat), ikjt.inverse_lookup.copy()
-        )
-
-
 TRANSFORM_REGISTRY: dict[str, type[SparseTransform]] = {
     HashModulo.name: HashModulo,
     ClampValues.name: ClampValues,
@@ -150,11 +130,14 @@ def apply_transforms(
     """Apply the configured transforms to every sparse tensor of a batch.
 
     Each transform runs once on the plain KJT's ``K·B``-row tensor and
-    once per IKJT group on its ``K·U`` unique rows: every registered
-    transform is element- or row-local, so the result is bit for bit
-    the per-key one.  Plain KJT features process every
-    (duplicate-bearing) value; IKJT groups process only unique values
-    via the wrapper.
+    once on the batch's IKJT buffer (:attr:`Batch.unique`, every
+    group's ``K·U`` unique rows back to back); the output buffer keeps
+    the batch's layout, and its group views are cut from it when read.
+    Every registered transform is element- or row-local, so the result
+    is bit for bit the per-key one.  Plain KJT features process every
+    (duplicate-bearing) value; IKJT groups process only unique values —
+    O4's wrapper is that the transform is handed the deduplicated
+    buffer, its body unchanged.
     """
     stats = ProcessStats()
     transforms = []
@@ -164,18 +147,23 @@ def apply_transforms(
             raise KeyError(f"unknown transform {name!r}")
         transforms.append(cls())
 
-    kjt = batch.kjt
+    def run(t: SparseTransform, flat: JaggedTensor) -> JaggedTensor:
+        stats.values_processed += flat.total_values
+        stats.rows_processed += flat.num_rows
+        out = t.apply(flat)
+        if out.num_rows != flat.num_rows:  # the groups are cut by rows
+            raise ValueError(
+                f"transform {t.name!r} made {out.num_rows} rows of {flat.num_rows}"
+            )
+        return out
+
+    kjt, unique = batch.kjt, batch.unique
     for t in transforms:
         if kjt is not None:
-            flat = kjt.flat
-            stats.values_processed += flat.total_values
-            stats.rows_processed += flat.num_rows
-            kjt = KeyedJaggedTensor.from_flat(kjt.keys, t.apply(flat))
-    ikjts = batch.ikjts
-    for t in transforms:
-        wrapper = DedupPreprocWrapper(t)
-        ikjts = [wrapper.apply(ik, stats) for ik in ikjts]
+            kjt = KeyedJaggedTensor.from_flat(kjt.keys, run(t, kjt.flat))
+        if unique is not None:
+            unique = run(t, unique)
     return (
-        Batch(dense=batch.dense, labels=batch.labels, kjt=kjt, ikjts=ikjts),
+        Batch(batch.dense, batch.labels, kjt, unique=unique, layout=batch.layout),
         stats,
     )

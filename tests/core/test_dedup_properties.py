@@ -246,6 +246,72 @@ class TestBatchKernelAgainstTheRowLoop:
         assert ikjts[0].to_kjt() == kjt.select(["long"])
 
 
+_INT64 = np.iinfo(np.int64)
+
+
+@st.composite
+def kjt_and_groups(draw):
+    """An int64 KJT over 0-12 rows (``B = 1`` and empty rows among them;
+    ``INT64_MIN`` / ``INT64_MAX`` among the values) and a partition of a
+    subset of its keys, taken in any order, into consecutive groups."""
+    num_rows = draw(st.integers(0, 12))
+    value = st.integers(-2, 2) | st.sampled_from([_INT64.min, _INT64.max])
+    tensors = {}
+    for k in range(draw(st.integers(1, 5))):
+        pool = draw(st.lists(st.lists(value, max_size=3), min_size=1, max_size=3))
+        picks = draw(
+            st.lists(
+                st.integers(0, len(pool) - 1),
+                min_size=num_rows,
+                max_size=num_rows,
+            )
+        )
+        tensors[f"k{k}"] = JaggedTensor.from_lists([pool[p] for p in picks])
+    keys = draw(st.permutations(list(tensors)))
+    keys = keys[: draw(st.integers(1, len(keys)))]
+    cuts = draw(st.sets(st.integers(1, len(keys) - 1))) if len(keys) > 1 else ()
+    bounds = [0, *sorted(cuts), len(keys)]
+    return KeyedJaggedTensor(tensors), [
+        keys[a:b] for a, b in zip(bounds, bounds[1:])
+    ]
+
+
+class TestFlatBufferAgainstPerGroup:
+    """``gather_groups`` keys every group straight from the KJT's one
+    buffer; group by group it must be what the per-group
+    ``dedup_groups`` call (and the row loop) finds, gathered by hand, and
+    each group a row range of the one gathered buffer."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(batch=kjt_and_groups())
+    def test_every_group_equals_its_own_dedup_groups_call(self, batch):
+        kjt, groups = batch
+        unique, layout = InverseKeyedJaggedTensor.gather_groups(kjt, groups)
+        ikjts = InverseKeyedJaggedTensor.split(unique, layout)
+        assert InverseKeyedJaggedTensor.from_groups(kjt, groups) == ikjts
+        assert [ikjt.keys for ikjt in ikjts] == groups
+        start = 0
+        for ikjt, group in zip(ikjts, groups, strict=True):
+            members = [kjt[key] for key in group]
+            ((rows, inverse),) = dedup_groups([members])
+            want_rows, want_inverse = _reference_dedup(members)
+            np.testing.assert_array_equal(rows, want_rows)
+            np.testing.assert_array_equal(inverse, want_inverse)
+            by_hand = InverseKeyedJaggedTensor(
+                {key: jagged_index_select(kjt[key], rows) for key in group},
+                inverse,
+            )
+            assert ikjt == by_hand
+            assert ikjt.inverse_lookup.dtype == np.int64
+            for key in group:
+                assert _same_bits(ikjt[key], by_hand[key])
+            stop = start + ikjt.flat.num_rows
+            assert _same_bits(ikjt.flat, unique.slice_rows(start, stop))
+            start = stop
+        assert start == unique.num_rows
+        assert not np.shares_memory(unique.values, kjt.flat.values)
+
+
 class TestEqualityRule:
     """Rows are equal iff every member's row has the same length and
     the same value *bytes*."""

@@ -4,6 +4,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO_ROOT = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
@@ -70,3 +72,52 @@ def test_compare_prints_b_over_a_per_workload_and_runs_nothing(
     ][1:]
     assert len(rows) == 4
     assert all(row.endswith("| ×1.000 = | equal |") for row in rows)
+
+
+def test_recording_over_an_existing_record_exits_2_and_names_it(
+    tmp_path, monkeypatch, capsys
+):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started over an existing record")
+
+    monkeypatch.setattr(bench_record.subprocess, "run", no_run)
+    monkeypatch.setattr(bench_record, "REPO_ROOT", tmp_path)
+    record = tmp_path / "BENCH_39.json"
+    record.write_text('{"pr": 39}')
+    with pytest.raises(SystemExit) as exit_:
+        bench_record.main(["--pr", "39", "--tree", str(tmp_path)])
+    assert exit_.value.code == 2
+    assert f"{record} exists" in capsys.readouterr().err
+    assert record.read_text() == '{"pr": 39}'
+
+
+def test_compare_reads_a_backfilled_file(tmp_path, capsys):
+    """A backfilled record may lack the slowdown, the fingerprints, the
+    quartiles and whole metrics; ``--compare`` prints what both hold."""
+    backfilled = {
+        "pr": 22,
+        "backfilled": True,
+        "seeds": [101, 102],
+        "workloads": {
+            "scan-kjt": {"metrics": {"samples_per_s": {"median": 80.0}}},
+            "ingest": {"metrics": {}},
+        },
+    }
+    a = tmp_path / "BENCH_22.json"
+    b = tmp_path / "BENCH_2.json"
+    a.write_text(json.dumps(backfilled))
+    b.write_text(json.dumps(_bench("b" * 40, "f2", **{"scan-kjt": (100.0, 300.0)})))
+
+    assert bench_record.main(["--compare", str(a), str(b)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == (
+        "A = BENCH_22.json (sha —, seeds [101, 102], slowdown —, backfilled)"
+    )
+    rows = [line for line in lines if line.startswith("| scan-kjt")]
+    assert rows == ["| scan-kjt | samples_per_s | 80 | — | 100 | ×1.250 better | — |"]
+    assert bench_record.main(["--compare", str(b), str(a)]) == 0
+    rows = [
+        line for line in capsys.readouterr().out.splitlines()
+        if line.startswith("| scan-kjt")
+    ]
+    assert rows == ["| scan-kjt | samples_per_s | 100 | 20 | 80 | ×0.800 worse | — |"]

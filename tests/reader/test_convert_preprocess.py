@@ -302,10 +302,13 @@ class _Spy(SparseTransform):
 
 
 class TestOneApplyPerTensor:
-    """A transform runs once per KJT and once per IKJT group — over every
-    key's rows back to back — never once per feature."""
+    """A transform runs once per KJT and once per batch buffer — over
+    every key's rows back to back, every IKJT group's unique rows in the
+    one buffer — never once per feature or per group."""
 
-    def test_apply_is_called_once_per_kjt_and_per_group(self, monkeypatch):
+    def test_apply_is_called_once_per_kjt_and_once_per_batch_buffer(
+        self, monkeypatch
+    ):
         monkeypatch.setitem(TRANSFORM_REGISTRY, _Spy.name, _Spy)
         monkeypatch.setattr(_Spy, "calls", [])
         rows = _rows(16)
@@ -324,16 +327,20 @@ class TestOneApplyPerTensor:
             ikjts=dedup.ikjts,
         )
         out, stats = apply_transforms(batch, ("spy", "spy"))
-        groups = [len(ikjt.keys) * ikjt.num_unique for ikjt in dedup.ikjts]
-        # both transforms on the KJT's K·B rows, then on each group's K·U
-        assert _Spy.calls == [3 * 16] * 2 + groups * 2
-        assert stats.rows_processed == (3 * 16 + sum(groups)) * 2
+        unique = sum(len(ikjt.keys) * ikjt.num_unique for ikjt in dedup.ikjts)
+        # each transform on the KJT's K·B rows, then on both groups' K·U
+        # rows in the one buffer
+        assert _Spy.calls == [3 * 16, unique] * 2
+        assert stats.rows_processed == (3 * 16 + unique) * 2
         for key in ("u", "v", "w"):
             np.testing.assert_array_equal(
                 out.kjt[key].values, plain.kjt[key].values + 2
             )
         for got, ikjt in zip(out.ikjts, dedup.ikjts, strict=True):
+            np.testing.assert_array_equal(got.inverse_lookup, ikjt.inverse_lookup)
             for key in ikjt.keys:
                 np.testing.assert_array_equal(
                     got[key].values, ikjt[key].values + 2
                 )
+            # every group is a view of the transformed batch buffer
+            assert np.shares_memory(got.flat.values, out.unique.values)
