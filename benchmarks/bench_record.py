@@ -8,7 +8,9 @@ root: per workload, each end-to-end metric's median and quartiles over
 the seeds (and the per-seed values), the fingerprints, the failed
 operations and the machine slowdown, beside the host, the git sha and
 the seeds.  ``--compare A B`` prints the per-workload ratio table of two
-such files as markdown, B over A.
+such files as markdown, B over A; ``--trend WORKLOAD [METRIC]`` prints
+one metric's median (default ``samples_per_s``) from every
+``BENCH_*.json`` at the repo root, in PR order.
 
 Usage::
 
@@ -16,13 +18,15 @@ Usage::
     python benchmarks/bench_record.py --pr M --tree ../parent-checkout \\
         --seeds 101 102 103 104 105
     python benchmarks/bench_record.py --compare BENCH_M.json BENCH_N.json
+    python benchmarks/bench_record.py --trend scan-ikjt [samples_per_cpu_s]
 
 ``--tree`` runs another checkout's stopwatch on that checkout's source
 (its sha is recorded; the file is still written here).  Seeds default
 to ``100 * pr + 1 … 100 * pr + 5``, unseen by earlier records.  An
 existing ``BENCH_<pr>.json`` is never overwritten.  ``--compare`` also
-reads backfilled files (``"backfilled": true``), which may lack the
-sha, the slowdown, the fingerprints, the quartiles or some metrics.
+and ``--trend`` read backfilled files (``"backfilled": true``), which
+may lack the sha, the slowdown, the fingerprints, the quartiles or some
+metrics; ``--trend`` marks them and shows a missing median as a dash.
 Exits 1 when a run fails a check, 2 on usage errors (an existing
 record included).
 """
@@ -165,6 +169,28 @@ def compare(a: dict, b: dict, a_name: str, b_name: str) -> list[str]:
     return lines
 
 
+def trend(root: pathlib.Path, workload: str, metric: str) -> list[str]:
+    """One workload's ``metric`` median from every ``BENCH_*.json`` in
+    ``root``, in PR order, as a markdown table."""
+    records = sorted(
+        (json.loads(p.read_text()) for p in root.glob("BENCH_*.json")),
+        key=lambda f: f["pr"],
+    )
+    lines = [
+        f"{workload} {metric}, median per record",
+        "",
+        "| PR | median | IQR | record |",
+        "|---|---|---|---|",
+    ]
+    for f in records:
+        m = f["workloads"].get(workload, {}).get("metrics", {}).get(metric, {})
+        median = f"{m['median']:.6g}" if "median" in m else "—"
+        iqr = f"{m['iqr']:.4g}" if "iqr" in m else "—"
+        kind = "backfilled" if f.get("backfilled") else "measured"
+        lines.append(f"| {f['pr']} | {median} | {iqr} | {kind} |")
+    return lines
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, help="the number BENCH_<pr>.json is named for")
@@ -177,7 +203,23 @@ def main(argv: list[str] | None = None) -> int:
         "--compare", nargs=2, metavar=("A", "B"),
         help="print B's per-workload ratios over A's instead of recording",
     )
+    parser.add_argument(
+        "--trend", nargs="+", metavar=("WORKLOAD", "METRIC"),
+        help="WORKLOAD [METRIC]: print the metric's median (default "
+             "samples_per_s) from every BENCH file, in PR order",
+    )
     args = parser.parse_args(argv)
+    if args.trend:
+        declared = declaration()
+        workload, metric = (*args.trend, "samples_per_s")[:2]
+        workloads = [w["name"] for w in declared["workloads"]]
+        metrics = [m["name"] for m in declared["end_to_end"]]
+        if len(args.trend) > 2 or workload not in workloads:
+            parser.error(f"--trend takes WORKLOAD [METRIC], WORKLOAD one of {workloads}")
+        if metric not in metrics:
+            parser.error(f"--trend METRIC must be one of {metrics}, got {metric!r}")
+        print("\n".join(trend(REPO_ROOT, workload, metric)))
+        return 0
     if args.compare:
         a_path, b_path = map(pathlib.Path, args.compare)
         a, b = (json.loads(p.read_text()) for p in (a_path, b_path))

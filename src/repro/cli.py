@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Collection
 from contextlib import contextmanager
 from pathlib import Path
 from typing import NamedTuple
@@ -201,18 +202,23 @@ class _UsageError(Exception):
     :func:`main` turns it into ``parser.error`` (exit 2)."""
 
 
-def _name_flags(message: str) -> str:
+def _name_flags(message: str, typed: Collection[str] = ()) -> str:
     """A spec error names ``ReaderSpec.num_readers``; the user typed
     ``--num-readers`` (path section ``reader`` is ``ReaderSpec``, and so
     on for every section; a path with no section is a ``JobSpec``
-    field).  A ``Session`` keyword error opens with the keyword
-    (``freshness_slo`` is ``--freshness-slo``)."""
+    field, and the workload factories say ``workload scale``).  A path
+    in ``typed`` was set by a ``--job`` spec, so its ``--job`` key is
+    named instead of its flag.  A ``Session`` keyword error opens with
+    the keyword (``freshness_slo`` is ``--freshness-slo``)."""
     for f in _FLAGS:
         if f.path:
             section, _, leaf = f.path.rpartition(".")
-            owner = f"{section.capitalize()}Spec" if section else "JobSpec"
+            owner = f"{section.capitalize()}Spec." if section else "JobSpec."
+            if section == "workload":  # the workload factories' wording
+                owner = "workload "
+            typed_key = not f.flag or f.path in typed
             message = message.replace(
-                f"{owner}.{leaf}", f.flag or f"--job key {f.key!r}"
+                owner + leaf, f"--job key {f.key!r}" if typed_key else f.flag
             )
     for kw in _SESSION_KWARGS:
         if message.startswith(f"{kw} "):
@@ -221,15 +227,16 @@ def _name_flags(message: str) -> str:
 
 
 @contextmanager
-def _usage_boundary():
+def _usage_boundary(typed: Collection[str] = ()):
     """Everything before the first scheduling round — spec build,
     ``Session(...)``, ``prepare()`` — runs inside this: a ``ValueError``
-    there is a bad flag value and exits 2 naming the flag, while one
-    raised by the run proper stays a traceback."""
+    there is a bad flag value and exits 2 naming the flag (or the
+    ``--job`` key, for a path in ``typed``), while one raised by the
+    run proper stays a traceback."""
     try:
         yield
     except ValueError as exc:
-        raise _UsageError(_name_flags(str(exc))) from None
+        raise _UsageError(_name_flags(str(exc), typed)) from None
 
 
 def _point(args, overrides=None) -> dict:
@@ -262,7 +269,8 @@ def _clone_points(args) -> list[dict]:
 
 
 def _job_point(spec: str, args) -> dict:
-    """One ``--job`` spec -> a point.
+    """One ``--job`` spec -> a point, its spec built once here so a
+    bad value names the ``--job`` key it came from.
 
     Format: ``RM[:recd|baseline][:dedup][:key=value ...]``, e.g.
     ``RM2:recd:sessions=80:seed=3:weight=2``.  A job names its own
@@ -297,7 +305,10 @@ def _job_point(spec: str, args) -> dict:
                 f"--job {spec!r}: unknown token {token!r}; expected "
                 f"baseline, {', '.join(_JOB_TOKENS)}"
             )
-    return _point(args, values)
+    point = _point(args, values)
+    with _usage_boundary(typed=values):
+        build_job_spec(point)
+    return point
 
 
 def _open_session(args, points: list[dict]) -> Session:

@@ -218,14 +218,6 @@ class KeyedJaggedTensor:
         )
         return KeyedJaggedTensor.from_flat(keys, JaggedTensor(values, offsets))
 
-    def to_row_dicts(self) -> list[dict[str, list]]:
-        """Materialize back to per-row dicts (round-trip testing)."""
-        views = self.items()
-        return [
-            {k: jt.row(i).tolist() for k, jt in views}
-            for i in range(self._batch_size)
-        ]
-
     # -- dunder -----------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:

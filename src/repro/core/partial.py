@@ -144,9 +144,3 @@ class PartialJaggedTensor:
         off, length = self._inverse_lookup[i]
         return self._values[off : off + length]
 
-    def to_jagged(self) -> JaggedTensor:
-        """Expand back to the original jagged tensor (lossless)."""
-        return JaggedTensor.from_lists(
-            [self.row(i) for i in range(self.batch_size)],
-            dtype=self._values.dtype,
-        )

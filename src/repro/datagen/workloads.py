@@ -56,10 +56,6 @@ class RMWorkload:
     def dedup_feature_names(self) -> list[str]:
         return [name for group in self.dedup_groups for name in group]
 
-    @property
-    def sequence_feature_names(self) -> list[str]:
-        return [f.name for f in self.schema.sparse if f.is_sequence]
-
 
 def _elementwise_features(
     count: int, prefix: str = "ew", avg_length: int = 8

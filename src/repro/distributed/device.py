@@ -50,10 +50,6 @@ class ClusterSpec:
             raise ValueError("num_gpus must be a multiple of gpus_per_node")
 
     @property
-    def num_nodes(self) -> int:
-        return max(1, self.num_gpus // self.gpus_per_node)
-
-    @property
     def single_node(self) -> bool:
         return self.num_gpus <= self.gpus_per_node
 

@@ -11,11 +11,12 @@ from .ledger import ByteLedger
 from .overlap import OverlapReport
 from .scaling import ScalingDecision, ScalingTrace
 from .slo import JobSLO, SLOReport, percentile
-from .tier import JobRoundStat, TierReport, TierRound
+from .tier import Event, JobRoundStat, TierReport, TierRound
 
 __all__ = [
     "ByteLedger",
     "Counters",
+    "Event",
     "FreshnessReport",
     "IterationBreakdown",
     "JobRoundStat",

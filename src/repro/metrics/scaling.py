@@ -1,11 +1,13 @@
-"""Scaling-decision records for the adaptive reader-fleet controller.
+"""Scaling-decision records for the adaptive reader-pool controller.
 
-The autoscaler (:class:`~repro.reader.autoscale.ReaderAutoscaler`)
-resizes the fleet between epochs from observed
-:class:`~repro.metrics.OverlapReport` stall fractions.  Every decision —
-what was observed, what action was taken, what width resulted — is
-recorded in a :class:`ScalingTrace` so a run's convergence behaviour can
-be replayed, asserted in tests, and plotted figure-style
+The control law (:func:`~repro.reader.autoscale.rescale`) resizes the
+pool between rounds from observed
+:class:`~repro.metrics.OverlapReport` stall fractions.  Each decision —
+what was observed, what action was taken, what width resulted — is a
+:class:`ScalingDecision`, logged by the tier as a ``scale`` event; a
+:class:`ScalingTrace` is those decisions in round order, folded from
+the log at the end of the run, so a run's convergence behaviour can be
+replayed, asserted in tests, and plotted figure-style
 (``examples/autoscale_convergence.py``).
 
 All fields are plain numbers; :meth:`ScalingTrace.as_rows` serializes
@@ -69,10 +71,6 @@ class ScalingTrace:
 
     target_stall: float = 0.0
     decisions: list[ScalingDecision] = field(default_factory=list)
-
-    def record(self, decision: ScalingDecision) -> None:
-        """Append one controller step to the trace."""
-        self.decisions.append(decision)
 
     @property
     def widths(self) -> list[int]:

@@ -142,9 +142,7 @@ class SLOReport:
             wasted_cpu_seconds=sum(f.wasted_cpu_seconds for f in fleets),
             crashes=sum(f.crashes for f in fleets),
             straggler_shards=sum(f.straggler_shards for f in fleets),
-            preemptions=sum(
-                ev["event"] == "preempt" for ev in session.events
-            ),
+            preemptions=sum(e.kind == "preempt" for e in session.events),
             freshness=report.freshness,
         )
 

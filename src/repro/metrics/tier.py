@@ -16,23 +16,61 @@ measurements in here:
   :class:`~repro.metrics.overlap.OverlapReport`\\ s merged across
   rounds, the aggregate overlap the tier autoscaler steered on, and the
   fairness accounting (``max_consecutive_skips``) behind the
-  scheduler's no-starvation guarantee.
+  scheduler's no-starvation guarantee;
+* :class:`Event` — one entry of the tier's one log (a round, an
+  autoscaler decision, or a plan event its session applied), which
+  every report above is folded from.
 
 All times are modeled (cost-model seconds), so every number here is
-bit-reproducible across runs — same property the fleet autoscaler's
-:class:`~repro.metrics.scaling.ScalingTrace` relies on.
+bit-reproducible across runs; an event's ``wall_s`` is the one
+measured value, and no report reads it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from typing import Any
 
 from .freshness import FreshnessReport
 from .ledger import ByteLedger
 from .overlap import OverlapReport
 from .scaling import ScalingTrace
 
-__all__ = ["JobRoundStat", "TierRound", "TierReport"]
+__all__ = ["Event", "JobRoundStat", "TierRound", "TierReport"]
+
+
+@dataclass(frozen=True)
+class Event:
+    """One entry of a shared tier's event log, on both clocks.
+
+    Attributes:
+        round: the tier round it belongs to (or, for a plan event, the
+            round it precedes).
+        job: the job it concerns (``None`` for ``round`` and ``scale``).
+        kind: ``"round"``, ``"scale"``, ``"arrival"``, ``"resume"``,
+            ``"preempt"`` or ``"fleet_faults"``.
+        fields: the payload: a ``round`` holds its ``tier_round`` and
+            the ``weights``, ``demand`` and ``starved`` behind its
+            allocation, a ``scale`` its ``decision``.
+        modeled_s: the tier's modeled clock when it happened.
+        wall_s: ``time.perf_counter()`` when it was logged.
+    """
+
+    round: int
+    job: str | None
+    kind: str
+    fields: Mapping[str, Any]
+    modeled_s: float
+    wall_s: float
+
+    def as_dict(self) -> dict:
+        """``round``, ``job``, ``event`` (the kind), then the fields.
+
+        Hand-written as a policy: the clocks stay out, so a replay of
+        the same seed serializes to the same dicts.
+        """
+        return {"round": self.round, "job": self.job, "event": self.kind, **self.fields}
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from ..distributed.costmodel import sim_cluster
 from ..distributed.trainer import DistributedTrainer, TrainingReport
 from ..metrics.overlap import OverlapReport
 from ..metrics.scaling import ScalingTrace
-from ..metrics.tier import TierReport
+from ..metrics.tier import Event, TierReport
 from ..reader.fleet import FleetFaults, FleetReport
 from ..reader.node import ReaderReport
 from ..reader.tier_scheduler import SharedReaderTier, TierJob
@@ -239,6 +239,8 @@ def build_trainer(job: JobSpec) -> DistributedTrainer:
 
 #: plan event kinds, in the order a round applies them
 _ARRIVAL, _RESUME, _PREEMPT = range(3)
+#: the tier log's event kinds a session's plan produces
+_PLAN_KINDS = ("arrival", "resume", "preempt", "fleet_faults")
 
 
 def _require_spec(spec, where: str) -> None:
@@ -388,7 +390,8 @@ class Session:
     :class:`~repro.trainer.checkpoint.ModelStore` and its losses so far
     move to :attr:`segments`), the plan's crashes and stragglers reach
     the tier through its fault hook, and every applied event is
-    appended once to :attr:`events`.
+    logged once in the tier's :attr:`~SharedReaderTier.events`
+    (:attr:`events` is their plan-kind view).
     """
 
     def __init__(
@@ -480,8 +483,6 @@ class Session:
         self.scaling = scaling
         self.freshness_slo = freshness_slo
         self.plan = plan
-        #: every plan event applied so far, in application order
-        self.events: list[dict] = []
         #: per-job losses of the registrations a preemption cut short
         self.segments: dict[str, list[float]] = {}
         #: plan events still owed, as ``(round, kind, job, payload)``
@@ -507,8 +508,8 @@ class Session:
         Called implicitly by :meth:`run`; call it first to reach a
         job's :meth:`runtime` before the loop starts.  With a plan, it
         also sets the tier's fault hook to the plan's
-        :meth:`~repro.sim.faults.FaultPlan.fleet_faults`, recording
-        every fault that fires in :attr:`events`.
+        :meth:`~repro.sim.faults.FaultPlan.fleet_faults`, logging
+        every fault that fires as a ``fleet_faults`` event.
 
         Returns:
             The session's :class:`~repro.reader.tier_scheduler.SharedReaderTier`
@@ -536,22 +537,28 @@ class Session:
         return self.tier
 
     def _fleet_faults(self, round_index: int, name: str) -> FleetFaults | None:
-        """The plan's faults for one leased scan, recorded as an event."""
+        """The plan's faults for one leased scan, logged as an event."""
         faults = self.plan.fleet_faults(round_index, name)
         if faults is not None:
-            self.events.append(
-                {
-                    "round": round_index,
-                    "job": name,
-                    "event": "fleet_faults",
-                    "crashed_shards": list(faults.crashed_shards),
-                    "straggler_factors": dict(
-                        sorted(faults.straggler_factors.items())
-                    ),
-                    "lost_fraction": faults.lost_fraction,
-                }
+            self.tier.emit(
+                "fleet_faults",
+                name,
+                crashed_shards=list(faults.crashed_shards),
+                straggler_factors=dict(
+                    sorted(faults.straggler_factors.items())
+                ),
+                lost_fraction=faults.lost_fraction,
             )
         return faults
+
+    @property
+    def events(self) -> list[Event]:
+        """Every plan event applied so far, in application order: the
+        tier log's ``arrival``, ``resume``, ``preempt`` and
+        ``fleet_faults`` entries (``[]`` before :meth:`prepare`)."""
+        if self.tier is None:
+            return []
+        return [e for e in self.tier.events if e.kind in _PLAN_KINDS]
 
     # -- the drive loop -----------------------------------------------------
 
@@ -627,17 +634,15 @@ class Session:
         for _, kind, name, payload in due:
             if kind == _PREEMPT:
                 self._preempt(name, rnd, payload)
-                continue
-            event = {"round": rnd, "job": name, "event": "arrival"}
-            if kind == _RESUME:
+            elif kind == _RESUME:
                 spec, done = payload
                 self._register(
                     JobRuntime(name, spec, resume=(self._store, done))
                 )
-                event.update(event="resume", start_epoch=done)
+                self.tier.emit("resume", name, start_epoch=done)
             else:
                 self.admit(payload, name)
-            self.events.append(event)
+                self.tier.emit("arrival", name)
 
     def _preempt(self, name: str, rnd: int, resume_after: int) -> None:
         """Checkpoint and deschedule a job; owe its resume.
@@ -662,14 +667,8 @@ class Session:
         self._agenda.append(
             (rnd + resume_after, _RESUME, name, (runtime.spec, done))
         )
-        self.events.append(
-            {
-                "round": rnd,
-                "job": name,
-                "event": "preempt",
-                "epochs_done": done,
-                "resume_round": rnd + resume_after,
-            }
+        self.tier.emit(
+            "preempt", name, epochs_done=done, resume_round=rnd + resume_after
         )
 
     def land_all_streams(self) -> None:

@@ -1,6 +1,6 @@
 """Reader tier: Fill -> Convert (O3) -> Process (O4) -> trainers."""
 
-from .autoscale import ReaderAutoscaler, TierPlan, readers_required
+from .autoscale import TierPlan, readers_required, rescale
 from .batch import Batch
 from .config import DataLoaderConfig
 from .convert import ConvertStats, convert_rows
@@ -30,7 +30,6 @@ __all__ = [
     "FillStats",
     "FleetFaults",
     "FleetReport",
-    "ReaderAutoscaler",
     "ReaderFleet",
     "ReaderNode",
     "ReaderReport",
@@ -46,6 +45,7 @@ __all__ = [
     "TRANSFORM_REGISTRY",
     "apply_transforms",
     "readers_required",
+    "rescale",
     "TierPlan",
     "SharedReaderTier",
     "TierJob",

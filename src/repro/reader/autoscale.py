@@ -3,11 +3,10 @@
 The deployed platform sizes its reader tier so trainer steps never stall
 on decode: too few readers and the trainers starve (reader-stall), too
 many and reader machines idle against the trainers' bounded ingestion
-(trainer-stall upstream).  PR 2 gave the pipeline the *measurement* —
-per-epoch :class:`~repro.metrics.OverlapReport`\\ s attribute wall-clock
-to reader-stall vs trainer-stall — and :class:`ReaderAutoscaler` is the
-feedback controller that *acts* on it, resizing the fleet between
-epochs:
+(trainer-stall upstream).  Per-round
+:class:`~repro.metrics.OverlapReport`\\ s attribute wall-clock to
+reader-stall vs trainer-stall, and :func:`rescale` is the control law
+that *acts* on them, one round at a time:
 
 * **grow** while ``reader_stall_fraction`` exceeds the target band —
   proportionally, sizing the next width so the modeled reader wall
@@ -17,16 +16,19 @@ epochs:
   ``_SHRINK_PATIENCE`` consecutive such observations — the hysteresis
   that keeps one noisy epoch from flapping the fleet;
 * **hold** inside the band, and at the bounds: the caller's
-  per-decision floor (a shared tier's fairness floor, else one reader)
-  and ``max_readers``.
+  per-decision floor (the shared tier's fairness floor) and
+  ``max_readers``.
 
-Every step is recorded in a
-:class:`~repro.metrics.scaling.ScalingTrace` (observed fractions ->
-action -> new width) for figure-style reproduction.  Fed *modeled*
+:func:`rescale` is pure: the width, the floor and the shrink streak come
+in as arguments, and the decision and the next streak go out.  The
+:class:`~repro.reader.tier_scheduler.SharedReaderTier` keeps the spec
+and the streak in its one :class:`~repro.reader.tier_scheduler.TierState`
+and logs each decision as a ``scale`` event, which
+:class:`~repro.metrics.scaling.ScalingTrace` folds.  Fed *modeled*
 overlap reports (:meth:`~repro.metrics.OverlapReport.modeled`, built
 from the reader cost model and the trainer's modeled step times), the
-controller's decisions are bit-reproducible across runs — which is how
-a ``Session`` with a ``ScalingSpec`` stays deterministic under the
+decisions are bit-reproducible across runs — which is how a
+``Session`` with a ``ScalingSpec`` stays deterministic under the
 in-process executor.
 
 :func:`readers_required` is the static counterpart: the one-shot sizing
@@ -39,9 +41,9 @@ import math
 from dataclasses import dataclass
 
 from ..metrics.overlap import OverlapReport
-from ..metrics.scaling import ScalingDecision, ScalingTrace
+from ..metrics.scaling import ScalingDecision
 
-__all__ = ["ReaderAutoscaler", "ScalingSpec", "readers_required", "TierPlan"]
+__all__ = ["rescale", "ScalingSpec", "readers_required", "TierPlan"]
 
 #: consecutive shrink-worthy observations before the fleet shrinks
 _SHRINK_PATIENCE = 2
@@ -57,9 +59,8 @@ class ScalingSpec:
     Attaching a ``ScalingSpec`` to a
     :class:`~repro.pipeline.spec.JobSpec` — or handing one to a
     :class:`~repro.reader.tier_scheduler.SharedReaderTier` — turns
-    autoscaling *on* (``scaling=None`` runs at fixed width): a
-    :class:`ReaderAutoscaler` resizes the fleet — or, under a shared
-    tier, the pool — between epochs.
+    autoscaling *on* (``scaling=None`` runs at fixed width): the tier
+    applies :func:`rescale` to its pool between rounds.
 
     Attributes:
         target_stall: grow the width while the observed reader-stall
@@ -92,167 +93,83 @@ class ScalingSpec:
             )
 
 
-class ReaderAutoscaler:
-    """Feedback controller that resizes a reader fleet between epochs.
+def rescale(
+    spec: ScalingSpec,
+    overlap: OverlapReport,
+    index: int,
+    width: int,
+    floor: int,
+    streak: int,
+) -> tuple[ScalingDecision, int]:
+    """The control law: round ``index``'s overlap at ``width`` in, the
+    :class:`~repro.metrics.scaling.ScalingDecision` out (its
+    ``width_after``, never under ``floor``, is the next round's width),
+    with the shrink ``streak`` the next decision starts from — non-zero
+    only after a hysteresis ``hold``."""
+    rsf = overlap.reader_stall_fraction
+    tsf = overlap.trainer_stall_fraction
 
-    One instance tracks one training run: call :meth:`observe` with each
-    epoch's :class:`~repro.metrics.OverlapReport` and run the next epoch
-    at the returned width.  The full decision history is in
-    :attr:`trace`.
-    """
-
-    def __init__(
-        self,
-        num_readers: int,
-        target_stall: float = 0.10,
-        max_readers: int = 32,
-    ):
-        """Configure the controller.
-
-        Args:
-            num_readers: initial fleet width (capped at
-                ``max_readers``).
-            target_stall: upper edge of the acceptable
-                ``reader_stall_fraction`` band; the controller grows the
-                fleet while observations exceed it.
-            max_readers: largest width the controller will set.
-
-        Raises:
-            ValueError: if ``num_readers`` is not positive, or the
-                set-point or bound breaks :class:`ScalingSpec`'s rules.
-        """
-        if num_readers <= 0:
-            raise ValueError(
-                f"num_readers must be positive, got {num_readers}"
-            )
-        # the set-point and bound obey the spec's own rules
-        ScalingSpec(target_stall, max_readers)
-        self.target_stall = target_stall
-        self.max_readers = max_readers
-        self.num_readers = min(num_readers, max_readers)
-        self.trace = ScalingTrace(target_stall=target_stall)
-        self._shrink_streak = 0
-
-    # -- controller ---------------------------------------------------------
-
-    def observe(
-        self,
-        overlap: OverlapReport,
-        epoch: int | None = None,
-        width: int | None = None,
-        min_readers: int | None = None,
-    ) -> int:
-        """Consume one epoch's overlap report; return the next width.
-
-        Args:
-            overlap: the epoch's wall-clock attribution (measured or,
-                for reproducible decisions, modeled via
-                :meth:`~repro.metrics.OverlapReport.modeled`).
-            epoch: 0-based epoch index for the trace; defaults to the
-                number of decisions already recorded.
-            width: the width the epoch ran at, when the caller lifted
-                the last returned one (a shared tier's fairness floor);
-                defaults to :attr:`num_readers`.
-            min_readers: this decision's lower bound (a shared tier's
-                fairness floor); defaults to one reader.
-
-        Returns:
-            The fleet width (``num_readers``) the next epoch should run
-            with.
-        """
-        if epoch is None:
-            epoch = len(self.trace.decisions)
-        width = self.num_readers if width is None else width
-        floor = 1 if min_readers is None else min_readers
-        rsf = overlap.reader_stall_fraction
-        tsf = overlap.trainer_stall_fraction
-
-        action, new_width, reason = self._decide(
-            overlap, width, floor, rsf, tsf
+    def decided(action: str, after: int, reason: str, streak: int = 0):
+        return (
+            ScalingDecision(index, rsf, tsf, width, action, after, reason),
+            streak,
         )
-        self.num_readers = new_width
-        self.trace.record(
-            ScalingDecision(
-                epoch=epoch,
-                reader_stall_fraction=rsf,
-                trainer_stall_fraction=tsf,
-                width_before=width,
-                action=action,
-                width_after=new_width,
-                reason=reason,
-            )
-        )
-        return new_width
 
-    def _decide(
-        self,
-        overlap: OverlapReport,
-        width: int,
-        floor: int,
-        rsf: float,
-        tsf: float,
-    ) -> tuple[str, int, str]:
-        """The control law: (action, new_width, reason) for one epoch."""
-        trainer_busy = overlap.trainer_busy_seconds
-        if overlap.wall_seconds <= 0.0 or trainer_busy <= 0.0:
-            self._shrink_streak = 0
-            return "hold", width, "no trainer signal this epoch"
+    trainer_busy = overlap.trainer_busy_seconds
+    if overlap.wall_seconds <= 0.0 or trainer_busy <= 0.0:
+        return decided("hold", width, "no trainer signal this epoch")
 
-        # Reconstruct the reader tier's wall time from the attribution:
-        # reader-bound epochs expose it as trainer_busy + reader_stall;
-        # trainer-bound epochs hide it behind producer-side queue wait.
-        reader_wall = max(
-            0.0,
-            trainer_busy
-            + overlap.reader_stall_seconds
-            - overlap.queue.put_wait,
-        )
-        # Proportional set-point: reader work scales ~1/width, so this
-        # is the width at which reader wall ~= trainer step time.
-        proposed = math.ceil(width * reader_wall / trainer_busy)
-        proposed = min(max(proposed, floor), self.max_readers)
+    # Reconstruct the reader tier's wall time from the attribution:
+    # reader-bound epochs expose it as trainer_busy + reader_stall;
+    # trainer-bound epochs hide it behind producer-side queue wait.
+    reader_wall = max(
+        0.0,
+        trainer_busy + overlap.reader_stall_seconds - overlap.queue.put_wait,
+    )
+    # Proportional set-point: reader work scales ~1/width, so this
+    # is the width at which reader wall ~= trainer step time (capped
+    # before rounding: a vanishing trainer time makes the ratio inf).
+    ratio = width * reader_wall / trainer_busy
+    proposed = math.ceil(min(ratio, spec.max_readers))
+    proposed = min(max(proposed, floor), spec.max_readers)
 
-        if rsf > self.target_stall:
-            self._shrink_streak = 0
-            new_width = min(max(width + 1, proposed), self.max_readers)
-            if new_width <= width:
-                return (
-                    "hold",
-                    width,
-                    f"reader-stall {rsf:.2f} > target "
-                    f"{self.target_stall:.2f} but already at "
-                    f"max_readers={self.max_readers}",
-                )
-            return (
-                "grow",
-                new_width,
-                f"reader-stall {rsf:.2f} > target {self.target_stall:.2f}",
-            )
-
-        if tsf >= _SHRINK_TRAINER_STALL and proposed < width:
-            self._shrink_streak += 1
-            if self._shrink_streak >= _SHRINK_PATIENCE:
-                self._shrink_streak = 0
-                return (
-                    "shrink",
-                    max(proposed, floor),
-                    f"trainer-stall {tsf:.2f} dominated for "
-                    f"{_SHRINK_PATIENCE} consecutive epochs",
-                )
-            return (
+    if rsf > spec.target_stall:
+        new_width = min(max(width + 1, proposed), spec.max_readers)
+        if new_width <= width:
+            return decided(
                 "hold",
                 width,
-                f"trainer-stall {tsf:.2f} dominates; waiting out "
-                f"hysteresis ({self._shrink_streak}/{_SHRINK_PATIENCE})",
+                f"reader-stall {rsf:.2f} > target {spec.target_stall:.2f} "
+                f"but already at max_readers={spec.max_readers}",
             )
+        return decided(
+            "grow",
+            new_width,
+            f"reader-stall {rsf:.2f} > target {spec.target_stall:.2f}",
+        )
 
-        self._shrink_streak = 0
-        return (
+    if tsf >= _SHRINK_TRAINER_STALL and proposed < width:
+        streak += 1
+        if streak >= _SHRINK_PATIENCE:
+            return decided(
+                "shrink",
+                max(proposed, floor),
+                f"trainer-stall {tsf:.2f} dominated for "
+                f"{_SHRINK_PATIENCE} consecutive epochs",
+            )
+        return decided(
             "hold",
             width,
-            f"reader-stall {rsf:.2f} within target "
-            f"{self.target_stall:.2f}",
+            f"trainer-stall {tsf:.2f} dominates; waiting out "
+            f"hysteresis ({streak}/{_SHRINK_PATIENCE})",
+            streak,
         )
+
+    return decided(
+        "hold",
+        width,
+        f"reader-stall {rsf:.2f} within target {spec.target_stall:.2f}",
+    )
 
 
 @dataclass(frozen=True)

@@ -27,11 +27,10 @@ scans one job's epoch, one trainer consumes it.
   to running alone on a private fleet of any width.  Sharing only moves
   modeled wall-clock.
 * **Aggregate autoscaling** — given a
-  :class:`~repro.reader.autoscale.ScalingSpec`, a
-  :class:`~repro.reader.autoscale.ReaderAutoscaler` resizes the *pool*
-  between rounds from the tier-level overlap (every job's reader CPU
-  pooled over the width vs the slowest trainer), not any single job's
-  stall.
+  :class:`~repro.reader.autoscale.ScalingSpec`, the control law
+  :func:`~repro.reader.autoscale.rescale` resizes the *pool* between
+  rounds from the tier-level overlap (every job's reader CPU pooled
+  over the width vs the slowest trainer), not any single job's stall.
 
 Two allocation policies, both deterministic:
 
@@ -66,28 +65,31 @@ playing a fault plan sets :meth:`~repro.sim.faults.FaultPlan.fleet_faults`
 there, the only source of faults — so worker crashes and stragglers hit the leased
 fleets per (round, job), deterministically.
 
-Every scheduling decision is made by a pure core over one frozen
-:class:`TierState`: :func:`admit`, :func:`remove`, :func:`plan_round`
-and :func:`settle` return a new state and touch no fleet, so
-``tests/reader/test_tier_explorer.py`` checks the fairness guarantees
-on every reachable state of a bounded tier.  :class:`SharedReaderTier`
-is the effect layer: each :meth:`~SharedReaderTier.step` plans, leases
-the fleets, then settles.
-
-Every round's allocation, per-job modeled overlap, and the tier-level
-aggregate land in a :class:`~repro.metrics.tier.TierReport`.
+Every scheduling and scaling decision is made by a pure core over one
+frozen :class:`TierState` — :func:`admit`, :func:`remove`,
+:func:`plan_round`, :func:`settle`, and the control law
+:func:`~repro.reader.autoscale.rescale` over the state's spec and
+shrink streak — so ``tests/reader/test_tier_explorer.py`` checks the
+fairness guarantees on every reachable state of a bounded tier.
+:class:`SharedReaderTier` is the effect layer: each
+:meth:`~SharedReaderTier.step` plans, leases the fleets, rescales, then
+settles, logging ``round`` and ``scale`` events through
+:meth:`~SharedReaderTier.emit` into :attr:`~SharedReaderTier.events`,
+the one log its :class:`~repro.metrics.tier.TierReport` is folded from.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from collections.abc import Callable, Collection, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field, replace
 
 from ..metrics.freshness import FreshnessReport
-from ..metrics.tier import JobRoundStat, TierReport, TierRound
+from ..metrics.scaling import ScalingTrace
+from ..metrics.tier import Event, JobRoundStat, TierReport, TierRound
 from ..storage.hive import HiveTable
-from .autoscale import ReaderAutoscaler, ScalingSpec
+from .autoscale import ScalingSpec, rescale
 from .batch import Batch
 from .config import DataLoaderConfig
 from .costmodel import TransportSpec
@@ -275,6 +277,8 @@ class TierState:
         floor: the fairness floor, ⌈jobs/2⌉ at the largest job set
             admitted so far: the narrowest pool that serves every job
             within two rounds.
+        scaling: the autoscaler's spec (``None``: a fixed width).
+        streak: shrink-worthy rounds in a row (the hysteresis).
     """
 
     width: int
@@ -284,6 +288,8 @@ class TierState:
     jobs: tuple[JobState, ...] = ()
     starved: frozenset[str] = frozenset()
     floor: int = 0
+    scaling: ScalingSpec | None = None
+    streak: int = 0
 
     @property
     def round_width(self) -> int:
@@ -479,9 +485,10 @@ class SharedReaderTier:
     Register jobs with :meth:`register`, then :meth:`start`,
     :meth:`step` until no job is runnable, and :meth:`finish`: the
     resulting :class:`~repro.metrics.tier.TierReport` carries every
-    round's allocation and modeled accounting.  Merged per-job fleet
-    measurements accumulate in :attr:`job_fleets`.  The only scheduling
-    state is one :class:`TierState`, replaced on every transition.
+    round's allocation and modeled accounting, folded from
+    :attr:`events`.  Merged per-job fleet measurements accumulate in
+    :attr:`job_fleets`.  The only scheduling and scaling state is one
+    :class:`TierState`, replaced on every transition.
     """
 
     def __init__(
@@ -548,23 +555,27 @@ class SharedReaderTier:
         #: merged per-job FleetReports, one per job ever registered
         self.job_fleets: dict[str, FleetReport] = {}
         self.report: TierReport | None = None
-        self.state = TierState(num_readers, policy, freshness_slo)
+        #: everything the tier and its session decided, in order
+        self.events: list[Event] = []
+        self.state = TierState(
+            num_readers, policy, freshness_slo, scaling=scaling
+        )
         self._jobs: dict[str, TierJob] = {}
         self._started = False
         self._finished = False
-        self._autoscaler: ReaderAutoscaler | None = None
-        if scaling is not None:
-            self._autoscaler = ReaderAutoscaler(
-                num_readers,
-                target_stall=scaling.target_stall,
-                max_readers=scaling.max_readers,
-            )
-        self._rounds: list[TierRound] = []
 
     @property
     def policy(self) -> str:
         """The worker-allocation policy."""
         return self.state.policy
+
+    def emit(self, kind: str, job: str | None = None, **fields) -> None:
+        """Log one :class:`~repro.metrics.tier.Event` at the current
+        round and modeled clock: the only place :attr:`events` grows."""
+        now = time.perf_counter()
+        self.events.append(
+            Event(self.state.cursor, job, kind, fields, self.clock, now)
+        )
 
     # -- registration / admission ------------------------------------------
 
@@ -717,7 +728,8 @@ class SharedReaderTier:
         return self.clock
 
     def step(self) -> RoundDecision | None:
-        """Run one scheduling round: plan it, lease the fleets, settle.
+        """Run one scheduling round: plan it, lease the fleets, log it,
+        rescale (autoscaled tiers), settle.
 
         Returns:
             The round's :class:`RoundDecision`; ``None`` when no
@@ -748,7 +760,8 @@ class SharedReaderTier:
         ]
         if not runnable:
             return None
-        decision, planned = plan_round(self.state, [j.name for j in runnable])
+        names = [j.name for j in runnable]
+        decision, planned = plan_round(self.state, names)
         alloc = decision.allocation
         stats = [
             self._run_job_epoch(job, progress[job.name], alloc[job.name])
@@ -756,24 +769,30 @@ class SharedReaderTier:
             if alloc[job.name]
         ]
         rnd = TierRound(
-            index=len(self._rounds),
-            width=decision.width,
-            stats=stats,
-            skipped=list(decision.skipped),
+            self.state.cursor, decision.width, stats, list(decision.skipped)
         )
-        self._rounds.append(rnd)
+        demand = {n: self.state.job(n).demand for n in names}
+        self.emit(
+            "round", tier_round=rnd, weights=decision.weights,
+            demand=demand, starved=sorted(self.state.starved),
+        )
         self.clock += rnd.modeled_wall_seconds
         width = decision.width
-        if self._autoscaler is not None:
+        if planned.scaling is not None:
             # the proposal starts from the width the round ran at
-            width = self._autoscaler.observe(
-                rnd.aggregate, rnd.index, width, min_readers=planned.floor
+            scaled, streak = rescale(
+                planned.scaling, rnd.aggregate, rnd.index, width,
+                planned.floor, planned.streak,
             )
+            self.emit("scale", decision=scaled)
+            width, planned = scaled.width_after, replace(planned, streak=streak)
         self.state = settle(planned, stats, width)
         return decision
 
     def finish(self) -> TierReport:
-        """Close the loop and build the run's report.
+        """Close the loop and fold the log into the run's report: its
+        ``round`` events are the rounds, its ``scale`` events the
+        scaling trace.
 
         Raises:
             RuntimeError: if called before :meth:`start` or twice.
@@ -784,17 +803,21 @@ class SharedReaderTier:
                 "first (and finish() only once)"
             )
         self._finished = True
+        spec = self.state.scaling
         self.report = TierReport(
-            policy=self.policy,
-            rounds=self._rounds,
-            scaling=self._autoscaler.trace if self._autoscaler else None,
+            self.policy,
+            [e.fields["tier_round"] for e in self.events if e.kind == "round"],
+            None if spec is None else ScalingTrace(
+                spec.target_stall,
+                [e.fields["decision"] for e in self.events if e.kind == "scale"],
+            ),
         )
         return self.report
 
     @property
     def round_index(self) -> int:
         """Rounds completed so far — the index the next round will get."""
-        return len(self._rounds)
+        return self.state.cursor
 
     def epochs_completed(self, name: str) -> int:
         """Epochs the named registered job has finished so far.
@@ -853,7 +876,7 @@ class SharedReaderTier:
             # this epoch's partitions and ages out the expired ones.
             job.prepare(epoch)
         faults = (
-            self.fault_injector(len(self._rounds), job.name)
+            self.fault_injector(self.state.cursor, job.name)
             if self.fault_injector is not None
             else None
         )

@@ -143,7 +143,7 @@ class Scenario:
             slo=SLOReport.from_session(session),
             tier=report,
             losses=losses,
-            trace=session.events,
+            trace=[e.as_dict() for e in session.events],
         )
 
     def baseline(self) -> dict[str, list[float]]:

@@ -162,11 +162,6 @@ class HiveTable:
         """Names of the currently live partitions, in landing order."""
         return list(self.partitions)
 
-    @property
-    def bytes_live(self) -> int:
-        """Compressed bytes currently live across every partition."""
-        return sum(p.compressed_bytes for p in self.partitions.values())
-
     def open_readers(self, partition: str) -> list[DwrfReader]:
         """One reader per file of the partition (how a reader tier scans)."""
         if partition not in self.partitions:
@@ -191,8 +186,3 @@ class HiveTable:
         return RowBlock.from_samples(
             (), self.schema.sparse_names, self.schema.dense_names
         )
-
-    def partition_stored_bytes(self, partition: str) -> int:
-        """Bytes the partition's files occupy on the filesystem."""
-        info = self.partitions[partition]
-        return sum(self.fs.size(p) for p in info.files)

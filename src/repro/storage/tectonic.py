@@ -73,8 +73,3 @@ class TectonicFS:
     def listdir(self, prefix: str) -> list[str]:
         """Every stored path under ``prefix``, sorted."""
         return sorted(p for p in self._files if p.startswith(prefix))
-
-    @property
-    def total_stored_bytes(self) -> int:
-        """Bytes currently stored (deleted files no longer count)."""
-        return sum(len(d) for d in self._files.values())

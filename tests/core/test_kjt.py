@@ -99,7 +99,10 @@ class TestAccess:
             {"a": [], "b": [4, 5]},
         ]
         kjt = KeyedJaggedTensor.from_rows(rows)
-        got = kjt.to_row_dicts()
+        got = [
+            {k: kjt[k].row(i).tolist() for k in kjt.keys}
+            for i in range(kjt.batch_size)
+        ]
         assert got == [
             {"a": [1, 2], "b": [3]},
             {"a": [], "b": [4, 5]},
@@ -147,4 +150,8 @@ def row_batches(draw):
 def test_property_row_dict_round_trip(batch):
     rows, keys = batch
     kjt = KeyedJaggedTensor.from_rows(rows, keys=keys)
-    assert kjt.to_row_dicts() == [{k: list(r[k]) for k in keys} for r in rows]
+    got = [
+        {k: kjt[k].row(i).tolist() for k in kjt.keys}
+        for i in range(kjt.batch_size)
+    ]
+    assert got == [{k: list(r[k]) for k in keys} for r in rows]

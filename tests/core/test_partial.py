@@ -15,6 +15,14 @@ from repro.reader import DataLoaderConfig, convert_rows
 from tests.conftest import make_reader_schema, make_trace
 
 
+def _expand(pt):
+    """Expand a partial tensor back to the jagged tensor it encodes,
+    row by row."""
+    return JaggedTensor.from_lists(
+        [pt.row(i) for i in range(pt.batch_size)], dtype=pt.values.dtype
+    )
+
+
 class TestPaperExample:
     def test_figure5_feature_b_partial(self):
         """§7: b = [3,4,5]/[4,5,6]/[3,4,5] -> values [3,4,5,6] and
@@ -39,7 +47,7 @@ class TestRoundTrip:
         rows = [[1, 2, 3], [2, 3, 4], [9], [], [1, 2, 3], [3, 4]]
         jt = JaggedTensor.from_lists(rows)
         pt = PartialJaggedTensor.from_jagged(jt)
-        assert pt.to_jagged().to_lists() == rows
+        assert _expand(pt).to_lists() == rows
 
     def test_empty_batch(self):
         pt = PartialJaggedTensor.from_jagged(JaggedTensor.from_lists([]))
@@ -49,14 +57,14 @@ class TestRoundTrip:
 
     def test_all_empty_rows(self):
         pt = PartialJaggedTensor.from_jagged(JaggedTensor.empty(3))
-        assert pt.to_jagged().to_lists() == [[], [], []]
+        assert _expand(pt).to_lists() == [[], [], []]
 
     def test_window_subsumption(self):
         # A row that is an interior window of a stored row adds no values.
         jt = JaggedTensor.from_lists([[1, 2, 3, 4], [2, 3]])
         pt = PartialJaggedTensor.from_jagged(jt)
         assert pt.total_values == 4
-        assert pt.to_jagged().to_lists() == [[1, 2, 3, 4], [2, 3]]
+        assert _expand(pt).to_lists() == [[1, 2, 3, 4], [2, 3]]
 
 
 class TestValidation:
@@ -85,7 +93,7 @@ def test_property_partial_round_trip(rows):
     """Partial dedup is lossless for arbitrary batches."""
     jt = JaggedTensor.from_lists(rows)
     pt = PartialJaggedTensor.from_jagged(jt)
-    assert pt.to_jagged().to_lists() == rows
+    assert _expand(pt).to_lists() == rows
     # and never stores more values than the original
     assert pt.total_values <= jt.total_values
 
@@ -125,7 +133,7 @@ class TestOnReaderBatches:
         hist = batch.kjt["hist"]
         pt = PartialJaggedTensor.from_jagged(hist)
         assert pt.batch_size == batch.batch_size
-        assert pt.to_jagged() == hist
+        assert _expand(pt) == hist
 
     def test_partial_beats_exact_on_shifted_feature(self, batch):
         hist = batch.kjt["hist"]

@@ -48,8 +48,9 @@ class TestDedupSpec:
     def test_dedup_groups_cover_sequences(self):
         w = rm1()
         deduped = set(w.dedup_feature_names)
-        for name in w.sequence_feature_names:
-            assert name in deduped
+        for f in w.schema.sparse:
+            if f.is_sequence:
+                assert f.name in deduped
 
     def test_groups_are_schema_groups(self):
         w = rm2()
@@ -87,8 +88,8 @@ class TestScaling:
         assert small.baseline_batch_size <= big.baseline_batch_size
         assert small.embedding_dim <= big.embedding_dim
         # structure is scale-invariant
-        assert len(small.sequence_feature_names) == len(
-            big.sequence_feature_names
+        assert sum(f.is_sequence for f in small.schema.sparse) == sum(
+            f.is_sequence for f in big.schema.sparse
         )
 
     def test_minimums_enforced(self):

@@ -121,3 +121,42 @@ def test_compare_reads_a_backfilled_file(tmp_path, capsys):
         if line.startswith("| scan-kjt")
     ]
     assert rows == ["| scan-kjt | samples_per_s | 100 | 20 | 80 | ×0.800 worse | — |"]
+
+
+def test_trend_prints_one_median_per_record_in_pr_order(
+    tmp_path, monkeypatch, capsys
+):
+    """``--trend`` reads every BENCH file at the root, sorts them by PR
+    number (10 after 9, not after 1), marks the backfilled ones and
+    shows a dash where a record holds no median."""
+    monkeypatch.setattr(bench_record, "REPO_ROOT", tmp_path)
+    for pr, rate in ((9, 125.0), (10, 150.0)):
+        record = _bench("a" * 40, "f", **{"scan-kjt": (rate, 300.0)})
+        (tmp_path / f"BENCH_{pr}.json").write_text(json.dumps({**record, "pr": pr}))
+    for pr, workloads in (
+        (2, {"scan-kjt": {"metrics": {"samples_per_s": {"median": 80.0}}}}),
+        (5, {"ingest": {"metrics": {}}}),
+    ):
+        (tmp_path / f"BENCH_{pr}.json").write_text(
+            json.dumps({"pr": pr, "backfilled": True, "workloads": workloads})
+        )
+
+    def rows() -> list[str]:
+        return [
+            line for line in capsys.readouterr().out.splitlines()
+            if line[:3].strip("| ").isdigit()
+        ]
+
+    assert bench_record.main(["--trend", "scan-kjt"]) == 0
+    assert rows() == [
+        "| 2 | 80 | — | backfilled |",
+        "| 5 | — | — | backfilled |",
+        "| 9 | 125 | 25 | measured |",
+        "| 10 | 150 | 30 | measured |",
+    ]
+    assert bench_record.main(["--trend", "scan-kjt", "stored_bytes_per_sample"]) == 0
+    assert [row.split(" | ")[1] for row in rows()] == ["—", "—", "300", "300"]
+    for argv in (["nope"], ["scan-kjt", "bogus"], ["scan-kjt", "setup_s", "x"]):
+        with pytest.raises(SystemExit) as exit_:
+            bench_record.main(["--trend", *argv])
+        assert exit_.value.code == 2

@@ -204,12 +204,30 @@ class TestBadValues:
             ),
             # the workloads floor every magnitude, so these used to
             # print plausible speedups for a nonsense scale
-            (["fig7", "--scale", "-1"], "workload scale must be positive"),
-            (["scribe", "--scale", "0"], "workload scale must be positive"),
-            (["simulate", "--scale", "0"], "workload scale must be positive"),
+            (["fig7", "--scale", "-1"], "--scale must be positive, got -1.0"),
+            (["scribe", "--scale", "0"], "--scale must be positive, got 0.0"),
+            (["simulate", "--scale", "0"], "--scale must be positive, got 0.0"),
             # were OverflowError tracebacks from int(48 * scale)
-            (["pipeline", "--scale", "inf"], "workload scale must be finite"),
-            (["simulate", "--scale", "inf"], "workload scale must be finite"),
+            (["pipeline", "--scale", "inf"], "--scale must be finite, got inf"),
+            (["simulate", "--scale", "inf"], "--scale must be finite, got inf"),
+            # exited 2 with the workload's "workload scale" wording,
+            # which names no flag
+            (["pipeline", "--scale", "0"], "--scale must be positive, got 0.0"),
+            (["stream", "--scale", "-1"], "--scale must be positive, got -1.0"),
+            (
+                ["simulate", "--scenario", "burst", "--scale", "0"],
+                "--scale must be positive, got 0.0",
+            ),
+            (
+                ["multijob", "--job", "RM1:scale=0"],
+                "--job key 'scale' must be positive, got 0.0",
+            ),
+            # a key a --job spec set is named as that key, not as the
+            # flag the job would otherwise inherit it from
+            (
+                ["multijob", "--job", "RM1:epochs=0"],
+                "--job key 'epochs' must be positive, got 0",
+            ),
             # numpy's seed error named no flag; simulate raised it mid-run,
             # and must name the seed typed, not a job's derived one
             (["pipeline", "--seed", "-5"], "--seed must be non-negative, got -5"),
