@@ -107,7 +107,7 @@ def main() -> None:
         ).run()
         ov = res.overlap
         print(
-            f"  {label:12s}: {ov.batches} steps in {ov.wall_seconds:.3f}s "
+            f"  {label:12s}: {len(res.training.iterations)} steps in {ov.wall_seconds:.3f}s "
             f"wall — reader-stall {100 * ov.reader_stall_fraction:5.1f}%, "
             f"trainer {100 * ov.trainer_stall_fraction:5.1f}%, "
             f"other {100 * ov.other_fraction:5.1f}% "

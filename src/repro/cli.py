@@ -333,10 +333,12 @@ def _cmd_figure(args) -> int:
     """Run the ``FIGURES`` entry the subcommand names, with the flags
     its driver reads, and print its rows."""
     fig = FIGURES[args.command]
+    values = {flag: getattr(args, flag) for flag in fig.flags}
     # a driver is one call with no prepare/run seam to split at
     with _usage_boundary():
+        fig.check(values)
         rows = fig.run(
-            **{param: getattr(args, flag) for flag, param in fig.flags.items()}
+            **{param: values[flag] for flag, param in fig.flags.items()}
         )
     print("\n".join(render(fig, rows)))
     return 0
@@ -373,7 +375,7 @@ def _cmd_pipeline(args) -> int:
             f"{fleet.modeled_delivered_wall_seconds * 1e3:.1f} ms"
         )
     ov = res.overlap
-    mode = "streaming" if ov.streaming else "materialized"
+    mode = "streaming" if res.spec.reader.streaming else "materialized"
     print(
         f"  overlap ({mode[:6]})  : reader-stall "
         f"{100 * ov.reader_stall_fraction:.1f}% / trainer "
@@ -381,12 +383,13 @@ def _cmd_pipeline(args) -> int:
         f"{100 * ov.other_fraction:.1f}% of "
         f"{ov.wall_seconds * 1e3:.1f} ms wall"
     )
-    if ov.bytes.decoded:
+    ledger = res.reader.bytes
+    if ledger.decoded:
         print(
-            f"  bytes               : read {ov.bytes.read:,}, "
-            f"decoded {ov.bytes.decoded:,}, expanded "
-            f"{ov.bytes.expanded:,} (saved {ov.bytes.saved:,}, "
-            f"{ov.bytes.dedupe_factor:.2f}x)"
+            f"  bytes               : read {ledger.read:,}, "
+            f"decoded {ledger.decoded:,}, expanded "
+            f"{ledger.expanded:,} (saved {ledger.saved:,}, "
+            f"{ledger.dedupe_factor:.2f}x)"
         )
     if res.dropped_partitions:
         print(

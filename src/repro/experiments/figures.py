@@ -191,13 +191,6 @@ def _endpoints(records: Iterable[RunRecord]) -> list[tuple[str, RunRecord, RunRe
     return [(rm, pair["baseline"], pair["recd"]) for rm, pair in sorted(pairs.items())]
 
 
-def _require_sessions(num_sessions: int) -> None:
-    """The statistics-only drivers' input check (the Session-backed
-    ones get theirs from ``DataSpec``)."""
-    if num_sessions <= 0:
-        raise ValueError(f"num_sessions must be positive, got {num_sessions}")
-
-
 def _latest_by_label(
     store: RunStore, experiment: str, profile: str | None
 ) -> dict[str, RunRecord]:
@@ -237,7 +230,6 @@ def fig3_session_histogram(num_sessions: int, seed: int, batch_size: int = 4096)
     directly; the in-batch interleaving statistic is computed from a
     materialized (feature-free) trace ordered by timestamp.
     """
-    _require_sessions(num_sessions)
     rng = np.random.default_rng(seed)
     sizes = sample_session_sizes(num_sessions, rng=rng)
     stats = session_size_stats(sizes)
@@ -273,7 +265,6 @@ def fig4_duplication(
     num_sessions: int, seed: int, num_features: int = 733
 ) -> CharacterizationReport:
     """Fig 4 over a paper-shaped 733-feature schema."""
-    _require_sessions(num_sessions)
     return characterize_schema(
         characterization_schema(num_features=num_features),
         num_sessions=num_sessions,
@@ -762,7 +753,6 @@ def per_session_downsampling(num_sessions: int, seed: int) -> dict[str, dict[str
     """§7: keeping 30 % of whole sessions instead of 30 % of samples
     keeps S — and so the dedupe factor of a clustered 4096-row batch —
     high at about the same retained volume."""
-    _require_sessions(num_sessions)
     schema = DatasetSchema(sparse=(SparseFeatureSpec("hist", avg_length=24, change_prob=0.05),))
     full = RowBlock.from_samples(
         TraceGenerator(schema, TraceConfig(seed=seed)).generate_partition(num_sessions)
@@ -1057,6 +1047,14 @@ class Figure:
     grid: Callable[[float, int, int], GridSpec] | None = None
     rows: Callable[[Iterable[RunRecord]], object] | None = None
 
+    def check(self, values: Mapping[str, object]) -> None:
+        """Raise ``ValueError`` naming the flag of the first value (keyed
+        like :attr:`flags`) its driver parameter rejects."""
+        for flag, param in self.flags.items():
+            rule, ok = _INPUTS[param]
+            if not ok(values[flag]):
+                raise ValueError(f"--{flag.replace('_', '-')} must be {rule}, got {values[flag]}")
+
 
 def render(fig: Figure, rows) -> list[str]:
     """A figure as text — the one renderer behind the CLI, ``repro
@@ -1179,6 +1177,12 @@ def _freshness_cells(runs: Mapping[str, MultiJobResult]) -> dict:
     return cells
 
 
+#: what each driver parameter a flag sets must be: its one input check
+_INPUTS = {
+    "scale": ("positive", lambda v: v > 0),
+    "num_sessions": ("positive", lambda v: v > 0),
+    "seed": ("non-negative", lambda v: v >= 0),
+}
 _SEED = {"seed": "seed"}
 _SESSIONS = {"sessions": "num_sessions", **_SEED}
 _STATS = {"sessions_large": "num_sessions", **_SEED}

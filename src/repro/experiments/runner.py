@@ -82,7 +82,7 @@ def extract_metrics(result: PipelineResult, slo: SLOReport) -> dict:
     metrics["trainer_stall_fraction"] = result.overlap.trainer_stall_fraction
     # bytes-read vs bytes-decoded vs bytes-expanded: the dedup
     # transport savings the regression gate tracks
-    ledger = result.overlap.bytes
+    ledger = result.reader.bytes
     metrics["reader_bytes_read"] = float(ledger.read)
     metrics["reader_bytes_decoded"] = float(ledger.decoded)
     metrics["reader_bytes_expanded"] = float(ledger.expanded)

@@ -84,7 +84,3 @@ class FreshnessReport(Folded):
     def max_lag_seconds(self) -> float:
         """The single stalest delivered batch (0.0 when empty)."""
         return max(self.lags, default=0.0)
-
-    def merged(self, other: "FreshnessReport") -> "FreshnessReport":
-        """A new report holding both inputs' lags (inputs untouched)."""
-        return FreshnessReport(lags=[*self.lags, *other.lags])

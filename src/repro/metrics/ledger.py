@@ -3,17 +3,16 @@
 
 RecD's reader-tier result is a byte story (Table 3: bytes read off
 storage vs bytes sent to trainers), so the five byte counters every
-reader, fleet, tier round and overlap report carries live in one value
-object, :class:`ByteLedger`, with the only definitions of the two
-values derived from them.
+reader, fleet and tier round carries live in one value object,
+:class:`ByteLedger`, with the only definitions of the two values
+derived from them.
 
 The reports that carry it — and the phase breakdowns beside it — all
 aggregate the same way: numbers add, nested reports merge, per-batch
 sample lists concatenate.  :class:`Folded` derives that ``merge`` and
 the matching ``as_dict`` from the dataclass fields, so a report states
-only what is *not* additive (``OverlapReport.streaming`` ANDs,
-``FleetReport.executor_used`` degrades to ``"mixed"``) by overriding
-``merge`` for exactly that field.
+only what is *not* additive (``FleetReport.executor_used`` degrades to
+``"mixed"``) by overriding ``merge`` for exactly that field.
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ class Folded:
         """A fresh instance with every part merged in, in order.
 
         ``None`` parts are skipped (a job that tracked no freshness, a
-        run with no reader), so ``fold([x])`` is also how a report
+        run with no fleet queue), so ``fold([x])`` is also how a report
         takes its own copy of ``x``.
         """
         out = cls()

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .breakdown import QueueWaitBreakdown
-from .ledger import ByteLedger, Folded
+from .ledger import Folded
 
 __all__ = ["OverlapReport"]
 
@@ -34,7 +34,8 @@ class OverlapReport(Folded):
 
     ``reader_stall_seconds + trainer_busy_seconds + other_seconds``
     equals ``wall_seconds`` by construction, so the three fractions sum
-    to 1 whenever any wall-clock elapsed.
+    to 1 whenever any wall-clock elapsed.  It attributes time only:
+    the run's bytes are on ``ReaderReport.bytes``.
     """
 
     #: end-to-end ingestion-loop wall time (across every epoch)
@@ -47,12 +48,6 @@ class OverlapReport(Folded):
     trainer_busy_seconds: float = 0.0
     #: the fleet's prefetch-queue waits, merged across epochs
     queue: QueueWaitBreakdown = field(default_factory=QueueWaitBreakdown)
-    batches: int = 0
-    #: whether batches streamed straight from the readers (True) or were
-    #: materialized to a list first (the A/B baseline)
-    streaming: bool = True
-    #: what the readers read, shipped and (under dedup) saved
-    bytes: ByteLedger = field(default_factory=ByteLedger)
 
     derived = ("other_seconds", "fractions")
     derived_after = "trainer_busy_seconds"
@@ -90,16 +85,6 @@ class OverlapReport(Folded):
             return 0.0
         return self.other_seconds / self.wall_seconds
 
-    def merge(self, other: "OverlapReport") -> None:
-        """Fold another report's attribution in (round/epoch totals).
-
-        Summands add, so the merged report's fractions remain a valid
-        attribution of the merged wall-clock; ``streaming`` stays True
-        only if every merged report streamed.
-        """
-        self.streaming = self.streaming and other.streaming
-        super().merge(other)
-
     @property
     def fractions(self) -> dict[str, float]:
         """The attribution summands (sum to 1 when wall-clock elapsed)."""
@@ -114,9 +99,6 @@ class OverlapReport(Folded):
         cls,
         reader_wall_seconds: float,
         trainer_busy_seconds: float,
-        batches: int = 0,
-        streaming: bool = True,
-        bytes: ByteLedger | None = None,
     ) -> "OverlapReport":
         """Build a *deterministic* report from modeled tier times.
 
@@ -138,10 +120,6 @@ class OverlapReport(Folded):
                 the fleet width).
             trainer_busy_seconds: modeled time the trainer spent inside
                 steps (summed ``iteration_seconds``).
-            batches: batches the epoch trained (bookkeeping only).
-            streaming: whether the run streamed (bookkeeping only).
-            bytes: the readers' byte ledger for the epoch (copied in;
-                bookkeeping only).
 
         Returns:
             An :class:`OverlapReport` whose fractions sum to 1.
@@ -159,10 +137,6 @@ class OverlapReport(Folded):
             ),
             trainer_busy_seconds=trainer_busy_seconds,
             queue=queue,
-            batches=batches,
-            streaming=streaming,
-            # a copy: merging into the report must not write through
-            bytes=ByteLedger.fold([bytes]),
         )
 
     @classmethod
@@ -171,8 +145,6 @@ class OverlapReport(Folded):
         training,
         queue: QueueWaitBreakdown | None = None,
         wall_seconds: float | None = None,
-        streaming: bool = True,
-        reader=None,
     ) -> "OverlapReport":
         """Build from a ``TrainingReport``'s measured ingestion-loop
         timing plus the fleet's queue waits.
@@ -181,9 +153,6 @@ class OverlapReport(Folded):
             training: the trainer's ``TrainingReport``.
             queue: the fleet's queue-wait breakdown.
             wall_seconds: override the loop wall-clock.
-            reader: a merged :class:`~repro.reader.node.ReaderReport`;
-                when given, its byte ledger carries into the
-                attribution.
         """
         return cls(
             wall_seconds=(
@@ -194,9 +163,4 @@ class OverlapReport(Folded):
             reader_stall_seconds=training.ingest_wait_seconds,
             trainer_busy_seconds=training.step_wall_seconds,
             queue=QueueWaitBreakdown.fold([queue]),
-            batches=len(training.iterations),
-            streaming=streaming,
-            bytes=ByteLedger.fold(
-                [None if reader is None else reader.bytes]
-            ),
         )

@@ -86,8 +86,6 @@ class JobRoundStat:
         trainer_busy_seconds: modeled time the job's trainer spent
             inside steps this round.
         batches: batches the job trained this round.
-        streaming: whether the job streamed batches into its consumer
-            (False for materialize-first jobs; bookkeeping only).
         bytes: what the job's shards read, shipped and (under
             ``ReaderSpec.dedup``) saved this round.
         freshness: per-batch event-time → trained-on lags for this
@@ -100,7 +98,6 @@ class JobRoundStat:
     reader_cpu_seconds: float
     trainer_busy_seconds: float
     batches: int = 0
-    streaming: bool = True
     bytes: ByteLedger = field(default_factory=ByteLedger)
     freshness: FreshnessReport | None = None
 
@@ -133,9 +130,6 @@ class JobRoundStat:
         return OverlapReport.modeled(
             reader_wall_seconds=self.reader_wall_seconds,
             trainer_busy_seconds=self.trainer_busy_seconds,
-            batches=self.batches,
-            streaming=self.streaming,
-            bytes=self.bytes,
         )
 
 
@@ -192,9 +186,6 @@ class TierRound:
             trainer_busy_seconds=max(
                 (s.trainer_busy_seconds for s in self.stats), default=0.0
             ),
-            batches=sum(s.batches for s in self.stats),
-            streaming=all(s.streaming for s in self.stats),
-            bytes=ByteLedger.fold(s.bytes for s in self.stats),
         )
 
 

@@ -74,7 +74,6 @@ class PipelineResult:
     #: the composed spec the engine executed
     spec: JobSpec
     scribe: ScribeStats
-    scribe_ingest_bytes: int
     #: the landed table rolled up across partitions (storage totals)
     partition: PartitionInfo
     reader: ReaderReport
@@ -361,12 +360,10 @@ class JobRuntime:
             prefetch_depth=spec.reader.prefetch_depth,
             executor=spec.reader.executor,
             transport=spec.reader.transport,
-            streaming=spec.reader.streaming,
             weight=spec.weight,
             prepare=prepare,
             partition_rows=partition_rows,
             ready=ready if live else None,
-            track_freshness=live,
         )
 
 
@@ -378,10 +375,10 @@ class Session:
     sequence of specs (the pool is multiplexed across jobs and
     :meth:`run` returns a :class:`MultiJobResult`).
 
-    Pool-level scaling resolves in precedence order: the explicit
-    ``scaling`` argument, else the registered jobs' own
+    Pool-level scaling comes from the registered jobs' own
     :class:`~repro.pipeline.spec.ScalingSpec`\\ s (tightest
-    ``target_stall``, widest ``max_readers``), else fixed width.
+    ``target_stall``, widest ``max_readers``); with none, the width is
+    fixed.
 
     :meth:`run` is the one loop, over :meth:`tick`.  A session built
     with a :class:`~repro.sim.faults.FaultPlan` plays it inside that
@@ -400,7 +397,6 @@ class Session:
         *,
         width: int | None = None,
         policy: str = "stall_weighted",
-        scaling: ScalingSpec | None = None,
         names: Sequence[str] | None = None,
         freshness_slo: float | None = None,
         plan: FaultPlan | None = None,
@@ -414,8 +410,6 @@ class Session:
                 sharing.
             policy: worker-allocation policy (``"stall_weighted"`` or
                 ``"round_robin"``).
-            scaling: pool-level autoscaling override; ``None`` defers
-                to the jobs' own specs.
             names: report names overriding each spec's ``name``.
             freshness_slo: target p99 event-time → trained-on lag in
                 modeled seconds for streaming jobs; the tier boosts
@@ -466,21 +460,18 @@ class Session:
             width = self.specs[0].reader.num_readers
         self.width = width
         self.policy = policy
-        if scaling is None:
-            per_job = [s.scaling for s in self.specs if s.scaling is not None]
-            if per_job:
-                # A job's own bound caps its *solo* fleet; promoted to
-                # the pool it must never undercut the pool's width, or
-                # a wide pool would trip the autoscaler's sanity check
-                # on behalf of a job that never mentioned the pool.
-                floor = [] if self._single else [self.width]
-                scaling = ScalingSpec(
-                    target_stall=min(s.target_stall for s in per_job),
-                    max_readers=max(
-                        [s.max_readers for s in per_job] + floor
-                    ),
-                )
-        self.scaling = scaling
+        per_job = [s.scaling for s in self.specs if s.scaling is not None]
+        self.scaling = None
+        if per_job:
+            # A job's own bound caps its *solo* fleet; promoted to the
+            # pool it must never undercut the pool's width, or a wide
+            # pool would trip the autoscaler's sanity check on behalf
+            # of a job that never mentioned the pool.
+            floor = [] if self._single else [self.width]
+            self.scaling = ScalingSpec(
+                target_stall=min(s.target_stall for s in per_job),
+                max_readers=max([s.max_readers for s in per_job] + floor),
+            )
         self.freshness_slo = freshness_slo
         self.plan = plan
         #: per-job losses of the registrations a preemption cut short
@@ -768,8 +759,6 @@ class Session:
                     rt.trainer.report,
                     queue=fleet.queue,
                     wall_seconds=wall_seconds,
-                    streaming=rt.spec.reader.streaming,
-                    reader=merged,
                 )
                 if solo
                 else report.job_overlap(rt.name)
@@ -779,7 +768,6 @@ class Session:
                     name=rt.name,
                     spec=rt.spec,
                     scribe=rt.lander.scribe.stats,
-                    scribe_ingest_bytes=rt.lander.ingest_bytes,
                     partition=_rollup_partitions(rt.lander.partitions),
                     reader=merged,
                     training=rt.trainer.report,

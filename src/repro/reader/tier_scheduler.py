@@ -434,9 +434,6 @@ class TierJob:
         transport: batch-transport model for the job's scans (``copy``
             charges modeled serialize cost and counts ``bytes.copied``;
             ``shm`` is the zero-copy A/B).
-        streaming: whether the job's consumer streams batches (False
-            when it materializes first; carried into the job's overlap
-            reports as bookkeeping).
         weight: scheduling weight — the stall-weighted allocator scales
             this job's observed reader demand by it, so heavier jobs
             pull more of the surplus pool (content is unaffected).
@@ -455,11 +452,10 @@ class TierJob:
             out as *waiting*: it draws no workers and neither earns
             next-round priority nor loses the priority it holds.
             Live-loop streaming jobs gate on their lander's landing
-            progress here.
-        track_freshness: record a per-round
-            :class:`~repro.metrics.freshness.FreshnessReport` from the
-            job's delivered batch event times against the tier's
-            modeled clock (live-loop streaming jobs).
+            progress here, and a gated job records a per-round
+            :class:`~repro.metrics.freshness.FreshnessReport` from its
+            delivered batch event times against the tier's modeled
+            clock.
     """
 
     name: str
@@ -471,12 +467,10 @@ class TierJob:
     prefetch_depth: int = 2
     executor: str = "inprocess"
     transport: TransportSpec = field(default_factory=TransportSpec)
-    streaming: bool = True
     weight: float = 1.0
     prepare: Callable[[int], None] | None = None
     partition_rows: Mapping[str, int] | None = None
     ready: Callable[[int], bool] | None = None
-    track_freshness: bool = False
 
 
 class SharedReaderTier:
@@ -905,7 +899,7 @@ class SharedReaderTier:
         merged = fleet.report.merged
         self.job_fleets[job.name].merge(fleet.report)
         freshness = None
-        if job.track_freshness:
+        if job.ready is not None:
             # The job's share of the round ends when the slower of its
             # leased readers and its trainer does; every batch the
             # round delivered counts as trained at that moment on the
@@ -922,7 +916,6 @@ class SharedReaderTier:
             reader_cpu_seconds=merged.cpu.total,
             trainer_busy_seconds=busy,
             batches=merged.batches,
-            streaming=job.streaming,
             bytes=merged.bytes,
             freshness=freshness,
         )

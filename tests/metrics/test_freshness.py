@@ -63,11 +63,12 @@ def test_percentiles_are_ordered(event_times, trained_at):
 def test_merge_is_associative(a, b, c):
     """(a + b) + c == a + (b + c), lag for lag."""
     ra, rb, rc = (FreshnessReport(lags=list(x)) for x in (a, b, c))
-    left = ra.merged(rb).merged(rc)
-    right = ra.merged(rb.merged(rc))
+    fold = FreshnessReport.fold
+    left = fold([fold([ra, rb]), rc])
+    right = fold([ra, fold([rb, rc])])
     assert left.lags == right.lags
     assert left.as_dict() == right.as_dict()
-    # merged() never mutates its inputs
+    # fold() never mutates its inputs
     assert ra.lags == list(a) and rb.lags == list(b) and rc.lags == list(c)
 
 
@@ -75,8 +76,9 @@ def test_merge_is_associative(a, b, c):
 @given(a=_event_lists, b=_event_lists)
 def test_merge_order_cannot_change_percentiles(a, b):
     """Percentiles are multiset views: a+b and b+a agree on every one."""
-    ab = FreshnessReport(lags=list(a)).merged(FreshnessReport(lags=list(b)))
-    ba = FreshnessReport(lags=list(b)).merged(FreshnessReport(lags=list(a)))
+    ra, rb = FreshnessReport(lags=list(a)), FreshnessReport(lags=list(b))
+    ab = FreshnessReport.fold([ra, rb])
+    ba = FreshnessReport.fold([rb, ra])
     assert ab.p50_lag_seconds == ba.p50_lag_seconds
     assert ab.p99_lag_seconds == ba.p99_lag_seconds
     assert ab.max_lag_seconds == ba.max_lag_seconds
@@ -86,7 +88,7 @@ def test_merge_order_cannot_change_percentiles(a, b):
 def test_in_place_merge_matches_functional_merge():
     left = FreshnessReport(lags=[1.0, 3.0])
     right = FreshnessReport(lags=[2.0])
-    functional = left.merged(right)
+    functional = FreshnessReport.fold([left, right])
     left.merge(right)
     assert left.lags == functional.lags == [1.0, 3.0, 2.0]
 

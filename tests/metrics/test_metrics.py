@@ -1,14 +1,19 @@
 """Tests for counters, breakdowns, and overlap."""
 
+import inspect
+from dataclasses import fields
+
 import pytest
 
 from repro.metrics import (
     Counters,
     IterationBreakdown,
+    JobRoundStat,
     OverlapReport,
     QueueWaitBreakdown,
     ReaderCpuBreakdown,
 )
+from repro.reader.tier_scheduler import TierJob
 
 
 class TestCounters:
@@ -64,7 +69,6 @@ class TestOverlapReport:
             wall_seconds=10.0,
             reader_stall_seconds=3.0,
             trainer_busy_seconds=6.0,
-            batches=4,
         )
         assert ov.other_seconds == pytest.approx(1.0)
         assert ov.reader_stall_fraction == pytest.approx(0.3)
@@ -105,13 +109,35 @@ class TestOverlapReport:
             run_wall_seconds=4.5,
         )
         queue = QueueWaitBreakdown(put_wait=0.2, get_wait=0.9)
-        ov = OverlapReport.from_run(training, queue=queue, streaming=True)
+        ov = OverlapReport.from_run(training, queue=queue)
         assert ov.wall_seconds == pytest.approx(4.5)
         assert ov.reader_stall_seconds == pytest.approx(1.0)
         assert ov.trainer_busy_seconds == pytest.approx(3.0)
         assert ov.queue.get_wait == pytest.approx(0.9)
-        assert ov.streaming
         assert sum(ov.fractions.values()) == pytest.approx(1.0)
         # an explicit wall overrides the training report's
         wider = OverlapReport.from_run(training, wall_seconds=9.0)
         assert wider.wall_seconds == pytest.approx(9.0)
+
+    def test_attributes_wall_clock_only(self):
+        """Bytes live on the reader's ledger, the mode on the spec, the
+        batch count in the training report: the overlap report holds
+        the attribution alone, and the fold merges it field by field."""
+        assert [f.name for f in fields(OverlapReport)] == [
+            "wall_seconds",
+            "reader_stall_seconds",
+            "trainer_busy_seconds",
+            "queue",
+        ]
+        assert "merge" not in vars(OverlapReport)
+        params = {
+            name: list(inspect.signature(getattr(OverlapReport, name)).parameters)
+            for name in ("modeled", "from_run")
+        }
+        assert params == {
+            "modeled": ["reader_wall_seconds", "trainer_busy_seconds"],
+            "from_run": ["training", "queue", "wall_seconds"],
+        }
+        # nor does the tier thread a streaming flag toward it
+        for cls in (JobRoundStat, TierJob):
+            assert "streaming" not in {f.name for f in fields(cls)}

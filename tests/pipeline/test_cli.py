@@ -5,6 +5,7 @@ import re
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments.figures import FIGURES
 
 
 class TestParser:
@@ -96,6 +97,15 @@ class TestFlagTable:
         for ``reader_executor`` (was ``"auto"``)."""
         parsed = vars(build_parser().parse_args([command]))
         assert parsed == {"command": command, **defaults}
+
+
+#: a figure flag (argparse dest) -> a value its driver rejects, and
+#: what the flag must be
+_BAD_FIGURE_VALUES = {
+    "seed": ("-1", "non-negative"),
+    "sessions": ("0", "positive"),
+    "sessions_large": ("0", "positive"),
+}
 
 
 class TestBadValues:
@@ -232,14 +242,20 @@ class TestBadValues:
             # and must name the seed typed, not a job's derived one
             (["pipeline", "--seed", "-5"], "--seed must be non-negative, got -5"),
             (["simulate", "--seed", "-5"], "--seed must be non-negative, got -5"),
-            # was numpy's "zero-size array to reduction operation maximum"
-            (
-                ["fig3", "--sessions-large", "0"],
-                "num_sessions must be positive, got 0",
-            ),
-            (
-                ["fig4", "--sessions-large", "0"],
-                "num_sessions must be positive, got 0",
+            # every figure subcommand's --seed / --sessions /
+            # --sessions-large: these were numpy's "expected
+            # non-negative integer", a driver's "num_sessions must be
+            # positive" (or a KeyError traceback, for partial), and for
+            # freshness --seed -1 an exit 0
+            *(
+                pytest.param(
+                    [name, "--" + flag.replace("_", "-"), bad],
+                    f"--{flag.replace('_', '-')} must be {rule}, got {bad}",
+                    id=f"{name} --{flag.replace('_', '-')} {bad}",
+                )
+                for name, fig in FIGURES.items()
+                for flag, (bad, rule) in _BAD_FIGURE_VALUES.items()
+                if flag in fig.flags
             ),
         ],
         ids=lambda v: " ".join(v[1:]) if isinstance(v, list) else None,

@@ -11,6 +11,7 @@ shared multi-job tier, while bytes-decoded strictly shrinks.
 import pytest
 
 from repro.datagen import rm1, rm2
+from repro.metrics import ByteLedger
 from repro.pipeline import JobSpec, RecDToggles, Session
 from repro.pipeline.spec import DataSpec, ReaderSpec, TrainSpec
 
@@ -86,15 +87,14 @@ class TestSingleJobGrid:
         assert res.reader.bytes.decoded == one.reader.bytes.decoded
         assert res.reader.bytes.expanded == one.reader.bytes.expanded
 
-    def test_overlap_report_carries_byte_accounting(self):
+    def test_reader_report_carries_byte_accounting(self):
         res = Session(_spec(dedup=True)).run()
-        ov = res.overlap
-        assert ov.bytes.decoded == res.reader.bytes.decoded
-        assert ov.bytes.expanded == res.reader.bytes.expanded
-        assert ov.bytes.read == res.reader.bytes.read
-        assert ov.bytes.saved == ov.bytes.expanded - ov.bytes.decoded
-        assert ov.bytes.dedupe_factor == pytest.approx(
-            ov.bytes.expanded / ov.bytes.decoded
+        ledger = res.reader.bytes
+        assert ledger == res.fleet.merged.bytes
+        assert 0 < ledger.decoded < ledger.expanded
+        assert ledger.saved == ledger.expanded - ledger.decoded
+        assert ledger.dedupe_factor == pytest.approx(
+            ledger.expanded / ledger.decoded
         )
 
     def test_dedup_knob_does_not_change_batch_size_or_layout(self):
@@ -145,15 +145,18 @@ class TestSharedTierGrid:
 
         deduped, base = run(True), run(False)
         for name in ("alpha", "beta"):
-            d = deduped.tier.job_overlap(name)
-            b = base.tier.job_overlap(name)
+            d = deduped.job(name).reader.bytes
+            b = base.job(name).reader.bytes
             assert (
                 deduped.job(name).training.losses
                 == base.job(name).training.losses
             )
-            assert d.bytes.decoded < b.bytes.decoded
-            assert d.bytes.expanded == b.bytes.decoded
-            assert d.bytes.dedupe_factor > 1.0
-        agg_d, agg_b = deduped.tier.aggregate, base.tier.aggregate
-        assert agg_d.bytes.decoded < agg_b.bytes.decoded
-        assert agg_d.bytes.expanded == agg_b.bytes.expanded
+            assert d.decoded < b.decoded
+            assert d.expanded == b.decoded
+            assert d.dedupe_factor > 1.0
+        agg_d, agg_b = (
+            ByteLedger.fold(job.reader.bytes for job in run.jobs)
+            for run in (deduped, base)
+        )
+        assert agg_d.decoded < agg_b.decoded
+        assert agg_d.expanded == agg_b.expanded

@@ -23,11 +23,12 @@ def _session() -> Session:
             data=DataSpec(workload=rm1(scale=0.25), num_sessions=40, seed=seed),
             reader=ReaderSpec(executor="inprocess"),
             train=TrainSpec(batch_size=32, train_batches=2, train_epochs=3),
+            scaling=ScalingSpec(max_readers=8),
             name=name,
         )
         for name, seed in (("a", 1), ("b", 2))
     ]
-    return Session(specs, width=2, scaling=ScalingSpec(max_readers=8))
+    return Session(specs, width=2)
 
 
 def _logged(session: Session) -> list:

@@ -6,6 +6,8 @@ job run alone on its own fleet, and the shared tier's modeled
 wall-clock beats running the jobs in isolation back to back.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.datagen import rm1
@@ -89,15 +91,15 @@ class TestFunctionalIsolation:
         assert alone.jobs[0].training.losses == solo.training.losses
 
     def test_materialized_jobs_report_streaming_false(self):
-        """A streaming=False spec trains bit-identically and its
-        overlap bookkeeping says so, matching the solo session's."""
+        """A streaming=False spec trains bit-identically to the solo
+        session, and its result carries the spec that says so."""
         spec = _job(
             1,
             train_epochs=1,
             reader=ReaderSpec(executor="inprocess", streaming=False),
         )
         res = Session([spec], width=2).run()
-        assert res.jobs[0].overlap.streaming is False
+        assert res.jobs[0].spec.reader.streaming is False
         assert (
             res.jobs[0].training.losses == Session(spec).run().training.losses
         )
@@ -152,17 +154,17 @@ class TestReports:
         )
 
 
+def _autoscaled(jobs) -> list[JobSpec]:
+    """The jobs, each asking for a pool autoscaled up to 32 readers."""
+    return [replace(job, scaling=ScalingSpec(max_readers=32)) for job in jobs]
+
+
 class TestAutoscale:
     def test_pool_resizes_from_aggregate_stall(self, two_jobs):
         """Under-provisioned shared pool: the tier autoscaler grows the
         pool from the tier-level (aggregate) overlap, and the trace
         records every decision."""
-        res = Session(
-            two_jobs,
-            width=2,
-            scaling=ScalingSpec(max_readers=32),
-            names=["a", "b"],
-        ).run()
+        res = Session(_autoscaled(two_jobs), width=2, names=["a", "b"]).run()
         trace = res.tier.scaling
         assert trace is not None
         assert trace.decisions[0].action == "grow"
@@ -170,12 +172,7 @@ class TestAutoscale:
         assert res.tier.widths[-1] > 2
 
     def test_autoscaled_losses_still_bit_identical(self, two_jobs, shared):
-        res = Session(
-            two_jobs,
-            width=2,
-            scaling=ScalingSpec(max_readers=32),
-            names=["a", "b"],
-        ).run()
+        res = Session(_autoscaled(two_jobs), width=2, names=["a", "b"]).run()
         for name in ("a", "b"):
             assert (
                 res.job(name).training.losses

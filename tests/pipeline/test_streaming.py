@@ -51,13 +51,13 @@ class TestStreamingEquivalence:
             assert ov is not None
             assert 0.0 <= ov.reader_stall_fraction <= 1.0
             assert 0.0 <= ov.trainer_stall_fraction <= 1.0
-        assert streamed.overlap.streaming
-        assert not materialized.overlap.streaming
+        assert streamed.spec.reader.streaming
+        assert not materialized.spec.reader.streaming
 
     def test_fractions_sum_to_one(self, run_of):
         res = run_of(_spec(num_readers=2))
         assert sum(res.overlap.fractions.values()) == pytest.approx(1.0)
-        assert res.overlap.batches == len(res.training.iterations)
+        assert res.reader.batches == len(res.training.iterations)
 
     def test_streaming_measures_ingest_waits(self, run_of):
         """Streaming hands the trainer a live iterator, so some wall
@@ -94,7 +94,6 @@ class TestMultiPartitionEpochs:
         res = run_of(_spec(num_partitions=2, train_epochs=3, train_batches=2))
         assert len(res.training.iterations) == 6
         assert res.reader.batches == 6
-        assert res.overlap.batches == 6
 
     def test_multi_partition_prefix_matches_single(self, run_of):
         """Partitions are contiguous chunks of the same row order, so an
