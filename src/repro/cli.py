@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections.abc import Collection
+from collections.abc import Collection, Mapping
 from contextlib import contextmanager
 from pathlib import Path
 from typing import NamedTuple
@@ -202,14 +202,15 @@ class _UsageError(Exception):
     :func:`main` turns it into ``parser.error`` (exit 2)."""
 
 
-def _name_flags(message: str, typed: Collection[str] = ()) -> str:
+def _name_flags(message: str, typed: Collection[str] = (), params: Mapping[str, str] = {}) -> str:
     """A spec error names ``ReaderSpec.num_readers``; the user typed
     ``--num-readers`` (path section ``reader`` is ``ReaderSpec``, and so
     on for every section; a path with no section is a ``JobSpec``
     field, and the workload factories say ``workload scale``).  A path
     in ``typed`` was set by a ``--job`` spec, so its ``--job`` key is
     named instead of its flag.  A ``Session`` keyword error opens with
-    the keyword (``freshness_slo`` is ``--freshness-slo``)."""
+    the keyword (``freshness_slo`` is ``--freshness-slo``), a figure
+    driver's with a parameter in ``params``, mapped to its flag."""
     for f in _FLAGS:
         if f.path:
             section, _, leaf = f.path.rpartition(".")
@@ -220,14 +221,14 @@ def _name_flags(message: str, typed: Collection[str] = ()) -> str:
             message = message.replace(
                 owner + leaf, f"--job key {f.key!r}" if typed_key else f.flag
             )
-    for kw in _SESSION_KWARGS:
+    for kw, flag in {**{kw: kw for kw in _SESSION_KWARGS}, **params}.items():
         if message.startswith(f"{kw} "):
-            message = f"--{kw.replace('_', '-')}" + message.removeprefix(kw)
+            message = f"--{flag.replace('_', '-')}" + message.removeprefix(kw)
     return message
 
 
 @contextmanager
-def _usage_boundary(typed: Collection[str] = ()):
+def _usage_boundary(typed: Collection[str] = (), params: Mapping[str, str] = {}):
     """Everything before the first scheduling round — spec build,
     ``Session(...)``, ``prepare()`` — runs inside this: a ``ValueError``
     there is a bad flag value and exits 2 naming the flag (or the
@@ -236,7 +237,7 @@ def _usage_boundary(typed: Collection[str] = ()):
     try:
         yield
     except ValueError as exc:
-        raise _UsageError(_name_flags(str(exc), typed)) from None
+        raise _UsageError(_name_flags(str(exc), typed, params)) from None
 
 
 def _point(args, overrides=None) -> dict:
@@ -333,13 +334,10 @@ def _cmd_figure(args) -> int:
     """Run the ``FIGURES`` entry the subcommand names, with the flags
     its driver reads, and print its rows."""
     fig = FIGURES[args.command]
-    values = {flag: getattr(args, flag) for flag in fig.flags}
-    # a driver is one call with no prepare/run seam to split at
-    with _usage_boundary():
-        fig.check(values)
-        rows = fig.run(
-            **{param: values[flag] for flag, param in fig.flags.items()}
-        )
+    # a driver is one call with no prepare/run seam to split at; it
+    # names a bad parameter, the boundary names that parameter's flag
+    with _usage_boundary(params={p: f for f, p in fig.flags.items()}):
+        rows = fig.run(**{p: getattr(args, f) for f, p in fig.flags.items()})
     print("\n".join(render(fig, rows)))
     return 0
 

@@ -22,7 +22,8 @@ from __future__ import annotations
 import tempfile
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import partial, wraps
+from inspect import signature
 from itertools import zip_longest
 from pathlib import Path
 
@@ -1047,14 +1048,6 @@ class Figure:
     grid: Callable[[float, int, int], GridSpec] | None = None
     rows: Callable[[Iterable[RunRecord]], object] | None = None
 
-    def check(self, values: Mapping[str, object]) -> None:
-        """Raise ``ValueError`` naming the flag of the first value (keyed
-        like :attr:`flags`) its driver parameter rejects."""
-        for flag, param in self.flags.items():
-            rule, ok = _INPUTS[param]
-            if not ok(values[flag]):
-                raise ValueError(f"--{flag.replace('_', '-')} must be {rule}, got {values[flag]}")
-
 
 def render(fig: Figure, rows) -> list[str]:
     """A figure as text — the one renderer behind the CLI, ``repro
@@ -1183,6 +1176,20 @@ _INPUTS = {
     "num_sessions": ("positive", lambda v: v > 0),
     "seed": ("non-negative", lambda v: v >= 0),
 }
+
+
+def _checked(driver: Callable) -> Callable:
+    """``driver``, first raising ``ValueError`` naming a parameter its ``_INPUTS`` rule rejects."""
+    @wraps(driver)
+    def run(*args, **kwargs):
+        for param, value in signature(driver).bind(*args, **kwargs).arguments.items():
+            if param in _INPUTS and not _INPUTS[param][1](value):
+                raise ValueError(f"{param} must be {_INPUTS[param][0]}, got {value}")
+        return driver(*args, **kwargs)
+
+    return run
+
+
 _SEED = {"seed": "seed"}
 _SESSIONS = {"sessions": "num_sessions", **_SEED}
 _STATS = {"sessions_large": "num_sessions", **_SEED}
@@ -1368,6 +1375,10 @@ FIGURES: dict[str, Figure] = {
         ("memory amplification", "", lambda r: r["dense"] / r["jagged"], _X, None),
     ),
 }
+# a direct call, FIGURES (the CLI) and the benchmark harness all run the checked driver
+for _name, _fig in FIGURES.items():
+    FIGURES[_name] = replace(_fig, run=_checked(_fig.run))
+    globals()[_fig.run.__name__] = FIGURES[_name].run
 
 #: the report sections of the two stored grids no subcommand runs, by
 #: the experiment name the profiles store them under

@@ -5,9 +5,8 @@ in *point space*: flat dicts mapping dotted spec paths
 (``"data.num_sessions"``, ``"reader.num_readers"``,
 ``"retention.window"``, …) to JSON-native values.  ``base`` holds
 the values every run shares, each entry in ``axes`` sweeps one path
-over a list of values (the matrix is their cartesian product),
-``exclude`` filters drop matching combinations, and ``include`` adds
-explicit extra points (GitHub-matrix semantics).  :func:`expand_grid`
+over a list of values (the matrix is their cartesian product), and
+``include`` adds explicit extra points (GitHub-matrix semantics).  :func:`expand_grid`
 resolves the matrix into deterministic :class:`RunPoint`\\ s.
 
 Determinism is the load-bearing property: a point's :attr:`RunPoint.run_id`
@@ -184,18 +183,14 @@ class GridSpec:
         base: dotted-path values every run shares.
         axes: dotted path → swept values; the matrix is the cartesian
             product over every axis (in sorted path order).
-        exclude: filters removing matrix combinations — a combination
-            is dropped when *every* (path, value) pair of some filter
-            matches its resolved values.
         include: explicit extra points, each merged over ``base`` and
-            appended after the (filtered) product.
+            appended after the product.
         description: one line for ``repro experiments list``.
     """
 
     name: str
     base: Mapping = field(default_factory=dict)
     axes: Mapping = field(default_factory=dict)
-    exclude: tuple = ()
     include: tuple = ()
     description: str = ""
 
@@ -214,10 +209,9 @@ class GridSpec:
                 raise ValueError(f"{where}: axis must sweep >= 1 value")
             for value in values:
                 _validate_value(path, value, where)
-        for i, point in enumerate(tuple(self.exclude) + tuple(self.include)):
-            kind = "exclude" if i < len(self.exclude) else "include"
+        for point in self.include:
             for path, value in point.items():
-                where = f"GridSpec({self.name!r}).{kind}"
+                where = f"GridSpec({self.name!r}).include"
                 _validate_path(path, where)
                 _validate_value(path, value, where)
 
@@ -241,8 +235,7 @@ def expand_grid(grid: GridSpec) -> list[RunPoint]:
     """Resolve a grid into its deterministic list of run points.
 
     The axis product is walked in sorted-axis-path order with each
-    axis's values in declaration order, excludes filter the product,
-    and includes append — so the returned list (points *and* their
+    axis's values in declaration order, and includes append — so the returned list (points *and* their
     order) is a pure function of the grid declaration.
 
     Args:
@@ -277,14 +270,6 @@ def expand_grid(grid: GridSpec) -> list[RunPoint]:
         ):
             values = dict(grid.base)
             values.update(zip(axis_paths, combo))
-            if any(
-                all(
-                    values.get(path) == want
-                    for path, want in filt.items()
-                )
-                for filt in grid.exclude
-            ):
-                continue
             _emit(values, axis_paths)
     for extra in grid.include:
         values = dict(grid.base)

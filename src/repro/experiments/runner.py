@@ -106,18 +106,16 @@ def extract_reports(
 
     Returns:
         Report name → JSON-ready dict (``fleet``/``overlap``/``tier``/
-        ``slo``/``training``, plus ``scaling`` for autoscaled runs).
+        ``slo``/``training``); an autoscaled run's scaling trace is the
+        tier report's ``scaling``.
     """
-    reports = {
+    return {
         "tier": tier.as_dict(),
         "slo": slo.as_dict(),
         "training": result.training.as_dict(),
         "fleet": result.fleet.as_dict(),
         "overlap": result.overlap.as_dict(),
     }
-    if result.scaling is not None:
-        reports["scaling"] = result.scaling.as_dict()
-    return reports
 
 
 def run_point(

@@ -27,12 +27,6 @@ class Counters:
         """The counter's value (0.0 if never touched)."""
         return self.values.get(name, 0.0)
 
-    def merge(self, other: "Counters") -> None:
-        """Fold another bag's counters in, name by name (hand-written:
-        the bag is keyed by runtime names, ``Folded`` folds fields)."""
-        for name, amount in other.values.items():
-            self.add(name, amount)
-
     def __getitem__(self, name: str) -> float:
         return self.get(name)
 

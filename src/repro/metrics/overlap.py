@@ -3,26 +3,23 @@
 When a ``Session`` streams a reader fleet's batches straight into the
 trainers (instead of materializing them first), the end-to-end loop's
 wall-clock belongs to whichever tier was the bottleneck at each moment.
-:class:`OverlapReport` attributes it from two measured signals:
-
-* the trainer's ingestion-loop timing (``ingest_wait_seconds`` — blocked
-  pulling the next batch — vs ``step_wall_seconds`` — computing), and
-* the fleet's :class:`~repro.metrics.breakdown.QueueWaitBreakdown`
-  (``get_wait`` corroborates reader-side starvation; ``put_wait`` shows
-  readers running ahead of downstream consumption).
+:class:`OverlapReport` attributes it from the trainer's ingestion-loop
+timing (``ingest_wait_seconds`` — blocked pulling the next batch — vs
+``step_wall_seconds`` — computing), or, under a shared tier, from the
+modeled reader and trainer times of each round.
 
 This is the §2.1 provisioning signal at pipeline granularity: a large
 ``reader_stall_fraction`` means the reader tier is under-provisioned for
 these trainers (add readers / enable O3–O4); a large
-``trainer_stall_fraction`` with non-trivial ``queue.put_wait`` means the
-readers outrun the trainers (shrink the fleet or grow the trainer job).
+``trainer_stall_fraction`` means the readers outrun the trainers
+(shrink the fleet or grow the trainer job).  The fleet's queue waits
+that corroborate it are ``FleetReport.queue``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .breakdown import QueueWaitBreakdown
 from .ledger import Folded
 
 __all__ = ["OverlapReport"]
@@ -46,8 +43,6 @@ class OverlapReport(Folded):
     #: trainer busy inside steps — upstream readers can only prefetch
     #: into bounded queues during this slice (trainer-stall upstream)
     trainer_busy_seconds: float = 0.0
-    #: the fleet's prefetch-queue waits, merged across epochs
-    queue: QueueWaitBreakdown = field(default_factory=QueueWaitBreakdown)
 
     derived = ("other_seconds", "fractions")
     derived_after = "trainer_busy_seconds"
@@ -105,14 +100,11 @@ class OverlapReport(Folded):
         In a perfectly pipelined epoch the wall-clock is the slower
         tier's time: ``max(reader_wall_seconds, trainer_busy_seconds)``.
         The excess of the reader tier over the trainer is reader-stall
-        (the trainer starved); the excess of the trainer over the
-        readers shows up as producer-side queue wait (readers finished
-        early and blocked on full prefetch queues), mirroring what the
-        measured :class:`~repro.metrics.breakdown.QueueWaitBreakdown`
-        reports.  Because both inputs come from the cost models — not
-        ``time.perf_counter`` — the result is bit-reproducible across
-        runs, which is what lets the fleet autoscaler make reproducible
-        decisions under the deterministic executor.
+        (the trainer starved).  Because both inputs come from the cost
+        models — not ``time.perf_counter`` — the result is
+        bit-reproducible across runs, which is what lets the fleet
+        autoscaler make reproducible decisions under the deterministic
+        executor.
 
         Args:
             reader_wall_seconds: modeled wall-clock of the reader tier
@@ -126,32 +118,23 @@ class OverlapReport(Folded):
         """
         if reader_wall_seconds < 0 or trainer_busy_seconds < 0:
             raise ValueError("modeled tier times must be non-negative")
-        wall = max(reader_wall_seconds, trainer_busy_seconds)
-        queue = QueueWaitBreakdown(
-            put_wait=max(0.0, trainer_busy_seconds - reader_wall_seconds)
-        )
         return cls(
-            wall_seconds=wall,
+            wall_seconds=max(reader_wall_seconds, trainer_busy_seconds),
             reader_stall_seconds=max(
                 0.0, reader_wall_seconds - trainer_busy_seconds
             ),
             trainer_busy_seconds=trainer_busy_seconds,
-            queue=queue,
         )
 
     @classmethod
     def from_run(
-        cls,
-        training,
-        queue: QueueWaitBreakdown | None = None,
-        wall_seconds: float | None = None,
+        cls, training, wall_seconds: float | None = None
     ) -> "OverlapReport":
         """Build from a ``TrainingReport``'s measured ingestion-loop
-        timing plus the fleet's queue waits.
+        timing.
 
         Args:
             training: the trainer's ``TrainingReport``.
-            queue: the fleet's queue-wait breakdown.
             wall_seconds: override the loop wall-clock.
         """
         return cls(
@@ -162,5 +145,4 @@ class OverlapReport(Folded):
             ),
             reader_stall_seconds=training.ingest_wait_seconds,
             trainer_busy_seconds=training.step_wall_seconds,
-            queue=QueueWaitBreakdown.fold([queue]),
         )

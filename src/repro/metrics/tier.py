@@ -114,8 +114,7 @@ class JobRoundStat:
     @property
     def reader_wall_seconds(self) -> float:
         """Modeled reader wall for the job: its CPU spread over its
-        leased workers (the capacity view, as in
-        :meth:`~repro.reader.fleet.FleetReport.balanced_wall_seconds`)."""
+        leased workers (the capacity view)."""
         return self.reader_cpu_seconds / self.workers
 
     @property
@@ -170,22 +169,26 @@ class TierRound:
         return max((s.wall_seconds for s in self.stats), default=0.0)
 
     @property
-    def aggregate(self) -> OverlapReport:
-        """The round folded into one tier-level overlap report.
+    def reader_wall_seconds(self) -> float:
+        """The tier's modeled reader wall this round: every job's reader
+        CPU pooled over the full width (the work-conserving capacity
+        view)."""
+        return sum(s.reader_cpu_seconds for s in self.stats) / self.width
 
-        Reader side: every job's reader CPU pooled over the full width
-        (the work-conserving capacity view).  Trainer side: the slowest
-        job's trainer (trainers run concurrently).  This is the signal
-        the tier autoscaler consumes — aggregate stall, not any single
-        job's.
-        """
+    @property
+    def trainer_busy_seconds(self) -> float:
+        """The slowest job's modeled trainer time this round (trainers
+        run concurrently)."""
+        return max((s.trainer_busy_seconds for s in self.stats), default=0.0)
+
+    @property
+    def aggregate(self) -> OverlapReport:
+        """The round folded into one tier-level overlap report, from
+        :attr:`reader_wall_seconds` and :attr:`trainer_busy_seconds` —
+        the two times the tier autoscaler steers on: aggregate stall,
+        not any single job's."""
         return OverlapReport.modeled(
-            reader_wall_seconds=(
-                sum(s.reader_cpu_seconds for s in self.stats) / self.width
-            ),
-            trainer_busy_seconds=max(
-                (s.trainer_busy_seconds for s in self.stats), default=0.0
-            ),
+            self.reader_wall_seconds, self.trainer_busy_seconds
         )
 
 

@@ -756,9 +756,7 @@ class Session:
             # takes its modeled share of the tier's rounds instead.
             overlap = (
                 OverlapReport.from_run(
-                    rt.trainer.report,
-                    queue=fleet.queue,
-                    wall_seconds=wall_seconds,
+                    rt.trainer.report, wall_seconds=wall_seconds
                 )
                 if solo
                 else report.job_overlap(rt.name)

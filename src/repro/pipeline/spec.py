@@ -5,8 +5,8 @@ dataclasses, each owning one concern, so data generation, cluster
 shape, reader sizing, retention, and autoscaling never share one flat
 namespace — and every combination composes for one job or many:
 
-* :class:`DataSpec` — what lands: workload, toggles, sessions, Scribe
-  shards, time partitions, seed.
+* :class:`DataSpec` — what lands: workload, toggles, sessions, time
+  partitions, seed.
 * :class:`ReaderSpec` — how the reader fleet scans it: width, prefetch,
   executor, streaming hand-off.
 * :class:`TrainSpec` — what the trainers do: epochs, per-epoch batch
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
+from typing import ClassVar
 
 from ..datagen.workloads import RMWorkload
 from ..distributed.device import ClusterSpec
@@ -77,7 +78,6 @@ class DataSpec:
         toggles: which RecD optimizations (O1-O7) are active.
         num_sessions: sessions in the generated trace.
         mean_samples_per_session: S of the generated table (§6.1).
-        num_scribe_shards: Scribe transport shards.
         num_partitions: time partitions the table lands as (the
             paper's day-partitioned tables).
         seed: the run's seed (trace generation and model init).
@@ -89,10 +89,12 @@ class DataSpec:
     toggles: RecDToggles = field(default_factory=RecDToggles.baseline)
     num_sessions: int = 250
     mean_samples_per_session: float = 16.5
-    num_scribe_shards: int = 8
     num_partitions: int = 1
     seed: int = 0
     transforms: tuple[str, ...] = ("hash_modulo",)
+    #: Scribe transport shards the lander logs through: a constant, not
+    #: a setting (no run ever changed it)
+    num_scribe_shards: ClassVar[int] = 8
 
     def __post_init__(self) -> None:
         _require_positive("DataSpec.num_sessions", self.num_sessions)
@@ -100,7 +102,6 @@ class DataSpec:
             "DataSpec.mean_samples_per_session",
             self.mean_samples_per_session,
         )
-        _require_positive("DataSpec.num_scribe_shards", self.num_scribe_shards)
         _require_positive("DataSpec.num_partitions", self.num_partitions)
         # numpy rejects a negative seed only once generation starts
         if self.seed < 0:

@@ -1,20 +1,21 @@
-"""Adaptive reader-fleet sizing from observed overlap reports (§2.1).
+"""Adaptive reader-fleet sizing from each round's modeled times (§2.1).
 
 The deployed platform sizes its reader tier so trainer steps never stall
 on decode: too few readers and the trainers starve (reader-stall), too
 many and reader machines idle against the trainers' bounded ingestion
-(trainer-stall upstream).  Per-round
-:class:`~repro.metrics.OverlapReport`\\ s attribute wall-clock to
-reader-stall vs trainer-stall, and :func:`rescale` is the control law
-that *acts* on them, one round at a time:
+(trainer-stall upstream).  :func:`rescale` is the control law, one
+round at a time: it takes the round's modeled reader wall and trainer
+time (:attr:`~repro.metrics.tier.TierRound.reader_wall_seconds` and
+:attr:`~repro.metrics.tier.TierRound.trainer_busy_seconds`), attributes
+them with :meth:`~repro.metrics.OverlapReport.modeled`, and acts:
 
 * **grow** while ``reader_stall_fraction`` exceeds the target band —
   proportionally, sizing the next width so the modeled reader wall
   matches the trainer's step time;
-* **shrink** when ``trainer_stall_fraction`` dominates and the readers
-  provably idle (producer-side queue wait), but only after
-  ``_SHRINK_PATIENCE`` consecutive such observations — the hysteresis
-  that keeps one noisy epoch from flapping the fleet;
+* **shrink** when ``trainer_stall_fraction`` dominates and the
+  proportional width is below the current one (the readers idle), but
+  only after ``_SHRINK_PATIENCE`` consecutive such observations — the
+  hysteresis that keeps one noisy epoch from flapping the fleet;
 * **hold** inside the band, and at the bounds: the caller's
   per-decision floor (the shared tier's fairness floor) and
   ``max_readers``.
@@ -24,9 +25,8 @@ in as arguments, and the decision and the next streak go out.  The
 :class:`~repro.reader.tier_scheduler.SharedReaderTier` keeps the spec
 and the streak in its one :class:`~repro.reader.tier_scheduler.TierState`
 and logs each decision as a ``scale`` event, which
-:class:`~repro.metrics.scaling.ScalingTrace` folds.  Fed *modeled*
-overlap reports (:meth:`~repro.metrics.OverlapReport.modeled`, built
-from the reader cost model and the trainer's modeled step times), the
+:class:`~repro.metrics.scaling.ScalingTrace` folds.  Both times come
+from the reader cost model and the trainer's modeled step times, so the
 decisions are bit-reproducible across runs — which is how a
 ``Session`` with a ``ScalingSpec`` stays deterministic under the
 in-process executor.
@@ -95,17 +95,20 @@ class ScalingSpec:
 
 def rescale(
     spec: ScalingSpec,
-    overlap: OverlapReport,
+    reader_wall_seconds: float,
+    trainer_busy_seconds: float,
     index: int,
     width: int,
     floor: int,
     streak: int,
 ) -> tuple[ScalingDecision, int]:
-    """The control law: round ``index``'s overlap at ``width`` in, the
+    """The control law: round ``index``'s modeled reader wall and
+    trainer time at ``width`` in, the
     :class:`~repro.metrics.scaling.ScalingDecision` out (its
     ``width_after``, never under ``floor``, is the next round's width),
     with the shrink ``streak`` the next decision starts from — non-zero
     only after a hysteresis ``hold``."""
+    overlap = OverlapReport.modeled(reader_wall_seconds, trainer_busy_seconds)
     rsf = overlap.reader_stall_fraction
     tsf = overlap.trainer_stall_fraction
 
@@ -115,21 +118,13 @@ def rescale(
             streak,
         )
 
-    trainer_busy = overlap.trainer_busy_seconds
-    if overlap.wall_seconds <= 0.0 or trainer_busy <= 0.0:
+    if trainer_busy_seconds <= 0.0:
         return decided("hold", width, "no trainer signal this epoch")
 
-    # Reconstruct the reader tier's wall time from the attribution:
-    # reader-bound epochs expose it as trainer_busy + reader_stall;
-    # trainer-bound epochs hide it behind producer-side queue wait.
-    reader_wall = max(
-        0.0,
-        trainer_busy + overlap.reader_stall_seconds - overlap.queue.put_wait,
-    )
     # Proportional set-point: reader work scales ~1/width, so this
     # is the width at which reader wall ~= trainer step time (capped
     # before rounding: a vanishing trainer time makes the ratio inf).
-    ratio = width * reader_wall / trainer_busy
+    ratio = width * reader_wall_seconds / trainer_busy_seconds
     proposed = math.ceil(min(ratio, spec.max_readers))
     proposed = min(max(proposed, floor), spec.max_readers)
 

@@ -217,27 +217,6 @@ class FleetReport(Folded):
             return 0.0
         return self.merged.samples / wall
 
-    def balanced_wall_seconds(self, width: int) -> float:
-        """Aggregate reader CPU spread evenly across ``width`` workers.
-
-        The capacity view of the fleet's latency: unlike
-        :attr:`modeled_wall_seconds` (the straggler shard), this ignores
-        shard-granularity imbalance, which makes it the right signal for
-        *sizing* the tier — it is what the autoscaler steers on.
-
-        Args:
-            width: fleet width to spread the work across.
-
-        Returns:
-            Modeled wall seconds for a perfectly balanced fleet.
-
-        Raises:
-            ValueError: if ``width`` is not positive.
-        """
-        if width <= 0:
-            raise ValueError(f"width must be positive, got {width}")
-        return self.merged.cpu.total / width
-
     def merge(self, other: "FleetReport") -> None:
         """Fold another run's measurements in (epoch aggregation);
         the one non-additive field, the executor name, degrades to

@@ -29,7 +29,7 @@ scans one job's epoch, one trainer consumes it.
 * **Aggregate autoscaling** — given a
   :class:`~repro.reader.autoscale.ScalingSpec`, the control law
   :func:`~repro.reader.autoscale.rescale` resizes the *pool* between
-  rounds from the tier-level overlap (every job's reader CPU pooled
+  rounds from the round's modeled times (every job's reader CPU pooled
   over the width vs the slowest trainer), not any single job's stall.
 
 Two allocation policies, both deterministic:
@@ -498,8 +498,8 @@ class SharedReaderTier:
             num_readers: pool width (workers shared by all jobs).
             policy: worker-allocation policy (``"round_robin"`` or
                 ``"stall_weighted"``).
-            scaling: when set, resize the pool between rounds from the
-                *aggregate* tier overlap, steering for the spec's
+            scaling: when set, resize the pool between rounds from
+                each round's *aggregate* modeled times, steering for the spec's
                 ``target_stall`` band under its ``max_readers`` bound;
                 ``None`` keeps the width fixed.
             freshness_slo: target p99 event-time → trained-on lag in
@@ -775,7 +775,8 @@ class SharedReaderTier:
         if planned.scaling is not None:
             # the proposal starts from the width the round ran at
             scaled, streak = rescale(
-                planned.scaling, rnd.aggregate, rnd.index, width,
+                planned.scaling, rnd.reader_wall_seconds,
+                rnd.trainer_busy_seconds, rnd.index, width,
                 planned.floor, planned.streak,
             )
             self.emit("scale", decision=scaled)

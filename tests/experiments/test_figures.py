@@ -19,6 +19,7 @@ from repro.experiments import (
     render_report,
     run_grid,
 )
+from repro.experiments import figures
 from repro.experiments.figures import FLEET_SCALING, Figure, render
 from tests.conftest import SMALL
 
@@ -68,6 +69,33 @@ class TestOneTable:
             name: (fig.run.__name__, f"`{name}`" if fig.grid else "—")
             for name, fig in FIGURES.items()
         }
+
+
+class TestDriverInputs:
+    """Every route into a driver runs its input check: a direct call of
+    the module's name is the same checked callable the table, the CLI
+    and the benchmark harness call."""
+
+    @pytest.mark.parametrize(
+        ("driver", "args", "message"),
+        [
+            ("per_session_downsampling", (0, 1), "num_sessions must be positive, got 0"),
+            ("partial_vs_exact", (0, 1), "num_sessions must be positive, got 0"),
+            ("fig3_session_histogram", (0, 1), "num_sessions must be positive, got 0"),
+            ("fig4_duplication", (0, 1), "num_sessions must be positive, got 0"),
+            ("per_session_downsampling", (5, -1), "seed must be non-negative, got -1"),
+        ],
+    )
+    def test_direct_call_names_the_parameter(self, driver, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            getattr(figures, driver)(*args)
+
+    @pytest.mark.parametrize("name", sorted(FIGURES))
+    def test_module_name_is_the_checked_driver(self, name):
+        run = FIGURES[name].run
+        assert getattr(figures, run.__name__) is run
+        with pytest.raises(ValueError, match="^seed must be non-negative"):
+            run(**{param: -1 if param == "seed" else 1 for param in FIGURES[name].flags.values()})
 
 
 class TestOneRenderer:

@@ -67,40 +67,6 @@ class TestExpansion:
     def test_canonical_json_sorts_keys(self):
         assert canonical_json({"b": 1, "a": 2}) == '{"a":2,"b":1}'
 
-    def test_exclude_drops_matching_combinations(self):
-        points = expand_grid(
-            _grid(
-                axes={
-                    "workload.rm": ["RM1", "RM2"],
-                    "toggles": ["baseline", "recd"],
-                },
-                exclude=(
-                    {"workload.rm": "RM2", "toggles": "baseline"},
-                ),
-            )
-        )
-        assert len(points) == 3
-        assert all(
-            not (
-                p.values["workload.rm"] == "RM2"
-                and p.values["toggles"] == "baseline"
-            )
-            for p in points
-        )
-
-    def test_exclude_requires_all_keys_to_match(self):
-        # a one-key filter drops the whole RM2 column
-        points = expand_grid(
-            _grid(
-                axes={
-                    "workload.rm": ["RM1", "RM2"],
-                    "toggles": ["baseline", "recd"],
-                },
-                exclude=({"workload.rm": "RM2"},),
-            )
-        )
-        assert {p.values["workload.rm"] for p in points} == {"RM1"}
-
     def test_include_appends_extra_points(self):
         points = expand_grid(
             _grid(
@@ -110,19 +76,6 @@ class TestExpansion:
         )
         assert len(points) == 2
         assert points[-1].values["workload.rm"] == "RM3"
-
-    def test_include_not_subject_to_exclude(self):
-        points = expand_grid(
-            _grid(
-                axes={"workload.rm": ["RM1", "RM2"]},
-                exclude=({"workload.rm": "RM2"},),
-                include=({"workload.rm": "RM2"},),
-            )
-        )
-        assert {p.values["workload.rm"] for p in points} == {
-            "RM1",
-            "RM2",
-        }
 
     def test_include_only_grid_emits_no_base_point(self):
         points = expand_grid(
@@ -187,6 +140,10 @@ class TestValidation:
     def test_non_json_value_rejected(self):
         with pytest.raises(ValueError, match="JSON"):
             _grid(base={"data.seed": object()})
+
+    def test_unknown_include_path_rejected(self):
+        with pytest.raises(ValueError, match=r"\.include.*unknown spec path"):
+            _grid(include=({"data.bogus": 1},))
 
     def test_empty_axis_rejected(self):
         with pytest.raises(ValueError, match=">= 1 value"):

@@ -52,6 +52,15 @@ def test_run_point_records_full_provenance(store):
         assert name in record.reports
 
 
+def test_scaling_trace_is_stored_once(store):
+    """An autoscaled run stores its trace in the tier report only."""
+    grid = GridSpec("scaled", TINY_GRID.base, {"scaling.target_stall": [0.1]})
+    point = expand_grid(grid)[0]
+    record = run_point(point, store, env=ENV)
+    assert "scaling" not in record.reports
+    assert record.reports["tier"]["scaling"]["decisions"]
+
+
 def test_run_grid_executes_every_point(store):
     outcome = run_grid(TINY_GRID, store, env=ENV)
     points = expand_grid(TINY_GRID)

@@ -310,7 +310,6 @@ def _golden_instances() -> dict:
             wall_seconds=4.0,
             reader_stall_seconds=1.0,
             trainer_busy_seconds=2.5,
-            queue=queue,
         ),
         "FreshnessReport": freshness,
         "FleetReport": FleetReport(

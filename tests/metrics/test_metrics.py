@@ -12,7 +12,12 @@ from repro.metrics import (
     OverlapReport,
     QueueWaitBreakdown,
     ReaderCpuBreakdown,
+    TierReport,
+    TierRound,
 )
+from repro.pipeline import PipelineResult
+from repro.reader import ReaderReport, rescale
+from repro.reader.fleet import FleetReport
 from repro.reader.tier_scheduler import TierJob
 
 
@@ -23,14 +28,6 @@ class TestCounters:
         c.add("flops", 5)
         assert c["flops"] == 15
         assert c.get("missing") == 0.0
-
-    def test_merge(self):
-        a, b = Counters(), Counters()
-        a.add("x", 1)
-        b.add("x", 2)
-        b.add("y", 3)
-        a.merge(b)
-        assert a["x"] == 3 and a["y"] == 3
 
     def test_as_dict(self):
         c = Counters()
@@ -61,6 +58,24 @@ class TestBreakdowns:
     def test_zero_baseline_safe(self):
         norm = ReaderCpuBreakdown().normalized_to(ReaderCpuBreakdown())
         assert norm["total"] == 0.0
+
+
+class TestTierRound:
+    def test_reader_wall_pools_cpu_over_the_width(self):
+        """The autoscaler's two times: every job's reader CPU spread
+        evenly over the round's width (the capacity view), against the
+        slowest trainer; the round's aggregate overlap is built from
+        exactly these."""
+        rnd = TierRound(
+            index=0,
+            width=4,
+            stats=[JobRoundStat("a", 3, 3.0, 0.5), JobRoundStat("b", 1, 1.0, 2.0)],
+        )
+        assert rnd.reader_wall_seconds == pytest.approx(1.0)
+        assert rnd.trainer_busy_seconds == 2.0
+        assert rnd.aggregate == OverlapReport.modeled(1.0, 2.0)
+        empty = TierRound(index=0, width=2)
+        assert (empty.reader_wall_seconds, empty.trainer_busy_seconds) == (0.0, 0.0)
 
 
 class TestOverlapReport:
@@ -108,12 +123,10 @@ class TestOverlapReport:
             step_wall_seconds=3.0,
             run_wall_seconds=4.5,
         )
-        queue = QueueWaitBreakdown(put_wait=0.2, get_wait=0.9)
-        ov = OverlapReport.from_run(training, queue=queue)
+        ov = OverlapReport.from_run(training)
         assert ov.wall_seconds == pytest.approx(4.5)
         assert ov.reader_stall_seconds == pytest.approx(1.0)
         assert ov.trainer_busy_seconds == pytest.approx(3.0)
-        assert ov.queue.get_wait == pytest.approx(0.9)
         assert sum(ov.fractions.values()) == pytest.approx(1.0)
         # an explicit wall overrides the training report's
         wider = OverlapReport.from_run(training, wall_seconds=9.0)
@@ -121,13 +134,13 @@ class TestOverlapReport:
 
     def test_attributes_wall_clock_only(self):
         """Bytes live on the reader's ledger, the mode on the spec, the
-        batch count in the training report: the overlap report holds
-        the attribution alone, and the fold merges it field by field."""
+        batch count in the training report, the queue waits on the
+        fleet report: the overlap report holds the attribution alone,
+        and the fold merges it field by field."""
         assert [f.name for f in fields(OverlapReport)] == [
             "wall_seconds",
             "reader_stall_seconds",
             "trainer_busy_seconds",
-            "queue",
         ]
         assert "merge" not in vars(OverlapReport)
         params = {
@@ -136,8 +149,28 @@ class TestOverlapReport:
         }
         assert params == {
             "modeled": ["reader_wall_seconds", "trainer_busy_seconds"],
-            "from_run": ["training", "queue", "wall_seconds"],
+            "from_run": ["training", "wall_seconds"],
         }
         # nor does the tier thread a streaming flag toward it
         for cls in (JobRoundStat, TierJob):
             assert "streaming" not in {f.name for f in fields(cls)}
+
+    def test_fleet_report_is_the_one_queue_home(self):
+        """A run reports one ``QueueWaitBreakdown``, ``FleetReport.queue``,
+        and the autoscaler reads the round's two times, not a report."""
+        reports = [FleetReport, OverlapReport, PipelineResult, ReaderReport, TierReport]
+        assert [
+            (cls.__name__, f.name)
+            for cls in reports
+            for f in fields(cls)
+            if f.type in (QueueWaitBreakdown, "QueueWaitBreakdown")
+        ] == [("FleetReport", "queue")]
+        assert list(inspect.signature(rescale).parameters) == [
+            "spec",
+            "reader_wall_seconds",
+            "trainer_busy_seconds",
+            "index",
+            "width",
+            "floor",
+            "streak",
+        ]

@@ -33,7 +33,6 @@ def _spec(workload, **kw) -> JobSpec:
 _NUMERIC_FIELDS = [
     (DataSpec, "num_sessions"),
     (DataSpec, "mean_samples_per_session"),
-    (DataSpec, "num_scribe_shards"),
     (DataSpec, "num_partitions"),
     (ReaderSpec, "num_readers"),
     (ReaderSpec, "prefetch_depth"),
@@ -68,10 +67,6 @@ class TestValidationNamesSpecAndField:
             (
                 lambda w: DataSpec(w, num_partitions=0),
                 "DataSpec.num_partitions",
-            ),
-            (
-                lambda w: DataSpec(w, num_scribe_shards=-1),
-                "DataSpec.num_scribe_shards",
             ),
             (
                 lambda w: ReaderSpec(num_readers=0),
@@ -144,6 +139,13 @@ class TestValidationNamesSpecAndField:
     def test_error_names_the_offending_field(self, workload, build, needle):
         with pytest.raises(ValueError, match=needle.replace(".", r"\.")):
             build(workload)
+
+    def test_scribe_shards_is_a_constant_not_a_field(self, workload):
+        """No run set the Scribe shard count, so a spec cannot: the
+        lander logs through ``DataSpec.num_scribe_shards`` = 8."""
+        with pytest.raises(TypeError, match="num_scribe_shards"):
+            DataSpec(workload, num_scribe_shards=4)
+        assert DataSpec(workload).num_scribe_shards == 8
 
     def test_executor_error_names_both_choices(self):
         with pytest.raises(ValueError) as exc:

@@ -5,41 +5,26 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.metrics import (
-    OverlapReport,
-    QueueWaitBreakdown,
-    ScalingDecision,
-    ScalingTrace,
-)
+from repro.metrics import OverlapReport, ScalingDecision, ScalingTrace
 from repro.reader import SharedReaderTier, rescale
 from repro.reader.autoscale import ScalingSpec
 
 
 def _overlap(reader_wall, trainer_busy):
-    return OverlapReport.modeled(
-        reader_wall_seconds=reader_wall, trainer_busy_seconds=trainer_busy
-    )
+    """One round's modeled ``(reader wall, trainer time)``."""
+    return reader_wall, trainer_busy
 
 
-def _idle_readers(trainer_stall):
-    """A round whose readers idle (a quarter of the trainer's busy time
-    worth of reader work) while the trainer holds ``trainer_stall`` of
-    the wall; the rest of the wall is outside the ingestion loop."""
-    return OverlapReport(
-        wall_seconds=1.0 / trainer_stall,
-        trainer_busy_seconds=1.0,
-        queue=QueueWaitBreakdown(put_wait=0.75),
-    )
-
-
-def _run(width, overlaps, *, floor=1, target_stall=0.10, max_readers=32):
-    """Fold ``rescale`` over one overlap per round from ``width``, as
-    the tier does: each decision's ``width_after`` and streak feed the
-    next round.  Returns the decisions and the streak left behind."""
+def _run(width, rounds, *, floor=1, target_stall=0.10, max_readers=32):
+    """Fold ``rescale`` over one round's times per round from ``width``,
+    as the tier does: each decision's ``width_after`` and streak feed
+    the next round.  Returns the decisions and the streak left behind."""
     spec = ScalingSpec(target_stall, max_readers)
     decisions, streak = [], 0
-    for index, overlap in enumerate(overlaps):
-        decision, streak = rescale(spec, overlap, index, width, floor, streak)
+    for index, (reader_wall, trainer_busy) in enumerate(rounds):
+        decision, streak = rescale(
+            spec, reader_wall, trainer_busy, index, width, floor, streak
+        )
         decisions.append(decision)
         width = decision.width_after
     return decisions, streak
@@ -131,15 +116,17 @@ class TestControlLaw:
         assert _widths(decisions) == [4, 3]
 
     def test_shrink_needs_three_quarters_trainer_stall(self):
-        """Idle readers alone shrink nothing: the trainer must hold at
-        least 75 % of the wall, for two rounds running."""
-        below, _ = _run(8, [_idle_readers(0.7)] * 4)
+        """A width above ``max_readers`` proposes a shrink even on a
+        reader-bound round in band; the fleet shrinks only once the
+        trainer holds at least 75 % of the wall, two rounds running."""
+        bounded = dict(target_stall=0.5, max_readers=4)
+        below, _ = _run(8, [_overlap(1.0 / 0.7, 1.0)] * 4, **bounded)
         assert _widths(below) == [8] * 4
         assert _actions(below) == ["hold"] * 4
         assert "within target" in below[-1].reason
 
-        above, _ = _run(8, [_idle_readers(0.8)] * 2)
-        assert _widths(above) == [8, 2]
+        above, _ = _run(8, [_overlap(1.0 / 0.8, 1.0)] * 2, **bounded)
+        assert _widths(above) == [8, 4]
         assert _actions(above) == ["hold", "shrink"]
 
     def test_shrink_floor_of_one_reader(self):
@@ -161,7 +148,7 @@ class TestControlLaw:
 
 class TestTrace:
     def test_records_every_field(self):
-        d, _ = rescale(ScalingSpec(0.10), _overlap(4.0, 1.0), 7, 2, 1, 0)
+        d, _ = rescale(ScalingSpec(0.10), 4.0, 1.0, 7, 2, 1, 0)
         assert d.epoch == 7
         assert d.width_before == 2 and d.width_after == 8
         assert d.action == "grow"
@@ -238,14 +225,10 @@ _seconds = st.floats(min_value=0.0, max_value=1e9)
 
 @st.composite
 def _observations(draw):
-    """Any overlap report, spec, floor, width at or above the floor,
-    and a streak of 0 or 1 — every input the tier can hand the law."""
-    overlap = OverlapReport(
-        wall_seconds=draw(_seconds),
-        reader_stall_seconds=draw(_seconds),
-        trainer_busy_seconds=draw(_seconds),
-        queue=QueueWaitBreakdown(put_wait=draw(_seconds)),
-    )
+    """Any round's (reader wall, trainer time), spec, floor, width at
+    or above the floor, and a streak of 0 or 1 — every input the tier
+    can hand the law."""
+    times = (draw(_seconds), draw(_seconds))
     max_readers = draw(st.integers(1, 64))
     spec = ScalingSpec(
         target_stall=draw(
@@ -255,7 +238,7 @@ def _observations(draw):
     )
     floor = draw(st.integers(1, max_readers))
     width = draw(st.integers(floor, 96))
-    return spec, overlap, floor, width, draw(st.sampled_from([0, 1]))
+    return spec, times, floor, width, draw(st.sampled_from([0, 1]))
 
 
 class TestControlLawProperties:
@@ -263,7 +246,7 @@ class TestControlLawProperties:
     @example(
         (  # reader wall over a subnormal trainer time overflows to inf
             ScalingSpec(),
-            OverlapReport(1.0, reader_stall_seconds=1e9, trainer_busy_seconds=5e-324),
+            (1e9, 5e-324),
             1,
             4,
             0,
@@ -273,8 +256,8 @@ class TestControlLawProperties:
         """The width stays within ``[floor, max(width, max_readers)]``,
         grows only on ``grow``, and the streak comes back non-zero only
         from a hysteresis ``hold``."""
-        spec, overlap, floor, width, streak = case
-        d, after = rescale(spec, overlap, 0, width, floor, streak)
+        spec, (reader_wall, trainer_busy), floor, width, streak = case
+        d, after = rescale(spec, reader_wall, trainer_busy, 0, width, floor, streak)
         assert d.width_before == width
         assert floor <= d.width_after <= max(width, spec.max_readers)
         if d.width_after > width:
@@ -291,7 +274,6 @@ class TestModeledOverlap:
         ov = OverlapReport.modeled(4.0, 1.0)
         assert ov.wall_seconds == 4.0
         assert ov.reader_stall_fraction == pytest.approx(0.75)
-        assert ov.queue.put_wait == 0.0
         assert sum(ov.fractions.values()) == pytest.approx(1.0)
 
     def test_trainer_bound_attribution(self):
@@ -299,8 +281,6 @@ class TestModeledOverlap:
         assert ov.wall_seconds == 4.0
         assert ov.reader_stall_fraction == 0.0
         assert ov.trainer_stall_fraction == 1.0
-        # readers idle 3s against full queues
-        assert ov.queue.put_wait == pytest.approx(3.0)
 
     def test_rejects_negative_times(self):
         with pytest.raises(ValueError):

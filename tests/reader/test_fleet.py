@@ -232,13 +232,6 @@ class TestFleetDeterminism:
         with pytest.raises(ValueError):
             ReaderFleet(2, _plain_cfg(), executor="threads")
 
-    def test_balanced_wall_seconds(self):
-        rep = FleetReport()
-        rep.workers.append(ReaderReport(cpu=ReaderCpuBreakdown(fill=4.0)))
-        assert rep.balanced_wall_seconds(4) == pytest.approx(1.0)
-        with pytest.raises(ValueError):
-            rep.balanced_wall_seconds(0)
-
 
 # -- real worker failures ----------------------------------------------------
 
