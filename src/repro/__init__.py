@@ -26,19 +26,7 @@ specs and a ``width`` to share one reader tier across jobs;
 ``docs/api.md`` is the reference.
 """
 
-from . import (
-    core,
-    datagen,
-    distributed,
-    etl,
-    experiments,
-    metrics,
-    pipeline,
-    reader,
-    scribe,
-    storage,
-    trainer,
-)
+import importlib
 
 __version__ = "1.0.0"
 
@@ -56,3 +44,11 @@ __all__ = [
     "experiments",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    """Import a subpackage on first use (PEP 562), so ``import
+    repro.core`` loads no more than the packages it uses."""
+    if name in __all__:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -113,6 +113,13 @@ class JaggedTensor:
             np.empty(0, dtype=dtype), np.zeros(num_rows + 1, dtype=np.int64)
         )
 
+    @classmethod
+    def trusted(cls, values: np.ndarray, offsets: np.ndarray) -> "JaggedTensor":
+        """Wrap arrays known to form a valid tensor, without checking."""
+        jt = cls.__new__(cls)
+        jt._values, jt._offsets = values, offsets
+        return jt
+
     # -- accessors --------------------------------------------------------
 
     @property
@@ -145,12 +152,9 @@ class JaggedTensor:
         tensor: ``values`` is a view, ``offsets`` the slice rebased to 0.
         Not re-validated — rows of a valid tensor are one — and not
         bounds-checked."""
-        view = JaggedTensor.__new__(JaggedTensor)
         offsets = self._offsets[start : stop + 1]
         first = offsets[0]
-        view._values = self._values[first : offsets[-1]]
-        view._offsets = offsets - first
-        return view
+        return JaggedTensor.trusted(self._values[first : offsets[-1]], offsets - first)
 
     def row(self, i: int) -> np.ndarray:
         """The ``i``-th row as a view into ``values``."""

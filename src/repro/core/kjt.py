@@ -137,6 +137,22 @@ class KeyedJaggedTensor:
         return cls.from_flat(columns, pack(list(columns.values())))
 
     @classmethod
+    def from_window(
+        cls, keys: Sequence[str], values: np.ndarray, bounds: np.ndarray, lo: int, hi: int
+    ) -> "KeyedJaggedTensor":
+        """Rows ``lo … hi`` of a packed run (key ``k``'s row ``i`` is
+        ``values[bounds[k, i] : bounds[k, i + 1]]``) as a KJT owning fresh
+        arrays: one concatenation of each key's contiguous window, one
+        shift of the bounds, and no check (the run was checked once)."""
+        window = bounds[:, lo : hi + 1]
+        starts, stops = window[:, 0], window[:, -1]
+        # key k's values move from ``starts[k]`` to where keys 0 … k-1 end
+        shift = stops - (stops - starts).cumsum()
+        offsets = np.concatenate(([0], (window[:, 1:] - shift[:, None]).ravel()))
+        values = np.concatenate([values[a:b] for a, b in zip(starts.tolist(), stops.tolist())])
+        return cls.from_flat(keys, JaggedTensor.trusted(values, offsets))
+
+    @classmethod
     def from_rows(
         cls,
         rows: Sequence[Mapping[str, Sequence[int]]],

@@ -87,22 +87,26 @@ class TraceGenerator:
         # Per-feature mutable state; grouped features flip one shared coin.
         user_specs = self.schema.user_features()
         item_specs = self.schema.item_features()
+        dense_names = [d.name for d in self.schema.dense]
         state = {f.name: self._initial_value(f) for f in user_specs}
         groups = self.schema.groups()
-        feature_to_group = {
-            name: g for g, members in groups.items() for name in members
+        group_probs = np.array(
+            [self.schema.sparse_spec(m[0]).change_prob for m in groups.values()]
+        )
+        # each user feature with its group's index (None: a solo feature)
+        group_of = {
+            name: g for g, members in enumerate(groups.values()) for name in members
         }
+        user_groups = [(f, group_of.get(f.name)) for f in user_specs]
 
         samples = []
         for i in range(size):
             if i > 0:
                 # Decide group changes once, solo features independently.
-                group_changed = {
-                    g: rng.random() < self.schema.sparse_spec(members[0]).change_prob
-                    for g, members in groups.items()
-                }
-                for f in user_specs:
-                    g = feature_to_group.get(f.name)
+                group_changed = (
+                    rng.random(len(group_probs)) < group_probs
+                ).tolist()
+                for f, g in user_groups:
                     changed = (
                         group_changed[g]
                         if g is not None
@@ -118,9 +122,9 @@ class TraceGenerator:
                     sparse[f.name] = self._initial_value(f)
                 else:
                     sparse[f.name] = samples[-1].sparse[f.name]
-            dense = {
-                d.name: float(rng.normal()) for d in self.schema.dense
-            }
+            dense = dict(
+                zip(dense_names, rng.normal(size=len(dense_names)).tolist())
+            )
             samples.append(
                 Sample(
                     sample_id=self._next_sample_id,

@@ -107,7 +107,13 @@ def rescale(
     :class:`~repro.metrics.scaling.ScalingDecision` out (its
     ``width_after``, never under ``floor``, is the next round's width),
     with the shrink ``streak`` the next decision starts from — non-zero
-    only after a hysteresis ``hold``."""
+    only after a hysteresis ``hold``.
+
+    The shrink guard ``tsf >= _SHRINK_TRAINER_STALL`` binds only when
+    ``width > max_readers``: up to the cap, a round proposes a narrower
+    width only when its reader wall is under the trainer time, and then
+    ``tsf`` is exactly 1.0; above it, ``max_readers`` caps the proposal
+    whatever the stall."""
     overlap = OverlapReport.modeled(reader_wall_seconds, trainer_busy_seconds)
     rsf = overlap.reader_stall_fraction
     tsf = overlap.trainer_stall_fraction

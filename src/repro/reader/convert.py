@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.ikjt import InverseKeyedJaggedTensor
-from ..core.kjt import KeyedJaggedTensor
 from ..storage.rowblock import RowBlock, require_block
 from .batch import Batch
 from .config import DataLoaderConfig
@@ -43,33 +42,24 @@ def convert_rows(
 
     ``rows`` is the fill step's :class:`~repro.storage.rowblock.RowBlock`.
     Every tensor is built over the block's columns — no per-row work,
-    and none per feature or dedup group: the plain KJT is one
-    concatenation of its columns, and every dedup group is keyed and
-    gathered straight out of one concatenation of theirs into the
-    batch's one IKJT buffer (:attr:`Batch.unique`), each group's IKJT a
-    view of its row range.  None aliases the block, so batches cut from
-    one stripe never alias each other; the IKJT tensors of one batch
+    and none per feature or dedup group: the plain KJT is cut out of the
+    block's run in one pass (:meth:`RowBlock.keyed`), and every dedup
+    group is keyed and gathered straight out of one such cut of theirs
+    into the batch's one IKJT buffer (:attr:`Batch.unique`), each group's
+    IKJT a view of its row range.  None aliases the block, so batches cut
+    from one run never alias each other; the IKJT tensors of one batch
     are views of a buffer that batch alone owns.
 
     Raises:
         TypeError: if ``rows`` is not a :class:`RowBlock`.
-        ValueError: if the block has no rows.
+        ValueError: if the block has no rows, or if its run's columns
+            do not pack (:func:`~repro.core.kjt.pack`).
     """
     require_block(rows, "convert_rows")
     if not rows:
         raise ValueError("cannot convert an empty batch")
     num_rows = len(rows)
     stats = ConvertStats()
-
-    absent = (np.zeros(num_rows + 1, dtype=np.int64), np.empty(0, dtype=np.int64))
-
-    def keyed(keys) -> KeyedJaggedTensor:
-        """One KJT over the block's columns for ``keys``: one
-        concatenation, owned by the KJT.  A feature the block lacks is
-        empty in every row."""
-        return KeyedJaggedTensor.from_columns(
-            {key: rows.sparse.get(key, absent) for key in keys}
-        )
 
     dense = np.zeros((num_rows, len(config.dense_features)), dtype=np.float32)
     for j, name in enumerate(config.dense_features):
@@ -79,14 +69,14 @@ def convert_rows(
 
     kjt = None
     if config.sparse_features:
-        kjt = keyed(config.sparse_features)
+        kjt = rows.keyed(config.sparse_features)
         stats.values_copied += kjt.total_values
 
     unique, layout = None, []
     if config.dedup_sparse_features:
         # Dedup every group via hashing in one pass; only the unique rows
         # are gathered (copied) into the IKJTs' buffer.
-        grouped_kjt = keyed(config.dedup_feature_names)
+        grouped_kjt = rows.keyed(config.dedup_feature_names)
         unique, layout = InverseKeyedJaggedTensor.gather_groups(
             grouped_kjt, config.dedup_sparse_features
         )

@@ -68,10 +68,7 @@ def fill_batches(
         raise ValueError("row_start must be non-negative")
     if row_stop is not None and row_stop < row_start:
         raise ValueError("row_stop must be >= row_start")
-    # decoded, not yet batched, in row order: [run block, lo, hi, stripe]
-    # ranges, ``stripe`` being read_stripe's own view while the range is
-    # exactly that stripe (a batch that is one whole stripe is not cut
-    # again), else None
+    # decoded, not yet batched, in row order: [run block, lo, hi] ranges
     pending: list[list] = []
     pending_rows = 0
     prev = FillStats()
@@ -117,40 +114,29 @@ def fill_batches(
             continue
         reader.plan_run(touched[0][0], touched[-1][0] + 1)
         for stripe_idx, lo, hi in touched:
-            stripe = reader.read_stripe(stripe_idx)  # decodes + accounts
+            reader.read_stripe(stripe_idx)  # decodes + accounts
             run, first = reader.run_of(stripe_idx)
-            whole = stripe if hi - lo == len(stripe) else None
             lo, hi = first + lo, first + hi
             if pending and pending[-1][0] is run and pending[-1][2] == lo:
-                pending[-1][2:] = hi, None  # the run's next stripe
+                pending[-1][2] = hi  # the run's next stripe
             else:
-                pending.append([run, lo, hi, whole])
+                pending.append([run, lo, hi])
             pending_rows += hi - lo
             while pending_rows >= batch_size:
                 # the head range's rows, and the next range's if the
                 # head runs out (the next run: a file boundary)
                 taken, need = [], batch_size
                 while need:
-                    head = pending[0]
-                    if need >= head[2] - head[1]:
-                        taken.append(_rows(pending.pop(0)))
+                    block, start, stop = pending[0]
+                    end = min(stop, start + need)
+                    taken.append(block[start:end])
+                    need -= end - start
+                    if end == stop:
+                        pending.pop(0)
                     else:
-                        block, start = head[:2]
-                        taken.append(block[start : start + need])
-                        head[1], head[3] = start + need, None
-                    need -= len(taken[-1])
+                        pending[0][1] = end
                 pending_rows -= batch_size
-                yield _joined(taken), snapshot()
-
-
-def _rows(entry: list) -> RowBlock:
-    """A pending range's rows: its stripe's own view, else a view cut
-    from the run."""
-    block, start, stop, stripe = entry
-    return block[start:stop] if stripe is None else stripe
-
-
-def _joined(parts: list[RowBlock]) -> RowBlock:
-    """A batch's parts as one block: a lone part is its run's view as
-    is; parts from several runs are concatenated."""
-    return parts[0] if len(parts) == 1 else RowBlock.concat(parts)
+                yield (
+                    taken[0] if len(taken) == 1 else RowBlock.concat(taken),
+                    snapshot(),
+                )

@@ -16,12 +16,12 @@ block materializes them again for the cold callers that want rows
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..core.jagged import JaggedTensor
 from ..core.jagged_ops import gather_ranges
+from ..core.kjt import KeyedJaggedTensor, pack
 from ..datagen.session import Sample
 
 __all__ = ["RowBlock", "require_block"]
@@ -38,7 +38,6 @@ def require_block(rows, where: str) -> None:
         )
 
 
-@dataclass(eq=False)
 class RowBlock:
     """``N`` rows as columns: metadata arrays plus per-feature columns.
 
@@ -51,17 +50,40 @@ class RowBlock:
     <repro.storage.dwrf.DwrfReader.read_stripe>` all guarantee it.
 
     ``block[lo:hi]`` is another block over *views* of this one's arrays
-    (offset arithmetic only — no per-row work, no value copy);
-    ``block[i]`` and iteration materialize :class:`Sample` rows whose
-    sparse arrays are likewise views.
+    (offset arithmetic only — no per-row work, no value copy) that keeps
+    its root block and first row there: it rebases the root's sparse
+    columns only once its :attr:`sparse` is read, and :meth:`keyed` cuts
+    from the root's packed columns instead.  ``block[i]`` and iteration
+    materialize :class:`Sample` rows whose sparse arrays are likewise
+    views.
     """
 
-    sample_id: np.ndarray
-    session_id: np.ndarray
-    timestamp: np.ndarray
-    label: np.ndarray
-    sparse: dict[str, tuple[np.ndarray, np.ndarray]]
-    dense: dict[str, np.ndarray]
+    def __init__(
+        self,
+        sample_id: np.ndarray,
+        session_id: np.ndarray,
+        timestamp: np.ndarray,
+        label: np.ndarray,
+        sparse: dict[str, tuple[np.ndarray, np.ndarray]] | None,
+        dense: dict[str, np.ndarray],
+    ) -> None:
+        self.sample_id, self.session_id = sample_id, session_id
+        self.timestamp, self.label, self.dense = timestamp, label, dense
+        # a slice's root (None: a root) and first row; a root's packed
+        # columns per key tuple (:meth:`keyed`)
+        self._sparse, self._root, self._lo, self._packed = sparse, None, 0, {}
+
+    @property
+    def sparse(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """Feature name -> ``(offsets, values)``; a slice rebases its
+        root's columns on the first read."""
+        if self._sparse is None:
+            lo, hi = self._lo, self._lo + len(self)
+            self._sparse = {}
+            for name, (offsets, values) in self._root.sparse.items():
+                cut = offsets[lo : hi + 1]
+                self._sparse[name] = (cut - cut[0], values[cut[0] : cut[-1]])
+        return self._sparse
 
     # -- constructors -----------------------------------------------------
 
@@ -177,17 +199,36 @@ class RowBlock:
         if step != 1:
             raise ValueError("RowBlock slices must be contiguous (step 1)")
         hi = max(hi, lo)
-        sparse = {}
-        for name, (offsets, values) in self.sparse.items():
-            cut = offsets[lo : hi + 1]
-            sparse[name] = (cut - cut[0], values[cut[0] : cut[-1]])
-        return RowBlock(
-            sample_id=self.sample_id[lo:hi],
-            session_id=self.session_id[lo:hi],
-            timestamp=self.timestamp[lo:hi],
-            label=self.label[lo:hi],
-            sparse=sparse,
-            dense={name: col[lo:hi] for name, col in self.dense.items()},
+        view = RowBlock(
+            self.sample_id[lo:hi],
+            self.session_id[lo:hi],
+            self.timestamp[lo:hi],
+            self.label[lo:hi],
+            None,
+            {name: col[lo:hi] for name, col in self.dense.items()},
+        )
+        view._root = self if self._root is None else self._root
+        view._lo = self._lo + lo
+        return view
+
+    def keyed(self, keys: Sequence[str]) -> KeyedJaggedTensor:
+        """``KeyedJaggedTensor.from_columns`` of ``keys`` over :attr:`sparse`
+        (a key the block lacks is empty in every row), in fresh arrays:
+        the root packs its columns for ``keys`` once, every
+        :func:`~repro.core.kjt.pack` check included, and each block cut
+        from it gathers its rows out of them."""
+        root = self if self._root is None else self._root
+        keys = tuple(keys)
+        packed = root._packed.get(keys)
+        if packed is None:
+            n = len(root)
+            absent = (np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64))
+            flat = pack([root.sparse.get(key, absent) for key in keys])
+            # key k's offsets are rows k·N … (k+1)·N of the packed buffer
+            rows = np.arange(len(keys))[:, None] * n + np.arange(n + 1)
+            packed = root._packed[keys] = flat.values, flat.offsets[rows]
+        return KeyedJaggedTensor.from_window(
+            keys, *packed, self._lo, self._lo + len(self)
         )
 
     def __iter__(self) -> Iterator[Sample]:

@@ -2,7 +2,7 @@
 hold, hysteresis, bounds, and decision reproducibility."""
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from repro.metrics import OverlapReport, ScalingDecision, ScalingTrace
@@ -267,6 +267,24 @@ class TestControlLawProperties:
         if after:
             assert d.action == "hold" and "hysteresis" in d.reason
             assert after == streak + 1
+
+    @given(_observations(), st.data())
+    def test_shrink_guard_binds_only_above_max_readers(self, case, data):
+        """Up to ``max_readers``, every round that proposes a narrower
+        width has ``tsf == 1.0``, so the trainer-stall guard never holds
+        a shrink back: the round shrinks once the streak is due."""
+        spec, (reader_wall, trainer_busy), floor, _, _ = case
+        width = data.draw(st.integers(floor, spec.max_readers))
+        assume(trainer_busy > 0.0)
+        d, _ = rescale(spec, reader_wall, trainer_busy, 0, width, floor, 1)
+        # the proportional width ceil(ratio) is below ``width`` exactly
+        # when ratio <= width - 1, and the floor must leave room
+        narrower = width * reader_wall / trainer_busy <= width - 1 and floor < width
+        if narrower:
+            assert d.trainer_stall_fraction == 1.0
+            assert d.action == "shrink" and d.width_after < width
+        else:
+            assert d.action != "shrink"
 
 
 class TestModeledOverlap:

@@ -328,3 +328,137 @@ def test_convert_of_a_hand_written_block():
         batch.labels, np.array([1, 0, 1], dtype=np.float32)
     )
     assert (stats.values_copied, stats.values_hashed) == (3 + 2, 4)
+
+
+def _from_columns(block, keys):
+    """The oracle: ``from_columns`` over the block's own (rebased)
+    columns, a key the block lacks empty in every row."""
+    absent = (np.zeros(len(block) + 1, dtype=np.int64), np.empty(0, dtype=np.int64))
+    return KeyedJaggedTensor.from_columns(
+        {key: block.sparse.get(key, absent) for key in keys}
+    )
+
+
+def _assert_same_jagged(got, want):
+    _assert_same_array(got.values, want.values)
+    _assert_same_array(got.offsets, want.offsets)
+
+
+#: a non-empty key subset of every sparse key and one no block has, in
+#: any order
+_keys = st.permutations((*_SPARSE, "ghost")).flatmap(
+    lambda keys: st.integers(1, len(keys)).map(lambda k: tuple(keys[:k]))
+)
+
+
+@settings(deadline=None)
+@given(_rows(min_size=1), _rows(min_size=1), _keys, st.data())
+def test_a_batch_converts_as_from_columns_of_its_rows(first, second, keys, data):
+    """Every batch fill can cut — a window of a run across any stripe
+    edge, the same rows cut from a stripe's view, a file-boundary
+    concat, the run itself — converts, out of its run's packed columns,
+    to exactly ``from_columns`` over its own rows (plain KJT and the
+    grouped KJT's unique rows and layout), in arrays no block holds."""
+    rows, sparse_keys, dense_keys = first
+    run = RowBlock.from_samples(rows, sparse_keys, dense_keys)
+    other = RowBlock.from_samples(second[0], sparse_keys, dense_keys)
+    n = len(run)
+    lo = data.draw(st.integers(0, n - 1))
+    hi = data.draw(st.integers(lo + 1, n))
+    stripe = data.draw(st.integers(0, lo))
+    tail = data.draw(st.integers(0, n - 1))
+    head = data.draw(st.integers(1, len(other)))
+    split = data.draw(st.integers(1, len(keys)))
+    groups = (keys[:split], keys[split:]) if split < len(keys) else (keys,)
+    batches = [
+        run[lo:hi],
+        run[stripe:][lo - stripe : hi - stripe],
+        RowBlock.concat([run[tail:], other[:head]]),
+        run,
+    ]
+    columns = [a for b in (run, other) for pair in b.sparse.values() for a in pair]
+    for batch in batches:
+        plain = DataLoaderConfig(batch_size=len(batch), sparse_features=keys)
+        dedup = DataLoaderConfig(batch_size=len(batch), dedup_sparse_features=groups)
+        got_plain, _ = convert_rows(batch, plain)
+        got_dedup, _ = convert_rows(batch, dedup)
+        want = _from_columns(batch, keys)
+        assert got_plain.kjt.keys == want.keys
+        _assert_same_jagged(got_plain.kjt.flat, want.flat)
+        unique, layout = InverseKeyedJaggedTensor.gather_groups(want, groups)
+        _assert_same_jagged(got_dedup.unique, unique)
+        assert len(got_dedup.layout) == len(layout)
+        for (gk, gu, gi), (wk, wu, wi) in zip(got_dedup.layout, layout):
+            assert (list(gk), gu) == (list(wk), wu)
+            _assert_same_array(gi, wi)
+        held = columns + [a for pair in batch.sparse.values() for a in pair]
+        for got in (*_jagged_pairs(got_plain), *_jagged_pairs(got_dedup)):
+            for column in held:
+                assert not np.shares_memory(got, column)
+
+
+def test_a_run_is_packed_once_per_key_tuple(monkeypatch):
+    """Converting every batch of a run packs (and checks) its columns
+    once for the plain keys and once for the dedup keys, not per batch."""
+    from repro.storage import rowblock
+
+    calls = []
+    real = rowblock.pack
+    monkeypatch.setattr(rowblock, "pack", lambda cols: calls.append(1) or real(cols))
+    rows = [
+        Sample(i, i // 3, float(i), i % 2, {"a": np.arange(i % 4), "b": np.array([i])}, {})
+        for i in range(12)
+    ]
+    run = RowBlock.from_samples(rows)
+    cfg = DataLoaderConfig(
+        batch_size=4, sparse_features=("b",), dedup_sparse_features=(("a",),)
+    )
+    for lo in range(0, 12, 4):
+        convert_rows(run[lo : lo + 4], cfg)
+    assert len(calls) == 2
+    convert_rows(RowBlock.from_samples(rows)[:4], cfg)  # another run
+    assert len(calls) == 4
+
+
+def _hostile(sparse):
+    n = len(next(iter(sparse.values()))[0]) - 1
+    return RowBlock(
+        sample_id=np.arange(n),
+        session_id=np.zeros(n, dtype=np.int64),
+        timestamp=np.zeros(n),
+        label=np.zeros(n, dtype=np.int64),
+        sparse=sparse,
+        dense={},
+    )
+
+
+_OFFSETS = np.array([0, 2, 2, 3, 5], dtype=np.int64)
+
+
+@pytest.mark.parametrize(
+    "sparse",
+    [
+        {  # mixed value dtypes
+            "a": (_OFFSETS, np.arange(5, dtype=np.int64)),
+            "b": (_OFFSETS, np.arange(5, dtype=np.int32)),
+        },
+        {"a": (_OFFSETS + 1, np.arange(6, dtype=np.int64))},  # not from 0
+        {"a": (_OFFSETS, np.arange(7, dtype=np.int64))},  # not to len(values)
+    ],
+    ids=["mixed-dtypes", "offsets-not-from-0", "offsets-short-of-len"],
+)
+def test_a_hostile_column_raises_the_pack_error(sparse):
+    """A run whose columns do not pack raises ``pack``'s ``ValueError``
+    through ``convert_rows`` on its first batch (and on every later
+    one: a failed pack is not kept), as ``from_columns`` does on every
+    call."""
+    run = _hostile(sparse)
+    cfg = DataLoaderConfig(batch_size=2, sparse_features=tuple(sparse))
+    messages = set()
+    for call in [lambda: KeyedJaggedTensor.from_columns(run.sparse)] * 3 + [
+        lambda lo=lo: convert_rows(run[lo : lo + 2], cfg) for lo in (0, 2, 0)
+    ]:
+        with pytest.raises(ValueError) as err:
+            call()
+        messages.add(str(err.value))
+    assert len(messages) == 1
