@@ -63,7 +63,7 @@ class HashModulo(SparseTransform):
         """Hash every ID into ``[0, modulus)``."""
         # blake-free multiplicative mix keeps this vectorized & stable
         mixed = (jt.values * np.int64(2654435761)) % np.int64(self.modulus)
-        return JaggedTensor(np.abs(mixed), jt.offsets.copy())
+        return JaggedTensor.trusted(np.abs(mixed), jt.offsets)
 
 
 class ClampValues(SparseTransform):
@@ -76,9 +76,7 @@ class ClampValues(SparseTransform):
 
     def apply(self, jt: JaggedTensor) -> JaggedTensor:
         """Clamp every ID into ``[0, max_id]``."""
-        return JaggedTensor(
-            np.clip(jt.values, 0, self.max_id), jt.offsets.copy()
-        )
+        return JaggedTensor.trusted(np.clip(jt.values, 0, self.max_id), jt.offsets)
 
 
 class TruncateLength(SparseTransform):

@@ -226,6 +226,43 @@ class TestTransforms:
         out = t.apply(JaggedTensor.from_lists([[-5, 3, 99]]))
         np.testing.assert_array_equal(out.values, [0, 3, 10])
 
+    @pytest.mark.parametrize(
+        "t, expected",
+        [
+            (HashModulo(modulus=1000),
+             lambda v: np.abs((v * np.int64(2654435761)) % np.int64(1000))),
+            (ClampValues(max_id=10), lambda v: np.clip(v, 0, 10)),
+        ],
+        ids=["hash_modulo", "clamp_values"],
+    )
+    def test_elementwise_transform_shares_the_offsets(self, t, expected):
+        """An element-wise transform keeps the rows, so its output wraps
+        the input's offsets unchecked, with the validating construction's
+        values bit for bit."""
+        jt = JaggedTensor.from_lists([[-5, 123456789, 3], [], [99]])
+        out = t.apply(jt)
+        checked = JaggedTensor(expected(jt.values), jt.offsets.copy())
+        assert out.offsets is jt.offsets
+        assert out.values.dtype == checked.values.dtype
+        assert out.values.tobytes() == checked.values.tobytes()
+
+    def test_row_count_change_still_raises(self, monkeypatch):
+        """``apply_transforms``' row check stays behind an unchecked output."""
+
+        class DropRow(HashModulo):
+            name = "drop_last_row"
+
+            def apply(self, jt):
+                out = super().apply(jt)
+                return JaggedTensor.trusted(out.values, out.offsets[:-1])
+
+        monkeypatch.setitem(TRANSFORM_REGISTRY, DropRow.name, DropRow)
+        batch, _ = convert_rows(
+            _rows(16), DataLoaderConfig(batch_size=16, sparse_features=("u",))
+        )
+        with pytest.raises(ValueError, match="'drop_last_row' made 15 rows of 16"):
+            apply_transforms(batch, (DropRow.name,))
+
     def test_truncate_keeps_suffix(self):
         t = TruncateLength(max_len=2)
         out = t.apply(JaggedTensor.from_lists([[1, 2, 3, 4], [5]]))
