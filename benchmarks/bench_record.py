@@ -10,7 +10,12 @@ operations and the machine slowdown, beside the host, the git sha and
 the seeds.  ``--compare A B`` prints the per-workload ratio table of two
 such files as markdown, B over A; ``--trend WORKLOAD [METRIC]`` prints
 one metric's median (default ``samples_per_s``) from every
-``BENCH_*.json`` at the repo root, in PR order.
+``BENCH_*.json`` at the repo root, in PR order.  ``--pairs WORKLOAD
+--tree PARENT`` runs one workload on the parent checkout (A) and on this
+one (B), one pair per seed, alternately — A first on even seeds — and
+prints each pair's ratios B over A, the wins, ties and losses, and each
+side's median and quartiles for every end-to-end metric; it writes no
+file.
 
 Usage::
 
@@ -19,6 +24,8 @@ Usage::
         --seeds 101 102 103 104 105
     python benchmarks/bench_record.py --compare BENCH_M.json BENCH_N.json
     python benchmarks/bench_record.py --trend scan-ikjt [samples_per_cpu_s]
+    python benchmarks/bench_record.py --pairs session-baseline \\
+        --tree ../parent-checkout --seeds 4701 4702 … 4710
 
 ``--tree`` runs another checkout's stopwatch on that checkout's source
 (its sha is recorded; the file is still written here).  Seeds default
@@ -27,7 +34,8 @@ existing ``BENCH_<pr>.json`` is never overwritten.  ``--compare`` also
 and ``--trend`` read backfilled files (``"backfilled": true``), which
 may lack the sha, the slowdown, the fingerprints, the quartiles or some
 metrics; ``--trend`` marks them and shows a missing median as a dash.
-Exits 1 when a run fails a check, 2 on usage errors (an existing
+Seeds for ``--pairs`` default to ``1 … 10``; pass unseen ones for a
+claim.  Exits 1 when a run fails a check, 2 on usage errors (an existing
 record included).
 """
 
@@ -44,6 +52,7 @@ import tempfile
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 MIN_SEEDS = 5
+PAIR_SEEDS = list(range(1, 11))
 
 
 def declaration(root: pathlib.Path = REPO_ROOT) -> dict:
@@ -191,13 +200,63 @@ def trend(root: pathlib.Path, workload: str, metric: str) -> list[str]:
     return lines
 
 
+def pairs(parent: pathlib.Path, workload: str, seeds: list[int]) -> tuple[list[str], int]:
+    """``workload`` on ``parent`` (A) and this tree (B), one fresh-
+    interpreter run each per seed, A first on even seeds and B first on
+    odd ones, so a slow minute falls on both sides.  Returns the report
+    lines and the number of failed operations."""
+    better = {m["name"]: m["better"] for m in declaration()["end_to_end"]}
+    runs = {"A": [], "B": []}
+    for seed in seeds:
+        for side in ("A", "B") if seed % 2 == 0 else ("B", "A"):
+            runs[side].append(run_one(parent if side == "A" else REPO_ROOT, workload, seed))
+    names = [m for m in better if m in runs["A"][0]["metrics"]]
+    tally = {m: {"wins": 0, "ties": 0, "losses": 0} for m in names}
+    lines = [
+        f"{workload}: A = {parent}, B = {REPO_ROOT}; A runs first on even seeds",
+        "",
+        "| seed | first | " + " | ".join(f"{m} B ÷ A" for m in names) + " | fingerprints |",
+        "|---|---|" + "---|" * len(names) + "---|",
+    ]
+    for seed, a, b in zip(seeds, runs["A"], runs["B"]):
+        cells = []
+        for m in names:
+            va, vb = a["metrics"][m]["value"], b["metrics"][m]["value"]
+            outcome = "ties" if va == vb else (
+                "wins" if (vb > va) == (better[m] == "higher") else "losses"
+            )
+            tally[m][outcome] += 1
+            cells.append(f"×{vb / va:.3f}" if va else "—")
+        same = "equal" if a["fingerprint"] == b["fingerprint"] else "DIFFER"
+        lines.append(
+            f"| {seed} | {'A' if seed % 2 == 0 else 'B'} | " + " | ".join(cells) + f" | {same} |"
+        )
+    lines += ["", "| metric | B wins | ties | B losses | A median | A q1 | A q3 "
+              "| B median | B q1 | B q3 | B ÷ A median |", "|---" * 11 + "|"]
+    for m in names:
+        sa, sb = (spread([r["metrics"][m]["value"] for r in runs[side]]) for side in "AB")
+        ratio = f"×{sb['median'] / sa['median']:.3f}" if sa["median"] else "—"
+        lines.append(
+            f"| {m} | {tally[m]['wins']} | {tally[m]['ties']} | {tally[m]['losses']} "
+            + "".join(f"| {s[k]:.6g} " for s in (sa, sb) for k in ("median", "q1", "q3"))
+            + f"| {ratio} |"
+        )
+    return lines, sum(r["failed"] for side in runs.values() for r in side)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, help="the number BENCH_<pr>.json is named for")
     parser.add_argument("--seeds", type=int, nargs="+", help="trace seeds")
     parser.add_argument(
-        "--tree", default=str(REPO_ROOT),
-        help="the checkout whose stopwatch and source run (default: this one)",
+        "--tree",
+        help="the checkout whose stopwatch and source run (default: this "
+             "one); with --pairs, the parent measured against this one",
+    )
+    parser.add_argument(
+        "--pairs", metavar="WORKLOAD",
+        help="run WORKLOAD on --tree and on this checkout alternately, one "
+             "pair per seed, and print the pairs instead of recording",
     )
     parser.add_argument(
         "--compare", nargs=2, metavar=("A", "B"),
@@ -225,6 +284,18 @@ def main(argv: list[str] | None = None) -> int:
         a, b = (json.loads(p.read_text()) for p in (a_path, b_path))
         print("\n".join(compare(a, b, a_path.name, b_path.name)))
         return 0
+    if args.pairs:
+        workloads = [w["name"] for w in declaration()["workloads"]]
+        if args.pairs not in workloads:
+            parser.error(f"--pairs WORKLOAD must be one of {workloads}, got {args.pairs!r}")
+        if args.tree is None:
+            parser.error("--pairs needs --tree PARENT, the checkout to measure against")
+        seeds = args.seeds or PAIR_SEEDS
+        if len(set(seeds)) < 2:
+            parser.error("--pairs needs at least 2 distinct seeds")
+        lines, failed = pairs(pathlib.Path(args.tree).resolve(), args.pairs, seeds)
+        print("\n".join(lines))
+        return 1 if failed else 0
     if args.pr is None:
         parser.error("--pr is required when recording")
     seeds = args.seeds or [100 * args.pr + i for i in range(1, MIN_SEEDS + 1)]
@@ -233,7 +304,7 @@ def main(argv: list[str] | None = None) -> int:
     out = REPO_ROOT / f"BENCH_{args.pr}.json"
     if out.exists():  # a committed record is never measured over
         parser.error(f"{out} exists; move it away or record under another --pr")
-    result = record(pathlib.Path(args.tree).resolve(), args.pr, seeds)
+    result = record(pathlib.Path(args.tree or REPO_ROOT).resolve(), args.pr, seeds)
     out.write_text(json.dumps(result, indent=1) + "\n")
     print(f"written {out}")
     failed = sum(w["failed"] for w in result["workloads"].values())

@@ -196,12 +196,18 @@ class ScribeCluster:
             raise ValueError("num_shards must be positive")
         self.policy = policy
         self.shards = [ScribeShard(i, block_bytes) for i in range(num_shards)]
+        #: session id -> shard, filled once per session under SESSION_ID
+        self._session_shards: dict[int, int] = {}
 
     # -- ingestion ----------------------------------------------------------
 
     def _log(self, record: FeatureLogRecord | EventLogRecord) -> int:
         payload = record.serialize()
-        shard = route(self.policy, len(self.shards), record.session_id, payload)
+        shard = self._session_shards.get(record.session_id)
+        if shard is None:
+            shard = route(self.policy, len(self.shards), record.session_id, payload)
+            if self.policy is ShardKeyPolicy.SESSION_ID:
+                self._session_shards[record.session_id] = shard
         self.shards[shard].append(payload)
         return shard
 

@@ -12,9 +12,10 @@ output the alpha-weighted sum of the segment's activations.
 
 ``TransformerPooling`` — one pre-norm-free transformer block
 (single-head self-attention + residual + ReLU FFN + residual) over each
-row's sequence, followed by masked mean pooling.  Sequences are padded
-dense with masking; padded positions carry zero activations so no
-gradient leaks through them.
+row's sequence, followed by mean pooling.  A batch whose rows all hold
+the same number of values is already dense: it runs on a reshape view
+with no mask.  Only a ragged batch is padded dense with masking; padded
+positions carry zero activations so no gradient leaks through them.
 """
 
 from __future__ import annotations
@@ -131,11 +132,16 @@ class TransformerPooling(PoolingModule):
     # -- dense packing ------------------------------------------------------
 
     @staticmethod
-    def _to_dense(acts: EmbeddingActivations) -> tuple[np.ndarray, np.ndarray]:
+    def _to_dense(acts: EmbeddingActivations) -> tuple[np.ndarray, np.ndarray | None]:
+        """(B, L, D) activations and their (B, L) key mask.  A batch whose
+        rows all hold the same L > 0 values is a reshape view with no mask:
+        there is no padding to hide."""
         lengths = np.diff(acts.offsets)
         B = lengths.size
         L = int(lengths.max()) if B else 0
         D = acts.values.shape[1]
+        if L and acts.values.shape[0] == B * L:
+            return acts.values.reshape(B, L, D), None
         X = np.zeros((B, max(L, 1), D))
         mask = np.zeros((B, max(L, 1)), dtype=bool)
         if acts.values.shape[0]:
@@ -146,26 +152,34 @@ class TransformerPooling(PoolingModule):
 
     def forward(self, acts: EmbeddingActivations) -> np.ndarray:
         X, mask = self._to_dense(acts)
-        B, L, D = X.shape
-        scale = 1.0 / np.sqrt(D)
+        D = X.shape[2]
         Q = X @ self.Wq.value
         K = X @ self.Wk.value
         V = X @ self.Wv.value
-        S = (Q @ K.transpose(0, 2, 1)) * scale
-        S = np.where(mask[:, None, :], S, _NEG)  # mask key positions
-        S = S - S.max(axis=-1, keepdims=True)
-        E = np.exp(S)
-        A = E / np.maximum(E.sum(axis=-1, keepdims=True), 1e-30)
+        S = Q @ K.transpose(0, 2, 1)
+        S *= 1.0 / np.sqrt(D)
+        if mask is not None:
+            np.copyto(S, _NEG, where=~mask[:, None, :])  # mask key positions
+        # a max is exact in any order: take it across rows, not along the
+        # short key axis
+        S -= np.ascontiguousarray(np.moveaxis(S, -1, 0)).max(axis=0)[..., None]
+        A = np.exp(S, out=S)
+        A /= np.maximum(A.sum(axis=-1, keepdims=True), 1e-30)
         Z = A @ V
-        proj = Z @ self.Wo.value
-        Y = X + proj
-        U = Y @ self.W1.value + self.b1.value
-        F1 = np.maximum(U, 0.0)
-        F = F1 @ self.W2.value + self.b2.value
-        Y2 = Y + F
-        lengths = mask.sum(axis=1)
-        denom = np.maximum(lengths, 1)[:, None]
-        out = (Y2 * mask[:, :, None]).sum(axis=1) / denom
+        Y = Z @ self.Wo.value
+        Y += X  # residual
+        F1 = Y @ self.W1.value
+        F1 += self.b1.value
+        np.maximum(F1, 0.0, out=F1)
+        Y2 = F1 @ self.W2.value
+        Y2 += self.b2.value
+        Y2 += Y  # residual
+        if mask is not None:
+            Y2 *= mask[:, :, None]
+        denom = np.maximum(np.diff(acts.offsets), 1)[:, None]
+        # Y2.sum(axis=1)'s in-order sum over positions, positions outermost
+        out = np.ascontiguousarray(np.moveaxis(Y2, 1, 0)).sum(axis=0)
+        out /= denom
         self._cache = {
             "X": X, "mask": mask, "Q": Q, "K": K, "V": V, "A": A, "Z": Z,
             "Y": Y, "F1": F1, "denom": denom,
@@ -178,46 +192,48 @@ class TransformerPooling(PoolingModule):
         c = self._cache
         X, mask = c["X"], c["mask"]
         Q, K, V, A, Z, Y, F1 = c["Q"], c["K"], c["V"], c["A"], c["Z"], c["Y"], c["F1"]
-        B, L, D = X.shape
-        scale = 1.0 / np.sqrt(D)
+        _, L, D = X.shape
+        H = self.ffn_hidden
 
-        dY2 = (dpooled[:, None, :] / c["denom"][:, None]) * mask[:, :, None]
+        dY2 = dpooled[:, None, :] / c["denom"][:, None]
+        dY2 = np.repeat(dY2, L, axis=1) if mask is None else dY2 * mask[:, :, None]
         # FFN backward
-        dF = dY2
-        flatF = dF.reshape(-1, D)
-        self.W2.grad += F1.reshape(-1, self.ffn_hidden).T @ flatF
+        flatF = dY2.reshape(-1, D)
+        self.W2.grad += F1.reshape(-1, H).T @ flatF
         self.b2.grad += flatF.sum(axis=0)
-        dF1 = (dF @ self.W2.value.T) * (F1 > 0)
-        flat1 = dF1.reshape(-1, self.ffn_hidden)
+        dF1 = dY2 @ self.W2.value.T
+        dF1 *= F1 > 0
+        flat1 = dF1.reshape(-1, H)
         self.W1.grad += Y.reshape(-1, D).T @ flat1
         self.b1.grad += flat1.sum(axis=0)
-        dY = dY2 + dF1 @ self.W1.value.T
+        dY = dF1 @ self.W1.value.T
+        dY += dY2  # residual
         # attention output projection
-        dO = dY
-        self.Wo.grad += Z.reshape(-1, D).T @ dO.reshape(-1, D)
-        dZ = dO @ self.Wo.value.T
-        dA = dZ @ V.transpose(0, 2, 1)
+        self.Wo.grad += Z.reshape(-1, D).T @ dY.reshape(-1, D)
+        dZ = dY @ self.Wo.value.T
+        dS = dZ @ V.transpose(0, 2, 1)  # dA, turned into dS in place
         dV = A.transpose(0, 2, 1) @ dZ
-        dS = A * (dA - (A * dA).sum(axis=-1, keepdims=True))
+        dS -= (A * dS).sum(axis=-1, keepdims=True)
+        dS *= A
+        scale = 1.0 / np.sqrt(D)
         dQ = (dS @ K) * scale
         dK = (dS.transpose(0, 2, 1) @ Q) * scale
         flatX = X.reshape(-1, D)
         self.Wq.grad += flatX.T @ dQ.reshape(-1, D)
         self.Wk.grad += flatX.T @ dK.reshape(-1, D)
         self.Wv.grad += flatX.T @ dV.reshape(-1, D)
-        dX = (
-            dY  # residual
-            + dQ @ self.Wq.value.T
-            + dK @ self.Wk.value.T
-            + dV @ self.Wv.value.T
-        )
-        # strip the padding back to jagged layout
-        return dX[mask]
+        dX = dY  # residual, summed in place
+        dX += dQ @ self.Wq.value.T
+        dX += dK @ self.Wk.value.T
+        dX += dV @ self.Wv.value.T
+        # strip any padding back to jagged layout
+        return dX.reshape(-1, D) if mask is None else dX[mask]
 
     def expand_cache(self, inverse, src, batch_offsets) -> None:
         # every cached array is dense with one leading entry per row
         self._cache = {
-            k: np.take(v, inverse, axis=0) for k, v in self._cache.items()
+            k: v if v is None else np.take(v, inverse, axis=0)
+            for k, v in self._cache.items()
         }
 
     def params(self) -> list[Parameter]:

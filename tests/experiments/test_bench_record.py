@@ -1,6 +1,7 @@
 """``bench_record.py --compare``: the ratio table of two BENCH files."""
 
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -160,3 +161,69 @@ def test_trend_prints_one_median_per_record_in_pr_order(
         with pytest.raises(SystemExit) as exit_:
             bench_record.main(["--trend", *argv])
         assert exit_.value.code == 2
+
+
+def test_pairs_alternate_parent_first_on_even_seeds_and_count_wins(
+    tmp_path, monkeypatch, capsys
+):
+    """``--pairs`` runs the parent (A) and this tree (B) once per seed, A
+    first on even seeds and B first on odd ones, counts B's wins, ties and
+    losses per end-to-end metric, and writes nothing at the root."""
+    parent = tmp_path / "parent"
+    calls = []
+
+    def fake_run(command, cwd):
+        seed = int(command[command.index("--seed") + 1])
+        side = "A" if Path(cwd) == parent else "B"
+        calls.append((seed, side))
+        # B is faster on every seed but 13; stored bytes never move
+        rate = 100.0 if side == "A" else (90.0 if seed == 13 else 110.0 + seed)
+        out = Path(command[command.index("--out") + 1])
+        out.write_text(json.dumps({
+            "attempted": 3, "failed": 0, "fingerprint": f"f{seed}",
+            "metrics": {
+                "samples_per_s": {"value": rate},
+                "stored_bytes_per_sample": {"value": 300.0},
+            },
+        }))
+        return subprocess.CompletedProcess(command, 0)
+
+    monkeypatch.setattr(bench_record.subprocess, "run", fake_run)
+    before = sorted(REPO_ROOT.iterdir())
+    seeds = list(range(10, 20))
+    assert bench_record.main([
+        "--pairs", "session-baseline", "--tree", str(parent),
+        "--seeds", *map(str, seeds),
+    ]) == 0
+    assert calls == [
+        (seed, side) for seed in seeds
+        for side in (("A", "B") if seed % 2 == 0 else ("B", "A"))
+    ]
+    assert sorted(REPO_ROOT.iterdir()) == before
+    lines = capsys.readouterr().out.splitlines()
+    assert "| 10 | A | ×1.200 | ×1.000 | equal |" in lines
+    assert "| 13 | B | ×0.900 | ×1.000 | equal |" in lines
+    summary = {line.split(" | ")[0]: line for line in lines if line.startswith("| s")}
+    # nine wins, one loss; A's median 100, B's that of 90, 120 … 122, 124 … 129
+    assert summary["| samples_per_s"].startswith("| samples_per_s | 9 | 0 | 1 | 100 ")
+    assert summary["| samples_per_s"].endswith("| 124.5 | 121.25 | 126.75 | ×1.245 |")
+    assert summary["| stored_bytes_per_sample"].startswith(
+        "| stored_bytes_per_sample | 0 | 10 | 0 | 300 "
+    )
+
+
+def test_pairs_needs_a_parent_tree_and_a_declared_workload(monkeypatch, capsys):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started on a usage error")
+
+    monkeypatch.setattr(bench_record.subprocess, "run", no_run)
+    for argv, message in (
+        (["--pairs", "session-baseline"], "--pairs needs --tree PARENT"),
+        (["--pairs", "nope", "--tree", "."], "--pairs WORKLOAD must be one of"),
+        (["--pairs", "ingest", "--tree", ".", "--seeds", "3", "3"],
+         "at least 2 distinct seeds"),
+    ):
+        with pytest.raises(SystemExit) as exit_:
+            bench_record.main(argv)
+        assert exit_.value.code == 2
+        assert message in capsys.readouterr().err

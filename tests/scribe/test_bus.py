@@ -265,3 +265,16 @@ class TestScribeCluster:
         assert total.raw_bytes == sum(
             s.stats.raw_bytes for s in cluster.shards
         )
+
+    @pytest.mark.parametrize("policy", list(ShardKeyPolicy))
+    def test_every_message_lands_where_route_sends_it_alone(self, policy):
+        """The cluster remembers a session's shard under SESSION_ID; each
+        message's shard is still ``route(...)`` of that message alone,
+        across two ticks and in both policies."""
+        samples = generate_partition(_trace_schema(), 60, TraceConfig(seed=5))
+        cluster = ScribeCluster(num_shards=5, policy=policy)
+        for s in samples[:30] + samples[10:]:  # sessions recur across ticks
+            feat, ev = split_sample(s)
+            for record, log in ((feat, cluster.log_features), (ev, cluster.log_event)):
+                want = route(policy, 5, record.session_id, record.serialize())
+                assert log(record) == want

@@ -109,6 +109,84 @@ def test_backward_before_forward_raises(name):
         pool.backward(np.zeros((1, 3)))
 
 
+# -- TransformerPooling: full rows skip the padding -----------------------
+
+
+def _always_padded(acts):
+    """The padded packing for every batch, full rows included: what
+    ``TransformerPooling._to_dense`` returns for a ragged batch."""
+    lengths = np.diff(acts.offsets)
+    B, L, D = lengths.size, int(lengths.max()), acts.values.shape[1]
+    X = np.zeros((B, L, D))
+    mask = np.arange(L)[None, :] < lengths[:, None]
+    X[mask] = acts.values
+    return X, mask
+
+
+@pytest.mark.parametrize("B", [1, 2, 64, 192])
+@pytest.mark.parametrize("L", [1, 12])
+@pytest.mark.parametrize("dedup", [False, True], ids=["kjt", "ikjt"])
+def test_full_rows_equal_the_padded_path_bit_for_bit(monkeypatch, B, L, dedup):
+    """A batch whose rows all hold L values runs on a view of the
+    activations with no key mask; the padded, masked path over the same
+    batch gives the same output, dX and parameter gradients to the bit.
+    ``ikjt`` pools unique rows and reaches the backward through
+    ``expand_cache``, as the O7 path does."""
+    D = 16
+    rng = np.random.default_rng(B * 100 + L)
+    U = max(B // 3, 1) if dedup else B
+    unique = make_acts(rng, [L] * U, D)
+    inverse = rng.permutation(
+        np.concatenate([np.arange(U), rng.integers(0, U, B - U)])
+    )
+    dpooled = rng.normal(size=(B, D))
+
+    def run(padded):
+        if padded:
+            monkeypatch.setattr(
+                TransformerPooling, "_to_dense", staticmethod(_always_padded)
+            )
+        pool = TransformerPooling(D, rng=np.random.default_rng(1))
+        out = pool.forward(unique)
+        if dedup:
+            src, batch_offsets = gather_ranges(
+                np.arange(unique.values.shape[0]), unique.offsets, inverse
+            )
+            pool.expand_cache(inverse, src, batch_offsets)
+        assert (pool._cache["mask"] is None) is not padded
+        dX = pool.backward(dpooled)
+        monkeypatch.undo()
+        return [out, dX] + [p.grad for p in pool.params()]
+
+    full, padded = run(False), run(True)
+    assert len(full) == 10
+    for got, want in zip(full, padded):
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("lengths", [[3, 1, 3], [2, 2, 2]], ids=["ragged", "full"])
+def test_transformer_gradients_match_numeric_on_both_paths(lengths):
+    """A ragged batch keeps the masked path and a full one drops it; both
+    pass the finite-difference check on dX and every parameter."""
+    rng = np.random.default_rng(12)
+    dim = 3
+    pool = TransformerPooling(dim, rng=rng)
+    acts = make_acts(rng, lengths, dim)
+    proj = rng.normal(size=(len(lengths), dim))
+
+    def loss():
+        return float((pool.forward(acts) * proj).sum())
+
+    pool.forward(acts)
+    assert (pool._cache["mask"] is None) == (len(set(lengths)) == 1)
+    dacts = pool.backward(proj)
+    np.testing.assert_allclose(dacts, numeric_grad(loss, acts.values), atol=1e-5)
+    for p in pool.params():
+        np.testing.assert_allclose(
+            p.grad, numeric_grad(loss, p.value), atol=1e-5, err_msg=f"{p.shape}"
+        )
+
+
 class TestSemantics:
     def test_sum_pooling_values(self):
         acts = EmbeddingActivations(
