@@ -58,8 +58,8 @@ def main() -> None:
     # run an actual sharded fleet over the RecD partitions: N worker
     # processes (named explicitly — the default executor is the serial
     # in-process one) scan disjoint row-range shards and stream batches
-    # through bounded prefetch queues, bit-identical to the serial
-    # reader's output
+    # through bounded prefetch queues (depth 2), bit-identical to the
+    # serial reader's output; only these real queues have waits
     recd_data = DataSpec(
         workload=w,
         toggles=RecDToggles.full(),
@@ -74,7 +74,6 @@ def main() -> None:
     fleet = ReaderFleet(
         min(plan.num_readers, 8),
         recd_job.dataloader_config(),
-        prefetch_depth=2,
         executor="process",
     )
     batches = fleet.run_epoch(table, [p.name for p in partitions])

@@ -107,13 +107,11 @@ _FLAGS = (
     _flag("--num-readers", "reader.num_readers", type=int, default=1,
           help="reader-fleet width; under multijob/stream the width of "
                "the pool serving every job"),
-    _flag("--prefetch-depth", "reader.prefetch_depth", type=int,
-          help="bounded prefetch per reader worker"),
     _flag("--reader-executor", "reader.executor", choices=EXECUTORS,
           help="fleet executor (the batch stream is bit-identical under "
-               "both): inprocess scans serially beside a modeled queue "
-               "clock, so wide fleets run fast; process forks real "
-               "workers"),
+               "both): inprocess scans serially, so wide fleets run "
+               "fast; process forks real workers and measures their "
+               "queue waits"),
     _flag("--transport", "reader.transport", choices=TRANSPORT_MODES,
           default=spec_default("reader.transport").mode,
           help="batch transport across the worker->trainer boundary: "
@@ -356,12 +354,16 @@ def _cmd_pipeline(args) -> int:
     print(f"  reader throughput   : {res.reader_qps:,.0f} samples/cpu-s")
     print(f"  trainer throughput  : {res.trainer_qps:,.0f} samples/s")
     fleet = res.fleet
+    waits = (
+        f", queue wait put {fleet.queue.put_wait * 1e3:.1f} ms / "
+        f"get {fleet.queue.get_wait * 1e3:.1f} ms"
+        if fleet.executor_used == "process"  # the only executor with queues
+        else ""
+    )
     print(
         f"  reader fleet        : {len(fleet.workers)} workers "
         f"({fleet.executor_used}), modeled wall "
-        f"{fleet.modeled_wall_seconds * 1e3:.1f} ms, queue wait "
-        f"put {fleet.queue.put_wait * 1e3:.1f} ms / "
-        f"get {fleet.queue.get_wait * 1e3:.1f} ms"
+        f"{fleet.modeled_wall_seconds * 1e3:.1f} ms{waits}"
     )
     wire = fleet.merged.bytes
     if wire.copied or wire.avoided:

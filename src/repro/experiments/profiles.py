@@ -75,8 +75,7 @@ def _wide_points(
 
     Wide fleets need many batches (an epoch never plans more shards
     than batches), so these points shrink the batch size and lift the
-    per-epoch batch cap; the serial executor's modeled queue clock runs
-    them in tier-1 time.
+    per-epoch batch cap; the serial executor runs them in tier-1 time.
     The widest width also carries a dedup pair — shm+dedup is the
     compounding configuration the tentpole benchmark headlines.
     """

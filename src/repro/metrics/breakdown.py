@@ -42,22 +42,25 @@ class ReaderCpuBreakdown(_PhaseBreakdown):
 
 @dataclass
 class QueueWaitBreakdown(Folded):
-    """Wall-clock seconds spent blocked on a fleet's prefetch queues.
+    """Seconds a fleet's batches spent at its queues.
 
-    ``put_wait`` is producer-side blocking: a reader finished a batch but
-    its bounded queue was full, i.e. that reader ran *ahead* of the
-    in-order drain.  Because the merge loop empties shards in order, a
-    later shard's put_wait mixes genuine consumer slowness with simply
-    waiting for its merge turn — so large put_wait means "readers are
-    over-provisioned relative to downstream consumption", not
-    specifically "the consumer is slow".  ``get_wait`` is unambiguous
-    consumer-side starvation: the merge loop waited for the next batch,
-    so the readers are the bottleneck — the §2.1 under-provisioning
-    signal the reader tier is sized to eliminate.  ``transport`` is the
-    modeled per-batch handoff cost at the worker→trainer boundary:
-    serialize/copy seconds charged by the ``copy`` transport (zero under
-    ``shm``) — the serial consumer-side term that bends wide-fleet
-    scaling once decode is sharded far enough.
+    ``put_wait`` and ``get_wait`` are *measured* by the ``process``
+    executor, the only one with queues; the ``inprocess`` scan has none
+    and leaves both 0.  ``put_wait`` is producer-side blocking: a
+    worker finished a batch but its bounded queue was full, i.e. that
+    worker ran *ahead* of the in-order drain.  Because the merge loop
+    empties shards in order, a later shard's put_wait mixes genuine
+    consumer slowness with simply waiting for its merge turn — so large
+    put_wait means "readers are over-provisioned relative to downstream
+    consumption", not specifically "the consumer is slow".
+    ``get_wait`` is unambiguous consumer-side starvation: the merge loop
+    waited for the next batch, so the readers are the bottleneck — the
+    §2.1 under-provisioning signal the reader tier is sized to
+    eliminate.  ``transport`` is the modeled per-batch handoff cost at
+    the worker→trainer boundary under every executor: serialize/copy
+    seconds charged by the ``copy`` transport (zero under ``shm``) — the
+    serial consumer-side term that bends wide-fleet scaling once decode
+    is sharded far enough.
     """
 
     put_wait: float = 0.0
@@ -70,21 +73,6 @@ class QueueWaitBreakdown(Folded):
     def total(self) -> float:
         """Summed queue-blocked wall-clock: both sides plus transport."""
         return self.put_wait + self.get_wait + self.transport
-
-    def fractions(self) -> dict[str, float]:
-        """Each component as a fraction of :attr:`total`.
-
-        Fractions are in [0, 1] and sum to 1 whenever any wait was
-        recorded; an all-zero breakdown returns all-zero fractions.
-        """
-        denom = self.total
-        if denom <= 0.0:
-            return {"put_wait": 0.0, "get_wait": 0.0, "transport": 0.0}
-        return {
-            "put_wait": self.put_wait / denom,
-            "get_wait": self.get_wait / denom,
-            "transport": self.transport / denom,
-        }
 
 
 @dataclass

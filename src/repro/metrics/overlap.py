@@ -13,7 +13,8 @@ This is the §2.1 provisioning signal at pipeline granularity: a large
 these trainers (add readers / enable O3–O4); a large
 ``trainer_stall_fraction`` means the readers outrun the trainers
 (shrink the fleet or grow the trainer job).  The fleet's queue waits
-that corroborate it are ``FleetReport.queue``.
+that corroborate it (measured under the ``process`` executor) are
+``FleetReport.queue``.
 """
 
 from __future__ import annotations

@@ -357,7 +357,6 @@ class JobRuntime:
             epochs=self.epochs,
             max_batches=spec.train.train_batches,
             consume=consume,
-            prefetch_depth=spec.reader.prefetch_depth,
             executor=spec.reader.executor,
             transport=spec.reader.transport,
             weight=spec.weight,

@@ -7,8 +7,8 @@ namespace — and every combination composes for one job or many:
 
 * :class:`DataSpec` — what lands: workload, toggles, sessions, time
   partitions, seed.
-* :class:`ReaderSpec` — how the reader fleet scans it: width, prefetch,
-  executor, streaming hand-off.
+* :class:`ReaderSpec` — how the reader fleet scans it: width,
+  executor, transport, streaming hand-off.
 * :class:`TrainSpec` — what the trainers do: epochs, per-epoch batch
   cap, batch size, cluster shape, update tracking.
 * :class:`ScalingSpec` — whether and how the fleet/pool width adapts:
@@ -123,13 +123,11 @@ class ReaderSpec:
         num_readers: fleet width (1 = the serial single-node path);
             under a shared tier this is the job's *solo* width — the
             pool width is the Session's.
-        prefetch_depth: bounded prefetch per reader worker (2 = double
-            buffering).
         executor: ``"inprocess"`` (the default: a deterministic serial
-            scan beside a modeled queue clock — reproducible queue
-            waits, wide widths in tier-1 time) or ``"process"`` (real
-            multiprocessing workers; runs only when named); the batch
-            stream is bit-identical under both.
+            scan with no queue — wide widths in tier-1 time) or
+            ``"process"`` (real multiprocessing workers behind bounded
+            queues, whose waits it measures; runs only when named); the
+            batch stream is bit-identical under both.
         transport: how batches cross the worker→trainer boundary —
             ``"copy"`` (modeled per-batch serialize cost,
             ``bytes.copied``) or ``"shm"`` (zero-copy,
@@ -149,7 +147,6 @@ class ReaderSpec:
     """
 
     num_readers: int = 1
-    prefetch_depth: int = 2
     executor: str = "inprocess"
     transport: TransportSpec | str = field(default_factory=TransportSpec)
     streaming: bool = True
@@ -157,7 +154,6 @@ class ReaderSpec:
 
     def __post_init__(self) -> None:
         _require_positive("ReaderSpec.num_readers", self.num_readers)
-        _require_positive("ReaderSpec.prefetch_depth", self.prefetch_depth)
         if self.executor not in EXECUTORS:
             raise ValueError(
                 f"ReaderSpec.executor must be one of {EXECUTORS}, "

@@ -120,7 +120,7 @@ class ReaderCostModel:
             + rows_processed * self.process_per_row
         )
 
-    def transport_seconds(self, wire_bytes: int, batches: int = 1) -> float:
+    def transport_seconds(self, wire_bytes: int, batches: int) -> float:
         """Consumer-side handoff seconds for ``batches`` copied batches.
 
         Charged only by the ``copy`` transport (see

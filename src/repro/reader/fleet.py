@@ -9,12 +9,12 @@ Hive/DWRF partition:
   :class:`~repro.reader.shard.RowRangeShard` windows (one per worker);
 * each worker runs the full Fill -> Convert -> Process
   :class:`~repro.reader.node.ReaderNode` pipeline over its window;
-* finished batches stream back through **bounded prefetch queues**
-  (default depth 2 — double buffering: a worker decodes its next batch
-  while the previous one is in flight), and the merge loop emits them in
-  shard order, so the fleet's batch stream is **bit-identical** to the
-  serial reader's regardless of worker count or scheduling;
-* per-worker :class:`~repro.reader.node.ReaderReport`\\ s plus queue-wait
+* the merge loop emits finished batches in shard order, so the
+  fleet's batch stream is **bit-identical** to the serial reader's
+  regardless of worker count or scheduling (forked workers stream them
+  back through bounded queues of depth 2 — double buffering: a worker
+  decodes its next batch while the previous one is in flight);
+* per-worker :class:`~repro.reader.node.ReaderReport`\\ s plus queue
   accounting merge into one :class:`FleetReport`.
 
 :meth:`ReaderFleet.iter_epoch` runs the same machinery over a
@@ -31,13 +31,12 @@ with trainer steps, which is what the pipeline's streaming mode does
 One shard scan, two schedules.  :func:`_scan_shard` is the only code
 that turns a shard into batches; what differs is who calls it when.
 The *serial* schedule, ``"inprocess"`` (the default, ``_iter_serial``),
-scans the shards one after another in the calling process beside a
-modeled queue clock — deterministic, dependency-free — so its
-:class:`~repro.metrics.breakdown.QueueWaitBreakdown` is fully *modeled*
-(bit-reproducible) and a width-64 fleet runs in tier-1 time.  The
-*forked* schedule, ``"process"``, runs the scan in real
-``multiprocessing`` workers — actual CPU parallelism, the production
-shape, and the authority on *measured* wall/queue times; it runs only
+scans the shards one after another in the calling process —
+deterministic, dependency-free, so a width-64 fleet runs in tier-1
+time; it has no queue, so its queue waits stay 0.  The *forked*
+schedule, ``"process"``, runs the scan in real ``multiprocessing``
+workers behind bounded queues — actual CPU parallelism, the production
+shape, and the only executor that *measures* queue waits; it runs only
 when named, and a platform that cannot start its workers fails the scan
 with a ``RuntimeError`` instead of quietly scanning in-process.
 
@@ -53,10 +52,10 @@ respawned, and overloaded hosts straggle.  :class:`FleetFaults` injects
 both deterministically — a crashed shard is re-scanned from the start by
 its respawned worker (batch content unchanged; the lost partial scan is
 charged as wasted CPU), and a straggler shard's modeled CPU is scaled by
-its slowdown factor.  Fault injection runs on the serial schedule
-(where stragglers also slow the virtual queue clock), so every fault's
-effect on the modeled accounting is bit-reproducible, which is what lets the scenario simulator
-(``repro.sim``) replay chaos runs exactly, now at width 64+.
+its slowdown factor.  Fault injection runs on the serial schedule, so
+every fault's effect on the modeled accounting is bit-reproducible,
+which is what lets the scenario simulator (``repro.sim``) replay chaos
+runs exactly, now at width 64+.
 """
 
 from __future__ import annotations
@@ -64,7 +63,6 @@ from __future__ import annotations
 import multiprocessing
 import queue as queue_lib
 import time
-from collections import deque
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 
@@ -85,6 +83,9 @@ EXECUTORS = ("inprocess", "process")
 _DONE = "__shard_done__"
 _ERROR = "__shard_error__"
 _WORKER_JOIN_TIMEOUT = 30.0
+#: batches a forked worker may queue ahead of the merge loop (double
+#: buffering)
+_PREFETCH_DEPTH = 2
 
 
 @dataclass(frozen=True)
@@ -286,12 +287,12 @@ def _fleet_worker(
         node, batches = _scan_shard(
             blobs, schema, config, cost_model, local_start, local_stop
         )
-        put_wait = 0.0
+        blocked = 0.0  # seconds put() waited on a full queue
         for batch in batches:
             t0 = time.perf_counter()
             out.put(batch)
-            put_wait += time.perf_counter() - t0
-        out.put((_DONE, node.report, put_wait))
+            blocked += time.perf_counter() - t0
+        out.put((_DONE, node.report, blocked))
     except Exception as exc:  # surfaced in the parent
         out.put((_ERROR, f"{type(exc).__name__}: {exc}"))
 
@@ -310,7 +311,6 @@ class ReaderFleet:
         num_readers: int,
         config: DataLoaderConfig,
         cost_model: ReaderCostModel | None = None,
-        prefetch_depth: int = 2,
         executor: str = "inprocess",
         faults: FleetFaults | None = None,
         transport: TransportSpec | str | None = None,
@@ -319,10 +319,6 @@ class ReaderFleet:
             raise ValueError(
                 f"num_readers must be positive, got {num_readers}: a "
                 "fleet needs at least one reader worker to scan shards"
-            )
-        if prefetch_depth <= 0:
-            raise ValueError(
-                f"prefetch_depth must be positive, got {prefetch_depth}"
             )
         if executor not in EXECUTORS:
             raise ValueError(
@@ -337,7 +333,6 @@ class ReaderFleet:
         self.num_readers = num_readers
         self.config = config
         self.cost_model = cost_model or ReaderCostModel()
-        self.prefetch_depth = prefetch_depth
         self.executor = executor
         self.faults = faults
         self.transport = TransportSpec.coerce(
@@ -498,73 +493,22 @@ class ReaderFleet:
         sources: Iterable[tuple[RowRangeShard, list[bytes], int, int]],
     ) -> Iterator[Batch]:
         """The serial schedule: shards scanned one after another in
-        this process, with the modeled queue clock beside them.
-
-        The clock is a discrete-event replay of the process executor's
-        shape — ``num_readers`` workers in flight, one bounded prefetch
-        queue (depth ``prefetch_depth``) per worker, consumer draining
-        workers in shard order, later shards' workers starting as slots
-        free — in *modeled* time: a worker's per-batch cost is its
-        cost-model CPU delta (scaled by any injected straggler/crash
-        factors), producers block on full virtual queues
-        (``put_wait``), the consumer waits on empty ones
-        (``get_wait``), and the copy transport advances the consumer
-        clock per batch.  Batches, worker reports, and bytes accounting
-        never depend on it; the queue waits it adds are
-        bit-*reproducible*, which the process executor's measured waits
-        can never be.
-        """
-        faults = self.faults or FleetFaults()
-        crashed, factors = faults.resolved(self.report.num_shards)
-        cm = self.cost_model
-        charges = self.transport.charges
-        width = self.num_readers
-        consumer_clock = 0.0
-        # virtual time each drained worker's slot frees: shard
-        # ``position`` (>= width) starts when shard ``position - width``
-        # was fully popped, exactly like launch_one() in the process
-        # executor
-        slot_free: list[float] = []
+        this process, each settled (faults, transport, report) once its
+        last batch is out."""
+        crashed, factors = (self.faults or FleetFaults()).resolved(
+            self.report.num_shards
+        )
         for position, (_, blobs, local_start, local_stop) in enumerate(
             sources
         ):
             node, batches = _scan_shard(
-                blobs, schema, self.config, cm, local_start, local_stop
+                blobs, schema, self.config, self.cost_model, local_start,
+                local_stop,
             )
-            slowdown = factors.get(position)  # None: not a straggler
-            crash = position in crashed
-            start = slot_free[position - width] if position >= width else 0.0
-            cost_scale = (1.0 if slowdown is None else slowdown) * (
-                1.0 + faults.lost_fraction if crash else 1.0
+            yield from batches
+            self._settle_shard(
+                node, factors.get(position), position in crashed
             )
-            charged = 0.0  # node CPU already converted to virtual time
-            enqueued_at = start  # when the previous batch hit the queue
-            pops: deque[float] = deque()  # pop times freeing queue slots
-            last_pop = start
-            for index, batch in enumerate(batches):
-                total = node.report.cpu.total
-                finish = enqueued_at + (total - charged) * cost_scale
-                charged = total
-                if index >= self.prefetch_depth:
-                    # the bounded queue is full: the producer holds this
-                    # batch until the consumer pops batch index - depth
-                    ready = max(finish, pops.popleft())
-                else:
-                    ready = finish
-                self.report.queue.put_wait += ready - finish
-                self.report.queue.get_wait += max(
-                    0.0, ready - consumer_clock
-                )
-                pop = max(consumer_clock, ready)
-                pops.append(pop)
-                last_pop = pop
-                consumer_clock = pop
-                if charges:
-                    consumer_clock += cm.transport_seconds(batch.wire_nbytes)
-                enqueued_at = ready
-                yield batch
-            slot_free.append(last_pop)
-            self._settle_shard(node, slowdown, crash)
 
     def _iter_multiprocess(
         self,
@@ -579,8 +523,8 @@ class ReaderFleet:
         source_iter = iter(sources)
         # (proc, queue) pairs in shard order, launched but not yet
         # drained.  One bounded queue per worker: each worker prefetches
-        # at most prefetch_depth batches ahead of the merge loop (double
-        # buffering at the default depth of 2), and the merge loop drains
+        # at most _PREFETCH_DEPTH batches ahead of the merge loop (double
+        # buffering), and the merge loop drains
         # workers in shard order so output order is deterministic.  The
         # window holds at most num_readers live workers — the fleet's
         # width — so a long multi-partition epoch launches later shards'
@@ -595,7 +539,7 @@ class ReaderFleet:
                 return False
             name = f"reader-shard-{shard.index}"
             try:
-                queue = ctx.Queue(maxsize=self.prefetch_depth)
+                queue = ctx.Queue(maxsize=_PREFETCH_DEPTH)
                 proc = ctx.Process(
                     target=_fleet_worker,
                     args=(

@@ -428,7 +428,6 @@ class TierJob:
             into a trainer) and return the epoch's modeled
             trainer-busy seconds.  ``None`` drains batches unconsumed
             (reader-only jobs).
-        prefetch_depth: bounded prefetch per leased worker.
         executor: fleet executor for the job's scans
             (``"inprocess"`` or ``"process"``).
         transport: batch-transport model for the job's scans (``copy``
@@ -464,7 +463,6 @@ class TierJob:
     epochs: Sequence[Sequence[str]]
     max_batches: int | None = None
     consume: Callable[[int, Iterator[Batch]], float] | None = None
-    prefetch_depth: int = 2
     executor: str = "inprocess"
     transport: TransportSpec = field(default_factory=TransportSpec)
     weight: float = 1.0
@@ -878,7 +876,6 @@ class SharedReaderTier:
         fleet = ReaderFleet(
             workers,
             job.config,
-            prefetch_depth=job.prefetch_depth,
             executor=job.executor,
             faults=faults,
             transport=job.transport,

@@ -17,7 +17,7 @@ epoch *r*.
 
 Injected :class:`~repro.reader.fleet.FleetFaults` need the
 deterministic ``inprocess`` executor, whose crash/straggler arithmetic
-and modeled queue clock are bit-reproducible at any width — the
+is bit-reproducible at any width — the
 ``wide-crash-resume`` scenario's width-64 tier included.
 """
 

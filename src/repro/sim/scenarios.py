@@ -15,8 +15,8 @@ names the shapes the paper's production tier actually weathers:
 * ``stragglers`` — slow shards dilating rounds without changing
   batches.
 * ``wide-crash-resume`` — the crash/straggler/preempt shape on a
-  width-64 pool (the serial executor's modeled queue clock keeps a
-  64-wide faulted tier tier-1-fast), one job streaming dedup batches
+  width-64 pool (the serial executor keeps a 64-wide faulted tier
+  tier-1-fast), one job streaming dedup batches
   over the shm transport.
 * ``stream-crash-resume`` — two live-loop streaming jobs whose
   micro-partitions land on the modeled clock mid-run, weathering a
@@ -289,8 +289,8 @@ def _wide_crash_resume(seed: int, scale: float) -> Scenario:
 
     Both jobs lift the per-epoch batch cap and shrink the batch size so
     a 64-wide pool really fans out (an epoch never plans more shards
-    than batches); the serial executor's modeled queue clock keeps the
-    whole faulted run deterministic and tier-1-fast at that width.  ``beta`` also
+    than batches); the serial executor keeps the whole faulted run
+    deterministic and tier-1-fast at that width.  ``beta`` also
     streams dedup batches over the zero-copy shm transport — the
     compounding configuration — while a worker crashes, a shard
     straggles, and ``alpha`` is preempted/checkpointed/resumed.

@@ -76,6 +76,10 @@ class HiveTable:
         files of ``rows_per_file`` rows (default: the table's own size;
         a streaming lander passes its smaller micro-partition size).
 
+        A write that fails partway deletes the files this call already
+        wrote before the error propagates (files are immutable, so a
+        leftover would make every retry a ``FileExistsError``).
+
         Raises:
             TypeError: if ``samples`` is not a :class:`RowBlock`.
             ValueError: if the partition has already landed.
@@ -89,17 +93,22 @@ class HiveTable:
             self.schema, self.stripe_rows, self.codec, self.int_encoding
         )
         info = PartitionInfo(name=partition)
-        for file_idx, start in enumerate(
-            range(0, len(samples), rows_per_file)
-        ):
-            chunk = samples[start : start + rows_per_file]
-            blob, stats = writer.write(chunk)
-            path = f"{self.name}/{partition}/part-{file_idx:05d}.dwrf"
-            self.fs.write(path, blob)
-            info.files.append(path)
-            info.num_rows += stats.num_rows
-            info.raw_bytes += stats.raw_bytes
-            info.compressed_bytes += stats.compressed_bytes
+        try:
+            for file_idx, start in enumerate(
+                range(0, len(samples), rows_per_file)
+            ):
+                chunk = samples[start : start + rows_per_file]
+                blob, stats = writer.write(chunk)
+                path = f"{self.name}/{partition}/part-{file_idx:05d}.dwrf"
+                self.fs.write(path, blob)
+                info.files.append(path)
+                info.num_rows += stats.num_rows
+                info.raw_bytes += stats.raw_bytes
+                info.compressed_bytes += stats.compressed_bytes
+        except BaseException:
+            for path in info.files:
+                self.fs.delete(path)
+            raise
         self.partitions[partition] = info
         self.bytes_ever_landed += info.compressed_bytes
         return info

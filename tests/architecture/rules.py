@@ -86,6 +86,16 @@ def _queue_homes(tree: Tree) -> list[str]:
     return [] if [h.rsplit(": ", 1)[1] for h in homes] == ["FleetReport.queue"] else homes or ["none"]
 
 
+def _queue_wait_writes(tree: Tree) -> list[str]:
+    """Every ``.put_wait`` / ``.get_wait`` store or keyword outside ``ReaderFleet._iter_multiprocess``."""
+    measured = {id(n) for _, c in tree.nodes(ast.ClassDef, "reader/fleet.py") if c.name == "ReaderFleet"
+                for d in c.body if isinstance(d, ast.FunctionDef) and d.name == "_iter_multiprocess"
+                for n in ast.walk(d)}
+    return [f"{p}:{n.lineno}: {ast.unparse(n)}" for p, n in tree.nodes(ast.AST, needle="_wait")
+            if id(n) not in measured and getattr(n, "attr", getattr(n, "arg", None)) in ("put_wait", "get_wait")
+            and (isinstance(n, ast.keyword) or isinstance(getattr(n, "ctx", None), ast.Store))]
+
+
 def _rescale_floor(tree: Tree) -> list[str]:
     calls = [n for _, n in tree.nodes(ast.Call, "reader/tier_scheduler.py")
              if ast.unparse(n.func) == "rescale"]
@@ -330,20 +340,23 @@ RULES: dict[str, Rule] = {
               grep(r"(batch|self)\.partial\b|\bpartial *=", "reader/", "trainer/", "distributed/"),
               ("trainer/model.py", "def _sparse(batch):\n    return batch.partial or batch.ikjts"))),
     "one_shard_scan_one_serial_loop": Rule("""A shard becomes batches in one function (_scan_shard) and
-        the deterministic executor is one loop (_iter_serial, which always runs the modeled queue
-        clock: no "async" executor, no unclocked branch); a ScalingSpec reaches the tier whole, so
-        the session has no fallback numbers to retype.""",
+        the deterministic executor is one plain loop (_iter_serial: no "async" executor, no clocked
+        branch, no modeled queue); queue waits are measured by the forked executor alone, so put_wait
+        and get_wait are written only in _iter_multiprocess; a ScalingSpec reaches the tier whole,
+        so the session has no fallback numbers to retype.""",
         Check("a second serial fleet loop is back; the inprocess executor is ReaderFleet._iter_serial",
               grep(r"_iter_inprocess|_iter_async"), ("reader/fleet.py", "def _iter_async(fleet):\n    return iter(())")),
-        Check('an "async" executor name is back under src/repro; the serial executor is "inprocess" and always runs the modeled queue clock',
+        Check('an "async" executor name is back under src/repro; the serial executor is "inprocess", a plain loop over the shards',
               grep(r'"async"'), ("reader/fleet.py", 'SERIAL = ("inprocess", "async")')),
-        Check("reader/fleet.py has a clocked switch again; _iter_serial always runs the modeled queue clock",
+        Check("reader/fleet.py has a clocked switch again; _iter_serial models no queue",
               grep(r"clocked", "reader/fleet.py"), ("reader/fleet.py", "def _serial(fleet, clocked=True):\n    return clocked")),
         Check("reader/fleet.py scans a shard in {n} places; call _scan_shard",
               grep(r"node\.run\(", "reader/fleet.py", most=1), ("reader/fleet.py", "def _scan(node, shard):\n    return list(node.run(shard))")),
         Check("session.py retypes the autoscaler's defaults; pass the ScalingSpec to SharedReaderTier(scaling=...)",
               grep(r"else 0\.10|else 32", "pipeline/session.py"),
-              ("pipeline/session.py", "def _target(spec):\n    return spec.target_stall if spec else 0.10"))),
+              ("pipeline/session.py", "def _target(spec):\n    return spec.target_stall if spec else 0.10")),
+        Check("put_wait or get_wait is written outside ReaderFleet._iter_multiprocess; the serial schedule has no queue, only forked workers' waits are measured",
+              _queue_wait_writes, ("reader/fleet.py", "def _model(report, finish, ready):\n    report.queue.put_wait += ready - finish"))),
     "one_fault_vocabulary": Rule("""A fault is a FaultPlan event (repro.sim) and the Session it is
         handed to is the only injector: a per-job fault spec, its grid builder or its epoch-keyed
         lookup is the second fault vocabulary growing back, and so is a tier hook called with the
@@ -394,8 +407,9 @@ RULES: dict[str, Rule] = {
         code path with no workload behind it: the value is a constant.  These were options once
         (autoscaler smoothing and shrink tunables, the sparse Adagrad optimizer, the ETL's
         downsampling config, StreamSpec.compact, TierJob.track_freshness, the Session's pool-level
-        scaling override, GridSpec.exclude, DataSpec.num_scribe_shards) and must not come back
-        unused.  The Scribe shard count is DataSpec's class constant (the stopwatch reads
+        scaling override, GridSpec.exclude, DataSpec.num_scribe_shards, the fleet's prefetch_depth)
+        and must not come back unused.  The forked workers' queue depth is fleet.py's constant
+        _PREFETCH_DEPTH.  The Scribe shard count is DataSpec's class constant (the stopwatch reads
         spec.data.num_scribe_shards), never a field.""",
         Check("a retired option is back in src/repro; give it a caller that sets another value, or keep it a constant",
               grep(r"ewma_alpha|RowWiseAdagrad|sparse_optimizer|apply_optimizer|downsample_by|shrink_patience|shrink_trainer_stall"),
@@ -421,5 +435,7 @@ RULES: dict[str, Rule] = {
             (lambda tree: [f"{p}:{f.lineno}: DataSpec.num_scribe_shards" for p, c in tree.nodes(ast.ClassDef, "pipeline/spec.py")
                            if c.name == "DataSpec" for f in c.body if isinstance(f, ast.AnnAssign)
                            and ast.unparse(f.target) == "num_scribe_shards" and "ClassVar" not in ast.unparse(f.annotation)],
-             ("pipeline/spec.py", "num_scribe_shards: ClassVar[int] = 8", "num_scribe_shards: int = 8"))))),
+             ("pipeline/spec.py", "num_scribe_shards: ClassVar[int] = 8", "num_scribe_shards: int = 8")))),
+        Check("prefetch_depth is an option again; the forked workers' queue depth is the constant _PREFETCH_DEPTH",
+              grep(r"prefetch[_-]depth"), ("pipeline/spec.py", "    num_readers: int = 1\n", "    num_readers: int = 1\n    prefetch_depth: int = 2\n"))),
 }

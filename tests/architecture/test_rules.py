@@ -1,6 +1,6 @@
 """Every architecture rule holds on the tree and every one of its checks fires on the regression it
-was written for.  The rules also fire on each regression the tier-state, event-log, overlap-report
-and option checks were first proven against, one regression per copy of the tree."""
+was written for.  The rules also fire on each regression the tier-state, event-log, overlap-report,
+option and queue-wait checks were first proven against, one regression per copy of the tree."""
 
 import pytest
 
@@ -37,6 +37,12 @@ REGRESSIONS = {
     "grid-exclude": ("every_option_has_a_caller", 5),
     "scribe-shards-keyword": ("every_option_has_a_caller", 6),
     "scribe-shards-field": ("every_option_has_a_caller", 7),
+    "prefetch-depth-flag": ("every_option_has_a_caller", ("cli.py", '    _flag("--reader-executor"',
+                                                          '    _flag("--prefetch-depth", type=int),\n    _flag("--reader-executor"')),
+    "prefetch-depth-fleet": ("every_option_has_a_caller", ("reader/fleet.py", "maxsize=_PREFETCH_DEPTH", "maxsize=self.prefetch_depth")),
+    "modeled-get-wait": ("one_shard_scan_one_serial_loop", ("reader/fleet.py", "            yield from batches\n",
+                                                            "            self.report.queue.get_wait += 0.0\n            yield from batches\n")),
+    "queue-wait-keyword": ("one_shard_scan_one_serial_loop", ("reader/fleet.py", "def _settle(node):\n    return QueueWaitBreakdown(put_wait=0.5)")),
 }
 
 

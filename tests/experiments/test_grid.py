@@ -181,13 +181,13 @@ class TestBuildJobSpec:
         spec = build_job_spec(
             {
                 "data.num_sessions": 99,
-                "reader.prefetch_depth": 3,
+                "reader.num_readers": 3,
                 "train.num_gpus": 16,
                 "weight": 2.0,
             }
         )
         assert spec.data.num_sessions == 99
-        assert spec.reader.prefetch_depth == 3
+        assert spec.reader.num_readers == 3
         assert spec.train.num_gpus == 16
         assert spec.weight == 2.0
 

@@ -38,7 +38,6 @@ _RUN_DEFAULTS = {
     "recd": False,
     "num_partitions": 1,
     "num_readers": 1,
-    "prefetch_depth": 2,
     "reader_executor": "inprocess",
     "transport": "copy",
     "streaming": True,
@@ -117,7 +116,6 @@ class TestBadValues:
         "argv, names",
         [
             (["pipeline", "--num-readers", "0"], "--num-readers must be"),
-            (["pipeline", "--prefetch-depth", "0"], "--prefetch-depth must be"),
             (
                 ["pipeline", "--autoscale", "--target-stall", "1.5"],
                 "--target-stall must be in (0, 1), got 1.5",

@@ -3,7 +3,9 @@ spec and field) and the values a ``JobSpec`` derives from its parts."""
 
 import pytest
 
+from repro.cli import main
 from repro.datagen import rm1
+from repro.experiments import build_job_spec
 from repro.pipeline import (
     DataSpec,
     JobSpec,
@@ -15,6 +17,9 @@ from repro.pipeline import (
     TrainSpec,
 )
 from repro.pipeline.session import build_trainer
+from repro.reader import DataLoaderConfig, ReaderFleet
+from repro.reader.fleet import _PREFETCH_DEPTH
+from repro.reader.tier_scheduler import TierJob
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +40,6 @@ _NUMERIC_FIELDS = [
     (DataSpec, "mean_samples_per_session"),
     (DataSpec, "num_partitions"),
     (ReaderSpec, "num_readers"),
-    (ReaderSpec, "prefetch_depth"),
     (TrainSpec, "train_epochs"),
     (TrainSpec, "train_batches"),
     (TrainSpec, "batch_size"),
@@ -71,10 +75,6 @@ class TestValidationNamesSpecAndField:
             (
                 lambda w: ReaderSpec(num_readers=0),
                 "ReaderSpec.num_readers",
-            ),
-            (
-                lambda w: ReaderSpec(prefetch_depth=0),
-                "ReaderSpec.prefetch_depth",
             ),
             (
                 lambda w: ReaderSpec(executor="threads"),
@@ -146,6 +146,36 @@ class TestValidationNamesSpecAndField:
         with pytest.raises(TypeError, match="num_scribe_shards"):
             DataSpec(workload, num_scribe_shards=4)
         assert DataSpec(workload).num_scribe_shards == 8
+
+    @pytest.mark.parametrize(
+        "surface",
+        [
+            lambda: main(["pipeline", "--prefetch-depth", "2"]),
+            lambda: ReaderSpec(prefetch_depth=2),
+            lambda: build_job_spec({"reader.prefetch_depth": 2}),
+            lambda: TierJob(
+                "j", None, DataLoaderConfig(48), [["p"]], prefetch_depth=2
+            ),
+            lambda: ReaderFleet(2, DataLoaderConfig(48), prefetch_depth=2),
+        ],
+        ids=["cli-flag", "reader-spec", "grid-path", "tier-job", "fleet"],
+    )
+    def test_prefetch_depth_is_a_constant_not_an_option(
+        self, surface, capsys
+    ):
+        """Only the forked workers' queues have a depth, and no run set
+        it: every surface that took ``prefetch_depth`` rejects it, and
+        the workers' ``Queue(maxsize=)`` is the constant 2."""
+        with pytest.raises((TypeError, ValueError, SystemExit)) as exc:
+            surface()
+        if exc.type is SystemExit:
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --prefetch-depth" in (
+                capsys.readouterr().err
+            )
+        else:
+            assert "prefetch_depth" in str(exc.value)
+        assert _PREFETCH_DEPTH == 2
 
     def test_executor_error_names_both_choices(self):
         with pytest.raises(ValueError) as exc:

@@ -228,8 +228,6 @@ class TestFleetDeterminism:
         with pytest.raises(ValueError, match="num_readers.*got -3"):
             ReaderFleet(-3, _plain_cfg())
         with pytest.raises(ValueError):
-            ReaderFleet(2, _plain_cfg(), prefetch_depth=0)
-        with pytest.raises(ValueError):
             ReaderFleet(2, _plain_cfg(), executor="threads")
 
 

@@ -1,14 +1,12 @@
-"""Golden fleet clock: the in-process executor's modeled numbers, pinned.
+"""Golden fleet accounting: the in-process executor's modeled numbers, pinned.
 
-The serial schedule's modeled queue clock is checked against no second
-implementation, so ``golden_fleet_async.json`` pins its absolute
-values: ``FleetReport.queue``, ``wasted_cpu_seconds`` and every
-worker's CPU breakdown as ``float.hex()``, for a width-3 fleet over a
-two-partition epoch (six shards, so the second three start as slots
-free), at prefetch depth 1 and 2, clean and under one crash + two
-stragglers.  The file keeps the name of the executor it was first
-captured under (``"async"``, since folded into ``"inprocess"``);
-regenerate it only on purpose by running this module as a script
+The serial schedule's modeled accounting is checked against no second
+implementation, so ``golden_fleet.json`` pins its absolute values:
+``FleetReport.queue`` (transport only — the schedule has no queue, so
+its waits are 0), ``wasted_cpu_seconds`` and every worker's CPU
+breakdown as ``float.hex()``, for a width-3 fleet over a two-partition
+epoch (six shards), clean and under one crash + two stragglers.
+Regenerate it only on purpose by running this module as a script
 (``PYTHONPATH=src:. python tests/reader/test_fleet_golden.py``).
 """
 
@@ -22,22 +20,17 @@ from repro.storage import HiveTable, TectonicFS
 from tests.conftest import make_reader_schema, make_trace
 from tests.reader.test_fleet import _plain_cfg
 
-GOLDEN_PATH = Path(__file__).with_name("golden_fleet_async.json")
+GOLDEN_PATH = Path(__file__).with_name("golden_fleet.json")
 
 FAULTS = FleetFaults(
     crashed_shards=(1,),
     straggler_factors={1: 2.5, 4: 1.75},
     lost_fraction=0.3,
 )
-CASES = [
-    f"depth{depth}/{state}"
-    for depth in (1, 2)
-    for state in ("clean", "faulted")
-]
+CASES = ["clean", "faulted"]
 
 
 def capture(case: str) -> dict:
-    depth, state = case.split("/")
     schema = make_reader_schema()
     table = HiveTable("t", schema, TectonicFS(), stripe_rows=64)
     for seed, partition in enumerate(("p", "q"), start=31):
@@ -45,9 +38,8 @@ def capture(case: str) -> dict:
     fleet = ReaderFleet(
         3,
         _plain_cfg(),
-        prefetch_depth=int(depth[-1]),
         executor="inprocess",
-        faults=FAULTS if state == "faulted" else None,
+        faults=FAULTS if case == "faulted" else None,
     )
     batches = fleet.run_epoch(table, ["p", "q"])
     report = fleet.report
@@ -66,7 +58,7 @@ def capture(case: str) -> dict:
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_serial_clock_matches_golden(case):
+def test_serial_accounting_matches_golden(case):
     assert capture(case) == json.loads(GOLDEN_PATH.read_text())[case]
 
 

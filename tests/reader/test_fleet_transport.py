@@ -2,11 +2,10 @@
 
 ``"inprocess"`` and ``"process"`` must agree on the merged byte
 accounting at every width (``test_fleet.py`` already pins each one's
-batches against the serial reader).  The in-process schedule always
-runs its modeled queue clock, so its prefetch-queue waits are real,
-bit-reproducible figures rather than zeros, and they never reach a
-batch or a loss.  The batch transport must be pure cost-model
-bookkeeping: ``copy`` charges ``bytes.copied`` and queue transport
+batches against the serial reader).  The in-process schedule has no
+queue, so it reports no queue waits; its transport charge, bytes and
+worker CPU are the forked workers'.  The batch transport must be pure
+cost-model bookkeeping: ``copy`` charges ``bytes.copied`` and queue transport
 wait, ``shm`` records ``bytes.avoided`` and charges nothing, and
 neither changes a batch or a loss.
 """
@@ -65,35 +64,29 @@ class TestExecutorEquivalence:
         assert_batches_identical(got, want[:3])
 
 
-class TestSerialQueueClock:
-    """The in-process schedule's modeled queue waits: never zero by
-    construction, reproducible to the bit, bounded by the work."""
+class TestInprocessHasNoQueue:
+    """The serial schedule models no queue: zero waits, and every other
+    queue and worker figure equal to the forked executor's."""
 
     @pytest.mark.parametrize("width", WIDTHS)
     @pytest.mark.parametrize("dedup", [False, True])
-    def test_waits_are_modeled_and_reproducible(
+    def test_zero_waits_same_transport_bytes_and_cpu(
         self, landed_table, width, dedup
     ):
         table, _ = landed_table(clustered=dedup, seed=11, stripe_rows=64)
         cfg = _dedup_cfg() if dedup else _plain_cfg()
         fleet = ReaderFleet(width, cfg)
-        got = fleet.run_epoch(table, ["p"])
-        again = ReaderFleet(width, cfg)
-        assert_batches_identical(again.run_epoch(table, ["p"]), got)
-        assert got  # the clock must actually see batches
-        queue = fleet.report.queue
-        # the consumer waits for the first batch of the epoch at least
-        assert queue.get_wait > 0.0
-        assert queue.put_wait >= 0.0
-        # the consumer idles at most for the whole serialized scan
-        assert queue.get_wait <= (
-            fleet.report.merged.cpu.total + queue.transport
+        proc = ReaderFleet(width, cfg, executor="process")
+        assert_batches_identical(
+            fleet.run_epoch(table, ["p"]), proc.run_epoch(table, ["p"])
         )
-        assert queue.as_dict() == again.report.queue.as_dict()
+        queue = fleet.report.queue
+        assert queue.put_wait == queue.get_wait == 0.0
+        assert queue.transport == proc.report.queue.transport > 0.0
         assert [w.as_dict() for w in fleet.report.workers] == [
-            w.as_dict() for w in again.report.workers
+            w.as_dict() for w in proc.report.workers
         ]
-        assert fleet.report.executor_used == "inprocess"
+        assert fleet.report.merged.bytes == proc.report.merged.bytes
 
 
 class TestTransportAccounting:
@@ -153,33 +146,18 @@ class TestTransportAccounting:
 
 class TestSessionLossIdentity:
     """End-to-end: the training loss trajectory is invariant to the
-    transport and to the prefetch depth the queue clock models."""
+    transport."""
 
-    def _spec(self, transport="copy", *, width=4, depth=2, dedup=False):
+    def _spec(self, transport="copy"):
         return JobSpec(
             data=DataSpec(
                 workload=rm1(scale=0.25), num_sessions=80, seed=21
             ),
-            reader=ReaderSpec(
-                num_readers=width,
-                prefetch_depth=depth,
-                transport=transport,
-                dedup=dedup,
-            ),
+            reader=ReaderSpec(num_readers=4, transport=transport),
             train=TrainSpec(
                 train_epochs=2, train_batches=None, batch_size=16
             ),
         )
-
-    @pytest.mark.parametrize("width", [1, 8])
-    @pytest.mark.parametrize("dedup", [False, True])
-    def test_queue_clock_never_reaches_losses(self, width, dedup):
-        ref = Session(self._spec(width=width, dedup=dedup)).run()
-        got = Session(self._spec(width=width, depth=1, dedup=dedup)).run()
-        assert got.training.losses == ref.training.losses
-        assert got.training.losses
-        # a solo in-process run reports its modeled waits, not zeros
-        assert ref.fleet.queue.get_wait > 0.0
 
     def test_shm_losses_match_copy(self):
         ref = Session(self._spec("copy")).run()

@@ -1,15 +1,14 @@
 """Property wall for wide fleets and tiers under the in-process executor.
 
 Hypothesis drives random pool widths up to 64 — the scale the serial
-schedule's modeled queue clock makes tier-1-affordable — and checks the
-contracts that must survive any width:
+schedule makes tier-1-affordable — and checks the contracts that must
+survive any width:
 
 * every scheduling round's worker allocation sums to the pool width;
 * no admitted job is starved more than one consecutive round;
-* every fleet's :class:`~repro.metrics.QueueWaitBreakdown` fractions
-  are in ``[0, 1]`` and sum to 1 (or are all zero on an idle queue);
 * the fleet's batch stream stays bit-identical to the serial reader at
-  any width.
+  any width, and the queue-less serial schedule reports no queue
+  waits.
 """
 
 from functools import lru_cache
@@ -124,18 +123,13 @@ class TestWideFleet:
         width=st.integers(1, MAX_WIDTH),
         transport=st.sampled_from(["copy", "shm"]),
     )
-    def test_bit_identical_with_sane_queue_fractions(
-        self, width, transport
-    ):
+    def test_bit_identical_with_no_queue_waits(self, width, transport):
         table = _landed()
         fleet = ReaderFleet(width, _dl_config(), transport=transport)
         got = fleet.run_epoch(table, ["p"])
         assert_batches_identical(got, list(_serial_reference()))
-        fractions = fleet.report.queue.fractions()
-        assert set(fractions) == {"put_wait", "get_wait", "transport"}
-        assert all(0.0 <= f <= 1.0 for f in fractions.values())
-        total = sum(fractions.values())
-        assert abs(total - 1.0) < 1e-9 or total == 0.0
+        queue = fleet.report.queue
+        assert queue.put_wait == queue.get_wait == 0.0
         # shards never exceed the planned batch count, and every worker
         # filed a report
         assert len(fleet.report.workers) == fleet.report.num_shards
@@ -176,8 +170,3 @@ class TestWideTier:
         for name in report.jobs:
             assert report.max_consecutive_skips(name) <= 1
             assert len(report.job_rounds(name)) == 2  # full epoch plan
-        for name, fleet_report in tier.job_fleets.items():
-            fractions = fleet_report.queue.fractions()
-            assert all(0.0 <= f <= 1.0 for f in fractions.values())
-            total = sum(fractions.values())
-            assert abs(total - 1.0) < 1e-9 or total == 0.0

@@ -114,6 +114,39 @@ class TestHiveTable:
         with pytest.raises(ValueError):
             table.land_partition("p", _trace(5, seed=2))
 
+    def test_failed_landing_leaves_nothing_and_can_be_retried(
+        self, monkeypatch
+    ):
+        """A write that raises partway deletes the files it already
+        wrote, so the retry lands the same partition as a first try."""
+        from repro.storage import dwrf
+
+        rows = _trace(40, seed=4)
+        fs = TectonicFS()
+        table = self._table(fs)
+        write = dwrf.DwrfWriter.write
+        calls = []
+
+        def second_write_fails(writer, block):
+            calls.append(block)
+            if len(calls) == 2:
+                raise OSError("disk gone")
+            return write(writer, block)
+
+        monkeypatch.setattr(dwrf.DwrfWriter, "write", second_write_fails)
+        with pytest.raises(OSError, match="disk gone"):
+            table.land_partition("p0", rows, rows_per_file=64)
+        assert len(calls) == 2
+        assert fs.listdir("") == [] and table.partitions == {}
+        monkeypatch.setattr(dwrf.DwrfWriter, "write", write)
+        info = table.land_partition("p0", rows, rows_per_file=64)
+        fresh = self._table()
+        assert info == fresh.land_partition("p0", rows, rows_per_file=64)
+        assert [fs.read(p) for p in info.files] == [
+            fresh.fs.read(p) for p in info.files
+        ]
+        assert table.bytes_ever_landed == fresh.bytes_ever_landed
+
     def test_drop_partition_retention(self):
         fs = TectonicFS()
         table = self._table(fs)
