@@ -31,7 +31,7 @@ from .dedup import (
     partial_duplicate_fraction,
 )
 from .ikjt import InverseKeyedJaggedTensor
-from .jagged import JaggedTensor, lengths_from_offsets, offsets_from_lengths
+from .jagged import JaggedTensor, offsets_from_lengths
 from .jagged_ops import (
     dense_index_select,
     expand_pooled,
@@ -49,7 +49,6 @@ __all__ = [
     "InverseKeyedJaggedTensor",
     "PartialJaggedTensor",
     "offsets_from_lengths",
-    "lengths_from_offsets",
     "jagged_index_select",
     "dense_index_select",
     "gather_ranges",

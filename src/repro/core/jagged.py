@@ -20,7 +20,7 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["JaggedTensor", "offsets_from_lengths", "lengths_from_offsets"]
+__all__ = ["JaggedTensor", "offsets_from_lengths"]
 
 
 def offsets_from_lengths(lengths: np.ndarray | Sequence[int]) -> np.ndarray:
@@ -37,14 +37,6 @@ def offsets_from_lengths(lengths: np.ndarray | Sequence[int]) -> np.ndarray:
     out = np.zeros(lengths.size + 1, dtype=np.int64)
     np.cumsum(lengths, out=out[1:])
     return out
-
-
-def lengths_from_offsets(offsets: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`offsets_from_lengths`."""
-    offsets = np.asarray(offsets, dtype=np.int64)
-    if offsets.ndim != 1 or offsets.size == 0:
-        raise ValueError("offsets must be a non-empty 1-D array")
-    return np.diff(offsets)
 
 
 class JaggedTensor:

@@ -140,7 +140,7 @@ def characterize_schema(
 
 
 def characterization_schema(
-    num_features: int = 733, user_fraction: float = 0.85, seed: int = 7
+    num_features: int = 733, seed: int = 7
 ) -> DatasetSchema:
     """A 733-feature schema shaped like the paper's characterized table.
 
@@ -152,7 +152,7 @@ def characterization_schema(
     """
     rng = np.random.default_rng(seed)
     specs = []
-    n_user = int(round(num_features * user_fraction))
+    n_user = int(round(num_features * 0.85))  # the 85/15 user/item mix
     for i in range(num_features):
         if i < n_user:
             specs.append(

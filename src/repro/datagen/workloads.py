@@ -58,7 +58,7 @@ class RMWorkload:
 
 
 def _elementwise_features(
-    count: int, prefix: str = "ew", avg_length: int = 8
+    count: int, avg_length: int = 8
 ) -> list[SparseFeatureSpec]:
     """The ~100 element-wise (sum/max) pooled features every RM dedups,
     scaled down; mostly user features with high d(f)."""
@@ -67,7 +67,7 @@ def _elementwise_features(
         user = i % 4 != 3  # 3 of 4 are user features, matching Fig 4's mix
         specs.append(
             SparseFeatureSpec(
-                name=f"{prefix}_{i}",
+                name=f"ew_{i}",
                 kind=FeatureKind.USER if user else FeatureKind.ITEM,
                 avg_length=avg_length,
                 change_prob=0.06 if user else 0.9,
@@ -108,16 +108,15 @@ def _dense_features(count: int) -> list[DenseFeatureSpec]:
 
 
 def _dedup_groups_from_schema(
-    schema: DatasetSchema, include_solo: bool = True
+    schema: DatasetSchema,
 ) -> tuple[tuple[str, ...], ...]:
     """Dedup spec: every synchronous group, plus each highly-duplicated
     solo user feature as its own singleton group."""
     groups = [tuple(members) for members in schema.groups().values()]
-    if include_solo:
-        grouped = {n for g in groups for n in g}
-        for f in schema.sparse:
-            if f.name not in grouped and f.kind is FeatureKind.USER:
-                groups.append((f.name,))
+    grouped = {n for g in groups for n in g}
+    for f in schema.sparse:
+        if f.name not in grouped and f.kind is FeatureKind.USER:
+            groups.append((f.name,))
     return tuple(groups)
 
 

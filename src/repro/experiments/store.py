@@ -273,14 +273,6 @@ class RunStore:
             )
         return matches[-1]
 
-    def experiments(self) -> list[str]:
-        """Every distinct experiment name recorded, sorted."""
-        with self._connect() as conn:
-            rows = conn.execute(
-                "SELECT DISTINCT experiment FROM runs ORDER BY experiment"
-            ).fetchall()
-        return [r[0] for r in rows]
-
     def metric(
         self, name: str, experiment: str | None = None
     ) -> dict[str, float]:

@@ -78,11 +78,6 @@ class ScalingTrace:
         return [d.width_before for d in self.decisions]
 
     @property
-    def actions(self) -> list[str]:
-        """The action taken after each recorded epoch."""
-        return [d.action for d in self.decisions]
-
-    @property
     def final_width(self) -> int | None:
         """Width the controller left the fleet at (None if no decisions)."""
         if not self.decisions:

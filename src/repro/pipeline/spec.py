@@ -241,7 +241,7 @@ class StreamSpec:
     re-stamped onto a modeled event-time axis and cut into
     ``DataSpec.num_partitions`` micro-partitions, each of which flows
     through a scribe cluster (sealed at its tick boundary — see
-    :meth:`~repro.scribe.bus.ScribeShard.seal`), the ETL join, and a
+    :meth:`~repro.scribe.bus.ScribeShard.flush`), the ETL join, and a
     Hive landing *on the tier's cost-model clock*, so later epochs
     train on partitions that did not exist when the job was admitted.
     Epoch ``e`` scans the rolling window ending at micro-partition

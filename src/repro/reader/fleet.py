@@ -262,13 +262,12 @@ def _scan_shard(
     blobs: list[bytes],
     schema,
     config: DataLoaderConfig,
-    cost_model: ReaderCostModel,
     local_start: int,
     local_stop: int,
 ) -> tuple[ReaderNode, Iterator[Batch]]:
     """Open one shard's covering files and scan its row window: the
     node (its report fills as the batches are drawn) and the batches."""
-    node = ReaderNode(config, cost_model)
+    node = ReaderNode(config)
     readers = [DwrfReader(blob, schema) for blob in blobs]
     return node, node.run(readers, row_start=local_start, row_stop=local_stop)
 
@@ -277,7 +276,6 @@ def _fleet_worker(
     blobs: list[bytes],
     schema,
     config: DataLoaderConfig,
-    cost_model: ReaderCostModel,
     local_start: int,
     local_stop: int,
     out: multiprocessing.queues.Queue,
@@ -285,7 +283,7 @@ def _fleet_worker(
     """One worker process: scan a shard window, stream batches back."""
     try:
         node, batches = _scan_shard(
-            blobs, schema, config, cost_model, local_start, local_stop
+            blobs, schema, config, local_start, local_stop
         )
         blocked = 0.0  # seconds put() waited on a full queue
         for batch in batches:
@@ -310,7 +308,6 @@ class ReaderFleet:
         self,
         num_readers: int,
         config: DataLoaderConfig,
-        cost_model: ReaderCostModel | None = None,
         executor: str = "inprocess",
         faults: FleetFaults | None = None,
         transport: TransportSpec | str | None = None,
@@ -332,7 +329,7 @@ class ReaderFleet:
             )
         self.num_readers = num_readers
         self.config = config
-        self.cost_model = cost_model or ReaderCostModel()
+        self.cost_model = ReaderCostModel()
         self.executor = executor
         self.faults = faults
         self.transport = TransportSpec.coerce(
@@ -502,8 +499,7 @@ class ReaderFleet:
             sources
         ):
             node, batches = _scan_shard(
-                blobs, schema, self.config, self.cost_model, local_start,
-                local_stop,
+                blobs, schema, self.config, local_start, local_stop
             )
             yield from batches
             self._settle_shard(
@@ -546,7 +542,6 @@ class ReaderFleet:
                         blobs,
                         schema,
                         self.config,
-                        self.cost_model,
                         local_start,
                         local_stop,
                         queue,

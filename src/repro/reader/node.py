@@ -48,15 +48,12 @@ class ReaderReport(Folded):
 
 
 class ReaderNode:
-    """One reader node bound to a job config and a cost model."""
+    """One reader node bound to a job config, costed by the reader cost
+    model."""
 
-    def __init__(
-        self,
-        config: DataLoaderConfig,
-        cost_model: ReaderCostModel | None = None,
-    ):
+    def __init__(self, config: DataLoaderConfig):
         self.config = config
-        self.cost_model = cost_model or ReaderCostModel()
+        self.cost_model = ReaderCostModel()
         self.report = ReaderReport()
 
     def run(

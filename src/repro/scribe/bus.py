@@ -18,16 +18,18 @@ logging goes on while earlier blocks compress.  A shard keeps its
 blocks in seal order and settles every pending one to its bytes before
 anything reads a block or a compressed size (``stats``, ``drain``,
 ``read_messages``, ``egress_bytes``); counting blocks never waits.
+Each block's raw length is kept from its seal, and a read inflates no
+more than that (:func:`~repro.storage.compression.inflate`): a corrupt
+or truncated block is a ``ValueError`` naming its shard and block.
 """
 
 from __future__ import annotations
 
-import zlib
 from concurrent.futures import Future
 from dataclasses import dataclass
 
 from ..metrics.ledger import Folded
-from ..storage.compression import deflate_later
+from ..storage.compression import deflate_later, inflate
 from .message import EventLogRecord, FeatureLogRecord
 from .sharding import ShardKeyPolicy, route
 
@@ -68,6 +70,8 @@ class ScribeShard:
         self._pending_bytes = 0
         #: sealed blocks in seal order; one still compressing is a future
         self._blocks: list[bytes | Future[bytes]] = []
+        #: each sealed block's raw length, the most its inflate may yield
+        self._raw_lengths: list[int] = []
         #: how many sealed blocks :meth:`drain` has already handed out
         self._drained = 0
         self._stats = ScribeStats()
@@ -97,31 +101,25 @@ class ScribeShard:
         self._stats.raw_bytes += len(framed)
         self._stats.num_messages += 1
         if self._pending_bytes >= self.block_bytes:
-            self._seal_block()
+            self.flush()
 
-    def _seal_block(self) -> None:
+    def flush(self) -> int:
+        """Seal whatever is buffered, even below the block size.
+
+        Streaming landers call this at each tick boundary on the
+        cost-model clock, so a block lands deterministically at the tick
+        even when it never reached the :data:`DEFAULT_BLOCK_BYTES`
+        high-water mark.  Returns the number of blocks sealed (0 when
+        nothing was buffered).
+        """
         if not self._pending:
-            return
+            return 0
         self._blocks.append(deflate_later(b"".join(self._pending), level=6))
+        self._raw_lengths.append(self._pending_bytes)
         self._stats.num_blocks += 1
         self._pending.clear()
         self._pending_bytes = 0
-
-    def flush(self) -> None:
-        """Seal whatever is buffered, even below the block size."""
-        self._seal_block()
-
-    def seal(self) -> int:
-        """Seal the partially-filled buffer at a tick boundary.
-
-        Streaming landers call this on the cost-model clock so a block
-        lands deterministically at the tick even when it never reached
-        the :data:`DEFAULT_BLOCK_BYTES` high-water mark.  Returns the
-        number of blocks sealed (0 when nothing was buffered).
-        """
-        before = len(self._blocks)
-        self._seal_block()
-        return len(self._blocks) - before
+        return 1
 
     def drain(self) -> list[bytes]:
         """Hand out messages from sealed, not-yet-drained blocks.
@@ -130,19 +128,19 @@ class ScribeShard:
         returns only the blocks sealed since the previous drain, in seal
         order, so a streaming lander can move one tick's messages
         downstream without re-reading history.  Buffered-but-unsealed
-        messages are *not* included — seal first.
+        messages are *not* included — flush first.
 
         Raises:
             ValueError: when there is nothing sealed to drain, with a
                 distinct message for "messages still buffered — call
-                seal() first" vs "shard is empty".
+                flush() first" vs "shard is empty".
         """
         if self._drained == len(self._blocks):
             if self._pending:
                 raise ValueError(
                     f"shard {self.shard_id}: nothing sealed to drain; "
                     f"{len(self._pending)} message(s) still buffered — "
-                    "call seal() first"
+                    "call flush() first"
                 )
             raise ValueError(
                 f"shard {self.shard_id} is empty: nothing to drain"
@@ -153,13 +151,19 @@ class ScribeShard:
 
     def _decode_blocks(self, first: int) -> list[bytes]:
         """Sealed blocks ``first`` onward back into their framed
-        messages; a frame that runs past its block is a ``ValueError``
-        naming shard, block and byte offset, never a shortened message.
+        messages; a block that does not inflate to its sealed length, or
+        a frame that runs past its block, is a ``ValueError`` naming
+        shard and block (and the frame's byte offset), never a shortened
+        message.
         """
         self._settle()
         out: list[bytes] = []
         for index in range(first, len(self._blocks)):
-            raw = zlib.decompress(self._blocks[index])
+            raw = inflate(
+                self._blocks[index],
+                self._raw_lengths[index],
+                f"shard {self.shard_id}: block {index}",
+            )
             pos = 0
             while pos < len(raw):
                 stop = pos + 4 + int.from_bytes(raw[pos : pos + 4], "little")
@@ -219,17 +223,10 @@ class ScribeCluster:
         """Route one event record to its shard; returns the shard id."""
         return self._log(record)
 
-    def flush(self) -> None:
-        """Seal every shard's buffered messages."""
-        for shard in self.shards:
-            shard.flush()
-
-    def seal(self) -> int:
-        """Seal every shard's partial buffer at a tick boundary.
-
-        Returns the total number of blocks sealed across the cluster.
-        """
-        return sum(shard.seal() for shard in self.shards)
+    def flush(self) -> int:
+        """Seal every shard's buffered messages (a streaming lander's
+        tick boundary); returns the number of blocks sealed."""
+        return sum(shard.flush() for shard in self.shards)
 
     # -- ETL-facing reads -----------------------------------------------------
 

@@ -4,9 +4,9 @@ A :class:`FaultPlan` is the full misfortune schedule for one scenario
 run — reader-worker crashes, straggling shards, job preemptions (with
 checkpoint/resume), and bursty mid-run job arrivals — keyed by the
 tier's *round* index, the only clock the scheduler has.  Plans are
-plain frozen data: build one by hand, draw one from
-:meth:`FaultPlan.seeded` (same seed, same plan, forever), or let
-hypothesis generate adversarial ones in the chaos test tier.
+plain frozen data: build one by hand, as every scenario in the catalog
+does, or let hypothesis generate adversarial ones in the chaos test
+tier.
 
 A plan is the only way to fault a run: a :class:`~repro.pipeline.spec.JobSpec`
 carries no faults, and :meth:`FaultPlan.fleet_faults` has exactly the
@@ -23,7 +23,6 @@ is bit-reproducible at any width — the
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from ..reader.fleet import FleetFaults
@@ -154,8 +153,8 @@ class FaultPlan:
         stragglers: straggling shards, any order.
         preemptions: job preemptions (at most one per job per round).
         arrivals: bursty job arrivals (names must be unique).
-        seed: the seed the plan was drawn from (bookkeeping; ``None``
-            for hand-built plans).
+        seed: the seed of the scenario the plan was built for
+            (bookkeeping; ``None`` for a plan built by hand).
     """
 
     crashes: tuple[CrashFault, ...] = ()
@@ -211,73 +210,4 @@ class FaultPlan:
             crashed_shards=tuple(crashed),
             straggler_factors=factors,
             lost_fraction=max(lost) if lost else 0.5,
-        )
-
-    @classmethod
-    def seeded(
-        cls,
-        seed: int,
-        jobs: list[str],
-        rounds: int,
-        *,
-        crashes: int = 1,
-        stragglers: int = 1,
-        preemptions: int = 1,
-        max_shard: int = 8,
-    ) -> "FaultPlan":
-        """Draw a reproducible plan from a seed.
-
-        The same ``(seed, jobs, rounds, ...)`` always yields the same
-        plan — the chaos tests replay scenarios through this.
-
-        Args:
-            seed: the plan's seed.
-            jobs: job names eligible for faults.
-            rounds: rounds to spread events over (events land in
-                ``[0, rounds)``; preemptions in ``[1, rounds)`` so a
-                preempted job always has at least one epoch done).
-            crashes: crash events to draw.
-            stragglers: straggler events to draw.
-            preemptions: preemption events to draw (capped at one per
-                (round, job) pair).
-            max_shard: shard positions are drawn from ``[0, max_shard)``.
-
-        Raises:
-            ValueError: on an empty job list or non-positive rounds.
-        """
-        if not jobs:
-            raise ValueError("FaultPlan.seeded needs at least one job")
-        if rounds <= 0:
-            raise ValueError(f"rounds must be positive, got {rounds}")
-        rng = random.Random(seed)
-        crash_events = tuple(
-            CrashFault(
-                round=rng.randrange(rounds),
-                job=rng.choice(jobs),
-                shard=rng.randrange(max_shard),
-                lost_fraction=round(rng.uniform(0.1, 0.9), 3),
-            )
-            for _ in range(crashes)
-        )
-        straggler_events = tuple(
-            StragglerFault(
-                round=rng.randrange(rounds),
-                job=rng.choice(jobs),
-                shard=rng.randrange(max_shard),
-                factor=round(rng.uniform(1.5, 4.0), 3),
-            )
-            for _ in range(stragglers)
-        )
-        preempt_events: dict[tuple[int, str], Preemption] = {}
-        for _ in range(preemptions):
-            rnd = rng.randrange(1, max(2, rounds))
-            job = rng.choice(jobs)
-            preempt_events[(rnd, job)] = Preemption(
-                round=rnd, job=job, resume_after=rng.randrange(1, 3)
-            )
-        return cls(
-            crashes=crash_events,
-            stragglers=straggler_events,
-            preemptions=tuple(preempt_events.values()),
-            seed=seed,
         )

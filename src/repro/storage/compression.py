@@ -15,8 +15,9 @@ only path, one CPU included.  Each blob is compressed on its own, from
 the same input at the same level, so where it runs changes no byte.
 The pool is shut down before ``fork()``: the fork runs single-threaded,
 the child starts with no pool, and the parent makes a new one on its
-next call.  :func:`decompress` inflates at most the length a frame
-records, so a frame that lies about it cannot allocate more.
+next call.  Reads inflate through :func:`inflate`, which stops at the
+raw length recorded beside the stream (a DWRF frame's header, a scribe
+block's seal), so bytes that lie about it cannot allocate more.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = [
     "compress_many",
     "decompress",
     "deflate_later",
+    "inflate",
     "workers",
 ]
 
@@ -75,37 +77,51 @@ def decompress(blob: bytes) -> bytes:
     codec_id, raw_len = _FRAME.unpack_from(blob, 0)
     body = blob[_FRAME.size :]
     # ids compared as ints: an Enum lookup costs a scan's thousands of
-    # small frames more than the bound on inflation below does
+    # small frames more than the bound on inflation does
     if codec_id == _ZLIB:
-        inflater = zlib.decompressobj()
-        try:
-            # a limit of 0 means "none" to zlib: ask for one byte, so a
-            # stream recorded empty still shows if it holds more
-            out = inflater.decompress(body, raw_len or 1)
-        except zlib.error as err:
-            raise ValueError(f"corrupt frame: {err}") from err
-        except OverflowError as err:
-            raise ValueError(
-                f"corrupt frame: recorded raw length {raw_len} is too large"
-            ) from err
-        if not inflater.eof:
-            if inflater.unconsumed_tail:  # the limit stopped the stream
-                raise ValueError(
-                    "corrupt frame: inflates past its recorded raw length "
-                    f"{raw_len}"
-                )
-            raise ValueError(
-                f"corrupt frame: stream cut short ({len(out)} of {raw_len} "
-                "bytes inflated, no end of stream)"
-            )
-    elif codec_id == _NONE:
-        out = body
-    else:
+        return inflate(body, raw_len, "corrupt frame")
+    if codec_id != _NONE:
         raise ValueError(f"corrupt frame: unknown codec id {codec_id}")
-    if len(out) != raw_len:
+    if len(body) != raw_len:
         raise ValueError(
-            f"corrupt frame: raw length {len(out)} != recorded {raw_len}"
+            f"corrupt frame: raw length {len(body)} != recorded {raw_len}"
         )
+    return body
+
+
+def inflate(stream: bytes, raw_len: int, where: str) -> bytes:
+    """The ``raw_len`` bytes the bare zlib ``stream`` holds, inflating
+    no more than that.  A stream that does not inflate, inflates past
+    ``raw_len``, is cut short, holds fewer bytes or is followed by bytes
+    it does not hold is a :class:`ValueError` whose message starts with
+    ``where`` (what the stream is, for the reader of the error)."""
+    inflater = zlib.decompressobj()
+    try:
+        # a limit of 0 means "none" to zlib: ask for one byte, so a
+        # stream recorded empty still shows if it holds more
+        out = inflater.decompress(stream, raw_len or 1)
+    except zlib.error as err:
+        raise ValueError(f"{where}: {err}") from err
+    except OverflowError as err:
+        raise ValueError(
+            f"{where}: recorded raw length {raw_len} is too large"
+        ) from err
+    if not inflater.eof:
+        if inflater.unconsumed_tail:  # the limit stopped the stream
+            raise ValueError(
+                f"{where}: inflates past its recorded raw length {raw_len}"
+            )
+        raise ValueError(
+            f"{where}: stream cut short ({len(out)} of {raw_len} bytes "
+            "inflated, no end of stream)"
+        )
+    if inflater.unused_data:
+        raise ValueError(
+            f"{where}: {len(inflater.unused_data)} bytes follow the end of "
+            "its stream"
+        )
+    if len(out) != raw_len:
+        raise ValueError(f"{where}: raw length {len(out)} != recorded {raw_len}")
     return out
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from ..datagen.schema import DatasetSchema
 from .compression import Codec
-from .dwrf import DwrfReader, DwrfWriter
+from .dwrf import DwrfReader, DwrfWriter, FileStats
 from .encoding import IntEncoding
 from .rowblock import RowBlock, require_block
 from .tectonic import TectonicFS
@@ -76,9 +76,10 @@ class HiveTable:
         files of ``rows_per_file`` rows (default: the table's own size;
         a streaming lander passes its smaller micro-partition size).
 
-        A write that fails partway deletes the files this call already
-        wrote before the error propagates (files are immutable, so a
-        leftover would make every retry a ``FileExistsError``).
+        Every file is encoded before the first is written, and a write
+        that fails partway deletes the files this call already wrote
+        before the error propagates (files are immutable, so a leftover
+        would make every retry a ``FileExistsError``).
 
         Raises:
             TypeError: if ``samples`` is not a :class:`RowBlock`.
@@ -89,17 +90,32 @@ class HiveTable:
             raise ValueError(f"partition {partition} already landed")
         if rows_per_file is None:
             rows_per_file = self.rows_per_file
+        files = self._encode(partition, samples, rows_per_file)
+        return self._commit(partition, files)
+
+    def _encode(
+        self, partition: str, samples: RowBlock, rows_per_file: int
+    ) -> list[tuple[str, bytes, FileStats]]:
+        """``(path, blob, stats)`` of each DWRF file the rows land as;
+        nothing is written yet."""
         writer = DwrfWriter(
             self.schema, self.stripe_rows, self.codec, self.int_encoding
         )
+        files = []
+        for file_idx, start in enumerate(range(0, len(samples), rows_per_file)):
+            blob, stats = writer.write(samples[start : start + rows_per_file])
+            path = f"{self.name}/{partition}/part-{file_idx:05d}.dwrf"
+            files.append((path, blob, stats))
+        return files
+
+    def _commit(
+        self, partition: str, files: list[tuple[str, bytes, FileStats]]
+    ) -> PartitionInfo:
+        """Write encoded files and make them the partition's (a compacted
+        partition keeps its place in landing order)."""
         info = PartitionInfo(name=partition)
         try:
-            for file_idx, start in enumerate(
-                range(0, len(samples), rows_per_file)
-            ):
-                chunk = samples[start : start + rows_per_file]
-                blob, stats = writer.write(chunk)
-                path = f"{self.name}/{partition}/part-{file_idx:05d}.dwrf"
+            for path, blob, stats in files:
                 self.fs.write(path, blob)
                 info.files.append(path)
                 info.num_rows += stats.num_rows
@@ -139,9 +155,11 @@ class HiveTable:
         table's full file size keeps the file count bounded.  Row order
         is preserved exactly, so readers see an identical row stream
         (losses are untouched) — only the file layout and compressed
-        size change.  Returns the number of files merged away (0 when
-        the partition is already compact); raises ``KeyError`` if the
-        partition is not live.
+        size change.  The merged files are encoded before the old ones
+        are deleted, so an encode that fails leaves the partition as it
+        was and a retry compacts it.  Returns the number of files merged
+        away (0 when the partition is already compact); raises
+        ``KeyError`` if the partition is not live.
         """
         if partition not in self.partitions:
             raise KeyError(
@@ -153,15 +171,12 @@ class HiveTable:
         want = max(1, -(-old.num_rows // self.rows_per_file))
         if len(old.files) <= want:
             return 0
-        rows = self.read_partition(partition)
-        order = list(self.partitions)
+        files = self._encode(
+            partition, self.read_partition(partition), self.rows_per_file
+        )
         for path in old.files:
             self.fs.delete(path)
-        del self.partitions[partition]
-        new = self.land_partition(partition, rows)
-        # land_partition appends at the end of the dict; restore the
-        # original landing order so live_partitions stays chronological.
-        self.partitions = {name: self.partitions[name] for name in order}
+        new = self._commit(partition, files)
         merged = len(old.files) - len(new.files)
         self.files_compacted += merged
         return merged

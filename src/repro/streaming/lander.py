@@ -315,7 +315,7 @@ class Lander:
         """One tick's rows through scribe and the ETL join: log each
         generated row (the trace's own objects, or a streamed block's
         rows materialized one at a time) to the cluster,
-        :meth:`~repro.scribe.bus.ScribeCluster.seal` the tick
+        :meth:`~repro.scribe.bus.ScribeCluster.flush` the tick
         boundary, drain the sealed blocks, and join them
         (:meth:`~repro.etl.pipeline.ETLJob.run_from_payloads`).  The
         tick's ingest is the compressed bytes it added to the
@@ -325,7 +325,7 @@ class Lander:
             feat, ev = split_sample(s)
             self.scribe.log_features(feat)
             self.scribe.log_event(ev)
-        self.scribe.seal()
+        self.scribe.flush()
         result = self._etl.run_from_payloads(
             self.scribe.drain_all(), self.scribe.etl_ingest_bytes - before
         )

@@ -2,7 +2,6 @@
 
 from .attention import AttentionPooling, TransformerPooling
 from .embedding import EmbeddingActivations, EmbeddingTable
-from .evaluation import evaluate, log_loss, normalized_entropy, roc_auc
 from .interaction import DotInteraction
 from .loss import bce_with_logits, sigmoid
 from .mlp import MLP, Linear
@@ -35,8 +34,4 @@ __all__ = [
     "DLRM",
     "DLRMConfig",
     "make_pooling",
-    "evaluate",
-    "log_loss",
-    "roc_auc",
-    "normalized_entropy",
 ]

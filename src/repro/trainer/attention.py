@@ -43,22 +43,20 @@ def _segment_max_scalar(s: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 
 
 class AttentionPooling(PoolingModule):
-    """Learned-query additive attention over each jagged segment."""
+    """Learned-query additive attention over each jagged segment; the
+    attention projection is ``dim`` wide."""
 
-    def __init__(self, dim: int, hidden: int | None = None,
-                 rng: np.random.Generator | None = None):
+    def __init__(self, dim: int, rng: np.random.Generator | None = None):
         rng = rng or np.random.default_rng(0)
-        hidden = hidden or dim
         self.dim = dim
-        self.hidden = hidden
-        self.W = Parameter(rng.normal(0, np.sqrt(1.0 / dim), (dim, hidden)))
-        self.q = Parameter(rng.normal(0, np.sqrt(1.0 / hidden), hidden))
+        self.W = Parameter(rng.normal(0, np.sqrt(1.0 / dim), (dim, dim)))
+        self.q = Parameter(rng.normal(0, np.sqrt(1.0 / dim), dim))
         self._cache: dict | None = None
 
     def forward(self, acts: EmbeddingActivations) -> np.ndarray:
         X, offsets = acts.values, acts.offsets
         lengths = np.diff(offsets)
-        H = np.tanh(X @ self.W.value)  # (N, hidden)
+        H = np.tanh(X @ self.W.value)  # (N, dim)
         s = H @ self.q.value  # (N,)
         smax = _segment_max_scalar(s, offsets)
         e = np.exp(s - np.repeat(smax, lengths))
@@ -99,21 +97,22 @@ class AttentionPooling(PoolingModule):
         return [self.W, self.q]
 
     def flops(self, total_values: int, dim: int, batch_size: int) -> float:
-        # tanh(XW)q dominates: N*D*H + N*H, plus weighted sum N*D
+        # tanh(XW)q dominates: N*D*H + N*H (H = self.dim), plus weighted
+        # sum N*D
         return float(
-            2 * total_values * dim * self.hidden
-            + 2 * total_values * self.hidden
+            2 * total_values * dim * self.dim
+            + 2 * total_values * self.dim
             + 2 * total_values * dim
         )
 
 
 class TransformerPooling(PoolingModule):
-    """One self-attention block + FFN over each sequence, mean-pooled."""
+    """One self-attention block + FFN (``2 * dim`` wide) over each
+    sequence, mean-pooled."""
 
-    def __init__(self, dim: int, ffn_hidden: int | None = None,
-                 rng: np.random.Generator | None = None):
+    def __init__(self, dim: int, rng: np.random.Generator | None = None):
         rng = rng or np.random.default_rng(0)
-        ffn_hidden = ffn_hidden or 2 * dim
+        ffn_hidden = 2 * dim
         self.dim = dim
         self.ffn_hidden = ffn_hidden
         scale = np.sqrt(1.0 / dim)

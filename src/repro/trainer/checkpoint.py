@@ -106,17 +106,17 @@ def load_model(model: DLRM, blob: bytes) -> None:
 
 
 class ModelStore:
-    """Versioned model snapshots on the (simulated) Tectonic filesystem."""
+    """Versioned model snapshots on the (simulated) Tectonic filesystem,
+    under ``model_store/<name>/``."""
 
-    def __init__(self, fs: TectonicFS, prefix: str = "model_store"):
+    def __init__(self, fs: TectonicFS):
         self.fs = fs
-        self.prefix = prefix
 
     def _path(self, name: str, version: int) -> str:
-        return f"{self.prefix}/{name}/v{version:06d}.npz"
+        return f"model_store/{name}/v{version:06d}.npz"
 
     def versions(self, name: str) -> list[int]:
-        paths = self.fs.listdir(f"{self.prefix}/{name}/")
+        paths = self.fs.listdir(f"model_store/{name}/")
         return sorted(
             int(p.rsplit("/v", 1)[1].removesuffix(".npz")) for p in paths
         )

@@ -1,10 +1,11 @@
 """The architecture rules: each structural invariant RecD's gains rest on
 (one columnar data path, one dedup key build and one IKJT buffer per batch,
-one event log, no option without a caller) as a named rule of text and AST
-facts about one source tree.  A rule's docstring says why it holds; each of
-its checks carries its failure text and the regression it was written for,
-as a snippet appended to a file ``(path, source)`` or swapped in ``(path,
-old, new)``.  To add a guard, add a check and its fixture here."""
+one event log, no option or public name without a caller) as a named rule
+of text and AST facts about one source tree.  A rule's docstring says why
+it holds; each of its checks carries its failure text and the regression it
+was written for, as a snippet appended to a file ``(path, source)`` or
+swapped in ``(path, old, new)``.  To add a guard, add a check and its
+fixture here."""
 
 from __future__ import annotations
 
@@ -16,11 +17,14 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
+#: where src/ is called from outside tests/: the benchmarks, the examples and the executed docs
+CALLERS = ("benchmarks/", "examples/", "docs/", "README.md")
+_FENCE = re.compile(r"```python\n(.*?)```", re.S)
 
 
 def _full(path: str) -> str:
-    """``reader/fill.py`` -> ``src/repro/reader/fill.py``; ``benchmarks/…`` stays."""
-    return path if path.startswith("benchmarks/") else f"src/repro/{path}"
+    """``reader/fill.py`` -> ``src/repro/reader/fill.py``; a ``CALLERS`` path stays."""
+    return path if path.startswith(CALLERS) else f"src/repro/{path}"
 
 
 @functools.cache
@@ -29,12 +33,17 @@ def _nodes(source: str) -> tuple[ast.AST, ...]:
 
 
 class Tree(dict):
-    """``path -> source`` of every ``src/repro/**.py`` and ``benchmarks/*.py``."""
+    """``path -> source`` of every ``src/repro/**.py``, ``benchmarks/**.py`` and ``examples/*.py``,
+    and of the ``python`` fences of ``README.md`` and ``docs/*.md`` (one source per page, the
+    snippets tests/docs executes)."""
 
     @classmethod
     def load(cls, root: Path = ROOT) -> Tree:
-        paths = sorted([*root.glob("src/repro/**/*.py"), *root.glob("benchmarks/*.py")])
-        return cls({p.relative_to(root).as_posix(): p.read_text() for p in paths})
+        paths = sorted([*root.glob("src/repro/**/*.py"), *root.glob("benchmarks/**/*.py"),
+                        *root.glob("examples/*.py")])
+        docs = [root / "README.md", *sorted(root.glob("docs/*.md"))]
+        return cls({**{p.relative_to(root).as_posix(): p.read_text() for p in paths},
+                    **{p.relative_to(root).as_posix(): "\n".join(_FENCE.findall(p.read_text())) for p in docs}})
 
     def overlay(self, path: str, *edit: str) -> Tree:
         """This tree with ``edit`` (a snippet to append, or ``old, new``) applied to ``path``."""
@@ -116,6 +125,61 @@ def _event_appends(tree: Tree) -> list[str]:
     return [f"{p}:{n.lineno}: {ast.unparse(n)}" for p, n in calls] or ["no events.append("]
 
 
+#: public names in src/repro that only tests/ call, each kept for what it gives the tests
+TEST_ONLY = {
+    # the oracles tests compare the fast paths against
+    "FeatureLogRecord.deserialize": "the per-record decode the ETL's columnar payload parse is checked against",
+    "EventLogRecord.deserialize": "the same per-record decode for event records",
+    "decode_int64": "the one-stream varint decode the chunked run decoder is checked against",
+    "JaggedTensor.to_lists": "the plain-list view jagged, KJT and IKJT results are compared through",
+    "KeyedJaggedTensor.from_columns": "the per-batch pack the cuts of RowBlock.keyed are checked against",
+    "exact_duplicate_fraction": "the list-based Fig 4 statistic the characterization trace is checked with",
+    "partial_duplicate_fraction": "the partial-overlap twin of exact_duplicate_fraction",
+    # the views tests read state through
+    "spec_field_names": "every spec field, the view the API manifest test diffs",
+    "TierReport.max_consecutive_skips": "the starvation bound the tier and chaos properties assert",
+    "SparseFeatureSpec.is_sequence": "the pooling-kind view the schema and workload tests read",
+}
+
+
+def _public_defs(tree: Tree) -> list[tuple[str, str]]:
+    """``(path:line, name)`` of every public function and class in src/repro and every public
+    method of such a class (``Class.method``)."""
+    defs = []
+    for p in tree.files():
+        for d in _nodes(tree[p])[0].body:
+            if not isinstance(d, (ast.FunctionDef, ast.ClassDef)) or d.name.startswith("_"):
+                continue
+            defs.append((f"{p}:{d.lineno}", d.name))
+            if isinstance(d, ast.ClassDef):
+                defs += [(f"{p}:{m.lineno}", f"{d.name}.{m.name}") for m in d.body
+                         if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
+    return defs
+
+
+@functools.cache
+def _refs(source: str) -> frozenset[str]:
+    return frozenset(getattr(n, "id", None) or n.attr for n in _nodes(source)
+                     if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def _called(tree: Tree) -> set[str]:
+    """Every name or attribute src/repro or a ``CALLERS`` file refers to."""
+    return set().union(*(_refs(tree[p]) for p in tree.files("", *CALLERS)))
+
+
+def _uncalled(tree: Tree) -> list[str]:
+    called = _called(tree)
+    return [f"{at}: {name}" for at, name in _public_defs(tree)
+            if name.rsplit(".", 1)[-1] not in called and name not in TEST_ONLY]
+
+
+def _stale_test_only(tree: Tree) -> list[str]:
+    defined, called = {name for _, name in _public_defs(tree)}, _called(tree)
+    return [f"TEST_ONLY[{name!r}]: " + ("no longer defined" if name not in defined else "called outside tests/")
+            for name in TEST_ONLY if name not in defined or name.rsplit(".", 1)[-1] in called]
+
+
 @dataclass(frozen=True)
 class Check:
     """One sub-check: what ``find`` reports on a tree breaks the rule, and ``error`` says why."""
@@ -141,6 +205,28 @@ DATA_PATH = ("reader/", "storage/", "etl/", "scribe/", "streaming/")
 IKJT_CORE = ("core/dedup.py", "core/ikjt.py")
 TIER_CLOCK = "        self.clock += rnd.modeled_wall_seconds\n"
 MAX_READERS = "    max_readers: int = 32\n"
+#: (path, class or None, function, parameter, fixture edit) of each parameter no caller outside
+#: tests/ ever set: its value is now a constant of the function
+RETIRED_PARAMS = (
+    ("reader/node.py", "ReaderNode", "__init__", "cost_model",
+     ("    def __init__(self, config: DataLoaderConfig):", "    def __init__(self, config: DataLoaderConfig, cost_model=None):")),
+    ("reader/fleet.py", "ReaderFleet", "__init__", "cost_model",
+     ('        config: DataLoaderConfig,\n        executor: str = "inprocess",',
+      '        config: DataLoaderConfig,\n        cost_model: ReaderCostModel | None = None,\n        executor: str = "inprocess",')),
+    ("trainer/attention.py", "AttentionPooling", "__init__", "hidden",
+     ('projection is ``dim`` wide."""\n\n    def __init__(self, dim: int,',
+      'projection is ``dim`` wide."""\n\n    def __init__(self, dim: int, hidden: int | None = None,')),
+    ("trainer/attention.py", "TransformerPooling", "__init__", "ffn_hidden",
+     ('mean-pooled."""\n\n    def __init__(self, dim: int,', 'mean-pooled."""\n\n    def __init__(self, dim: int, ffn_hidden: int | None = None,')),
+    ("datagen/characterization.py", None, "characterization_schema", "user_fraction",
+     ("    num_features: int = 733, seed", "    num_features: int = 733, user_fraction: float = 0.85, seed")),
+    ("datagen/workloads.py", None, "_dedup_groups_from_schema", "include_solo",
+     ("    schema: DatasetSchema,\n) ->", "    schema: DatasetSchema, include_solo: bool = True,\n) ->")),
+    ("datagen/workloads.py", None, "_elementwise_features", "prefix",
+     ("    count: int, avg_length: int = 8\n", '    count: int, prefix: str = "ew", avg_length: int = 8\n')),
+    ("trainer/checkpoint.py", "ModelStore", "__init__", "prefix",
+     ("    def __init__(self, fs: TectonicFS):", '    def __init__(self, fs: TectonicFS, prefix: str = "model_store"):')),
+)
 
 RULES: dict[str, Rule] = {
     "columnar_data_path": Rule("""Rows move as column slices (RowBlock) in both directions: scribe
@@ -407,10 +493,12 @@ RULES: dict[str, Rule] = {
         code path with no workload behind it: the value is a constant.  These were options once
         (autoscaler smoothing and shrink tunables, the sparse Adagrad optimizer, the ETL's
         downsampling config, StreamSpec.compact, TierJob.track_freshness, the Session's pool-level
-        scaling override, GridSpec.exclude, DataSpec.num_scribe_shards, the fleet's prefetch_depth)
-        and must not come back unused.  The forked workers' queue depth is fleet.py's constant
-        _PREFETCH_DEPTH.  The Scribe shard count is DataSpec's class constant (the stopwatch reads
-        spec.data.num_scribe_shards), never a field.""",
+        scaling override, GridSpec.exclude, DataSpec.num_scribe_shards, the fleet's prefetch_depth,
+        and the RETIRED_PARAMS: the reader node's and fleet's cost_model, the poolings' hidden
+        widths, the characterization schema's user fraction, the workload helpers' include_solo and
+        prefix, ModelStore's prefix) and must not come back unused.  The forked workers' queue
+        depth is fleet.py's constant _PREFETCH_DEPTH.  The Scribe shard count is DataSpec's class
+        constant (the stopwatch reads spec.data.num_scribe_shards), never a field.""",
         Check("a retired option is back in src/repro; give it a caller that sets another value, or keep it a constant",
               grep(r"ewma_alpha|RowWiseAdagrad|sparse_optimizer|apply_optimizer|downsample_by|shrink_patience|shrink_trainer_stall"),
               ("reader/autoscale.py", MAX_READERS, MAX_READERS + "    ewma_alpha: float = 1.0\n")),
@@ -437,5 +525,23 @@ RULES: dict[str, Rule] = {
                            and ast.unparse(f.target) == "num_scribe_shards" and "ClassVar" not in ast.unparse(f.annotation)],
              ("pipeline/spec.py", "num_scribe_shards: ClassVar[int] = 8", "num_scribe_shards: int = 8")))),
         Check("prefetch_depth is an option again; the forked workers' queue depth is the constant _PREFETCH_DEPTH",
-              grep(r"prefetch[_-]depth"), ("pipeline/spec.py", "    num_readers: int = 1\n", "    num_readers: int = 1\n    prefetch_depth: int = 2\n"))),
+              grep(r"prefetch[_-]depth"), ("pipeline/spec.py", "    num_readers: int = 1\n", "    num_readers: int = 1\n    prefetch_depth: int = 2\n")),
+        *(Check(f"{cls + '.' if cls else ''}{fn}({param}=) is an option again; no caller outside tests/ sets it, so its value stays a constant",
+                lambda tree, at=(path, fn, cls), param=param: [f"{_full(at[0])}: {param}"] * (param in _params(tree, *at)),
+                (path, *edit))
+          for path, cls, fn, param, edit in RETIRED_PARAMS)),
+    "public_names_have_callers": Rule("""A public name in src/repro is there for a caller: src/ itself,
+        benchmarks/, examples/ or an executed python snippet of README.md or docs/*.md (an AST name
+        or attribute reference; a re-export or an __all__ string is not one).  A function, class or
+        method only tests/ reach is capability no run has, kept working for nothing: FaultPlan.seeded,
+        trainer/evaluation.py, RunStore.experiments, ScalingTrace.actions, lengths_from_offsets and
+        ScribeShard.seal (flush's twin) went for that.  TEST_ONLY names the oracles and views tests
+        need, each with its reason, and stays exact: an entry whose name is gone or has gained a
+        caller goes.  A name an example or a doc snippet calls (readers_required,
+        measure_feature_stats, RunStore.latest, OverlapReport.fractions) has its caller, so it needs
+        no entry.""",
+        Check("a public name in src/repro has no caller outside tests/; delete it, call it from src/, benchmarks/, examples/ or an executed doc snippet, or list a test oracle in TEST_ONLY with its reason",
+              _uncalled, ("sim/faults.py", "def orphan_plan():\n    return None")),
+        Check("TEST_ONLY lists a name src/repro no longer defines, or one that has a caller outside tests/ now; drop the entry",
+              _stale_test_only, ("examples/quickstart.py", "FIELDS = spec_field_names()"))),
 }

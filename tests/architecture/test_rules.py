@@ -1,6 +1,7 @@
 """Every architecture rule holds on the tree and every one of its checks fires on the regression it
 was written for.  The rules also fire on each regression the tier-state, event-log, overlap-report,
-option and queue-wait checks were first proven against, one regression per copy of the tree."""
+option, queue-wait and public-name checks were first proven against (a removed test-only name
+re-added), one regression per copy of the tree."""
 
 import pytest
 
@@ -43,6 +44,15 @@ REGRESSIONS = {
     "modeled-get-wait": ("one_shard_scan_one_serial_loop", ("reader/fleet.py", "            yield from batches\n",
                                                             "            self.report.queue.get_wait += 0.0\n            yield from batches\n")),
     "queue-wait-keyword": ("one_shard_scan_one_serial_loop", ("reader/fleet.py", "def _settle(node):\n    return QueueWaitBreakdown(put_wait=0.5)")),
+    "fault-plan-seeded": ("public_names_have_callers", ("sim/faults.py", "    def fleet_faults(self", "    @classmethod\n    def seeded("
+                                                        "cls, seed: int) -> FaultPlan:\n        return cls(seed=seed)\n\n    def fleet_faults(self")),
+    "evaluation-module": ("public_names_have_callers", ("trainer/evaluation.py", "def normalized_entropy(p, y):\n    return 1.0")),
+    "run-store-experiments": ("public_names_have_callers", ("experiments/store.py", "    def metric(\n",
+                                                            "    def experiments(self):\n        return []\n\n    def metric(\n")),
+    "scaling-trace-actions": ("public_names_have_callers", ("metrics/scaling.py", "    @property\n    def final_width", "    @property\n"
+                                                            "    def actions(self):\n        return []\n\n    @property\n    def final_width")),
+    "lengths-from-offsets": ("public_names_have_callers", ("core/jagged.py", "def lengths_from_offsets(offsets):\n    return np.diff(offsets)")),
+    "scribe-seal": ("public_names_have_callers", ("scribe/bus.py", "    def drain(self)", "    def seal(self) -> int:\n        return self.flush()\n\n    def drain(self)")),
 }
 
 

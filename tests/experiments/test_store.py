@@ -109,12 +109,6 @@ class TestQueries:
         with pytest.raises(KeyError):
             store.latest("exp", "base")
 
-    def test_experiments_lists_distinct_names_sorted(self, store):
-        store.record(_record("a", experiment="zeta"))
-        store.record(_record("b", experiment="alpha"))
-        store.record(_record("c", experiment="alpha", label="y"))
-        assert store.experiments() == ["alpha", "zeta"]
-
     def test_metric_across_runs(self, store):
         store.record(_record("a", metrics={"trainer_qps": 1.0}))
         store.record(

@@ -4,9 +4,10 @@
 retention and streamed jobs still landed through three separate code
 paths — by running this module as a script (``PYTHONPATH=src python
 tests/pipeline/test_landing_golden.py``).  Each case records the sha256
-over every landed file's path and bytes in landing order (read inside
-``HiveTable.land_partition``, so before any drop or compaction deletes
-them; a compaction's rewrite is itself a landing and is hashed too),
+over every landed file's path and bytes in landing order (read as
+``HiveTable._commit`` writes them, the one write step of
+``land_partition`` and of ``compact_partition``, so before any drop or
+compaction deletes them; a compaction's rewrite is a landing too),
 the partition name of every such landing, the epoch plan, the dropped
 and recorded partitions, the transport stats and the losses as hex
 floats.  File and scribe byte counts go through zlib, so the golden is
@@ -70,17 +71,17 @@ def capture(case: str, monkeypatch) -> dict:
     """Run the case's session with every landing hashed as it happens."""
     digest = hashlib.sha256()
     landings: list[str] = []
-    real_land = HiveTable.land_partition
+    real_commit = HiveTable._commit
 
     def land(table, partition, *args, **kwargs):
-        info = real_land(table, partition, *args, **kwargs)
+        info = real_commit(table, partition, *args, **kwargs)
         landings.append(partition)
         for path in info.files:
             digest.update(path.encode())
             digest.update(table.fs.read(path))
         return info
 
-    monkeypatch.setattr(HiveTable, "land_partition", land)
+    monkeypatch.setattr(HiveTable, "_commit", land)
     res = Session(_spec(case)).run()
     return {
         "files_sha256": digest.hexdigest(),

@@ -3,6 +3,8 @@
 import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datagen import (
     DatasetSchema,
@@ -75,22 +77,22 @@ class TestScribeShard:
         assert shard.stats.num_blocks == 0
         assert shard.stats.compression_ratio == 1.0
 
-    def test_seal_reports_blocks_sealed(self):
+    def test_flush_reports_blocks_sealed(self):
         shard = ScribeShard(0, block_bytes=1 << 20)
-        assert shard.seal() == 0  # nothing buffered
+        assert shard.flush() == 0  # nothing buffered
         shard.append(b"a" * 10)
         shard.append(b"b" * 10)
-        assert shard.seal() == 1
-        assert shard.seal() == 0  # idempotent until new appends
+        assert shard.flush() == 1
+        assert shard.flush() == 0  # idempotent until new appends
 
     def test_drain_returns_only_newly_sealed_messages(self):
         shard = ScribeShard(0, block_bytes=1 << 20)
         shard.append(b"tick-0")
-        shard.seal()
+        shard.flush()
         assert shard.drain() == [b"tick-0"]
         shard.append(b"tick-1a")
         shard.append(b"tick-1b")
-        shard.seal()
+        shard.flush()
         # Only the second tick's messages; history is not re-read.
         assert shard.drain() == [b"tick-1a", b"tick-1b"]
         # read_messages still sees everything, in order.
@@ -103,20 +105,20 @@ class TestScribeShard:
         ):
             shard.drain()
 
-    def test_drain_with_unsealed_messages_says_seal_first(self):
+    def test_drain_with_unsealed_messages_says_flush_first(self):
         shard = ScribeShard(1, block_bytes=1 << 20)
         shard.append(b"buffered")
         with pytest.raises(
             ValueError,
             match=r"shard 1: nothing sealed to drain; 1 message\(s\) "
-            r"still buffered — call seal\(\) first",
+            r"still buffered — call flush\(\) first",
         ):
             shard.drain()
 
     def test_drained_twice_without_new_seal_raises(self):
         shard = ScribeShard(0, block_bytes=1 << 20)
         shard.append(b"m")
-        shard.seal()
+        shard.flush()
         shard.drain()
         with pytest.raises(ValueError, match="is empty: nothing to drain"):
             shard.drain()
@@ -129,6 +131,7 @@ class TestTruncatedFrames:
     def _shard_with_blocks(self, *raws: bytes) -> ScribeShard:
         shard = ScribeShard(5)
         shard._blocks = [zlib.compress(raw) for raw in raws]
+        shard._raw_lengths = [len(raw) for raw in raws]
         return shard
 
     @staticmethod
@@ -162,6 +165,73 @@ class TestTruncatedFrames:
         assert self._shard_with_blocks(raw).read_messages() == [b"", b"x", b""]
 
 
+
+#: messages that seal into several 512-byte blocks of shard 2
+_MESSAGES = [bytes([i]) * (i * 7 % 50) + b"msg" for i in range(60)]
+
+
+def _sealed_shard() -> ScribeShard:
+    shard = ScribeShard(2, block_bytes=512)
+    for message in _MESSAGES:
+        shard.append(message)
+    shard.flush()
+    shard.stats  # every block compressed and in place
+    return shard
+
+
+@st.composite
+def _mutation(draw, block: bytes) -> bytes:
+    """``block`` with one byte changed, removed or added, cut short, or
+    followed by bytes it does not hold."""
+    kind = draw(st.sampled_from(["change", "drop", "insert", "cut", "append"]))
+    if kind == "cut":
+        return block[: draw(st.integers(0, len(block) - 1))]
+    if kind == "append":
+        return block + draw(st.binary(min_size=1, max_size=8))
+    at = draw(st.integers(0, len(block) - 1))
+    if kind == "drop":
+        return block[:at] + block[at + 1 :]
+    if kind == "insert":
+        return block[:at] + bytes([draw(st.integers(0, 255))]) + block[at:]
+    value = draw(st.integers(0, 255).filter(lambda v: v != block[at]))
+    return block[:at] + bytes([value]) + block[at + 1 :]
+
+
+class TestCorruptBlocks:
+    """A sealed block whose bytes changed after sealing reads back as its
+    own messages or fails as a ValueError naming its shard and block,
+    never as a raw zlib error or different messages."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_mutated_block_is_named_or_harmless(self, data):
+        shard = _sealed_shard()
+        assert len(shard._blocks) > 2
+        index = data.draw(st.integers(0, len(shard._blocks) - 1), label="block")
+        shard._blocks[index] = data.draw(_mutation(shard._blocks[index]))
+        for read in (shard.read_messages, shard.drain):
+            try:
+                got = read()
+            except ValueError as err:
+                assert str(err).startswith(f"shard 2: block {index}: "), err
+            else:
+                assert got == _MESSAGES
+
+    def test_truncated_block_names_shard_and_block(self):
+        shard = _sealed_shard()
+        shard._blocks[1] = shard._blocks[1][:-5]
+        with pytest.raises(ValueError, match=r"^shard 2: block 1: stream cut short"):
+            shard.read_messages()
+
+    def test_block_inflates_no_more_than_its_sealed_length(self):
+        shard = _sealed_shard()
+        shard._raw_lengths[0] -= 1
+        with pytest.raises(
+            ValueError, match=r"^shard 2: block 0: inflates past its recorded raw length"
+        ):
+            shard.drain()
+
+
 class TestClusterSealDrain:
     def _log_tick(self, cluster, samples):
         for s in samples:
@@ -177,10 +247,10 @@ class TestClusterSealDrain:
             num_shards=4, policy=ShardKeyPolicy.SESSION_ID
         )
         self._log_tick(cluster, samples[:20])
-        cluster.seal()
+        cluster.flush()
         first = cluster.drain_all()
         self._log_tick(cluster, samples[20:])
-        cluster.seal()
+        cluster.flush()
         second = cluster.drain_all()
         # Two ticks' drains partition the full readback: nothing lost,
         # nothing re-read (2 framed messages per sample: features+event).
@@ -190,7 +260,7 @@ class TestClusterSealDrain:
     def test_empty_cluster_drains_to_empty(self):
         cluster = ScribeCluster(num_shards=3)
         assert cluster.drain_all() == []
-        assert cluster.seal() == 0
+        assert cluster.flush() == 0
 
 
 def _trace_schema():

@@ -102,39 +102,3 @@ class TestFleetFaultMerge:
         )
         assert plan.fleet_faults(0, "a").lost_fraction == 0.5
 
-
-class TestSeeded:
-    def test_same_seed_same_plan(self):
-        a = FaultPlan.seeded(42, ["j0", "j1"], rounds=6)
-        b = FaultPlan.seeded(42, ["j0", "j1"], rounds=6)
-        assert a == b
-        assert a.seed == 42
-
-    def test_different_seed_different_plan(self):
-        plans = {
-            FaultPlan.seeded(s, ["j0", "j1"], rounds=8, crashes=2)
-            for s in range(8)
-        }
-        assert len(plans) > 1
-
-    def test_preemptions_never_at_round_zero(self):
-        for seed in range(20):
-            plan = FaultPlan.seeded(
-                seed, ["j0", "j1", "j2"], rounds=5, preemptions=3
-            )
-            assert all(p.round >= 1 for p in plan.preemptions)
-
-    def test_event_counts_and_bounds(self):
-        plan = FaultPlan.seeded(
-            7, ["a"], rounds=4, crashes=3, stragglers=2, max_shard=2
-        )
-        assert len(plan.crashes) == 3
-        assert len(plan.stragglers) == 2
-        assert all(0 <= c.round < 4 and c.shard < 2 for c in plan.crashes)
-        assert all(s.factor >= 1.5 for s in plan.stragglers)
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError, match="at least one job"):
-            FaultPlan.seeded(0, [], rounds=4)
-        with pytest.raises(ValueError, match="rounds must be positive"):
-            FaultPlan.seeded(0, ["a"], rounds=0)

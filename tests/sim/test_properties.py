@@ -1,6 +1,6 @@
-"""Hypothesis chaos properties: any seeded plan is harmless to losses.
+"""Hypothesis chaos properties: any drawn plan is harmless to losses.
 
-These generate whole fault plans from seeds and execute them over live
+These draw whole fault plans and execute them over live
 sessions, so they are marked ``chaos`` and run in the opt-in tier
 (``pytest -m chaos``).  The properties are the simulator's contract:
 
@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datagen.workloads import rm1, rm2
-from repro.sim import FaultPlan, Scenario
+from repro.sim import CrashFault, FaultPlan, Preemption, Scenario, StragglerFault
 from repro.sim.scenarios import _job
 
 pytestmark = pytest.mark.chaos
@@ -27,20 +27,37 @@ def _scenario(plan):
         ("alpha", _job(rm1(scale=0.15), seed=21, epochs=3, sessions=40)),
         ("beta", _job(rm2(scale=0.15), seed=22, epochs=3, sessions=40)),
     )
-    return Scenario("seeded", "a seeded plan", jobs, plan, width=4)
+    return Scenario("drawn", "a drawn plan", jobs, plan, width=4)
+
+
+JOBS = st.sampled_from(["alpha", "beta"])
+ROUNDS = st.integers(min_value=0, max_value=5)
+SHARDS = st.integers(min_value=0, max_value=7)
+
+
+@st.composite
+def plans(draw, crashes, stragglers, preemptions):
+    """A plan over the two jobs' six rounds: crashes and stragglers in
+    any round, preemptions from round 1 (so a preempted job has an
+    epoch done), at most one per (round, job)."""
+    crash = st.builds(CrashFault, ROUNDS, JOBS, SHARDS,
+                      st.floats(min_value=0.1, max_value=0.9))
+    slow = st.builds(StragglerFault, ROUNDS, JOBS, SHARDS,
+                     st.floats(min_value=1.5, max_value=4.0))
+    preempt = st.builds(Preemption, st.integers(min_value=1, max_value=5),
+                        JOBS, st.integers(min_value=1, max_value=2))
+    return FaultPlan(
+        crashes=tuple(draw(st.lists(crash, min_size=crashes, max_size=crashes))),
+        stragglers=tuple(draw(st.lists(slow, min_size=stragglers, max_size=stragglers))),
+        preemptions=tuple(draw(st.lists(
+            preempt, min_size=1, max_size=preemptions,
+            unique_by=lambda p: (p.round, p.job)))),
+    )
 
 
 @settings(max_examples=8, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=10**6))
-def test_any_seeded_plan_preserves_loss_bit_identity(seed):
-    plan = FaultPlan.seeded(
-        seed,
-        ["alpha", "beta"],
-        rounds=6,
-        crashes=2,
-        stragglers=2,
-        preemptions=2,
-    )
+@given(plan=plans(crashes=2, stragglers=2, preemptions=2))
+def test_any_drawn_plan_preserves_loss_bit_identity(plan):
     scenario = _scenario(plan)
     result = scenario.run()
     baseline = scenario.baseline()
@@ -48,21 +65,13 @@ def test_any_seeded_plan_preserves_loss_bit_identity(seed):
     for job in ("alpha", "beta"):
         assert len(result.losses[job]) == 6  # 3 epochs x 2 batches
         assert result.losses[job] == baseline[job], (
-            f"seed {seed}: {job} losses diverged under plan {plan}"
+            f"{job} losses diverged under plan {plan}"
         )
 
 
 @settings(max_examples=8, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=10**6))
-def test_any_seeded_plan_keeps_allocation_invariants(seed):
-    plan = FaultPlan.seeded(
-        seed,
-        ["alpha", "beta"],
-        rounds=6,
-        crashes=1,
-        stragglers=1,
-        preemptions=2,
-    )
+@given(plan=plans(crashes=1, stragglers=1, preemptions=2))
+def test_any_drawn_plan_keeps_allocation_invariants(plan):
     result = _scenario(plan).run()
     tier = result.tier
     for rnd, width in zip(tier.rounds, tier.widths):

@@ -122,6 +122,13 @@ class TestDecompressIsBounded:
         with pytest.raises(ValueError, match=r"raw length 1844\d+ is too large"):
             decompress(frame)
 
+    def test_bytes_after_the_stream_are_refused(self):
+        frame = compress(b"abcdefgh" * 100) + b"tail"
+        with pytest.raises(
+            ValueError, match="corrupt frame: 4 bytes follow the end of its stream"
+        ):
+            decompress(frame)
+
     def test_unknown_codec_is_refused(self):
         frame = _FRAME.pack(7, 3) + b"abc"
         with pytest.raises(ValueError, match="corrupt frame: unknown codec id 7"):
@@ -195,6 +202,49 @@ class TestCompressMany:
             sys.setswitchinterval(old)
         assert not any(t.is_alive() for t in threads)
         assert wrong == [] and len(pools) == 1
+
+
+
+class _Boom(Exception):
+    """Raised by a pool worker: names the thread it was raised on."""
+
+
+class TestWorkerErrors:
+    """An exception a pool worker raises surfaces, itself, where the
+    result is awaited, and the pool goes on serving the next call."""
+
+    @pytest.fixture
+    def failing(self, monkeypatch, pool_of):
+        pool_of(4)
+        real = zlib.compress
+
+        def compress_or_fail(data, level=6):
+            if data == b"boom":
+                raise _Boom(threading.current_thread().name)
+            return real(data, level)
+
+        monkeypatch.setattr(compression.zlib, "compress", compress_or_fail)
+        return real
+
+    def test_compress_many(self, failing):
+        payloads = [b"a", b"b", b"c", b"d", b"e", b"f", b"g", b"boom"]
+        with pytest.raises(_Boom, match="^compress_") as err:
+            compress_many(payloads, Codec.ZLIB)
+        assert err.value.args[0] != threading.current_thread().name
+        pool = compression._pool
+        payloads[-1] = b"h"
+        assert compress_many(payloads) == [
+            _FRAME.pack(Codec.ZLIB.value, 1) + failing(p, 6) for p in payloads
+        ]
+        assert compression._pool is pool
+
+    def test_deflate_later(self, failing):
+        future = compression.deflate_later(b"boom")
+        with pytest.raises(_Boom, match="^compress_"):
+            future.result()
+        pool = compression._pool
+        assert compression.deflate_later(b"abc").result() == failing(b"abc", 6)
+        assert compression._pool is pool
 
 
 class TestWritersGiveTheSameBytes:
@@ -284,7 +334,7 @@ class TestShardSettlesBeforeReading:
         assert shard._blocks == self._expected_blocks(self.MESSAGES, 2048)
 
     def test_counting_sealed_blocks_does_not_wait(self, monkeypatch):
-        """``seal()`` counts a block whose compression has not finished."""
+        """``flush()`` counts a block whose compression has not finished."""
         unfinished = []
 
         def later(data, level=6):
@@ -294,7 +344,7 @@ class TestShardSettlesBeforeReading:
         monkeypatch.setattr(bus, "deflate_later", later)
         cluster = ScribeCluster(num_shards=2, block_bytes=1 << 20)
         cluster.shards[1].append(b"m")
-        assert cluster.seal() == 1
+        assert cluster.flush() == 1
         for future, data, level in unfinished:
             future.set_result(zlib.compress(data, level))
         assert cluster.drain_all() == [b"m"]
@@ -302,7 +352,7 @@ class TestShardSettlesBeforeReading:
 
     def test_drain_and_egress_see_settled_blocks(self, pooled):
         shard = self._shard(self.MESSAGES)
-        shard.seal()
+        shard.flush()
         assert shard.egress_bytes == sum(
             map(len, self._expected_blocks(self.MESSAGES, 2048))
         )

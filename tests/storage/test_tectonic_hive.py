@@ -10,6 +10,8 @@ from repro.datagen import (
 )
 from repro.etl.cluster import cluster_order
 from repro.storage import HiveTable, RowBlock, TectonicFS
+from repro.storage.dwrf import DwrfWriter
+from tests.storage.test_rowblock import _assert_blocks_equal
 
 
 def _schema():
@@ -210,6 +212,42 @@ class TestHiveTable:
         )
         # Already compact: a second pass is a no-op.
         assert small.compact_partition("p") == 0
+
+    def test_failed_compaction_keeps_the_partition(self, monkeypatch):
+        """A write that fails while compacting leaves the partition's files
+        and rows as they were, and a retry compacts it to the files a
+        compaction that never failed lands."""
+        rows = _trace(40, seed=3)[:586]
+        tables = []
+        for _ in range(2):
+            fs = TectonicFS()
+            table = HiveTable("t", _schema(), fs, rows_per_file=256, stripe_rows=4)
+            assert len(table.land_partition("p", rows, rows_per_file=16).files) == 37
+            tables.append((fs, table))
+        (fs, table), (clean_fs, clean) = tables
+        landed = {path: fs.read(path) for path in fs.listdir("")}
+
+        def fail(writer, block):
+            raise OSError("disk full")
+
+        with monkeypatch.context() as m:
+            m.setattr(DwrfWriter, "write", fail)
+            with pytest.raises(OSError, match="disk full"):
+                table.compact_partition("p")
+        assert table.live_partitions == ["p"]
+        assert {path: fs.read(path) for path in fs.listdir("")} == landed
+        assert table.partitions["p"].files == sorted(landed)
+        _assert_blocks_equal(table.read_partition("p"), rows)
+        assert table.files_compacted == 0
+
+        assert table.compact_partition("p") == clean.compact_partition("p") == 37 - 3
+        assert fs.listdir("") == clean_fs.listdir("") == table.partitions["p"].files
+        assert [fs.read(f) for f in fs.listdir("")] == [
+            clean_fs.read(f) for f in clean_fs.listdir("")
+        ]
+        assert table.files_compacted == clean.files_compacted
+        assert table.bytes_ever_landed == clean.bytes_ever_landed
+        _assert_blocks_equal(table.read_partition("p"), rows)
 
     def test_compact_unknown_partition_message(self):
         table = self._table()
